@@ -37,8 +37,8 @@ fn run(mode: Mode) -> Outcome {
         setup.placement = Placement::Random;
     }
     if mode == Mode::Dynastar {
-        setup.repartition_threshold = 4_000;
-        setup.min_plan_interval = SimDuration::from_secs(12);
+        setup.cluster.repartition_threshold = 4_000;
+        setup.cluster.min_plan_interval = SimDuration::from_secs(12);
     }
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..CLIENTS {

@@ -2,29 +2,26 @@
 //!
 //! Sweeps worker-pool width × workload conflict rate on a single-partition
 //! Chirper deployment where execution — not ordering — is the bottleneck:
-//! the per-command service time is raised to 1 ms, consensus batches, and
-//! 64 closed-loop clients keep the execution queue deep. The conflict rate
+//! the per-command service time is raised to 1 ms and 64 closed-loop
+//! clients keep the execution queue deep (ordering stays at the unbatched
+//! default, which never binds here). The conflict rate
 //! is dialed with the Zipf user-selection skew: at high skew most commands
 //! touch the same hot users, so a post's write set keeps intersecting the
 //! window and the scheduler degrades toward serial; at low skew the
 //! 90%-read mix parallelizes almost perfectly.
 //!
 //! Simulated completions are deterministic per point (no wall-clock in the
-//! numbers), so the committed baseline doubles as a schedule pin. Jobs
-//! mirror `fig7`/`probe_perf`:
-//!
-//! * `--out FILE` writes machine-readable `BENCH_exec.json`;
-//! * `--check-against FILE` is the CI smoke gate: exit 1 when a point's
-//!   commands/sim-s falls more than 30% below the committed baseline;
-//! * `--smoke` restricts the sweep to {1, 8} workers at the middle
-//!   conflict rate so the CI gate finishes quickly.
+//! numbers), so the committed `results/BENCH_exec.json` doubles as a
+//! schedule pin: `--check-against` gates each cell's commands/sim-s
+//! against the same (workers, theta) cell there.
 
 use std::sync::Arc;
 
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, run_parallel, ChirperSetup, Placement};
 use dynastar_core::metric_names as mn;
-use dynastar_core::{BatchConfig, Mode};
+use dynastar_core::{ExecConfig, Mode};
 use dynastar_runtime::SimDuration;
 use dynastar_workloads::chirper::{ChirperMix, ChirperWorkload};
 
@@ -60,10 +57,8 @@ fn run_point(cell: Cell) -> Point {
     let mut setup = ChirperSetup::new(1, Mode::Dynastar);
     // Pure execution-scaling experiment: one partition, no repartitioning.
     setup.placement = Placement::Aligned;
-    setup.repartition_threshold = u64::MAX;
-    setup.exec_workers = cell.workers;
-    setup.exec_service = SimDuration::from_millis(1);
-    setup.batch = BatchConfig { max_batch: 32, max_batch_delay_ticks: 0, window: 0 };
+    setup.cluster.repartition_threshold = u64::MAX;
+    setup.cluster.exec = ExecConfig::pool(cell.workers, SimDuration::from_millis(1));
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..CLIENTS {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), cell.theta, MIX));
@@ -86,82 +81,19 @@ fn serial_baseline(points: &[Point], theta: f64) -> Option<f64> {
     points.iter().find(|p| p.cell.workers == 1 && p.cell.theta == theta).map(|p| p.cmds_per_sim_sec)
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md consume
-/// (hand-rolled like `probe_perf`: every value is a number, nothing to
-/// escape). `speedup_vs_serial` is null when the sweep lacks the matching
-/// workers = 1 point.
-fn to_json(points: &[Point]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let c = &p.cell;
-        let speedup = serial_baseline(points, c.theta)
-            .map(|s| format!("{:.2}", p.cmds_per_sim_sec / s))
-            .unwrap_or_else(|| "null".into());
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"theta\": {:.2}, \"sim_secs\": {}, \"completed\": {}, \
-             \"cmds_per_sim_sec\": {:.1}, \"speedup_vs_serial\": {speedup}, \
-             \"exec_parallel\": {}, \"exec_serialized\": {}, \"exec_window_stall\": {}}}{}\n",
-            c.workers,
-            c.theta,
-            c.sim_secs,
-            p.completed,
-            p.cmds_per_sim_sec,
-            p.exec_parallel,
-            p.exec_serialized,
-            p.exec_window_stall,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let best = points
-        .iter()
-        .filter_map(|p| serial_baseline(points, p.cell.theta).map(|s| p.cmds_per_sim_sec / s))
-        .fold(0.0f64, f64::max);
-    out.push_str(&format!("  \"best_speedup_vs_serial\": {best:.2}\n"));
-    out.push_str("}\n");
-    out
-}
-
-/// Pulls the `cmds_per_sim_sec` of the baseline run matching `cell` out of
-/// a baseline JSON without a JSON parser — the file is generated by
-/// [`to_json`], so each run is one line with `workers` and `theta` first.
-fn parse_baseline_cps(json: &str, cell: &Cell) -> Option<f64> {
-    let idx =
-        json.find(&format!("\"workers\": {}, \"theta\": {:.2},", cell.workers, cell.theta))?;
-    let line = json[idx..].lines().next()?;
-    let key = line.find("\"cmds_per_sim_sec\"")?;
-    let rest = &line[key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find(['}', ','])?;
-    tail[..end].trim().parse().ok()
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig10_parallel_execution [--smoke] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --smoke              only {{1, 8}} workers at the middle conflict rate (CI gate)\n\
-         --out FILE           write machine-readable BENCH_exec.json\n\
-         --check-against FILE exit 1 if commands/sim-s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig10_parallel_execution",
+    positionals: &[],
+    opts: &[
+        Opt::Switch("smoke", "only {1, 8} workers at the middle conflict rate (CI gate)"),
+        OUT,
+        CHECK_AGAINST,
+    ],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--check-against" => check_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let smoke = args.has("smoke");
 
     let (workers, thetas, sim_secs): (&[u32], &[f64], u64) =
         if smoke { (&[1, 8], &[0.90], 3) } else { (&[1, 2, 4, 8], &[0.20, 0.90, 0.99], 5) };
@@ -210,39 +142,27 @@ fn main() {
     println!("rising skew funnels writes onto hot users, serialized admissions climb");
     println!("and the speedup erodes while the schedule stays deterministic.");
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&points)).expect("write BENCH_exec.json");
-        println!("wrote {path}");
-    }
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        // Compare each swept cell against the *same cell* in the baseline —
-        // throughput varies hugely across the matrix, so mixing cells would
-        // leave no noise headroom (and the numbers are deterministic, so a
-        // drop means the schedule itself changed).
-        let mut failed = false;
-        for p in &points {
-            let Some(base) = parse_baseline_cps(&baseline, &p.cell) else {
-                println!(
-                    "exec gate workers={} theta={:.2}: no baseline in {path}, skipped",
-                    p.cell.workers, p.cell.theta
-                );
-                continue;
-            };
-            let floor = base * 0.70;
-            let verdict = if p.cmds_per_sim_sec < floor { "FAILED" } else { "ok" };
-            println!(
-                "exec gate workers={} theta={:.2}: current {:.0} cmds/sim-s vs baseline \
-                 {base:.0} (floor {floor:.0}) {verdict}",
-                p.cell.workers, p.cell.theta, p.cmds_per_sim_sec
-            );
-            failed |= p.cmds_per_sim_sec < floor;
+    // `speedup_vs_serial` is left out of cells whose sweep lacks the
+    // matching workers = 1 point.
+    let mut record = Record::new(SPEC.program, &["workers", "theta"]);
+    for p in &points {
+        let mut row = Row::new()
+            .num("workers", p.cell.workers)
+            .float("theta", p.cell.theta, 2)
+            .num("sim_secs", p.cell.sim_secs)
+            .num("completed", p.completed)
+            .float("cmds_per_sim_sec", p.cmds_per_sim_sec, 1);
+        if let Some(serial) = serial_baseline(&points, p.cell.theta) {
+            row = row.float("speedup_vs_serial", p.cmds_per_sim_sec / serial, 2);
         }
-        if failed {
-            eprintln!("exec gate FAILED: commands/sim-s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("exec gate passed");
+        record.rows.push(
+            row.num("exec_parallel", p.exec_parallel)
+                .num("exec_serialized", p.exec_serialized)
+                .num("exec_window_stall", p.exec_window_stall),
+        );
     }
+    record.write_out(&args);
+    // The numbers are deterministic, so a drop means the schedule itself
+    // changed.
+    record.gate(&args, "cmds_per_sim_sec", true);
 }

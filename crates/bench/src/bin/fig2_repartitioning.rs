@@ -21,11 +21,11 @@ use dynastar_workloads::tpcc::{self, TpccWorkload};
 fn main() {
     let mut setup = TpccSetup::new(4, Mode::Dynastar);
     setup.placement = Placement::Random;
-    setup.repartition_threshold = 6_000;
+    setup.cluster.repartition_threshold = 6_000;
     // The paper's first repartitioning lands around t = 50 s; we scale the
     // run to 80 s with the plan gate at 30 s so the committed binary runs
     // in minutes (the phases and shapes are unchanged).
-    setup.min_plan_interval = dynastar_runtime::SimDuration::from_secs(30);
+    setup.cluster.min_plan_interval = SimDuration::from_secs(30);
     let mut cluster = tpcc_cluster(&setup);
 
     let tracker = tpcc::order_tracker();

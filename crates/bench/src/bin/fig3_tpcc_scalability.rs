@@ -9,15 +9,11 @@
 //! The paper's shape: both scale with partitions; DynaStar tracks the
 //! idealized S-SMR\* closely.
 //!
-//! Flags:
-//!
-//! * `--max-parts N` sweeps partitions `[1, 2, 4, 8, 16]` up to `N`
-//!   (default 4, the quick default; 16 is the paper scale);
-//! * `--smoke` shortens warmup/measure so CI finishes fast;
-//! * `--out FILE` writes machine-readable JSON (one line per point).
+//! `--max-parts` defaults to 4, the quick sweep; 16 is the paper scale.
 
 use std::sync::Arc;
 
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{tpcc_cluster, TpccSetup};
 use dynastar_core::metric_names as mn;
@@ -42,33 +38,20 @@ fn peak_tput(partitions: u32, mode: Mode, warmup: u64, measure: u64) -> f64 {
     cluster.metrics().counter(mn::CMD_COMPLETED) as f64 / measure as f64
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig3_tpcc_scalability [--max-parts N] [--smoke] [--out FILE]\n\
-         \n\
-         --max-parts N  sweep partitions 1,2,4,8,16 up to N   [4]\n\
-         --smoke        shortened warmup/measure windows\n\
-         --out FILE     write machine-readable JSON"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig3_tpcc_scalability",
+    positionals: &[],
+    opts: &[
+        Opt::Value("max-parts", "N", "sweep partitions 1,2,4,8,16 up to N   [4]"),
+        Opt::Switch("smoke", "shortened warmup/measure windows"),
+        OUT,
+    ],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut max_parts: u32 = 4;
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--max-parts" => {
-                max_parts = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let smoke = args.has("smoke");
+    let max_parts: u32 = args.num_or("max-parts", 4).unwrap_or_else(|e| args.fail(&e));
     let (warmup, measure) = if smoke { (1, 2) } else { (3, 6) };
     let sweep: Vec<u32> = [1u32, 2, 4, 8, 16].into_iter().filter(|&k| k <= max_parts).collect();
 
@@ -83,7 +66,7 @@ fn main() {
         peak_tput(k, mode, warmup, measure)
     });
     let mut rows = Vec::new();
-    let mut json = String::from("{\n  \"runs\": [\n");
+    let mut record = Record::new(SPEC.program, &["partitions"]);
     for (i, &k) in sweep.iter().enumerate() {
         let (dynastar, ssmr) = (tputs[2 * i], tputs[2 * i + 1]);
         rows.push(vec![
@@ -92,17 +75,14 @@ fn main() {
             format!("{ssmr:.0}"),
             format!("{:.2}", dynastar / ssmr.max(1.0)),
         ]);
-        json.push_str(&format!(
-            "    {{\"partitions\": {k}, \"dynastar_tps\": {dynastar:.0}, \
-             \"ssmr_tps\": {ssmr:.0}}}{}\n",
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
+        record.rows.push(
+            Row::new()
+                .num("partitions", k)
+                .float("dynastar_tps", dynastar, 0)
+                .float("ssmr_tps", ssmr, 0),
+        );
     }
-    json.push_str("  ]\n}\n");
     print_table(&["partitions", "DynaStar txn/s", "S-SMR* txn/s", "ratio"], &rows);
     println!("\npaper shape: throughput grows with partitions for both; DynaStar ≈ S-SMR*.");
-    if let Some(path) = out_path {
-        std::fs::write(&path, json).expect("write fig3 json");
-        println!("wrote {path}");
-    }
+    record.write_out(&args);
 }

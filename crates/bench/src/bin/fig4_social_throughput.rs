@@ -8,24 +8,16 @@
 //! mix scales up to 8 partitions then flattens as edge cuts grow; DynaStar
 //! and S-SMR\* stay comparable.
 //!
-//! Flags:
-//!
-//! * `--users N` / `--attach M` size the Barabási–Albert social graph
-//!   (defaults 2000 / 6, the CI-sized smoke profile);
-//! * `--full` is the committed paper profile: the 456k-user graph (the
-//!   Higgs dataset's size) swept to 16 partitions;
-//! * `--max-parts N` sweeps partitions `[1, 2, 4, 8, 16]` up to `N`
-//!   (default 4);
-//! * `--workload timeline|mix|both` filters the workload list — at
-//!   100k+ users BA hubs have thousands of followers, so every post in
-//!   the mix is a huge multi-key command (all-pairs hint recording is
-//!   quadratic in fan-out); paper-scale sweeps use `timeline`;
-//! * `--smoke` shortens windows and skips the latency runs;
-//! * `--out FILE` writes machine-readable JSON;
-//! * `--batch-sweep` appends the ordering-batch-size sweep.
+//! The defaults (2000 users, attachment degree 6, 4 partitions) are the
+//! CI-sized profile; `--full` is the committed paper profile: the
+//! 456k-user graph (the Higgs dataset's size) swept to 16 partitions. At
+//! 100k+ users BA hubs have thousands of followers, so every post in the
+//! mix is a huge multi-key command (all-pairs hint recording is quadratic
+//! in fan-out); paper-scale sweeps use `--workload timeline`.
 
 use std::sync::Arc;
 
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, ChirperSetup};
 use dynastar_core::metric_names as mn;
@@ -64,7 +56,7 @@ fn run_batched(
     let mut setup = ChirperSetup::new(partitions, mode);
     setup.users = sz.users;
     setup.follows_per_user = sz.attach;
-    setup.batch = batch;
+    setup.cluster.batch = batch;
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..clients {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, mix));
@@ -85,55 +77,27 @@ fn run(partitions: u32, mode: Mode, mix: ChirperMix, clients: usize, sz: &Sizing
     run_batched(partitions, mode, mix, clients, BatchConfig::UNBATCHED, sz)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig4_social_throughput [--users N] [--attach M] [--max-parts N]\n\
-         \x20                             [--full] [--smoke] [--out FILE] [--batch-sweep]\n\
-         \n\
-         --users N      social graph size                     [2000]\n\
-         --attach M     Barabási–Albert attachment degree     [6]\n\
-         --max-parts N  sweep partitions 1,2,4,8,16 up to N   [4]\n\
-         --full         paper profile: 456000 users, 16 partitions\n\
-         --workload W   timeline | mix | both                 [both]\n\
-         --smoke        shortened windows, peak throughput only\n\
-         --out FILE     write machine-readable JSON\n\
-         --batch-sweep  append the ordering-batch-size sweep\n\
-         \n\
-         at 100k+ users, BA hubs have thousands of followers, so every\n\
-         post in the mix workload is a huge multi-key command — sweep\n\
-         paper-scale graphs with --workload timeline"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig4_social_throughput",
+    positionals: &[],
+    opts: &[
+        Opt::Value("users", "N", "social graph size                     [2000]"),
+        Opt::Value("attach", "M", "Barabási–Albert attachment degree     [6]"),
+        Opt::Value("max-parts", "N", "sweep partitions 1,2,4,8,16 up to N   [4]"),
+        Opt::Switch("full", "paper profile: 456000 users, 16 partitions"),
+        Opt::Value("workload", "W", "timeline | mix | both                 [both]"),
+        Opt::Switch("smoke", "shortened windows, peak throughput only"),
+        OUT,
+        Opt::Switch("batch-sweep", "append the ordering-batch-size sweep"),
+    ],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut full = false;
-    let mut batch_sweep = false;
-    let mut users: usize = 2_000;
-    let mut attach: usize = 6;
-    let mut max_parts: u32 = 4;
-    let mut workload = "both".to_string();
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--full" => full = true,
-            "--batch-sweep" => batch_sweep = true,
-            "--users" => users = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()),
-            "--attach" => {
-                attach = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--max-parts" => {
-                max_parts = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--workload" => workload = it.next().cloned().unwrap_or_else(|| usage()),
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let (smoke, full) = (args.has("smoke"), args.has("full"));
+    let mut users: usize = args.num_or("users", 2_000).unwrap_or_else(|e| args.fail(&e));
+    let attach: usize = args.num_or("attach", 6).unwrap_or_else(|e| args.fail(&e));
+    let mut max_parts: u32 = args.num_or("max-parts", 4).unwrap_or_else(|e| args.fail(&e));
     if full {
         users = 456_000;
         max_parts = max_parts.max(16);
@@ -147,16 +111,15 @@ fn main() {
     let sweep: Vec<u32> = [1u32, 2, 4, 8, 16].into_iter().filter(|&k| k <= max_parts).collect();
 
     println!("Figure 4 — Chirper throughput and latency vs partitions ({users} users)\n");
-    let mut json = String::from("{\n  \"runs\": [\n");
-    let mut first_json = true;
-    let workloads: Vec<(&str, &str, ChirperMix)> = match workload.as_str() {
+    let mut record = Record::new(SPEC.program, &["workload", "partitions", "users"]);
+    let workloads: Vec<(&str, &str, ChirperMix)> = match args.get("workload").unwrap_or("both") {
         "timeline" => vec![("timeline-only", "timeline", ChirperMix::TIMELINE_ONLY)],
         "mix" => vec![("mix 85/15", "mix", ChirperMix::MIX)],
         "both" => vec![
             ("timeline-only", "timeline", ChirperMix::TIMELINE_ONLY),
             ("mix 85/15", "mix", ChirperMix::MIX),
         ],
-        _ => usage(),
+        other => args.fail(&format!("unknown workload {other:?}")),
     };
     for (label, slug, mix) in workloads {
         println!("== workload: {label} ==");
@@ -191,15 +154,14 @@ fn main() {
                 fmt_lat(&lats[2 * i]),
                 fmt_lat(&lats[2 * i + 1]),
             ]);
-            if !first_json {
-                json.push_str(",\n");
-            }
-            first_json = false;
-            json.push_str(&format!(
-                "    {{\"workload\": \"{slug}\", \"partitions\": {k}, \"users\": {users}, \
-                 \"dynastar_cps\": {:.0}, \"ssmr_cps\": {:.0}}}",
-                peak_dyn.tput, peak_ssmr.tput
-            ));
+            record.rows.push(
+                Row::new()
+                    .text("workload", slug)
+                    .num("partitions", k)
+                    .num("users", users)
+                    .float("dynastar_cps", peak_dyn.tput, 0)
+                    .float("ssmr_cps", peak_ssmr.tput, 0),
+            );
         }
         print_table(
             &[
@@ -213,17 +175,13 @@ fn main() {
         );
         println!();
     }
-    json.push_str("\n  ]\n}\n");
     println!("paper shape: timeline-only scales for both; mix flattens at high partition counts.");
-    if let Some(path) = out_path {
-        std::fs::write(&path, json).expect("write fig4 json");
-        println!("wrote {path}");
-    }
+    record.write_out(&args);
 
     // Optional extra: ordering-batch-size sweep (pass --batch-sweep).
     // Window pinned to one in-flight instance per leader so `max_batch` is
     // the only variable; see `probe_batching` for the asserted version.
-    if batch_sweep {
+    if args.has("batch-sweep") {
         println!("\n== batch-size sweep (DynaStar, mix 85/15, 4 partitions, window 1) ==");
         let mut rows = Vec::new();
         for &mb in &[1usize, 4, 8, 16] {

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use dynastar_bench::harness::{Args, Opt, Spec};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, ChirperSetup};
 use dynastar_core::metric_names as mn;
@@ -39,12 +40,12 @@ fn run(mode: Mode) -> SeriesSet {
 
 fn run_batched(mode: Mode, batch: BatchConfig) -> SeriesSet {
     let mut setup = ChirperSetup::new(PARTITIONS, mode);
-    setup.batch = batch;
+    setup.cluster.batch = batch;
     if mode == Mode::Dynastar {
         // Repartition when enough workload change accumulates, at most
         // every 50 s (first fix ~50 s, celebrity adaptation ~250 s).
-        setup.repartition_threshold = 6_000;
-        setup.min_plan_interval = dynastar_runtime::SimDuration::from_secs(25);
+        setup.cluster.repartition_threshold = 6_000;
+        setup.cluster.min_plan_interval = SimDuration::from_secs(25);
     }
     let (mut cluster, graph) = chirper_cluster(&setup);
     // The "new celebrity": an existing, unremarkable user who suddenly
@@ -93,7 +94,14 @@ fn run_batched(mode: Mode, batch: BatchConfig) -> SeriesSet {
     SeriesSet { tput, multi_pct, objects, plans: m.counter(mn::PLANS_PUBLISHED) }
 }
 
+static SPEC: Spec = Spec {
+    program: "fig6_dynamic_workload",
+    positionals: &[],
+    opts: &[Opt::Switch("batch-sweep", "append the batched-ordering rerun of the scenario")],
+};
+
 fn main() {
+    let args = Args::from_env(&SPEC);
     eprintln!(
         "fig6: running DynaStar (random start) for {RUN_SECS}s, celebrity at {CELEBRITY_AT}s..."
     );
@@ -133,7 +141,7 @@ fn main() {
     // Optional extra: does the adaptation story survive a batched ordering
     // pipeline? (pass --batch-sweep). Reports whole-run totals per batch
     // size; the five-phase shape is unchanged, only absolute rates move.
-    if std::env::args().any(|a| a == "--batch-sweep") {
+    if args.has("batch-sweep") {
         println!("\n== batch-size sweep (DynaStar, dynamic workload, window 1) ==");
         let mut rows = Vec::new();
         for &mb in &[1usize, 8] {

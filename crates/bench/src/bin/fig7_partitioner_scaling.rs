@@ -8,17 +8,13 @@
 //! oracle path — how fast `partition_from` recovers a perturbed assignment.
 //!
 //! This binary measures *real* CPU time (it benchmarks our actual
-//! partitioner, not the simulation). Two extra jobs mirror `probe_perf`:
-//!
-//! * `--out FILE` writes machine-readable `BENCH_partitioner.json`;
-//! * `--check-against FILE` is the CI smoke gate: exit 1 when elements/s
-//!   (graph vertices + edges partitioned per wall-second) falls more than
-//!   30% below the committed baseline;
-//! * `--smoke` restricts the sweep to the seeded 100k-vertex graph so the
-//!   CI gate finishes in seconds.
+//! partitioner, not the simulation). `--check-against` gates elements/s
+//! (graph vertices + edges partitioned per wall-second) against the
+//! same-size row of the committed `results/BENCH_partitioner.json`.
 
 use std::time::Instant;
 
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_partitioner::{partition, partition_from, GraphBuilder, PartitionConfig};
 use rand::rngs::StdRng;
@@ -111,86 +107,25 @@ fn run_point(n: u32) -> Point {
     }
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md consume
-/// (hand-rolled like `probe_perf`: every value is a number, nothing to
-/// escape). The `before` block records the pre-rewrite timings from the
-/// committed fig7 sweep so the record carries its own before/after story.
-fn to_json(points: &[Point]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"vertices\": {}, \"edges\": {}, \"k\": {K}, \"secs\": {:.3}, \
-             \"warm_secs\": {:.3}, \"edge_cut\": {}, \"warm_cut\": {}, \"balance\": {:.3}, \
-             \"elements_per_sec\": {:.0}}}{}\n",
-            p.vertices,
-            p.edges,
-            p.secs,
-            p.warm_secs,
-            p.edge_cut,
-            p.warm_cut,
-            p.balance,
-            p.elements_per_sec,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let best = points.iter().map(|p| p.elements_per_sec).fold(0.0f64, f64::max);
-    out.push_str(&format!("  \"best_elements_per_sec\": {best:.0},\n"));
-    out.push_str(
-        "  \"before\": {\"note\": \"pre-rewrite full-sweep seconds (BTreeMap frontier/refine, \
-         builder contraction)\", \"secs_10k\": 0.329, \"secs_30k\": 1.012, \"secs_100k\": 4.803, \
-         \"secs_300k\": 123.520, \"secs_1m\": 236.229}\n",
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// Pulls the `elements_per_sec` of the baseline run with `vertices` out of
-/// a baseline JSON without a JSON parser — the file is generated by
-/// [`to_json`], so each run is one line and the keys appear in a fixed
-/// order with `vertices` first.
-fn parse_baseline_eps(json: &str, vertices: u32) -> Option<f64> {
-    let idx = json.find(&format!("\"vertices\": {vertices},"))?;
-    let line = json[idx..].lines().next()?;
-    let key = line.find("\"elements_per_sec\"")?;
-    let rest = &line[key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find(['}', ','])?;
-    tail[..end].trim().parse().ok()
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig7_partitioner_scaling [--smoke] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --smoke              only the seeded 100k-vertex point (CI gate workload)\n\
-         --out FILE           write machine-readable BENCH_partitioner.json\n\
-         --check-against FILE exit 1 if elements/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig7_partitioner_scaling",
+    positionals: &[],
+    opts: &[
+        Opt::Switch("smoke", "only the seeded 100k-vertex point (CI gate workload)"),
+        OUT,
+        CHECK_AGAINST,
+    ],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--check-against" => check_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let smoke = args.has("smoke");
 
     let sizes: &[u32] =
         if smoke { &[100_000] } else { &[10_000, 30_000, 100_000, 300_000, 1_000_000] };
     println!("Figure 7 — multilevel partitioner CPU and memory scaling (k = {K})\n");
     let mut rows = Vec::new();
-    let mut points = Vec::new();
+    let mut record = Record::new(SPEC.program, &["vertices"]);
     let mut prev_time = 0.0f64;
     for &n in sizes {
         let p = run_point(n);
@@ -208,7 +143,18 @@ fn main() {
             if growth > 0.0 { format!("{growth:.1}x") } else { "-".into() },
         ]);
         eprintln!("fig7: |V|={n} full {:.3}s, warm {:.3}s", p.secs, p.warm_secs);
-        points.push(p);
+        record.rows.push(
+            Row::new()
+                .num("vertices", p.vertices)
+                .num("edges", p.edges)
+                .num("k", K)
+                .float("secs", p.secs, 3)
+                .float("warm_secs", p.warm_secs, 3)
+                .num("edge_cut", p.edge_cut)
+                .num("warm_cut", p.warm_cut)
+                .float("balance", p.balance, 3)
+                .float("elements_per_sec", p.elements_per_sec, 0),
+        );
     }
     print_table(
         &[
@@ -227,36 +173,9 @@ fn main() {
     println!("(each 3.3x size step should cost ~3-4x time; balance stays <= 1.2;");
     println!("warm(s) is the incremental partition_from path on a ~5%-perturbed plan).");
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&points)).expect("write BENCH_partitioner.json");
-        println!("wrote {path}");
-    }
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        // Compare each swept size against the *same size* in the baseline —
-        // elements/s falls with graph size (cache pressure), so comparing a
-        // smoke point against the baseline's best would mix sizes and
-        // leave almost no noise headroom.
-        let mut failed = false;
-        for p in &points {
-            let Some(base) = parse_baseline_eps(&baseline, p.vertices) else {
-                println!("partitioner gate: no |V|={} baseline in {path}, skipped", p.vertices);
-                continue;
-            };
-            let floor = base * 0.70;
-            let verdict = if p.elements_per_sec < floor { "FAILED" } else { "ok" };
-            println!(
-                "partitioner gate |V|={}: current {:.0} elems/s vs baseline {base:.0} \
-                 (floor {floor:.0}) {verdict}",
-                p.vertices, p.elements_per_sec
-            );
-            failed |= p.elements_per_sec < floor;
-        }
-        if failed {
-            eprintln!("partitioner gate FAILED: elements/s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("partitioner gate passed");
-    }
+    record.write_out(&args);
+    // Each swept size is compared against the *same size* in the baseline:
+    // elements/s falls with graph size (cache pressure), so mixing sizes
+    // would leave almost no noise headroom.
+    record.gate(&args, "elements_per_sec", true);
 }

@@ -20,15 +20,14 @@
 //! across 1, 2 and 4 hash-sliced shard groups shows query throughput
 //! scaling with the shard count while plan quality (edge cut) stays put.
 //!
-//! CI jobs mirror `fig7_partitioner_scaling`:
-//!
-//! * `--out FILE` writes machine-readable `BENCH_oracle.json`;
-//! * `--check-against FILE` is the CI smoke gate: exit 1 when any shard
-//!   count's queries/s falls more than 30% below the committed baseline;
-//! * `--smoke` shortens both experiments so the gate finishes in seconds.
+//! `--check-against` gates each shard count's queries/s against the same
+//! shard count in the committed `results/BENCH_oracle.json`; rates are
+//! simulated-time, so the `--smoke` windows land within a few percent of
+//! the full-window baseline.
 
 use std::sync::Arc;
 
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, ChirperSetup, Placement};
 use dynastar_core::metric_names as mn;
@@ -71,14 +70,15 @@ struct Timeline {
 /// the serialization points being scaled.
 fn run_sweep_point(shards: u32, warmup: u64, measure: u64) -> SweepPoint {
     let mut setup = ChirperSetup::new(SWEEP_PARTITIONS, Mode::Dynastar);
-    setup.oracle_shards = shards;
-    setup.client_location_cache = false;
-    setup.warm_client_caches = false;
+    setup.cluster.oracle_shards = shards;
+    setup.cluster.client_location_cache = false;
+    setup.cluster.warm_client_caches = false;
     // Oracle leaders pinned to one in-flight instance (the serialization
     // point under test); partition ordering keeps the unbounded default
     // so it never binds first.
-    setup.oracle_batch = Some(BatchConfig { max_batch: 1, max_batch_delay_ticks: 0, window: 1 });
-    setup.min_plan_interval = SimDuration::from_secs(warmup.max(2));
+    setup.cluster.oracle_batch =
+        Some(BatchConfig { max_batch: 1, max_batch_delay_ticks: 0, window: 1 });
+    setup.cluster.min_plan_interval = SimDuration::from_secs(warmup.max(2));
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..SWEEP_CLIENTS {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));
@@ -117,9 +117,9 @@ fn run_timeline(secs: u64) -> Timeline {
     // Cold clients + a random start that the mid-run repartitioning will
     // fix: the plan is what invalidates the refilled caches.
     setup.placement = Placement::Random;
-    setup.warm_client_caches = false;
-    setup.repartition_threshold = 10_000;
-    setup.min_plan_interval = SimDuration::from_secs(secs * 4 / 9);
+    setup.cluster.warm_client_caches = false;
+    setup.cluster.repartition_threshold = 10_000;
+    setup.cluster.min_plan_interval = SimDuration::from_secs(secs * 4 / 9);
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..6 {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));
@@ -168,75 +168,15 @@ fn run_timeline(secs: u64) -> Timeline {
     }
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md
-/// consume (hand-rolled like `probe_perf`: every value is a number,
-/// nothing to escape).
-fn to_json(points: &[SweepPoint], tl: &Timeline) -> String {
-    let mut out = String::from("{\n  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"queries_per_sec\": {:.0}, \"cmds_per_sec\": {:.0}, \
-             \"cut_frac\": {:.4}, \"plans\": {}}}{}\n",
-            p.shards,
-            p.queries_per_sec,
-            p.cmds_per_sec,
-            p.cut_frac,
-            p.plans,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let base = points.first().map(|p| p.queries_per_sec).unwrap_or(0.0);
-    let last = points.last().map(|p| p.queries_per_sec).unwrap_or(0.0);
-    out.push_str(&format!("  \"speedup_max_shards\": {:.2},\n", last / base.max(1.0)));
-    out.push_str(&format!(
-        "  \"timeline\": {{\"cold_qps\": {:.0}, \"steady_qps\": {:.0}, \
-         \"cold_miss_rate\": {:.2}, \"steady_miss_rate\": {:.2}, \"plans\": {}}}\n",
-        tl.cold_qps, tl.steady_qps, tl.cold_miss, tl.steady_miss, tl.plans
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Pulls the baseline queries/s for `shards` out of a [`to_json`] file
-/// without a JSON parser — each sweep run is one line with `shards`
-/// first, exactly like fig7's baseline format.
-fn parse_baseline_qps(json: &str, shards: u32) -> Option<f64> {
-    let idx = json.find(&format!("\"shards\": {shards},"))?;
-    let line = json[idx..].lines().next()?;
-    let key = line.find("\"queries_per_sec\"")?;
-    let rest = &line[key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find(['}', ','])?;
-    tail[..end].trim().parse().ok()
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig8_oracle_load [--smoke] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --smoke              shortened windows (CI gate workload)\n\
-         --out FILE           write machine-readable BENCH_oracle.json\n\
-         --check-against FILE exit 1 if queries/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig8_oracle_load",
+    positionals: &[],
+    opts: &[Opt::Switch("smoke", "shortened windows (CI gate workload)"), OUT, CHECK_AGAINST],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--check-against" => check_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let smoke = args.has("smoke");
     let (warmup, measure, tl_secs) = if smoke { (2, 4, 18) } else { (5, 10, 90) };
 
     println!("Figure 8 — oracle query throughput (social network)\n");
@@ -289,32 +229,30 @@ fn main() {
     println!("\npaper shape: a cold spike while caches fill, decay toward zero,");
     println!("a second spike right after the repartitioning invalidates entries.");
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&points, &tl)).expect("write BENCH_oracle.json");
-        println!("wrote {path}");
+    // Sweep rows carry the gated `queries_per_sec`; the timeline summary
+    // is one more row under its own experiment name.
+    let mut record = Record::new(SPEC.program, &["experiment", "shards"]);
+    for p in &points {
+        record.rows.push(
+            Row::new()
+                .text("experiment", "sweep")
+                .num("shards", p.shards)
+                .float("queries_per_sec", p.queries_per_sec, 0)
+                .float("cmds_per_sec", p.cmds_per_sec, 0)
+                .float("cut_frac", p.cut_frac, 4)
+                .num("plans", p.plans),
+        );
     }
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let mut failed = false;
-        for p in &points {
-            let Some(base) = parse_baseline_qps(&baseline, p.shards) else {
-                println!("oracle gate: no {}-shard baseline in {path}, skipped", p.shards);
-                continue;
-            };
-            let floor = base * 0.70;
-            let verdict = if p.queries_per_sec < floor { "FAILED" } else { "ok" };
-            println!(
-                "oracle gate O={}: current {:.0} queries/s vs baseline {base:.0} \
-                 (floor {floor:.0}) {verdict}",
-                p.shards, p.queries_per_sec
-            );
-            failed |= p.queries_per_sec < floor;
-        }
-        if failed {
-            eprintln!("oracle gate FAILED: queries/s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("oracle gate passed");
-    }
+    record.rows.push(
+        Row::new()
+            .text("experiment", "timeline")
+            .num("shards", 1)
+            .float("cold_qps", tl.cold_qps, 0)
+            .float("steady_qps", tl.steady_qps, 0)
+            .float("cold_miss_rate", tl.cold_miss, 2)
+            .float("steady_miss_rate", tl.steady_miss, 2)
+            .num("plans", tl.plans),
+    );
+    record.write_out(&args);
+    record.gate(&args, "queries_per_sec", true);
 }

@@ -11,164 +11,54 @@
 //!
 //! The interesting number is the foreground-throughput **dip**: how far the
 //! worst post-warmup second falls below the run's median. Staged migration
-//! should bound the dip; the stall baseline pays it all at once. Scenarios:
+//! should bound the dip; the stall baseline pays it all at once. The
+//! scenarios themselves live in [`dynastar_bench::scenarios`], shared with
+//! `dynastar scenario`.
 //!
-//! * `flash_crowd` — a celebrity post yanks the hot spot onto one user;
-//! * `diurnal`    — the hot quarter of the keyspace rotates on a period;
-//! * `zipf_ramp`  — the skew parameter sharpens mid-run (0.2 → 0.95);
-//! * `churn`      — flash crowd plus crash-restart waves and degraded
-//!   links timed to overlap the migrations they trigger;
-//! * `chained_move` — the hot half of the keyspace rotates once per plan
-//!   interval while a mid-run brownout degrades every link between two
-//!   partitions, so transfers give up and revert while later plans have
-//!   already chained the same keys onward (the plan-history replay path).
-//!
-//! Flags, following `fig7_partitioner_scaling`:
-//!
-//! * `--smoke`          small sizes / short runs (CI workload);
-//! * `--scenario NAME`  run one scenario instead of all four;
-//! * `--out FILE`       write machine-readable `BENCH_migration.json`;
-//! * `--gate-errors`    exit 1 if any run saw a client-visible command
-//!   error (`cmd.failed` — stale routing must retry, never surface).
+//! `--gate-errors` exits 1 if any run saw a client-visible command error
+//! (`cmd.failed` — stale routing must retry, never surface).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, OUT};
 use dynastar_bench::report::print_table;
-use dynastar_bench::setup::{chirper_cluster, run_parallel, ChirperSetup};
+use dynastar_bench::scenarios::{self, Params};
+use dynastar_bench::setup::run_parallel;
 use dynastar_core::metric_names as mn;
-use dynastar_core::server::ServerConfig;
-use dynastar_core::{
-    Application, ClusterBuilder, ClusterConfig, CommandKind, LocKey, Mode, PartitionId, VarId,
-};
-use dynastar_runtime::nemesis::NemesisPlan;
-use dynastar_runtime::{Metrics, SimDuration, SimTime};
-use dynastar_workloads::chirper::ChirperMix;
-use dynastar_workloads::scenarios::{
-    churn_nemesis, flash_crowd, migration_brownout, DiurnalRotation, ScenarioWorkload, ZipfRamp,
-};
-use rand::rngs::StdRng;
+use dynastar_runtime::SimDuration;
 
-const SEED: u64 = 9;
-
-/// How a run pays for plan-triggered state migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Policy {
-    /// Chunked + rate-limited + acked, with client retry backpressure.
-    Staged,
-    /// Single shipment under the same bandwidth model: the whole transfer
-    /// charges the source replica at once.
-    Stall,
-}
-
-impl Policy {
-    fn name(self) -> &'static str {
-        match self {
-            Policy::Staged => "staged",
-            Policy::Stall => "stall",
+/// Scenario dimensions (full vs `--smoke`); `staged` is set per run. The
+/// per-link cap of 4 is the cluster-wide scheduler under test: the
+/// oracle's hot-first move order decides who goes first and deferred keys
+/// are released as slots free.
+fn params(smoke: bool) -> Params {
+    let base = Params {
+        partitions: 4,
+        users: 2_000,
+        domain: 800,
+        clients: 6,
+        secs: 120,
+        seed: 9,
+        chirper_threshold: 6_000,
+        counters_threshold: 3_000,
+        plan_interval: SimDuration::from_secs(20),
+        waves: 3,
+        staged: true,
+        inflight_cap: 4,
+    };
+    if smoke {
+        Params {
+            partitions: 2,
+            users: 400,
+            domain: 200,
+            clients: 3,
+            secs: 24,
+            chirper_threshold: 1_500,
+            counters_threshold: 800,
+            plan_interval: SimDuration::from_secs(5),
+            waves: 2,
+            ..base
         }
-    }
-
-    /// Both policies share the bandwidth model (8 KiB/var over a 1 MiB/s
-    /// migration link — 8 ms per variable), so the comparison isolates
-    /// *how* the transfer cost is paid, not how large it is: a plan moving
-    /// a few hundred keys costs the stall baseline a multi-second outage
-    /// paid upfront, while staged migration paces the same bytes.
-    fn server(self) -> ServerConfig {
-        ServerConfig {
-            staged_migration: self == Policy::Staged,
-            migration_chunk_vars: 4,
-            migration_var_bytes: 8 * 1024,
-            migration_link_bytes_per_sec: 1024 * 1024,
-            migration_chunk_timeout: SimDuration::from_millis(100),
-            migration_max_retries: 6,
-            // The cluster-wide scheduler: at most two transfers in flight
-            // per source→destination link; the oracle's hot-first move
-            // order decides who goes first and deferred keys are released
-            // as slots free. (Ignored by the stall baseline, which never
-            // stages.)
-            migration_max_inflight_per_link: 4,
-            ..ServerConfig::default()
-        }
-    }
-
-    fn client_backoff(self) -> SimDuration {
-        match self {
-            Policy::Staged => SimDuration::from_millis(2),
-            Policy::Stall => SimDuration::ZERO,
-        }
-    }
-}
-
-const SCENARIOS: &[&str] = &["flash_crowd", "diurnal", "zipf_ramp", "churn", "chained_move"];
-
-/// Scenario dimensions (full vs `--smoke`).
-#[derive(Debug, Clone, Copy)]
-struct Params {
-    partitions: u32,
-    users: usize,
-    domain: u64,
-    clients: usize,
-    secs: u64,
-    /// Seconds excluded from the dip window at the start of each run
-    /// (random initial placement; the first repartition is startup, not
-    /// interference).
-    warmup: usize,
-    chirper_threshold: u64,
-    counters_threshold: u64,
-    plan_interval: SimDuration,
-    waves: u32,
-}
-
-impl Params {
-    fn new(smoke: bool) -> Self {
-        if smoke {
-            Params {
-                partitions: 2,
-                users: 400,
-                domain: 200,
-                clients: 3,
-                secs: 24,
-                warmup: 6,
-                chirper_threshold: 1_500,
-                counters_threshold: 800,
-                plan_interval: SimDuration::from_secs(5),
-                waves: 2,
-            }
-        } else {
-            Params {
-                partitions: 4,
-                users: 2_000,
-                domain: 800,
-                clients: 6,
-                secs: 120,
-                warmup: 15,
-                chirper_threshold: 6_000,
-                counters_threshold: 3_000,
-                plan_interval: SimDuration::from_secs(20),
-                waves: 3,
-            }
-        }
-    }
-}
-
-/// The counters application the keyspace scenarios drive: one variable per
-/// locality key, commands add to every named variable.
-struct Counters;
-impl Application for Counters {
-    type Op = i64;
-    type Value = i64;
-    type Reply = i64;
-    fn locality(var: VarId) -> LocKey {
-        LocKey(var.0)
-    }
-    fn execute(op: &i64, vars: &mut BTreeMap<VarId, Option<i64>>) -> i64 {
-        let mut last = 0;
-        for v in vars.values_mut() {
-            last = v.unwrap_or(0) + op;
-            *v = Some(last);
-        }
-        last
+    } else {
+        base
     }
 }
 
@@ -192,14 +82,18 @@ struct RunResult {
     dip_pct: f64,
 }
 
-/// Summarizes a finished cluster's metrics: the per-second completed
-/// series gives the dip (worst post-warmup second vs the median), and the
-/// counters tell the migration story.
-fn collect(scenario: &'static str, policy: Policy, m: &Metrics, p: &Params) -> RunResult {
+/// Runs one scenario under one policy and summarizes its metrics: the
+/// per-second completed series gives the dip (worst post-warmup second vs
+/// the median), and the counters tell the migration story. `warmup`
+/// seconds are excluded from the dip window at the start of the run
+/// (random initial placement; the first repartition is startup, not
+/// interference).
+fn run_one(scenario: &'static str, p: &Params, warmup: usize) -> RunResult {
+    let m = scenarios::run(scenario, p);
     let series = m.series(mn::CMD_COMPLETED).map(|s| s.rates_per_sec()).unwrap_or_default();
     // Drop the trailing (possibly partial) second and the warmup.
     let end = series.len().saturating_sub(1);
-    let window: &[f64] = if end > p.warmup { &series[p.warmup..end] } else { &series[..end] };
+    let window: &[f64] = if end > warmup { &series[warmup..end] } else { &series[..end] };
     let mut sorted = window.to_vec();
     sorted.sort_by(f64::total_cmp);
     let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
@@ -207,7 +101,7 @@ fn collect(scenario: &'static str, policy: Policy, m: &Metrics, p: &Params) -> R
     let dip_pct = if median > 0.0 { (100.0 * (1.0 - worst / median)).max(0.0) } else { 0.0 };
     RunResult {
         scenario,
-        policy: policy.name(),
+        policy: if p.staged { "staged" } else { "stall" },
         completed: m.counter(mn::CMD_COMPLETED),
         errors: m.counter(mn::CMD_FAILED),
         retries: m.counter(mn::CMD_RETRY),
@@ -225,282 +119,43 @@ fn collect(scenario: &'static str, policy: Policy, m: &Metrics, p: &Params) -> R
     }
 }
 
-/// Flash-crowd and churn scenarios: the social network under a celebrity
-/// post, optionally with crash waves + degraded links overlapping the
-/// migrations the crowd triggers.
-fn run_chirper(scenario: &'static str, churn: bool, policy: Policy, p: &Params) -> RunResult {
-    let mut setup = ChirperSetup::new(p.partitions, Mode::Dynastar);
-    setup.users = p.users;
-    setup.seed = SEED;
-    setup.min_plan_interval = p.plan_interval;
-    setup.repartition_threshold = p.chirper_threshold;
-    setup.server = policy.server();
-    setup.client_retry_backoff = policy.client_backoff();
-    let (mut cluster, graph) = chirper_cluster(&setup);
-    // The celebrity is an existing unremarkable user (fewest followers at
-    // t=0), as in fig6.
-    let celebrity = {
-        let g = graph.lock().unwrap();
-        (0..g.users() as u64).min_by_key(|&u| g.followers_of(u).len()).unwrap_or(0)
-    };
-    let at = SimTime::from_secs(p.secs / 3);
-    for _ in 0..p.clients {
-        cluster.add_client(flash_crowd(
-            Arc::clone(&graph),
-            0.95,
-            ChirperMix::MIX,
-            celebrity,
-            40,
-            at,
-        ));
-    }
-    if churn {
-        let cfg = churn_nemesis(
-            SEED ^ 0xC0FFEE,
-            SimTime::from_secs(p.secs / 4),
-            SimTime::from_secs(p.secs * 3 / 4),
-            p.waves,
-        );
-        let plan = NemesisPlan::generate(&cfg, cluster.groups());
-        plan.apply(&mut cluster.sim);
-    }
-    cluster.run_for(SimDuration::from_secs(p.secs));
-    collect(scenario, policy, cluster.metrics(), p)
-}
-
-/// Diurnal-rotation and Zipf-ramp scenarios: a counters keyspace whose
-/// access pattern drifts under the partitioner's feet. Commands pair each
-/// drawn rank with its successor so the co-access graph chases the drift.
-fn run_counters(scenario: &'static str, ramp: bool, policy: Policy, p: &Params) -> RunResult {
-    let config = ClusterConfig {
-        partitions: p.partitions,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: SEED,
-        repartition_threshold: p.counters_threshold,
-        min_plan_interval: p.plan_interval,
-        warm_client_caches: true,
-        compute_base: SimDuration::from_millis(50),
-        exec: dynastar_core::ExecConfig::serial(SimDuration::from_micros(150)),
-        server: policy.server(),
-        client_retry_backoff: policy.client_backoff(),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    for v in 0..p.domain {
-        b.place(LocKey(v), PartitionId((v % p.partitions as u64) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let domain = p.domain;
-    let make = move |rank: u64, _rng: &mut StdRng| CommandKind::<Counters>::Access {
-        op: 1,
-        vars: vec![VarId(rank), VarId((rank + 1) % domain)],
-    };
-    for _ in 0..p.clients {
-        if ramp {
-            let pattern = ZipfRamp::new(
-                domain,
-                0.2,
-                0.95,
-                SimTime::from_secs(p.secs / 6),
-                SimTime::from_secs(p.secs * 2 / 3),
-            );
-            cluster.add_client(ScenarioWorkload::new(pattern, make));
-        } else {
-            let pattern = DiurnalRotation::new(
-                domain,
-                0.95,
-                SimDuration::from_secs((p.secs / 6).max(1)),
-                domain / 4,
-            );
-            cluster.add_client(ScenarioWorkload::new(pattern, make));
-        }
-    }
-    cluster.run_for(SimDuration::from_secs(p.secs));
-    collect(scenario, policy, cluster.metrics(), p)
-}
-
-/// Chained-migration scenario: the hot half of a counters keyspace rotates
-/// once per plan interval, so consecutive plans keep re-routing the same
-/// keys while the previous transfer may still be in flight (a move A→B
-/// chained onward to B→C). Mid-run, a [`migration_brownout`] degrades
-/// every link between partitions 0 and 1 long enough for chunk retries to
-/// exhaust and give up, so their reverts must compose with the chained
-/// moves via plan-history replay. Correctness shows up in the error gate:
-/// all the routing confusion must surface as retries, never failures.
-///
-/// Unlike the other counters scenarios, commands touch a *single* key and
-/// keys start out in contiguous blocks: single-partition commands never
-/// cross the browned-out inter-group mesh, so the foreground keeps
-/// running, the hint stream keeps feeding the oracle, and plans keep
-/// landing *during* the brownout — which is what pushes transfers into
-/// it. Migration pressure comes from vertex-weight imbalance alone: every
-/// rotation parks the Zipf head on one contiguous block and the
-/// partitioner must spread it again.
-fn run_chained(scenario: &'static str, policy: Policy, p: &Params) -> RunResult {
-    // At least three partitions: the brownout only degrades the 0 ↔ 1
-    // mesh, so partition 2+ keeps absorbing traffic and the oracle keeps
-    // planning, while moves can still chain onward to a healthy partition.
-    let partitions = p.partitions.max(3);
-    // Shorter retry ladder (~1.5 s at 100 ms timeout × 3 retries) so the
-    // 2 s one-way brownout delay below outlasts it and forces give-ups.
-    let mut server = policy.server();
-    server.migration_max_retries = 3;
-    let config = ClusterConfig {
-        partitions,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: SEED,
-        repartition_threshold: p.counters_threshold,
-        min_plan_interval: p.plan_interval,
-        warm_client_caches: true,
-        compute_base: SimDuration::from_millis(50),
-        exec: dynastar_core::ExecConfig::serial(SimDuration::from_micros(150)),
-        server,
-        client_retry_backoff: policy.client_backoff(),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    for v in 0..p.domain {
-        b.place(LocKey(v), PartitionId((v * partitions as u64 / p.domain) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let make = move |rank: u64, _rng: &mut StdRng| CommandKind::<Counters>::Access {
-        op: 1,
-        vars: vec![VarId(rank)],
-    };
-    for _ in 0..p.clients {
-        // Rotating by half the domain every plan interval means each plan
-        // finds the keys it just placed hot somewhere else again — the
-        // chained-move generator.
-        let pattern = DiurnalRotation::new(p.domain, 0.95, p.plan_interval, p.domain / 2);
-        cluster.add_client(ScenarioWorkload::new(pattern, make));
-    }
-    // Brown out the partition-0 ↔ partition-1 mesh for half the run with
-    // pure delay, zero loss. Partial loss is laundered away by the 3×3
-    // chunk/ack fan-out, and total loss stalls the atomic-multicast
-    // timestamp exchange (freezing both groups' delivery pipelines). A
-    // 2 s one-way delay instead puts a chunk's ack ~4 s behind its send:
-    // sources exhaust the shortened retry ladder and revert while the
-    // destination — which still receives every chunk, late but never
-    // lost — completes staging and submits its `MigrationDone`. The two
-    // race in the total order and plan-history replay settles the loser
-    // as stale.
-    let (ga, gb) = {
-        let groups = cluster.groups();
-        (groups[0].clone(), groups[1].clone())
-    };
-    let plan = migration_brownout(
-        &ga,
-        &gb,
-        SimTime::from_secs(p.secs / 4),
-        SimTime::from_secs(p.secs * 3 / 4),
-        SimDuration::from_secs(2),
-        0,
-    );
-    plan.apply(&mut cluster.sim);
-    cluster.run_for(SimDuration::from_secs(p.secs));
-    collect(scenario, policy, cluster.metrics(), p)
-}
-
-fn run_one(scenario: &'static str, policy: Policy, p: &Params) -> RunResult {
-    match scenario {
-        "flash_crowd" => run_chirper(scenario, false, policy, p),
-        "diurnal" => run_counters(scenario, false, policy, p),
-        "zipf_ramp" => run_counters(scenario, true, policy, p),
-        "churn" => run_chirper(scenario, true, policy, p),
-        "chained_move" => run_chained(scenario, policy, p),
-        other => unreachable!("unknown scenario {other}"),
-    }
-}
-
-/// Hand-rolled flat JSON (every value is a number or bare word, nothing to
-/// escape), one line per run like `fig7`'s `to_json`.
-fn to_json(results: &[RunResult]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"policy\": \"{}\", \"completed\": {}, \
-             \"errors\": {}, \"retries\": {}, \"backoffs\": {}, \"plans\": {}, \
-             \"keys_staged\": {}, \"chunks_sent\": {}, \"chunk_retries\": {}, \
-             \"reverts\": {}, \"deferred\": {}, \"released\": {}, \
-             \"median_tput\": {:.1}, \"worst_tput\": {:.1}, \
-             \"dip_pct\": {:.1}}}{}\n",
-            r.scenario,
-            r.policy,
-            r.completed,
-            r.errors,
-            r.retries,
-            r.backoffs,
-            r.plans,
-            r.keys_staged,
-            r.chunks_sent,
-            r.chunk_retries,
-            r.reverts,
-            r.deferred,
-            r.released,
-            r.median_tput,
-            r.worst_tput,
-            r.dip_pct,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let errors: u64 = results.iter().map(|r| r.errors).sum();
-    out.push_str(&format!("  \"total_errors\": {errors}\n}}\n"));
-    out
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig9_migration_interference [--smoke] [--scenario NAME] [--out FILE] \
-         [--gate-errors]\n\
-         \n\
-         --smoke          small sizes / short runs (CI gate workload)\n\
-         --scenario NAME  one of flash_crowd|diurnal|zipf_ramp|churn|chained_move \
-         (default: all)\n\
-         --out FILE       write machine-readable BENCH_migration.json\n\
-         --gate-errors    exit 1 if any run surfaced a client-visible command error"
-    );
-    std::process::exit(2)
-}
+static SPEC: Spec = Spec {
+    program: "fig9_migration_interference",
+    positionals: &[],
+    opts: &[
+        Opt::Switch("smoke", "small sizes / short runs (CI gate workload)"),
+        Opt::Value(
+            "scenario",
+            "NAME",
+            "one of flash_crowd|diurnal|zipf_ramp|churn|chained_move (default: all)",
+        ),
+        OUT,
+        Opt::Switch("gate-errors", "exit 1 if any run surfaced a client-visible command error"),
+    ],
+};
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut only: Option<String> = None;
-    let mut gate_errors = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--scenario" => only = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--gate-errors" => gate_errors = true,
-            _ => usage(),
-        }
-    }
-    let scenarios: Vec<&'static str> = match only.as_deref() {
-        None => SCENARIOS.to_vec(),
-        Some(name) => match SCENARIOS.iter().find(|s| **s == name) {
+    let args = Args::from_env(&SPEC);
+    let smoke = args.has("smoke");
+    let scenarios: Vec<&'static str> = match args.get("scenario") {
+        None => scenarios::NAMES.to_vec(),
+        Some(name) => match scenarios::NAMES.iter().find(|s| **s == name) {
             Some(s) => vec![*s],
-            None => usage(),
+            None => args.fail(&format!("unknown scenario {name:?}")),
         },
     };
 
-    let p = Params::new(smoke);
+    let p = params(smoke);
+    let warmup = if smoke { 6 } else { 15 };
     eprintln!(
         "fig9: {} scenario(s) x {{staged, stall}}, {}s each{}...",
         scenarios.len(),
         p.secs,
         if smoke { " (smoke)" } else { "" }
     );
-    let jobs: Vec<(&'static str, Policy)> =
-        scenarios.iter().flat_map(|s| [(*s, Policy::Staged), (*s, Policy::Stall)]).collect();
-    let results = run_parallel(jobs, 0, |(s, pol)| run_one(s, pol, &p));
+    let jobs: Vec<(&'static str, bool)> =
+        scenarios.iter().flat_map(|s| [(*s, true), (*s, false)]).collect();
+    let results = run_parallel(jobs, 0, |(s, staged)| run_one(s, &Params { staged, ..p }, warmup));
 
     println!("\nFigure 9 — migration interference under adversarial scenarios");
     println!("(dip = how far the worst post-warmup second falls below the median)\n");
@@ -550,13 +205,32 @@ fn main() {
         }
     }
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&results)).expect("write BENCH_migration.json");
-        println!("wrote {path}");
+    let mut record = Record::new(SPEC.program, &["scenario", "policy"]);
+    for r in &results {
+        record.rows.push(
+            Row::new()
+                .text("scenario", r.scenario)
+                .text("policy", r.policy)
+                .num("completed", r.completed)
+                .num("errors", r.errors)
+                .num("retries", r.retries)
+                .num("backoffs", r.backoffs)
+                .num("plans", r.plans)
+                .num("keys_staged", r.keys_staged)
+                .num("chunks_sent", r.chunks_sent)
+                .num("chunk_retries", r.chunk_retries)
+                .num("reverts", r.reverts)
+                .num("deferred", r.deferred)
+                .num("released", r.released)
+                .float("median_tput", r.median_tput, 1)
+                .float("worst_tput", r.worst_tput, 1)
+                .float("dip_pct", r.dip_pct, 1),
+        );
     }
-    if gate_errors {
-        let errors: u64 = results.iter().map(|r| r.errors).sum();
-        if errors > 0 {
+    record.write_out(&args);
+    if args.has("gate-errors") {
+        let errors: f64 = record.rows.iter().filter_map(|r| r.f64("errors")).sum();
+        if errors > 0.0 {
             eprintln!("migration gate FAILED: {errors} client-visible command error(s)");
             std::process::exit(1);
         }

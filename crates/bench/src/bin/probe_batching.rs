@@ -48,7 +48,7 @@ impl Point {
 
 fn run(max_batch: usize) -> Point {
     let mut setup = ChirperSetup::new(PARTITIONS, Mode::Dynastar);
-    setup.batch = BatchConfig { max_batch, max_batch_delay_ticks: 0, window: WINDOW };
+    setup.cluster.batch = BatchConfig { max_batch, max_batch_delay_ticks: 0, window: WINDOW };
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..SATURATING_CLIENTS {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));

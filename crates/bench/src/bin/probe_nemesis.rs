@@ -5,81 +5,28 @@
 //! recovery and transport counters. The schedule and the run are fully
 //! deterministic: `probe_nemesis [cluster_seed] [nemesis_seed]` prints
 //! identical output on every invocation with the same seeds.
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use dynastar_bench::harness::{Args, Spec};
 use dynastar_core::metric_names as mn;
-use dynastar_core::{
-    Application, ClusterBuilder, ClusterConfig, Command, CommandKind, LocKey, Mode, PartitionId,
-    VarId, Workload,
-};
+use dynastar_core::{ClusterBuilder, ClusterConfig, LocKey, Mode, PartitionId, VarId};
 use dynastar_runtime::nemesis::{FaultKind, NemesisConfig, NemesisPlan};
 use dynastar_runtime::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
+use dynastar_workloads::counters::{Counters, UniformLoad};
 
-struct Counters;
-impl Application for Counters {
-    type Op = i64;
-    type Value = i64;
-    type Reply = i64;
-    fn locality(var: VarId) -> LocKey {
-        LocKey(var.0)
-    }
-    fn execute(op: &i64, vars: &mut BTreeMap<VarId, Option<i64>>) -> i64 {
-        let mut last = 0;
-        for v in vars.values_mut() {
-            last = v.unwrap_or(0) + op;
-            *v = Some(last);
-        }
-        last
-    }
-}
-
-struct Load {
-    vars: u64,
-    remaining: u32,
-    multi_pct: u32,
-    completed: Arc<Mutex<u32>>,
-}
-
-impl Workload<Counters> for Load {
-    fn next_command(&mut self, _now: SimTime, rng: &mut StdRng) -> Option<CommandKind<Counters>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let a = rng.gen_range(0..self.vars);
-        let mut vars = vec![VarId(a)];
-        if rng.gen_range(0..100u32) < self.multi_pct {
-            let b = (a + 1 + rng.gen_range(0..self.vars - 1)) % self.vars;
-            vars.push(VarId(b));
-        }
-        Some(CommandKind::Access { op: 1, vars })
-    }
-
-    fn on_completed(&mut self, _now: SimTime, _cmd: &Command<Counters>, reply: Option<&i64>) {
-        if reply.is_some() {
-            *self.completed.lock().unwrap() += 1;
-        }
-    }
-}
-
-fn seed_arg(arg: Option<String>) -> u64 {
-    match arg {
-        None => 7,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: seed {s:?} is not a u64");
-            eprintln!("usage: probe_nemesis [cluster_seed] [nemesis_seed]");
-            std::process::exit(2);
-        }),
-    }
-}
+static SPEC: Spec = Spec {
+    program: "probe_nemesis",
+    positionals: &["[cluster_seed]", "[nemesis_seed]"],
+    opts: &[],
+};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let cluster_seed = seed_arg(args.next());
-    let nemesis_seed = seed_arg(args.next());
+    let args = Args::from_env(&SPEC);
+    let seed = |i: usize| match args.positional(i) {
+        None => 7,
+        Some(s) => s.parse().unwrap_or_else(|_| args.fail(&format!("seed {s:?} is not a u64"))),
+    };
+    let (cluster_seed, nemesis_seed) = (seed(0), seed(1));
 
     let config = ClusterConfig {
         partitions: 2,
@@ -94,7 +41,7 @@ fn main() {
         client_timeout: SimDuration::from_secs(3),
         ..ClusterConfig::default()
     };
-    let mut b = ClusterBuilder::new(config);
+    let mut b = ClusterBuilder::<Counters>::new(config);
     for v in 0..20u64 {
         b.place(LocKey(v), PartitionId((v % 2) as u32));
         b.with_var(VarId(v), 0);
@@ -102,7 +49,7 @@ fn main() {
     let mut cluster = b.build();
     let completed = Arc::new(Mutex::new(0));
     for _ in 0..4 {
-        cluster.add_client(Load {
+        cluster.add_client(UniformLoad {
             vars: 20,
             remaining: 60,
             multi_pct: 30,

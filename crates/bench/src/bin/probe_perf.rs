@@ -8,9 +8,10 @@
 //! 1. **Optimization probe** (default): one run, human-readable output,
 //!    with an allocation-counting global allocator whose numbers are
 //!    deterministic even when wall-clock jitters.
-//! 2. **Regression harness** (`--out` / `--check-against`): machine-
-//!    readable `BENCH_perf.json`, and a CI gate that fails when events/s
-//!    drops more than 30% below a committed baseline.
+//! 2. **Regression harness** (`--out` / `--check-against`): the
+//!    machine-readable `results/BENCH_perf.json`, and a gate that fails
+//!    when a configuration's events/s drops more than 30% below the same
+//!    configuration in a baseline record.
 //!
 //! `--matrix` sweeps seeds × modes in parallel (each point is its own
 //! deterministic simulation) and reports the per-config medians.
@@ -27,9 +28,10 @@
 // an unsafe trait impl by definition.
 #![allow(unsafe_code)]
 
-use dynastar_bench::setup::{run_parallel, tpcc_cluster, Placement, TpccSetup};
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
+use dynastar_bench::setup::{parse_mode, run_parallel, tpcc_cluster, Placement, TpccSetup};
 use dynastar_core::metric_names as mn;
-use dynastar_core::Mode;
+use dynastar_core::{ExecConfig, Mode};
 use dynastar_runtime::SimDuration;
 use dynastar_workloads::tpcc::{self, TpccWorkload};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -115,11 +117,11 @@ fn mode_name(m: Mode) -> &'static str {
 fn run_probe(cfg: ProbeConfig) -> ProbeResult {
     let mut setup = TpccSetup::new(cfg.partitions, cfg.mode);
     setup.placement = Placement::Random;
-    setup.seed = cfg.seed;
-    setup.exec_workers = cfg.exec_workers;
+    setup.cluster.seed = cfg.seed;
+    setup.cluster.exec = ExecConfig::pool(cfg.exec_workers, setup.cluster.exec.service_time);
     // Throughput probe, not a repartitioning experiment: pinning the
     // threshold keeps the schedule identical across modes being compared.
-    setup.repartition_threshold = u64::MAX;
+    setup.cluster.repartition_threshold = u64::MAX;
     let mut cluster = tpcc_cluster(&setup);
     let tracker = tpcc::order_tracker();
     for w in 0..setup.scale.warehouses {
@@ -148,102 +150,37 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md consume.
-/// Hand-rolled: every value is a number or a bare identifier, so there is
-/// nothing to escape.
-fn to_json(results: &[ProbeResult]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let c = &r.config;
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"partitions\": {}, \"sim_secs\": {}, \"seed\": {}, \
-             \"clients_per_warehouse\": {}, \"exec_workers\": {}, \"events\": {}, \"completed\": {}, \
-             \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"wall_per_sim_sec\": {:.4}}}{}\n",
-            mode_name(c.mode),
-            c.partitions,
-            c.sim_secs,
-            c.seed,
-            c.clients_per_warehouse,
-            c.exec_workers,
-            r.events,
-            r.completed,
-            r.wall_secs,
-            r.events_per_sec,
-            r.wall_per_sim_sec,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let best = results.iter().map(|r| r.events_per_sec).fold(0.0f64, f64::max);
-    out.push_str(&format!("  \"best_events_per_sec\": {best:.0},\n"));
-    match peak_rss_kb() {
-        Some(kb) => out.push_str(&format!("  \"peak_rss_kb\": {kb}\n")),
-        None => out.push_str("  \"peak_rss_kb\": null\n"),
-    }
-    out.push_str("}\n");
-    out
-}
+static SPEC: Spec = Spec {
+    program: "probe_perf",
+    positionals: &[],
+    opts: &[
+        Opt::Value("mode", "dynastar|ssmr|dssmr", "replication scheme            [dynastar]"),
+        Opt::Value("partitions", "N", "partitions = warehouses       [4]"),
+        Opt::Value("sim-secs", "N", "simulated seconds             [10]"),
+        Opt::Value("seed", "N", "master seed                   [1]"),
+        Opt::Value("clients", "N", "clients per warehouse         [6]"),
+        Opt::Value("exec-workers", "N", "execution workers per replica [1]"),
+        Opt::Switch("matrix", "sweep seeds 1..=3 x modes in parallel, report all points"),
+        OUT,
+        CHECK_AGAINST,
+    ],
+};
 
-/// Pulls `"best_events_per_sec": N` out of a baseline JSON without a JSON
-/// parser — the file is generated by [`to_json`], so the key appears once.
-fn parse_best(json: &str) -> Option<f64> {
-    let idx = json.find("\"best_events_per_sec\"")?;
-    let rest = &json[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '\n', '}'])?;
-    tail[..end].trim().parse().ok()
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: probe_perf [--mode dynastar|ssmr] [--partitions N] [--sim-secs N] [--seed N]\n\
-         \x20                 [--clients N] [--exec-workers N] [--matrix] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --matrix          sweep seeds 1..=3 x modes in parallel, report all points\n\
-         --out FILE        write machine-readable BENCH_perf.json\n\
-         --check-against FILE  exit 1 if events/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
+fn parse_config(args: &Args) -> Result<ProbeConfig, String> {
+    Ok(ProbeConfig {
+        mode: parse_mode(args.get("mode").unwrap_or("dynastar"))?,
+        partitions: args.num_or("partitions", 4)?,
+        sim_secs: args.num_or("sim-secs", 10)?,
+        seed: args.num_or("seed", 1)?,
+        clients_per_warehouse: args.num_or("clients", 6)?,
+        exec_workers: args.num_or("exec-workers", 1)?,
+    })
 }
 
 fn main() {
-    let mut cfg = ProbeConfig {
-        mode: Mode::Dynastar,
-        partitions: 4,
-        sim_secs: 10,
-        seed: 1,
-        clients_per_warehouse: 6,
-        exec_workers: 1,
-    };
-    let mut matrix = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--mode" => {
-                cfg.mode = match val() {
-                    "dynastar" => Mode::Dynastar,
-                    "ssmr" => Mode::SSmr,
-                    "dssmr" => Mode::DsSmr,
-                    _ => usage(),
-                }
-            }
-            "--partitions" => cfg.partitions = val().parse().unwrap_or_else(|_| usage()),
-            "--sim-secs" => cfg.sim_secs = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--clients" => cfg.clients_per_warehouse = val().parse().unwrap_or_else(|_| usage()),
-            "--exec-workers" => cfg.exec_workers = val().parse().unwrap_or_else(|_| usage()),
-            "--matrix" => matrix = true,
-            "--out" => out_path = Some(val().to_owned()),
-            "--check-against" => check_path = Some(val().to_owned()),
-            _ => usage(),
-        }
-    }
+    let args = Args::from_env(&SPEC);
+    let cfg = parse_config(&args).unwrap_or_else(|e| args.fail(&e));
+    let matrix = args.has("matrix");
 
     let results = if matrix {
         let points: Vec<ProbeConfig> = [Mode::Dynastar, Mode::SSmr]
@@ -270,7 +207,8 @@ fn main() {
             );
         }
     }
-    if let Some(kb) = peak_rss_kb() {
+    let peak_rss = peak_rss_kb();
+    if let Some(kb) = peak_rss {
         println!("peak RSS: {} MB", kb / 1024);
     }
     println!(
@@ -285,23 +223,31 @@ fn main() {
         }
     }
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&results)).expect("write BENCH_perf.json");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let base =
-            parse_best(&baseline).unwrap_or_else(|| panic!("no best_events_per_sec in {path}"));
-        let now = results.iter().map(|r| r.events_per_sec).fold(0.0f64, f64::max);
-        let floor = base * 0.70;
-        println!("perf gate: current {now:.0}/s vs baseline {base:.0}/s (floor {floor:.0}/s)");
-        if now < floor {
-            eprintln!("perf gate FAILED: events/s regressed more than 30% below baseline");
-            std::process::exit(1);
+    // `peak_rss_kb` is the whole process's high-water mark, so under
+    // `--matrix` every row carries the same value.
+    let mut record = Record::new(
+        SPEC.program,
+        &["mode", "partitions", "seed", "clients_per_warehouse", "exec_workers"],
+    );
+    for r in &results {
+        let c = &r.config;
+        let mut row = Row::new()
+            .text("mode", mode_name(c.mode))
+            .num("partitions", c.partitions)
+            .num("sim_secs", c.sim_secs)
+            .num("seed", c.seed)
+            .num("clients_per_warehouse", c.clients_per_warehouse)
+            .num("exec_workers", c.exec_workers)
+            .num("events", r.events)
+            .num("completed", r.completed)
+            .float("wall_secs", r.wall_secs, 3)
+            .float("events_per_sec", r.events_per_sec, 0)
+            .float("wall_per_sim_sec", r.wall_per_sim_sec, 4);
+        if let Some(kb) = peak_rss {
+            row = row.num("peak_rss_kb", kb);
         }
-        println!("perf gate passed");
+        record.rows.push(row);
     }
+    record.write_out(&args);
+    record.gate(&args, "events_per_sec", true);
 }

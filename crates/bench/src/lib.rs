@@ -3,7 +3,9 @@
 //! Shared harness code for the experiment binaries that regenerate every
 //! table and figure of the paper's evaluation (§6). Each figure has a
 //! `src/bin/figN_*.rs` binary; run them with
-//! `cargo run --release -p dynastar-bench --bin <name>`.
+//! `cargo run --release -p dynastar-bench --bin <name>`. Every binary
+//! declares its flags, writes its `--out` record and gates
+//! `--check-against` through [`harness`].
 //!
 //! The binaries print the same rows/series the paper plots. Absolute
 //! numbers differ from the paper (simulated network vs. EC2), but the
@@ -12,7 +14,9 @@
 
 #![forbid(unsafe_code)]
 
+pub mod harness;
 pub mod report;
+pub mod scenarios;
 pub mod setup;
 
 pub use report::{print_series, print_table};

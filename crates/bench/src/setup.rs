@@ -2,8 +2,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use dynastar_core::server::{ExecConfig, ServerConfig};
-use dynastar_core::{BatchConfig, Cluster, ClusterBuilder, ClusterConfig, Mode, PartitionId};
+use dynastar_core::{Cluster, ClusterBuilder, ClusterConfig, ExecConfig, Mode, PartitionId};
 use dynastar_runtime::SimDuration;
 use dynastar_workloads::chirper::{Chirper, ChirperUser};
 use dynastar_workloads::placement;
@@ -25,74 +24,72 @@ pub enum Placement {
     Optimized,
 }
 
+/// Parses a `--mode` flag value.
+///
+/// # Errors
+///
+/// Returns an error naming the accepted values for anything else.
+pub fn parse_mode(s: &str) -> Result<Mode, String> {
+    match s {
+        "dynastar" => Ok(Mode::Dynastar),
+        "ssmr" => Ok(Mode::SSmr),
+        "dssmr" => Ok(Mode::DsSmr),
+        other => Err(format!("unknown mode {other:?} (dynastar|ssmr|dssmr)")),
+    }
+}
+
+/// The presets every experiment shares: warm client caches, a 100 ms
+/// plan-compute base, a serial 150 µs executor, repartitioning at most
+/// every 40 s and only in DynaStar mode.
+fn preset(partitions: u32, mode: Mode, repartition_threshold: u64) -> ClusterConfig {
+    ClusterConfig {
+        partitions,
+        mode,
+        repartition_threshold: if mode == Mode::Dynastar {
+            repartition_threshold
+        } else {
+            u64::MAX
+        },
+        min_plan_interval: SimDuration::from_secs(40),
+        warm_client_caches: true,
+        compute_base: SimDuration::from_millis(100),
+        exec: ExecConfig::serial(SimDuration::from_micros(150)),
+        ..ClusterConfig::default()
+    }
+}
+
 /// Parameters for a TPC-C deployment.
 #[derive(Debug, Clone)]
 pub struct TpccSetup {
-    /// Minimum time between repartitionings.
-    pub min_plan_interval: SimDuration,
+    /// The cluster itself: partitions, mode, seed, batching, execution
+    /// pool, repartitioning policy. `cluster.seed` also seeds the random
+    /// placement.
+    pub cluster: ClusterConfig,
     /// Scale (warehouses, customers, items).
     pub scale: TpccScale,
-    /// Number of partitions.
-    pub partitions: u32,
-    /// Replication scheme.
-    pub mode: Mode,
     /// Initial placement of districts/warehouses.
     pub placement: Placement,
-    /// Master seed.
-    pub seed: u64,
-    /// Repartitioning threshold (`u64::MAX` disables).
-    pub repartition_threshold: u64,
-    /// Leader-side batching / pipelining knobs for every consensus group.
-    pub batch: BatchConfig,
-    /// Oracle warm-start (incremental) repartitioning.
-    pub warm_plans: bool,
-    /// Warm-plan quality gate (ratio vs the last full run's cut).
-    pub warm_quality_ratio: f64,
-    /// Modelled parallel execution workers per replica (1 = serial).
-    pub exec_workers: u32,
 }
 
 impl TpccSetup {
     /// A default setup: `partitions` partitions, one warehouse each.
     pub fn new(partitions: u32, mode: Mode) -> Self {
         TpccSetup {
-            min_plan_interval: SimDuration::from_secs(40),
+            cluster: preset(partitions, mode, 3_000),
             scale: TpccScale { warehouses: partitions, customers_per_district: 30, items: 200 },
-            partitions,
-            mode,
             placement: Placement::Aligned,
-            seed: 1,
-            repartition_threshold: if mode == Mode::Dynastar { 3_000 } else { u64::MAX },
-            batch: BatchConfig::UNBATCHED,
-            warm_plans: true,
-            warm_quality_ratio: 1.1,
-            exec_workers: 1,
         }
     }
 }
 
 /// Builds a TPC-C cluster per `setup` (state preloaded, no clients yet).
 pub fn tpcc_cluster(setup: &TpccSetup) -> Cluster<Tpcc> {
-    let config = ClusterConfig {
-        partitions: setup.partitions,
-        replicas: 3,
-        mode: setup.mode,
-        seed: setup.seed,
-        repartition_threshold: setup.repartition_threshold,
-        min_plan_interval: setup.min_plan_interval,
-        warm_client_caches: true,
-        compute_base: SimDuration::from_millis(100),
-        exec: ExecConfig::pool(setup.exec_workers, SimDuration::from_micros(150)),
-        batch: setup.batch,
-        warm_plans: setup.warm_plans,
-        warm_quality_ratio: setup.warm_quality_ratio,
-        ..ClusterConfig::default()
-    };
+    let partitions = setup.cluster.partitions;
     let keys = tpcc::keys(&setup.scale);
     let map: Vec<(dynastar_core::LocKey, PartitionId)> = match setup.placement {
         Placement::Random => {
-            let mut rng = StdRng::seed_from_u64(setup.seed ^ 0xBEEF);
-            placement::random(keys, setup.partitions, &mut rng).into_iter().collect()
+            let mut rng = StdRng::seed_from_u64(setup.cluster.seed ^ 0xBEEF);
+            placement::random(keys, partitions, &mut rng).into_iter().collect()
         }
         Placement::Aligned | Placement::Optimized => keys
             .into_iter()
@@ -102,11 +99,11 @@ pub fn tpcc_cluster(setup: &TpccSetup) -> Cluster<Tpcc> {
                 } else {
                     (k.0 / schema::DISTRICTS_PER_WAREHOUSE as u64) as u32
                 };
-                (k, PartitionId(w % setup.partitions))
+                (k, PartitionId(w % partitions))
             })
             .collect(),
     };
-    let mut b = ClusterBuilder::new(config);
+    let mut b = ClusterBuilder::new(setup.cluster.clone());
     for (k, p) in map {
         b.place(k, p);
     }
@@ -117,53 +114,16 @@ pub fn tpcc_cluster(setup: &TpccSetup) -> Cluster<Tpcc> {
 /// Parameters for a Chirper deployment.
 #[derive(Debug, Clone)]
 pub struct ChirperSetup {
-    /// Minimum time between repartitionings.
-    pub min_plan_interval: SimDuration,
+    /// The cluster itself: partitions, mode, seed, batching, execution
+    /// pool, oracle sharding, client caching, migration policy.
+    /// `cluster.seed` also seeds the social graph and the placement.
+    pub cluster: ClusterConfig,
     /// Number of users in the synthetic social graph.
     pub users: usize,
     /// Follows per user in the Barabási–Albert generator.
     pub follows_per_user: usize,
-    /// Number of partitions.
-    pub partitions: u32,
-    /// Replication scheme.
-    pub mode: Mode,
     /// Initial placement of users.
     pub placement: Placement,
-    /// Master seed.
-    pub seed: u64,
-    /// Repartitioning threshold (`u64::MAX` disables).
-    pub repartition_threshold: u64,
-    /// Leader-side batching / pipelining knobs for every consensus group.
-    pub batch: BatchConfig,
-    /// Oracle warm-start (incremental) repartitioning.
-    pub warm_plans: bool,
-    /// Warm-plan quality gate (ratio vs the last full run's cut).
-    pub warm_quality_ratio: f64,
-    /// Partition-server tunables (staged migration, bandwidth model,
-    /// chunk timeouts). Defaults keep the classic immediate-move path.
-    pub server: ServerConfig,
-    /// Client retry backoff base under migration backpressure (zero =
-    /// retry immediately, the historical behaviour).
-    pub client_retry_backoff: SimDuration,
-    /// Modelled parallel execution workers per replica (1 = serial).
-    pub exec_workers: u32,
-    /// Modelled per-command service time (fig10 raises this so execution,
-    /// not ordering, is the bottleneck).
-    pub exec_service: SimDuration,
-    /// Oracle shard groups (1 = the classic single replicated oracle).
-    pub oracle_shards: u32,
-    /// Ordering batch / pipelining for the oracle shard groups alone
-    /// (`None` = share `batch`). fig8 pins the oracle window to one
-    /// in-flight instance per leader while partitions stay unbounded.
-    pub oracle_batch: Option<BatchConfig>,
-    /// Client-side location caching. `false` sends every command through
-    /// the oracle first — the permanent-flash-crowd regime fig8's shard
-    /// sweep measures. S-SMR keeps its static cache regardless.
-    pub client_location_cache: bool,
-    /// Preload client location caches at t = 0 (the historical default).
-    /// `false` starts clients cold so the first seconds exercise the
-    /// oracle query path before caches fill.
-    pub warm_client_caches: bool,
 }
 
 impl ChirperSetup {
@@ -171,29 +131,14 @@ impl ChirperSetup {
     /// qualitative shape at 1/100 size; see DESIGN.md).
     pub fn new(partitions: u32, mode: Mode) -> Self {
         ChirperSetup {
-            min_plan_interval: SimDuration::from_secs(40),
+            cluster: preset(partitions, mode, 4_000),
             users: 2_000,
             follows_per_user: 6,
-            partitions,
-            mode,
             placement: if mode == Mode::Dynastar {
                 Placement::Random
             } else {
                 Placement::Optimized
             },
-            seed: 1,
-            repartition_threshold: if mode == Mode::Dynastar { 4_000 } else { u64::MAX },
-            batch: BatchConfig::UNBATCHED,
-            warm_plans: true,
-            warm_quality_ratio: 1.1,
-            server: ServerConfig::default(),
-            client_retry_backoff: SimDuration::ZERO,
-            exec_workers: 1,
-            exec_service: SimDuration::from_micros(150),
-            oracle_shards: 1,
-            oracle_batch: None,
-            client_location_cache: true,
-            warm_client_caches: true,
         }
     }
 }
@@ -202,44 +147,23 @@ impl ChirperSetup {
 /// no clients yet). The returned graph handle feeds the workload
 /// generators so declared variable sets stay coherent.
 pub fn chirper_cluster(setup: &ChirperSetup) -> (Cluster<Chirper>, Arc<Mutex<SocialGraph>>) {
-    let mut rng = StdRng::seed_from_u64(setup.seed ^ 0x5AFE);
+    let (partitions, seed) = (setup.cluster.partitions, setup.cluster.seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5AFE);
     let graph = SocialGraph::barabasi_albert(setup.users, setup.follows_per_user, &mut rng);
-    let config = ClusterConfig {
-        partitions: setup.partitions,
-        replicas: 3,
-        mode: setup.mode,
-        seed: setup.seed,
-        repartition_threshold: setup.repartition_threshold,
-        min_plan_interval: setup.min_plan_interval,
-        warm_client_caches: setup.warm_client_caches,
-        compute_base: SimDuration::from_millis(100),
-        exec: ExecConfig::pool(setup.exec_workers, setup.exec_service),
-        batch: setup.batch,
-        warm_plans: setup.warm_plans,
-        warm_quality_ratio: setup.warm_quality_ratio,
-        server: setup.server.clone(),
-        client_retry_backoff: setup.client_retry_backoff,
-        oracle_shards: setup.oracle_shards,
-        oracle_batch: setup.oracle_batch,
-        client_location_cache: setup.client_location_cache,
-        ..ClusterConfig::default()
-    };
     let keys = (0..graph.users() as u64).map(Chirper::key);
     let map: Vec<(dynastar_core::LocKey, PartitionId)> = match setup.placement {
-        Placement::Random => {
-            placement::random(keys, setup.partitions, &mut rng).into_iter().collect()
-        }
-        Placement::Aligned => placement::round_robin(keys, setup.partitions).into_iter().collect(),
+        Placement::Random => placement::random(keys, partitions, &mut rng).into_iter().collect(),
+        Placement::Aligned => placement::round_robin(keys, partitions).into_iter().collect(),
         Placement::Optimized => placement::optimized(
             keys,
             graph.coaccess_edges().map(|(a, b)| (Chirper::key(a), Chirper::key(b), 1)),
-            setup.partitions,
-            setup.seed,
+            partitions,
+            seed,
         )
         .into_iter()
         .collect(),
     };
-    let mut b = ClusterBuilder::new(config);
+    let mut b = ClusterBuilder::new(setup.cluster.clone());
     for (k, p) in map {
         b.place(k, p);
     }
@@ -408,7 +332,7 @@ mod tests {
         let run_point = |seed: u64| {
             let mut setup = TpccSetup::new(1, Mode::Dynastar);
             setup.scale = TpccScale { warehouses: 1, customers_per_district: 5, items: 20 };
-            setup.seed = seed;
+            setup.cluster.seed = seed;
             let mut cluster = tpcc_cluster(&setup);
             let tracker = tpcc::order_tracker();
             cluster.add_client(dynastar_workloads::tpcc::TpccWorkload::new(

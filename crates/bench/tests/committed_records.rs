@@ -1,0 +1,68 @@
+//! Every committed `results/BENCH_*.json` parses with the one reader and
+//! holds the rows its CI gate (or its documentation) looks up.
+
+use dynastar_bench::harness::Record;
+
+fn load(name: &str) -> Record {
+    let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+    Record::load(&path).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Asserts `record` has the row `key` and that it carries a positive `metric`.
+fn assert_gated(record: &Record, key: &[(&str, &str)], metric: &str) {
+    let row = record.find(key).unwrap_or_else(|| panic!("{}: no row {key:?}", record.bench));
+    assert!(row.f64(metric).is_some_and(|v| v > 0.0), "{}: {key:?} lacks {metric}", record.bench);
+}
+
+#[test]
+fn every_committed_record_parses() {
+    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("results/ exists") {
+        let name = entry.expect("readable dir entry").file_name().into_string().expect("utf-8");
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            let record = load(&name);
+            assert!(!record.rows.is_empty(), "{name} has no rows");
+            for row in &record.rows {
+                for k in &record.key {
+                    assert!(row.get(k).is_some(), "{name}: a row lacks key field {k}");
+                }
+            }
+            seen += 1;
+        }
+    }
+    assert_eq!(seen, 6, "results/ holds six BENCH records");
+}
+
+#[test]
+fn gated_rows_are_present() {
+    // fig7 --smoke sweeps the 100k-vertex graph only.
+    assert_gated(&load("BENCH_partitioner.json"), &[("vertices", "100000")], "elements_per_sec");
+    // fig8 --smoke sweeps every shard count.
+    let oracle = load("BENCH_oracle.json");
+    for shards in ["1", "2", "4"] {
+        assert_gated(&oracle, &[("experiment", "sweep"), ("shards", shards)], "queries_per_sec");
+    }
+    // fig10 --smoke runs {1, 8} workers at theta 0.90.
+    let exec = load("BENCH_exec.json");
+    for workers in ["1", "8"] {
+        assert_gated(&exec, &[("workers", workers), ("theta", "0.90")], "cmds_per_sim_sec");
+    }
+}
+
+#[test]
+fn perf_record_pins_the_standard_schedule() {
+    let perf = load("BENCH_perf.json");
+    let row = perf
+        .find(&[
+            ("mode", "dynastar"),
+            ("partitions", "4"),
+            ("sim_secs", "10"),
+            ("seed", "1"),
+            ("clients_per_warehouse", "6"),
+            ("exec_workers", "1"),
+        ])
+        .expect("standard probe_perf configuration");
+    assert_eq!(row.get("events"), Some("2182032"));
+    assert_eq!(row.get("completed"), Some("27676"));
+}

@@ -11,74 +11,60 @@
 
 #![forbid(unsafe_code)]
 
-mod args;
-
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use args::Args;
-use dynastar_bench::setup::{chirper_cluster, tpcc_cluster, ChirperSetup, Placement, TpccSetup};
+use dynastar_bench::harness::{Args, Opt, Spec};
+use dynastar_bench::scenarios::{self, Params};
+use dynastar_bench::setup::{
+    chirper_cluster, parse_mode, tpcc_cluster, ChirperSetup, Placement, TpccSetup,
+};
 use dynastar_core::metric_names as mn;
-use dynastar_core::server::{ExecConfig, ServerConfig};
-use dynastar_core::{
-    Application, BatchConfig, ClusterBuilder, ClusterConfig, CommandKind, LocKey, Mode,
-    PartitionId, VarId,
-};
-use dynastar_runtime::nemesis::NemesisPlan;
-use dynastar_runtime::{Metrics, SimDuration, SimTime};
+use dynastar_core::{BatchConfig, ClusterConfig, Mode};
+use dynastar_runtime::{Metrics, SimDuration};
 use dynastar_workloads::chirper::{ChirperMix, ChirperWorkload};
-use dynastar_workloads::scenarios::{
-    churn_nemesis, flash_crowd, migration_brownout, DiurnalRotation, ScenarioWorkload, ZipfRamp,
-};
 use dynastar_workloads::tpcc::{self, TpccWorkload};
-use rand::rngs::StdRng;
 
-const USAGE: &str = "\
-usage: dynastar <chirper|tpcc|scenario> [flags]
+static SPEC: Spec = Spec {
+    program: "dynastar",
+    positionals: &["<chirper|tpcc|scenario>"],
+    opts: &[
+        Opt::Section("common flags:"),
+        Opt::Value("mode", "<dynastar|ssmr|dssmr>", "replication scheme [dynastar]"),
+        Opt::Value("partitions", "<k>", "number of partitions [4; scenario 2]"),
+        Opt::Value("clients", "<n>", "closed-loop clients [8; scenario 3]"),
+        Opt::Value("secs", "<s>", "simulated seconds to run [60; scenario 24]"),
+        Opt::Value("seed", "<n>", "master seed [1; scenario 9]"),
+        Opt::Value("max-batch", "<n>", "commands per ordering batch [1]"),
+        Opt::Value("batch-delay", "<ms>", "max wait to fill a batch [0]"),
+        Opt::Value("window", "<n>", "in-flight consensus instances per leader, 0 = unbounded [0]"),
+        Opt::Value("warm-plans", "<on|off>", "oracle warm-start (incremental) repartitioning [on]"),
+        Opt::Value("warm-ratio", "<f>", "accept a warm plan within f x the last full cut [1.1]"),
+        Opt::Value("exec-workers", "<n>", "conflict-aware execution workers per replica [1]"),
+        Opt::Section("chirper flags:"),
+        Opt::Value("users", "<n>", "social graph size [2000; scenario flash_crowd/churn 400]"),
+        Opt::Value("attach", "<m>", "Barabási–Albert attachment degree (follows per user) [6]"),
+        Opt::Value("posts", "<pct>", "post percentage (rest timeline) [15]"),
+        Opt::Value("oracle-shards", "<o>", "hash-sliced oracle shard groups (DESIGN.md §7) [1]"),
+        Opt::Value("cache", "<on|off>", "client location caching; off asks the oracle first [on]"),
+        Opt::Section("tpcc flags:"),
+        Opt::Value("warehouses", "<n>", "warehouses [= partitions]"),
+        Opt::Section("scenario flags (adversarial robustness suite; always mode dynastar):"),
+        Opt::Value("name", "<s>", "flash_crowd|diurnal|zipf_ramp|churn|chained_move|all [all]"),
+        Opt::Value("staged", "<on|off>", "chunked rate-limited state migration [on]"),
+        Opt::Value("domain", "<n>", "counters keyspace (diurnal/zipf_ramp/chained_move) [200]"),
+        Opt::Value("waves", "<n>", "churn crash-restart waves [2]"),
+        Opt::Value("inflight-cap", "<n>", "staged transfers in flight per link, 0 = no cap [4]"),
+    ],
+};
 
-common flags:
-  --mode <dynastar|ssmr|dssmr>   replication scheme        [dynastar]
-  --partitions <k>               number of partitions      [4]
-  --clients <n>                  closed-loop clients       [8]
-  --secs <s>                     simulated seconds to run  [60]
-  --seed <n>                     master seed               [1]
-  --max-batch <n>                commands per ordering batch  [1]
-  --batch-delay <ms>             max wait to fill a batch     [0]
-  --window <n>                   in-flight consensus instances per
-                                 leader (0 = unbounded)       [0]
-  --warm-plans <on|off>          oracle warm-start (incremental)
-                                 repartitioning               [on]
-  --warm-ratio <f>               warm-plan quality gate: accept while the
-                                 warm cut stays within f x the last full
-                                 multilevel cut               [1.1]
-  --exec-workers <n>             modelled parallel execution workers per
-                                 replica (conflict-aware P-SMR scheduler;
-                                 1 = serial)                  [1]
-
-chirper flags:
-  --users <n>                    social graph size         [2000]
-  --attach <m>                   Barabási–Albert attachment degree
-                                 (follows per user)        [6]
-  --posts <pct>                  post percentage (rest timeline) [15]
-  --oracle-shards <o>            hash-sliced oracle shard groups
-                                 (shard 0 plans; see DESIGN.md §7) [1]
-  --cache <on|off>               client location caching; off sends
-                                 every command through the oracle  [on]
-
-tpcc flags:
-  --warehouses <n>               warehouses (default = partitions)
-
-scenario flags (adversarial robustness suite; always mode dynastar):
-  --name <s>                     flash_crowd|diurnal|zipf_ramp|churn|
-                                 chained_move|all                        [all]
-  --staged <on|off>              chunked rate-limited state migration    [on]
-  --users <n>                    social graph size (flash_crowd/churn)   [400]
-  --domain <n>                   counters keyspace (diurnal/zipf_ramp/
-                                 chained_move)                           [200]
-  --waves <n>                    churn crash-restart waves               [2]
-  --inflight-cap <n>             staged transfers in flight per
-                                 source->destination link (0 = no cap)   [4]
-";
+/// Parses an `on|off` flag (every one of them defaults to on).
+fn on_off(a: &Args, name: &str) -> Result<bool, String> {
+    match a.get(name).unwrap_or("on") {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("--{name} {other:?}: expected on|off")),
+    }
+}
 
 /// Parses the shared batching flags. The cluster tick is 1 ms, so
 /// `--batch-delay` in milliseconds maps 1:1 onto delay ticks.
@@ -94,27 +80,18 @@ fn parse_batch(a: &Args) -> Result<BatchConfig, String> {
     })
 }
 
-/// Parses the shared oracle warm-start flags into `(warm_plans, ratio)`.
-fn parse_warm(a: &Args) -> Result<(bool, f64), String> {
-    let warm = match a.str_or("warm-plans", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--warm-plans {other:?}: expected on|off")),
-    };
-    let ratio: f64 = a.num_or("warm-ratio", 1.1)?;
-    if ratio < 1.0 {
+/// Applies the flags every cluster run shares: seed, batching, oracle
+/// warm-start and the execution pool.
+fn apply_common(a: &Args, cluster: &mut ClusterConfig) -> Result<(), String> {
+    cluster.seed = a.num_or("seed", 1)?;
+    cluster.batch = parse_batch(a)?;
+    cluster.warm_plans = on_off(a, "warm-plans")?;
+    cluster.warm_quality_ratio = a.num_or("warm-ratio", 1.1)?;
+    if cluster.warm_quality_ratio < 1.0 {
         return Err("--warm-ratio must be >= 1.0".into());
     }
-    Ok((warm, ratio))
-}
-
-fn parse_mode(s: &str) -> Result<Mode, String> {
-    match s {
-        "dynastar" => Ok(Mode::Dynastar),
-        "ssmr" => Ok(Mode::SSmr),
-        "dssmr" => Ok(Mode::DsSmr),
-        other => Err(format!("unknown mode {other:?} (dynastar|ssmr|dssmr)")),
-    }
+    cluster.exec.workers = a.num_or("exec-workers", 1u32)?.max(1);
+    Ok(())
 }
 
 fn print_summary(metrics: &Metrics, secs: u64) {
@@ -153,34 +130,25 @@ fn print_summary(metrics: &Metrics, secs: u64) {
 }
 
 fn run_chirper(a: &Args) -> Result<(), String> {
-    let mode = parse_mode(&a.str_or("mode", "dynastar"))?;
+    let mode = parse_mode(a.get("mode").unwrap_or("dynastar"))?;
     let partitions: u32 = a.num_or("partitions", 4)?;
     let clients: usize = a.num_or("clients", 8)?;
     let secs: u64 = a.num_or("secs", 60)?;
-    let seed: u64 = a.num_or("seed", 1)?;
     let users: usize = a.num_or("users", 2000)?;
     let posts: u32 = a.num_or("posts", 15)?;
     if posts > 100 {
         return Err("--posts must be <= 100".into());
     }
-    let oracle_shards: u32 = a.num_or("oracle-shards", 1)?;
-    if oracle_shards == 0 {
-        return Err("--oracle-shards must be at least 1".into());
-    }
 
     let mut setup = ChirperSetup::new(partitions, mode);
     setup.users = users;
     setup.follows_per_user = a.num_or("attach", 6)?;
-    setup.seed = seed;
-    setup.batch = parse_batch(a)?;
-    (setup.warm_plans, setup.warm_quality_ratio) = parse_warm(a)?;
-    setup.exec_workers = a.num_or("exec-workers", 1)?;
-    setup.oracle_shards = oracle_shards;
-    setup.client_location_cache = match a.str_or("cache", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--cache {other:?}: expected on|off")),
-    };
+    apply_common(a, &mut setup.cluster)?;
+    setup.cluster.oracle_shards = a.num_or("oracle-shards", 1)?;
+    if setup.cluster.oracle_shards == 0 {
+        return Err("--oracle-shards must be at least 1".into());
+    }
+    setup.cluster.client_location_cache = on_off(a, "cache")?;
     let (mut cluster, graph) = chirper_cluster(&setup);
     let mix = ChirperMix { timeline: 100 - posts, post: posts, follow: 0, unfollow: 0 };
     for _ in 0..clients {
@@ -195,18 +163,14 @@ fn run_chirper(a: &Args) -> Result<(), String> {
 }
 
 fn run_tpcc(a: &Args) -> Result<(), String> {
-    let mode = parse_mode(&a.str_or("mode", "dynastar"))?;
+    let mode = parse_mode(a.get("mode").unwrap_or("dynastar"))?;
     let partitions: u32 = a.num_or("partitions", 4)?;
     let clients: usize = a.num_or("clients", 8)?;
     let secs: u64 = a.num_or("secs", 60)?;
-    let seed: u64 = a.num_or("seed", 1)?;
 
     let mut setup = TpccSetup::new(partitions, mode);
     setup.scale.warehouses = a.num_or("warehouses", partitions)?;
-    setup.seed = seed;
-    setup.batch = parse_batch(a)?;
-    (setup.warm_plans, setup.warm_quality_ratio) = parse_warm(a)?;
-    setup.exec_workers = a.num_or("exec-workers", 1)?;
+    apply_common(a, &mut setup.cluster)?;
     if mode == Mode::Dynastar && a.has("warehouses") {
         setup.placement = Placement::Random; // interesting starting point
     }
@@ -225,238 +189,12 @@ fn run_tpcc(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The counters application the keyspace scenarios drive (one variable
-/// per locality key; commands add to every named variable).
-struct Counters;
-impl Application for Counters {
-    type Op = i64;
-    type Value = i64;
-    type Reply = i64;
-    fn locality(var: VarId) -> LocKey {
-        LocKey(var.0)
-    }
-    fn execute(op: &i64, vars: &mut BTreeMap<VarId, Option<i64>>) -> i64 {
-        let mut last = 0;
-        for v in vars.values_mut() {
-            last = v.unwrap_or(0) + op;
-            *v = Some(last);
-        }
-        last
-    }
-}
-
-/// Shared knobs for one adversarial-scenario run.
-struct ScenarioOpts {
-    partitions: u32,
-    clients: usize,
-    secs: u64,
-    seed: u64,
-    users: usize,
-    domain: u64,
-    waves: u32,
-    staged: bool,
-    inflight_cap: u32,
-}
-
-impl ScenarioOpts {
-    /// The migration policy under test: both settings share the bandwidth
-    /// model (8 KiB/var over 1 MiB/s); `staged` only changes *how* the
-    /// transfer cost is paid.
-    fn server(&self) -> ServerConfig {
-        ServerConfig {
-            staged_migration: self.staged,
-            migration_chunk_vars: 4,
-            migration_var_bytes: 8 * 1024,
-            migration_link_bytes_per_sec: 1024 * 1024,
-            migration_chunk_timeout: SimDuration::from_millis(100),
-            migration_max_retries: 6,
-            migration_max_inflight_per_link: self.inflight_cap,
-            ..ServerConfig::default()
-        }
-    }
-
-    fn client_backoff(&self) -> SimDuration {
-        if self.staged {
-            SimDuration::from_millis(2)
-        } else {
-            SimDuration::ZERO
-        }
-    }
-}
-
-/// Flash-crowd / churn scenarios: the social network under a celebrity
-/// post, optionally with crash waves + degraded links.
-fn run_scenario_chirper(name: &str, churn: bool, o: &ScenarioOpts) {
-    let mut setup = ChirperSetup::new(o.partitions, Mode::Dynastar);
-    setup.users = o.users;
-    setup.seed = o.seed;
-    setup.min_plan_interval = SimDuration::from_secs((o.secs / 5).max(1));
-    setup.repartition_threshold = 1_500;
-    setup.server = o.server();
-    setup.client_retry_backoff = o.client_backoff();
-    let (mut cluster, graph) = chirper_cluster(&setup);
-    let celebrity = {
-        let g = graph.lock().unwrap();
-        (0..g.users() as u64).min_by_key(|&u| g.followers_of(u).len()).unwrap_or(0)
-    };
-    let at = SimTime::from_secs(o.secs / 3);
-    for _ in 0..o.clients {
-        cluster.add_client(flash_crowd(
-            Arc::clone(&graph),
-            0.95,
-            ChirperMix::MIX,
-            celebrity,
-            40,
-            at,
-        ));
-    }
-    if churn {
-        let cfg = churn_nemesis(
-            o.seed ^ 0xC0FFEE,
-            SimTime::from_secs(o.secs / 4),
-            SimTime::from_secs(o.secs * 3 / 4),
-            o.waves,
-        );
-        let plan = NemesisPlan::generate(&cfg, cluster.groups());
-        eprintln!(
-            "{name}: nemesis schedules {} crash(es), {} degraded link(s)",
-            plan.crash_count(),
-            plan.link_fault_count()
-        );
-        plan.apply(&mut cluster.sim);
-    }
-    cluster.run_for(SimDuration::from_secs(o.secs));
-    print_scenario_summary(name, cluster.metrics(), o);
-}
-
-/// Diurnal-rotation / Zipf-ramp scenarios: a counters keyspace whose
-/// access pattern drifts under the partitioner's feet.
-fn run_scenario_counters(name: &str, ramp: bool, o: &ScenarioOpts) {
-    let config = ClusterConfig {
-        partitions: o.partitions,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: o.seed,
-        repartition_threshold: 800,
-        min_plan_interval: SimDuration::from_secs((o.secs / 5).max(1)),
-        warm_client_caches: true,
-        compute_base: SimDuration::from_millis(50),
-        exec: ExecConfig::serial(SimDuration::from_micros(150)),
-        server: o.server(),
-        client_retry_backoff: o.client_backoff(),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    for v in 0..o.domain {
-        b.place(LocKey(v), PartitionId((v % o.partitions as u64) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let domain = o.domain;
-    let make = move |rank: u64, _rng: &mut StdRng| CommandKind::<Counters>::Access {
-        op: 1,
-        vars: vec![VarId(rank), VarId((rank + 1) % domain)],
-    };
-    for _ in 0..o.clients {
-        if ramp {
-            let pattern = ZipfRamp::new(
-                domain,
-                0.2,
-                0.95,
-                SimTime::from_secs(o.secs / 6),
-                SimTime::from_secs(o.secs * 2 / 3),
-            );
-            cluster.add_client(ScenarioWorkload::new(pattern, make));
-        } else {
-            let pattern = DiurnalRotation::new(
-                domain,
-                0.95,
-                SimDuration::from_secs((o.secs / 6).max(1)),
-                domain / 4,
-            );
-            cluster.add_client(ScenarioWorkload::new(pattern, make));
-        }
-    }
-    cluster.run_for(SimDuration::from_secs(o.secs));
-    print_scenario_summary(name, cluster.metrics(), o);
-}
-
-/// Chained-migration scenario: the hot half of the counters keyspace
-/// rotates once per plan interval (each plan re-routes the keys the
-/// previous one just moved), while a mid-run brownout degrades every link
-/// between partitions 0 and 1 until staged transfers give up and revert —
-/// the reverts then compose with the chained moves via plan-history
-/// replay.
-fn run_scenario_chained(name: &str, o: &ScenarioOpts) {
-    let plan_interval = SimDuration::from_secs((o.secs / 5).max(1));
-    // At least three partitions: commands touching partition 2+ keep
-    // flowing during the 0 ↔ 1 brownout, so the oracle keeps planning and
-    // keeps pushing transfers across the degraded pair.
-    let partitions = o.partitions.max(3);
-    // Shorter retry ladder (~1.5 s at 100 ms timeout × 3 retries) so the
-    // 2 s one-way brownout delay below outlasts it and forces give-ups.
-    let mut server = o.server();
-    server.migration_max_retries = 3;
-    let config = ClusterConfig {
-        partitions,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: o.seed,
-        repartition_threshold: 800,
-        min_plan_interval: plan_interval,
-        warm_client_caches: true,
-        compute_base: SimDuration::from_millis(50),
-        exec: ExecConfig::serial(SimDuration::from_micros(150)),
-        server,
-        client_retry_backoff: o.client_backoff(),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    // Contiguous blocks + single-key commands: the foreground stays
-    // single-partition (immune to the brownout), and migration pressure
-    // comes from vertex-weight imbalance as the Zipf head rotates.
-    for v in 0..o.domain {
-        b.place(LocKey(v), PartitionId((v * partitions as u64 / o.domain) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let make = move |rank: u64, _rng: &mut StdRng| CommandKind::<Counters>::Access {
-        op: 1,
-        vars: vec![VarId(rank)],
-    };
-    for _ in 0..o.clients {
-        let pattern = DiurnalRotation::new(o.domain, 0.95, plan_interval, o.domain / 2);
-        cluster.add_client(ScenarioWorkload::new(pattern, make));
-    }
-    let (ga, gb) = {
-        let groups = cluster.groups();
-        (groups[0].clone(), groups[1].clone())
-    };
-    // Pure delay, zero loss: partial loss is laundered away by the 3×3
-    // chunk/ack fan-out and total loss stalls the atomic-multicast
-    // timestamp exchange, but a 2 s one-way delay puts chunk acks behind
-    // the give-up point while every chunk still (eventually) arrives —
-    // so `MigrationDone` and `MigrationRevert` race in the total order.
-    let plan = migration_brownout(
-        &ga,
-        &gb,
-        SimTime::from_secs(o.secs / 4),
-        SimTime::from_secs(o.secs * 3 / 4),
-        SimDuration::from_secs(2),
-        0,
-    );
-    eprintln!("{name}: brownout degrades {} directed link(s)", plan.link_fault_count());
-    plan.apply(&mut cluster.sim);
-    cluster.run_for(SimDuration::from_secs(o.secs));
-    print_scenario_summary(name, cluster.metrics(), o);
-}
-
-fn print_scenario_summary(name: &str, m: &Metrics, o: &ScenarioOpts) {
-    println!("--- {name} ({}) ---", if o.staged { "staged" } else { "stall" });
-    print_summary(m, o.secs);
+fn print_scenario_summary(name: &str, m: &Metrics, p: &Params) {
+    println!("--- {name} ({}) ---", if p.staged { "staged" } else { "stall" });
+    print_summary(m, p.secs);
     println!("client errors      : {}", m.counter(mn::CMD_FAILED));
     println!("retry backoffs     : {}", m.counter(mn::CMD_RETRY_BACKOFF));
-    if o.staged {
+    if p.staged {
         println!(
             "staged migration   : {} keys, {} chunks ({} retried), {} reverts",
             m.counter(mn::MIGRATION_KEYS_STAGED),
@@ -473,26 +211,24 @@ fn print_scenario_summary(name: &str, m: &Metrics, o: &ScenarioOpts) {
 }
 
 fn run_scenario(a: &Args) -> Result<(), String> {
-    let name = a.str_or("name", "all");
-    let o = ScenarioOpts {
+    let secs: u64 = a.num_or("secs", 24)?;
+    let p = Params {
         partitions: a.num_or("partitions", 2)?,
-        clients: a.num_or("clients", 3)?,
-        secs: a.num_or("secs", 24)?,
-        seed: a.num_or("seed", 9)?,
         users: a.num_or("users", 400)?,
         domain: a.num_or("domain", 200)?,
+        clients: a.num_or("clients", 3)?,
+        secs,
+        seed: a.num_or("seed", 9)?,
+        chirper_threshold: 1_500,
+        counters_threshold: 800,
+        plan_interval: SimDuration::from_secs((secs / 5).max(1)),
         waves: a.num_or("waves", 2)?,
-        staged: match a.str_or("staged", "on").as_str() {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--staged {other:?}: expected on|off")),
-        },
+        staged: on_off(a, "staged")?,
         inflight_cap: a.num_or("inflight-cap", 4)?,
     };
-    let all = ["flash_crowd", "diurnal", "zipf_ramp", "churn", "chained_move"];
-    let selected: Vec<&str> = match name.as_str() {
-        "all" => all.to_vec(),
-        one if all.contains(&one) => vec![one],
+    let selected: Vec<&str> = match a.get("name").unwrap_or("all") {
+        "all" => scenarios::NAMES.to_vec(),
+        one if scenarios::NAMES.contains(&one) => vec![one],
         other => {
             return Err(format!(
                 "unknown scenario {other:?} \
@@ -502,41 +238,26 @@ fn run_scenario(a: &Args) -> Result<(), String> {
     };
     for s in selected {
         // `chained_move` needs a partition outside the browned-out pair.
-        let parts = if s == "chained_move" { o.partitions.max(3) } else { o.partitions };
+        let parts = if s == "chained_move" { p.partitions.max(3) } else { p.partitions };
         eprintln!(
             "scenario {s}: {} partitions, {} clients, {}s, staged={}...",
-            parts, o.clients, o.secs, o.staged
+            parts, p.clients, p.secs, p.staged
         );
-        match s {
-            "flash_crowd" => run_scenario_chirper(s, false, &o),
-            "churn" => run_scenario_chirper(s, true, &o),
-            "diurnal" => run_scenario_counters(s, false, &o),
-            "zipf_ramp" => run_scenario_counters(s, true, &o),
-            "chained_move" => run_scenario_chained(s, &o),
-            other => unreachable!("unknown scenario {other}"),
-        }
+        print_scenario_summary(s, &scenarios::run(s, &p), &p);
     }
     Ok(())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let result = match parsed.command.as_deref() {
-        Some("chirper") => run_chirper(&parsed),
-        Some("tpcc") => run_tpcc(&parsed),
-        Some("scenario") => run_scenario(&parsed),
+    let args = Args::from_env(&SPEC);
+    let result = match args.positional(0) {
+        Some("chirper") => run_chirper(&args),
+        Some("tpcc") => run_tpcc(&args),
+        Some("scenario") => run_scenario(&args),
         Some(other) => Err(format!("unknown command {other:?}")),
         None => Err("missing command".to_string()),
     };
     if let Err(e) = result {
-        eprintln!("error: {e}\n\n{USAGE}");
-        std::process::exit(2);
+        args.fail(&e);
     }
 }

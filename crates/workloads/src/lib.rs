@@ -22,10 +22,14 @@
 //! * [`scenarios`] — adversarial scenario generators for the robustness
 //!   suite: flash crowds, diurnal hot-spot rotation, Zipf-parameter ramps
 //!   and membership-churn nemesis presets.
+//! * [`counters`] — the toy add-to-every-variable application (and a
+//!   uniform closed-loop client for it) that the probes and the keyspace
+//!   scenarios drive.
 
 #![forbid(unsafe_code)]
 
 pub mod chirper;
+pub mod counters;
 pub mod placement;
 pub mod scenarios;
 pub mod socialgraph;

@@ -4,7 +4,8 @@
 set -u
 mkdir -p results
 cargo build --release -p dynastar-bench 2>&1 | tail -1
-for b in fig2_repartitioning fig8_oracle_load table1_partition_load fig3_tpcc_scalability fig5_latency_cdf fig4_social_throughput fig6_dynamic_workload ablation_modes fig7_partitioner_scaling; do
+for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/table*.rs crates/bench/src/bin/ablation_modes.rs; do
+  b=$(basename "$src" .rs)
   echo "=== $b start $(date +%T) ==="
   timeout 1200 ./target/release/$b > results/$b.txt 2> results/$b.log
   echo "=== $b exit=$? end $(date +%T) ==="
