@@ -53,16 +53,17 @@ fn gated_rows_are_present() {
 #[test]
 fn perf_record_pins_the_standard_schedule() {
     let perf = load("BENCH_perf.json");
-    let row = perf
-        .find(&[
-            ("mode", "dynastar"),
-            ("partitions", "4"),
-            ("sim_secs", "10"),
-            ("seed", "1"),
-            ("clients_per_warehouse", "6"),
-            ("exec_workers", "1"),
-        ])
-        .expect("standard probe_perf configuration");
+    let standard = [
+        ("mode", "dynastar"),
+        ("partitions", "4"),
+        ("sim_secs", "10"),
+        ("seed", "1"),
+        ("clients_per_warehouse", "6"),
+        ("exec_workers", "1"),
+    ];
+    let row = perf.find(&standard).expect("standard probe_perf configuration");
     assert_eq!(row.get("events"), Some("2182032"));
     assert_eq!(row.get("completed"), Some("27676"));
+    // The CI gate compares the run's allocation count.
+    assert_gated(&perf, &standard, "allocs");
 }

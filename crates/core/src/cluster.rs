@@ -443,23 +443,30 @@ impl<A: Application> Wiring<A> {
         true
     }
 
-    /// Unwraps released frame bodies for consumption: sole owner → move,
+    /// Unwraps a released frame body for consumption: sole owner → move,
     /// otherwise (sender still buffering for retransmission, or a fan-out
     /// sibling in flight) one deep clone — the only payload copy on the
     /// whole delivery path.
-    fn unwrap_released(ready: Vec<Arc<Inner<A>>>) -> Vec<Inner<A>> {
-        ready.into_iter().map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone())).collect()
+    fn unwrap_released(body: Arc<Inner<A>>) -> Inner<A> {
+        Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// Accepts an incoming message; returns the in-order released inner
-    /// messages (empty for acks/out-of-order frames).
-    fn receive(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) -> Vec<Inner<A>> {
+    /// Accepts an incoming message; appends the in-order released bodies to
+    /// `ready` (nothing for acks/out-of-order frames) — the hosting actor's
+    /// reusable buffer, which it drains through [`Self::unwrap_released`].
+    fn receive(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg<A>>,
+        from: NodeId,
+        msg: Msg<A>,
+        ready: &mut Vec<Arc<Inner<A>>>,
+    ) {
         match msg {
             Msg::Frame { src_epoch, dst_epoch, frame } => {
                 if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
-                    return Vec::new();
+                    return;
                 }
-                let ready = Self::unwrap_released(self.fifo.accept(from, frame));
+                let gaps = self.fifo.accept(from, frame, ready);
                 let drops = self.fifo.dropped_count();
                 if drops > self.reported_fifo_drops {
                     ctx.metrics_mut().incr_counter(
@@ -483,16 +490,16 @@ impl<A: Application> Wiring<A> {
                 // the sender's retransmission buffer.
                 let expected = self.fifo.expected_from(&from);
                 let acked = self.acked_to_peer.get(&from).copied().unwrap_or(0);
-                let missing = self.fifo.missing_from(&from, NACK_LIMIT);
+                let missing =
+                    if gaps { self.fifo.missing_from(&from, NACK_LIMIT) } else { Vec::new() };
                 if expected >= acked + ACK_EVERY || !missing.is_empty() {
                     self.acked_to_peer.insert(from, expected);
                     self.send_ack(ctx, from, expected, missing);
                 }
-                ready
             }
             Msg::Ack { src_epoch, dst_epoch, up_to, missing } => {
                 if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
-                    return Vec::new();
+                    return;
                 }
                 let now = ctx.now();
                 let mut resends = Vec::new();
@@ -545,20 +552,16 @@ impl<A: Application> Wiring<A> {
                 if unsatisfiable_hole {
                     self.send_jump(ctx, from);
                 }
-                Vec::new()
             }
             Msg::Jump { src_epoch, dst_epoch, from_seq } => {
                 if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
-                    return Vec::new();
+                    return;
                 }
                 // The sender abandoned everything below `from_seq`; release
                 // whatever buffered frames become deliverable past the gap.
-                Self::unwrap_released(self.fifo.force_advance(&from, from_seq))
+                self.fifo.force_advance(&from, from_seq, ready);
             }
-            Msg::EpochNotice { epoch } => {
-                self.note_peer_epoch(ctx, from, epoch);
-                Vec::new()
-            }
+            Msg::EpochNotice { epoch } => self.note_peer_epoch(ctx, from, epoch),
         }
     }
 
@@ -765,6 +768,9 @@ impl<A: Application> Role<A> {
 /// How often a recovering replica re-requests missing peer snapshots.
 const RECOVERY_RETRY: SimDuration = SimDuration::from_millis(500);
 
+/// Total-order deliveries waiting to be fed to the hosted core.
+type Deliveries<A> = std::collections::VecDeque<dynastar_amcast::Delivery<Arc<Payload<A>>>>;
+
 /// One peer's donated state: its multicast snapshot + protocol core.
 type Donation<A> = (MemberSnapshot<Arc<Payload<A>>>, CoreSnapshot<A>);
 
@@ -833,6 +839,8 @@ pub struct ServerActor<A: Application> {
     recovery_snaps: BTreeMap<NodeId, Donation<A>>,
     /// Previous `is_leader()` observation, for the election counter.
     was_leader: bool,
+    /// Released frame bodies of the message being handled (reused buffer).
+    inbox: Vec<Arc<Inner<A>>>,
 }
 
 impl<A: Application> ServerActor<A> {
@@ -866,6 +874,7 @@ impl<A: Application> ServerActor<A> {
             recovering: false,
             recovery_snaps: BTreeMap::new(),
             was_leader: false,
+            inbox: Vec::new(),
         }
     }
 
@@ -1017,12 +1026,23 @@ impl<A: Application> ServerActor<A> {
     /// Routes a multicast-layer output: sends wires, feeds deliveries to
     /// the core, and recursively handles the effects.
     fn absorb(&mut self, ctx: &mut Ctx<'_, Msg<A>>, out: McastOutput<Arc<Payload<A>>>) {
-        // Deliveries are in total order — process FIFO.
-        let mut deliveries: std::collections::VecDeque<_> = out.delivered.into();
         for (to, wire) in out.outgoing {
             let node = self.wiring.routes.node_of(to);
             self.wiring.send(ctx, node, Arc::new(Inner::Wire(wire)));
         }
+        self.drain_deliveries(ctx, out.delivered.into());
+    }
+
+    /// Applies a core's effects, then whatever they caused to be delivered.
+    fn run_effects(&mut self, ctx: &mut Ctx<'_, Msg<A>>, effects: Vec<Effect<A>>) {
+        let mut deliveries = Deliveries::new();
+        self.apply_effects(ctx, effects, &mut deliveries);
+        self.drain_deliveries(ctx, deliveries);
+    }
+
+    /// Feeds deliveries to the core in total order (FIFO); the effects of
+    /// one may append further deliveries, which are drained in turn.
+    fn drain_deliveries(&mut self, ctx: &mut Ctx<'_, Msg<A>>, mut deliveries: Deliveries<A>) {
         while let Some(d) = deliveries.pop_front() {
             let now = ctx.now();
             let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
@@ -1041,7 +1061,7 @@ impl<A: Application> ServerActor<A> {
         &mut self,
         ctx: &mut Ctx<'_, Msg<A>>,
         effects: Vec<Effect<A>>,
-        deliveries: &mut std::collections::VecDeque<dynastar_amcast::Delivery<Arc<Payload<A>>>>,
+        deliveries: &mut Deliveries<A>,
     ) {
         for eff in effects {
             match eff {
@@ -1073,20 +1093,7 @@ impl<A: Application> ServerActor<A> {
                 Role::Oracle(core) => core.on_direct(msg, now, metrics),
             }
         };
-        let mut deliveries = std::collections::VecDeque::new();
-        self.apply_effects(ctx, effects, &mut deliveries);
-        while let Some(d) = deliveries.pop_front() {
-            let now = ctx.now();
-            let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-            let effects = {
-                let metrics = ctx.metrics_mut();
-                match &mut self.role {
-                    Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                    Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                }
-            };
-            self.apply_effects(ctx, effects, &mut deliveries);
-        }
+        self.run_effects(ctx, effects);
     }
 }
 
@@ -1133,9 +1140,10 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
-        let ready = self.wiring.receive(ctx, from, msg);
-        for inner in ready {
-            match inner {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.wiring.receive(ctx, from, msg, &mut inbox);
+        for body in inbox.drain(..) {
+            match Wiring::unwrap_released(body) {
                 // While recovering the member/core hold placeholder state:
                 // protocol traffic is dropped (the group tolerates it — we
                 // are the faulty minority) and replaced by the snapshot.
@@ -1155,6 +1163,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                 Inner::Recovery(r) => self.handle_recovery(ctx, from, r),
             }
         }
+        self.inbox = inbox;
         if !self.recovering {
             self.note_leadership(ctx);
             self.persist_consensus(ctx);
@@ -1176,11 +1185,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                             Role::Partition(_) => Vec::new(),
                         }
                     };
-                    if !effects.is_empty() {
-                        let mut deliveries = std::collections::VecDeque::new();
-                        self.apply_effects(ctx, effects, &mut deliveries);
-                        debug_assert!(deliveries.is_empty());
-                    }
+                    self.run_effects(ctx, effects);
                     if self.member.needs_state_transfer() {
                         // Fell farther behind than peers retain log for
                         // (e.g. a long partition): only a snapshot can
@@ -1210,20 +1215,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                         Role::Partition(_) => Vec::new(),
                     }
                 };
-                let mut deliveries = std::collections::VecDeque::new();
-                self.apply_effects(ctx, effects, &mut deliveries);
-                while let Some(d) = deliveries.pop_front() {
-                    let now = ctx.now();
-                    let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-                    let effects = {
-                        let metrics = ctx.metrics_mut();
-                        match &mut self.role {
-                            Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                            Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                        }
-                    };
-                    self.apply_effects(ctx, effects, &mut deliveries);
-                }
+                self.run_effects(ctx, effects);
             }
             timer::WAKE => {
                 if self.recovering {
@@ -1237,20 +1229,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                         Role::Oracle(_) => Vec::new(),
                     }
                 };
-                let mut deliveries = std::collections::VecDeque::new();
-                self.apply_effects(ctx, effects, &mut deliveries);
-                while let Some(d) = deliveries.pop_front() {
-                    let now = ctx.now();
-                    let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-                    let effects = {
-                        let metrics = ctx.metrics_mut();
-                        match &mut self.role {
-                            Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                            Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                        }
-                    };
-                    self.apply_effects(ctx, effects, &mut deliveries);
-                }
+                self.run_effects(ctx, effects);
             }
             _ => {}
         }
@@ -1268,6 +1247,8 @@ pub struct ClientActor<A: Application, W: Workload<A>> {
     start_jitter: SimDuration,
     /// Set when the workload returns `None`.
     done: bool,
+    /// Released frame bodies of the message being handled (reused buffer).
+    inbox: Vec<Arc<Inner<A>>>,
 }
 
 impl<A: Application, W: Workload<A>> ClientActor<A, W> {
@@ -1315,9 +1296,10 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
-        let ready = self.wiring.receive(ctx, from, msg);
-        for inner in ready {
-            let Inner::Direct(d) = inner else { continue };
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.wiring.receive(ctx, from, msg, &mut inbox);
+        for body in inbox.drain(..) {
+            let Inner::Direct(d) = Wiring::unwrap_released(body) else { continue };
             let now = ctx.now();
             let (effects, event) = {
                 let metrics = ctx.metrics_mut();
@@ -1339,6 +1321,7 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
                 ctx.set_timer(self.timeout, timer::TIMEOUT);
             }
         }
+        self.inbox = inbox;
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<A>>, tag: u64) {
@@ -1724,6 +1707,7 @@ impl<A: Application> Cluster<A> {
             timeout: self.config.client_timeout,
             start_jitter: SimDuration::from_micros(jitter_us),
             done: false,
+            inbox: Vec::new(),
         };
         let assigned = self.sim.add_node(format!("client{idx}"), actor);
         debug_assert_eq!(assigned, id);

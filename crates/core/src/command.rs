@@ -139,12 +139,35 @@ impl AccessSets {
         AccessSets { reads: Vec::new(), writes: vars.to_vec() }
     }
 
-    /// Whether `self` (the later command) must wait for `earlier`.
+    /// Both sets sorted and free of duplicates — the form
+    /// [`AccessSets::conflicts_with`] takes on either side.
+    pub fn normalized(mut self) -> Self {
+        for set in [&mut self.reads, &mut self.writes] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        self
+    }
+
+    /// Whether `self` (the later command) must wait for `earlier`; both
+    /// must be [`normalized`](AccessSets::normalized).
     ///
     /// Symmetric CBASE rule: conflict iff self.writes ∩ (earlier.reads ∪
-    /// earlier.writes) ≠ ∅ or self.reads ∩ earlier.writes ≠ ∅.
+    /// earlier.writes) ≠ ∅ or self.reads ∩ earlier.writes ≠ ∅. Each
+    /// intersection is one merge pass over the two sorted sets.
     pub fn conflicts_with(&self, earlier: &AccessSets) -> bool {
-        let hits = |a: &[VarId], b: &[VarId]| a.iter().any(|v| b.contains(v));
+        fn hits(a: &[VarId], b: &[VarId]) -> bool {
+            debug_assert!(a.is_sorted() && b.is_sorted(), "access sets must be normalized");
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => return true,
+                }
+            }
+            false
+        }
         hits(&self.writes, &earlier.writes)
             || hits(&self.writes, &earlier.reads)
             || hits(&self.reads, &earlier.writes)
@@ -220,13 +243,28 @@ impl<A: Application> Command<A> {
 
     /// The distinct locality keys this command touches, sorted.
     pub fn keys(&self) -> Vec<LocKey> {
+        let mut keys = Vec::new();
+        self.append_keys(&mut keys);
+        keys
+    }
+
+    /// Appends [`Self::keys`] to `out` without a vector of their own.
+    pub fn append_keys(&self, out: &mut Vec<LocKey>) {
         match &self.kind {
-            CommandKind::CreateKey { key, .. } | CommandKind::DeleteKey { key } => vec![*key],
+            CommandKind::CreateKey { key, .. } | CommandKind::DeleteKey { key } => out.push(*key),
             CommandKind::Access { vars, .. } => {
-                let mut keys: Vec<LocKey> = vars.iter().map(|&v| A::locality(v)).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys
+                let start = out.len();
+                out.extend(vars.iter().map(|&v| A::locality(v)));
+                out[start..].sort_unstable();
+                // `Vec::dedup`, confined to the appended tail.
+                let mut kept = start;
+                for i in start..out.len() {
+                    if kept == start || out[i] != out[kept - 1] {
+                        out[kept] = out[i];
+                        kept += 1;
+                    }
+                }
+                out.truncate(kept);
             }
         }
     }
@@ -304,6 +342,16 @@ mod tests {
     }
 
     #[test]
+    fn append_keys_leaves_what_was_there() {
+        let mut arena = vec![LocKey(9), LocKey(0), LocKey(9)];
+        let c = cmd(CommandKind::Access { op: (), vars: vec![VarId(25), VarId(3), VarId(21)] });
+        c.append_keys(&mut arena);
+        cmd(CommandKind::DeleteKey { key: LocKey(4) }).append_keys(&mut arena);
+        let expected = [9, 0, 9, 0, 2, 4].map(LocKey);
+        assert_eq!(arena, expected, "only the appended run is sorted and deduplicated");
+    }
+
+    #[test]
     fn create_and_delete_have_one_key() {
         let c = cmd(CommandKind::CreateKey { key: LocKey(4), vars: vec![(VarId(40), 1)] });
         assert_eq!(c.keys(), vec![LocKey(4)]);
@@ -336,6 +384,41 @@ mod tests {
         // disjoint sets never conflict
         assert!(!w(&[1]).conflicts_with(&w(&[2])));
         assert!(!r(&[1]).conflicts_with(&w(&[2])));
+    }
+
+    #[test]
+    fn normalized_sets_conflict_exactly_when_the_quadratic_rule_says() {
+        let quadratic = |later: &AccessSets, earlier: &AccessSets| {
+            let hits = |a: &[VarId], b: &[VarId]| a.iter().any(|v| b.contains(v));
+            hits(&later.writes, &earlier.writes)
+                || hits(&later.writes, &earlier.reads)
+                || hits(&later.reads, &earlier.writes)
+        };
+        // A tiny deterministic generator: unsorted sets with repeats.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut set = |max_len: u64| -> Vec<VarId> {
+            let len = next(max_len + 1);
+            (0..len).map(|_| VarId(next(24))).collect()
+        };
+        let (mut conflicts, mut clear) = (0, 0);
+        for _ in 0..500 {
+            let later = AccessSets { reads: set(6), writes: set(3) };
+            let earlier = AccessSets { reads: set(6), writes: set(3) };
+            let want = quadratic(&later, &earlier);
+            let (later, earlier) = (later.normalized(), earlier.normalized());
+            assert!(later.writes.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+            assert_eq!(later.conflicts_with(&earlier), want, "{later:?} after {earlier:?}");
+            if want {
+                conflicts += 1;
+            } else {
+                clear += 1;
+            }
+        }
+        assert!(conflicts > 50 && clear > 50, "both outcomes must be exercised");
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl ExecConfig {
     pub fn pool(workers: u32, service_time: dynastar_runtime::SimDuration) -> Self {
         ExecConfig { workers: workers.max(1), service_time, ..Self::default() }
     }
+
+    /// Whether admission depends on commands' read/write sets: only a pool
+    /// of several workers with a non-zero cost keeps a dependency window.
+    fn tracks_conflicts(&self) -> bool {
+        self.workers > 1 && !self.service_time.is_zero()
+    }
 }
 
 /// Tunables for a partition server.
@@ -169,6 +175,11 @@ enum QueuedBody {
         sent_vars: bool,
         /// S-SMR: we broadcast our exchange share.
         sent_exchange: bool,
+        /// The command's read/write sets, classified once at delivery and
+        /// normalized for [`AccessSets::conflicts_with`]; `None` when the
+        /// execution engine tracks no conflicts
+        /// ([`ExecConfig::tracks_conflicts`]).
+        sets: Option<AccessSets>,
     },
     Create {
         key: LocKey,
@@ -204,13 +215,14 @@ impl<A: Application> Clone for Queued<A> {
 impl Clone for QueuedBody {
     fn clone(&self) -> Self {
         match self {
-            QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange } => {
+            QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange, sets } => {
                 QueuedBody::Access {
                     expected: expected.clone(),
                     target: *target,
                     keep: *keep,
                     sent_vars: *sent_vars,
                     sent_exchange: *sent_exchange,
+                    sets: sets.clone(),
                 }
             }
             QueuedBody::Create { key, signalled } => {
@@ -446,6 +458,53 @@ impl<A: Application> std::fmt::Debug for StagedKey<A> {
     }
 }
 
+/// Moves `v`'s value out of an executed variable map (absent, `None` and
+/// already-taken all read as `None`).
+fn take_value<V>(vars: &mut BTreeMap<VarId, Option<V>>, v: VarId) -> Option<V> {
+    vars.get_mut(&v).and_then(Option::take)
+}
+
+/// The values physically present at one replica.
+///
+/// Slots hold an `Option` so that an execution can *move* a value out and
+/// back without unlinking its tree node: [`Store::take`] leaves the emptied
+/// slot in place and the [`Store::put`] that follows refills it (or, when
+/// the command deleted the variable, removes it). An emptied slot never
+/// outlives [`ServerCore::run_op`], and every reader treats one as absent.
+#[derive(Debug, Clone)]
+struct Store<V>(BTreeMap<VarId, Option<V>>);
+
+impl<V> Store<V> {
+    fn get(&self, v: VarId) -> Option<&V> {
+        self.0.get(&v).and_then(Option::as_ref)
+    }
+
+    /// Moves `v`'s value out, keeping its slot for the `put` that follows.
+    fn take(&mut self, v: VarId) -> Option<V> {
+        take_value(&mut self.0, v)
+    }
+
+    /// Stores `val` (in place when `v` has a slot); `None` deletes `v`.
+    fn put(&mut self, v: VarId, val: Option<V>) {
+        match val {
+            Some(val) => {
+                self.0.insert(v, Some(val));
+            }
+            None => {
+                self.0.remove(&v);
+            }
+        }
+    }
+
+    /// Moves out every variable `selected` picks, in id order.
+    fn extract(&mut self, mut selected: impl FnMut(VarId) -> bool) -> Vec<(VarId, V)> {
+        self.0
+            .extract_if(.., |&v, _| selected(v))
+            .filter_map(|(v, val)| val.map(|val| (v, val)))
+            .collect()
+    }
+}
+
 /// The partition server protocol core. See the [module docs](self).
 pub struct ServerCore<A: Application> {
     partition: PartitionId,
@@ -454,7 +513,7 @@ pub struct ServerCore<A: Application> {
     /// Locality keys this partition owns.
     owned: BTreeSet<LocKey>,
     /// Values physically present.
-    store: BTreeMap<VarId, A::Value>,
+    store: Store<A::Value>,
     queue: VecDeque<Queued<A>>,
     /// Receiver-side dedup of direct messages (bounded memory).
     seen: RotatingSet<DedupKey>,
@@ -481,10 +540,11 @@ pub struct ServerCore<A: Application> {
     /// Reply cache: executed commands and their replies (exactly-once
     /// within the rotation window).
     executed: RotatingMap<MsgId, A::Reply>,
-    /// Workload-hint accumulators.
-    hint_vertices: BTreeMap<LocKey, u64>,
-    hint_edges: BTreeMap<(LocKey, LocKey), u64>,
-    hint_execs: u32,
+    /// Workload-hint arena: the sorted, distinct key sets of the commands
+    /// executed since the last flush, back to back…
+    hint_keys: Vec<LocKey>,
+    /// …and the length of each set, one entry per executed command.
+    hint_lens: Vec<u32>,
     hint_seq: u32,
     /// Key-migration shipments that arrived before the plan they belong
     /// to was processed here: `(version, key, from, vars, pending, primary)`.
@@ -574,9 +634,8 @@ impl<A: Application> Clone for ServerCore<A> {
             outmigrated: self.outmigrated.clone(),
             lent: self.lent.clone(),
             executed: self.executed.clone(),
-            hint_vertices: self.hint_vertices.clone(),
-            hint_edges: self.hint_edges.clone(),
-            hint_execs: self.hint_execs,
+            hint_keys: self.hint_keys.clone(),
+            hint_lens: self.hint_lens.clone(),
             hint_seq: self.hint_seq,
             planvars_buffer: self.planvars_buffer.clone(),
             outbox: self.outbox.clone(),
@@ -606,7 +665,7 @@ impl<A: Application> ServerCore<A> {
             mode,
             config,
             owned: BTreeSet::new(),
-            store: BTreeMap::new(),
+            store: Store(BTreeMap::new()),
             queue: VecDeque::new(),
             seen: RotatingSet::new(1 << 16),
             vars_in: BTreeMap::new(),
@@ -620,9 +679,8 @@ impl<A: Application> ServerCore<A> {
             outmigrated: BTreeMap::new(),
             lent: BTreeMap::new(),
             executed: RotatingMap::new(1 << 15),
-            hint_vertices: BTreeMap::new(),
-            hint_edges: BTreeMap::new(),
-            hint_execs: 0,
+            hint_keys: Vec::new(),
+            hint_lens: Vec::new(),
             hint_seq: 0,
             planvars_buffer: Vec::new(),
             outbox: BTreeMap::new(),
@@ -701,7 +759,7 @@ impl<A: Application> ServerCore<A> {
         vars: impl IntoIterator<Item = (VarId, A::Value)>,
     ) {
         self.owned.extend(keys);
-        self.store.extend(vars);
+        self.store.0.extend(vars.into_iter().map(|(v, val)| (v, Some(val))));
     }
 
     /// Diagnostic: the keys this partition owns, as `(key, partition)`
@@ -729,7 +787,7 @@ impl<A: Application> ServerCore<A> {
 
     /// Read access to a stored variable (test/debug aid).
     pub fn value_of(&self, var: VarId) -> Option<&A::Value> {
-        self.store.get(&var)
+        self.store.get(var)
     }
 
     /// Depth of the execution queue (test/debug aid).
@@ -747,6 +805,13 @@ impl<A: Application> ServerCore<A> {
         let mut eff = Vec::new();
         match payload {
             Payload::Access { cmd, attempt, expected, target, keep } => {
+                let sets = self.config.exec.tracks_conflicts().then(|| {
+                    match &cmd.kind {
+                        CommandKind::Access { op, vars } => A::classify(op, vars),
+                        _ => AccessSets::write_all(&cmd.vars()),
+                    }
+                    .normalized()
+                });
                 self.queue.push_back(Queued {
                     cmd,
                     attempt,
@@ -756,6 +821,7 @@ impl<A: Application> ServerCore<A> {
                         keep,
                         sent_vars: false,
                         sent_exchange: false,
+                        sets,
                     },
                 });
             }
@@ -1055,14 +1121,7 @@ impl<A: Application> ServerCore<A> {
         let count = vars.len() as u64;
         if self.owned.contains(&key) {
             for (v, val) in vars {
-                match val {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
+                self.store.put(v, val);
                 self.awaiting_vars.remove(&v);
             }
             self.awaiting_keys.remove(&key);
@@ -1127,14 +1186,7 @@ impl<A: Application> ServerCore<A> {
         let received = vars.len() as u64;
         let _ = received;
         for (v, val) in vars {
-            match val {
-                Some(val) => {
-                    self.store.insert(v, val);
-                }
-                None => {
-                    self.store.remove(&v);
-                }
-            }
+            self.store.put(v, val);
             self.awaiting_vars.remove(&v);
         }
         if primary {
@@ -1214,21 +1266,17 @@ impl<A: Application> ServerCore<A> {
             // pre-parallel `busy_until` gate.
             return (clocks[0], None);
         }
-        if !matches!(head.body, QueuedBody::Access { .. }) {
+        let QueuedBody::Access { sets, .. } = &head.body else {
             // Full barrier. Worker clocks only ever grow past window
             // finish times, so max(clocks) covers every in-flight command.
             let drained = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
             return (drained, None);
-        }
-        if cfg.service_time.is_zero() {
+        };
+        let Some(sets) = sets else {
             // Execution itself is free (the window stays empty); only
             // migration-transfer charges occupy the clocks.
             let free = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
             return (free, None);
-        }
-        let sets = match &head.cmd.kind {
-            CommandKind::Access { op, vars } => A::classify(op, vars),
-            _ => AccessSets::write_all(&head.cmd.vars()),
         };
         // A worker must be free…
         let mut gate = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
@@ -1281,7 +1329,7 @@ impl<A: Application> ServerCore<A> {
         expected
             .iter()
             .filter(|&&(_, p)| p == self.partition)
-            .map(|&(v, _)| (v, self.store.get(&v).cloned()))
+            .map(|&(v, _)| (v, self.store.get(v).cloned()))
             .collect()
     }
 
@@ -1293,13 +1341,23 @@ impl<A: Application> ServerCore<A> {
         eff: &mut Vec<Effect<A>>,
     ) -> bool {
         let (cmd_id, attempt, client) = (entry.cmd.id, entry.attempt, entry.cmd.client);
-        let cmd = entry.cmd.clone();
-        let QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange } =
+        // The entry is off the queue while it is worked on, so the command
+        // and its routing are borrowed from it, never copied.
+        let cmd = &entry.cmd;
+        let QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange, sets } =
             &mut entry.body
         else {
             // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Access; other variants cannot reach here
             unreachable!("pump_access on non-access queue entry")
         };
+        let CommandKind::Access { op, .. } = &cmd.kind else {
+            // An `Access` payload always carries an `Access` command; on the
+            // delivery path a violated invariant must not take the replica
+            // down (P00x), so drop the command instead.
+            debug_assert!(false, "access payload without access command");
+            return true;
+        };
+        let expected: &[(VarId, PartitionId)] = expected;
         let target = *target;
         let keep = *keep;
         let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
@@ -1387,8 +1445,8 @@ impl<A: Application> ServerCore<A> {
 
         if !multi {
             // Single-partition fast path (Algorithm 3 Task 1a).
-            let expected = expected.clone();
-            self.execute_here(&cmd, attempt, &expected, now, metrics, eff);
+            let reply = self.run_op(op, expected, &mut BTreeMap::new());
+            self.finish_execution(cmd, attempt, sets.take(), reply, false, now, metrics, eff);
             return true;
         }
 
@@ -1420,17 +1478,28 @@ impl<A: Application> ServerCore<A> {
             if have + 1 < dests.len() {
                 return false; // waiting for other partitions' shares
             }
-            // Assemble the full variable map and execute.
-            let expected = expected.clone();
+            // Assemble the full variable map and execute everywhere; only
+            // our own variables are written back.
             let shares = self.ssmr_in.remove(&(cmd_id, attempt)).unwrap_or_default();
-            let mut borrowed = BTreeMap::new();
-            for (_, vars) in shares {
-                for (v, val) in vars {
-                    borrowed.insert(v, val);
+            let mut vars: BTreeMap<VarId, Option<A::Value>> =
+                shares.into_values().flatten().collect();
+            let reply = self.run_op(op, expected, &mut vars);
+            if self.config.record_metrics {
+                let ids = self.mids(metrics);
+                metrics.record_at(ids.s_multi, now, 1.0);
+            }
+            if self.partition == dests[0] {
+                // The lowest-id partition is the designated replier.
+                self.finish_execution(cmd, attempt, sets.take(), reply, true, now, metrics, eff);
+            } else {
+                // Record execution without replying (dedup for retries).
+                self.admit_execution(cmd_id, attempt, sets.take(), now, metrics);
+                self.executed.insert(cmd_id, reply);
+                if self.config.record_metrics {
+                    let ids = self.mids(metrics);
+                    metrics.record_at(ids.s_executed, now, 1.0);
                 }
             }
-            let replies_here = self.partition == dests[0]; // lowest id replies
-            self.execute_ssmr(&cmd, attempt, &expected, borrowed, now, metrics, eff, replies_here);
             return true;
         }
 
@@ -1449,7 +1518,6 @@ impl<A: Application> ServerCore<A> {
                 ));
                 return false;
             }
-            let expected = expected.clone();
             let shipments = self.vars_in.remove(&(cmd_id, attempt)).unwrap_or_default();
             let mut borrowed: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
             let mut sources: BTreeMap<VarId, PartitionId> = BTreeMap::new();
@@ -1459,9 +1527,9 @@ impl<A: Application> ServerCore<A> {
                     borrowed.insert(v, val);
                 }
             }
-            self.execute_target(
-                &cmd, attempt, &expected, borrowed, sources, keep, now, metrics, eff,
-            );
+            let reply = self.run_op(op, expected, &mut borrowed);
+            self.settle_borrowed(cmd_id, attempt, borrowed, sources, keep, now, metrics, eff);
+            self.finish_execution(cmd, attempt, sets.take(), reply, true, now, metrics, eff);
             true
         } else {
             // Non-target: ship our variables, then (DynaStar) await return.
@@ -1479,8 +1547,8 @@ impl<A: Application> ServerCore<A> {
                     self.lent.insert(*v, (cmd_id, attempt));
                 }
                 // Values leave this partition while borrowed.
-                for (v, _) in &mine {
-                    self.store.remove(v);
+                for &(v, _) in &mine {
+                    self.store.put(v, None);
                 }
                 eff.push(Effect::Send {
                     to: Destination::Partition(target),
@@ -1529,14 +1597,7 @@ impl<A: Application> ServerCore<A> {
     fn apply_returned_var(&mut self, v: VarId, val: Option<A::Value>, eff: &mut Vec<Effect<A>>) {
         let key = A::locality(v);
         if self.owned.contains(&key) {
-            match val {
-                Some(val) => {
-                    self.store.insert(v, val);
-                }
-                None => {
-                    self.store.remove(&v);
-                }
-            }
+            self.store.put(v, val);
         } else if let Some(&next) = self.outmigrated.get(&key) {
             // The key migrated while the variable was lent: forward it as a
             // supplement so the new owner can clear its pending marker.
@@ -1554,56 +1615,46 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Executes a single-partition command at this partition.
-    fn execute_here(
+    /// Gather → execute → write back, shared by every execution path.
+    ///
+    /// This partition's share of `expected` is *moved* out of the store
+    /// into `vars` (next to whatever borrowed values the caller put there),
+    /// `op` runs over the map, and the local share is moved back — declared
+    /// variables only: `None` (or a removed entry) deletes the variable, an
+    /// entry the application added on its own is ignored. No value is
+    /// cloned, so an `Arc`-backed value reaches the application uniquely
+    /// owned and is updated in place. Borrowed entries stay in `vars` for
+    /// the caller to return or absorb.
+    fn run_op(
         &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
+        op: &A::Op,
         expected: &[(VarId, PartitionId)],
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            _ => {
-                // Only reached from Access handling in pump_access; on the
-                // delivery path a violated invariant must not take the
-                // replica down (P00x), so drop the command instead.
-                debug_assert!(false, "execute_here on non-access");
-                return;
-            }
-        };
-        let mut vars: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
-        for &(v, p) in expected {
-            if p == self.partition {
-                vars.insert(v, self.store.get(&v).cloned());
-            }
+        vars: &mut BTreeMap<VarId, Option<A::Value>>,
+    ) -> A::Reply {
+        // Distinct (a command may declare a variable twice — the second
+        // take would find the slot empty) and in store order.
+        let mut mine: Vec<VarId> =
+            expected.iter().filter(|&&(_, p)| p == self.partition).map(|&(v, _)| v).collect();
+        mine.sort_unstable();
+        mine.dedup();
+        for &v in &mine {
+            vars.insert(v, self.store.take(v));
         }
-        let reply = A::execute(&op, &mut vars);
-        for &(v, p) in expected {
-            if p == self.partition {
-                match vars.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
-            }
+        let reply = A::execute(op, vars);
+        for &v in &mine {
+            self.store.put(v, take_value(vars, v));
         }
-        self.finish_execution(cmd, attempt, reply, false, now, metrics, eff);
+        reply
     }
 
-    /// Executes a multi-partition command at the target with borrowed
-    /// variables, then returns (or keeps) them.
+    /// After a multi-partition execution at the target: the borrowed
+    /// variables go home (DynaStar) or are absorbed with their keys
+    /// (DS-SMR `keep`), moved out of the executed map either way.
     #[allow(clippy::too_many_arguments)]
-    fn execute_target(
+    fn settle_borrowed(
         &mut self,
-        cmd: &Command<A>,
+        cmd: MsgId,
         attempt: u32,
-        expected: &[(VarId, PartitionId)],
         mut borrowed: BTreeMap<VarId, Option<A::Value>>,
         sources: BTreeMap<VarId, PartitionId>,
         keep: bool,
@@ -1611,134 +1662,45 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            // detlint::allow(P003): only reached from Access handling (exchange path); variant pairing is a local invariant
-            _ => unreachable!("execute_target on non-access"),
-        };
-        for &(v, p) in expected {
-            if p == self.partition {
-                borrowed.insert(v, self.store.get(&v).cloned());
-            }
-        }
-        let reply = A::execute(&op, &mut borrowed);
-
-        // Local variables: apply in place.
-        for &(v, p) in expected {
-            if p == self.partition {
-                match borrowed.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
-            }
-        }
-        // Borrowed variables: return home (DynaStar) or absorb (DS-SMR).
-        let mut by_source: ShipmentsBySource<A> = BTreeMap::new();
-        for (v, from) in &sources {
-            by_source.entry(*from).or_default().push((*v, borrowed.get(v).cloned().flatten()));
-        }
         if keep {
-            for (_, vars) in by_source {
-                for (v, val) in vars {
-                    let key = A::locality(v);
-                    self.owned.insert(key);
-                    match val {
-                        Some(val) => {
-                            self.store.insert(v, val);
-                        }
-                        None => {
-                            self.store.remove(&v);
-                        }
-                    }
-                }
+            for &v in sources.keys() {
+                self.owned.insert(A::locality(v));
+                self.store.put(v, take_value(&mut borrowed, v));
             }
-        } else {
-            let mut returned_objects = 0u64;
-            for (from, vars) in by_source {
-                returned_objects += vars.iter().filter(|(_, v)| v.is_some()).count() as u64;
-                eff.push(Effect::Send {
-                    to: Destination::Partition(from),
-                    msg: Direct::VarsReturn { cmd: cmd.id, attempt, vars },
-                });
-            }
-            if self.config.record_metrics {
-                let ids = self.mids(metrics);
-                metrics.incr(ids.objects_exchanged, returned_objects);
-                metrics.record_at(ids.s_objects, now, returned_objects as f64);
-            }
+            return;
         }
-        self.finish_execution(cmd, attempt, reply, true, now, metrics, eff);
-    }
-
-    /// S-SMR execution: full variable map available, apply only our own
-    /// variables, reply only if we are the designated replier.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_ssmr(
-        &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        expected: &[(VarId, PartitionId)],
-        mut vars: BTreeMap<VarId, Option<A::Value>>,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-        replies_here: bool,
-    ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            // detlint::allow(P003): only reached from Access handling (SSMR path); variant pairing is a local invariant
-            _ => unreachable!("execute_ssmr on non-access"),
-        };
-        for &(v, p) in expected {
-            if p == self.partition {
-                vars.insert(v, self.store.get(&v).cloned());
-            }
+        let mut by_source: ShipmentsBySource<A> = BTreeMap::new();
+        for (&v, &from) in &sources {
+            by_source.entry(from).or_default().push((v, take_value(&mut borrowed, v)));
         }
-        let reply = A::execute(&op, &mut vars);
-        for &(v, p) in expected {
-            if p == self.partition {
-                match vars.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
-            }
+        let mut returned_objects = 0u64;
+        for (from, vars) in by_source {
+            returned_objects += vars.iter().filter(|(_, v)| v.is_some()).count() as u64;
+            eff.push(Effect::Send {
+                to: Destination::Partition(from),
+                msg: Direct::VarsReturn { cmd, attempt, vars },
+            });
         }
         if self.config.record_metrics {
             let ids = self.mids(metrics);
-            metrics.record_at(ids.s_multi, now, 1.0);
-        }
-        if replies_here {
-            self.finish_execution(cmd, attempt, reply, true, now, metrics, eff);
-        } else {
-            // Record execution without replying (dedup for retries).
-            self.admit_execution(cmd, attempt, now, metrics);
-            self.executed.insert(cmd.id, reply);
-            if self.config.record_metrics {
-                let ids = self.mids(metrics);
-                metrics.record_at(ids.s_executed, now, 1.0);
-            }
+            metrics.incr(ids.objects_exchanged, returned_objects);
+            metrics.record_at(ids.s_objects, now, returned_objects as f64);
         }
     }
 
     /// Accounts the modelled CPU cost of one execution: assigns the
     /// command to the earliest-free (lowest-index on ties) worker, charges
-    /// the service time, and registers its read/write sets in the
-    /// dependency window so successors conflict-check against it.
+    /// the service time, and registers its read/write sets (`sets`, cached
+    /// in the queue entry at delivery) in the dependency window so
+    /// successors conflict-check against it.
     ///
     /// Only called once the [`Self::gate_for`] gate has passed, so the
     /// chosen worker's clock is at or before `now`.
     fn admit_execution(
         &mut self,
-        cmd: &Command<A>,
+        id: MsgId,
         attempt: u32,
+        sets: Option<AccessSets>,
         now: SimTime,
         metrics: &mut Metrics,
     ) {
@@ -1746,43 +1708,22 @@ impl<A: Application> ServerCore<A> {
         if cfg.service_time.is_zero() {
             return;
         }
-        if cfg.workers <= 1 {
+        let Some(sets) = sets else {
             // Serial fast path: exactly the old single-busy_until model.
             advance_busy(&mut self.exec.clocks[0], now, cfg.service_time);
             return;
-        }
-        let record = self.config.record_metrics;
-        if !matches!(cmd.kind, CommandKind::Access { .. }) {
-            // Creates/deletes executed here act as full two-sided
-            // barriers: they both wait for all workers (gate) and make
-            // every successor wait for them.
-            let finish = now + cfg.service_time;
-            for c in &mut self.exec.clocks {
-                *c = finish;
-            }
-            self.exec.window.clear();
-            self.exec.pending = None;
-            if record {
-                let h = self.worker_hist(metrics, 0);
-                metrics.observe(h, cfg.service_time);
-            }
-            return;
-        }
-        let sets = match &cmd.kind {
-            CommandKind::Access { op, vars } => A::classify(op, vars),
-            _ => AccessSets::write_all(&cmd.vars()),
         };
         let w = earliest_free_worker(&self.exec.clocks);
         advance_busy(&mut self.exec.clocks[w], now, cfg.service_time);
         let finish = self.exec.clocks[w];
         let stall = self.exec.pending.take();
-        if record {
+        if self.config.record_metrics {
             let ids = self.mids(metrics);
             if !self.exec.window.is_empty() {
                 metrics.incr(ids.exec_parallel, 1);
             }
             if let Some(s) = stall {
-                if s.id == cmd.id && s.attempt == attempt {
+                if s.id == id && s.attempt == attempt {
                     if s.conflicted {
                         metrics.incr(ids.exec_serialized, 1);
                     }
@@ -1803,13 +1744,14 @@ impl<A: Application> ServerCore<A> {
         &mut self,
         cmd: &Command<A>,
         attempt: u32,
+        sets: Option<AccessSets>,
         reply: A::Reply,
         multi: bool,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
-        self.admit_execution(cmd, attempt, now, metrics);
+        self.admit_execution(cmd.id, attempt, sets, now, metrics);
         eff.push(Effect::Send {
             to: Destination::Client(cmd.client),
             msg: Direct::Reply { cmd: cmd.id, attempt, reply: reply.clone() },
@@ -1832,54 +1774,94 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Accumulates workload-graph hints and flushes a batch when due
-    /// (Algorithm 2 Task 4, partition side).
+    /// Notes an executed command's key set for the workload graph and
+    /// flushes a hint batch when due (Algorithm 2 Task 4, partition side).
+    ///
+    /// Per command this only appends the sorted key set to the arena —
+    /// linear in the command's keys. The k·(k−1)/2 co-access pairs a set
+    /// stands for are expanded once per batch, in [`Self::flush_hints`].
     fn record_hint(&mut self, cmd: &Command<A>, eff: &mut Vec<Effect<A>>) {
+        let start = self.hint_keys.len();
+        cmd.append_keys(&mut self.hint_keys);
+        self.hint_lens.push((self.hint_keys.len() - start) as u32);
+        if self.hint_lens.len() >= self.config.hint_batch as usize {
+            self.flush_hints(eff);
+        }
+    }
+
+    /// Expands the arena into one hint batch and multicasts it: a vertex
+    /// weighs the commands that touched its key, an edge the commands that
+    /// touched both of its keys — the same key-sorted lists a per-command
+    /// map accumulation would produce, so the wire format is unchanged.
+    fn flush_hints(&mut self, eff: &mut Vec<Effect<A>>) {
+        let mut sets: Vec<&[LocKey]> = Vec::with_capacity(self.hint_lens.len());
+        let mut rest: &[LocKey] = &self.hint_keys;
+        for &n in &self.hint_lens {
+            let (set, tail) = rest.split_at(n as usize);
+            sets.push(set);
+            rest = tail;
+        }
+        // A hot author recurs within a batch with the same follower set
+        // (it halves the pairs of the social workload): expand each
+        // distinct set once, weighted by how often it occurred.
+        sets.sort_unstable();
+        let distinct = || sets.chunk_by(|a, b| a == b).map(|same| (same[0], same.len() as u64));
+        let expanded = distinct().map(|(set, _)| set.len() * set.len().saturating_sub(1) / 2);
+        let mut pairs: Vec<(LocKey, LocKey, u64)> = Vec::with_capacity(expanded.sum());
+        for (set, times) in distinct() {
+            for (i, &a) in set.iter().enumerate() {
+                pairs.extend(set[i + 1..].iter().map(|&b| (a, b, times)));
+            }
+        }
+        // Every set contributed its pairs as one already-sorted run (keys
+        // are sorted within a command, so `a < b` and pairs ascend); the
+        // stable sort merges those runs instead of sorting from scratch.
+        pairs.sort();
+        let edges = pairs
+            .chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
+            .map(|run| (run[0].0, run[0].1, run.iter().map(|&(_, _, times)| times).sum::<u64>()));
+        // Keys are distinct within a command, so equal neighbours count
+        // commands. The per-command boundaries are spent: sort in place.
+        self.hint_keys.sort_unstable();
+        let vertices = self.hint_keys.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
+        // Split the batch by slice ownership and multicast each non-empty
+        // slice to its owner shard, in shard order: a vertex goes to its
+        // key's owner, an edge to its lower key's. Each slice consumes its
+        // own hint sequence number. With one shard this emits exactly the
+        // single classic hint multicast. Lists are sized by a counting
+        // pass first: they travel (and are retained) as allocated.
+        let shards = self.config.oracle_shards;
+        let mut sizes = vec![(0usize, 0usize); shards.max(1) as usize];
+        for (k, _) in vertices.clone() {
+            sizes[shard_of(k, shards) as usize].0 += 1;
+        }
+        for (a, _, _) in edges.clone() {
+            sizes[shard_of(a, shards) as usize].1 += 1;
+        }
         /// One shard's hint slice: (vertex, weight) and (a, b, weight) lists.
         type HintSlice = (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
-        let keys = cmd.keys();
-        for &k in &keys {
-            *self.hint_vertices.entry(k).or_insert(0) += 1;
+        let mut slices: Vec<HintSlice> =
+            sizes.iter().map(|&(v, e)| (Vec::with_capacity(v), Vec::with_capacity(e))).collect();
+        for vertex in vertices {
+            slices[shard_of(vertex.0, shards) as usize].0.push(vertex);
         }
-        for i in 0..keys.len() {
-            for j in (i + 1)..keys.len() {
-                *self.hint_edges.entry((keys[i], keys[j])).or_insert(0) += 1;
-            }
+        for edge in edges {
+            slices[shard_of(edge.0, shards) as usize].1.push(edge);
         }
-        self.hint_execs += 1;
-        if self.hint_execs >= self.config.hint_batch {
-            self.hint_execs = 0;
-            // Split the batch by slice ownership and multicast each
-            // non-empty slice to its owner shard, in shard order: a
-            // vertex goes to its key's owner, an edge to its lower key's
-            // (keys are sorted within a command, so `a` is the lower).
-            // Each slice consumes its own hint sequence number. With one
-            // shard this emits exactly the single classic hint multicast
-            // (BTreeMap iteration keeps the lists key-sorted).
-            let shards = self.config.oracle_shards;
-            let mut slices: Vec<HintSlice> = vec![(Vec::new(), Vec::new()); shards.max(1) as usize];
-            for (&k, &w) in &self.hint_vertices {
-                slices[shard_of(k, shards) as usize].0.push((k, w));
+        self.hint_keys.clear();
+        self.hint_lens.clear();
+        for (s, (vertices, edges)) in slices.into_iter().enumerate() {
+            if vertices.is_empty() && edges.is_empty() {
+                continue;
             }
-            for (&(a, b), &w) in &self.hint_edges {
-                slices[shard_of(a, shards) as usize].1.push((a, b, w));
-            }
-            self.hint_vertices.clear();
-            self.hint_edges.clear();
-            for (s, (vertices, edges)) in slices.into_iter().enumerate() {
-                if vertices.is_empty() && edges.is_empty() {
-                    continue;
-                }
-                let mid =
-                    MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq);
-                self.hint_seq += 1;
-                eff.push(Effect::Multicast {
-                    mid,
-                    partitions: Vec::new(),
-                    oracle: OracleDest::Shard(s as u32),
-                    payload: Payload::Hint { vertices, edges },
-                });
-            }
+            let mid = MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq);
+            self.hint_seq += 1;
+            eff.push(Effect::Multicast {
+                mid,
+                partitions: Vec::new(),
+                oracle: OracleDest::Shard(s as u32),
+                payload: Payload::Hint { vertices, edges },
+            });
         }
     }
 
@@ -1910,7 +1892,7 @@ impl<A: Application> ServerCore<A> {
         if let CommandKind::CreateKey { vars, .. } = &entry.cmd.kind {
             self.owned.insert(key);
             for (v, val) in vars {
-                self.store.insert(*v, val.clone());
+                self.store.put(*v, Some(val.clone()));
             }
         }
         if self.config.record_metrics {
@@ -1959,11 +1941,7 @@ impl<A: Application> ServerCore<A> {
             return false;
         }
         self.owned.remove(&key);
-        let dead: Vec<VarId> =
-            self.store.keys().copied().filter(|&v| A::locality(v) == key).collect();
-        for v in dead {
-            self.store.remove(&v);
-        }
+        drop(self.store.extract(|v| A::locality(v) == key));
         eff.push(Effect::Send {
             to: Destination::Client(client),
             msg: Direct::Ack { cmd: cmd_id },
@@ -2005,13 +1983,10 @@ impl<A: Application> ServerCore<A> {
                 self.outmigrated.insert(key, to);
                 let vars: Vec<(VarId, Option<A::Value>)> = self
                     .store
-                    .iter()
-                    .filter(|(&v, _)| A::locality(v) == key)
-                    .map(|(&v, val)| (v, Some(val.clone())))
+                    .extract(|v| A::locality(v) == key)
+                    .into_iter()
+                    .map(|(v, val)| (v, Some(val)))
                     .collect();
-                for (v, _) in &vars {
-                    self.store.remove(v);
-                }
                 // Stale in-flight markers move with the key.
                 self.awaiting_vars.retain(|&v| A::locality(v) != key);
                 let pending: Vec<VarId> =
@@ -2201,14 +2176,7 @@ impl<A: Application> ServerCore<A> {
                     self.owned.insert(key);
                     for chunk in e.chunks {
                         for (v, val) in chunk {
-                            match val {
-                                Some(val) => {
-                                    self.store.insert(v, val);
-                                }
-                                None => {
-                                    self.store.remove(&v);
-                                }
-                            }
+                            self.store.put(v, val);
                         }
                     }
                 }
@@ -2420,7 +2388,7 @@ impl<A: Application> std::fmt::Debug for ServerCore<A> {
             .field("partition", &self.partition)
             .field("mode", &self.mode)
             .field("owned_keys", &self.owned.len())
-            .field("stored_vars", &self.store.len())
+            .field("stored_vars", &self.store.0.len())
             .field("queue", &self.queue.len())
             .finish()
     }

@@ -37,8 +37,11 @@ pub struct Frame<M> {
 /// let f1 = alice.wrap("bob", "first");
 /// let f2 = alice.wrap("bob", "second");
 /// // Frames arrive out of order; bob releases them in order.
-/// assert!(bob.accept("alice", f2).is_empty());
-/// assert_eq!(bob.accept("alice", f1), vec!["first", "second"]);
+/// let mut ready = Vec::new();
+/// assert!(bob.accept("alice", f2, &mut ready), "held back behind the gap");
+/// assert!(ready.is_empty());
+/// assert!(!bob.accept("alice", f1, &mut ready));
+/// assert_eq!(ready, vec!["first", "second"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FifoLinks<P, M> {
@@ -87,18 +90,22 @@ impl<P: Eq + Hash + Clone, M> FifoLinks<P, M> {
         frame
     }
 
-    /// Accepts a frame from `peer`, returning every message that is now
-    /// deliverable in order (possibly empty if the frame is early, or if it
-    /// is a duplicate of an already-released sequence number).
+    /// Accepts a frame from `peer`, appending every message that is now
+    /// deliverable in order to `ready` — the caller's buffer, so the common
+    /// in-order frame costs no allocation (nothing is appended if the frame
+    /// is early, or a duplicate of an already-released sequence number).
+    /// Returns whether frames from `peer` are still held back behind a gap,
+    /// i.e. whether [`Self::missing_from`] has anything to report.
     ///
     /// An out-of-order frame that would push the peer's buffer past the
     /// configured cap is dropped and counted instead — the expected
     /// in-order frame (`seq == next`) is always admitted, so a bounded
     /// buffer never deadlocks the stream.
-    pub fn accept(&mut self, peer: P, frame: Frame<M>) -> Vec<M> {
+    pub fn accept(&mut self, peer: P, frame: Frame<M>, ready: &mut Vec<M>) -> bool {
         let next = self.next_recv.entry(peer.clone()).or_insert(0);
         if frame.seq < *next {
-            return Vec::new(); // duplicate
+            // Duplicate.
+            return self.buffered.get(&peer).is_some_and(|buf| !buf.is_empty());
         }
         if frame.seq == *next {
             // Fast path: the expected frame releases immediately without
@@ -107,24 +114,23 @@ impl<P: Eq + Hash + Clone, M> FifoLinks<P, M> {
             // after every advance), so an insert-then-remove here would
             // only churn tree-node allocations.
             *next += 1;
-            let mut ready = vec![frame.inner];
-            if let Some(buf) = self.buffered.get_mut(&peer) {
-                while let Some(msg) = buf.remove(next) {
-                    ready.push(msg);
-                    *next += 1;
-                }
+            ready.push(frame.inner);
+            let Some(buf) = self.buffered.get_mut(&peer) else { return false };
+            while let Some(msg) = buf.remove(next) {
+                ready.push(msg);
+                *next += 1;
             }
-            return ready;
+            return !buf.is_empty();
         }
         // Out-of-order: buffer (nothing can become deliverable, since the
         // expected frame has not arrived).
         let buf = self.buffered.entry(peer).or_default();
         if buf.len() >= self.buffer_cap && !buf.contains_key(&frame.seq) {
-            self.dropped += 1;
-            return Vec::new(); // buffer full; ARQ retransmission recovers
+            self.dropped += 1; // buffer full; ARQ retransmission recovers
+        } else {
+            buf.insert(frame.seq, frame.inner);
         }
-        buf.insert(frame.seq, frame.inner);
-        Vec::new()
+        true
     }
 
     /// Number of frames buffered waiting for earlier sequence numbers.
@@ -178,25 +184,23 @@ impl<P: Eq + Hash + Clone, M> FifoLinks<P, M> {
     /// retransmitting a prefix and announced the jump: the stream heals
     /// with an explicit, counted gap instead of stalling forever.
     ///
-    /// Returns the released messages. A `from_seq` at or below the current
-    /// expectation is a no-op (stale jump announcement).
-    pub fn force_advance(&mut self, peer: &P, from_seq: u64) -> Vec<M> {
+    /// The released messages are appended to `ready`. A `from_seq` at or
+    /// below the current expectation is a no-op (stale jump announcement).
+    pub fn force_advance(&mut self, peer: &P, from_seq: u64, ready: &mut Vec<M>) {
         let next = self.next_recv.entry(peer.clone()).or_insert(0);
         if from_seq <= *next {
-            return Vec::new();
+            return;
         }
         *next = from_seq;
-        let Some(buf) = self.buffered.get_mut(peer) else { return Vec::new() };
+        let Some(buf) = self.buffered.get_mut(peer) else { return };
         // Frames below the new expectation can never be delivered.
         while buf.first_key_value().map(|(&s, _)| s < from_seq).unwrap_or(false) {
             buf.pop_first();
         }
-        let mut ready = Vec::new();
         while let Some(msg) = buf.remove(next) {
             ready.push(msg);
             *next += 1;
         }
-        ready
     }
 
     /// The sequence numbers missing from `peer`'s stream (holes below the
@@ -233,13 +237,26 @@ impl<P: Eq + Hash + Clone, M> Default for FifoLinks<P, M> {
 mod tests {
     use super::*;
 
+    /// `accept` into a fresh buffer: the messages that frame released.
+    fn accept<P: Eq + Hash + Clone, M>(rx: &mut FifoLinks<P, M>, peer: P, f: Frame<M>) -> Vec<M> {
+        let mut ready = Vec::new();
+        rx.accept(peer, f, &mut ready);
+        ready
+    }
+
+    fn force_advance(rx: &mut FifoLinks<u32, u32>, peer: u32, from_seq: u64) -> Vec<u32> {
+        let mut ready = Vec::new();
+        rx.force_advance(&peer, from_seq, &mut ready);
+        ready
+    }
+
     #[test]
     fn in_order_frames_release_immediately() {
         let mut rx: FifoLinks<u32, u32> = FifoLinks::new();
         let mut tx: FifoLinks<u32, u32> = FifoLinks::new();
         for i in 0..5 {
             let f = tx.wrap(1, i);
-            assert_eq!(rx.accept(9, f), vec![i]);
+            assert_eq!(accept(&mut rx, 9, f), vec![i]);
         }
     }
 
@@ -250,11 +267,28 @@ mod tests {
         let f0 = tx.wrap(1, 10);
         let f1 = tx.wrap(1, 11);
         let f2 = tx.wrap(1, 12);
-        assert!(rx.accept(0, f2).is_empty());
-        assert!(rx.accept(0, f1).is_empty());
+        assert!(accept(&mut rx, 0, f2).is_empty());
+        assert!(accept(&mut rx, 0, f1).is_empty());
         assert_eq!(rx.buffered_count(), 2);
-        assert_eq!(rx.accept(0, f0), vec![10, 11, 12]);
+        assert_eq!(accept(&mut rx, 0, f0), vec![10, 11, 12]);
         assert_eq!(rx.buffered_count(), 0);
+    }
+
+    #[test]
+    fn accept_reports_frames_held_behind_a_gap() {
+        let mut tx: FifoLinks<u32, u32> = FifoLinks::new();
+        let mut rx: FifoLinks<u32, u32> = FifoLinks::new();
+        let frames: Vec<_> = (10..14).map(|m| tx.wrap(1, m)).collect();
+        let mut ready = Vec::new();
+        assert!(!rx.accept(0, frames[0].clone(), &mut ready), "in order: nothing held");
+        assert!(rx.accept(0, frames[3].clone(), &mut ready), "early frame is held");
+        assert!(rx.accept(0, frames[0].clone(), &mut ready), "duplicate: 13 still held");
+        assert!(rx.accept(0, frames[1].clone(), &mut ready), "11 releases, 13 still held");
+        assert_eq!(rx.missing_from(&0, 8), vec![2]);
+        assert!(!rx.accept(0, frames[2].clone(), &mut ready), "gap closed");
+        // One buffer took every release, in order, across the calls.
+        assert_eq!(ready, vec![10, 11, 12, 13]);
+        assert!(rx.missing_from(&0, 8).is_empty());
     }
 
     #[test]
@@ -262,8 +296,8 @@ mod tests {
         let mut tx: FifoLinks<u32, u32> = FifoLinks::new();
         let mut rx: FifoLinks<u32, u32> = FifoLinks::new();
         let f0 = tx.wrap(1, 10);
-        assert_eq!(rx.accept(0, f0.clone()), vec![10]);
-        assert!(rx.accept(0, f0).is_empty());
+        assert_eq!(accept(&mut rx, 0, f0.clone()), vec![10]);
+        assert!(accept(&mut rx, 0, f0).is_empty());
     }
 
     #[test]
@@ -283,13 +317,13 @@ mod tests {
         let mut rx: FifoLinks<u32, u32> = FifoLinks::new();
         let f0 = tx.wrap(1, 10);
         let _f1 = tx.wrap(1, 11);
-        assert_eq!(rx.accept(0, f0), vec![10]);
+        assert_eq!(accept(&mut rx, 0, f0), vec![10]);
         // Sender restarts from seq 0; without a reset the frame is a dup.
         tx.reset_send(&1);
         let g0 = tx.wrap(1, 50);
-        assert!(rx.accept(0, g0.clone()).is_empty());
+        assert!(accept(&mut rx, 0, g0.clone()).is_empty());
         rx.reset_receive(&0);
-        assert_eq!(rx.accept(0, g0), vec![50]);
+        assert_eq!(accept(&mut rx, 0, g0), vec![50]);
     }
 
     #[test]
@@ -300,14 +334,14 @@ mod tests {
         let _f1 = tx.wrap(1, 11); // lost forever
         let f2 = tx.wrap(1, 12);
         let f3 = tx.wrap(1, 13);
-        assert!(rx.accept(0, f2).is_empty());
-        assert!(rx.accept(0, f3).is_empty());
+        assert!(accept(&mut rx, 0, f2).is_empty());
+        assert!(accept(&mut rx, 0, f3).is_empty());
         assert_eq!(rx.buffered_count(), 2);
-        assert_eq!(rx.force_advance(&0, 2), vec![12, 13]);
+        assert_eq!(force_advance(&mut rx, 0, 2), vec![12, 13]);
         assert_eq!(rx.expected_from(&0), 4);
         assert_eq!(rx.buffered_count(), 0);
         // A stale (already-passed) jump is a no-op.
-        assert!(rx.force_advance(&0, 1).is_empty());
+        assert!(force_advance(&mut rx, 0, 1).is_empty());
         assert_eq!(rx.expected_from(&0), 4);
     }
 
@@ -319,10 +353,10 @@ mod tests {
         let f1 = tx.wrap(1, 11);
         let _f2 = tx.wrap(1, 12);
         let f3 = tx.wrap(1, 13);
-        assert!(rx.accept(0, f1).is_empty()); // buffered below the jump
-        assert!(rx.accept(0, f3).is_empty());
+        assert!(accept(&mut rx, 0, f1).is_empty()); // buffered below the jump
+        assert!(accept(&mut rx, 0, f3).is_empty());
         // Jump past 0..3: frame 1's buffered copy is dropped, 3 released.
-        assert_eq!(rx.force_advance(&0, 3), vec![13]);
+        assert_eq!(force_advance(&mut rx, 0, 3), vec![13]);
         assert_eq!(rx.expected_from(&0), 4);
     }
 
@@ -335,18 +369,18 @@ mod tests {
         let f2 = tx.wrap(1, 12);
         let f3 = tx.wrap(1, 13);
         // f1 and f2 buffer; f3 overflows the cap and is dropped.
-        assert!(rx.accept(0, f1.clone()).is_empty());
-        assert!(rx.accept(0, f2).is_empty());
-        assert!(rx.accept(0, f3.clone()).is_empty());
+        assert!(accept(&mut rx, 0, f1.clone()).is_empty());
+        assert!(accept(&mut rx, 0, f2).is_empty());
+        assert!(accept(&mut rx, 0, f3.clone()).is_empty());
         assert_eq!(rx.buffered_count(), 2);
         assert_eq!(rx.dropped_count(), 1);
         // A duplicate of an already-buffered seq is not a new drop.
-        assert!(rx.accept(0, f1).is_empty());
+        assert!(accept(&mut rx, 0, f1).is_empty());
         assert_eq!(rx.dropped_count(), 1);
         // The in-order frame always passes even at the cap, and releases
         // the buffered run; the dropped frame arrives via retransmission.
-        assert_eq!(rx.accept(0, f0), vec![10, 11, 12]);
-        assert_eq!(rx.accept(0, f3), vec![13]);
+        assert_eq!(accept(&mut rx, 0, f0), vec![10, 11, 12]);
+        assert_eq!(accept(&mut rx, 0, f3), vec![13]);
         assert_eq!(rx.dropped_count(), 1);
     }
 
@@ -363,7 +397,7 @@ mod tests {
         let mut b: FifoLinks<&'static str, u32> = FifoLinks::new();
         let fa = a.wrap("rx", 1);
         let fb = b.wrap("rx", 2);
-        assert_eq!(rx.accept("a", fa), vec![1]);
-        assert_eq!(rx.accept("b", fb), vec![2]);
+        assert_eq!(accept(&mut rx, "a", fa), vec![1]);
+        assert_eq!(accept(&mut rx, "b", fb), vec![2]);
     }
 }

@@ -29,8 +29,10 @@ pub const POST_CAP: usize = 140;
 pub struct Post {
     /// The author's user id.
     pub author: u64,
-    /// The message (≤ 140 chars).
-    pub text: String,
+    /// The message (≤ 140 chars). Shared: one post lands in every
+    /// follower's timeline, and copying a timeline on write must not copy
+    /// its texts.
+    pub text: Arc<str>,
 }
 
 /// A user's replicated state.
@@ -152,9 +154,8 @@ impl Application for Chirper {
                 _ => ChirperReply::NoSuchUser,
             },
             ChirperOp::Post { user, text } => {
-                let mut text = text.clone();
-                text.truncate(POST_CAP);
-                let post = Post { author: *user, text };
+                let kept = text.char_indices().nth(POST_CAP).map_or(text.len(), |(at, _)| at);
+                let post = Post { author: *user, text: Arc::from(&text[..kept]) };
                 // Authoritative follower list lives at the author.
                 let followers: Vec<u64> = match vars.get(&Chirper::var(*user)) {
                     Some(Some(u)) => u.followers.clone(),
@@ -429,6 +430,11 @@ mod tests {
         Chirper::execute(&ChirperOp::Post { user: 0, text: long }, &mut vars);
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
         assert_eq!(t[0].text.len(), POST_CAP);
+        // The cap counts characters of the op's text, not bytes.
+        let wide = "é".repeat(POST_CAP + 1);
+        Chirper::execute(&ChirperOp::Post { user: 0, text: wide }, &mut vars);
+        let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
+        assert_eq!(t[1].text.chars().count(), POST_CAP);
     }
 
     #[test]
@@ -440,7 +446,7 @@ mod tests {
         }
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
         assert_eq!(t.len(), TIMELINE_CAP);
-        assert_eq!(t.back().unwrap().text, format!("{}", TIMELINE_CAP + 9));
+        assert_eq!(&*t.back().unwrap().text, format!("{}", TIMELINE_CAP + 9));
     }
 
     #[test]
