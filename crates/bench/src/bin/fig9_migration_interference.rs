@@ -18,7 +18,7 @@
 //! `--gate-errors` exits 1 if any run saw a client-visible command error
 //! (`cmd.failed` — stale routing must retry, never surface).
 
-use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, OUT};
+use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
 use dynastar_bench::report::print_table;
 use dynastar_bench::scenarios::{self, Params};
 use dynastar_bench::setup::run_parallel;
@@ -77,6 +77,8 @@ struct RunResult {
     reverts: u64,
     deferred: u64,
     released: u64,
+    pulls: u64,
+    pull_promotions: u64,
     median_tput: f64,
     worst_tput: f64,
     dip_pct: f64,
@@ -113,6 +115,8 @@ fn run_one(scenario: &'static str, p: &Params, warmup: usize) -> RunResult {
         reverts: m.counter(mn::MIGRATION_REVERTS),
         deferred: m.counter(mn::MIGRATION_DEFERRED),
         released: m.counter(mn::MIGRATION_RELEASED),
+        pulls: m.counter(mn::MIGRATION_PULLS),
+        pull_promotions: m.counter(mn::MIGRATION_PULL_PROMOTIONS),
         median_tput: median,
         worst_tput: worst,
         dip_pct,
@@ -130,6 +134,7 @@ static SPEC: Spec = Spec {
             "one of flash_crowd|diurnal|zipf_ramp|churn|chained_move (default: all)",
         ),
         OUT,
+        CHECK_AGAINST,
         Opt::Switch("gate-errors", "exit 1 if any run surfaced a client-visible command error"),
     ],
 };
@@ -222,12 +227,15 @@ fn main() {
                 .num("reverts", r.reverts)
                 .num("deferred", r.deferred)
                 .num("released", r.released)
+                .num("pulls", r.pulls)
+                .num("pull_promotions", r.pull_promotions)
                 .float("median_tput", r.median_tput, 1)
                 .float("worst_tput", r.worst_tput, 1)
                 .float("dip_pct", r.dip_pct, 1),
         );
     }
     record.write_out(&args);
+    record.gate(&args, "completed", true);
     if args.has("gate-errors") {
         let errors: f64 = record.rows.iter().filter_map(|r| r.f64("errors")).sum();
         if errors > 0.0 {

@@ -31,7 +31,7 @@ fn every_committed_record_parses() {
             seen += 1;
         }
     }
-    assert_eq!(seen, 6, "results/ holds six BENCH records");
+    assert_eq!(seen, 7, "results/ holds seven BENCH records");
 }
 
 #[test]
@@ -47,6 +47,15 @@ fn gated_rows_are_present() {
     let exec = load("BENCH_exec.json");
     for workers in ["1", "8"] {
         assert_gated(&exec, &[("workers", workers), ("theta", "0.90")], "cmds_per_sim_sec");
+    }
+    // fig9 --smoke runs every scenario under both policies; the staged
+    // rows are the feature-on path and must have staged something.
+    let migration = load("BENCH_migration.json");
+    for scenario in dynastar_bench::scenarios::NAMES {
+        for policy in ["staged", "stall"] {
+            assert_gated(&migration, &[("scenario", scenario), ("policy", policy)], "completed");
+        }
+        assert_gated(&migration, &[("scenario", scenario), ("policy", "staged")], "keys_staged");
     }
 }
 

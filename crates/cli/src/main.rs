@@ -203,9 +203,11 @@ fn print_scenario_summary(name: &str, m: &Metrics, p: &Params) {
             m.counter(mn::MIGRATION_REVERTS),
         );
         println!(
-            "link scheduler     : {} deferred, {} released",
+            "link scheduler     : {} deferred, {} released, {} pulled first ({} pulls)",
             m.counter(mn::MIGRATION_DEFERRED),
             m.counter(mn::MIGRATION_RELEASED),
+            m.counter(mn::MIGRATION_PULL_PROMOTIONS),
+            m.counter(mn::MIGRATION_PULLS),
         );
     }
 }

@@ -64,6 +64,13 @@ pub const MIGRATION_KEYS_STAGED: &str = "migration.keys_staged";
 pub const MIGRATION_DEFERRED: &str = "migration.deferred";
 /// Counter: deferred key moves promoted into a freed in-flight slot.
 pub const MIGRATION_RELEASED: &str = "migration.released";
+/// Counter: [`crate::payload::Direct::PlanVarsPull`]s sent by destination
+/// partitions — one per awaited key a delivered command names.
+pub const MIGRATION_PULLS: &str = "migration.pulls";
+/// Counter: pulls a source honoured by moving the key's staged transfer
+/// onto the demand-first part of its send order (repeats, and pulls for
+/// keys with no staged transfer there, are not counted).
+pub const MIGRATION_PULL_PROMOTIONS: &str = "migration.pull_promotions";
 
 /// Counter: commands admitted to a worker while at least one other command
 /// was still executing (modelled intra-partition parallelism realized).

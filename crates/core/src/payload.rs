@@ -274,6 +274,19 @@ pub enum Direct<A: Application> {
         /// The acknowledged chunk index.
         chunk: u32,
     },
+    /// New owner → old owner: a delivered command is waiting for `key`, so
+    /// ship its staged transfer ahead of the hottest-first background
+    /// order. Purely a scheduling hint outside the total order — ownership
+    /// and installation are decided by the plan and
+    /// [`Payload::MigrationDone`] exactly as without it — so it needs no
+    /// dedup key (a repeated pull is a no-op at the source) and losing it
+    /// only loses the priority.
+    PlanVarsPull {
+        /// The awaited key.
+        key: LocKey,
+        /// The pulling (new owner) partition.
+        to: PartitionId,
+    },
     /// S-SMR state exchange: each involved partition sends its variables to
     /// every other involved partition, then all execute.
     SsmrExchange {
@@ -320,7 +333,9 @@ impl<A: Application> Direct<A> {
             // Deliberately no dedup: retransmitted chunks/acks must reach
             // the idempotent handlers (a deduped resend would never be
             // re-acked and the transfer would stall forever).
-            Direct::PlanVarsChunk { .. } | Direct::PlanVarsAck { .. } => None,
+            Direct::PlanVarsChunk { .. }
+            | Direct::PlanVarsAck { .. }
+            | Direct::PlanVarsPull { .. } => None,
             Direct::VarsForCmd { cmd, attempt, from, .. } => {
                 Some(DedupKey::VarsForCmd(*cmd, *attempt, *from))
             }
@@ -495,6 +510,7 @@ impl<A: Application> Clone for Direct<A> {
             Direct::PlanVarsAck { version, key, chunk } => {
                 Direct::PlanVarsAck { version: *version, key: *key, chunk: *chunk }
             }
+            Direct::PlanVarsPull { key, to } => Direct::PlanVarsPull { key: *key, to: *to },
             Direct::SsmrExchange { cmd, attempt, from, vars } => Direct::SsmrExchange {
                 cmd: *cmd,
                 attempt: *attempt,

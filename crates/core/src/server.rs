@@ -376,13 +376,15 @@ struct OutboxEntry<A: Application> {
     backoff: dynastar_runtime::SimDuration,
     /// When the in-flight chunk times out.
     deadline: SimTime,
-    /// Rate limit: the next chunk may not ship before this.
-    next_ship_at: SimTime,
     /// Retries exhausted; a revert has been requested.
     gave_up: bool,
-    /// Waiting for a per-link in-flight slot; the migration pump skips the
-    /// entry until [`ServerCore::release_link_slot`] promotes it.
+    /// Waiting for a per-link in-flight slot; the entry is outside
+    /// [`ServerCore::active`] until [`ServerCore::release_link_slot`] or a
+    /// pull promotes it.
     deferred: bool,
+    /// The destination asked for this key ([`Direct::PlanVarsPull`]): the
+    /// entry sits in the demand-first prefix of [`ServerCore::active`].
+    pulled: bool,
 }
 
 impl<A: Application> Clone for OutboxEntry<A> {
@@ -395,9 +397,9 @@ impl<A: Application> Clone for OutboxEntry<A> {
             attempts: self.attempts,
             backoff: self.backoff,
             deadline: self.deadline,
-            next_ship_at: self.next_ship_at,
             gave_up: self.gave_up,
             deferred: self.deferred,
+            pulled: self.pulled,
         }
     }
 }
@@ -412,6 +414,7 @@ impl<A: Application> std::fmt::Debug for OutboxEntry<A> {
             .field("attempts", &self.attempts)
             .field("gave_up", &self.gave_up)
             .field("deferred", &self.deferred)
+            .field("pulled", &self.pulled)
             .finish()
     }
 }
@@ -456,6 +459,17 @@ impl<A: Application> std::fmt::Debug for StagedKey<A> {
             .field("done", &self.done)
             .finish()
     }
+}
+
+/// Destination-side marker of a key whose primary shipment is in flight.
+#[derive(Debug, Clone, Copy)]
+struct Awaited {
+    /// The old owner (per the plan that moved the key here).
+    from: PartitionId,
+    /// This replica already sent the old owner a [`Direct::PlanVarsPull`]
+    /// for the key. Lives and dies with the marker, so a re-planned key
+    /// can be pulled again.
+    pulled: bool,
 }
 
 /// Moves `v`'s value out of an executed variable map (absent, `None` and
@@ -529,8 +543,8 @@ pub struct ServerCore<A: Application> {
     oracle_signals: dynastar_runtime::FastHashSet<MsgId>,
     /// Current plan version.
     plan_version: u64,
-    /// Keys owned whose primary shipment has not arrived: key → old owner.
-    awaiting_keys: BTreeMap<LocKey, PartitionId>,
+    /// Keys owned whose primary shipment has not arrived.
+    awaiting_keys: BTreeMap<LocKey, Awaited>,
     /// Individual variables still in flight (lent out during migration).
     awaiting_vars: BTreeSet<VarId>,
     /// Where keys this partition used to own have gone.
@@ -567,6 +581,15 @@ pub struct ServerCore<A: Application> {
     /// Deferred outbox entries per destination, in plan (hottest-first)
     /// order, promoted as slots free up.
     link_waiting: BTreeMap<PartitionId, VecDeque<(u64, LocKey)>>,
+    /// The send order of the migration pump: every outbox entry that holds
+    /// a link slot (not deferred, not given up). Pulled entries form a
+    /// prefix in pull order — the demand FIFO — followed by the rest in
+    /// plan/promotion (hottest-first) order; the pump looks at nothing else.
+    active: Vec<(u64, LocKey)>,
+    /// When the modelled migration link (one per source replica) has
+    /// finished putting the last chunk on the wire. Chunks serialize on
+    /// this clock, not on the execution workers'.
+    link_free: SimTime,
     /// The modelled execution engine: per-worker busy clocks and the
     /// sliding dependency window (see [`ExecConfig`]).
     exec: ExecScheduler,
@@ -643,6 +666,8 @@ impl<A: Application> Clone for ServerCore<A> {
             history: self.history.clone(),
             link_active: self.link_active.clone(),
             link_waiting: self.link_waiting.clone(),
+            active: self.active.clone(),
+            link_free: self.link_free,
             exec: self.exec.clone(),
             name_executed: self.name_executed.clone(),
             name_multi: self.name_multi.clone(),
@@ -688,6 +713,8 @@ impl<A: Application> ServerCore<A> {
             history: PlanHistory::new(PLAN_HISTORY_PER_KEY),
             link_active: BTreeMap::new(),
             link_waiting: BTreeMap::new(),
+            active: Vec::new(),
+            link_free: SimTime::ZERO,
             exec: ExecScheduler::new(workers),
             name_executed: mn::partition_executed(partition.0),
             name_multi: mn::partition_multi(partition.0),
@@ -805,6 +832,7 @@ impl<A: Application> ServerCore<A> {
         let mut eff = Vec::new();
         match payload {
             Payload::Access { cmd, attempt, expected, target, keep } => {
+                self.pull_awaited(&expected, metrics, &mut eff);
                 let sets = self.config.exec.tracks_conflicts().then(|| {
                     match &cmd.kind {
                         CommandKind::Access { op, vars } => A::classify(op, vars),
@@ -883,11 +911,7 @@ impl<A: Application> ServerCore<A> {
                 // never resolve).
                 let settle = self.history.settle(key, version, from, to, MoveOutcome::Done);
                 if from == self.partition {
-                    if let Some(e) = self.outbox.remove(&(version, key)) {
-                        if !e.deferred && !e.gave_up {
-                            self.release_link_slot(e.to, now, metrics);
-                        }
-                    }
+                    self.retire_transfer((version, key), metrics);
                 }
                 if matches!(settle, Settle::Applied { .. }) && to == self.partition {
                     let e = self.staging.entry((version, key)).or_insert_with(|| StagedKey {
@@ -1063,15 +1087,18 @@ impl<A: Application> ServerCore<A> {
                 if let Some(e) = self.outbox.get_mut(&(version, key)) {
                     let i = chunk as usize;
                     if i < e.acked.len() && !e.acked[i] {
+                        // Progress (even a late ack of a chunk already
+                        // queued for resend) restarts the retry ladder.
                         e.acked[i] = true;
+                        e.attempts = 0;
+                        e.backoff = self.config.migration_chunk_timeout;
                         if e.in_flight == Some(i) {
                             e.in_flight = None;
-                            e.attempts = 0;
-                            e.backoff = self.config.migration_chunk_timeout;
                         }
                     }
                 }
             }
+            Direct::PlanVarsPull { key, to } => self.on_pull(key, to, metrics),
             Direct::SsmrExchange { cmd, attempt, from, vars } => {
                 self.ssmr_in.entry((cmd, attempt)).or_default().insert(from, vars);
             }
@@ -1184,7 +1211,6 @@ impl<A: Application> ServerCore<A> {
             return;
         }
         let received = vars.len() as u64;
-        let _ = received;
         for (v, val) in vars {
             self.store.put(v, val);
             self.awaiting_vars.remove(&v);
@@ -1261,9 +1287,9 @@ impl<A: Application> ServerCore<A> {
         let cfg = &self.config.exec;
         let clocks = &self.exec.clocks;
         if cfg.workers <= 1 {
-            // Serial fast path: one clock (also charged by migration
-            // transfers), no classification, no window — exactly the
-            // pre-parallel `busy_until` gate.
+            // Serial fast path: one clock (also charged by single-shipment
+            // migration transfers), no classification, no window — exactly
+            // the pre-parallel `busy_until` gate.
             return (clocks[0], None);
         }
         let QueuedBody::Access { sets, .. } = &head.body else {
@@ -1274,7 +1300,7 @@ impl<A: Application> ServerCore<A> {
         };
         let Some(sets) = sets else {
             // Execution itself is free (the window stays empty); only
-            // migration-transfer charges occupy the clocks.
+            // single-shipment migration charges occupy the clocks.
             let free = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
             return (free, None);
         };
@@ -1956,11 +1982,12 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> bool {
-        let QueuedBody::Plan { version, moves } = &entry.body else {
+        let QueuedBody::Plan { version, moves } = &mut entry.body else {
             // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Plan; other variants cannot reach here
             unreachable!("pump_plan on non-plan queue entry")
         };
-        let (version, moves) = (*version, moves.clone());
+        // The plan applies in one go and its entry is dropped afterwards.
+        let (version, moves) = (*version, std::mem::take(moves));
         self.plan_version = version;
         for (key, from, to) in moves {
             // Outbound: nominally `from == self.partition`, but a revert
@@ -2020,8 +2047,11 @@ impl<A: Application> ServerCore<A> {
                         cap > 0 && self.link_active.get(&to).copied().unwrap_or(0) >= cap;
                     if deferred {
                         self.link_waiting.entry(to).or_default().push_back((version, key));
-                    } else if cap > 0 {
-                        *self.link_active.entry(to).or_insert(0) += 1;
+                    } else {
+                        self.active.push((version, key));
+                        if cap > 0 {
+                            *self.link_active.entry(to).or_insert(0) += 1;
+                        }
                     }
                     self.outbox.insert(
                         (version, key),
@@ -2033,9 +2063,9 @@ impl<A: Application> ServerCore<A> {
                             attempts: 0,
                             backoff: self.config.migration_chunk_timeout,
                             deadline: SimTime::ZERO,
-                            next_ship_at: now,
                             gave_up: false,
                             deferred,
+                            pulled: false,
                         },
                     );
                     if self.config.record_metrics {
@@ -2094,9 +2124,18 @@ impl<A: Application> ServerCore<A> {
                 }
                 self.owned.insert(key);
                 self.outmigrated.remove(&key);
-                self.awaiting_keys.insert(key, from);
+                self.awaiting_keys.insert(key, Awaited { from, pulled: false });
             }
         }
+        // Commands already queued behind this plan will block on the keys
+        // it brings in: ask for those first, in queue order.
+        let queue = std::mem::take(&mut self.queue);
+        for q in &queue {
+            if let QueuedBody::Access { expected, .. } = &q.body {
+                self.pull_awaited(expected, metrics, eff);
+            }
+        }
+        self.queue = queue;
         // Staged shipments whose Done outran this plan in the queue can
         // resolve now that the ownership it decides is in place.
         let mut staged_done: Vec<(u64, LocKey)> =
@@ -2128,7 +2167,7 @@ impl<A: Application> ServerCore<A> {
     fn pump_revert(
         &mut self,
         entry: &mut Queued<A>,
-        now: SimTime,
+        _now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> bool {
@@ -2137,12 +2176,9 @@ impl<A: Application> ServerCore<A> {
             unreachable!("pump_revert on non-revert queue entry")
         };
         let (version, key) = (*version, *key);
-        let Some(e) = self.outbox.remove(&(version, key)) else {
+        let Some(e) = self.retire_transfer((version, key), metrics) else {
             return true; // already dismantled (e.g. by a racing Done)
         };
-        if !e.deferred && !e.gave_up {
-            self.release_link_slot(e.to, now, metrics);
-        }
         let owner = self.history.resolved_owner_versioned(key);
         match owner {
             Some((owner, owner_version)) if owner != self.partition => {
@@ -2189,14 +2225,15 @@ impl<A: Application> ServerCore<A> {
         true
     }
 
-    /// Frees one in-flight slot on the link to `to` and promotes waiting
-    /// deferred transfers (oldest = hottest first) into free slots.
-    /// Returns whether any transfer was promoted. No-op when the per-link
-    /// cap is disabled.
-    fn release_link_slot(&mut self, to: PartitionId, now: SimTime, metrics: &mut Metrics) -> bool {
+    /// Takes transfer `k` (toward `to`) out of the send order, frees its
+    /// in-flight slot on that link and promotes waiting deferred transfers
+    /// (oldest = hottest first) into free slots, at the end of the send
+    /// order. Without a per-link cap there are no slots to pass on.
+    fn release_link_slot(&mut self, k: (u64, LocKey), to: PartitionId, metrics: &mut Metrics) {
+        self.active.retain(|&a| a != k);
         let cap = self.config.migration_max_inflight_per_link;
         if cap == 0 {
-            return false;
+            return;
         }
         if let Some(n) = self.link_active.get_mut(&to) {
             *n = n.saturating_sub(1);
@@ -2204,7 +2241,6 @@ impl<A: Application> ServerCore<A> {
                 self.link_active.remove(&to);
             }
         }
-        let mut promoted = false;
         while self.link_active.get(&to).copied().unwrap_or(0) < cap {
             let Some(k) = self.link_waiting.get_mut(&to).and_then(VecDeque::pop_front) else {
                 self.link_waiting.remove(&to);
@@ -2213,124 +2249,176 @@ impl<A: Application> ServerCore<A> {
             match self.outbox.get_mut(&k) {
                 Some(e) if e.deferred && !e.gave_up => {
                     e.deferred = false;
-                    e.next_ship_at = now;
+                    self.active.push(k);
                     *self.link_active.entry(to).or_insert(0) += 1;
-                    promoted = true;
                     if self.config.record_metrics {
                         let ids = self.mids(metrics);
                         metrics.incr(ids.migration_released, 1);
                     }
                 }
-                // Stale waiter (entry dismantled meanwhile): keep popping.
+                // Stale waiter (dismantled or pulled meanwhile): keep popping.
                 _ => {}
             }
         }
-        promoted
     }
 
-    /// Drives every staged migration this partition is the source of:
-    /// ships the next chunk when the rate limiter allows, retransmits
-    /// timed-out chunks with exponential backoff, and requests a revert
-    /// once retries are exhausted. Give-ups free their link slot, and any
-    /// transfer promoted into it ships in a follow-up pass. Returns the
-    /// earliest future instant at which this pump needs to run again
-    /// (always `> now`: past-due work was just handled).
+    /// Dismantles a settled staged transfer: the entry leaves the outbox
+    /// and, unless it never held a link slot or gave it up earlier, the
+    /// send order.
+    fn retire_transfer(
+        &mut self,
+        k: (u64, LocKey),
+        metrics: &mut Metrics,
+    ) -> Option<OutboxEntry<A>> {
+        let e = self.outbox.remove(&k)?;
+        if !e.deferred && !e.gave_up {
+            self.release_link_slot(k, e.to, metrics);
+        }
+        Some(e)
+    }
+
+    /// Destination side of demand-first transfer: asks the old owner, once
+    /// per key, to ship first every still-awaited key that a delivered
+    /// command's routing expects here.
+    fn pull_awaited(
+        &mut self,
+        expected: &[(VarId, PartitionId)],
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+    ) {
+        if !self.config.staged_migration || self.awaiting_keys.is_empty() {
+            return;
+        }
+        let mut sent = 0;
+        for &(v, p) in expected {
+            if p != self.partition {
+                continue;
+            }
+            let key = A::locality(v);
+            match self.awaiting_keys.get_mut(&key) {
+                Some(a) if !a.pulled => {
+                    a.pulled = true;
+                    sent += 1;
+                    eff.push(Effect::Send {
+                        to: Destination::Partition(a.from),
+                        msg: Direct::PlanVarsPull { key, to: self.partition },
+                    });
+                }
+                _ => {}
+            }
+        }
+        // Once per key and plan: not worth an interned id, which every run
+        // that never migrates would pay a registry entry for.
+        if sent > 0 && self.config.record_metrics {
+            metrics.incr_counter(mn::MIGRATION_PULLS, sent);
+        }
+    }
+
+    /// Source side of demand-first transfer: the staged transfer of `key`
+    /// toward `to` joins the end of the pulled prefix of the send order,
+    /// taking a link slot even past the per-link cap. Only a priority
+    /// hint: a repeat, or a pull for a key with no staged transfer here
+    /// (classic shipment, settled, given up, chained elsewhere), changes
+    /// nothing.
+    fn on_pull(&mut self, key: LocKey, to: PartitionId, metrics: &mut Metrics) {
+        // Newest plan first: an older entry for the key is a superseded move.
+        let Some((&k, e)) = self
+            .outbox
+            .iter_mut()
+            .rev()
+            .find(|(&(_, key_of), e)| key_of == key && e.to == to && !e.pulled && !e.gave_up)
+        else {
+            return;
+        };
+        e.pulled = true;
+        if e.deferred {
+            // Its `link_waiting` ticket goes stale and is skipped there.
+            e.deferred = false;
+            *self.link_active.entry(to).or_insert(0) += 1;
+        } else {
+            self.active.retain(|&a| a != k);
+        }
+        let outbox = &self.outbox;
+        let at = self.active.iter().position(|a| outbox.get(a).is_none_or(|e| !e.pulled));
+        self.active.insert(at.unwrap_or(self.active.len()), k);
+        if self.config.record_metrics {
+            metrics.incr_counter(mn::MIGRATION_PULL_PROMOTIONS, 1);
+        }
+    }
+
+    /// Drives the staged migrations this partition is the source of, from
+    /// the send order alone: times out unacked chunks (exponential
+    /// backoff, give-up and revert once retries are exhausted — which
+    /// frees the link slot for a deferred transfer), then puts chunks on
+    /// the migration link, one at a time and first in send order first.
+    /// A timed-out chunk is resent through the same link. The link clock
+    /// is this pump's own: no chunk ever occupies an execution worker.
+    /// Returns the earliest future instant at which the pump needs to run
+    /// again (always `> now`: past-due work was just handled).
     fn pump_migration(
         &mut self,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> Option<SimTime> {
-        let mut next_due: Option<SimTime> = None;
-        loop {
-            let freed = self.pump_migration_pass(now, metrics, eff, &mut next_due);
-            let mut promoted = false;
-            for to in freed {
-                promoted |= self.release_link_slot(to, now, metrics);
-            }
-            if !promoted {
-                break;
-            }
-            // A promoted transfer has `next_ship_at = now`: re-run the
-            // pass so its first chunk ships in this same batch.
-        }
-        next_due
-    }
-
-    /// One pass over the outbox; returns the destinations whose link slot
-    /// was freed by a give-up in this pass.
-    fn pump_migration_pass(
-        &mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-        next_due: &mut Option<SimTime>,
-    ) -> Vec<PartitionId> {
-        if self.outbox.is_empty() {
-            return Vec::new();
+        if self.active.is_empty() {
+            return None;
         }
         let ids = if self.config.record_metrics { Some(self.mids(metrics)) } else { None };
         let me = self.partition;
         let backoff_cap = self.config.migration_chunk_timeout.saturating_mul(64);
+        let mut next_due: Option<SimTime> = None;
         let due = |slot: &mut Option<SimTime>, at: SimTime| {
             *slot = Some(slot.map_or(at, |cur| cur.min(at)));
         };
-        // Serialization/NIC time of chunk shipments charges worker clocks;
-        // the vector is taken out so the outbox can stay mutably borrowed.
-        let mut clocks = std::mem::take(&mut self.exec.clocks);
-        let mut reverts: Vec<(u64, LocKey, PartitionId)> = Vec::new();
-        for (&(version, key), e) in self.outbox.iter_mut() {
-            if e.gave_up || e.deferred {
+
+        let mut gave_up: Vec<((u64, LocKey), PartitionId)> = Vec::new();
+        for &k in &self.active {
+            let Some(e) = self.outbox.get_mut(&k) else { continue };
+            if e.in_flight.is_none() {
                 continue;
             }
-            if let Some(i) = e.in_flight {
-                if now < e.deadline {
-                    due(next_due, e.deadline);
-                    continue;
-                }
-                // Ack deadline missed: retry with backoff, or give up.
-                e.attempts += 1;
-                if e.attempts > self.config.migration_max_retries {
-                    e.gave_up = true;
-                    reverts.push((version, key, e.to));
-                    continue;
-                }
+            if now < e.deadline {
+                due(&mut next_due, e.deadline);
+                continue;
+            }
+            // Ack deadline missed: queue the chunk for resend, or give up.
+            e.in_flight = None;
+            e.attempts += 1;
+            if e.attempts > self.config.migration_max_retries {
+                e.gave_up = true;
+                gave_up.push((k, e.to));
+            } else {
                 e.backoff = e.backoff.saturating_mul(2).min(backoff_cap);
-                let transfer = transfer_time(&self.config, e.chunks[i].len());
-                e.deadline = now + transfer + e.backoff;
-                let w = earliest_free_worker(&clocks);
-                advance_busy(&mut clocks[w], now, transfer);
-                eff.push(Effect::Send {
-                    to: Destination::Partition(e.to),
-                    msg: Direct::PlanVarsChunk {
-                        version,
-                        key,
-                        from: me,
-                        chunk: i as u32,
-                        total: e.chunks.len() as u32,
-                        vars: e.chunks[i].clone(),
-                    },
-                });
-                if let Some(ids) = ids {
-                    metrics.incr(ids.migration_chunks_sent, 1);
-                    metrics.incr(ids.migration_chunk_retries, 1);
-                }
-                due(next_due, e.deadline);
+            }
+        }
+        for (k, to) in gave_up {
+            self.release_link_slot(k, to, metrics);
+            let (version, key) = k;
+            eff.push(Effect::Multicast {
+                mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
+                partitions: vec![me, to],
+                oracle: OracleDest::All,
+                payload: Payload::MigrationRevert { version, key, from: me, to },
+            });
+        }
+
+        for &(version, key) in &self.active {
+            let Some(e) = self.outbox.get_mut(&(version, key)) else { continue };
+            if e.in_flight.is_some() {
                 continue;
             }
             let Some(i) = e.acked.iter().position(|&a| !a) else {
                 continue; // all chunks acked; awaiting the MigrationDone
             };
-            if now < e.next_ship_at {
-                due(next_due, e.next_ship_at);
-                continue;
+            if now < self.link_free {
+                due(&mut next_due, self.link_free);
+                break;
             }
             let transfer = transfer_time(&self.config, e.chunks[i].len());
+            self.link_free = now + transfer;
             e.in_flight = Some(i);
-            e.next_ship_at = now + transfer;
             e.deadline = now + transfer + e.backoff;
-            let w = earliest_free_worker(&clocks);
-            advance_busy(&mut clocks[w], now, transfer);
             eff.push(Effect::Send {
                 to: Destination::Partition(e.to),
                 msg: Direct::PlanVarsChunk {
@@ -2344,28 +2432,21 @@ impl<A: Application> ServerCore<A> {
             });
             if let Some(ids) = ids {
                 metrics.incr(ids.migration_chunks_sent, 1);
+                if e.attempts > 0 {
+                    metrics.incr(ids.migration_chunk_retries, 1);
+                }
             }
-            due(next_due, e.deadline);
+            due(&mut next_due, e.deadline);
         }
-        self.exec.clocks = clocks;
-        let mut freed = Vec::with_capacity(reverts.len());
-        for (version, key, to) in reverts {
-            freed.push(to);
-            eff.push(Effect::Multicast {
-                mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
-                partitions: vec![me, to],
-                oracle: OracleDest::All,
-                payload: Payload::MigrationRevert { version, key, from: me, to },
-            });
-        }
-        freed
+        next_due
     }
 
     /// Runs the migration pump and collapses this batch's `Wake` requests
     /// into the single earliest one. The hosting actor keeps one timer
     /// slot for wake-ups, so a later `Wake` would supersede an earlier
     /// one — the merged minimum must always include the migration pump's
-    /// next deadline or a retransmit could be lost. A batch with neither
+    /// next instant (an ack deadline, or the link freeing up with chunks
+    /// still to send) or a retransmit or the rest of a plan could be lost. A batch with neither
     /// wakes nor migration work leaves any previously armed timer intact.
     fn finalize_wakes(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         let mut min_wake = self.pump_migration(now, metrics, eff);
@@ -3173,6 +3254,226 @@ mod tests {
             &mut m,
         );
         assert!(chunk_of(&eff).is_none());
+    }
+
+    // ---- link clock and demand-first transfer ------------------------------
+
+    /// fig9's link model at test scale: one variable per key and per chunk,
+    /// 8 KiB over 1 MiB/s = 7 812 us on the wire.
+    fn linked_config(cap: u32) -> ServerConfig {
+        ServerConfig {
+            migration_var_bytes: 8 * 1024,
+            migration_link_bytes_per_sec: 1024 * 1024,
+            migration_max_inflight_per_link: cap,
+            ..staged_config(5)
+        }
+    }
+
+    const CHUNK_WIRE_TIME: SimDuration = SimDuration::from_micros(7_812);
+
+    /// A server at partition `p` owning `keys`, one variable (`10 * key`,
+    /// holding `key`) each.
+    fn keyed_server(p: u32, keys: std::ops::Range<u64>, cfg: ServerConfig) -> ServerCore<App> {
+        let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, cfg);
+        s.preload(keys.clone().map(LocKey), keys.map(|k| (VarId(k * 10), k as i64)));
+        s
+    }
+
+    /// A plan moving `keys` from partition 0 to partition 1, in that
+    /// (hottest-first) order.
+    fn plan_moving(keys: std::ops::Range<u64>) -> Payload<App> {
+        let moves = keys.map(|k| (LocKey(k), PartitionId(0), PartitionId(1))).collect();
+        Payload::Plan { version: PLAN_V1, moves }
+    }
+
+    fn wake_of(eff: &[Effect<App>]) -> Option<SimTime> {
+        eff.iter().find_map(|e| match e {
+            Effect::Wake { at } => Some(*at),
+            _ => None,
+        })
+    }
+
+    /// The keys of the chunks `eff` puts on the wire, in order.
+    fn chunk_keys(eff: &[Effect<App>]) -> Vec<u64> {
+        eff.iter()
+            .filter_map(|e| match e {
+                Effect::Send { msg: Direct::PlanVarsChunk { key, .. }, .. } => Some(key.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `(key, addressee)` of the pulls in `eff`, in order.
+    fn pulls_of(eff: &[Effect<App>]) -> Vec<(u64, u32)> {
+        eff.iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to: Destination::Partition(p),
+                    msg: Direct::PlanVarsPull { key, to },
+                } => {
+                    assert_eq!(*to, PartitionId(1), "a pull names the puller");
+                    Some((key.0, p.0))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn pull(key: u64, to: u32) -> Direct<App> {
+        Direct::PlanVarsPull { key: LocKey(key), to: PartitionId(to) }
+    }
+
+    #[test]
+    fn staged_chunks_ride_the_link_clock_and_leave_the_executor_free() {
+        // Twelve keys leave, eight stay. Neither the serial executor nor
+        // any worker of a pool is charged a single chunk: commands on keys
+        // that are present execute at the instant the plan applied, while
+        // the chunks go out back to back on the link clock.
+        let engines = [
+            (ExecConfig::serial(SimDuration::from_micros(150)), 1),
+            (ExecConfig::pool(8, SimDuration::from_millis(1)), 8),
+        ];
+        for (exec, free_slots) in engines {
+            let mut src = keyed_server(0, 0..20, ServerConfig { exec, ..linked_config(0) });
+            let mut m = Metrics::new();
+            let eff = src.on_deliver(plan_moving(0..12), now(), &mut m);
+            let mut sent = vec![(now(), chunk_keys(&eff))];
+            let mut wake = wake_of(&eff);
+
+            for i in 0..free_slots {
+                let var = (12 + u64::from(i)) * 10;
+                let eff = src.on_deliver(access_payload(i, &[(var, 0)], 0, 0), now(), &mut m);
+                assert!(reply_of(&eff).is_some(), "{exec:?}: command {i} executes at `now`");
+                wake = wake_of(&eff).or(wake);
+            }
+
+            while sent.len() < 12 {
+                let at = wake.expect("the pump asks to run when the link frees");
+                let eff = src.on_wake(at, &mut m);
+                sent.push((at, chunk_keys(&eff)));
+                wake = wake_of(&eff);
+            }
+            for (i, (at, keys)) in sent.iter().enumerate() {
+                assert_eq!(*at, now() + CHUNK_WIRE_TIME.saturating_mul(i as u64));
+                assert_eq!(keys, &[i as u64], "one chunk on the wire at a time, in plan order");
+            }
+            assert_eq!(m.counter(mn::MIGRATION_CHUNK_RETRIES), 0);
+        }
+    }
+
+    #[test]
+    fn pull_promotes_a_deferred_key_past_hotter_waiters_and_the_cap() {
+        // Cap 1: key 0 (hottest) holds the link's only slot, 1–3 wait.
+        let mut src = keyed_server(0, 0..4, linked_config(1));
+        let mut m = Metrics::new();
+        let eff = src.on_deliver(plan_moving(0..4), now(), &mut m);
+        assert_eq!(chunk_keys(&eff), [0]);
+        assert_eq!(m.counter(mn::MIGRATION_DEFERRED), 3);
+
+        // The destination is waiting for the coldest key.
+        let eff = src.on_direct(pull(3, 1), now(), &mut m);
+        assert!(chunk_keys(&eff).is_empty(), "key 0's chunk still occupies the link");
+        let link_free = now() + CHUNK_WIRE_TIME;
+        assert_eq!(wake_of(&eff), Some(link_free));
+        // Twice is once.
+        let _ = src.on_direct(pull(3, 1), now(), &mut m);
+        assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 1);
+
+        // The promotion is part of the protocol state a recovering replica
+        // installs: the rest of the scenario runs on a clone.
+        let mut src = src.clone();
+        let eff = src.on_wake(link_free, &mut m);
+        assert_eq!(chunk_keys(&eff), [3], "ahead of keys 1 and 2, past the cap");
+        let eff = src.on_wake(link_free + CHUNK_WIRE_TIME, &mut m);
+        assert!(chunk_keys(&eff).is_empty(), "keys 1 and 2 keep waiting for a slot");
+        assert_eq!(m.counter(mn::MIGRATION_RELEASED), 0);
+
+        // No-ops: a key that is not moving, another destination's pull, a
+        // settled transfer, and a source that shipped the classic way.
+        let done = Payload::MigrationDone {
+            version: PLAN_V1,
+            key: LocKey(0),
+            from: PartitionId(0),
+            to: PartitionId(1),
+        };
+        let _ = src.on_deliver(done, link_free + CHUNK_WIRE_TIME, &mut m);
+        for stray in [pull(99, 1), pull(1, 2), pull(0, 1)] {
+            let eff = src.on_direct(stray, link_free + CHUNK_WIRE_TIME, &mut m);
+            assert!(chunk_keys(&eff).is_empty());
+        }
+        let mut classic = server(0, &[0], &[(0, 7)]);
+        let eff = classic.on_deliver(move_plan(), now(), &mut m);
+        assert!(eff.iter().any(|e| matches!(e, Effect::Send { msg: Direct::PlanVars { .. }, .. })));
+        assert!(classic.on_direct(pull(0, 1), now(), &mut m).is_empty());
+        assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 1);
+
+        // Key 0's slot went to nobody (key 3 holds one past the cap); key
+        // 3's Done frees it for the hottest waiter.
+        let done = Payload::MigrationDone {
+            version: PLAN_V1,
+            key: LocKey(3),
+            from: PartitionId(0),
+            to: PartitionId(1),
+        };
+        let eff = src.on_deliver(done, link_free + CHUNK_WIRE_TIME, &mut m);
+        assert_eq!(chunk_keys(&eff), [1]);
+        assert_eq!(m.counter(mn::MIGRATION_RELEASED), 1);
+    }
+
+    #[test]
+    fn destination_pulls_once_per_awaited_key_and_a_lost_pull_only_loses_priority() {
+        let mut src = keyed_server(0, 0..2, staged_config(5));
+        let busy = ExecConfig::serial(SimDuration::from_millis(10));
+        let mut dst = keyed_server(1, 5..6, ServerConfig { exec: busy, ..staged_config(5) });
+        let mut m = Metrics::new();
+        let t0 = now();
+
+        // A command keeps the destination's CPU busy, so the plan and a
+        // command for key 1 behind it stay queued: nothing is awaited yet.
+        let _ = dst.on_deliver(access_payload(0, &[(50, 1)], 1, 0), t0, &mut m);
+        let eff = dst.on_deliver(plan_moving(0..2), t0, &mut m);
+        assert!(pulls_of(&eff).is_empty());
+        let eff = dst.on_deliver(access_payload(1, &[(10, 1)], 1, 0), t0, &mut m);
+        assert!(pulls_of(&eff).is_empty());
+        // The plan pumps: the command found queued behind it names key 1.
+        let t1 = t0 + SimDuration::from_millis(10);
+        let eff = dst.on_wake(t1, &mut m);
+        assert_eq!(pulls_of(&eff), [(1, 0)]);
+
+        // The pulled marker travels with a state clone.
+        let mut dst = dst.clone();
+        // Delivered from now on: one pull per key, at delivery.
+        let eff = dst.on_deliver(access_payload(2, &[(0, 1), (10, 1)], 1, 0), t1, &mut m);
+        assert_eq!(pulls_of(&eff), [(0, 0)]);
+        let eff = dst.on_deliver(access_payload(3, &[(0, 1)], 1, 0), t1, &mut m);
+        assert!(pulls_of(&eff).is_empty());
+        assert_eq!(m.counter(mn::MIGRATION_PULLS), 2);
+
+        // Every pull is lost. The background order moves both keys anyway
+        // and the three waiting commands execute.
+        let eff = src.on_deliver(plan_moving(0..2), t0, &mut m);
+        let mut replies = 0;
+        let mut wake = None;
+        for e in eff {
+            let Effect::Send { msg: chunk @ Direct::PlanVarsChunk { .. }, .. } = e else {
+                continue;
+            };
+            let eff = dst.on_direct(chunk, t1, &mut m);
+            let done = done_of(&eff).expect("single-chunk transfer completes");
+            let _ = src.on_direct(ack_of(&eff).expect("chunk is acked"), t1, &mut m);
+            let _ = src.on_deliver(done.clone(), t1, &mut m);
+            let eff = dst.on_deliver(done, t1, &mut m);
+            replies += usize::from(reply_of(&eff).is_some());
+            wake = wake_of(&eff).or(wake);
+        }
+        while let Some(at) = wake {
+            let eff = dst.on_wake(at, &mut m);
+            replies += usize::from(reply_of(&eff).is_some());
+            wake = wake_of(&eff);
+        }
+        assert_eq!((replies, dst.queue_len()), (3, 0));
+        assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 0);
+        assert!(src.on_wake(SimTime::from_secs(10), &mut m).is_empty(), "outbox dismantled");
     }
 
     /// Drives one `ServerCore` through a fixed delivered sequence of mixed

@@ -96,6 +96,10 @@ pub struct Simulation<M> {
     now: SimTime,
     queue: EventQueue<M>,
     nodes: Vec<NodeState<M>>,
+    /// Nodes whose `on_start` has not fired yet (a node crashed before its
+    /// first event stays counted until it restarts), so the per-event
+    /// [`Simulation::start_pending_nodes`] is a compare once all are up.
+    unstarted: usize,
     metrics: Metrics,
     net_rng: StdRng,
     events_processed: u64,
@@ -123,6 +127,7 @@ impl<M: 'static> Simulation<M> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             nodes: Vec::new(),
+            unstarted: 0,
             metrics,
             net_rng,
             events_processed: 0,
@@ -155,6 +160,7 @@ impl<M: 'static> Simulation<M> {
             stable: Vec::new(),
             timer_gens: BTreeMap::new(),
         });
+        self.unstarted += 1;
         id
     }
 
@@ -368,7 +374,10 @@ impl<M: 'static> Simulation<M> {
             let node = &mut self.nodes[idx];
             node.crashed = false;
             node.connected = true;
-            node.started = true;
+            if !node.started {
+                node.started = true;
+                self.unstarted -= 1;
+            }
             node.incarnation += 1;
             // Invalidate every timer armed by the previous incarnation.
             for gen in node.timer_gens.values_mut() {
@@ -384,9 +393,13 @@ impl<M: 'static> Simulation<M> {
     }
 
     fn start_pending_nodes(&mut self) {
+        if self.unstarted == 0 {
+            return;
+        }
         for idx in 0..self.nodes.len() {
             if !self.nodes[idx].started && !self.nodes[idx].crashed {
                 self.nodes[idx].started = true;
+                self.unstarted -= 1;
                 self.invoke(idx, |actor, ctx| actor.on_start(ctx));
             }
         }
@@ -633,6 +646,25 @@ mod tests {
         // Some but not all pongs have arrived with ~0.5ms RTT legs.
         let pongs = sim.metrics().counter("pongs");
         assert!(pongs < 10, "pongs = {pongs}");
+    }
+
+    #[test]
+    fn late_and_crashed_before_start_nodes_are_still_started() {
+        // The per-event start scan is skipped once every node is up; a
+        // node added mid-run, or brought up by a restart instead of
+        // `on_start`, must keep that count right.
+        let mut sim = ping_pong_sim(1);
+        let echo = NodeId::from_raw(0);
+        sim.run_until(SimTime::from_micros(1_200));
+        assert_eq!(sim.unstarted, 0);
+        sim.add_node("late pinger", Pinger { target: echo, count: 10, sent: 0 });
+        let stillborn = sim.add_node("stillborn", Echo);
+        sim.crash_now(stillborn);
+        sim.run_until_quiescent();
+        assert_eq!(sim.metrics().counter("pongs"), 20, "the late node ran its on_start");
+        assert_eq!(sim.unstarted, 1, "a crashed node waits for its restart");
+        sim.restart_now(stillborn);
+        assert_eq!(sim.unstarted, 0);
     }
 
     #[test]
