@@ -2,17 +2,20 @@
 //!
 //! Runs the standard TPC-C configuration (the hottest realistic workload:
 //! deep object graphs, multi-partition transactions, saturating clients)
-//! and reports raw scheduler throughput — events per wall-second, wall
-//! seconds per simulated second, heap traffic and peak RSS. Two jobs:
+//! and, beside it, the Chirper 85/15 mix on the same cluster shape — the
+//! workload whose cost is the workload-graph path (a hub post's hint is a
+//! clique of hundreds of keys; TPC-C's is a handful), which the TPC-C row
+//! cannot see. Reports raw scheduler throughput — events per wall-second,
+//! wall seconds per simulated second, heap traffic and peak RSS. Two jobs:
 //!
 //! 1. **Optimization probe** (default): one run, human-readable output,
 //!    with an allocation-counting global allocator whose numbers are
 //!    deterministic even when wall-clock jitters.
 //! 2. **Regression harness** (`--out` / `--check-against`): the
 //!    machine-readable `results/BENCH_perf.json`, and a gate that fails
-//!    when a configuration's run allocates more than 30% more often than
-//!    the same configuration in a baseline record — the one perf number
-//!    here that means the same on every machine.
+//!    when a configuration's run allocates more than 30% more often, or
+//!    more bytes, than the same configuration in a baseline record — the
+//!    perf numbers here that mean the same on every machine.
 //!
 //! `--matrix` sweeps seeds × modes in parallel (each point is its own
 //! deterministic simulation) and reports the per-config medians.
@@ -30,10 +33,13 @@
 #![allow(unsafe_code)]
 
 use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
-use dynastar_bench::setup::{parse_mode, run_parallel, tpcc_cluster, Placement, TpccSetup};
+use dynastar_bench::setup::{
+    chirper_cluster, parse_mode, run_parallel, tpcc_cluster, ChirperSetup, Placement, TpccSetup,
+};
 use dynastar_core::metric_names as mn;
-use dynastar_core::{ExecConfig, Mode};
+use dynastar_core::{Application, Cluster, ClusterConfig, ExecConfig, Mode};
 use dynastar_runtime::SimDuration;
+use dynastar_workloads::chirper::{ChirperMix, ChirperWorkload};
 use dynastar_workloads::tpcc::{self, TpccWorkload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,9 +91,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// What the probed cluster serves.
+#[derive(Debug, Clone, Copy)]
+enum Load {
+    /// TPC-C, one warehouse per partition.
+    Tpcc,
+    /// Chirper's 85 % timeline / 15 % post mix over the default social graph.
+    Chirper,
+}
+
+impl Load {
+    fn name(self) -> &'static str {
+        match self {
+            Load::Tpcc => "tpcc",
+            Load::Chirper => "chirper",
+        }
+    }
+}
+
+/// The Chirper row's social graph and window. A mix command costs about
+/// ten times a TPC-C transaction in wall time and in retained hint bytes,
+/// so the row is sized to take about as long as the TPC-C row does.
+const CHIRPER_USERS: usize = 1_000;
+const CHIRPER_SIM_SECS: u64 = 3;
+
 /// One probe configuration (a matrix cell).
 #[derive(Debug, Clone, Copy)]
 struct ProbeConfig {
+    workload: Load,
     mode: Mode,
     partitions: u32,
     sim_secs: u64,
@@ -118,21 +149,44 @@ fn mode_name(m: Mode) -> &'static str {
     }
 }
 
-fn run_probe(cfg: ProbeConfig) -> ProbeResult {
-    let mut setup = TpccSetup::new(cfg.partitions, cfg.mode);
-    setup.placement = Placement::Random;
-    setup.cluster.seed = cfg.seed;
-    setup.cluster.exec = ExecConfig::pool(cfg.exec_workers, setup.cluster.exec.service_time);
+/// The probe's overrides on a preset cluster.
+fn probe_cluster(cluster: &mut ClusterConfig, cfg: ProbeConfig) {
+    cluster.seed = cfg.seed;
+    cluster.exec = ExecConfig::pool(cfg.exec_workers, cluster.exec.service_time);
     // Throughput probe, not a repartitioning experiment: pinning the
     // threshold keeps the schedule identical across modes being compared.
-    setup.cluster.repartition_threshold = u64::MAX;
-    let mut cluster = tpcc_cluster(&setup);
-    let tracker = tpcc::order_tracker();
-    for w in 0..setup.scale.warehouses {
-        for _ in 0..cfg.clients_per_warehouse {
-            cluster.add_client(TpccWorkload::new(setup.scale, w, Arc::clone(&tracker)));
+    cluster.repartition_threshold = u64::MAX;
+}
+
+fn run_probe(cfg: ProbeConfig) -> ProbeResult {
+    match cfg.workload {
+        Load::Tpcc => {
+            let mut setup = TpccSetup::new(cfg.partitions, cfg.mode);
+            setup.placement = Placement::Random;
+            probe_cluster(&mut setup.cluster, cfg);
+            let mut cluster = tpcc_cluster(&setup);
+            let tracker = tpcc::order_tracker();
+            for w in 0..setup.scale.warehouses {
+                for _ in 0..cfg.clients_per_warehouse {
+                    cluster.add_client(TpccWorkload::new(setup.scale, w, Arc::clone(&tracker)));
+                }
+            }
+            measure(cfg, cluster)
+        }
+        Load::Chirper => {
+            let mut setup = ChirperSetup::new(cfg.partitions, cfg.mode);
+            setup.users = CHIRPER_USERS;
+            probe_cluster(&mut setup.cluster, cfg);
+            let (mut cluster, graph) = chirper_cluster(&setup);
+            for _ in 0..cfg.partitions * cfg.clients_per_warehouse {
+                cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));
+            }
+            measure(cfg, cluster)
         }
     }
+}
+
+fn measure<A: Application>(cfg: ProbeConfig, mut cluster: Cluster<A>) -> ProbeResult {
     let heap = || (ALLOCS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed));
     let heap0 = heap();
     let t0 = std::time::Instant::now();
@@ -164,9 +218,9 @@ static SPEC: Spec = Spec {
     opts: &[
         Opt::Value("mode", "dynastar|ssmr|dssmr", "replication scheme            [dynastar]"),
         Opt::Value("partitions", "N", "partitions = warehouses       [4]"),
-        Opt::Value("sim-secs", "N", "simulated seconds             [10]"),
+        Opt::Value("sim-secs", "N", "simulated seconds (Chirper row: at most 3) [10]"),
         Opt::Value("seed", "N", "master seed                   [1]"),
-        Opt::Value("clients", "N", "clients per warehouse         [6]"),
+        Opt::Value("clients", "N", "clients per partition         [6]"),
         Opt::Value("exec-workers", "N", "execution workers per replica [1]"),
         Opt::Switch("matrix", "sweep seeds 1..=3 x modes in parallel, report all points"),
         OUT,
@@ -176,6 +230,7 @@ static SPEC: Spec = Spec {
 
 fn parse_config(args: &Args) -> Result<ProbeConfig, String> {
     Ok(ProbeConfig {
+        workload: Load::Tpcc,
         mode: parse_mode(args.get("mode").unwrap_or("dynastar"))?,
         partitions: args.num_or("partitions", 4)?,
         sim_secs: args.num_or("sim-secs", 10)?,
@@ -197,14 +252,20 @@ fn main() {
             .collect();
         run_parallel(points, 0, run_probe)
     } else {
-        vec![run_probe(cfg)]
+        let sim_secs = cfg.sim_secs.min(CHIRPER_SIM_SECS);
+        vec![run_probe(cfg), run_probe(ProbeConfig { workload: Load::Chirper, sim_secs, ..cfg })]
     };
 
     for r in &results {
         let c = &r.config;
         println!(
-            "{} sim-s took {:.1} wall-s; events={} ({:.0}/s); completed={}",
-            c.sim_secs, r.wall_secs, r.events, r.events_per_sec, r.completed
+            "{}: {} sim-s took {:.1} wall-s; events={} ({:.0}/s); completed={}",
+            c.workload.name(),
+            c.sim_secs,
+            r.wall_secs,
+            r.events,
+            r.events_per_sec,
+            r.completed
         );
         if matrix {
             println!(
@@ -235,11 +296,12 @@ fn main() {
     // `--matrix` every row carries the same value.
     let mut record = Record::new(
         SPEC.program,
-        &["mode", "partitions", "seed", "clients_per_warehouse", "exec_workers"],
+        &["workload", "mode", "partitions", "seed", "clients_per_warehouse", "exec_workers"],
     );
     for r in &results {
         let c = &r.config;
         let mut row = Row::new()
+            .text("workload", c.workload.name())
             .text("mode", mode_name(c.mode))
             .num("partitions", c.partitions)
             .num("sim_secs", c.sim_secs)
@@ -263,4 +325,7 @@ fn main() {
     }
     record.write_out(&args);
     record.gate(&args, "allocs", false);
+    // A payload copied once more per replica barely moves the count; it
+    // multiplies the bytes.
+    record.gate(&args, "alloc_mb", false);
 }

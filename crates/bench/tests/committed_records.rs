@@ -60,19 +60,27 @@ fn gated_rows_are_present() {
 }
 
 #[test]
-fn perf_record_pins_the_standard_schedule() {
+fn perf_record_pins_the_standard_schedules() {
     let perf = load("BENCH_perf.json");
-    let standard = [
-        ("mode", "dynastar"),
-        ("partitions", "4"),
-        ("sim_secs", "10"),
-        ("seed", "1"),
-        ("clients_per_warehouse", "6"),
-        ("exec_workers", "1"),
-    ];
-    let row = perf.find(&standard).expect("standard probe_perf configuration");
-    assert_eq!(row.get("events"), Some("2182032"));
-    assert_eq!(row.get("completed"), Some("27676"));
-    // The CI gate compares the run's allocation count.
-    assert_gated(&perf, &standard, "allocs");
+    // (workload, simulated seconds, events, completed): schedules repeat
+    // exactly, so a perf change that moves them is not only a perf change.
+    for (workload, sim_secs, events, completed) in
+        [("tpcc", "10", "2182032", "27676"), ("chirper", "3", "901996", "15880")]
+    {
+        let standard = [
+            ("workload", workload),
+            ("mode", "dynastar"),
+            ("partitions", "4"),
+            ("sim_secs", sim_secs),
+            ("seed", "1"),
+            ("clients_per_warehouse", "6"),
+            ("exec_workers", "1"),
+        ];
+        let row = perf.find(&standard).expect("standard probe_perf configuration");
+        assert_eq!(row.get("events"), Some(events), "{workload}");
+        assert_eq!(row.get("completed"), Some(completed), "{workload}");
+        // The CI gate compares the run's allocation count and bytes.
+        assert_gated(&perf, &standard, "allocs");
+        assert_gated(&perf, &standard, "alloc_mb");
+    }
 }

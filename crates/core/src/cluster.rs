@@ -445,8 +445,8 @@ impl<A: Application> Wiring<A> {
 
     /// Unwraps a released frame body for consumption: sole owner → move,
     /// otherwise (sender still buffering for retransmission, or a fan-out
-    /// sibling in flight) one deep clone — the only payload copy on the
-    /// whole delivery path.
+    /// sibling in flight) one deep clone. Servers read direct messages in
+    /// place instead (see [`ServerActor::on_message`]).
     fn unwrap_released(body: Arc<Inner<A>>) -> Inner<A> {
         Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
     }
@@ -1045,12 +1045,11 @@ impl<A: Application> ServerActor<A> {
     fn drain_deliveries(&mut self, ctx: &mut Ctx<'_, Msg<A>>, mut deliveries: Deliveries<A>) {
         while let Some(d) = deliveries.pop_front() {
             let now = ctx.now();
-            let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
             let effects = {
                 let metrics = ctx.metrics_mut();
                 match &mut self.role {
-                    Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                    Role::Oracle(core) => core.on_deliver(payload, now, metrics),
+                    Role::Partition(core) => core.on_deliver(d.payload, now, metrics),
+                    Role::Oracle(core) => core.on_deliver(d.payload, now, metrics),
                 }
             };
             self.apply_effects(ctx, effects, &mut deliveries);
@@ -1084,7 +1083,7 @@ impl<A: Application> ServerActor<A> {
         }
     }
 
-    fn handle_direct(&mut self, ctx: &mut Ctx<'_, Msg<A>>, msg: Direct<A>) {
+    fn handle_direct(&mut self, ctx: &mut Ctx<'_, Msg<A>>, msg: &Direct<A>) {
         let now = ctx.now();
         let effects = {
             let metrics = ctx.metrics_mut();
@@ -1143,10 +1142,18 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
         let mut inbox = std::mem::take(&mut self.inbox);
         self.wiring.receive(ctx, from, msg, &mut inbox);
         for body in inbox.drain(..) {
+            // While recovering the member/core hold placeholder state:
+            // protocol traffic is dropped (the group tolerates it — we
+            // are the faulty minority) and replaced by the snapshot.
+            if let Inner::Direct(d) = &*body {
+                // Shared with the sender's retransmission buffer, and more
+                // often than not a repeat: the core copies it if it is new.
+                if !self.recovering {
+                    self.handle_direct(ctx, d);
+                }
+                continue;
+            }
             match Wiring::unwrap_released(body) {
-                // While recovering the member/core hold placeholder state:
-                // protocol traffic is dropped (the group tolerates it — we
-                // are the faulty minority) and replaced by the snapshot.
                 Inner::Wire(wire) => {
                     if self.recovering {
                         continue;
@@ -1154,13 +1161,8 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                     let out = self.member.on_message(wire);
                     self.absorb(ctx, out);
                 }
-                Inner::Direct(d) => {
-                    if self.recovering {
-                        continue;
-                    }
-                    self.handle_direct(ctx, d);
-                }
                 Inner::Recovery(r) => self.handle_recovery(ctx, from, r),
+                Inner::Direct(_) => {} // read in place above
             }
         }
         self.inbox = inbox;
@@ -1772,5 +1774,74 @@ impl<A: Application> std::fmt::Debug for Cluster<A> {
             .field("mode", &self.config.mode)
             .field("clients", &self.clients.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::CommandKind;
+    use crate::payload::PAYLOAD_CLONES;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// Counters keyed ten to a locality key; an access bumps what it names.
+    struct Bank;
+
+    impl Application for Bank {
+        type Op = ();
+        type Value = u64;
+        type Reply = ();
+
+        fn locality(var: VarId) -> LocKey {
+            LocKey(var.0 / 10)
+        }
+
+        fn execute(_: &(), vars: &mut BTreeMap<VarId, Option<u64>>) {
+            for val in vars.values_mut() {
+                *val = Some(val.unwrap_or(0) + 1);
+            }
+        }
+    }
+
+    /// Pairs of neighbouring keys, so the workload graph has edges to cut.
+    struct Pairs;
+
+    impl Workload<Bank> for Pairs {
+        fn next_command(&mut self, _: SimTime, rng: &mut StdRng) -> Option<CommandKind<Bank>> {
+            let key = rng.gen_range(0..8u64) & !1;
+            Some(CommandKind::Access { op: (), vars: vec![VarId(key * 10), VarId(key * 10 + 10)] })
+        }
+    }
+
+    /// Hints, the plan they trigger and the migrations it causes reach
+    /// three replicas of three groups each — and nobody copies a payload:
+    /// every replica reads the one the multicast layer holds.
+    #[test]
+    fn delivery_never_copies_a_payload() {
+        let mut config = ClusterConfig {
+            partitions: 2,
+            replicas: 3,
+            repartition_threshold: 40,
+            min_plan_interval: SimDuration::from_millis(200),
+            ..ClusterConfig::default()
+        };
+        config.server.hint_batch = 8;
+        let mut builder = ClusterBuilder::<Bank>::new(config);
+        for key in 0..8 {
+            // Neighbours start apart: every command is multi-partition.
+            builder.place(LocKey(key), PartitionId((key / 2 % 2) as u32));
+        }
+        builder.with_vars((0..80).map(|v| (VarId(v), 0)));
+        let mut cluster = builder.build();
+        for _ in 0..4 {
+            cluster.add_client(Pairs);
+        }
+        PAYLOAD_CLONES.set(0);
+        cluster.run_for(SimDuration::from_secs(2));
+        let metrics = cluster.metrics();
+        assert!(metrics.counter(metric_names::PLANS_PUBLISHED) >= 1, "no plan: nothing was hinted");
+        assert!(metrics.counter(metric_names::CMD_COMPLETED) > 100);
+        assert_eq!(PAYLOAD_CLONES.get(), 0, "a delivered payload was deep-copied");
     }
 }

@@ -41,6 +41,8 @@
 pub mod client;
 pub mod cluster;
 pub mod command;
+mod edge_rows;
+mod hints;
 pub mod linearizability;
 pub mod metric_names;
 pub mod migration;

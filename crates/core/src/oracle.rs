@@ -18,6 +18,9 @@
 //!   modelled as a configurable delay so the simulated oracle "computes
 //!   concurrently" as in §5.2 while replicas stay deterministic.
 
+use std::borrow::{Borrow, Cow};
+use std::collections::BTreeMap;
+
 use dynastar_amcast::MsgId;
 use dynastar_partitioner::{
     align_labels, partition as ml_partition, partition_from, GraphBuilder, PartitionConfig,
@@ -26,7 +29,8 @@ use dynastar_partitioner::{
 use dynastar_runtime::hash::FastHashMap;
 use dynastar_runtime::{Metrics, SimDuration, SimTime};
 
-use crate::command::{Application, CommandKind, LocKey, Mode, PartitionId};
+use crate::command::{Application, Command, CommandKind, LocKey, Mode, PartitionId};
+use crate::edge_rows::EdgeRows;
 use crate::metric_names as mn;
 use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
 use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
@@ -186,74 +190,54 @@ fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
     (before - map.len()) as u64
 }
 
+/// The first index at or after `from` of ascending `keys` that holds `key`
+/// or more. Gallops, so a walk that keeps seeking on from its last hit
+/// costs the log of each advance, whether its steps are short or long.
+fn seek(keys: &[LocKey], from: usize, key: LocKey) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < keys.len() && keys[hi] < key {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    lo + keys[lo..hi.min(keys.len())].partition_point(|&k| k < key)
+}
+
 /// Pending workload-graph delta a non-planner oracle shard accumulates
-/// between digests. `LocKey`s are interned to dense `u32` ids at first
-/// touch (deliveries arrive in total order, so interning order is
-/// identical on every replica of the shard), keeping the per-delivery hot
-/// path on flat vectors and a pair-keyed hash map instead of tree
-/// structures. Draining canonicalizes by key order, so the digest bytes
-/// are a function of delta *content* alone.
+/// between digests. Both components are ordered by key, so the digest
+/// bytes are a function of delta *content* alone.
 #[derive(Clone, Default)]
 struct DigestDelta {
-    intern: FastHashMap<LocKey, u32>,
-    keys: Vec<LocKey>,
-    vertex_w: Vec<u64>,
-    edges: FastHashMap<(u32, u32), u64>,
+    vertices: BTreeMap<LocKey, u64>,
+    edges: EdgeRows,
     changes: u64,
 }
 
 impl DigestDelta {
-    fn id_of(&mut self, k: LocKey) -> u32 {
-        *self.intern.entry(k).or_insert_with(|| {
-            let id = self.keys.len() as u32;
-            self.keys.push(k);
-            self.vertex_w.push(0);
-            id
-        })
-    }
-
-    fn add_vertex(&mut self, k: LocKey, w: u64) {
-        let id = self.id_of(k);
-        self.vertex_w[id as usize] += w;
-        self.changes += 1;
-    }
-
-    fn add_edge(&mut self, a: LocKey, b: LocKey, w: u64) {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let ia = self.id_of(a);
-        let ib = self.id_of(b);
-        *self.edges.entry((ia, ib)).or_insert(0) += w;
-        self.changes += 1;
+    fn add(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
+        for &(k, w) in vertices {
+            *self.vertices.entry(k).or_insert(0) += w;
+        }
+        self.edges.add_all(edges);
+        self.changes += vertices.len() as u64 + edges.len() as u64;
     }
 
     fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.edges.is_empty()
+        self.vertices.is_empty() && self.edges.is_empty()
     }
 
     /// Drains the delta into canonical (key-sorted) vertex and edge
     /// increment lists, resetting it to empty.
     #[allow(clippy::type_complexity)]
     fn drain(&mut self) -> (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>) {
-        let mut vertices: Vec<(LocKey, u64)> = self
-            .keys
-            .iter()
-            .zip(&self.vertex_w)
-            .filter(|&(_, &w)| w > 0)
-            .map(|(&k, &w)| (k, w))
-            .collect();
-        vertices.sort_unstable_by_key(|&(k, _)| k);
-        let mut edges: Vec<(LocKey, LocKey, u64)> = self
-            .edges
-            .iter()
-            .map(|(&(ia, ib), &w)| (self.keys[ia as usize], self.keys[ib as usize], w))
-            .collect();
-        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        self.intern.clear();
-        self.keys.clear();
-        self.vertex_w.clear();
+        let vertices = std::mem::take(&mut self.vertices).into_iter().filter(|&(_, w)| w > 0);
+        let mut edges = Vec::with_capacity(self.edges.len());
+        self.edges.for_each_row(|a, row| {
+            edges.extend(row.iter().map(|&(b, w)| (a, b, w)));
+        });
         self.edges.clear();
         self.changes = 0;
-        (vertices, edges)
+        (vertices.collect(), edges)
     }
 }
 
@@ -269,7 +253,7 @@ pub struct OracleCore<A: Application> {
     /// Workload graph: vertex access counts and co-access edge weights
     /// (planner shard only; other shards accumulate into `delta`).
     vertices: FastHashMap<LocKey, u64>,
-    edges: FastHashMap<(LocKey, LocKey), u64>,
+    edges: EdgeRows,
     /// Changes accumulated since the last plan.
     changes: u64,
     /// A plan is being "computed" (timer pending).
@@ -313,10 +297,8 @@ pub struct OracleCore<A: Application> {
     last_digest_at: SimTime,
     /// Reusable eviction scratch for [`shrink_weighted`] over vertices.
     shrink_vertices: Vec<(u64, LocKey)>,
-    /// Reusable eviction scratch for [`shrink_weighted`] over edges.
+    /// Reusable eviction scratch for [`EdgeRows::shrink_to`].
     shrink_edges: Vec<(u64, (LocKey, LocKey))>,
-    /// Reusable sort scratch for [`OracleCore::compute_plan`]'s edge pass.
-    edge_scratch: Vec<((LocKey, LocKey), u64)>,
     _marker: std::marker::PhantomData<A>,
 }
 
@@ -349,7 +331,6 @@ impl<A: Application> Clone for OracleCore<A> {
             // replica starts with fresh (empty) ones.
             shrink_vertices: Vec::new(),
             shrink_edges: Vec::new(),
-            edge_scratch: Vec::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -370,7 +351,7 @@ impl<A: Application> OracleCore<A> {
             config,
             map: FastHashMap::default(),
             vertices: FastHashMap::default(),
-            edges: FastHashMap::default(),
+            edges: EdgeRows::default(),
             changes: 0,
             computing: false,
             pending_plan: None,
@@ -388,7 +369,6 @@ impl<A: Application> OracleCore<A> {
             last_digest_at: SimTime::ZERO,
             shrink_vertices: Vec::new(),
             shrink_edges: Vec::new(),
-            edge_scratch: Vec::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -452,14 +432,18 @@ impl<A: Application> OracleCore<A> {
     }
 
     /// Handles an atomic multicast delivery addressed to the oracle.
+    ///
+    /// The payload is read in place — every replica of every destination
+    /// group is handed the same one; hint, digest and plan bodies are
+    /// never copied.
     pub fn on_deliver(
         &mut self,
-        payload: Payload<A>,
+        payload: impl Borrow<Payload<A>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
-        match payload {
+        match payload.borrow() {
             Payload::Exec { cmd, attempt } => {
                 if self.config.record_metrics {
                     let (c, s) = match self.query_ids {
@@ -474,9 +458,9 @@ impl<A: Application> OracleCore<A> {
                     metrics.incr(c, 1);
                     metrics.record_at(s, now, 1.0);
                 }
-                self.handle_exec(cmd, attempt, &mut eff);
+                self.handle_exec(cmd, *attempt, &mut eff);
             }
-            Payload::CreateKey { cmd, dest } => {
+            &Payload::CreateKey { ref cmd, dest } => {
                 let key = match &cmd.kind {
                     CommandKind::CreateKey { key, .. } => *key,
                     // detlint::allow(P003): constructor pairs CreateKey payloads with CreateKey commands; a mismatch is a local logic bug, not wire input
@@ -500,7 +484,7 @@ impl<A: Application> OracleCore<A> {
                     // loser; nothing more to do (map unchanged).
                 }
             }
-            Payload::DeleteKey { cmd, dest } => {
+            &Payload::DeleteKey { ref cmd, dest } => {
                 let key = match &cmd.kind {
                     CommandKind::DeleteKey { key } => *key,
                     // detlint::allow(P003): constructor pairs DeleteKey payloads with DeleteKey commands; a mismatch is a local logic bug, not wire input
@@ -529,12 +513,7 @@ impl<A: Application> OracleCore<A> {
                     // opens. The gate reads only delivered state, so every
                     // replica of the shard drains the same delta at the
                     // same position and the digests dedup by message id.
-                    for (k, w) in vertices {
-                        self.delta.add_vertex(k, w);
-                    }
-                    for (a, b, w) in edges {
-                        self.delta.add_edge(a, b, w);
-                    }
+                    self.delta.add(vertices, edges);
                     if self.delta.changes >= self.config.digest_threshold {
                         self.emit_digest(now, &mut eff);
                     }
@@ -549,7 +528,7 @@ impl<A: Application> OracleCore<A> {
                     self.maybe_propose_recompute(now, &mut eff);
                 }
             }
-            Payload::DigestFlush { shard, seq } => {
+            &Payload::DigestFlush { shard, seq } => {
                 // Drain a lingering delta at the marker's delivery
                 // position. A stale marker (the delta already shipped via
                 // the count gate, bumping `digest_seq` past `seq`) no-ops.
@@ -557,7 +536,7 @@ impl<A: Application> OracleCore<A> {
                     self.emit_digest(now, &mut eff);
                 }
             }
-            Payload::Recompute { version } => {
+            &Payload::Recompute { version } => {
                 // Compute at the marker's delivery position so every
                 // replica snapshots the same graph. Only log-deterministic
                 // state is re-checked here (no local time): a marker that
@@ -577,7 +556,8 @@ impl<A: Application> OracleCore<A> {
                 }
             }
             Payload::Plan { version, moves } => {
-                for &(key, from, to) in &moves {
+                let version = *version;
+                for &(key, from, to) in moves {
                     self.map.insert(key, to);
                     self.history.record_move(key, version, from, to);
                 }
@@ -593,7 +573,7 @@ impl<A: Application> OracleCore<A> {
                     metrics.record_series(mn::PLAN_MOVES, now, moves.len() as f64);
                 }
             }
-            Payload::MigrationDone { version, key, from, to } => {
+            &Payload::MigrationDone { version, key, from, to } => {
                 // Replay the key's plan history with this move marked done:
                 // the map lands on the destination of the last non-reverted
                 // move, which a chained plan may have shifted past `to`.
@@ -603,7 +583,7 @@ impl<A: Application> OracleCore<A> {
                     self.map.insert(key, owner);
                 }
             }
-            Payload::MigrationRevert { version, key, from, to } => {
+            &Payload::MigrationRevert { version, key, from, to } => {
                 // Replay with this move annulled: a revert of v composes
                 // with a chained move at v+1 (owner stays at v+1's
                 // destination) instead of bouncing the key back to `from`.
@@ -627,7 +607,7 @@ impl<A: Application> OracleCore<A> {
                     };
                     if multi {
                         for key in keys {
-                            self.map.insert(key, target);
+                            self.map.insert(key, *target);
                         }
                     }
                 }
@@ -638,13 +618,12 @@ impl<A: Application> OracleCore<A> {
 
     /// Handles direct messages (partition rendezvous signals — the oracle
     /// does not block on them, so they are consumed silently).
-    pub fn on_direct(
+    pub fn on_direct<'a>(
         &mut self,
-        msg: Direct<A>,
+        _msg: impl Into<Cow<'a, Direct<A>>>,
         _now: SimTime,
         _metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
-        let _ = msg;
         Vec::new()
     }
 
@@ -663,27 +642,20 @@ impl<A: Application> OracleCore<A> {
     /// enforcing the graph caps.
     fn merge_graph(
         &mut self,
-        vertices: Vec<(LocKey, u64)>,
-        edges: Vec<(LocKey, LocKey, u64)>,
+        vertices: &[(LocKey, u64)],
+        edges: &[(LocKey, LocKey, u64)],
         metrics: &mut Metrics,
     ) {
         self.changes += vertices.len() as u64 + edges.len() as u64;
-        for (k, w) in vertices {
+        for &(k, w) in vertices {
             *self.vertices.entry(k).or_insert(0) += w;
         }
-        for (a, b, w) in edges {
-            let key = if a <= b { (a, b) } else { (b, a) };
-            *self.edges.entry(key).or_insert(0) += w;
-        }
+        self.edges.add_all(edges);
         let evicted = shrink_weighted(
             &mut self.vertices,
             self.config.max_graph_vertices,
             &mut self.shrink_vertices,
-        ) + shrink_weighted(
-            &mut self.edges,
-            self.config.max_graph_edges,
-            &mut self.shrink_edges,
-        );
+        ) + self.edges.shrink_to(self.config.max_graph_edges, &mut self.shrink_edges);
         if evicted > 0 && self.config.record_metrics {
             metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
         }
@@ -735,12 +707,7 @@ impl<A: Application> OracleCore<A> {
     }
 
     /// Task 1: route a command, reply with a prophecy, dispatch.
-    fn handle_exec(
-        &mut self,
-        cmd: crate::command::Command<A>,
-        attempt: u32,
-        eff: &mut Vec<Effect<A>>,
-    ) {
+    fn handle_exec(&mut self, cmd: &Command<A>, attempt: u32, eff: &mut Vec<Effect<A>>) {
         let client = cmd.client;
         match &cmd.kind {
             CommandKind::CreateKey { key, .. } => {
@@ -789,7 +756,7 @@ impl<A: Application> OracleCore<A> {
                     partitions: vec![dest],
                     // Every shard's map replica must observe the insert.
                     oracle: OracleDest::All,
-                    payload: Payload::CreateKey { cmd, dest },
+                    payload: Payload::CreateKey { cmd: cmd.clone(), dest },
                 });
             }
             CommandKind::DeleteKey { key } => {
@@ -825,13 +792,13 @@ impl<A: Application> OracleCore<A> {
                             mid: cmd.id.derived(tag::DELETE),
                             partitions: vec![dest],
                             oracle: OracleDest::All,
-                            payload: Payload::DeleteKey { cmd, dest },
+                            payload: Payload::DeleteKey { cmd: cmd.clone(), dest },
                         });
                     }
                 }
             }
             CommandKind::Access { .. } => {
-                let route = compute_route(&cmd, |k| self.map.get(&k).copied());
+                let route = compute_route(cmd, |k| self.map.get(&k).copied());
                 let Some(route) = route else {
                     // A key is missing. Only the shard *owning* a missing
                     // key's slice may answer `nok` — a foreign-slice
@@ -886,7 +853,7 @@ impl<A: Application> OracleCore<A> {
                     // DS-SMR keep moves keys in every shard's map replica.
                     oracle: if keep { OracleDest::All } else { OracleDest::None },
                     payload: Payload::Access {
-                        cmd,
+                        cmd: cmd.clone(),
                         attempt,
                         expected: route.expected,
                         target: route.target,
@@ -955,10 +922,7 @@ impl<A: Application> OracleCore<A> {
                 *w /= 2;
                 *w > 0
             });
-            self.edges.retain(|_, w| {
-                *w /= 2;
-                *w > 0
-            });
+            self.edges.halve();
         }
     }
 
@@ -982,8 +946,6 @@ impl<A: Application> OracleCore<A> {
             ks.sort_unstable();
             ks
         };
-        let index: FastHashMap<LocKey, u32> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
         let mut b = GraphBuilder::new();
         if !keys.is_empty() {
             b.add_vertex(keys.len() as u32 - 1);
@@ -992,21 +954,24 @@ impl<A: Application> OracleCore<A> {
             let w = 1 + self.vertices.get(k).copied().unwrap_or(0);
             b.set_vertex_weight(i as u32, w);
         }
-        // The hash map iterates in arbitrary order; sort into the scratch
-        // buffer so the builder sees edges in key order and every replica
-        // (and build profile) constructs the identical graph.
-        let mut edge_scratch = std::mem::take(&mut self.edge_scratch);
-        edge_scratch.clear();
-        edge_scratch.extend(self.edges.iter().map(|(&e, &w)| (e, w)));
-        edge_scratch.sort_unstable_by_key(|&(e, _)| e);
-        for &((a, bk), w) in &edge_scratch {
-            if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&bk)) {
-                if w > 0 {
-                    b.add_edge(ia, ib, w);
+        // Rows, their (sorted) entries and `keys` all ascend by key: one
+        // merge walk finds every endpoint's index, and every replica (and
+        // build profile) feeds the builder the same edges in the same
+        // order. An edge with an endpoint no longer in the map is skipped.
+        let mut ia = 0;
+        self.edges.for_each_row(|a, row| {
+            ia = seek(&keys, ia, a);
+            if keys.get(ia) != Some(&a) {
+                return;
+            }
+            let mut ib = ia;
+            for &(bk, w) in row {
+                ib = seek(&keys, ib, bk);
+                if w > 0 && keys.get(ib) == Some(&bk) {
+                    b.add_edge(ia as u32, ib as u32, w);
                 }
             }
-        }
-        self.edge_scratch = edge_scratch;
+        });
         let g = b.build();
         let k = self.config.partitions;
         let cfg = PartitionConfig::default()

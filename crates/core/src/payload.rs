@@ -1,6 +1,8 @@
 //! Wire payloads: atomically multicast messages and direct (unordered)
 //! messages.
 
+use std::borrow::Cow;
+
 use dynastar_amcast::MsgId;
 use dynastar_runtime::NodeId;
 
@@ -301,6 +303,20 @@ pub enum Direct<A: Application> {
     },
 }
 
+/// A receiver takes a direct message owned, or shared with the sender's
+/// retransmission buffer (copied only if it turns out to be wanted).
+impl<A: Application> From<Direct<A>> for Cow<'_, Direct<A>> {
+    fn from(msg: Direct<A>) -> Self {
+        Cow::Owned(msg)
+    }
+}
+
+impl<'a, A: Application> From<&'a Direct<A>> for Cow<'a, Direct<A>> {
+    fn from(msg: &'a Direct<A>) -> Self {
+        Cow::Borrowed(msg)
+    }
+}
+
 /// Deduplication key for direct messages: every replica of a group sends
 /// its own copy of group-originated messages, so receivers drop all but
 /// the first.
@@ -420,8 +436,17 @@ pub enum Effect<A: Application> {
     },
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Deep copies of a [`Payload`] made on this thread: delivery hands one
+    /// shared payload to every replica and must make none.
+    pub(crate) static PAYLOAD_CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<A: Application> Clone for Payload<A> {
     fn clone(&self) -> Self {
+        #[cfg(test)]
+        PAYLOAD_CLONES.set(PAYLOAD_CLONES.get() + 1);
         match self {
             Payload::Exec { cmd, attempt } => Payload::Exec { cmd: cmd.clone(), attempt: *attempt },
             Payload::Access { cmd, attempt, expected, target, keep } => Payload::Access {

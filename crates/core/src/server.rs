@@ -13,6 +13,7 @@
 //! rendezvous) but nothing overtakes it. Atomic multicast's pairwise
 //! consistent delivery order across partitions makes this deadlock-free.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dynastar_amcast::MsgId;
@@ -22,10 +23,10 @@ use dynastar_runtime::{CounterId, HistogramId, Metrics, SeriesId, SimTime};
 use crate::command::{
     AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
 };
+use crate::hints::HintArena;
 use crate::metric_names as mn;
 use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
 use crate::payload::{DedupKey, Destination, Direct, Effect, OracleDest, Payload};
-use crate::routing::shard_of;
 
 /// Emits protocol-stall diagnostics to stderr when the
 /// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
@@ -554,11 +555,8 @@ pub struct ServerCore<A: Application> {
     /// Reply cache: executed commands and their replies (exactly-once
     /// within the rotation window).
     executed: RotatingMap<MsgId, A::Reply>,
-    /// Workload-hint arena: the sorted, distinct key sets of the commands
-    /// executed since the last flush, back to back…
-    hint_keys: Vec<LocKey>,
-    /// …and the length of each set, one entry per executed command.
-    hint_lens: Vec<u32>,
+    /// Key sets of the commands executed since the last hint batch.
+    hints: HintArena,
     hint_seq: u32,
     /// Key-migration shipments that arrived before the plan they belong
     /// to was processed here: `(version, key, from, vars, pending, primary)`.
@@ -657,8 +655,7 @@ impl<A: Application> Clone for ServerCore<A> {
             outmigrated: self.outmigrated.clone(),
             lent: self.lent.clone(),
             executed: self.executed.clone(),
-            hint_keys: self.hint_keys.clone(),
-            hint_lens: self.hint_lens.clone(),
+            hints: self.hints.clone(),
             hint_seq: self.hint_seq,
             planvars_buffer: self.planvars_buffer.clone(),
             outbox: self.outbox.clone(),
@@ -704,8 +701,7 @@ impl<A: Application> ServerCore<A> {
             outmigrated: BTreeMap::new(),
             lent: BTreeMap::new(),
             executed: RotatingMap::new(1 << 15),
-            hint_keys: Vec::new(),
-            hint_lens: Vec::new(),
+            hints: HintArena::default(),
             hint_seq: 0,
             planvars_buffer: Vec::new(),
             outbox: BTreeMap::new(),
@@ -823,15 +819,21 @@ impl<A: Application> ServerCore<A> {
     }
 
     /// Handles an atomic multicast delivery addressed to this partition.
+    ///
+    /// The payload is read in place — every replica of every destination
+    /// group is handed the same one — and only what the core keeps (a
+    /// queued command, a plan's moves) is copied out of it.
     pub fn on_deliver(
         &mut self,
-        payload: Payload<A>,
+        payload: impl Borrow<Payload<A>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
-        match payload {
+        match payload.borrow() {
             Payload::Access { cmd, attempt, expected, target, keep } => {
+                let (cmd, attempt, expected) = (cmd.clone(), *attempt, expected.clone());
+                let (target, keep) = (*target, *keep);
                 self.pull_awaited(&expected, metrics, &mut eff);
                 let sets = self.config.exec.tracks_conflicts().then(|| {
                     match &cmd.kind {
@@ -854,39 +856,40 @@ impl<A: Application> ServerCore<A> {
                 });
             }
             Payload::CreateKey { cmd, dest } => {
-                if dest == self.partition {
+                if *dest == self.partition {
                     let key = match &cmd.kind {
                         CommandKind::CreateKey { key, .. } => *key,
                         // detlint::allow(P003): constructor pairs CreateKey payloads with CreateKey commands; a mismatch is a local logic bug, not wire input
                         _ => unreachable!("CreateKey payload without CreateKey command"),
                     };
                     self.queue.push_back(Queued {
-                        cmd,
+                        cmd: cmd.clone(),
                         attempt: 0,
                         body: QueuedBody::Create { key, signalled: false },
                     });
                 }
             }
             Payload::DeleteKey { cmd, dest } => {
-                if dest == self.partition {
+                if *dest == self.partition {
                     let key = match &cmd.kind {
                         CommandKind::DeleteKey { key } => *key,
                         // detlint::allow(P003): constructor pairs DeleteKey payloads with DeleteKey commands; a mismatch is a local logic bug, not wire input
                         _ => unreachable!("DeleteKey payload without DeleteKey command"),
                     };
                     self.queue.push_back(Queued {
-                        cmd,
+                        cmd: cmd.clone(),
                         attempt: 0,
                         body: QueuedBody::Delete { key, signalled: false },
                     });
                 }
             }
             Payload::Plan { version, moves } => {
+                let version = *version;
                 // Record every move at *delivery* (the plan itself applies
                 // later, through the queue): a Done/Revert delivered after
                 // this plan but before its pump must already see the chain
                 // when it replays the key's history.
-                for &(key, from, to) in &moves {
+                for &(key, from, to) in moves {
                     self.history.record_move(key, version, from, to);
                 }
                 // Dummy command for queue uniformity.
@@ -897,10 +900,10 @@ impl<A: Application> ServerCore<A> {
                         kind: CommandKind::DeleteKey { key: LocKey(u64::MAX) },
                     },
                     attempt: 0,
-                    body: QueuedBody::Plan { version, moves },
+                    body: QueuedBody::Plan { version, moves: moves.clone() },
                 });
             }
-            Payload::MigrationDone { version, key, from, to } => {
+            &Payload::MigrationDone { version, key, from, to } => {
                 // Safe to apply at delivery (not queued): at the
                 // destination this only converts a head-of-queue *wait*
                 // into an execution with the staged values, which are
@@ -925,7 +928,7 @@ impl<A: Application> ServerCore<A> {
                     self.try_install_staged(version, key, metrics, &mut eff);
                 }
             }
-            Payload::MigrationRevert { version, key, from, to } => {
+            &Payload::MigrationRevert { version, key, from, to } => {
                 // Settle-by-replay: the revert annuls move v, and the
                 // replayed `owner` is wherever the surviving history puts
                 // the key — `from` in the simple case, a chained move's
@@ -990,20 +993,24 @@ impl<A: Application> ServerCore<A> {
         eff
     }
 
-    /// Handles a direct message.
-    pub fn on_direct(
+    /// Handles a direct message, owned or shared (`&Direct`). Every
+    /// replica of the sending group sends a copy, so most arrivals are
+    /// repeats: a shared message is copied only once it has passed the
+    /// dedup check, a repeat costs the set lookup.
+    pub fn on_direct<'a>(
         &mut self,
-        msg: Direct<A>,
+        msg: impl Into<Cow<'a, Direct<A>>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
+        let msg = msg.into();
         let mut eff = Vec::new();
         if let Some(key) = msg.dedup_key() {
             if !self.seen.insert(key) {
                 return eff;
             }
         }
-        match msg {
+        match msg.into_owned() {
             Direct::VarsForCmd { cmd, attempt, from, vars } => {
                 if self.aborted.contains(&(cmd, attempt)) || self.executed.contains_key(&cmd) {
                     // Command will not execute here (aborted or duplicate):
@@ -1386,10 +1393,7 @@ impl<A: Application> ServerCore<A> {
         let expected: &[(VarId, PartitionId)] = expected;
         let target = *target;
         let keep = *keep;
-        let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
-        dests.sort_unstable();
-        dests.dedup();
-        let multi = dests.len() > 1;
+        let multi = expected.windows(2).any(|w| w[0].1 != w[1].1);
 
         // Duplicate dispatch of an already-executed command: answer from
         // the reply cache, bounce any borrowed vars.
@@ -1475,6 +1479,9 @@ impl<A: Application> ServerCore<A> {
             self.finish_execution(cmd, attempt, sets.take(), reply, false, now, metrics, eff);
             return true;
         }
+        let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
+        dests.sort_unstable();
+        dests.dedup();
 
         if self.mode == Mode::SSmr {
             // S-SMR: exchange shares, then everyone executes.
@@ -1801,94 +1808,25 @@ impl<A: Application> ServerCore<A> {
     }
 
     /// Notes an executed command's key set for the workload graph and
-    /// flushes a hint batch when due (Algorithm 2 Task 4, partition side).
-    ///
-    /// Per command this only appends the sorted key set to the arena —
-    /// linear in the command's keys. The k·(k−1)/2 co-access pairs a set
-    /// stands for are expanded once per batch, in [`Self::flush_hints`].
+    /// multicasts a hint batch when due (Algorithm 2 Task 4, partition
+    /// side): one multicast per oracle shard that is owed a slice, in shard
+    /// order, each consuming a hint sequence number. With one shard this is
+    /// exactly the single classic hint multicast.
     fn record_hint(&mut self, cmd: &Command<A>, eff: &mut Vec<Effect<A>>) {
-        let start = self.hint_keys.len();
-        cmd.append_keys(&mut self.hint_keys);
-        self.hint_lens.push((self.hint_keys.len() - start) as u32);
-        if self.hint_lens.len() >= self.config.hint_batch as usize {
-            self.flush_hints(eff);
+        if self.hints.record(cmd) < self.config.hint_batch as usize {
+            return;
         }
-    }
-
-    /// Expands the arena into one hint batch and multicasts it: a vertex
-    /// weighs the commands that touched its key, an edge the commands that
-    /// touched both of its keys — the same key-sorted lists a per-command
-    /// map accumulation would produce, so the wire format is unchanged.
-    fn flush_hints(&mut self, eff: &mut Vec<Effect<A>>) {
-        let mut sets: Vec<&[LocKey]> = Vec::with_capacity(self.hint_lens.len());
-        let mut rest: &[LocKey] = &self.hint_keys;
-        for &n in &self.hint_lens {
-            let (set, tail) = rest.split_at(n as usize);
-            sets.push(set);
-            rest = tail;
-        }
-        // A hot author recurs within a batch with the same follower set
-        // (it halves the pairs of the social workload): expand each
-        // distinct set once, weighted by how often it occurred.
-        sets.sort_unstable();
-        let distinct = || sets.chunk_by(|a, b| a == b).map(|same| (same[0], same.len() as u64));
-        let expanded = distinct().map(|(set, _)| set.len() * set.len().saturating_sub(1) / 2);
-        let mut pairs: Vec<(LocKey, LocKey, u64)> = Vec::with_capacity(expanded.sum());
-        for (set, times) in distinct() {
-            for (i, &a) in set.iter().enumerate() {
-                pairs.extend(set[i + 1..].iter().map(|&b| (a, b, times)));
-            }
-        }
-        // Every set contributed its pairs as one already-sorted run (keys
-        // are sorted within a command, so `a < b` and pairs ascend); the
-        // stable sort merges those runs instead of sorting from scratch.
-        pairs.sort();
-        let edges = pairs
-            .chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
-            .map(|run| (run[0].0, run[0].1, run.iter().map(|&(_, _, times)| times).sum::<u64>()));
-        // Keys are distinct within a command, so equal neighbours count
-        // commands. The per-command boundaries are spent: sort in place.
-        self.hint_keys.sort_unstable();
-        let vertices = self.hint_keys.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
-        // Split the batch by slice ownership and multicast each non-empty
-        // slice to its owner shard, in shard order: a vertex goes to its
-        // key's owner, an edge to its lower key's. Each slice consumes its
-        // own hint sequence number. With one shard this emits exactly the
-        // single classic hint multicast. Lists are sized by a counting
-        // pass first: they travel (and are retained) as allocated.
-        let shards = self.config.oracle_shards;
-        let mut sizes = vec![(0usize, 0usize); shards.max(1) as usize];
-        for (k, _) in vertices.clone() {
-            sizes[shard_of(k, shards) as usize].0 += 1;
-        }
-        for (a, _, _) in edges.clone() {
-            sizes[shard_of(a, shards) as usize].1 += 1;
-        }
-        /// One shard's hint slice: (vertex, weight) and (a, b, weight) lists.
-        type HintSlice = (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
-        let mut slices: Vec<HintSlice> =
-            sizes.iter().map(|&(v, e)| (Vec::with_capacity(v), Vec::with_capacity(e))).collect();
-        for vertex in vertices {
-            slices[shard_of(vertex.0, shards) as usize].0.push(vertex);
-        }
-        for edge in edges {
-            slices[shard_of(edge.0, shards) as usize].1.push(edge);
-        }
-        self.hint_keys.clear();
-        self.hint_lens.clear();
-        for (s, (vertices, edges)) in slices.into_iter().enumerate() {
-            if vertices.is_empty() && edges.is_empty() {
-                continue;
-            }
-            let mid = MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq);
-            self.hint_seq += 1;
+        let origin = PARTITION_ORIGIN_BASE + self.partition.0 as u64;
+        let seq = &mut self.hint_seq;
+        self.hints.flush(self.config.oracle_shards, |shard, vertices, edges| {
             eff.push(Effect::Multicast {
-                mid,
+                mid: MsgId::new(origin, *seq),
                 partitions: Vec::new(),
-                oracle: OracleDest::Shard(s as u32),
+                oracle: OracleDest::Shard(shard),
                 payload: Payload::Hint { vertices, edges },
             });
-        }
+            *seq += 1;
+        });
     }
 
     fn pump_create(

@@ -197,13 +197,12 @@ impl<A: Application> ReplicaThread<A> {
         let mut deliveries: std::collections::VecDeque<Delivery<Arc<Payload<A>>>> =
             out.delivered.into();
         while let Some(d) = deliveries.pop_front() {
-            let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
             let now = self.now();
             let effects = {
                 let mut m = self.metrics.lock();
                 match &mut self.role {
-                    Role::Partition(c) => c.on_deliver(payload, now, &mut m),
-                    Role::Oracle(c) => c.on_deliver(payload, now, &mut m),
+                    Role::Partition(c) => c.on_deliver(d.payload, now, &mut m),
+                    Role::Oracle(c) => c.on_deliver(d.payload, now, &mut m),
                 }
             };
             for eff in effects {

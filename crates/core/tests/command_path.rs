@@ -75,6 +75,10 @@ fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
                 payload: Payload::Hint { vertices, edges },
             } => {
                 assert!(partitions.is_empty(), "hints go to the oracle only");
+                // Hint lists are retained as allocated (Paxos log, ARQ
+                // buffers): not a byte of slack.
+                assert_eq!(vertices.capacity(), vertices.len(), "vertex list has slack");
+                assert_eq!(edges.capacity(), edges.len(), "edge list has slack");
                 Some((mid, s, vertices, edges))
             }
             _ => None,
@@ -129,40 +133,60 @@ impl CliqueReference {
     }
 }
 
-/// A seeded stream of overlapping key sets of 1–300 keys out of 320; a
-/// quarter of the commands repeat an earlier set (the hot author posting
-/// again), most are small, some are hubs.
-fn key_sets(seed: u64, commands: usize) -> Vec<Vec<u64>> {
-    const POOL: u64 = 320;
+/// The shape of a command stream: how many commands, drawing keys from
+/// how large a pool, and which share of them (in tenths) are hubs of
+/// 100–300 keys, small sets of 2–20 keys, or — the rest — single keys.
+#[derive(Clone, Copy)]
+struct Stream {
+    commands: usize,
+    batch: u32,
+    pool: u64,
+    hubs: u32,
+    small: u32,
+}
+
+/// The stream the arena was first checked against: 1–300 keys out of 320,
+/// most sets small, some hubs.
+const MIXED: Stream = Stream { commands: 200, batch: 16, pool: 320, hubs: 1, small: 3 };
+
+/// A seeded stream of overlapping key sets; a quarter of the commands
+/// repeat an earlier set (the hot author posting again), and one in twenty
+/// declares no variable at all.
+fn key_sets(seed: u64, stream: Stream) -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sets: Vec<Vec<u64>> = Vec::new();
-    for _ in 0..commands {
+    for _ in 0..stream.commands {
         if !sets.is_empty() && rng.gen_range(0..4) == 0 {
             let again = sets[rng.gen_range(0..sets.len())].clone();
             sets.push(again);
             continue;
         }
-        let size = match rng.gen_range(0..10) {
-            0 => rng.gen_range(100..=300usize),
-            1..=3 => rng.gen_range(2..=20usize),
+        if rng.gen_range(0..20) == 0 {
+            sets.push(Vec::new());
+            continue;
+        }
+        let size = match rng.gen_range(0..10u32) {
+            kind if kind < stream.hubs => rng.gen_range(100..=300usize),
+            kind if kind < stream.hubs + stream.small => rng.gen_range(2..=20usize),
             _ => 1,
         };
         // Declared in random order, possibly with repeats: the command's
         // key set is the sorted distinct keys.
-        sets.push((0..size).map(|_| rng.gen_range(0..POOL)).collect());
+        sets.push((0..size).map(|_| rng.gen_range(0..stream.pool)).collect());
     }
     sets
 }
 
-fn hint_streams_match(shards: u32) {
-    const BATCH: u32 = 16;
-    const COMMANDS: usize = 200;
-    let config = ServerConfig { hint_batch: BATCH, oracle_shards: shards, ..Default::default() };
+/// Drives `stream` through a core and the reference; returns the hints
+/// both agreed on.
+fn hint_streams_match(shards: u32, stream: Stream) -> Vec<Hint> {
+    let Stream { commands, batch, pool, .. } = stream;
+    let config = ServerConfig { hint_batch: batch, oracle_shards: shards, ..Default::default() };
     let mut core = ServerCore::<Keys>::new(PartitionId(3), Mode::Dynastar, config);
-    core.preload((0..320).map(LocKey), (0..320).map(|v| (VarId(v), 0)));
+    core.preload((0..pool).map(LocKey), (0..pool).map(|v| (VarId(v), 0)));
     let mut reference = CliqueReference {
         partition: 3,
-        batch: BATCH,
+        batch,
         shards,
         vertices: BTreeMap::new(),
         edges: BTreeMap::new(),
@@ -171,11 +195,11 @@ fn hint_streams_match(shards: u32) {
     };
     let mut metrics = Metrics::new();
     let (mut got, mut want) = (Vec::new(), Vec::new());
-    for (i, set) in key_sets(0xA11CE + u64::from(shards), COMMANDS).into_iter().enumerate() {
-        if i == COMMANDS / 2 + 5 {
+    for (i, set) in key_sets(0xA11CE + u64::from(shards), stream).into_iter().enumerate() {
+        if i == commands / 2 + 5 {
             // A recovering replica installs a peer's clone mid-batch: the
             // half-filled arena must travel with it.
-            assert_ne!(i as u32 % BATCH, 0, "the snapshot must fall inside a batch");
+            assert_ne!(i as u32 % batch, 0, "the snapshot must fall inside a batch");
             core = core.clone();
         }
         let expected: Vec<(u64, u32)> = set.iter().map(|&v| (v, 3)).collect();
@@ -184,21 +208,47 @@ fn hint_streams_match(shards: u32) {
         want.extend(reference.record(&cmd.keys()));
         got.extend(hints_of(core.on_deliver(payload, NOW, &mut metrics)));
     }
-    let batches = COMMANDS / BATCH as usize;
+    let batches = commands / batch as usize;
     assert!(want.len() >= batches && (shards > 1 || want.len() == batches));
-    let edges: usize = want.iter().map(|h| h.3.len()).sum();
-    assert!(edges > 20_000 * batches / 4, "the stream must contain hub cliques, got {edges}");
     assert_eq!(got, want, "arena and clique accumulator disagree at {shards} shard(s)");
+    got
+}
+
+/// The most distinct keys any one batch of `hints` held (a batch's slices
+/// carry consecutive sequence numbers, so this sums per batch only at one
+/// shard).
+fn widest_batch(hints: &[Hint]) -> usize {
+    hints.iter().map(|h| h.2.len()).max().unwrap_or(0)
 }
 
 #[test]
 fn hint_arena_matches_clique_accumulation_unsharded() {
-    hint_streams_match(1);
+    let hints = hint_streams_match(1, MIXED);
+    let edges: usize = hints.iter().map(|h| h.3.len()).sum();
+    assert!(edges > 20_000 * hints.len() / 4, "the stream must contain hub cliques, got {edges}");
 }
 
 #[test]
 fn hint_arena_matches_clique_accumulation_over_four_shards() {
-    hint_streams_match(4);
+    hint_streams_match(4, MIXED);
+}
+
+/// The accumulator marks touched keys in 64-bit words: batches within one
+/// word, across a few, and past 4 096 distinct keys (64 words), with the
+/// single keys, empty sets and repeated sets of every stream.
+#[test]
+fn hint_arena_matches_clique_accumulation_across_bitset_words() {
+    let narrow = Stream { commands: 96, batch: 16, pool: 48, hubs: 0, small: 6 };
+    let wide = Stream { commands: 96, batch: 48, pool: 6_000, hubs: 9, small: 1 };
+    for shards in [1, 4] {
+        let hints = hint_streams_match(shards, narrow);
+        assert!(widest_batch(&hints) <= 64, "the narrow stream must fit one word");
+        assert!(hints.iter().any(|h| !h.3.is_empty()));
+        hint_streams_match(shards, MIXED);
+        let hints = hint_streams_match(shards, wide);
+        assert!(shards > 1 || widest_batch(&hints) > 4_096, "got {}", widest_batch(&hints));
+    }
+    assert!(widest_batch(&hint_streams_match(1, MIXED)) > 64);
 }
 
 // ---- (b) write-back semantics ----------------------------------------------
@@ -444,4 +494,44 @@ fn single_partition_execution_clones_no_value() {
         (Some(6), Some(10), Some(15), Some(3))
     );
     assert_eq!(stored(4), Some(4), "undeclared neighbours are untouched");
+}
+
+/// Every replica of a lending partition ships the same variables, and the
+/// transport hands each shipment over shared with the sender's
+/// retransmission buffer: the first is copied out, a repeat is dropped on
+/// its dedup key without copying a value.
+#[test]
+fn repeated_borrowed_shipment_clones_no_value() {
+    let mut target =
+        ServerCore::<Counting>::new(PartitionId(0), Mode::Dynastar, Default::default());
+    target.preload([LocKey(0)], [(VarId(1), Counted(1))]);
+    let mut m = Metrics::new();
+    let expected = [(1, 0), (10, 1), (11, 1)];
+    assert!(target
+        .on_deliver(access::<Counting>(0, 1, &expected, 0, false), NOW, &mut m)
+        .is_empty());
+    let shipment = || Direct::<Counting>::VarsForCmd {
+        cmd: MsgId::new(42, 0),
+        attempt: 0,
+        from: PartitionId(1),
+        vars: vec![(VarId(10), Some(Counted(10))), (VarId(11), Some(Counted(11)))],
+    };
+    let shared = shipment();
+    CLONES.set(0);
+    let eff = target.on_direct(&shared, NOW, &mut m);
+    assert!(eff.iter().any(|e| matches!(e, Effect::Send { msg: Direct::Reply { .. }, .. })));
+    assert_eq!(CLONES.get(), 2, "a shared shipment is copied once, when it is first seen");
+    for _ in 0..2 {
+        assert!(target.on_direct(&shared, NOW, &mut m).is_empty(), "a repeat does nothing");
+    }
+    assert_eq!(CLONES.get(), 2, "a repeat must be dropped before it is copied");
+
+    // Handed over for good, a shipment is moved, not copied.
+    let mut owner = ServerCore::<Counting>::new(PartitionId(0), Mode::Dynastar, Default::default());
+    owner.preload([LocKey(0)], [(VarId(1), Counted(1))]);
+    let _ = owner.on_deliver(access::<Counting>(0, 1, &expected, 0, false), NOW, &mut m);
+    CLONES.set(0);
+    let eff = owner.on_direct(shipment(), NOW, &mut m);
+    assert!(eff.iter().any(|e| matches!(e, Effect::Send { msg: Direct::Reply { .. }, .. })));
+    assert_eq!(CLONES.get(), 0);
 }

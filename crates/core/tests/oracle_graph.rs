@@ -1,0 +1,276 @@
+//! The oracle's workload-graph store against a flat reference map.
+//!
+//! `OracleCore` keeps co-access edges in adjacency rows; the reference
+//! below keeps them the obvious way, one ordered map keyed by the pair,
+//! and spells the cap, decay and plan rules out on it. Both are driven
+//! through the same random sequence of hint and digest batches (sorted,
+//! shuffled, endpoints swapped), key deletions, and plan rounds, and must
+//! agree on the graph's size, on what the caps evicted, and on every plan.
+
+use std::collections::BTreeMap;
+
+use dynastar_amcast::MsgId;
+use dynastar_core::metric_names as mn;
+use dynastar_core::oracle::{OracleConfig, OracleCore};
+use dynastar_core::payload::Effect;
+use dynastar_core::{Application, Command, CommandKind, LocKey, PartitionId, Payload, VarId};
+use dynastar_partitioner::{align_labels, partition, GraphBuilder, PartitionConfig, Partitioning};
+use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
+use proptest::prelude::*;
+
+#[derive(Debug)]
+struct App;
+
+impl Application for App {
+    type Op = ();
+    type Value = u64;
+    type Reply = ();
+
+    fn locality(var: VarId) -> LocKey {
+        LocKey(var.0)
+    }
+
+    fn execute(_: &(), _: &mut BTreeMap<VarId, Option<u64>>) {}
+}
+
+const KEYS: u64 = 12;
+const PARTITIONS: u32 = 3;
+const MAX_VERTICES: usize = 7;
+const MAX_EDGES: usize = 9;
+const BALANCE: f64 = 1.2;
+
+type Vertices = Vec<(LocKey, u64)>;
+type Edges = Vec<(LocKey, LocKey, u64)>;
+type Moves = Vec<(LocKey, PartitionId, PartitionId)>;
+
+/// One step of a run.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A hint (or, from another shard, a digest) batch as generated:
+    /// any order, either endpoint first, repeats allowed.
+    Batch { digest: bool, sorted: bool, vertices: Vec<(u64, u64)>, edges: Vec<(u64, u64, u64)> },
+    /// `DeleteKey` of a key, addressed where the key lives or elsewhere.
+    Delete { key: u64, stale: bool },
+    /// Recompute marker, plan timer, plan delivery.
+    Plan,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let weight = 0u64..6;
+    let vertices = prop::collection::vec((0..KEYS, weight.clone()), 0..6);
+    let edges = prop::collection::vec((0..KEYS, 0..KEYS, weight), 0..14);
+    prop_oneof![
+        10 => (0u8..2, 0u8..2, vertices, edges).prop_map(|(digest, sorted, vertices, edges)| {
+            Step::Batch { digest: digest == 1, sorted: sorted == 1, vertices, edges }
+        }),
+        2 => (0..KEYS, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
+        2 => Just(Step::Plan),
+    ]
+}
+
+/// The flat pair map and the rules, written out.
+struct Reference {
+    map: BTreeMap<LocKey, PartitionId>,
+    vertices: BTreeMap<LocKey, u64>,
+    edges: BTreeMap<(LocKey, LocKey), u64>,
+    plan_version: u64,
+    evicted: u64,
+}
+
+/// Over the cap: halve every weight, drop what reaches zero, then evict the
+/// excess lowest-(weight, key) entries.
+fn shrink<K: Ord + Copy>(map: &mut BTreeMap<K, u64>, cap: usize) -> u64 {
+    if map.len() <= cap {
+        return 0;
+    }
+    let before = map.len();
+    halve(map);
+    if map.len() > cap {
+        let mut by_weight: Vec<(u64, K)> = map.iter().map(|(&k, &w)| (w, k)).collect();
+        by_weight.sort_unstable();
+        for (_, k) in &by_weight[..map.len() - cap] {
+            map.remove(k);
+        }
+    }
+    (before - map.len()) as u64
+}
+
+fn halve<K: Ord>(map: &mut BTreeMap<K, u64>) {
+    map.retain(|_, w| {
+        *w /= 2;
+        *w > 0
+    });
+}
+
+impl Reference {
+    fn merge(&mut self, vertices: &Vertices, edges: &Edges) {
+        for &(k, w) in vertices {
+            *self.vertices.entry(k).or_insert(0) += w;
+        }
+        for &(a, b, w) in edges {
+            *self.edges.entry((a.min(b), a.max(b))).or_insert(0) += w;
+        }
+        self.evicted +=
+            shrink(&mut self.vertices, MAX_VERTICES) + shrink(&mut self.edges, MAX_EDGES);
+    }
+
+    fn delete(&mut self, key: LocKey, dest: PartitionId) {
+        if self.map.get(&key) == Some(&dest) {
+            self.map.remove(&key);
+            self.vertices.remove(&key);
+        }
+    }
+
+    /// The full (cold) planning path, then the post-plan decay.
+    fn plan(&mut self) -> (u64, Moves) {
+        let keys: Vec<LocKey> = self.map.keys().copied().collect();
+        let index = |k: &LocKey| keys.binary_search(k).ok().map(|i| i as u32);
+        let weight = |k: &LocKey| self.vertices.get(k).copied().unwrap_or(0);
+        let mut b = GraphBuilder::new();
+        b.add_vertex(keys.len() as u32 - 1);
+        for (i, k) in keys.iter().enumerate() {
+            b.set_vertex_weight(i as u32, 1 + weight(k));
+        }
+        for (&(x, y), &w) in &self.edges {
+            if let (Some(ix), Some(iy), true) = (index(&x), index(&y), w > 0) {
+                b.add_edge(ix, iy, w);
+            }
+        }
+        let g = b.build();
+        let version = self.plan_version + 1;
+        let cfg = PartitionConfig::default().seed(version).balance_factor(BALANCE);
+        let prev = Partitioning::new(PARTITIONS, keys.iter().map(|k| self.map[k].0).collect());
+        let aligned = align_labels(&prev, &partition(&g, PARTITIONS, &cfg));
+        let mut moves: Moves = (0..keys.len())
+            .filter(|&i| prev.part_of(i as u32) != aligned.part_of(i as u32))
+            .map(|i| {
+                let (from, to) = (prev.part_of(i as u32), aligned.part_of(i as u32));
+                (keys[i], PartitionId(from), PartitionId(to))
+            })
+            .collect();
+        moves.sort_by(|x, y| weight(&y.0).cmp(&weight(&x.0)).then(x.0.cmp(&y.0)));
+        halve(&mut self.vertices);
+        halve(&mut self.edges);
+        for &(key, _, to) in &moves {
+            self.map.insert(key, to);
+        }
+        self.plan_version = version;
+        (version, moves)
+    }
+}
+
+fn run(steps: &[Step]) {
+    let placement = || (0..KEYS).map(|k| (LocKey(k), PartitionId((k % PARTITIONS as u64) as u32)));
+    let mut oracle = OracleCore::<App>::new(OracleConfig {
+        partitions: PARTITIONS,
+        // Plans are asked for by the steps, never by the change count.
+        repartition_threshold: u64::MAX,
+        balance_factor: BALANCE,
+        decay_hints: true,
+        max_graph_vertices: MAX_VERTICES,
+        max_graph_edges: MAX_EDGES,
+        warm_start: false,
+        ..OracleConfig::default()
+    });
+    oracle.preload_map(placement());
+    let mut reference = Reference {
+        map: placement().collect(),
+        vertices: BTreeMap::new(),
+        edges: BTreeMap::new(),
+        plan_version: 0,
+        evicted: 0,
+    };
+    let mut m = Metrics::new();
+    let mut now = SimTime::ZERO;
+    for (i, step) in steps.iter().enumerate() {
+        now += SimDuration::from_millis(1);
+        match step {
+            Step::Batch { digest, sorted, vertices, edges } => {
+                let vertices: Vertices = vertices.iter().map(|&(k, w)| (LocKey(k), w)).collect();
+                let mut edges: Edges =
+                    edges.iter().map(|&(a, b, w)| (LocKey(a), LocKey(b), w)).collect();
+                if *sorted {
+                    // What a partition or a shard ships: lower key first,
+                    // in (a, b) order.
+                    for e in &mut edges {
+                        (e.0, e.1) = (e.0.min(e.1), e.0.max(e.1));
+                    }
+                    edges.sort_unstable();
+                }
+                reference.merge(&vertices, &edges);
+                let payload = if *digest {
+                    Payload::GraphDigest { shard: 1, seq: i as u32, vertices, edges }
+                } else {
+                    Payload::Hint { vertices, edges }
+                };
+                let eff = oracle.on_deliver(&payload, now, &mut m);
+                assert!(eff.is_empty(), "the change count must never ask for a plan");
+            }
+            Step::Delete { key, stale } => {
+                let key = LocKey(*key);
+                let home = reference.map.get(&key).copied().unwrap_or(PartitionId(0));
+                let dest = if *stale { PartitionId((home.0 + 1) % PARTITIONS) } else { home };
+                reference.delete(key, dest);
+                let cmd = Command {
+                    id: MsgId::new(7, i as u32),
+                    client: NodeId::from_raw(9),
+                    kind: CommandKind::DeleteKey { key },
+                };
+                let _ = oracle.on_deliver(Payload::DeleteKey { cmd, dest }, now, &mut m);
+            }
+            Step::Plan => {
+                if reference.map.is_empty() {
+                    continue;
+                }
+                let (version, want) = reference.plan();
+                let eff = oracle.on_deliver(Payload::Recompute { version }, now, &mut m);
+                assert!(matches!(eff[..], [Effect::SchedulePlan { .. }]), "got {eff:?}");
+                let eff = oracle.on_plan_timer(now, &mut m);
+                let [Effect::Multicast { payload, .. }] = &eff[..] else {
+                    panic!("the plan timer publishes one plan, got {eff:?}");
+                };
+                let Payload::Plan { version: got_version, moves } = payload else {
+                    panic!("the plan timer publishes a plan, got {payload:?}");
+                };
+                assert_eq!((*got_version, moves), (version, &want), "plan {version} differs");
+                let _ = oracle.on_deliver(payload, now, &mut m);
+                assert_eq!(oracle.plan_version(), version);
+            }
+        }
+        assert_eq!(oracle.graph_edges(), reference.edges.len(), "edges after step {i}: {step:?}");
+        assert_eq!(oracle.graph_vertices(), reference.vertices.len(), "vertices after step {i}");
+        assert_eq!(m.counter(mn::ORACLE_GRAPH_EVICTIONS), reference.evicted, "evicted by step {i}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rows_and_flat_map_agree(steps in prop::collection::vec(step(), 1..60)) {
+        run(&steps);
+    }
+}
+
+/// The shapes the random runs may miss on a given day: a batch that only
+/// repeats one edge under both spellings, a self-loop, and a cap hit by
+/// weight-zero edges alone.
+#[test]
+fn rows_and_flat_map_agree_on_the_corners() {
+    let batch = |sorted, edges: &[(u64, u64, u64)]| Step::Batch {
+        digest: false,
+        sorted,
+        vertices: vec![(3, 2), (3, 1)],
+        edges: edges.to_vec(),
+    };
+    run(&[
+        batch(false, &[(5, 2, 1), (2, 5, 1), (2, 5, 3), (4, 4, 2)]),
+        Step::Plan,
+        batch(true, &(0..KEYS - 1).map(|k| (k, k + 1, 0)).collect::<Vec<_>>()),
+        batch(true, &(0..KEYS - 1).map(|k| (k, k + 1, 3)).collect::<Vec<_>>()),
+        Step::Delete { key: 2, stale: false },
+        Step::Plan,
+        batch(false, &[(11, 0, 5), (0, 11, 5), (7, 1, 1)]),
+        Step::Plan,
+    ]);
+}
