@@ -55,7 +55,16 @@ fn gated_rows_are_present() {
         for policy in ["staged", "stall"] {
             assert_gated(&migration, &[("scenario", scenario), ("policy", policy)], "completed");
         }
-        assert_gated(&migration, &[("scenario", scenario), ("policy", "staged")], "keys_staged");
+        let staged = [("scenario", scenario), ("policy", "staged")];
+        assert_gated(&migration, &staged, "keys_staged");
+        // The second gate: replica 0's share of a plan striped over three
+        // source replicas. The record itself must show the striping (under
+        // `chained_move`'s brownout retransmits are part of the count).
+        assert_gated(&migration, &staged, "chunks_sent");
+        let row = migration.find(&staged).expect("asserted above");
+        let (sent, keys) = (row.f64("chunks_sent").unwrap(), row.f64("keys_staged").unwrap());
+        let share = if scenario == "chained_move" { 0.7 } else { 0.5 };
+        assert!(sent <= share * keys, "{scenario}: {sent} chunks sent for {keys} keys");
     }
 }
 

@@ -196,10 +196,12 @@ fn print_scenario_summary(name: &str, m: &Metrics, p: &Params) {
     println!("retry backoffs     : {}", m.counter(mn::CMD_RETRY_BACKOFF));
     if p.staged {
         println!(
-            "staged migration   : {} keys, {} chunks ({} retried), {} reverts",
+            "staged migration   : {} keys, {} chunks sent by replica 0 ({} retried), {} \
+             duplicates received, {} reverts",
             m.counter(mn::MIGRATION_KEYS_STAGED),
             m.counter(mn::MIGRATION_CHUNKS_SENT),
             m.counter(mn::MIGRATION_CHUNK_RETRIES),
+            m.counter(mn::MIGRATION_CHUNK_DUPS),
             m.counter(mn::MIGRATION_REVERTS),
         );
         println!(

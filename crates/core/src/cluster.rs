@@ -763,6 +763,21 @@ impl<A: Application> Role<A> {
             Role::Oracle(c) => CoreSnapshot::Oracle(c.clone()),
         }
     }
+
+    /// Stamps on the hosted core everything that is this replica's own and
+    /// not its group's: a core is built from a shared config and, after a
+    /// recovery, cloned from a *donor*, whose identity would otherwise come
+    /// along. Every per-replica field goes through here, so a new one
+    /// cannot be forgotten at one of the sites.
+    fn adopt(&mut self, me: MemberId, group_size: usize, record_metrics: bool) {
+        match self {
+            Role::Partition(c) => {
+                c.set_record_metrics(record_metrics);
+                c.set_replica(me.index as u32, group_size as u32);
+            }
+            Role::Oracle(c) => c.set_record_metrics(record_metrics),
+        }
+    }
 }
 
 /// How often a recovering replica re-requests missing peer snapshots.
@@ -852,7 +867,7 @@ impl<A: Application> ServerActor<A> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         member: McastMember<Arc<Payload<A>>>,
-        role: Role<A>,
+        mut role: Role<A>,
         wiring: Wiring<A>,
         tick: SimDuration,
         me: MemberId,
@@ -860,6 +875,7 @@ impl<A: Application> ServerActor<A> {
         group_cfg: GroupConfig,
         record_metrics: bool,
     ) -> Self {
+        role.adopt(me, group_cfg.size, record_metrics);
         ServerActor {
             member,
             role,
@@ -1005,15 +1021,10 @@ impl<A: Application> ServerActor<A> {
             return;
         };
         self.role = match donor_core {
-            CoreSnapshot::Partition(mut c) => {
-                c.set_record_metrics(self.record_metrics);
-                Role::Partition(c)
-            }
-            CoreSnapshot::Oracle(mut c) => {
-                c.set_record_metrics(self.record_metrics);
-                Role::Oracle(c)
-            }
+            CoreSnapshot::Partition(c) => Role::Partition(c),
+            CoreSnapshot::Oracle(c) => Role::Oracle(c),
         };
+        self.role.adopt(self.me, self.group_cfg.size, self.record_metrics);
         self.recovering = false;
         self.recovery_snaps.clear();
         ctx.cancel_timer(timer::RECOVER);
@@ -1589,7 +1600,6 @@ impl<A: Application> ClusterBuilder<A> {
                     cfg.mode,
                     ServerConfig {
                         collect_hints: cfg.mode.optimizes() && cfg.server.collect_hints,
-                        record_metrics: r == 0,
                         exec: cfg.exec,
                         ..cfg.server.clone()
                     },
@@ -1624,7 +1634,8 @@ impl<A: Application> ClusterBuilder<A> {
                     balance_factor: 1.2,
                     decay_hints: true,
                     min_plan_interval: cfg.min_plan_interval,
-                    record_metrics: r == 0,
+                    // Per-replica; `ServerActor::new` stamps it.
+                    record_metrics: true,
                     max_graph_vertices: cfg.max_graph_vertices,
                     max_graph_edges: cfg.max_graph_edges,
                     warm_start: cfg.warm_plans,
@@ -1782,6 +1793,7 @@ mod tests {
     use super::*;
     use crate::command::CommandKind;
     use crate::payload::PAYLOAD_CLONES;
+    use crate::server::CHUNK_SENDS;
     use rand::rngs::StdRng;
     use rand::Rng;
 
@@ -1843,5 +1855,88 @@ mod tests {
         assert!(metrics.counter(metric_names::PLANS_PUBLISHED) >= 1, "no plan: nothing was hinted");
         assert!(metrics.counter(metric_names::CMD_COMPLETED) > 100);
         assert_eq!(PAYLOAD_CLONES.get(), 0, "a delivered payload was deep-copied");
+    }
+
+    /// Every even key with its odd neighbour, which starts on the other
+    /// partition: the first plan moves one key of most pairs.
+    struct Neighbours(u64);
+
+    impl Workload<Bank> for Neighbours {
+        fn next_command(&mut self, _: SimTime, rng: &mut StdRng) -> Option<CommandKind<Bank>> {
+            let key = rng.gen_range(0..self.0) & !1;
+            Some(CommandKind::Access { op: (), vars: vec![VarId(key * 10), VarId(key * 10 + 10)] })
+        }
+    }
+
+    /// A recovering replica installs a *donor's* core. What is the
+    /// replica's own — here its stripe of the migration send order — must
+    /// not come along, or two replicas push one stripe and nobody the
+    /// third until it is stolen.
+    #[test]
+    fn a_recovered_source_replica_resumes_its_own_stripe() {
+        const KEYS: u64 = 240;
+        let mut config = ClusterConfig {
+            partitions: 2,
+            replicas: 3,
+            repartition_threshold: 400,
+            min_plan_interval: SimDuration::from_secs(2),
+            warm_client_caches: true,
+            ..ClusterConfig::default()
+        };
+        config.server = ServerConfig {
+            hint_batch: 8,
+            staged_migration: true,
+            // 62 ms a key: the plan keeps every source link busy for over
+            // a second, the crash and the recovery fall well inside it.
+            migration_var_bytes: 64 * 1024,
+            migration_link_bytes_per_sec: 1024 * 1024,
+            migration_chunk_timeout: SimDuration::from_millis(200),
+            migration_max_retries: 8,
+            ..ServerConfig::default()
+        };
+        let mut builder = ClusterBuilder::<Bank>::new(config);
+        for key in 0..KEYS {
+            builder.place(LocKey(key), PartitionId((key % 2) as u32));
+        }
+        builder.with_vars((0..KEYS).map(|key| (VarId(key * 10), 0)));
+        let mut cluster = builder.build();
+        for _ in 0..4 {
+            cluster.add_client(Neighbours(KEYS));
+        }
+        let sends = || CHUNK_SENDS.with_borrow(|log| log.clone());
+        CHUNK_SENDS.take();
+        while sends().is_empty() {
+            cluster.run_for(SimDuration::from_millis(1));
+            assert!(cluster.sim.now() < SimTime::from_secs(20), "no plan staged a key");
+        }
+        // Replica 1 of the first partition to send goes down mid-stripe.
+        let source = sends()[0].0;
+        let victim = cluster.groups()[source.0 as usize][1];
+        cluster.run_for(SimDuration::from_millis(100));
+        cluster.sim.crash_now(victim);
+        cluster.run_for(SimDuration::from_millis(100));
+        let before = sends().len();
+        cluster.sim.restart_now(victim);
+        cluster.run_for(SimDuration::from_millis(400));
+        assert_eq!(cluster.metrics().counter(metric_names::RECOVERY_COMPLETIONS), 1);
+
+        // What replica 1 of the source sent since it came back: with the
+        // donor's identity there is nothing under its own index. Keys of
+        // other stripes in between are pulled ones — demand goes first on
+        // every replica.
+        let resumed: Vec<LocKey> =
+            sends()[before..].iter().filter(|s| (s.0, s.1) == (source, 1)).map(|s| s.2).collect();
+        let own = resumed.iter().filter(|&&k| crate::routing::shard_of(k, 3) == 1).count();
+        assert!(own >= 3 && own * 2 > resumed.len(), "replica 1 resumes its stripe: {resumed:?}");
+        assert_eq!(crate::routing::shard_of(resumed[0], 3), 1, "{resumed:?}");
+
+        cluster.run_for(SimDuration::from_secs(5));
+        let m = cluster.metrics();
+        assert_eq!(m.counter(metric_names::CMD_FAILED), 0);
+        assert_eq!(m.counter(metric_names::MIGRATION_REVERTS), 0);
+        let views = cluster.location_views();
+        for group in &views {
+            assert!(group.iter().all(|v| v.is_some() && v == &group[0]), "replicas agree");
+        }
     }
 }

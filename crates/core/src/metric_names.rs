@@ -71,6 +71,11 @@ pub const MIGRATION_PULLS: &str = "migration.pulls";
 /// onto the demand-first part of its send order (repeats, and pulls for
 /// keys with no staged transfer there, are not counted).
 pub const MIGRATION_PULL_PROMOTIONS: &str = "migration.pull_promotions";
+/// Counter: staged chunks a destination acknowledged without buffering —
+/// a copy of one it already holds (a second replica of the source sent it
+/// too, or a retransmit), or a stray for a move already settled. The
+/// redundancy striping the send order leaves behind.
+pub const MIGRATION_CHUNK_DUPS: &str = "migration.chunk_dups";
 
 /// Counter: commands admitted to a worker while at least one other command
 /// was still executing (modelled intra-partition parallelism realized).

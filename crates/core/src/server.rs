@@ -27,6 +27,7 @@ use crate::hints::HintArena;
 use crate::metric_names as mn;
 use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
 use crate::payload::{DedupKey, Destination, Direct, Effect, OracleDest, Payload};
+use crate::routing::shard_of;
 
 /// Emits protocol-stall diagnostics to stderr when the
 /// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
@@ -359,7 +360,36 @@ fn transfer_time(cfg: &ServerConfig, vars: usize) -> dynastar_runtime::SimDurati
     )
 }
 
-/// Source-side state of one staged key migration (`(version, key)` keyed).
+/// Names one staged transfer at its source: `(key, plan version)`. Key
+/// first, so the transfers of one key are neighbours in the outbox and a
+/// pull finds the newest without walking the rest.
+type TransferId = (LocKey, u64);
+
+#[cfg(test)]
+thread_local! {
+    /// `(partition, replica index, key)` of every staged chunk a core on
+    /// this thread put on its link — who sent what, which a cluster test
+    /// cannot see through the simulator.
+    pub(crate) static CHUNK_SENDS: std::cell::RefCell<Vec<(PartitionId, u32, LocKey)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The chunk of `key`'s transfer that replica `r` of `n` puts on its link
+/// next. Chunk `i` belongs to replica `(shard_of(key, n) + i) % n`: on its
+/// own walk a replica takes its lowest unacked chunk, on the stealing walk
+/// the highest unacked chunk of a peer.
+fn next_chunk(acked: &[bool], key: LocKey, (r, n): (u32, u32), steal: bool) -> Option<usize> {
+    let first = shard_of(key, n) as usize;
+    let mine = |i: usize| (first + i) % n as usize == r as usize;
+    let mut chunks = acked.iter().enumerate();
+    if steal {
+        chunks.rposition(|(i, &done)| !done && !mine(i))
+    } else {
+        chunks.position(|(i, &done)| !done && mine(i))
+    }
+}
+
+/// Source-side state of one staged key migration ([`TransferId`] keyed).
 /// All chunk data is retained until the migration settles, so a revert can
 /// reinstall the key and a retransmit can resend any chunk.
 struct OutboxEntry<A: Application> {
@@ -564,7 +594,7 @@ pub struct ServerCore<A: Application> {
     planvars_buffer:
         Vec<(u64, LocKey, PartitionId, Vec<(VarId, Option<A::Value>)>, Vec<VarId>, bool)>,
     /// Staged migrations this partition is the source of.
-    outbox: BTreeMap<(u64, LocKey), OutboxEntry<A>>,
+    outbox: BTreeMap<TransferId, OutboxEntry<A>>,
     /// Staged migrations this partition is the destination of.
     staging: BTreeMap<(u64, LocKey), StagedKey<A>>,
     /// Bounded per-key log of plan decisions: `MigrationDone` /
@@ -578,16 +608,21 @@ pub struct ServerCore<A: Application> {
     link_active: BTreeMap<PartitionId, u32>,
     /// Deferred outbox entries per destination, in plan (hottest-first)
     /// order, promoted as slots free up.
-    link_waiting: BTreeMap<PartitionId, VecDeque<(u64, LocKey)>>,
+    link_waiting: BTreeMap<PartitionId, VecDeque<TransferId>>,
     /// The send order of the migration pump: every outbox entry that holds
     /// a link slot (not deferred, not given up). Pulled entries form a
     /// prefix in pull order — the demand FIFO — followed by the rest in
     /// plan/promotion (hottest-first) order; the pump looks at nothing else.
-    active: Vec<(u64, LocKey)>,
+    active: Vec<TransferId>,
     /// When the modelled migration link (one per source replica) has
     /// finished putting the last chunk on the wire. Chunks serialize on
     /// this clock, not on the execution workers'.
     link_free: SimTime,
+    /// This replica's index in its partition's group and the group's size:
+    /// which stripe of the send order is its own (see
+    /// [`ServerCore::pump_migration`]). Like `config.record_metrics` it is
+    /// the replica's own: the host re-stamps both on a clone it installs.
+    replica: (u32, u32),
     /// The modelled execution engine: per-worker busy clocks and the
     /// sliding dependency window (see [`ExecConfig`]).
     exec: ExecScheduler,
@@ -665,6 +700,7 @@ impl<A: Application> Clone for ServerCore<A> {
             link_waiting: self.link_waiting.clone(),
             active: self.active.clone(),
             link_free: self.link_free,
+            replica: self.replica,
             exec: self.exec.clone(),
             name_executed: self.name_executed.clone(),
             name_multi: self.name_multi.clone(),
@@ -711,6 +747,7 @@ impl<A: Application> ServerCore<A> {
             link_waiting: BTreeMap::new(),
             active: Vec::new(),
             link_free: SimTime::ZERO,
+            replica: (0, 1),
             exec: ExecScheduler::new(workers),
             name_executed: mn::partition_executed(partition.0),
             name_multi: mn::partition_multi(partition.0),
@@ -772,6 +809,17 @@ impl<A: Application> ServerCore<A> {
     /// peer's state clone, which carries the *donor's* recording flag.
     pub fn set_record_metrics(&mut self, on: bool) {
         self.config.record_metrics = on;
+    }
+
+    /// Tells this core it is replica `r` of the `n` that replicate its
+    /// partition, so the `n` migration links split a plan's transfers
+    /// between them instead of each pushing all of it. The default,
+    /// `(0, 1)`, is a lone sender. Like the recording flag this is the
+    /// replica's own, not protocol state: re-stamp it after installing a
+    /// peer's clone.
+    pub fn set_replica(&mut self, r: u32, n: u32) {
+        debug_assert!(r < n.max(1), "replica {r} of {n}");
+        self.replica = (r, n.max(1));
     }
 
     /// Seeds initial state before the simulation starts (avoids issuing
@@ -914,7 +962,7 @@ impl<A: Application> ServerCore<A> {
                 // never resolve).
                 let settle = self.history.settle(key, version, from, to, MoveOutcome::Done);
                 if from == self.partition {
-                    self.retire_transfer((version, key), metrics);
+                    self.retire_transfer((key, version), metrics);
                 }
                 if matches!(settle, Settle::Applied { .. }) && to == self.partition {
                     let e = self.staging.entry((version, key)).or_insert_with(|| StagedKey {
@@ -1061,8 +1109,17 @@ impl<A: Application> ServerCore<A> {
                 // for below-floor stragglers too (default-deny), so a
                 // stray can never resurrect a staging entry — the
                 // unconditional ack above is what terminates the sender's
-                // retransmit loop.
-                if !self.history.decided(version, key) || self.staging.contains_key(&k) {
+                // retransmit loop. So is a copy of a chunk already held: a
+                // retransmit, or a peer replica of the source sent it too.
+                let dup = match self.staging.get(&k) {
+                    Some(e) => e.chunks.contains_key(&chunk),
+                    None => self.history.decided(version, key),
+                };
+                if dup {
+                    if self.config.record_metrics {
+                        metrics.incr_counter(mn::MIGRATION_CHUNK_DUPS, 1);
+                    }
+                } else {
                     let e = self.staging.entry(k).or_insert_with(|| StagedKey {
                         from,
                         total: None,
@@ -1091,7 +1148,7 @@ impl<A: Application> ServerCore<A> {
                 }
             }
             Direct::PlanVarsAck { version, key, chunk } => {
-                if let Some(e) = self.outbox.get_mut(&(version, key)) {
+                if let Some(e) = self.outbox.get_mut(&(key, version)) {
                     let i = chunk as usize;
                     if i < e.acked.len() && !e.acked[i] {
                         // Progress (even a late ack of a chunk already
@@ -1984,15 +2041,15 @@ impl<A: Application> ServerCore<A> {
                     let deferred =
                         cap > 0 && self.link_active.get(&to).copied().unwrap_or(0) >= cap;
                     if deferred {
-                        self.link_waiting.entry(to).or_default().push_back((version, key));
+                        self.link_waiting.entry(to).or_default().push_back((key, version));
                     } else {
-                        self.active.push((version, key));
+                        self.active.push((key, version));
                         if cap > 0 {
                             *self.link_active.entry(to).or_insert(0) += 1;
                         }
                     }
                     self.outbox.insert(
-                        (version, key),
+                        (key, version),
                         OutboxEntry {
                             to,
                             chunks,
@@ -2114,7 +2171,7 @@ impl<A: Application> ServerCore<A> {
             unreachable!("pump_revert on non-revert queue entry")
         };
         let (version, key) = (*version, *key);
-        let Some(e) = self.retire_transfer((version, key), metrics) else {
+        let Some(e) = self.retire_transfer((key, version), metrics) else {
             return true; // already dismantled (e.g. by a racing Done)
         };
         let owner = self.history.resolved_owner_versioned(key);
@@ -2167,7 +2224,7 @@ impl<A: Application> ServerCore<A> {
     /// in-flight slot on that link and promotes waiting deferred transfers
     /// (oldest = hottest first) into free slots, at the end of the send
     /// order. Without a per-link cap there are no slots to pass on.
-    fn release_link_slot(&mut self, k: (u64, LocKey), to: PartitionId, metrics: &mut Metrics) {
+    fn release_link_slot(&mut self, k: TransferId, to: PartitionId, metrics: &mut Metrics) {
         self.active.retain(|&a| a != k);
         let cap = self.config.migration_max_inflight_per_link;
         if cap == 0 {
@@ -2203,11 +2260,7 @@ impl<A: Application> ServerCore<A> {
     /// Dismantles a settled staged transfer: the entry leaves the outbox
     /// and, unless it never held a link slot or gave it up earlier, the
     /// send order.
-    fn retire_transfer(
-        &mut self,
-        k: (u64, LocKey),
-        metrics: &mut Metrics,
-    ) -> Option<OutboxEntry<A>> {
+    fn retire_transfer(&mut self, k: TransferId, metrics: &mut Metrics) -> Option<OutboxEntry<A>> {
         let e = self.outbox.remove(&k)?;
         if !e.deferred && !e.gave_up {
             self.release_link_slot(k, e.to, metrics);
@@ -2262,9 +2315,9 @@ impl<A: Application> ServerCore<A> {
         // Newest plan first: an older entry for the key is a superseded move.
         let Some((&k, e)) = self
             .outbox
-            .iter_mut()
+            .range_mut((key, 0)..=(key, u64::MAX))
             .rev()
-            .find(|(&(_, key_of), e)| key_of == key && e.to == to && !e.pulled && !e.gave_up)
+            .find(|(_, e)| e.to == to && !e.pulled && !e.gave_up)
         else {
             return;
         };
@@ -2276,21 +2329,37 @@ impl<A: Application> ServerCore<A> {
         } else {
             self.active.retain(|&a| a != k);
         }
-        let outbox = &self.outbox;
-        let at = self.active.iter().position(|a| outbox.get(a).is_none_or(|e| !e.pulled));
-        self.active.insert(at.unwrap_or(self.active.len()), k);
+        self.active.insert(self.pulled_len(), k);
         if self.config.record_metrics {
             metrics.incr_counter(mn::MIGRATION_PULL_PROMOTIONS, 1);
         }
+    }
+
+    /// Length of the pulled prefix of the send order.
+    fn pulled_len(&self) -> usize {
+        let pulled = |k| self.outbox.get(k).is_some_and(|e| e.pulled);
+        self.active.iter().position(|k| !pulled(k)).unwrap_or(self.active.len())
     }
 
     /// Drives the staged migrations this partition is the source of, from
     /// the send order alone: times out unacked chunks (exponential
     /// backoff, give-up and revert once retries are exhausted — which
     /// frees the link slot for a deferred transfer), then puts chunks on
-    /// the migration link, one at a time and first in send order first.
-    /// A timed-out chunk is resent through the same link. The link clock
-    /// is this pump's own: no chunk ever occupies an execution worker.
+    /// the migration link, one at a time. A timed-out chunk is resent
+    /// through the same link. The link clock is this pump's own: no chunk
+    /// ever occupies an execution worker.
+    ///
+    /// Which chunk goes next is *striped* over the partition's replicas,
+    /// whose links would otherwise all carry the same chunks. A chunk's
+    /// stripe is a function of its key and index ([`next_chunk`]), never of
+    /// its position: pulls arrive outside the total order, so the pulled
+    /// prefix is ordered differently at each replica. A replica walks its
+    /// own stripe front to back, then *steals* from its peers' stripes back
+    /// to front — first over the pulled prefix (demand never waits for
+    /// "its" replica), then over the background. Nothing coordinates the
+    /// walkers but the acks, which every destination replica sends to every
+    /// source replica: a peer that is down or slow costs time, not
+    /// completion, and two walkers send the same chunk only where they meet.
     /// Returns the earliest future instant at which the pump needs to run
     /// again (always `> now`: past-due work was just handled).
     fn pump_migration(
@@ -2310,7 +2379,7 @@ impl<A: Application> ServerCore<A> {
             *slot = Some(slot.map_or(at, |cur| cur.min(at)));
         };
 
-        let mut gave_up: Vec<((u64, LocKey), PartitionId)> = Vec::new();
+        let mut gave_up: Vec<(TransferId, PartitionId)> = Vec::new();
         for &k in &self.active {
             let Some(e) = self.outbox.get_mut(&k) else { continue };
             if e.in_flight.is_none() {
@@ -2332,7 +2401,7 @@ impl<A: Application> ServerCore<A> {
         }
         for (k, to) in gave_up {
             self.release_link_slot(k, to, metrics);
-            let (version, key) = k;
+            let (key, version) = k;
             eff.push(Effect::Multicast {
                 mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
                 partitions: vec![me, to],
@@ -2341,40 +2410,55 @@ impl<A: Application> ServerCore<A> {
             });
         }
 
-        for &(version, key) in &self.active {
-            let Some(e) = self.outbox.get_mut(&(version, key)) else { continue };
-            if e.in_flight.is_some() {
-                continue;
-            }
-            let Some(i) = e.acked.iter().position(|&a| !a) else {
-                continue; // all chunks acked; awaiting the MigrationDone
-            };
-            if now < self.link_free {
-                due(&mut next_due, self.link_free);
-                break;
-            }
-            let transfer = transfer_time(&self.config, e.chunks[i].len());
-            self.link_free = now + transfer;
-            e.in_flight = Some(i);
-            e.deadline = now + transfer + e.backoff;
-            eff.push(Effect::Send {
-                to: Destination::Partition(e.to),
-                msg: Direct::PlanVarsChunk {
-                    version,
-                    key,
-                    from: me,
-                    chunk: i as u32,
-                    total: e.chunks.len() as u32,
-                    vars: e.chunks[i].clone(),
-                },
-            });
-            if let Some(ids) = ids {
-                metrics.incr(ids.migration_chunks_sent, 1);
-                if e.attempts > 0 {
-                    metrics.incr(ids.migration_chunk_retries, 1);
+        // The pulled prefix, then the background; within each, this
+        // replica's stripe front to back, then its peers' back to front.
+        let (r, n) = self.replica;
+        let pulled = self.pulled_len();
+        'link: for class in [0..pulled, pulled..self.active.len()] {
+            for steal in [false, true] {
+                if steal && n == 1 {
+                    continue; // a lone sender has no peer to steal from
+                }
+                for j in 0..class.len() {
+                    let at = if steal { class.end - 1 - j } else { class.start + j };
+                    let (key, version) = self.active[at];
+                    let Some(e) = self.outbox.get_mut(&(key, version)) else { continue };
+                    if e.in_flight.is_some() {
+                        continue;
+                    }
+                    let Some(i) = next_chunk(&e.acked, key, (r, n), steal) else {
+                        continue; // nothing left here for this walk
+                    };
+                    if now < self.link_free {
+                        due(&mut next_due, self.link_free);
+                        break 'link;
+                    }
+                    #[cfg(test)]
+                    CHUNK_SENDS.with_borrow_mut(|log| log.push((me, r, key)));
+                    let transfer = transfer_time(&self.config, e.chunks[i].len());
+                    self.link_free = now + transfer;
+                    e.in_flight = Some(i);
+                    e.deadline = now + transfer + e.backoff;
+                    eff.push(Effect::Send {
+                        to: Destination::Partition(e.to),
+                        msg: Direct::PlanVarsChunk {
+                            version,
+                            key,
+                            from: me,
+                            chunk: i as u32,
+                            total: e.chunks.len() as u32,
+                            vars: e.chunks[i].clone(),
+                        },
+                    });
+                    if let Some(ids) = ids {
+                        metrics.incr(ids.migration_chunks_sent, 1);
+                        if e.attempts > 0 {
+                            metrics.incr(ids.migration_chunk_retries, 1);
+                        }
+                    }
+                    due(&mut next_due, e.deadline);
                 }
             }
-            due(&mut next_due, e.deadline);
         }
         next_due
     }
@@ -3412,6 +3496,288 @@ mod tests {
         assert_eq!((replies, dst.queue_len()), (3, 0));
         assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 0);
         assert!(src.on_wake(SimTime::from_secs(10), &mut m).is_empty(), "outbox dismantled");
+    }
+
+    // ---- striping a transfer over the source's replicas ---------------------
+
+    /// The three replicas of source partition 0 and one replica of
+    /// destination partition 1, wired by hand: a chunk any source puts on
+    /// the wire reaches the destination, whose ack reaches every *live*
+    /// source and whose `MigrationDone` is delivered everywhere.
+    struct Striped {
+        src: Vec<ServerCore<App>>,
+        dst: ServerCore<App>,
+        m: Metrics,
+        /// Replicas that pump and hear acks; the others are down.
+        live: Vec<usize>,
+        /// Whether chunks reach the destination (and so get acked).
+        wire_up: bool,
+        /// `(key, chunk)` of every send, per source replica, in order.
+        sent: Vec<Vec<(u64, u32)>>,
+    }
+
+    impl Striped {
+        /// Source replicas owning `keys` with `vars_per_key` variables
+        /// each, one variable per chunk, on fig9's link.
+        fn new(keys: std::ops::Range<u64>, vars_per_key: u64) -> Self {
+            let core = |p: u32| {
+                let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, linked_config(0));
+                if p == 0 {
+                    let vars =
+                        keys.clone().flat_map(|k| (0..vars_per_key).map(move |v| k * 10 + v));
+                    s.preload(keys.clone().map(LocKey), vars.map(|v| (VarId(v), v as i64)));
+                }
+                s
+            };
+            let src = (0..3)
+                .map(|r| {
+                    let mut s = core(0);
+                    s.set_replica(r, 3);
+                    s
+                })
+                .collect();
+            Striped {
+                src,
+                dst: core(1),
+                m: Metrics::new(),
+                live: vec![0, 1, 2],
+                wire_up: true,
+                sent: vec![Vec::new(); 3],
+            }
+        }
+
+        /// Runs `step` on every live source replica — all of them before
+        /// any ack of this round is back, as replicas running side by side
+        /// do — then carries what they sent.
+        fn sources(
+            &mut self,
+            at: SimTime,
+            step: impl Fn(&mut ServerCore<App>, &mut Metrics) -> Vec<Effect<App>>,
+        ) {
+            let effs =
+                self.live.iter().map(|&r| (r, step(&mut self.src[r], &mut self.m))).collect();
+            self.carry(effs, at);
+        }
+
+        /// Applies `plan` everywhere at `now()`.
+        fn apply(&mut self, plan: Payload<App>) {
+            let _ = self.dst.on_deliver(plan.clone(), now(), &mut self.m);
+            self.sources(now(), |s, m| s.on_deliver(plan.clone(), now(), m));
+        }
+
+        /// Delivers `msg` to every live source replica.
+        fn tell_sources(&mut self, msg: Direct<App>, at: SimTime) {
+            self.sources(at, |s, m| s.on_direct(msg.clone(), at, m));
+        }
+
+        /// Every live source pumps at `at`.
+        fn round(&mut self, at: SimTime) {
+            self.sources(at, |s, m| s.on_wake(at, m));
+        }
+
+        /// Rounds one chunk wire time apart, from `first`.
+        fn rounds(&mut self, first: u64, count: u64) {
+            for i in first..first + count {
+                self.round(now() + CHUNK_WIRE_TIME.saturating_mul(i));
+            }
+        }
+
+        fn carry(&mut self, mut effs: Vec<(usize, Vec<Effect<App>>)>, at: SimTime) {
+            while let Some((r, eff)) = effs.pop() {
+                for e in eff {
+                    let Effect::Send { msg: msg @ Direct::PlanVarsChunk { .. }, .. } = e else {
+                        continue;
+                    };
+                    if let Direct::PlanVarsChunk { key, chunk, .. } = &msg {
+                        self.sent[r].push((key.0, *chunk));
+                    }
+                    if !self.wire_up {
+                        continue;
+                    }
+                    let eff = self.dst.on_direct(msg, at, &mut self.m);
+                    let ack = ack_of(&eff).expect("every chunk is acked");
+                    let done = done_of(&eff);
+                    for &r in &self.live.clone() {
+                        effs.push((r, self.src[r].on_direct(ack.clone(), at, &mut self.m)));
+                        if let Some(done) = &done {
+                            effs.push((r, self.src[r].on_deliver(done.clone(), at, &mut self.m)));
+                        }
+                    }
+                    if let Some(done) = done {
+                        let _ = self.dst.on_deliver(done, at, &mut self.m);
+                    }
+                }
+            }
+        }
+
+        /// Every key's send count, over all replicas.
+        fn sends_per_chunk(&self) -> BTreeMap<(u64, u32), usize> {
+            let mut n = BTreeMap::new();
+            for &c in self.sent.iter().flatten() {
+                *n.entry(c).or_insert(0) += 1;
+            }
+            n
+        }
+    }
+
+    /// The stripe (= replica) that owns chunk 0 of `key` in a group of 3.
+    fn stripe(key: u64) -> usize {
+        shard_of(LocKey(key), 3) as usize
+    }
+
+    #[test]
+    fn three_replicas_split_a_plan_and_every_chunk_crosses_once() {
+        let mut t = Striped::new(0..30, 1);
+        t.wire_up = false;
+        t.apply(plan_moving(0..30));
+        // First round, no ack seen yet: each replica opened its own stripe
+        // at that stripe's hottest key, so the three sends are disjoint.
+        for r in 0..3 {
+            let first = (0..30).find(|&k| stripe(k) == r).expect("30 keys hit every stripe");
+            assert_eq!(t.sent[r], [(first, 0)], "replica {r}");
+        }
+        // With acks flowing, a third of the rounds a lone link would need
+        // move everything and no chunk crosses twice: the replica with the
+        // shortest stripe spends its last round on the tail of the longest.
+        let mut t = Striped::new(0..30, 1);
+        t.apply(plan_moving(0..30));
+        t.rounds(1, 9);
+        let sends = t.sends_per_chunk();
+        assert_eq!(sends.len(), 30);
+        assert!(sends.values().all(|&n| n == 1), "{sends:?}");
+        for (r, sent) in t.sent.iter().enumerate() {
+            assert_eq!(sent.len(), 10, "replica {r} carried a third");
+            let own = sent.iter().take_while(|&&(k, _)| stripe(k) == r).count();
+            assert!(sent[..own].windows(2).all(|w| w[0] < w[1]), "replica {r}: hottest first");
+            let stolen: Vec<u64> = sent[own..].iter().map(|&(k, _)| k).collect();
+            let coldest_first = stolen.windows(2).all(|w| w[0] > w[1]);
+            assert!(stolen.iter().all(|&k| stripe(k) != r) && coldest_first, "replica {r}");
+        }
+        assert_eq!(t.sent[1].last(), Some(&(29, 0)), "stolen from the tail");
+        assert_eq!(t.m.counter(mn::MIGRATION_CHUNK_DUPS), 0);
+        assert!((0..30).all(|k| t.dst.owns(LocKey(k)) && t.dst.value_of(VarId(k * 10)).is_some()));
+        t.round(SimTime::from_secs(10));
+        assert_eq!(t.sends_per_chunk().len(), 30, "every outbox is dismantled");
+    }
+
+    #[test]
+    fn a_pulled_key_precedes_the_background_on_every_replica() {
+        // The acks are lost, so each replica shows its whole order. The
+        // pulled key is on one replica's stripe and is everyone's second
+        // send (the first left with the plan, before the pull).
+        let mut t = Striped::new(0..30, 1);
+        t.wire_up = false;
+        t.apply(plan_moving(0..30));
+        let wanted = 29; // the coldest key
+        t.tell_sources(pull(wanted, 1), now());
+        t.rounds(1, 3);
+        for (r, sent) in t.sent.iter().enumerate() {
+            assert_eq!(sent[1], (wanted, 0), "replica {r}: {sent:?}");
+            // Then the background: the rest of its own stripe, in order.
+            assert!(sent[2..].iter().all(|&(k, _)| stripe(k) == r), "replica {r}: {sent:?}");
+        }
+    }
+
+    #[test]
+    fn two_replicas_finish_a_plan_when_the_third_never_sends() {
+        let mut t = Striped::new(0..30, 1);
+        let down = stripe(0);
+        t.live.retain(|&r| r != down);
+        t.apply(plan_moving(0..30));
+        t.rounds(1, 29);
+        let orphans: Vec<u64> = (0..30).filter(|&k| stripe(k) == down).collect();
+        assert!(t.sent[down].is_empty());
+        assert!((0..30).all(|k| t.dst.value_of(VarId(k * 10)).is_some()), "every key arrived");
+        // The survivors took the orphaned stripe from its tail, after
+        // their own. Pumping side by side they can both pick the same
+        // orphan; that is the only redundancy.
+        for &r in &t.live {
+            let stolen: Vec<u64> =
+                t.sent[r].iter().map(|&(k, _)| k).filter(|&k| stripe(k) != r).collect();
+            assert!(stolen.iter().all(|k| orphans.contains(k)), "replica {r} stole {stolen:?}");
+            assert!(stolen.windows(2).all(|w| w[0] > w[1]), "coldest first: {stolen:?}");
+            let own = t.sent[r].iter().take_while(|&&(k, _)| stripe(k) == r).count();
+            assert_eq!(own + stolen.len(), t.sent[r].len(), "own stripe first");
+        }
+        let dups = t.m.counter(mn::MIGRATION_CHUNK_DUPS);
+        assert!(dups <= orphans.len() as u64, "{dups} duplicates for {} orphans", orphans.len());
+        assert_eq!(t.m.counter(mn::MIGRATION_CHUNKS_SENT), 30 + dups);
+        assert_eq!(t.m.counter(mn::MIGRATION_CHUNK_RETRIES), 0);
+    }
+
+    #[test]
+    fn the_chunks_of_one_big_key_spread_over_the_three_links() {
+        // Nine chunks (the test application keeps ten variables to a key).
+        let mut t = Striped::new(0..1, 9);
+        t.apply(plan_moving(0..1));
+        t.rounds(1, 2);
+        let first = stripe(0);
+        for (r, sent) in t.sent.iter().enumerate() {
+            let lowest = ((r + 3 - first) % 3) as u32;
+            assert_eq!(sent, &[(0, lowest), (0, lowest + 3), (0, lowest + 6)], "replica {r}");
+        }
+        assert_eq!(t.m.counter(mn::MIGRATION_CHUNK_DUPS), 0);
+        assert_eq!(t.dst.value_of(VarId(8)), Some(&8));
+    }
+
+    #[test]
+    fn a_clone_keeps_the_stripe_until_it_is_restamped() {
+        let mut t = Striped::new(0..12, 1);
+        t.wire_up = false;
+        t.apply(plan_moving(0..12));
+        let at = now() + CHUNK_WIRE_TIME;
+        let mut m = Metrics::new();
+        // What a recovering replica 2 installs from donor 0 …
+        let mut installed = t.src[0].clone();
+        let as_donor = chunk_keys(&installed.clone().on_wake(at, &mut m));
+        assert_eq!(as_donor, chunk_keys(&t.src[0].clone().on_wake(at, &mut m)));
+        // … sends replica 2's stripe once the host has said who it is
+        // (replica 2's own first chunk is unacked: it goes again later).
+        installed.set_replica(2, 3);
+        let own = chunk_keys(&installed.on_wake(at, &mut m));
+        assert!(own.iter().all(|&k| stripe(k) == 2) && own != as_donor, "{own:?} vs {as_donor:?}");
+    }
+
+    #[test]
+    fn a_lone_replica_sends_in_the_send_order_lowest_chunk_first() {
+        // No stripe, nothing to steal: pulled prefix, then plan order, each
+        // transfer's lowest unacked chunk — with or without `set_replica`.
+        let run = |stamp: bool| {
+            let mut src = ServerCore::<App>::new(PartitionId(0), Mode::Dynastar, linked_config(0));
+            src.preload(
+                (0..4).map(LocKey),
+                (0..4).flat_map(|k| [k * 10, k * 10 + 1]).map(|v| (VarId(v), 0)),
+            );
+            if stamp {
+                src.set_replica(0, 1);
+            }
+            let mut m = Metrics::new();
+            let mut sent = Vec::new();
+            let mut log = |eff: Vec<Effect<App>>| {
+                for e in eff {
+                    if let Effect::Send { msg: Direct::PlanVarsChunk { key, chunk, .. }, .. } = e {
+                        sent.push((key.0, chunk));
+                    }
+                }
+            };
+            log(src.on_deliver(plan_moving(0..4), now(), &mut m));
+            log(src.on_direct(pull(2, 1), now(), &mut m));
+            for i in 1..4 {
+                log(src.on_wake(now() + CHUNK_WIRE_TIME.saturating_mul(i), &mut m));
+            }
+            let at = now() + CHUNK_WIRE_TIME.saturating_mul(4);
+            for key in 0..4 {
+                let ack = Direct::PlanVarsAck { version: PLAN_V1, key: LocKey(key), chunk: 0 };
+                log(src.on_direct(ack, at, &mut m));
+            }
+            for i in 5..8 {
+                log(src.on_wake(now() + CHUNK_WIRE_TIME.saturating_mul(i), &mut m));
+            }
+            sent
+        };
+        let expected = [(0, 0), (2, 0), (1, 0), (3, 0), (0, 1), (2, 1), (1, 1), (3, 1)];
+        assert_eq!(run(false), expected);
+        assert_eq!(run(true), expected);
     }
 
     /// Drives one `ServerCore` through a fixed delivered sequence of mixed

@@ -379,6 +379,7 @@ impl<A: Application> ThreadedCluster<A> {
                             ..ServerConfig::default()
                         },
                     );
+                    core.set_replica(r as u32, config.replicas as u32);
                     core.preload(
                         placement.iter().filter(|&&(_, p)| p.0 as usize == g).map(|&(kk, _)| kk),
                         vars_by_part[g].iter().cloned(),

@@ -10,7 +10,8 @@
 //! between two completions anywhere in the cluster was 75–95 % of that.
 //! With the link on its own clock and pulled keys sent first it is the
 //! time a hub post waits for its followers' keys — bandwidth, not
-//! scheduling.
+//! scheduling — and with the send order striped over a source's replicas
+//! that bandwidth is three links', not one link's three times over.
 
 use std::sync::{Arc, Mutex};
 
@@ -114,9 +115,21 @@ fn cluster(seed: u64) -> (Cluster<Chirper>, Arc<Mutex<Vec<SimTime>>>) {
     (cluster, completions)
 }
 
-#[test]
-fn a_plan_moving_most_keys_does_not_stop_the_foreground() {
+/// Runs the deployment across its one plan — with replica `1 + p % 2` of
+/// every partition `p` crashed a second before it when `one_down` — and
+/// returns the longest stretch without a completion anywhere and the link
+/// time one source needs for its share of the moved keys. Asserts what
+/// both variants must keep: nothing fails, nothing reverts, and the move
+/// completes on every live replica.
+fn longest_gap_across_the_plan(one_down: bool) -> (SimDuration, SimDuration) {
     let (mut cluster, completions) = cluster(11);
+    let down: Vec<_> = (0..PARTITIONS as usize)
+        .filter(|_| one_down)
+        .map(|p| cluster.groups()[p][1 + p % 2])
+        .collect();
+    for &node in &down {
+        cluster.sim.schedule_crash(SimTime::from_secs(1), node);
+    }
     cluster.run_for(SimDuration::from_millis(3_900));
 
     let m = cluster.metrics();
@@ -124,6 +137,7 @@ fn a_plan_moving_most_keys_does_not_stop_the_foreground() {
     let moved = m.counter(mn::MIGRATION_KEYS_STAGED);
     assert!(moved * 2 >= USERS as u64, "the plan moves at least half the keys: {moved}");
     assert_eq!(m.counter(mn::MIGRATION_REVERTS), 0);
+    assert_eq!(m.counter(mn::MIGRATION_CHUNK_RETRIES), 0);
     assert_eq!(m.counter(mn::CMD_FAILED), 0, "stale routing retries, never surfaces");
     assert!(m.counter(mn::MIGRATION_PULL_PROMOTIONS) > 0, "waiting commands pulled their keys");
 
@@ -139,22 +153,49 @@ fn a_plan_moving_most_keys_does_not_stop_the_foreground() {
     let link_time_per_source = SimDuration::from_micros(
         moved / u64::from(PARTITIONS) * VAR_BYTES * 1_000_000 / LINK_BYTES_PER_SEC,
     );
-    assert!(
-        longest_gap.as_micros() * 100 < link_time_per_source.as_micros() * 40,
-        "longest completion gap {longest_gap:?} vs {link_time_per_source:?} of link time per source"
-    );
 
-    // The move itself completed: every replica of a group reports the same
-    // view, and the partitions' union is the oracle's map.
+    // The move itself completed: every live replica of a group reports the
+    // same view, and the partitions' union is the oracle's map.
     let views = cluster.location_views();
     let (oracle, partitions) = views.split_last().expect("oracle group is last");
     let mut union: Vec<(u64, u32)> = Vec::new();
     for (p, group) in partitions.iter().enumerate() {
         let first = group[0].as_ref().expect("no replica is recovering");
-        assert!(group.iter().all(|v| v.as_ref() == Some(first)), "partition {p} replicas agree");
+        let live = cluster.groups()[p].iter().zip(group).filter(|(n, _)| !down.contains(n));
+        assert!(live.clone().count() >= 2, "a quorum of partition {p} is up");
+        assert!(live.clone().all(|(_, v)| v.as_ref() == Some(first)), "partition {p} agrees");
         assert!(first.iter().all(|&(_, at)| at == p as u32));
         union.extend(first);
     }
     union.sort_unstable();
     assert_eq!(Some(&union), oracle[0].as_ref(), "partition union == oracle map");
+    (longest_gap, link_time_per_source)
+}
+
+/// `gap` as a percentage of `link_time`.
+fn percent(gap: SimDuration, link_time: SimDuration) -> u64 {
+    gap.as_micros() * 100 / link_time.as_micros()
+}
+
+#[test]
+fn a_plan_moving_most_keys_does_not_stop_the_foreground() {
+    // Measured 54 ms of 844 ms (6 %); 141 ms (17 %) while the three
+    // replicas of a source all pushed the same chunks in the same order.
+    let (gap, link_time) = longest_gap_across_the_plan(false);
+    assert!(
+        percent(gap, link_time) < 10,
+        "longest completion gap {gap:?} vs {link_time:?} of link time per source"
+    );
+}
+
+#[test]
+fn with_a_replica_of_every_source_down_the_other_two_carry_its_stripe() {
+    // Measured 132 ms of 836 ms (16 %): two links instead of three, and
+    // the orphaned stripe waits until a survivor has finished its own.
+    // Still under the bound the healthy cluster had before striping.
+    let (gap, link_time) = longest_gap_across_the_plan(true);
+    assert!(
+        percent(gap, link_time) < 40,
+        "longest completion gap {gap:?} vs {link_time:?} of link time per source"
+    );
 }

@@ -421,6 +421,88 @@ fn crash_wave_mid_migration_converges() {
     assert!(check::<CounterSpec>(&recorded, BTreeMap::new()), "history not linearizable");
 }
 
+/// A source replica crashes in the middle of its stripe of a staged plan
+/// and comes back while the plan is still moving. Its peers' links carry
+/// on, its own stripe waits to be stolen or resumed, and nothing a client
+/// can see depends on which: every command completes, the history is
+/// linearizable, no transfer gives up.
+#[test]
+fn source_replica_crash_mid_stripe_costs_time_not_completion() {
+    const KEYS: u64 = 48;
+    let config = ClusterConfig {
+        partitions: 2,
+        replicas: 3,
+        mode: Mode::Dynastar,
+        seed: 23,
+        repartition_threshold: 20,
+        min_plan_interval: SimDuration::from_secs(1),
+        server: dynastar_core::server::ServerConfig {
+            hint_batch: 4,
+            staged_migration: true,
+            // A quarter of a second per key on the wire: a plan of a dozen
+            // keys keeps three links busy across the crash and the restart.
+            migration_var_bytes: 256 * 1024,
+            migration_link_bytes_per_sec: 1024 * 1024,
+            migration_chunk_timeout: SimDuration::from_millis(200),
+            migration_max_retries: 8,
+            ..Default::default()
+        },
+        exec: dynastar_core::ExecConfig::serial(SimDuration::from_millis(60)),
+        warm_client_caches: true,
+        client_timeout: SimDuration::from_secs(3),
+        client_retry_backoff: SimDuration::from_millis(2),
+        ..ClusterConfig::default()
+    };
+    let mut b = ClusterBuilder::new(config);
+    for v in 0..KEYS {
+        b.place(LocKey(v), PartitionId((v % 2) as u32));
+        b.with_var(VarId(v), 0);
+    }
+    let mut cluster = b.build();
+    let history: History = Arc::new(Mutex::new(Vec::new()));
+    for _ in 0..3 {
+        cluster.add_client(Recorder {
+            vars: KEYS,
+            remaining: 21,
+            multi_pct: 80,
+            history: Arc::clone(&history),
+            issued_at: SimTime::ZERO,
+        });
+    }
+
+    let counter = |c: &dynastar_core::Cluster<Counters>, name| c.metrics().counter(name);
+    while counter(&cluster, metric_names::MIGRATION_KEYS_STAGED) == 0 {
+        cluster.run_for(SimDuration::from_millis(10));
+        assert!(cluster.sim.now() < SimTime::from_secs(30), "no plan staged a key");
+    }
+    cluster.run_for(SimDuration::from_millis(300));
+    let victims = [cluster.groups()[0][1], cluster.groups()[1][2]];
+    let sent_before = counter(&cluster, metric_names::MIGRATION_CHUNKS_SENT);
+    for v in victims {
+        cluster.sim.crash_now(v);
+    }
+    cluster.run_for(SimDuration::from_millis(400));
+    for v in victims {
+        cluster.sim.restart_now(v);
+    }
+    cluster.run_for(SimDuration::from_secs(120));
+
+    let m = cluster.metrics();
+    assert!(
+        m.counter(metric_names::MIGRATION_CHUNKS_SENT) > sent_before,
+        "the crash fell inside the plan's transfers"
+    );
+    assert_eq!(m.counter(metric_names::RECOVERY_COMPLETIONS), 2);
+    assert_eq!(m.counter(metric_names::MIGRATION_REVERTS), 0);
+    assert_eq!(m.counter(metric_names::CMD_FAILED), 0);
+    let recorded = history.lock().unwrap().clone();
+    assert_eq!(recorded.len(), 3 * 21, "not all commands completed");
+    assert!(check::<CounterSpec>(&recorded, BTreeMap::new()), "history not linearizable");
+    for group in cluster.location_views() {
+        assert!(group.iter().all(|v| v.is_some() && v == &group[0]), "replicas agree");
+    }
+}
+
 /// Fixed seed, no faults: every batch size yields a complete linearizable
 /// history and two runs of the same configuration are identical — batching
 /// changes scheduling, never determinism or safety.
