@@ -1,0 +1,895 @@
+//! The sans-io host of a protocol core: everything between "a message
+//! body arrived / a timer fired" and "these bodies go out, these timers
+//! are armed", written once for both deployments.
+//!
+//! A [`ReplicaHost`] is the paper's process model — multicast member →
+//! deliver → execute → emit — around either core ([`Role`]); a
+//! [`ClientHost`] is the client-side twin. Neither knows a transport, a
+//! clock or a thread: the driver hands in a [`Port`] and the host calls it
+//! in place, in effect order, so the simulated schedule is a function of
+//! the cores alone. `cluster.rs` drives hosts from the simulator,
+//! `threaded.rs` from OS threads.
+//!
+//! Topology convention: partitions `0..k` are multicast groups `0..k`; the
+//! `O` oracle shards are groups `k..k+O` (shard `s` is group `k+s`; the
+//! default `O = 1` reproduces the single-oracle deployment exactly). Every
+//! group has the same replica count (the paper gives the oracle the same
+//! resources as every partition), and replica nodes are numbered
+//! group-major from 0.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use dynastar_amcast::{
+    Delivery, GroupId, McastMember, McastOutput, McastWire, MemberId, MemberSnapshot, MsgId,
+    Topology,
+};
+use dynastar_paxos::{Ballot, GroupConfig};
+use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
+
+use crate::client::{ClientCore, ClientEvent};
+use crate::command::{Application, CommandKind, PartitionId};
+use crate::metric_names;
+use crate::oracle::OracleCore;
+use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
+use crate::server::ServerCore;
+
+/// How often a driver calls [`ReplicaHost::on_tick`]. Consensus timeouts
+/// and batching delays are counted in these ticks.
+pub(crate) const TICK: SimDuration = SimDuration::from_millis(1);
+
+/// One replica's key→partition location map as sorted `(key, partition)`
+/// pairs: a partition replica reports the keys it owns, an oracle replica
+/// its shard's slice of the map. See [`crate::Cluster::location_views`].
+pub type LocationView = Vec<(u64, u32)>;
+
+/// What hosts say to each other, before any transport framing.
+#[derive(Debug)]
+pub enum Inner<A: Application> {
+    /// Atomic multicast traffic. Payloads travel behind an `Arc` so the
+    /// many per-replica copies share one allocation.
+    Wire(McastWire<Arc<Payload<A>>>),
+    /// Direct protocol messages.
+    Direct(Direct<A>),
+    /// Crash-recovery state transfer between replicas of one group.
+    Recovery(RecoveryMsg<A>),
+}
+
+impl<A: Application> Clone for Inner<A> {
+    fn clone(&self) -> Self {
+        match self {
+            Inner::Wire(w) => Inner::Wire(w.clone()),
+            Inner::Direct(d) => Inner::Direct(d.clone()),
+            Inner::Recovery(r) => Inner::Recovery(r.clone()),
+        }
+    }
+}
+
+/// Unwraps a received body for consumption: sole owner → move, otherwise
+/// (sender still buffering for retransmission, or a fan-out sibling in
+/// flight) one deep clone. Replicas read direct messages in place instead
+/// (see [`ReplicaHost::on_body`]).
+pub(crate) fn unwrap_released<A: Application>(body: Arc<Inner<A>>) -> Inner<A> {
+    Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Recovery protocol between the replicas of one group: a restarted (or
+/// irrecoverably lagging) replica asks its peers for state; each live peer
+/// answers with its consensus/multicast snapshot plus a clone of its
+/// protocol core. The requester installs once it holds a quorum of
+/// snapshots (consensus safety needs the quorum — see
+/// [`dynastar_paxos::RecoveryReport`]); the core comes from the snapshot
+/// the multicast layer picks as its bookkeeping donor, keeping replica
+/// state and log position consistent.
+pub enum RecoveryMsg<A: Application> {
+    /// "Send me your state" — from a recovering replica to its group peers.
+    Request,
+    /// A live peer's state donation (boxed: it dwarfs regular traffic).
+    Response(Box<RecoveryPayload<A>>),
+}
+
+impl<A: Application> Clone for RecoveryMsg<A> {
+    fn clone(&self) -> Self {
+        match self {
+            RecoveryMsg::Request => RecoveryMsg::Request,
+            RecoveryMsg::Response(p) => RecoveryMsg::Response(p.clone()),
+        }
+    }
+}
+
+impl<A: Application> std::fmt::Debug for RecoveryMsg<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryMsg::Request => f.write_str("RecoveryMsg::Request"),
+            RecoveryMsg::Response(_) => f.write_str("RecoveryMsg::Response(..)"),
+        }
+    }
+}
+
+/// One peer's full state donation: multicast/consensus snapshot + core.
+pub struct RecoveryPayload<A: Application> {
+    snapshot: MemberSnapshot<Arc<Payload<A>>>,
+    core: Role<A>,
+}
+
+impl<A: Application> RecoveryPayload<A> {
+    /// Rough size of the donated log state (the snapshot-size metric).
+    pub(crate) fn elements(&self) -> u64 {
+        self.snapshot.approx_elements()
+    }
+}
+
+impl<A: Application> Clone for RecoveryPayload<A> {
+    fn clone(&self) -> Self {
+        RecoveryPayload { snapshot: self.snapshot.clone(), core: self.core.snapshot() }
+    }
+}
+
+/// Node addressing shared by every host of a deployment.
+#[derive(Debug)]
+pub(crate) struct RouteTable {
+    /// `groups[g][replica]` = node id.
+    groups: Vec<Vec<NodeId>>,
+    /// First oracle shard's group (shard `s` is `oracle_base + s`).
+    oracle_base: GroupId,
+    /// Number of oracle shard groups.
+    oracle_shards: u32,
+}
+
+impl RouteTable {
+    /// The table of `partitions + oracle_shards` groups of `replicas`
+    /// nodes each (see the module docs for the numbering).
+    pub(crate) fn new(partitions: u32, oracle_shards: u32, replicas: usize) -> Self {
+        assert!(oracle_shards > 0, "cluster needs at least one oracle shard");
+        let node = |g: u32, r: usize| NodeId::from_raw(g * replicas as u32 + r as u32);
+        let groups =
+            (0..partitions + oracle_shards).map(|g| (0..replicas).map(|r| node(g, r)).collect());
+        RouteTable { groups: groups.collect(), oracle_base: GroupId(partitions), oracle_shards }
+    }
+
+    /// Node ids of every group: partitions `0..k`, then the oracle shards.
+    pub(crate) fn groups(&self) -> &[Vec<NodeId>] {
+        &self.groups
+    }
+
+    /// The multicast topology these groups form.
+    pub(crate) fn topology(&self) -> Topology {
+        Topology::new(self.groups.iter().map(Vec::len).collect())
+    }
+
+    /// The node hosting multicast member `m`.
+    pub(crate) fn node_of(&self, m: MemberId) -> NodeId {
+        self.groups[m.group.0 as usize][m.index]
+    }
+
+    /// The nodes replicating group `g`.
+    pub(crate) fn group_nodes(&self, g: GroupId) -> &[NodeId] {
+        &self.groups[g.0 as usize]
+    }
+
+    fn oracle_group(&self, shard: u32) -> GroupId {
+        debug_assert!(shard < self.oracle_shards);
+        GroupId(self.oracle_base.0 + shard)
+    }
+
+    /// All oracle shard groups, in shard order.
+    fn oracle_groups(&self) -> impl Iterator<Item = GroupId> {
+        (self.oracle_base.0..self.oracle_base.0 + self.oracle_shards).map(GroupId)
+    }
+
+    /// Resolves a core's multicast destinations into sorted group ids.
+    pub(crate) fn mcast_groups(
+        &self,
+        partitions: &[PartitionId],
+        oracle: OracleDest,
+    ) -> Vec<GroupId> {
+        let mut gs: Vec<GroupId> = partitions.iter().map(|&p| GroupId(p.0)).collect();
+        match oracle {
+            OracleDest::None => {}
+            OracleDest::All => gs.extend(self.oracle_groups()),
+            OracleDest::Shard(s) => gs.push(self.oracle_group(s)),
+        }
+        gs.sort_unstable();
+        gs.dedup();
+        gs
+    }
+}
+
+/// What a driver lends a host for the length of one call: a clock, the
+/// metrics registry, a way out for message bodies and the two timers a
+/// core can ask for. The host calls it in effect order and buffers
+/// nothing, so what a driver sees is exactly what the core decided.
+pub(crate) trait Port<A: Application> {
+    /// The current time (constant during one simulated handler).
+    fn now(&self) -> SimTime;
+    /// The registry cores record into.
+    fn metrics(&mut self) -> &mut Metrics;
+    /// Puts `body` on the transport to `to`. A fan-out passes clones of
+    /// one `Arc`, so every recipient shares a single allocation.
+    fn send(&mut self, to: NodeId, body: Arc<Inner<A>>);
+    /// Arms the one plan timer: [`ReplicaHost::on_plan_timer`] is due
+    /// `after` from now ([`Effect::SchedulePlan`]).
+    fn arm_plan(&mut self, after: SimDuration);
+    /// Arms the one wake timer: [`ReplicaHost::on_wake`] (or
+    /// [`ClientHost::on_backoff`]) is due at `at` ([`Effect::Wake`]).
+    fn arm_wake(&mut self, at: SimTime);
+}
+
+fn fan_out<A: Application>(port: &mut impl Port<A>, nodes: &[NodeId], body: &Arc<Inner<A>>) {
+    for &node in nodes {
+        port.send(node, Arc::clone(body));
+    }
+}
+
+/// Puts a member's outgoing wires on the transport, each to its member's node.
+fn send_wires<A: Application>(
+    routes: &RouteTable,
+    wires: Vec<(MemberId, McastWire<Arc<Payload<A>>>)>,
+    port: &mut impl Port<A>,
+) {
+    for (to, wire) in wires {
+        port.send(routes.node_of(to), Arc::new(Inner::Wire(wire)));
+    }
+}
+
+/// Turns a core's effects into port calls, in order — the one place an
+/// [`Effect`] becomes IO. `multicast` is all the two sides do differently:
+/// a replica submits through its group membership, a client straight to
+/// every replica of the destination groups.
+fn interpret<A: Application, P: Port<A>>(
+    routes: &RouteTable,
+    effects: Vec<Effect<A>>,
+    port: &mut P,
+    mut multicast: impl FnMut(&mut P, MsgId, Vec<GroupId>, Arc<Payload<A>>),
+) {
+    for eff in effects {
+        match eff {
+            Effect::Multicast { mid, partitions, oracle, payload } => {
+                let groups = routes.mcast_groups(&partitions, oracle);
+                multicast(port, mid, groups, Arc::new(payload));
+            }
+            Effect::Send { to, msg } => {
+                let body = Arc::new(Inner::Direct(msg));
+                match to {
+                    Destination::Partition(p) => {
+                        fan_out(port, routes.group_nodes(GroupId(p.0)), &body)
+                    }
+                    // Every replica of every oracle shard group, in shard
+                    // order: the sender cannot know which shard cares, and
+                    // receiver-side dedup makes the extra copies harmless.
+                    Destination::Oracle => {
+                        for g in routes.oracle_groups() {
+                            fan_out(port, routes.group_nodes(g), &body);
+                        }
+                    }
+                    Destination::Client(node) => port.send(node, body),
+                }
+            }
+            Effect::SchedulePlan { after } => port.arm_plan(after),
+            Effect::Wake { at } => port.arm_wake(at),
+        }
+    }
+}
+
+/// The protocol core a replica hosts. Nothing outside this impl matches on
+/// the variant: the oracle is "itself a replicated partition" to its host.
+// One per replica (never collected in bulk), so variant size skew is moot.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Role<A: Application> {
+    /// A partition server.
+    Partition(ServerCore<A>),
+    /// A location-oracle shard.
+    Oracle(OracleCore<A>),
+}
+
+impl<A: Application> Role<A> {
+    fn on_deliver(
+        &mut self,
+        payload: Arc<Payload<A>>,
+        now: SimTime,
+        metrics: &mut Metrics,
+    ) -> Vec<Effect<A>> {
+        match self {
+            Role::Partition(c) => c.on_deliver(payload, now, metrics),
+            Role::Oracle(c) => c.on_deliver(payload, now, metrics),
+        }
+    }
+
+    fn on_direct(
+        &mut self,
+        msg: &Direct<A>,
+        now: SimTime,
+        metrics: &mut Metrics,
+    ) -> Vec<Effect<A>> {
+        match self {
+            Role::Partition(c) => c.on_direct(msg, now, metrics),
+            Role::Oracle(c) => c.on_direct(msg, now, metrics),
+        }
+    }
+
+    fn on_tick(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+        match self {
+            Role::Partition(_) => Vec::new(),
+            Role::Oracle(c) => c.on_tick(now, metrics),
+        }
+    }
+
+    fn on_plan_timer(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+        match self {
+            Role::Partition(_) => Vec::new(),
+            Role::Oracle(c) => c.on_plan_timer(now, metrics),
+        }
+    }
+
+    fn on_wake(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+        match self {
+            Role::Partition(c) => c.on_wake(now, metrics),
+            Role::Oracle(_) => Vec::new(),
+        }
+    }
+
+    fn location_view(&self) -> LocationView {
+        match self {
+            Role::Partition(c) => c.location_view(),
+            Role::Oracle(c) => c.location_view(),
+        }
+    }
+
+    /// A copy of the core for a recovering peer to [adopt](Self::adopt).
+    fn snapshot(&self) -> Self {
+        match self {
+            Role::Partition(c) => Role::Partition(c.clone()),
+            Role::Oracle(c) => Role::Oracle(c.clone()),
+        }
+    }
+
+    /// Stamps on the core everything that is this replica's own and not
+    /// its group's: a core is built from a shared config and, after a
+    /// recovery, cloned from a *donor*, whose identity would otherwise come
+    /// along. Every per-replica field goes through here, so a new one
+    /// cannot be forgotten at one of the sites. Replica 0 records the
+    /// group-level metrics, so per-group series are not multiplied by the
+    /// replication factor.
+    fn adopt(&mut self, me: MemberId, group_size: usize) {
+        match self {
+            Role::Partition(c) => {
+                c.set_record_metrics(me.index == 0);
+                c.set_replica(me.index as u32, group_size as u32);
+            }
+            Role::Oracle(c) => c.set_record_metrics(me.index == 0),
+        }
+    }
+}
+
+/// Total-order deliveries waiting to be fed to the hosted core.
+type Deliveries<A> = VecDeque<Delivery<Arc<Payload<A>>>>;
+
+/// One replica, sans io: a multicast member plus the core it feeds.
+pub(crate) struct ReplicaHost<A: Application> {
+    me: MemberId,
+    routes: Arc<RouteTable>,
+    group_cfg: GroupConfig,
+    member: McastMember<Arc<Payload<A>>>,
+    role: Role<A>,
+}
+
+impl<A: Application> ReplicaHost<A> {
+    /// Hosts `role` as member `me` of its group.
+    pub(crate) fn new(
+        me: MemberId,
+        routes: Arc<RouteTable>,
+        group_cfg: GroupConfig,
+        mut role: Role<A>,
+    ) -> Self {
+        role.adopt(me, group_cfg.size);
+        let member = McastMember::with_group_config(me, routes.topology(), group_cfg.clone());
+        ReplicaHost { me, routes, group_cfg, member, role }
+    }
+
+    /// This replica's multicast address.
+    pub(crate) fn me(&self) -> MemberId {
+        self.me
+    }
+
+    /// The deployment's addressing.
+    pub(crate) fn routes(&self) -> &Arc<RouteTable> {
+        &self.routes
+    }
+
+    /// Snapshots a recovering replica needs before it may install.
+    pub(crate) fn quorum(&self) -> usize {
+        self.group_cfg.quorum()
+    }
+
+    /// The hosted member (ballot, leadership, lag — what a driver
+    /// persists and reports).
+    pub(crate) fn member(&self) -> &McastMember<Arc<Payload<A>>> {
+        &self.member
+    }
+
+    /// The core's view of the key→partition map.
+    pub(crate) fn location_view(&self) -> LocationView {
+        self.role.location_view()
+    }
+
+    /// Handles one received body. A direct message is read in place — it
+    /// is shared with the sender's retransmission buffer, and more often
+    /// than not a repeat: the core copies it if it is new.
+    pub(crate) fn on_body(&mut self, body: Arc<Inner<A>>, port: &mut impl Port<A>) {
+        if let Inner::Direct(msg) = &*body {
+            self.step(port, |role, now, metrics| role.on_direct(msg, now, metrics));
+        } else if let Inner::Wire(wire) = unwrap_released(body) {
+            let out = self.member.on_message(wire);
+            self.absorb(out, port);
+        }
+    }
+
+    /// The periodic multicast/consensus tick (every [`TICK`]).
+    pub(crate) fn on_tick(&mut self, port: &mut impl Port<A>) {
+        let out = self.member.tick();
+        self.absorb(out, port);
+        self.publish_batch_stats(port.metrics());
+        self.step(port, Role::on_tick);
+    }
+
+    /// The plan timer armed through [`Port::arm_plan`] fired.
+    pub(crate) fn on_plan_timer(&mut self, port: &mut impl Port<A>) {
+        self.step(port, Role::on_plan_timer);
+    }
+
+    /// The wake timer armed through [`Port::arm_wake`] fired.
+    pub(crate) fn on_wake(&mut self, port: &mut impl Port<A>) {
+        self.step(port, Role::on_wake);
+    }
+
+    /// Routes a multicast-layer output: sends the wires, then feeds the
+    /// deliveries to the core.
+    pub(crate) fn absorb(&mut self, out: McastOutput<Arc<Payload<A>>>, port: &mut impl Port<A>) {
+        send_wires(&self.routes, out.outgoing, port);
+        self.drain(out.delivered.into(), port);
+    }
+
+    /// One core call, its effects, and whatever they caused to be delivered.
+    fn step<P: Port<A>>(
+        &mut self,
+        port: &mut P,
+        call: impl FnOnce(&mut Role<A>, SimTime, &mut Metrics) -> Vec<Effect<A>>,
+    ) {
+        let now = port.now();
+        let effects = call(&mut self.role, now, port.metrics());
+        let mut pending = Deliveries::new();
+        self.apply(effects, &mut pending, port);
+        self.drain(pending, port);
+    }
+
+    /// The delivery loop: feeds deliveries to the core in total order,
+    /// emitting each one's effects before the next is fed; a multicast
+    /// among them that delivers to this very member queues up behind
+    /// what is already pending.
+    fn drain(&mut self, mut pending: Deliveries<A>, port: &mut impl Port<A>) {
+        while let Some(d) = pending.pop_front() {
+            let now = port.now();
+            let effects = self.role.on_deliver(d.payload, now, port.metrics());
+            self.apply(effects, &mut pending, port);
+        }
+    }
+
+    fn apply<P: Port<A>>(
+        &mut self,
+        effects: Vec<Effect<A>>,
+        pending: &mut Deliveries<A>,
+        port: &mut P,
+    ) {
+        let (member, routes) = (&mut self.member, &*self.routes);
+        interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
+            let out = member.submit(mid, groups, payload);
+            send_wires(routes, out.outgoing, port);
+            pending.extend(out.delivered);
+        });
+    }
+
+    /// Drains leader-side batching statistics from the consensus layer.
+    /// Every replica drains (the per-flush samples are bounded but must
+    /// not accumulate forever); only the designated metrics replica
+    /// publishes them. Batch sizes and window occupancies are counts,
+    /// recorded into duration histograms in µs units.
+    fn publish_batch_stats(&mut self, m: &mut Metrics) {
+        let stats = self.member.take_batch_stats();
+        if self.me.index != 0 || stats.batches == 0 {
+            return;
+        }
+        m.incr_counter(metric_names::BATCH_FLUSH_FULL, stats.flush_full);
+        m.incr_counter(metric_names::BATCH_FLUSH_DELAY, stats.flush_delay);
+        m.incr_counter(metric_names::BATCH_COMMANDS, stats.batched_cmds);
+        for &(size, occupancy) in &stats.samples {
+            m.record_histogram(metric_names::BATCH_SIZE, SimDuration::from_micros(size as u64));
+            m.record_histogram(
+                metric_names::BATCH_OCCUPANCY,
+                SimDuration::from_micros(occupancy as u64),
+            );
+        }
+    }
+
+    /// Crash-recovery boot: the member loses its volatile state. The core
+    /// stays as a placeholder until [`Self::install`] replaces both (the
+    /// t0 preload cannot be replayed, so a restarted replica always takes
+    /// the snapshot path); the driver feeds the host nothing in between.
+    pub(crate) fn forget(&mut self) {
+        self.member =
+            McastMember::with_group_config(self.me, self.routes.topology(), self.group_cfg.clone());
+    }
+
+    /// This replica's state, for a recovering peer.
+    pub(crate) fn donation(&self) -> RecoveryPayload<A> {
+        RecoveryPayload { snapshot: self.member.snapshot(), core: self.role.snapshot() }
+    }
+
+    /// Installs a quorum of peer donations over `floor`, the promise this
+    /// replica persisted before it went down. Returns what the recovered
+    /// member wants sent and delivered — hand it to [`Self::absorb`] — or
+    /// `None` if the donations do not line up (stay in recovery and ask
+    /// again; never panic).
+    pub(crate) fn install(
+        &mut self,
+        floor: Ballot,
+        donations: &[&RecoveryPayload<A>],
+    ) -> Option<McastOutput<Arc<Payload<A>>>> {
+        let snaps: Vec<_> = donations.iter().map(|d| d.snapshot.clone()).collect();
+        let (member, out, donor) = McastMember::recover(
+            self.me,
+            self.routes.topology(),
+            self.group_cfg.clone(),
+            floor,
+            &snaps,
+        );
+        self.member = member;
+        // The core must come from the same donor the multicast layer took
+        // its bookkeeping from, or replica state and log position diverge.
+        self.role = donations.get(donor)?.core.snapshot();
+        self.role.adopt(self.me, self.group_cfg.size);
+        Some(out)
+    }
+}
+
+/// One client, sans io: the client core plus the routing of its effects.
+pub(crate) struct ClientHost<A: Application> {
+    core: ClientCore<A>,
+    routes: Arc<RouteTable>,
+}
+
+impl<A: Application> ClientHost<A> {
+    /// Hosts `core` in the deployment `routes` describes.
+    pub(crate) fn new(core: ClientCore<A>, routes: Arc<RouteTable>) -> Self {
+        ClientHost { core, routes }
+    }
+
+    /// Whether a command is in flight.
+    pub(crate) fn is_busy(&self) -> bool {
+        self.core.is_busy()
+    }
+
+    /// Issues a command (closed loop: at most one outstanding).
+    pub(crate) fn issue(&mut self, kind: CommandKind<A>, port: &mut impl Port<A>) {
+        let effects = self.core.issue(kind, port.now());
+        self.apply(effects, port);
+    }
+
+    /// Handles a direct message; surfaces the command's completion.
+    pub(crate) fn on_direct(
+        &mut self,
+        msg: Direct<A>,
+        port: &mut impl Port<A>,
+    ) -> Option<ClientEvent<A>> {
+        let now = port.now();
+        let (effects, event) = self.core.on_direct(msg, now, port.metrics());
+        self.apply(effects, port);
+        event
+    }
+
+    /// The response timeout fired: re-dispatch through the oracle.
+    pub(crate) fn on_timeout(&mut self, port: &mut impl Port<A>) {
+        let now = port.now();
+        let effects = self.core.on_timeout(now, port.metrics());
+        self.apply(effects, port);
+    }
+
+    /// The wake timer armed through [`Port::arm_wake`] fired: dispatch the
+    /// retry the core had deferred for backpressure.
+    pub(crate) fn on_backoff(&mut self, port: &mut impl Port<A>) {
+        let effects = self.core.on_backoff(port.now());
+        self.apply(effects, port);
+    }
+
+    /// Client-side multicast: clients are not group members, they submit
+    /// directly to every replica of every destination group.
+    fn apply<P: Port<A>>(&mut self, effects: Vec<Effect<A>>, port: &mut P) {
+        let routes = &*self.routes;
+        interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
+            let submit = McastWire::Submit { mid, dests: groups.clone(), payload };
+            let body = Arc::new(Inner::Wire(submit));
+            for &g in &groups {
+                fan_out(port, routes.group_nodes(g), &body);
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use crate::command::{Command, LocKey, VarId};
+    use crate::deploy::{build_hosts, client_host, ClusterConfig};
+    use crate::server::{ExecConfig, ServerConfig, CHUNK_SENDS};
+
+    /// Counters, one variable to a key; an access bumps what it names.
+    #[derive(Debug)]
+    pub(crate) struct App;
+
+    impl Application for App {
+        type Op = ();
+        type Value = u64;
+        type Reply = ();
+
+        fn locality(var: VarId) -> LocKey {
+            LocKey(var.0)
+        }
+
+        fn execute(_: &(), vars: &mut BTreeMap<VarId, Option<u64>>) {
+            for val in vars.values_mut() {
+                *val = Some(val.unwrap_or(0) + 1);
+            }
+        }
+    }
+
+    /// What a host did to its port, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        /// Read the clock: once per core call, so once per delivery fed.
+        Clock,
+        /// Sent a body (named by its payload or direct variant) to a node.
+        Send(u32, String),
+        Plan(SimDuration),
+        Wake(SimTime),
+    }
+
+    /// A port that records instead of acting.
+    struct Recorder {
+        log: RefCell<Vec<Seen>>,
+        metrics: Metrics,
+        now: SimTime,
+    }
+
+    impl Recorder {
+        fn at(now: SimTime) -> Self {
+            Recorder { log: RefCell::new(Vec::new()), metrics: Metrics::new(), now }
+        }
+
+        fn take(&mut self) -> Vec<Seen> {
+            self.log.take()
+        }
+    }
+
+    impl Port<App> for Recorder {
+        fn now(&self) -> SimTime {
+            self.log.borrow_mut().push(Seen::Clock);
+            self.now
+        }
+
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
+
+        fn send(&mut self, to: NodeId, body: Arc<Inner<App>>) {
+            let text = match &*body {
+                Inner::Wire(McastWire::Submit { payload, .. }) => format!("{payload:?}"),
+                Inner::Direct(msg) => format!("{msg:?}"),
+                other => format!("{other:?}"),
+            };
+            let name = text.split([' ', '(']).next().unwrap_or_default().to_string();
+            self.log.get_mut().push(Seen::Send(to.as_raw(), name));
+        }
+
+        fn arm_plan(&mut self, after: SimDuration) {
+            self.log.get_mut().push(Seen::Plan(after));
+        }
+
+        fn arm_wake(&mut self, at: SimTime) {
+            self.log.get_mut().push(Seen::Wake(at));
+        }
+    }
+
+    const CLIENT: u32 = 99;
+
+    fn access(seq: u32, vars: &[u64]) -> Command<App> {
+        let vars = vars.iter().map(|&v| VarId(v)).collect();
+        Command {
+            id: MsgId::new(CLIENT as u64, seq),
+            client: NodeId::from_raw(CLIENT),
+            kind: CommandKind::Access { op: (), vars },
+        }
+    }
+
+    fn delivered(payloads: Vec<Payload<App>>) -> McastOutput<Arc<Payload<App>>> {
+        let delivered = payloads.into_iter().enumerate().map(|(i, p)| Delivery {
+            mid: MsgId::new(7, i as u32),
+            final_ts: i as u64,
+            dests: Vec::new(),
+            payload: Arc::new(p),
+        });
+        McastOutput { outgoing: Vec::new(), delivered: delivered.collect() }
+    }
+
+    /// Keys 0..8 alternate over two partitions; every group has `replicas`
+    /// members. Hosts come back in node order.
+    fn hosts(replicas: usize, config: ClusterConfig) -> Vec<ReplicaHost<App>> {
+        let config = ClusterConfig { partitions: 2, replicas, ..config };
+        let placement: BTreeMap<_, _> =
+            (0..8).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect();
+        build_hosts(&config, &placement, (0..8).map(|v| (VarId(v), 0)).collect()).1
+    }
+
+    fn send(to: u32, name: &str) -> Seen {
+        Seen::Send(to, name.to_string())
+    }
+
+    /// One replica per group: node 0 and 1 are the partitions, node 2 is
+    /// the oracle, alone in its group and its leader — so what it
+    /// multicasts to its own group alone is ordered and delivered inside
+    /// the submit.
+    fn lone_oracle() -> ReplicaHost<App> {
+        let config = ClusterConfig {
+            repartition_threshold: 1,
+            min_plan_interval: SimDuration::ZERO,
+            compute_base: SimDuration::from_millis(7),
+            ..ClusterConfig::default()
+        };
+        hosts(1, config).pop().expect("the oracle is the last host")
+    }
+
+    #[test]
+    fn each_delivery_is_fed_after_the_previous_one_has_spoken() {
+        let mut oracle = lone_oracle();
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let queries =
+            [access(0, &[0]), access(1, &[1])].map(|cmd| Payload::Exec { cmd, attempt: 0 });
+        oracle.absorb(delivered(queries.into()), &mut port);
+        // Per query: the prophecy to the client, the command to the
+        // partition that owns the key — then, and only then, the next.
+        let expected = [
+            Seen::Clock,
+            send(CLIENT, "Prophecy"),
+            send(0, "Access"),
+            Seen::Clock,
+            send(CLIENT, "Prophecy"),
+            send(1, "Access"),
+        ];
+        assert_eq!(port.take(), expected);
+    }
+
+    #[test]
+    fn a_self_delivering_multicast_queues_behind_what_is_pending() {
+        let mut oracle = lone_oracle();
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        // The hint crosses the threshold: the oracle multicasts a
+        // `Recompute` marker to its own group, which delivers it on the
+        // spot. The query delivered behind the hint still goes first; the
+        // marker's effect — the plan timer — comes last.
+        let hint = Payload::Hint {
+            vertices: vec![(LocKey(0), 1), (LocKey(1), 1)],
+            edges: vec![(LocKey(0), LocKey(1), 1)],
+        };
+        let query = Payload::Exec { cmd: access(0, &[0]), attempt: 0 };
+        oracle.absorb(delivered(vec![hint, query]), &mut port);
+        let log = port.take();
+        let expected = [
+            Seen::Clock, // hint: the submit has no peer to send to
+            Seen::Clock, // query
+            send(CLIENT, "Prophecy"),
+            send(0, "Access"),
+            Seen::Clock, // marker
+        ];
+        assert_eq!(log[..5], expected);
+        assert!(matches!(log[5..], [Seen::Plan(after)] if after >= SimDuration::from_millis(7)));
+
+        // The plan timer publishes to every group: the partitions hear of
+        // it by wire, the oracle's own copy is ordered on the spot again.
+        oracle.on_plan_timer(&mut port);
+        let log = port.take();
+        assert_eq!(log[..3], [Seen::Clock, send(0, "Plan"), send(1, "Plan")]);
+    }
+
+    #[test]
+    fn a_gated_head_asks_for_the_wake_timer_and_runs_when_it_fires() {
+        let busy = SimDuration::from_millis(1);
+        let config = ClusterConfig { exec: ExecConfig::serial(busy), ..ClusterConfig::default() };
+        let mut partition = hosts(1, config).swap_remove(0);
+        let t0 = SimTime::from_secs(1);
+        let mut port = Recorder::at(t0);
+        let commands = [access(0, &[0]), access(1, &[0])].map(|cmd| Payload::Access {
+            cmd,
+            attempt: 0,
+            expected: vec![(VarId(0), PartitionId(0))],
+            target: PartitionId(0),
+            keep: false,
+        });
+        partition.absorb(delivered(commands.into()), &mut port);
+        // The first command occupies the executor for its service time;
+        // the second waits for it behind the wake timer.
+        let reply = send(CLIENT, "Reply");
+        assert_eq!(port.take(), [Seen::Clock, reply, Seen::Clock, Seen::Wake(t0 + busy)]);
+
+        port.now = t0 + busy;
+        partition.on_wake(&mut port);
+        assert_eq!(port.take()[..2], [Seen::Clock, send(CLIENT, "Reply")]);
+    }
+
+    #[test]
+    fn destinations_resolve_through_the_one_route_table() {
+        let (p0, p1) = (PartitionId(0), PartitionId(1));
+        let one = RouteTable::new(2, 1, 3);
+        assert_eq!(one.mcast_groups(&[p1, p0, p1], OracleDest::None), [GroupId(0), GroupId(1)]);
+        assert_eq!(one.mcast_groups(&[], OracleDest::Shard(0)), [GroupId(2)]);
+        assert_eq!(one.mcast_groups(&[p1], OracleDest::All), [GroupId(1), GroupId(2)]);
+        let four = RouteTable::new(2, 4, 3);
+        assert_eq!(four.mcast_groups(&[p0], OracleDest::None), [GroupId(0)]);
+        assert_eq!(four.mcast_groups(&[], OracleDest::Shard(2)), [GroupId(4)]);
+        assert_eq!(four.mcast_groups(&[p1], OracleDest::All), [1, 2, 3, 4, 5].map(GroupId));
+        assert_eq!(four.group_nodes(GroupId(4)), [12, 13, 14].map(NodeId::from_raw));
+        assert_eq!(four.node_of(MemberId::new(GroupId(5), 2)), NodeId::from_raw(17));
+
+        // A cold client's query goes to every replica of the one shard
+        // `exec_shard` picks, and nowhere else.
+        let config = ClusterConfig { partitions: 2, oracle_shards: 4, ..ClusterConfig::default() };
+        let mut client =
+            client_host::<App>(NodeId::from_raw(CLIENT), &config, &BTreeMap::new(), four.into());
+        let mut port = Recorder::at(SimTime::ZERO);
+        let cmd = access(0, &[5]);
+        let shard = crate::routing::exec_shard(&cmd, 0, 4);
+        client.issue(cmd.kind, &mut port);
+        let nodes = (6 + 3 * shard..9 + 3 * shard).map(|n| send(n, "Exec"));
+        assert_eq!(port.take(), [Seen::Clock].into_iter().chain(nodes).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_installed_core_is_restamped_with_the_replica_it_now_is() {
+        let server = ServerConfig {
+            staged_migration: true,
+            migration_link_bytes_per_sec: 1024 * 1024,
+            ..ServerConfig::default()
+        };
+        let mut group = hosts(3, ClusterConfig { server, ..ClusterConfig::default() });
+        group.truncate(3); // partition 0's replicas
+        let donations = [group[0].donation(), group[2].donation()];
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let out = group[1]
+            .install(Ballot::INITIAL, &[&donations[0], &donations[1]])
+            .expect("two of three is a quorum");
+        group[1].absorb(out, &mut port);
+
+        // A plan moves key 0 away and a command touches key 2. Replica 1
+        // now runs a donor's core: it must put replica 1's name on what it
+        // sends, and record nothing, where the donor would say "0" or "2"
+        // and replica 0 would count the command.
+        let work = || {
+            let command = Payload::Access {
+                cmd: access(0, &[2]),
+                attempt: 0,
+                expected: vec![(VarId(2), PartitionId(0))],
+                target: PartitionId(0),
+                keep: false,
+            };
+            let moves = vec![(LocKey(0), PartitionId(0), PartitionId(1))];
+            delivered(vec![Payload::Plan { version: 1, moves }, command])
+        };
+        CHUNK_SENDS.take();
+        group[1].absorb(work(), &mut port);
+        assert_eq!(CHUNK_SENDS.take(), [(PartitionId(0), 1, LocKey(0))]);
+        assert_eq!(port.metrics.counter(metric_names::CMD_SINGLE), 0);
+        group[0].absorb(work(), &mut port);
+        assert_eq!(CHUNK_SENDS.take(), [(PartitionId(0), 0, LocKey(0))]);
+        assert_eq!(port.metrics.counter(metric_names::CMD_SINGLE), 1);
+    }
+}

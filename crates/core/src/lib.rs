@@ -41,8 +41,10 @@
 pub mod client;
 pub mod cluster;
 pub mod command;
+mod deploy;
 mod edge_rows;
 mod hints;
+mod host;
 pub mod linearizability;
 pub mod metric_names;
 pub mod migration;
@@ -51,12 +53,14 @@ pub mod payload;
 pub mod routing;
 pub mod server;
 pub mod threaded;
+mod transport;
 
 pub use client::{ClientCore, ClientEvent, Workload};
-pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, LocationView};
+pub use cluster::{Cluster, ClusterBuilder, LocationView};
 pub use command::{
     AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
 };
+pub use deploy::ClusterConfig;
 pub use dynastar_paxos::BatchConfig;
 pub use payload::{Direct, OracleDest, Payload};
 pub use routing::{compute_route, exec_shard, shard_of, Route};

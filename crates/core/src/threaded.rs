@@ -1,53 +1,49 @@
 //! A real-thread deployment of the protocol cores.
 //!
 //! Everything else in this workspace runs on the deterministic simulator,
-//! but the protocol state machines ([`ServerCore`], [`OracleCore`],
-//! [`ClientCore`], [`McastMember`]) are sans-io, so they run unchanged on
-//! any transport. This module wires them to OS threads and crossbeam
-//! channels: one thread per replica, lossless FIFO channels between them
-//! (what TCP would provide), wall-clock timers.
+//! but the hosts (`host.rs`) are sans-io, so they run unchanged on any
+//! transport. This module drives them from OS threads: one thread per
+//! replica, lossless FIFO channels between them (what TCP would provide),
+//! wall-clock time, and the two deadlines a core can ask for. What a
+//! replica does with a message, a tick or a deadline is the host's
+//! business and identical to the simulated deployment; so is how a
+//! [`ClusterConfig`] becomes cores (`deploy::build_hosts`).
 //!
 //! This is the deployment a downstream user embeds in a real binary; the
 //! simulator remains the tool for experiments (deterministic, fault
-//! injection, simulated time). The integration test at the bottom runs a
-//! full cluster — Paxos, atomic multicast, oracle, borrowing — on real
-//! threads.
+//! injection, simulated time). Threads neither crash nor lose messages,
+//! so there is no ARQ and no recovery here.
 
 // detlint::allow-file(D001): this module IS the wall-clock deployment — real threads and real timers by design; determinism is the simulator's job, not this file's
-// detlint::allow-file(W001, W002, W003): this module is the one sanctioned weld between the sans-io cores and the host OS (threads, channels, wall clocks); every weld below is inventoried in results/weld_map.json as the sans-IO work-list, and the CI ratchet keeps the count from growing
+// detlint::allow-file(W001, W003): this module is the one sanctioned weld between the sans-io hosts and the OS (threads, channels, wall clocks); every weld below is inventoried in results/weld_map.json as the sans-IO work-list, and the CI ratchet keeps the count from growing
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dynastar_runtime::hash::FastHashMap;
-
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dynastar_amcast::{Delivery, GroupId, McastMember, McastWire, MemberId, MsgId, Topology};
-use dynastar_runtime::{Metrics, NodeId, SimTime};
-use parking_lot::Mutex;
+use dynastar_runtime::hash::FastHashMap;
+use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::client::{ClientCore, ClientEvent};
-use crate::command::{Application, CommandKind, LocKey, Mode, PartitionId, VarId};
-use crate::oracle::{OracleConfig, OracleCore};
-use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
-use crate::server::{ServerConfig, ServerCore};
+use crate::client::ClientEvent;
+use crate::command::{Application, CommandKind, LocKey, PartitionId, VarId};
+use crate::deploy::{build_hosts, client_host, ClusterConfig};
+use crate::host::{unwrap_released, ClientHost, Inner, Port, ReplicaHost, RouteTable, TICK};
 
-/// Messages between threads: multicast wires or direct protocol messages.
-enum Wire<A: Application> {
-    Mcast(McastWire<Arc<Payload<A>>>),
-    Direct(Direct<A>),
-}
+type Inbox<A> = Sender<Arc<Inner<A>>>;
 
-/// Address book: a sender for every replica thread and every client.
-/// Clients register after the replica threads start, so their map is
-/// interior-mutable.
+/// What every thread shares: the address book, the clock's origin and the
+/// metrics registry. Clients register after the replica threads start, so
+/// their map is interior-mutable.
 struct Fabric<A: Application> {
-    replicas: FastHashMap<MemberId, Sender<Wire<A>>>,
-    clients: Mutex<FastHashMap<NodeId, Sender<Direct<A>>>>,
-    groups: Vec<Vec<MemberId>>,
-    oracle_group: GroupId,
+    /// Replica inboxes, indexed by node id.
+    replicas: Vec<Inbox<A>>,
+    clients: Mutex<FastHashMap<NodeId, Inbox<A>>>,
+    metrics: Arc<Mutex<Metrics>>,
+    epoch: Instant,
     /// Messages dropped because the addressee was unknown or its channel
     /// was disconnected (thread exited). A lossy fabric is the contract —
     /// the protocol retries — but the count must be observable so an
@@ -56,237 +52,101 @@ struct Fabric<A: Application> {
 }
 
 impl<A: Application> Fabric<A> {
-    fn group_members(&self, g: GroupId) -> &[MemberId] {
-        self.groups.get(g.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+    /// This thread's [`Port`] for one event. It holds the registry's lock
+    /// until dropped; nothing a host does through it blocks.
+    fn port<'a>(&'a self, due: &'a mut Deadlines) -> ThreadPort<'a, A> {
+        ThreadPort { fabric: self, metrics: self.metrics.lock(), due }
     }
 
-    /// Routes `wire` to `m`, counting (never panicking on) unknown
-    /// members and disconnected channels.
-    fn send_replica(&self, m: MemberId, wire: Wire<A>) {
-        match self.replicas.get(&m) {
-            Some(tx) if tx.send(wire).is_ok() => {}
-            _ => {
-                self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn send_direct(&self, dest: Destination, msg: Direct<A>) {
-        match dest {
-            Destination::Partition(p) => {
-                for &m in self.group_members(GroupId(p.0)) {
-                    self.send_replica(m, Wire::Direct(msg.clone()));
-                }
-            }
-            Destination::Oracle => {
-                for &m in self.group_members(self.oracle_group) {
-                    self.send_replica(m, Wire::Direct(msg.clone()));
-                }
-            }
-            Destination::Client(node) => {
-                let tx = self.clients.lock().get(&node).cloned();
-                match tx {
-                    Some(tx) if tx.send(msg).is_ok() => {}
-                    _ => {
-                        self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-
-    fn submit(&self, mid: MsgId, groups: Vec<GroupId>, payload: Arc<Payload<A>>) {
-        for &g in &groups {
-            for &m in self.group_members(g) {
-                self.send_replica(
-                    m,
-                    Wire::Mcast(McastWire::Submit {
-                        mid,
-                        dests: groups.clone(),
-                        payload: Arc::clone(&payload),
-                    }),
-                );
-            }
-        }
+    /// The wall-clock instant at which the cores' clock reads `at`.
+    fn instant_of(&self, at: SimTime) -> Instant {
+        self.epoch + Duration::from_micros(at.as_micros())
     }
 }
 
-/// Which protocol core a replica thread hosts.
-// One per thread (never collected in bulk), so variant size skew is moot.
-#[allow(clippy::large_enum_variant)]
-enum Role<A: Application> {
-    Partition(ServerCore<A>),
-    Oracle(OracleCore<A>),
+/// The two deadlines a core can ask its driver for. Arming one supersedes
+/// its pending value, like re-arming a simulation timer.
+#[derive(Default)]
+struct Deadlines {
+    plan: Option<Instant>,
+    wake: Option<Instant>,
+}
+
+/// Clears and reports `slot` if it has passed.
+fn fired(slot: &mut Option<Instant>, now: Instant) -> bool {
+    let due = slot.is_some_and(|at| now >= at);
+    if due {
+        *slot = None;
+    }
+    due
+}
+
+struct ThreadPort<'a, A: Application> {
+    fabric: &'a Fabric<A>,
+    metrics: MutexGuard<'a, Metrics>,
+    due: &'a mut Deadlines,
+}
+
+impl<A: Application> Port<A> for ThreadPort<'_, A> {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.fabric.epoch.elapsed().as_micros() as u64)
+    }
+
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    /// Counts (never panics on) unknown addressees and closed channels.
+    fn send(&mut self, to: NodeId, body: Arc<Inner<A>>) {
+        let sent = match self.fabric.replicas.get(to.as_raw() as usize) {
+            Some(tx) => tx.send(body).is_ok(),
+            None => self.fabric.clients.lock().get(&to).is_some_and(|tx| tx.send(body).is_ok()),
+        };
+        if !sent {
+            self.fabric.dropped_sends.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn arm_plan(&mut self, after: SimDuration) {
+        self.due.plan = Some(self.fabric.instant_of(self.now() + after));
+    }
+
+    fn arm_wake(&mut self, at: SimTime) {
+        self.due.wake = Some(self.fabric.instant_of(at));
+    }
 }
 
 /// Per-thread replica driver.
 struct ReplicaThread<A: Application> {
-    member: McastMember<Arc<Payload<A>>>,
-    role: Role<A>,
-    rx: Receiver<Wire<A>>,
+    host: ReplicaHost<A>,
+    rx: Receiver<Arc<Inner<A>>>,
     fabric: Arc<Fabric<A>>,
-    metrics: Arc<Mutex<Metrics>>,
-    epoch: Instant,
     stop: Arc<AtomicBool>,
-    /// Pending oracle plan publication (deadline, precomputed effect).
-    plan_due: Option<Instant>,
 }
 
 impl<A: Application> ReplicaThread<A> {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
     fn run(mut self) {
-        let tick = Duration::from_millis(1);
+        let tick = Duration::from_micros(TICK.as_micros());
         let mut next_tick = Instant::now() + tick;
+        let mut due = Deadlines::default();
         while !self.stop.load(Ordering::Relaxed) {
-            let timeout = next_tick.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(timeout) {
-                Ok(Wire::Mcast(wire)) => {
-                    let out = self.member.on_message(wire);
-                    self.absorb(out);
-                }
-                Ok(Wire::Direct(d)) => {
-                    let now = self.now();
-                    let effects = {
-                        let mut m = self.metrics.lock();
-                        match &mut self.role {
-                            Role::Partition(c) => c.on_direct(d, now, &mut m),
-                            Role::Oracle(c) => c.on_direct(d, now, &mut m),
-                        }
-                    };
-                    self.apply(effects);
-                }
+            let next = [due.plan, due.wake].into_iter().flatten().fold(next_tick, Instant::min);
+            match self.rx.recv_timeout(next.saturating_duration_since(Instant::now())) {
+                Ok(body) => self.host.on_body(body, &mut self.fabric.port(&mut due)),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            if Instant::now() >= next_tick {
+            let now = Instant::now();
+            if now >= next_tick {
                 next_tick += tick;
-                let out = self.member.tick();
-                self.absorb(out);
-                let now = self.now();
-                let effects = {
-                    let mut m = self.metrics.lock();
-                    match &mut self.role {
-                        Role::Oracle(c) => c.on_tick(now, &mut m),
-                        Role::Partition(_) => Vec::new(),
-                    }
-                };
-                self.apply(effects);
-                if self.plan_due.map(|d| Instant::now() >= d).unwrap_or(false) {
-                    self.plan_due = None;
-                    let now = self.now();
-                    let effects = {
-                        let mut m = self.metrics.lock();
-                        match &mut self.role {
-                            Role::Oracle(c) => c.on_plan_timer(now, &mut m),
-                            Role::Partition(_) => Vec::new(),
-                        }
-                    };
-                    self.apply(effects);
-                }
+                self.host.on_tick(&mut self.fabric.port(&mut due));
             }
-        }
-    }
-
-    fn absorb(&mut self, out: dynastar_amcast::McastOutput<Arc<Payload<A>>>) {
-        for (to, wire) in out.outgoing {
-            self.fabric.send_replica(to, Wire::Mcast(wire));
-        }
-        let mut deliveries: std::collections::VecDeque<Delivery<Arc<Payload<A>>>> =
-            out.delivered.into();
-        while let Some(d) = deliveries.pop_front() {
-            let now = self.now();
-            let effects = {
-                let mut m = self.metrics.lock();
-                match &mut self.role {
-                    Role::Partition(c) => c.on_deliver(d.payload, now, &mut m),
-                    Role::Oracle(c) => c.on_deliver(d.payload, now, &mut m),
-                }
-            };
-            for eff in effects {
-                match eff {
-                    Effect::Multicast { mid, partitions, oracle, payload } => {
-                        let groups = resolve_groups(&self.fabric, &partitions, oracle);
-                        let out = self.member.submit(mid, groups, Arc::new(payload));
-                        for (to, wire) in out.outgoing {
-                            self.fabric.send_replica(to, Wire::Mcast(wire));
-                        }
-                        deliveries.extend(out.delivered);
-                    }
-                    other => self.apply_one(other),
-                }
+            if fired(&mut due.plan, now) {
+                self.host.on_plan_timer(&mut self.fabric.port(&mut due));
             }
-        }
-    }
-
-    fn apply(&mut self, effects: Vec<Effect<A>>) {
-        for eff in effects {
-            match eff {
-                Effect::Multicast { mid, partitions, oracle, payload } => {
-                    let groups = resolve_groups(&self.fabric, &partitions, oracle);
-                    let out = self.member.submit(mid, groups, Arc::new(payload));
-                    self.absorb(out);
-                }
-                other => self.apply_one(other),
+            if fired(&mut due.wake, now) {
+                self.host.on_wake(&mut self.fabric.port(&mut due));
             }
-        }
-    }
-
-    fn apply_one(&mut self, eff: Effect<A>) {
-        match eff {
-            Effect::Send { to, msg } => self.fabric.send_direct(to, msg),
-            Effect::SchedulePlan { after } => {
-                self.plan_due = Some(Instant::now() + Duration::from_micros(after.as_micros()));
-            }
-            Effect::Wake { .. } => {
-                // Threaded replicas are driven by real time; the next tick
-                // re-pumps the queue, so an explicit wake-up is a no-op
-                // (service_time is a simulation-only model anyway).
-            }
-            // detlint::allow(P003): both callers (absorb, apply) split Multicast off before calling apply_one; a silent drop here would lose a command
-            Effect::Multicast { .. } => unreachable!("handled by caller"),
-        }
-    }
-}
-
-fn resolve_groups<A: Application>(
-    fabric: &Fabric<A>,
-    partitions: &[PartitionId],
-    oracle: OracleDest,
-) -> Vec<GroupId> {
-    let mut gs: Vec<GroupId> = partitions.iter().map(|p| GroupId(p.0)).collect();
-    // The threaded harness deploys a single oracle shard, so `All` and
-    // `Shard(_)` both resolve to the one oracle group.
-    if oracle != OracleDest::None {
-        gs.push(fabric.oracle_group);
-    }
-    gs.sort_unstable();
-    gs.dedup();
-    gs
-}
-
-/// Configuration for a threaded deployment.
-#[derive(Debug, Clone)]
-pub struct ThreadedConfig {
-    /// Number of partitions.
-    pub partitions: u32,
-    /// Replicas per group.
-    pub replicas: usize,
-    /// Replication scheme.
-    pub mode: Mode,
-    /// Oracle repartitioning threshold.
-    pub repartition_threshold: u64,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig {
-            partitions: 2,
-            replicas: 3,
-            mode: Mode::Dynastar,
-            repartition_threshold: u64::MAX,
         }
     }
 }
@@ -303,128 +163,50 @@ impl Default for ThreadedConfig {
 /// `examples/quickstart.rs` for the simulated twin.
 pub struct ThreadedCluster<A: Application> {
     fabric: Arc<Fabric<A>>,
-    metrics: Arc<Mutex<Metrics>>,
+    routes: Arc<RouteTable>,
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
     next_client: u32,
-    epoch: Instant,
-    mode: Mode,
-    placement: Vec<(LocKey, PartitionId)>,
+    config: ClusterConfig,
+    placement: BTreeMap<LocKey, PartitionId>,
 }
 
 impl<A: Application> ThreadedCluster<A> {
     /// Starts the replica threads with the given initial placement and
-    /// state.
+    /// state. `config` means what it means to the simulated cluster, less
+    /// its `seed` and `net`.
     ///
     /// # Panics
     ///
     /// Panics if an initial variable's key has no placement.
     pub fn start(
-        config: ThreadedConfig,
+        config: ClusterConfig,
         placement: Vec<(LocKey, PartitionId)>,
         initial_vars: Vec<(VarId, A::Value)>,
     ) -> Self {
-        let k = config.partitions as usize;
-        let topo = Topology::uniform(k + 1, config.replicas);
-        let oracle_group = GroupId(k as u32);
-        let metrics = Arc::new(Mutex::new(Metrics::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let epoch = Instant::now();
-
-        let mut txs: FastHashMap<MemberId, Sender<Wire<A>>> = FastHashMap::default();
-        let mut rxs: FastHashMap<MemberId, Receiver<Wire<A>>> = FastHashMap::default();
-        let mut groups: Vec<Vec<MemberId>> = Vec::new();
-        for g in 0..=k {
-            let mut members = Vec::new();
-            for r in 0..config.replicas {
-                let m = MemberId::new(GroupId(g as u32), r);
-                let (tx, rx) = unbounded();
-                txs.insert(m, tx);
-                rxs.insert(m, rx);
-                members.push(m);
-            }
-            groups.push(members);
-        }
+        let placement: BTreeMap<LocKey, PartitionId> = placement.into_iter().collect();
+        let (routes, hosts) = build_hosts::<A>(&config, &placement, initial_vars);
+        let (replicas, inboxes): (Vec<_>, Vec<_>) = hosts.iter().map(|_| unbounded()).unzip();
         let fabric = Arc::new(Fabric {
-            replicas: txs,
+            replicas,
             clients: Mutex::new(FastHashMap::default()),
-            groups,
-            oracle_group,
+            metrics: Arc::new(Mutex::new(Metrics::new())),
+            epoch: Instant::now(),
             dropped_sends: AtomicU64::new(0),
         });
-
-        let placement_map: FastHashMap<LocKey, PartitionId> = placement.iter().copied().collect();
-        let mut vars_by_part: Vec<Vec<(VarId, A::Value)>> = vec![Vec::new(); k];
-        for (v, val) in initial_vars {
-            let p = placement_map
-                .get(&A::locality(v))
-                .unwrap_or_else(|| panic!("initial var {v} has unplaced key"));
-            vars_by_part[p.0 as usize].push((v, val));
-        }
-
-        let mut handles = Vec::new();
-        // Group k is the oracle, which owns no vars — `g` is a group id
-        // first and a `vars_by_part` index only for partition groups.
-        #[allow(clippy::needless_range_loop)]
-        for g in 0..=k {
-            for r in 0..config.replicas {
-                let m = MemberId::new(GroupId(g as u32), r);
-                let role = if g < k {
-                    let mut core = ServerCore::<A>::new(
-                        PartitionId(g as u32),
-                        config.mode,
-                        ServerConfig {
-                            record_metrics: r == 0,
-                            collect_hints: config.mode.optimizes(),
-                            ..ServerConfig::default()
-                        },
-                    );
-                    core.set_replica(r as u32, config.replicas as u32);
-                    core.preload(
-                        placement.iter().filter(|&&(_, p)| p.0 as usize == g).map(|&(kk, _)| kk),
-                        vars_by_part[g].iter().cloned(),
-                    );
-                    Role::Partition(core)
-                } else {
-                    let mut core = OracleCore::<A>::new(OracleConfig {
-                        partitions: config.partitions,
-                        mode: config.mode,
-                        repartition_threshold: config.repartition_threshold,
-                        record_metrics: r == 0,
-                        ..OracleConfig::default()
-                    });
-                    core.preload_map(placement.iter().copied());
-                    Role::Oracle(core)
-                };
-                let thread = ReplicaThread {
-                    member: McastMember::new(m, topo.clone()),
-                    role,
-                    rx: rxs.remove(&m).expect("receiver"),
-                    fabric: Arc::clone(&fabric),
-                    metrics: Arc::clone(&metrics),
-                    epoch,
-                    stop: Arc::clone(&stop),
-                    plan_due: None,
-                };
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("dynastar-{m}"))
-                        .spawn(move || thread.run())
-                        .expect("spawn replica thread"),
-                );
-            }
-        }
-
-        ThreadedCluster {
-            fabric,
-            metrics,
-            stop,
-            handles,
-            next_client: 1_000_000, // distinct from replica "node" space
-            epoch,
-            mode: config.mode,
-            placement,
-        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let spawn = |(host, rx): (ReplicaHost<A>, _)| {
+            let name = format!("dynastar-{}", host.me());
+            let thread =
+                ReplicaThread { host, rx, fabric: Arc::clone(&fabric), stop: Arc::clone(&stop) };
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || thread.run())
+                .expect("spawn replica thread")
+        };
+        let handles = hosts.into_iter().zip(inboxes).map(spawn).collect();
+        // Client ids start well clear of the replicas' node ids.
+        ThreadedCluster { fabric, routes, stop, handles, next_client: 1_000_000, config, placement }
     }
 
     /// Creates a synchronous client handle.
@@ -433,14 +215,13 @@ impl<A: Application> ThreadedCluster<A> {
         self.next_client += 1;
         let (tx, rx) = unbounded();
         self.fabric.clients.lock().insert(id, tx);
-        let mut core = ClientCore::new(id, self.mode);
-        core.preload_cache(self.placement.iter().copied());
-        ThreadedClient { core, rx, fabric: Arc::clone(&self.fabric), epoch: self.epoch }
+        let host = client_host(id, &self.config, &self.placement, Arc::clone(&self.routes));
+        ThreadedClient { host, rx, fabric: Arc::clone(&self.fabric), due: Deadlines::default() }
     }
 
-    /// A snapshot of the merged metrics.
+    /// The metrics registry every replica and client records into.
     pub fn metrics(&self) -> Arc<Mutex<Metrics>> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.fabric.metrics)
     }
 
     /// Messages the fabric dropped so far (unknown addressee or a
@@ -468,52 +249,35 @@ impl<A: Application> Drop for ThreadedCluster<A> {
 
 /// A blocking client for a [`ThreadedCluster`].
 pub struct ThreadedClient<A: Application> {
-    core: ClientCore<A>,
-    rx: Receiver<Direct<A>>,
+    host: ClientHost<A>,
+    rx: Receiver<Arc<Inner<A>>>,
     fabric: Arc<Fabric<A>>,
-    epoch: Instant,
+    /// Only `wake` is ever armed: the retry backoff.
+    due: Deadlines,
 }
 
 impl<A: Application> ThreadedClient<A> {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Executes one command, blocking until its reply (or `None` after
     /// `timeout`).
     pub fn execute(&mut self, kind: CommandKind<A>, timeout: Duration) -> Option<Option<A::Reply>> {
         let deadline = Instant::now() + timeout;
-        let effects = self.core.issue(kind, self.now());
-        self.dispatch(effects);
+        self.host.issue(kind, &mut self.fabric.port(&mut self.due));
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let msg = match self.rx.recv_timeout(remaining) {
-                Ok(m) => m,
-                Err(_) => return None,
-            };
-            let now = self.now();
-            let (effects, event) = {
-                // Client-side metrics are thread-local and merged lazily;
-                // use a scratch registry (clients record latency/counters).
-                let mut scratch = Metrics::new();
-                self.core.on_direct(msg, now, &mut scratch)
-            };
-            self.dispatch(effects);
-            if let Some(ClientEvent::Completed { reply, ok, .. }) = event {
-                return Some(if ok { reply } else { None });
-            }
-        }
-    }
-
-    fn dispatch(&mut self, effects: Vec<Effect<A>>) {
-        for eff in effects {
-            match eff {
-                Effect::Multicast { mid, partitions, oracle, payload } => {
-                    let groups = resolve_groups(&self.fabric, &partitions, oracle);
-                    self.fabric.submit(mid, groups, Arc::new(payload));
+            let next = self.due.wake.map_or(deadline, |at| at.min(deadline));
+            match self.rx.recv_timeout(next.saturating_duration_since(Instant::now())) {
+                Ok(body) => {
+                    let Inner::Direct(msg) = unwrap_released(body) else { continue };
+                    let event = self.host.on_direct(msg, &mut self.fabric.port(&mut self.due));
+                    if let Some(ClientEvent::Completed { reply, ok, .. }) = event {
+                        return Some(if ok { reply } else { None });
+                    }
                 }
-                Effect::Send { to, msg } => self.fabric.send_direct(to, msg),
-                Effect::SchedulePlan { .. } | Effect::Wake { .. } => {}
+                Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {
+                    if fired(&mut self.due.wake, Instant::now()) {
+                        self.host.on_backoff(&mut self.fabric.port(&mut self.due));
+                    }
+                }
+                Err(_) => return None,
             }
         }
     }
@@ -522,7 +286,6 @@ impl<A: Application> ThreadedClient<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     struct Counters;
     impl Application for Counters {
@@ -549,7 +312,7 @@ mod tests {
             (0..10u64).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect();
         let vars: Vec<(VarId, i64)> = (0..10u64).map(|v| (VarId(v), 0)).collect();
         let mut cluster = ThreadedCluster::<Counters>::start(
-            ThreadedConfig { partitions: 2, replicas: 3, ..Default::default() },
+            ClusterConfig { partitions: 2, replicas: 3, ..Default::default() },
             placement,
             vars,
         );
@@ -587,7 +350,7 @@ mod tests {
             (0..4u64).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect();
         let vars: Vec<(VarId, i64)> = (0..4u64).map(|v| (VarId(v), 0)).collect();
         let mut cluster = ThreadedCluster::<Counters>::start(
-            ThreadedConfig { partitions: 2, replicas: 2, ..Default::default() },
+            ClusterConfig { partitions: 2, replicas: 2, ..Default::default() },
             placement,
             vars,
         );

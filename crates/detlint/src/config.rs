@@ -50,6 +50,9 @@ pub struct Config {
     /// Files that are wholly test code (integration-test trees) —
     /// exempt from D/P/W/X, and counted as coverage for T003.
     pub test_globs: Vec<String>,
+    /// Line of each key that `detlint.toml` set (compiled-in defaults
+    /// have none), so a finding about a list can point at it.
+    pub key_lines: std::collections::BTreeMap<String, u32>,
 }
 
 impl Default for Config {
@@ -74,8 +77,11 @@ impl Default for Config {
                 "crates/core/src/oracle.rs",
                 "crates/core/src/client.rs",
                 "crates/core/src/cluster.rs",
+                "crates/core/src/deploy.rs",
+                "crates/core/src/host.rs",
                 "crates/core/src/payload.rs",
                 "crates/core/src/threaded.rs",
+                "crates/core/src/transport.rs",
             ]),
             decode_markers: v(&["decode", "parse", "from_bytes", "from_wire"]),
             skip: v(&[
@@ -93,29 +99,32 @@ impl Default for Config {
                 "on_message",
                 "on_deliver",
                 "on_direct",
+                "on_body",
                 "on_start",
                 "on_restart",
                 "on_timer",
                 "on_tick",
+                "on_plan_timer",
                 "on_wake",
                 "on_timeout",
+                "on_backoff",
                 "tick",
                 "receive",
                 "absorb",
-                "apply_effects",
-                "handle_direct",
+                "install",
                 "handle_recovery",
             ]),
             scheduler_roots: v(&[
-                "Server::gate_for",
-                "Server::admit_execution",
-                "ExecScheduler::earliest_free_worker",
-                "ExecScheduler::advance_busy",
+                "ServerCore::gate_for",
+                "ServerCore::admit_execution",
+                "earliest_free_worker",
+                "advance_busy",
                 "ExecScheduler::prune",
                 "ExecScheduler::note_stall",
             ]),
             scheduler_scope: v(&["crates/core/src/server.rs"]),
             test_globs: v(&["tests/**", "crates/*/tests/**", "crates/*/benches/**"]),
+            key_lines: Default::default(),
         }
     }
 }
@@ -208,6 +217,7 @@ pub fn parse_config(text: &str, base: Config) -> Result<Config, ConfigError> {
             }
         }
         let items = parse_value(&value).map_err(|message| ConfigError { line: n + 1, message })?;
+        cfg.key_lines.insert(key.to_string(), n as u32 + 1);
         match key {
             "sim" => cfg.sim = items,
             "protocol" => cfg.protocol = items,

@@ -15,8 +15,9 @@
 //! protocol entry points in full scans), **W** IO-weld boundary
 //! violations feeding `results/weld_map.json` ([`weld`]), **T**
 //! wire-enum totality ([`totality`]), **X** exec-scheduler
-//! determinism ([`sched`]), and **S** suppression governance for
-//! `// detlint::allow(RULE): why` directives.
+//! determinism ([`sched`]), and **S** governance: of
+//! `// detlint::allow(RULE): why` directives, and of the function names
+//! `detlint.toml` designates (one that matches nothing is a finding).
 //!
 //! ```
 //! use detlint::{analyze, Config};
@@ -49,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::{parse_config, Config};
 pub use engine::{analyze, FileReport, Finding};
-pub use report::{render_weld_map, weld_map_count, Stats};
+pub use report::{render_weld_baseline, render_weld_map, weld_map_count, Stats};
 pub use weld::Weld;
 
 use symbols::{SourceFile, SymbolTable};
@@ -206,6 +207,7 @@ pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport
         }
         report.findings.extend(fr.findings);
     }
+    report.findings.extend(unresolved_names(&files, &syms, config));
     report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
     // Mark suppressed welds for the weld map.
@@ -215,6 +217,49 @@ pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport
     }
     report.welds.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
+}
+
+/// S004: every function a name list of the config designates must exist
+/// where its family looks for it — a root that a rename left behind
+/// would otherwise shrink the X cone, the P entry cone or the T handler
+/// set without a word. A family that is switched off (no scheduler roots,
+/// no protocol file, no wire enum) is not judged.
+fn unresolved_names(files: &[SourceFile], syms: &SymbolTable, config: &Config) -> Vec<Finding> {
+    let live = |name: &str, in_file: &dyn Fn(&SourceFile) -> bool| {
+        syms.by_name.get(name).is_some_and(|ids| {
+            ids.iter().any(|&id| !syms.fns[id].item.is_test && in_file(&files[syms.fns[id].file]))
+        })
+    };
+    let mut missing: Vec<(&str, &String)> = Vec::new();
+    for spec in &config.scheduler_roots {
+        let found = syms
+            .resolve_spec(spec)
+            .iter()
+            .any(|&id| config.in_scheduler_scope(&files[syms.fns[id].file].path));
+        if !found {
+            missing.push(("scheduler_roots", spec));
+        }
+    }
+    if files.iter().any(|f| f.role.protocol) {
+        let absent = |name: &&String| !live(name, &|f| f.role.protocol);
+        missing
+            .extend(config.protocol_entries.iter().filter(absent).map(|n| ("protocol_entries", n)));
+    }
+    if !config.wire_enums.is_empty() {
+        let absent = |name: &&String| !live(name, &|_| true);
+        missing.extend(config.handler_fns.iter().filter(absent).map(|n| ("handler_fns", n)));
+    }
+    let info = rules::rule("S004").expect("known rule id");
+    missing
+        .into_iter()
+        .map(|(key, name)| Finding {
+            file: "detlint.toml".to_string(),
+            line: config.key_lines.get(key).copied().unwrap_or(0),
+            rule: info.id,
+            message: format!("`{key}` entry {name:?} matches no function"),
+            hint: info.hint,
+        })
+        .collect()
 }
 
 /// Scans the workspace rooted at `root` with `config`.

@@ -5,7 +5,8 @@
 //! cargo run -p detlint -- --format json  # machine-readable, for CI
 //! cargo run -p detlint -- --paths crates/core/src/server.rs   # fast per-file scan
 //! cargo run -p detlint -- --changed-only                      # fast scan of git-dirty files
-//! cargo run -p detlint -- --weld-map results/weld_map.json    # write the weld map
+//! cargo run -p detlint -- --weld-map weld_map_ci.json         # write the weld map, with lines
+//! cargo run -p detlint -- --weld-baseline results/weld_map.json  # write its committed form
 //! cargo run -p detlint -- --ratchet results/weld_map.json     # enforce the weld ceiling
 //! cargo run -p detlint -- --list-rules
 //! ```
@@ -36,8 +37,8 @@ detlint — workspace determinism & protocol-hygiene analyzer
 USAGE:
     detlint [--root <dir>] [--config <file>] [--format human|json]
             [--paths <glob>[,<glob>…]] [--changed-only]
-            [--weld-map <out.json>] [--ratchet <baseline.json>]
-            [--list-rules]
+            [--weld-map <out.json>] [--weld-baseline <out.json>]
+            [--ratchet <baseline.json>] [--list-rules]
 
 OPTIONS:
     --root <dir>        workspace root (default: nearest ancestor with [workspace])
@@ -46,7 +47,10 @@ OPTIONS:
     --paths <globs>     fast per-file scan of matching files only (D + governance;
                         repeatable, comma-separated; cross-file families skipped)
     --changed-only      fast per-file scan of files reported dirty by git
-    --weld-map <out>    write results-style weld-map JSON after a full scan
+    --weld-map <out>    write the weld-map JSON after a full scan (CI artifact)
+    --weld-baseline <out>
+                        write the weld map without line numbers — the form
+                        committed as results/weld_map.json
     --ratchet <file>    fail (exit 1) when the scan's weld count exceeds the
                         committed baseline's `count`
     --list-rules        print the rule catalog and exit
@@ -76,6 +80,7 @@ fn run() -> Result<bool, String> {
     let mut paths: Vec<String> = Vec::new();
     let mut changed_only = false;
     let mut weld_map_out: Option<PathBuf> = None;
+    let mut weld_baseline_out: Option<PathBuf> = None;
     let mut ratchet: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -92,6 +97,9 @@ fn run() -> Result<bool, String> {
             ),
             "--changed-only" => changed_only = true,
             "--weld-map" => weld_map_out = Some(next_value(&mut args, "--weld-map")?.into()),
+            "--weld-baseline" => {
+                weld_baseline_out = Some(next_value(&mut args, "--weld-baseline")?.into())
+            }
             "--ratchet" => ratchet = Some(next_value(&mut args, "--ratchet")?.into()),
             "--list-rules" => {
                 for r in rules::RULES {
@@ -110,8 +118,11 @@ fn run() -> Result<bool, String> {
         return Err(format!("--format must be human or json, got {format:?}"));
     }
     let partial = changed_only || !paths.is_empty();
-    if partial && (weld_map_out.is_some() || ratchet.is_some()) {
-        return Err("--weld-map/--ratchet need a full scan, not --paths/--changed-only".into());
+    if partial && (weld_map_out.is_some() || weld_baseline_out.is_some() || ratchet.is_some()) {
+        return Err(
+            "--weld-map/--weld-baseline/--ratchet need a full scan, not --paths/--changed-only"
+                .into(),
+        );
     }
 
     let root = match root {
@@ -163,10 +174,12 @@ fn run() -> Result<bool, String> {
             sources.push((rel, src));
         }
         let scan = scan_sources(&sources, &config);
-        if let Some(out) = &weld_map_out {
-            std::fs::write(out, report::render_weld_map(&scan.welds))
-                .map_err(|e| format!("{}: {e}", out.display()))?;
-        }
+        let write_map = |out: &Option<PathBuf>, render: fn(&[detlint::Weld]) -> String| {
+            let Some(out) = out else { return Ok(()) };
+            std::fs::write(out, render(&scan.welds)).map_err(|e| format!("{}: {e}", out.display()))
+        };
+        write_map(&weld_map_out, report::render_weld_map)?;
+        write_map(&weld_baseline_out, report::render_weld_baseline)?;
         let mut clean = scan.clean();
         if let Some(baseline) = &ratchet {
             let text = std::fs::read_to_string(baseline)

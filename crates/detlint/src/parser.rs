@@ -10,7 +10,9 @@
 //! attributed to their enclosing function.
 //!
 //! Deliberate approximations (each safe for a lint with governed
-//! suppressions): nested functions are recorded flat (the innermost
+//! suppressions): `impl` opens a block only where an item can start
+//! (elsewhere it is `impl Trait` in a signature), nested functions are
+//! recorded flat (the innermost
 //! enclosing span wins for line attribution), function-pointer types
 //! (`fn(u32) -> u32`) are skipped because no identifier follows `fn`,
 //! and const-generic brace expressions in signatures are not handled
@@ -125,7 +127,7 @@ pub fn parse(lexed: &Lexed, test_spans: &[Span]) -> ParsedFile {
             }
         }
         match ident_at(tokens, i) {
-            Some("impl") | Some("trait") => {
+            Some("impl") | Some("trait") if at_item_start(tokens, i) => {
                 if let Some((owner, body)) = parse_owner_block(tokens, i) {
                     owners.push((owner, body.end));
                     i = body.start; // descend into the block
@@ -177,6 +179,19 @@ pub fn parse(lexed: &Lexed, test_spans: &[Span]) -> ParsedFile {
         i += 1;
     }
     out
+}
+
+/// Whether the keyword at `i` can begin an item: it follows the end of
+/// another item, an attribute, a block opening or a visibility/`unsafe`
+/// qualifier. An `impl` anywhere else is `impl Trait` in a signature —
+/// taking that for a block header swallows the functions after it.
+fn at_item_start(tokens: &[Token], i: usize) -> bool {
+    match i.checked_sub(1).map(|p| &tokens[p].kind) {
+        None => true,
+        Some(TokKind::Punct(p)) => matches!(p.as_str(), "}" | ";" | "]" | "{" | ")"),
+        Some(TokKind::Ident(id)) => matches!(id.as_str(), "pub" | "unsafe" | "default"),
+        Some(_) => false,
+    }
 }
 
 /// Parses an `impl`/`trait` header starting at `i`; returns the owner
@@ -455,6 +470,27 @@ mod tests {
         // Body-less trait fn has an empty body range.
         assert!(p.fns[4].body.is_empty());
         assert!(!p.fns[3].body.is_empty());
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_opens_no_block() {
+        let p = parsed(
+            "impl Host {\n\
+               pub fn on_body(&mut self, port: &mut impl Port<A>) -> impl Iterator<Item = u8> {\n\
+                   self.step(port, |role| role.tick())\n\
+               }\n\
+               fn step(&mut self, call: impl FnOnce(&mut Role) -> Vec<u8>) {}\n\
+               fn drain(&mut self) {}\n\
+             }\n\
+             pub(crate) trait Port {\n    fn now(&self);\n}\n",
+        );
+        let names: Vec<(&str, Option<&str>)> =
+            p.fns.iter().map(|f| (f.name.as_str(), f.owner.as_deref())).collect();
+        let host = Some("Host");
+        assert_eq!(
+            names,
+            [("on_body", host), ("step", host), ("drain", host), ("now", Some("Port"))]
+        );
     }
 
     #[test]

@@ -65,23 +65,34 @@ pub fn render_json(findings: &[Finding], stats: Stats) -> String {
     out
 }
 
-/// Renders `results/weld_map.json` — the work-list and ratchet for
-/// the sans-IO refactor. Entries are sorted by (file, line, rule)
+/// Renders the weld map — the work-list and ratchet for
+/// the sans-IO refactor — as CI uploads it. Entries are sorted by (file, line, rule)
 /// upstream so the file is byte-stable across runs; `count` includes
 /// suppressed (justified) welds, because the ratchet bounds the total
 /// IO surface, not just the unjustified part.
 pub fn render_weld_map(welds: &[Weld]) -> String {
+    render_welds(welds, true)
+}
+
+/// The form of the weld map that is committed as `results/weld_map.json`:
+/// [`render_weld_map`] without the line numbers, so that moving a welded
+/// function within its file does not make the committed map stale.
+pub fn render_weld_baseline(welds: &[Weld]) -> String {
+    render_welds(welds, false)
+}
+
+fn render_welds(welds: &[Weld], lines: bool) -> String {
     let mut out = String::from("{\n  \"version\": 1,\n  \"welds\": [");
     for (i, w) in welds.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let prims: Vec<String> = w.primitives.iter().map(|p| json_str(p)).collect();
+        let line = if lines { format!("\"line\": {}, ", w.line) } else { String::new() };
         out.push_str(&format!(
-            "\n    {{\"fn\": {}, \"file\": {}, \"line\": {}, \"rule\": {}, \"primitives\": [{}], \"suppressed\": {}}}",
+            "\n    {{\"fn\": {}, \"file\": {}, {line}\"rule\": {}, \"primitives\": [{}], \"suppressed\": {}}}",
             json_str(&w.fn_name),
             json_str(&w.file),
-            w.line,
             json_str(w.rule),
             prims.join(", "),
             w.suppressed,
@@ -173,6 +184,9 @@ mod tests {
         assert!(json.contains("\"suppressed\": true"));
         assert_eq!(weld_map_count(&json), Some(1));
         assert_eq!(weld_map_count(&render_weld_map(&[])), Some(0));
+        assert!(json.contains("\"line\": 42"));
+        let baseline = render_weld_baseline(&welds);
+        assert_eq!(baseline, json.replace("\"line\": 42, ", ""));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * **S — suppression governance.** Findings are silenced only by an
 //!   inline `// detlint::allow(<rule>): <justification>` directive;
 //!   the justification is mandatory and unused directives are errors,
-//!   so suppressions cannot rot.
+//!   so suppressions cannot rot. Neither can the config: a function name
+//!   in `detlint.toml` that matches nothing is an error too (S004).
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
@@ -127,6 +128,11 @@ pub const RULES: &[RuleInfo] = &[
         id: "S003",
         title: "unknown rule id in `detlint::allow` directive",
         hint: "use an id from `detlint --list-rules`",
+    },
+    RuleInfo {
+        id: "S004",
+        title: "`detlint.toml` names a function that does not exist",
+        hint: "fix or delete the entry: a root that resolves to nothing silently shrinks what its rule family scans",
     },
 ];
 

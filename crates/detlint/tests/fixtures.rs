@@ -239,6 +239,43 @@ fn reachability_fixture_matches_golden() {
     );
 }
 
+/// A function name in the config that matches nothing fails the scan —
+/// for each of the three lists that designate functions, and only while
+/// the family the list feeds is switched on.
+#[test]
+fn a_configured_name_that_matches_nothing_is_a_finding() {
+    let s004 = |rels: &[&str], toml: &str| -> Vec<String> {
+        let report = scan_set(rels, toml);
+        let found = report.findings.iter().filter(|f| f.rule == "S004");
+        found.map(|f| format!("{}:{} {}", f.file, f.line, f.message)).collect()
+    };
+    // The method moved to another type; a free function was given an owner.
+    let toml = SCHED_TOML.replace(
+        "\"Sched::run\"",
+        "\"Sched::run\", \"Server::run\", \"Sched::unreachable_helper\"",
+    );
+    assert_eq!(
+        s004(&["fixtures/sched/sched.rs"], &toml),
+        [
+            "detlint.toml:6 `scheduler_roots` entry \"Server::run\" matches no function",
+            "detlint.toml:6 `scheduler_roots` entry \"Sched::unreachable_helper\" matches no function",
+        ]
+    );
+    let toml = REACH_TOML.replace("[\"on_message\"]", "[\"on_message\", \"apply_effects\"]");
+    assert_eq!(
+        s004(&["fixtures/reach/proto.rs"], &toml),
+        ["detlint.toml:7 `protocol_entries` entry \"apply_effects\" matches no function"]
+    );
+    let toml = TOTALITY_TOML.replace("\"on_direct\"]", "\"on_direct\", \"handle_direct\"]");
+    assert_eq!(
+        s004(&["fixtures/totality/wire.rs"], &toml),
+        ["detlint.toml:7 `handler_fns` entry \"handle_direct\" matches no function"]
+    );
+    // The weld fixture names no protocol file and no wire enum: the
+    // compiled-in entry and handler lists are not judged against it.
+    assert!(s004(&["fixtures/weld/core.rs", "fixtures/weld/facade.rs"], WELD_TOML).is_empty());
+}
+
 fn workspace_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -270,20 +307,22 @@ fn live_workspace_is_clean() {
 /// The committed `results/weld_map.json` must match what the tree
 /// actually produces — it is the sans-IO work-list and the CI
 /// ratchet's baseline, so drift in either direction is a failure.
-/// Regenerate with `cargo run -p detlint -- --weld-map results/weld_map.json`.
+/// The committed form carries no line numbers (CI's artifact does), so
+/// only a weld appearing, disappearing or changing hands makes it stale.
+/// Regenerate with `cargo run -p detlint -- --weld-baseline results/weld_map.json`.
 #[test]
 fn committed_weld_map_is_current() {
     let root = workspace_root();
     let config = detlint::load_config(&root).expect("detlint.toml loads");
     let scan = detlint::scan_workspace(&root, &config).expect("workspace scans");
-    let rendered = detlint::render_weld_map(&scan.welds);
+    let rendered = detlint::render_weld_baseline(&scan.welds);
     let committed = std::fs::read_to_string(root.join("results/weld_map.json"))
         .expect("results/weld_map.json is committed");
     assert_eq!(
         rendered.trim(),
         committed.trim(),
         "results/weld_map.json is stale; regenerate with \
-         `cargo run -p detlint -- --weld-map results/weld_map.json`"
+         `cargo run -p detlint -- --weld-baseline results/weld_map.json`"
     );
     let count = detlint::weld_map_count(&committed).expect("weld map carries a count");
     assert_eq!(count, scan.welds.len(), "committed count must match the weld list");

@@ -255,14 +255,14 @@ fn delivered_sequence_matches_golden_hash() {
 // staying untouched is the proof that a single shard still resolves to
 // the pre-sharding protocol byte for byte.
 //
-// Known gap (DESIGN.md §7, found in PR 12, not fixed there): the hint
-// split does not actually happen in this run. `ClusterBuilder::build`
-// never copies `ClusterConfig::oracle_shards` into
-// `ServerConfig::oracle_shards`, so every server still flushes whole
-// hints to planner shard 0 (740 of 740 flushes here see `shards = 1`)
-// and the slice / `GraphDigest` / `DigestFlush` path runs only in
-// `oracle.rs` unit tests. This constant pins sharded *query serving*;
-// wiring the field will re-pin it.
+// Known gap (DESIGN.md §7): the hint split does not actually happen in
+// this run. `ClusterConfig::server_config()` deliberately writes
+// `ServerConfig::oracle_shards = 1` whatever `ClusterConfig::oracle_shards`
+// says, so every server still flushes whole hints to planner shard 0
+// (740 of 740 flushes here see `shards = 1`) and the slice /
+// `GraphDigest` / `DigestFlush` path runs only in `oracle.rs` unit tests.
+// This constant pins sharded *query serving*; wiring the field will
+// re-pin it.
 // ---------------------------------------------------------------------------
 
 /// Recorded from a verified run of this revision; identical in debug and
