@@ -276,21 +276,7 @@ impl<A: Application> ClientCore<A> {
                 if matches && !ok {
                     // Command cannot execute (unknown variable, duplicate
                     // create): complete unsuccessfully.
-                    if let Some(out) = self.outstanding.take() {
-                        self.deferred = None;
-                        let latency = now.saturating_duration_since(out.issued_at);
-                        let ids = self.mids(metrics);
-                        metrics.incr(ids.cmd_failed, 1);
-                        return (
-                            Vec::new(),
-                            Some(ClientEvent::Completed {
-                                cmd: out.cmd,
-                                reply: None,
-                                latency,
-                                ok: false,
-                            }),
-                        );
-                    }
+                    return (Vec::new(), self.abandon(now, metrics));
                 }
                 (Vec::new(), None)
             }
@@ -333,6 +319,18 @@ impl<A: Application> ClientCore<A> {
             // detlint::allow(T002): clients consume only the client-addressed subset (Prophecy/Reply/Retry); the remaining Direct variants are server-to-server traffic that a client must ignore, not enumerate
             _ => (Vec::new(), None),
         }
+    }
+
+    /// Gives up on the outstanding command: it completes unsuccessfully
+    /// (counted as `cmd.failed`) and the client can issue again. A late
+    /// `Reply` or `Retry` for it fails the id check and is ignored.
+    pub fn abandon(&mut self, now: SimTime, metrics: &mut Metrics) -> Option<ClientEvent<A>> {
+        let out = self.outstanding.take()?;
+        self.deferred = None;
+        let latency = now.saturating_duration_since(out.issued_at);
+        let ids = self.mids(metrics);
+        metrics.incr(ids.cmd_failed, 1);
+        Some(ClientEvent::Completed { cmd: out.cmd, reply: None, latency, ok: false })
     }
 
     fn complete(

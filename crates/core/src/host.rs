@@ -593,6 +593,12 @@ impl<A: Application> ClientHost<A> {
         self.apply(effects, port);
     }
 
+    /// The caller stopped waiting: drop the outstanding command (a failure).
+    pub(crate) fn abandon(&mut self, port: &mut impl Port<A>) {
+        let now = port.now();
+        self.core.abandon(now, port.metrics());
+    }
+
     /// The wake timer armed through [`Port::arm_wake`] fired: dispatch the
     /// retry the core had deferred for backpressure.
     pub(crate) fn on_backoff(&mut self, port: &mut impl Port<A>) {

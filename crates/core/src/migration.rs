@@ -1,21 +1,18 @@
 //! Plan-history replay for migration settling.
 //!
-//! PR 6 settled `(version, key)` migration outcomes first-decision-wins in a
-//! bounded [`RotatingSet`](dynastar_runtime::RotatingSet): whichever of
-//! `MigrationDone` / `MigrationRevert` was delivered first won, and a revert
-//! restored the key's *previous* location unconditionally. That is wrong the
-//! moment plans chain: if plan v moves a key A→B and plan v+1 re-routes it
-//! B→C while the v-transfer is still in flight, a give-up revert of v must
-//! *not* put the key back at A — the cluster has already agreed (in total
-//! order) that it belongs at C. The rotating set also *forgot* old decisions
-//! under churn, so a late duplicate revert could re-settle as "first" and
-//! silently flip ownership.
+//! Which of `MigrationDone` / `MigrationRevert` settles a `(version, key)`
+//! move cannot be first-decision-wins with the revert restoring the key's
+//! *previous* location: plans chain. If plan v moves a key A→B and plan v+1
+//! re-routes it B→C while the v-transfer is still in flight, a give-up
+//! revert of v must *not* put the key back at A — the cluster has already
+//! agreed (in total order) that it belongs at C. Nor may a decision be
+//! forgotten under churn, or a late duplicate revert would re-settle as
+//! "first" and silently flip ownership.
 //!
-//! [`PlanHistory`] replaces both uses. Per key it keeps a bounded,
-//! version-ordered log of move records `(version, from, to, outcome)` plus a
-//! monotone *floor*: the highest version folded out of the log. Settling a
-//! decision marks the record and **replays** the whole history to compute the
-//! current owner:
+//! Per key, [`PlanHistory`] keeps a bounded, version-ordered log of move
+//! records `(version, from, to, outcome)` plus a monotone *floor*: the
+//! highest version folded out of the log. Settling a decision marks the
+//! record and **replays** the whole history to compute the current owner:
 //!
 //! * start from the base location (the destination of the last folded move,
 //!   if any),
@@ -29,10 +26,9 @@
 //!
 //! Duplicates and stragglers are **default-deny**: a decision at or below the
 //! floor, or for an already-decided record, returns [`Settle::Stale`] and
-//! changes nothing. This is the opposite polarity of the rotating set (which
-//! treated unknown as first) and is what makes the bound safe: forgetting a
-//! decided move can only cause a late duplicate to be *ignored*, never
-//! replayed.
+//! changes nothing. Unknown means decided, never first, which is what makes
+//! the bound safe: forgetting a decided move can only cause a late duplicate
+//! to be *ignored*, never replayed.
 //!
 //! All state lives in `BTreeMap`s / `VecDeque`s and every operation is a pure
 //! function of delivery order, so replicas driving this from the same total
@@ -40,7 +36,28 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use dynastar_amcast::MsgId;
+
 use crate::command::{LocKey, PartitionId};
+
+/// Origin space for migration-control multicasts
+/// ([`Payload::MigrationDone`](crate::Payload::MigrationDone) /
+/// [`Payload::MigrationRevert`](crate::Payload::MigrationRevert)): every
+/// replica at either end of a migration derives the same id from
+/// `(key, version)`, so the multicast layer delivers one copy. Disjoint from
+/// client origins (node ids), partition hint origins
+/// ([`PARTITION_ORIGIN_BASE`](crate::server::PARTITION_ORIGIN_BASE)) and the
+/// oracle's plan origin (`u64::MAX - 1`).
+const MIGRATION_ORIGIN_BASE: u64 = 1 << 62;
+/// Derivation tag of `MigrationDone` ids.
+pub(crate) const TAG_MIGRATION_DONE: u32 = 400;
+/// Derivation tag of `MigrationRevert` ids.
+pub(crate) const TAG_MIGRATION_REVERT: u32 = 401;
+
+/// The shared id of a migration-control multicast for `(key, version)`.
+pub(crate) fn migration_mid(key: LocKey, version: u64, tag: u32) -> MsgId {
+    MsgId { origin: MIGRATION_ORIGIN_BASE | key.0, seq: version as u32, tag }
+}
 
 /// Live records kept per key before the oldest fold into the floor. Decided
 /// records fold eagerly, so the cap only bites when a key has this many

@@ -461,10 +461,13 @@ impl<A: Application> OracleCore<A> {
                 self.handle_exec(cmd, *attempt, &mut eff);
             }
             &Payload::CreateKey { ref cmd, dest } => {
-                let key = match &cmd.kind {
-                    CommandKind::CreateKey { key, .. } => *key,
-                    // detlint::allow(P003): constructor pairs CreateKey payloads with CreateKey commands; a mismatch is a local logic bug, not wire input
-                    _ => unreachable!("CreateKey payload without CreateKey command"),
+                // A create payload always carries a create command; on the
+                // delivery path a violated invariant must not take the
+                // replica down, so a mismatch is dropped (the partition
+                // drops it too).
+                let CommandKind::CreateKey { key, .. } = cmd.kind else {
+                    debug_assert!(false, "CreateKey payload without CreateKey command");
+                    return eff;
                 };
                 let ok = !self.map.contains_key(&key);
                 if ok {
@@ -485,10 +488,9 @@ impl<A: Application> OracleCore<A> {
                 }
             }
             &Payload::DeleteKey { ref cmd, dest } => {
-                let key = match &cmd.kind {
-                    CommandKind::DeleteKey { key } => *key,
-                    // detlint::allow(P003): constructor pairs DeleteKey payloads with DeleteKey commands; a mismatch is a local logic bug, not wire input
-                    _ => unreachable!("DeleteKey payload without DeleteKey command"),
+                let CommandKind::DeleteKey { key } = cmd.kind else {
+                    debug_assert!(false, "DeleteKey payload without DeleteKey command");
+                    return eff;
                 };
                 // Only delete if the key still lives where we routed the
                 // delete; both oracle and partition observe the same order,

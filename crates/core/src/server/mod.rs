@@ -12,543 +12,60 @@
 //! *wait* (for borrowed variables, for migrating keys, for a create/delete
 //! rendezvous) but nothing overtakes it. Atomic multicast's pairwise
 //! consistent delivery order across partitions makes this deadlock-free.
+//!
+//! The module is cut along what can own its state. This file applies what
+//! is delivered — the queue, the access/borrow pump, plan application and
+//! the destination side of migration — because all of that reads and
+//! writes `owned`, `store` and `outmigrated`. `exec` decides *when* the
+//! queue head may run and owns every modelled clock; `sender` owns the
+//! staged transfers this replica is the source of and their send order.
+//! Both keep their state private and hand back small outcome values that
+//! the core records. `queue`, `store`, `meter` and `config` declare
+//! what the core is built from.
+
+mod config;
+mod exec;
+mod meter;
+mod queue;
+mod sender;
+mod store;
 
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::dedup::{RotatingMap, RotatingSet};
-use dynastar_runtime::{CounterId, HistogramId, Metrics, SeriesId, SimTime};
+use dynastar_runtime::{CounterId, Metrics, SimTime};
 
 use crate::command::{
     AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
 };
 use crate::hints::HintArena;
 use crate::metric_names as mn;
-use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
+use crate::migration::{
+    migration_mid, MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY, TAG_MIGRATION_DONE,
+};
 use crate::payload::{DedupKey, Destination, Direct, Effect, OracleDest, Payload};
-use crate::routing::shard_of;
 
-/// Emits protocol-stall diagnostics to stderr when the
-/// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
-fn trace_blocked(args: std::fmt::Arguments<'_>) {
-    // Sampled once per process: this sits on executed-command paths, and
-    // `env::var_os` is far too slow to re-check per call.
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    // detlint::allow(D003): opt-in diagnostic gate only — the flag toggles eprintln tracing and never feeds protocol or simulation state
-    if *ON.get_or_init(|| std::env::var_os("DYNASTAR_TRACE_BLOCKED").is_some()) {
-        eprintln!("{args}");
-    }
-}
+pub use config::ServerConfig;
+pub use exec::ExecConfig;
+use exec::ExecScheduler;
+use meter::{Meter, ServerMetricIds};
+use queue::{trace_blocked, GateReason, Queued, Step};
+#[cfg(test)]
+pub(crate) use sender::CHUNK_SENDS;
+use sender::{transfer_time, Sender, Shipment};
+use store::{take_value, Awaited, StagedKey, Store};
 
 /// Message-id origin space for partition-originated multicasts (hints);
 /// clients use their node id as origin, which stays far below this.
 pub const PARTITION_ORIGIN_BASE: u64 = 1_000_000_000;
 
-/// The modelled parallel-execution engine of one replica: a P-SMR /
-/// CBASE-style worker pool over the delivered command stream.
-///
-/// Commands still *apply* strictly in delivery order on every replica —
-/// parallelism is purely a timing model deciding *when* the queue head is
-/// admitted, so replicas stay bit-identical regardless of `workers` and an
-/// inaccurate [`Application::classify`] can only skew modelled time, never
-/// state. With `workers = 1` the schedule is exactly the classic serial
-/// executor's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Modelled parallel execution workers per replica. `1` reproduces
-    /// the serial executor bit-for-bit (all golden hashes unchanged).
-    pub workers: u32,
-    /// Modelled CPU time per command execution. A worker is busy for this
-    /// long after executing; queued commands wait for a free,
-    /// non-conflicting slot. Zero disables the model entirely (commands
-    /// execute instantaneously). This is what bounds a partition's
-    /// throughput and produces saturation behaviour.
-    pub service_time: dynastar_runtime::SimDuration,
-    /// Sliding dependency-window capacity: how many admitted-but-
-    /// unfinished commands are tracked for conflict decisions. When the
-    /// window is full, admission stalls until the earliest in-flight
-    /// command finishes (counted as `exec.window_stall`).
-    pub window: u32,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig { workers: 1, service_time: dynastar_runtime::SimDuration::ZERO, window: 64 }
-    }
-}
-
-impl ExecConfig {
-    /// The classic serial executor with the given per-command cost.
-    pub fn serial(service_time: dynastar_runtime::SimDuration) -> Self {
-        ExecConfig { service_time, ..Self::default() }
-    }
-
-    /// A pool of `workers` with the given per-command cost.
-    pub fn pool(workers: u32, service_time: dynastar_runtime::SimDuration) -> Self {
-        ExecConfig { workers: workers.max(1), service_time, ..Self::default() }
-    }
-
-    /// Whether admission depends on commands' read/write sets: only a pool
-    /// of several workers with a non-zero cost keeps a dependency window.
-    fn tracks_conflicts(&self) -> bool {
-        self.workers > 1 && !self.service_time.is_zero()
-    }
-}
-
-/// Tunables for a partition server.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Executed commands per workload-hint batch sent to the oracle.
-    pub hint_batch: u32,
-    /// Whether to collect hints at all (DynaStar mode only).
-    pub collect_hints: bool,
-    /// Whether this replica records server-side metrics. Every replica of
-    /// a partition executes every command, so exactly one replica (index
-    /// 0) records, or counters would multiply by the replication factor.
-    pub record_metrics: bool,
-    /// The modelled execution engine: worker count, per-command cost and
-    /// dependency-window size (see [`ExecConfig`]).
-    pub exec: ExecConfig,
-    /// Staged migration: plan-triggered key moves ship their variables in
-    /// rate-limited, individually acknowledged chunks instead of one
-    /// unbounded shipment. Off by default (classic single-shipment path).
-    pub staged_migration: bool,
-    /// Variables per staged chunk (≥ 1).
-    pub migration_chunk_vars: u32,
-    /// Modelled serialized size of one variable, bytes (bandwidth model).
-    pub migration_var_bytes: u64,
-    /// Modelled migration link bandwidth in bytes/second. `0` means
-    /// unconstrained: transfers are free and charge no CPU/NIC time.
-    pub migration_link_bytes_per_sec: u64,
-    /// Base per-chunk ack timeout; also the starting backoff.
-    pub migration_chunk_timeout: dynastar_runtime::SimDuration,
-    /// Chunk retransmissions before the source gives up and reverts the
-    /// key's move (falling back to the previous plan).
-    pub migration_max_retries: u32,
-    /// Cluster-wide migration scheduling: max staged key transfers
-    /// concurrently in flight per source→destination link. Plans list
-    /// moves hottest-first (oracle orders by workload-graph weight), so
-    /// the cap ships the traffic-carrying keys immediately and defers the
-    /// tail, releasing deferred moves as transfers settle. `0` disables
-    /// the cap (every move ships at once, PR 6 behaviour).
-    pub migration_max_inflight_per_link: u32,
-    /// Number of oracle shard groups in the deployment. Hint batches are
-    /// split by slice ownership ([`crate::routing::shard_of`]) and each
-    /// slice multicast to its owner shard; `1` emits the single classic
-    /// hint multicast.
-    pub oracle_shards: u32,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            hint_batch: 64,
-            collect_hints: true,
-            record_metrics: true,
-            exec: ExecConfig::default(),
-            staged_migration: false,
-            migration_chunk_vars: 8,
-            migration_var_bytes: 512,
-            migration_link_bytes_per_sec: 0,
-            migration_chunk_timeout: dynastar_runtime::SimDuration::from_millis(200),
-            migration_max_retries: 5,
-            migration_max_inflight_per_link: 0,
-            oracle_shards: 1,
-        }
-    }
-}
-
-/// A command queued for in-order execution.
-#[derive(Debug)]
-struct Queued<A: Application> {
-    cmd: Command<A>,
-    attempt: u32,
-    body: QueuedBody,
-}
-
-#[derive(Debug)]
-enum QueuedBody {
-    Access {
-        expected: Vec<(VarId, PartitionId)>,
-        target: PartitionId,
-        keep: bool,
-        /// Multi-partition non-target: we shipped our vars and await return.
-        sent_vars: bool,
-        /// S-SMR: we broadcast our exchange share.
-        sent_exchange: bool,
-        /// The command's read/write sets, classified once at delivery and
-        /// normalized for [`AccessSets::conflicts_with`]; `None` when the
-        /// execution engine tracks no conflicts
-        /// ([`ExecConfig::tracks_conflicts`]).
-        sets: Option<AccessSets>,
-    },
-    Create {
-        key: LocKey,
-        signalled: bool,
-    },
-    Delete {
-        key: LocKey,
-        signalled: bool,
-    },
-    Plan {
-        version: u64,
-        moves: Vec<(LocKey, PartitionId, PartitionId)>,
-    },
-    /// Source-side rollback of a gave-up staged migration. Queued (not
-    /// applied at delivery) because re-owning the key must serialize with
-    /// command execution: a command delivered before the revert must see
-    /// the same ownership state on every replica regardless of local pump
-    /// timing.
-    MigrationRevert {
-        version: u64,
-        key: LocKey,
-    },
-}
-
-// Manual Clone impls (here and below): deriving would bound `A: Clone`,
-// but only `A`'s associated types need to be cloneable.
-impl<A: Application> Clone for Queued<A> {
-    fn clone(&self) -> Self {
-        Queued { cmd: self.cmd.clone(), attempt: self.attempt, body: self.body.clone() }
-    }
-}
-
-impl Clone for QueuedBody {
-    fn clone(&self) -> Self {
-        match self {
-            QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange, sets } => {
-                QueuedBody::Access {
-                    expected: expected.clone(),
-                    target: *target,
-                    keep: *keep,
-                    sent_vars: *sent_vars,
-                    sent_exchange: *sent_exchange,
-                    sets: sets.clone(),
-                }
-            }
-            QueuedBody::Create { key, signalled } => {
-                QueuedBody::Create { key: *key, signalled: *signalled }
-            }
-            QueuedBody::Delete { key, signalled } => {
-                QueuedBody::Delete { key: *key, signalled: *signalled }
-            }
-            QueuedBody::Plan { version, moves } => {
-                QueuedBody::Plan { version: *version, moves: moves.clone() }
-            }
-            QueuedBody::MigrationRevert { version, key } => {
-                QueuedBody::MigrationRevert { version: *version, key: *key }
-            }
-        }
-    }
-}
-
 /// Variables shipped between partitions: `(var, value-or-absent)` pairs.
-type VarShipment<A> = Vec<(VarId, Option<<A as Application>::Value>)>;
+type VarShipment<A> = Shipment<<A as Application>::Value>;
 /// Shipments collected per source partition.
 type ShipmentsBySource<A> = BTreeMap<PartitionId, VarShipment<A>>;
-
-/// Origin space for migration-control multicasts ([`Payload::MigrationDone`]
-/// / [`Payload::MigrationRevert`]): every replica at either end of a
-/// migration derives the same id from `(key, version)`, so the multicast
-/// layer delivers one copy. Disjoint from client origins (node ids),
-/// partition hint origins ([`PARTITION_ORIGIN_BASE`]) and the oracle's
-/// plan origin (`u64::MAX - 1`).
-const MIGRATION_ORIGIN_BASE: u64 = 1 << 62;
-/// Derivation tag of [`Payload::MigrationDone`] ids.
-const TAG_MIGRATION_DONE: u32 = 400;
-/// Derivation tag of [`Payload::MigrationRevert`] ids.
-const TAG_MIGRATION_REVERT: u32 = 401;
-
-/// The shared id of a migration-control multicast for `(key, version)`.
-fn migration_mid(key: LocKey, version: u64, tag: u32) -> MsgId {
-    MsgId { origin: MIGRATION_ORIGIN_BASE | key.0, seq: version as u32, tag }
-}
-
-/// Clamps a busy clock forward to `now` and charges `cost` on top — the
-/// single accounting primitive shared by command execution and
-/// migration-transfer time, so the two models can't drift apart.
-fn advance_busy(clock: &mut SimTime, now: SimTime, cost: dynastar_runtime::SimDuration) {
-    if *clock < now {
-        *clock = now;
-    }
-    *clock += cost;
-}
-
-/// The earliest-free worker; ties break to the lowest index so assignment
-/// is a pure function of the clock vector (replica-deterministic).
-fn earliest_free_worker(clocks: &[SimTime]) -> usize {
-    let mut best = 0;
-    for (i, &c) in clocks.iter().enumerate().skip(1) {
-        if c < clocks[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// One admitted-but-unfinished command in the dependency window.
-#[derive(Debug, Clone)]
-struct WindowEntry {
-    /// Its declared read/write sets (from [`Application::classify`]).
-    sets: AccessSets,
-    /// When its assigned worker finishes it.
-    finish: SimTime,
-}
-
-/// Marks the queue head as stalled by the scheduler so the stall is
-/// counted once per `(cmd, attempt)` at admission, not once per pump.
-#[derive(Debug, Clone, Copy)]
-struct PendingStall {
-    id: MsgId,
-    attempt: u32,
-    /// Gate was raised by a read/write conflict with an in-flight command.
-    conflicted: bool,
-    /// Gate was raised because the dependency window was at capacity.
-    window_full: bool,
-}
-
-/// Modelled parallel-execution state: per-worker busy clocks plus the
-/// sliding dependency window of admitted, unfinished commands.
-///
-/// With one worker the window stays empty and `clocks[0]` behaves exactly
-/// like the old single `busy_until` field.
-#[derive(Debug, Clone)]
-struct ExecScheduler {
-    /// One modelled busy-until clock per worker.
-    clocks: Vec<SimTime>,
-    /// Admitted commands whose modelled execution has not finished.
-    window: VecDeque<WindowEntry>,
-    /// Stall attribution for the current queue head, if any.
-    pending: Option<PendingStall>,
-}
-
-impl ExecScheduler {
-    fn new(workers: u32) -> Self {
-        ExecScheduler {
-            clocks: vec![SimTime::ZERO; workers.max(1) as usize],
-            window: VecDeque::new(),
-            pending: None,
-        }
-    }
-
-    /// Drops window entries whose modelled execution has finished.
-    fn prune(&mut self, now: SimTime) {
-        self.window.retain(|e| e.finish > now);
-    }
-
-    /// Records (or merges) stall attribution for the queue head.
-    fn note_stall(&mut self, stall: PendingStall) {
-        match &mut self.pending {
-            Some(p) if p.id == stall.id && p.attempt == stall.attempt => {
-                p.conflicted |= stall.conflicted;
-                p.window_full |= stall.window_full;
-            }
-            slot => *slot = Some(stall),
-        }
-    }
-}
-
-/// Modelled wire time of shipping `vars` variables over the migration link.
-fn transfer_time(cfg: &ServerConfig, vars: usize) -> dynastar_runtime::SimDuration {
-    if cfg.migration_link_bytes_per_sec == 0 {
-        return dynastar_runtime::SimDuration::ZERO;
-    }
-    let bytes = (vars as u64).saturating_mul(cfg.migration_var_bytes);
-    dynastar_runtime::SimDuration::from_micros(
-        bytes.saturating_mul(1_000_000) / cfg.migration_link_bytes_per_sec,
-    )
-}
-
-/// Names one staged transfer at its source: `(key, plan version)`. Key
-/// first, so the transfers of one key are neighbours in the outbox and a
-/// pull finds the newest without walking the rest.
-type TransferId = (LocKey, u64);
-
-#[cfg(test)]
-thread_local! {
-    /// `(partition, replica index, key)` of every staged chunk a core on
-    /// this thread put on its link — who sent what, which a cluster test
-    /// cannot see through the simulator.
-    pub(crate) static CHUNK_SENDS: std::cell::RefCell<Vec<(PartitionId, u32, LocKey)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// The chunk of `key`'s transfer that replica `r` of `n` puts on its link
-/// next. Chunk `i` belongs to replica `(shard_of(key, n) + i) % n`: on its
-/// own walk a replica takes its lowest unacked chunk, on the stealing walk
-/// the highest unacked chunk of a peer.
-fn next_chunk(acked: &[bool], key: LocKey, (r, n): (u32, u32), steal: bool) -> Option<usize> {
-    let first = shard_of(key, n) as usize;
-    let mine = |i: usize| (first + i) % n as usize == r as usize;
-    let mut chunks = acked.iter().enumerate();
-    if steal {
-        chunks.rposition(|(i, &done)| !done && !mine(i))
-    } else {
-        chunks.position(|(i, &done)| !done && mine(i))
-    }
-}
-
-/// Source-side state of one staged key migration ([`TransferId`] keyed).
-/// All chunk data is retained until the migration settles, so a revert can
-/// reinstall the key and a retransmit can resend any chunk.
-struct OutboxEntry<A: Application> {
-    /// Destination partition.
-    to: PartitionId,
-    /// The key's variables, pre-split into chunks.
-    chunks: Vec<VarShipment<A>>,
-    /// Per-chunk ack state.
-    acked: Vec<bool>,
-    /// Index of the chunk currently awaiting its ack, if any.
-    in_flight: Option<usize>,
-    /// Consecutive timeouts of the in-flight chunk.
-    attempts: u32,
-    /// Current (exponentially growing, capped) retransmit backoff.
-    backoff: dynastar_runtime::SimDuration,
-    /// When the in-flight chunk times out.
-    deadline: SimTime,
-    /// Retries exhausted; a revert has been requested.
-    gave_up: bool,
-    /// Waiting for a per-link in-flight slot; the entry is outside
-    /// [`ServerCore::active`] until [`ServerCore::release_link_slot`] or a
-    /// pull promotes it.
-    deferred: bool,
-    /// The destination asked for this key ([`Direct::PlanVarsPull`]): the
-    /// entry sits in the demand-first prefix of [`ServerCore::active`].
-    pulled: bool,
-}
-
-impl<A: Application> Clone for OutboxEntry<A> {
-    fn clone(&self) -> Self {
-        OutboxEntry {
-            to: self.to,
-            chunks: self.chunks.clone(),
-            acked: self.acked.clone(),
-            in_flight: self.in_flight,
-            attempts: self.attempts,
-            backoff: self.backoff,
-            deadline: self.deadline,
-            gave_up: self.gave_up,
-            deferred: self.deferred,
-            pulled: self.pulled,
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for OutboxEntry<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutboxEntry")
-            .field("to", &self.to)
-            .field("chunks", &self.chunks.len())
-            .field("acked", &self.acked.iter().filter(|&&a| a).count())
-            .field("in_flight", &self.in_flight)
-            .field("attempts", &self.attempts)
-            .field("gave_up", &self.gave_up)
-            .field("deferred", &self.deferred)
-            .field("pulled", &self.pulled)
-            .finish()
-    }
-}
-
-/// Destination-side buffer of one staged key migration. Chunks accumulate
-/// here (idempotently — retransmits overwrite with identical data) and are
-/// installed only once the matching [`Payload::MigrationDone`] has been
-/// delivered in total order.
-struct StagedKey<A: Application> {
-    /// The old owner.
-    from: PartitionId,
-    /// Total chunk count, learned from the first chunk to arrive (a
-    /// `MigrationDone` can be delivered before any chunk reaches this
-    /// particular replica).
-    total: Option<u32>,
-    /// Received chunks by index.
-    chunks: BTreeMap<u32, VarShipment<A>>,
-    /// The `MigrationDone` for this migration has been delivered.
-    done: bool,
-    /// This replica already submitted the `MigrationDone` multicast.
-    done_requested: bool,
-}
-
-impl<A: Application> Clone for StagedKey<A> {
-    fn clone(&self) -> Self {
-        StagedKey {
-            from: self.from,
-            total: self.total,
-            chunks: self.chunks.clone(),
-            done: self.done,
-            done_requested: self.done_requested,
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for StagedKey<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StagedKey")
-            .field("from", &self.from)
-            .field("total", &self.total)
-            .field("chunks", &self.chunks.len())
-            .field("done", &self.done)
-            .finish()
-    }
-}
-
-/// Destination-side marker of a key whose primary shipment is in flight.
-#[derive(Debug, Clone, Copy)]
-struct Awaited {
-    /// The old owner (per the plan that moved the key here).
-    from: PartitionId,
-    /// This replica already sent the old owner a [`Direct::PlanVarsPull`]
-    /// for the key. Lives and dies with the marker, so a re-planned key
-    /// can be pulled again.
-    pulled: bool,
-}
-
-/// Moves `v`'s value out of an executed variable map (absent, `None` and
-/// already-taken all read as `None`).
-fn take_value<V>(vars: &mut BTreeMap<VarId, Option<V>>, v: VarId) -> Option<V> {
-    vars.get_mut(&v).and_then(Option::take)
-}
-
-/// The values physically present at one replica.
-///
-/// Slots hold an `Option` so that an execution can *move* a value out and
-/// back without unlinking its tree node: [`Store::take`] leaves the emptied
-/// slot in place and the [`Store::put`] that follows refills it (or, when
-/// the command deleted the variable, removes it). An emptied slot never
-/// outlives [`ServerCore::run_op`], and every reader treats one as absent.
-#[derive(Debug, Clone)]
-struct Store<V>(BTreeMap<VarId, Option<V>>);
-
-impl<V> Store<V> {
-    fn get(&self, v: VarId) -> Option<&V> {
-        self.0.get(&v).and_then(Option::as_ref)
-    }
-
-    /// Moves `v`'s value out, keeping its slot for the `put` that follows.
-    fn take(&mut self, v: VarId) -> Option<V> {
-        take_value(&mut self.0, v)
-    }
-
-    /// Stores `val` (in place when `v` has a slot); `None` deletes `v`.
-    fn put(&mut self, v: VarId, val: Option<V>) {
-        match val {
-            Some(val) => {
-                self.0.insert(v, Some(val));
-            }
-            None => {
-                self.0.remove(&v);
-            }
-        }
-    }
-
-    /// Moves out every variable `selected` picks, in id order.
-    fn extract(&mut self, mut selected: impl FnMut(VarId) -> bool) -> Vec<(VarId, V)> {
-        self.0
-            .extract_if(.., |&v, _| selected(v))
-            .filter_map(|(v, val)| val.map(|val| (v, val)))
-            .collect()
-    }
-}
 
 /// The partition server protocol core. See the [module docs](self).
 pub struct ServerCore<A: Application> {
@@ -559,7 +76,7 @@ pub struct ServerCore<A: Application> {
     owned: BTreeSet<LocKey>,
     /// Values physically present.
     store: Store<A::Value>,
-    queue: VecDeque<Queued<A>>,
+    queue: VecDeque<Queued<Command<A>>>,
     /// Receiver-side dedup of direct messages (bounded memory).
     seen: RotatingSet<DedupKey>,
     /// Borrowed variables received per (cmd, attempt), per source partition.
@@ -591,84 +108,28 @@ pub struct ServerCore<A: Application> {
     /// Key-migration shipments that arrived before the plan they belong
     /// to was processed here: `(version, key, from, vars, pending, primary)`.
     #[allow(clippy::type_complexity)]
-    planvars_buffer:
-        Vec<(u64, LocKey, PartitionId, Vec<(VarId, Option<A::Value>)>, Vec<VarId>, bool)>,
+    planvars_buffer: Vec<(u64, LocKey, PartitionId, VarShipment<A>, Vec<VarId>, bool)>,
     /// Staged migrations this partition is the source of.
-    outbox: BTreeMap<TransferId, OutboxEntry<A>>,
+    sender: Sender<A::Value>,
     /// Staged migrations this partition is the destination of.
-    staging: BTreeMap<(u64, LocKey), StagedKey<A>>,
+    staging: BTreeMap<(u64, LocKey), StagedKey<A::Value>>,
     /// Bounded per-key log of plan decisions: `MigrationDone` /
     /// `MigrationRevert` settle by replaying the key's history (a revert of
     /// move v composes with a chained move at v+1), stray chunks for
     /// decided migrations are acked and dropped, and duplicates or
     /// below-floor stragglers are ignored (default-deny).
     history: PlanHistory,
-    /// Per-destination count of staged transfers holding an in-flight slot
-    /// (only maintained when `migration_max_inflight_per_link > 0`).
-    link_active: BTreeMap<PartitionId, u32>,
-    /// Deferred outbox entries per destination, in plan (hottest-first)
-    /// order, promoted as slots free up.
-    link_waiting: BTreeMap<PartitionId, VecDeque<TransferId>>,
-    /// The send order of the migration pump: every outbox entry that holds
-    /// a link slot (not deferred, not given up). Pulled entries form a
-    /// prefix in pull order — the demand FIFO — followed by the rest in
-    /// plan/promotion (hottest-first) order; the pump looks at nothing else.
-    active: Vec<TransferId>,
-    /// When the modelled migration link (one per source replica) has
-    /// finished putting the last chunk on the wire. Chunks serialize on
-    /// this clock, not on the execution workers'.
-    link_free: SimTime,
-    /// This replica's index in its partition's group and the group's size:
-    /// which stripe of the send order is its own (see
-    /// [`ServerCore::pump_migration`]). Like `config.record_metrics` it is
-    /// the replica's own: the host re-stamps both on a clone it installs.
-    replica: (u32, u32),
-    /// The modelled execution engine: per-worker busy clocks and the
-    /// sliding dependency window (see [`ExecConfig`]).
+    /// The modelled execution engine (see [`ExecConfig`]).
     exec: ExecScheduler,
-    /// Pre-rendered per-partition metric names (hot path).
-    name_executed: String,
-    name_multi: String,
-    name_objects: String,
-    /// Pre-rendered per-worker busy-histogram names.
-    name_worker_busy: Vec<String>,
-    /// Lazily interned per-worker histogram ids, tagged with the
-    /// resolving registry's id (same contract as `mids`).
-    worker_busy_ids: Option<(u64, Vec<HistogramId>)>,
-    /// Interned metric handles, resolved lazily against the simulation's
-    /// registry on first record and tagged with that registry's id so a
-    /// core handed a different `Metrics` instance re-interns instead of
-    /// indexing into the wrong registry (see [`ServerCore::mids`]).
-    mids: Option<(u64, ServerMetricIds)>,
-}
-
-/// Dense metric ids for everything the core records per executed command —
-/// index-based lookups on the delivery path instead of string-keyed ones.
-#[derive(Debug, Clone, Copy)]
-struct ServerMetricIds {
-    objects_exchanged: CounterId,
-    cmd_retry: CounterId,
-    cmd_multi: CounterId,
-    cmd_single: CounterId,
-    migration_chunks_sent: CounterId,
-    migration_chunk_retries: CounterId,
-    migration_reverts: CounterId,
-    migration_keys_staged: CounterId,
-    migration_deferred: CounterId,
-    migration_released: CounterId,
-    exec_parallel: CounterId,
-    exec_serialized: CounterId,
-    exec_window_stall: CounterId,
-    s_cmd_multi: SeriesId,
-    s_cmd_single: SeriesId,
-    s_executed: SeriesId,
-    s_multi: SeriesId,
-    s_objects: SeriesId,
+    /// The interned handles of what this replica records.
+    meter: Meter,
 }
 
 /// Cloning a core snapshots its full protocol state — every replica of a
 /// partition holds identical state at the same log position, so a peer's
-/// clone is exactly what a recovering replica must install.
+/// clone is exactly what a recovering replica must install. Written out
+/// because deriving would bound `A: Clone`, and only `A`'s associated
+/// types need to be cloneable.
 impl<A: Application> Clone for ServerCore<A> {
     fn clone(&self) -> Self {
         ServerCore {
@@ -693,23 +154,11 @@ impl<A: Application> Clone for ServerCore<A> {
             hints: self.hints.clone(),
             hint_seq: self.hint_seq,
             planvars_buffer: self.planvars_buffer.clone(),
-            outbox: self.outbox.clone(),
+            sender: self.sender.clone(),
             staging: self.staging.clone(),
             history: self.history.clone(),
-            link_active: self.link_active.clone(),
-            link_waiting: self.link_waiting.clone(),
-            active: self.active.clone(),
-            link_free: self.link_free,
-            replica: self.replica,
             exec: self.exec.clone(),
-            name_executed: self.name_executed.clone(),
-            name_multi: self.name_multi.clone(),
-            name_objects: self.name_objects.clone(),
-            name_worker_busy: self.name_worker_busy.clone(),
-            worker_busy_ids: self.worker_busy_ids.clone(),
-            // Ids carry their registry tag, so a clone installed on
-            // another replica of the same simulation can keep them.
-            mids: self.mids,
+            meter: self.meter.clone(),
         }
     }
 }
@@ -717,13 +166,11 @@ impl<A: Application> Clone for ServerCore<A> {
 impl<A: Application> ServerCore<A> {
     /// Creates the core of one replica of `partition`.
     pub fn new(partition: PartitionId, mode: Mode, config: ServerConfig) -> Self {
-        let workers = config.exec.workers.max(1);
         ServerCore {
             partition,
             mode,
-            config,
             owned: BTreeSet::new(),
-            store: Store(BTreeMap::new()),
+            store: Store::default(),
             queue: VecDeque::new(),
             seen: RotatingSet::new(1 << 16),
             vars_in: BTreeMap::new(),
@@ -740,69 +187,27 @@ impl<A: Application> ServerCore<A> {
             hints: HintArena::default(),
             hint_seq: 0,
             planvars_buffer: Vec::new(),
-            outbox: BTreeMap::new(),
+            sender: Sender::new(partition),
             staging: BTreeMap::new(),
             history: PlanHistory::new(PLAN_HISTORY_PER_KEY),
-            link_active: BTreeMap::new(),
-            link_waiting: BTreeMap::new(),
-            active: Vec::new(),
-            link_free: SimTime::ZERO,
-            replica: (0, 1),
-            exec: ExecScheduler::new(workers),
-            name_executed: mn::partition_executed(partition.0),
-            name_multi: mn::partition_multi(partition.0),
-            name_objects: mn::partition_objects(partition.0),
-            name_worker_busy: (0..workers).map(mn::exec_worker_busy).collect(),
-            worker_busy_ids: None,
-            mids: None,
+            exec: ExecScheduler::new(config.exec),
+            meter: Meter::new(partition),
+            config,
         }
     }
 
-    /// The interned metric ids, resolving them on first use (and again
-    /// whenever a different registry shows up).
-    fn mids(&mut self, metrics: &mut Metrics) -> ServerMetricIds {
-        if let Some((reg, ids)) = self.mids {
-            if reg == metrics.registry_id() {
-                return ids;
-            }
+    /// Adds `n` to the interned counter `pick` names, if this replica is
+    /// the one that records.
+    fn count(&mut self, metrics: &mut Metrics, pick: fn(&ServerMetricIds) -> CounterId, n: u64) {
+        if n > 0 && self.config.record_metrics {
+            let ids = self.meter.ids(metrics);
+            metrics.incr(pick(&ids), n);
         }
-        let ids = ServerMetricIds {
-            objects_exchanged: metrics.counter_id(mn::OBJECTS_EXCHANGED),
-            cmd_retry: metrics.counter_id(mn::CMD_RETRY),
-            cmd_multi: metrics.counter_id(mn::CMD_MULTI),
-            cmd_single: metrics.counter_id(mn::CMD_SINGLE),
-            migration_chunks_sent: metrics.counter_id(mn::MIGRATION_CHUNKS_SENT),
-            migration_chunk_retries: metrics.counter_id(mn::MIGRATION_CHUNK_RETRIES),
-            migration_reverts: metrics.counter_id(mn::MIGRATION_REVERTS),
-            migration_keys_staged: metrics.counter_id(mn::MIGRATION_KEYS_STAGED),
-            migration_deferred: metrics.counter_id(mn::MIGRATION_DEFERRED),
-            migration_released: metrics.counter_id(mn::MIGRATION_RELEASED),
-            exec_parallel: metrics.counter_id(mn::EXEC_PARALLEL),
-            exec_serialized: metrics.counter_id(mn::EXEC_SERIALIZED),
-            exec_window_stall: metrics.counter_id(mn::EXEC_WINDOW_STALL),
-            s_cmd_multi: metrics.series_id(mn::CMD_MULTI),
-            s_cmd_single: metrics.series_id(mn::CMD_SINGLE),
-            s_executed: metrics.series_id(&self.name_executed),
-            s_multi: metrics.series_id(&self.name_multi),
-            s_objects: metrics.series_id(&self.name_objects),
-        };
-        self.mids = Some((metrics.registry_id(), ids));
-        ids
     }
 
-    /// The interned per-worker busy-histogram id for worker `w`, resolved
-    /// lazily against the current registry (same contract as [`Self::mids`]).
-    fn worker_hist(&mut self, metrics: &mut Metrics, w: usize) -> HistogramId {
-        if let Some((reg, ids)) = &self.worker_busy_ids {
-            if *reg == metrics.registry_id() {
-                return ids[w];
-            }
-        }
-        let ids: Vec<HistogramId> =
-            self.name_worker_busy.iter().map(|n| metrics.histogram_id(n)).collect();
-        let id = ids[w];
-        self.worker_busy_ids = Some((metrics.registry_id(), ids));
-        id
+    /// One diagnostic line about this replica's queue (see [`trace_blocked`]).
+    fn trace(&self, now: SimTime, what: fmt::Arguments<'_>) {
+        trace_blocked(format_args!("[{}] t={} {}", self.partition, now, what));
     }
 
     /// Re-enables or disables metric recording — used after installing a
@@ -818,8 +223,7 @@ impl<A: Application> ServerCore<A> {
     /// replica's own, not protocol state: re-stamp it after installing a
     /// peer's clone.
     pub fn set_replica(&mut self, r: u32, n: u32) {
-        debug_assert!(r < n.max(1), "replica {r} of {n}");
-        self.replica = (r, n.max(1));
+        self.sender.set_replica(r, n);
     }
 
     /// Seeds initial state before the simulation starts (avoids issuing
@@ -830,7 +234,7 @@ impl<A: Application> ServerCore<A> {
         vars: impl IntoIterator<Item = (VarId, A::Value)>,
     ) {
         self.owned.extend(keys);
-        self.store.0.extend(vars.into_iter().map(|(v, val)| (v, Some(val))));
+        self.store.extend(vars);
     }
 
     /// Diagnostic: the keys this partition owns, as `(key, partition)`
@@ -880,76 +284,52 @@ impl<A: Application> ServerCore<A> {
         let mut eff = Vec::new();
         match payload.borrow() {
             Payload::Access { cmd, attempt, expected, target, keep } => {
-                let (cmd, attempt, expected) = (cmd.clone(), *attempt, expected.clone());
-                let (target, keep) = (*target, *keep);
+                let (cmd, expected) = (cmd.clone(), expected.clone());
                 self.pull_awaited(&expected, metrics, &mut eff);
-                let sets = self.config.exec.tracks_conflicts().then(|| {
-                    match &cmd.kind {
-                        CommandKind::Access { op, vars } => A::classify(op, vars),
-                        _ => AccessSets::write_all(&cmd.vars()),
-                    }
-                    .normalized()
-                });
-                self.queue.push_back(Queued {
+                let sets = self.exec.classify(&cmd);
+                self.queue.push_back(Queued::Access {
                     cmd,
-                    attempt,
-                    body: QueuedBody::Access {
-                        expected,
-                        target,
-                        keep,
-                        sent_vars: false,
-                        sent_exchange: false,
-                        sets,
-                    },
+                    attempt: *attempt,
+                    expected,
+                    target: *target,
+                    keep: *keep,
+                    sent_vars: false,
+                    sent_exchange: false,
+                    sets,
                 });
             }
+            // A create or delete payload always carries a command of its
+            // own kind; on the delivery path a violated invariant must not
+            // take the replica down, so a mismatch is dropped.
             Payload::CreateKey { cmd, dest } => {
                 if *dest == self.partition {
-                    let key = match &cmd.kind {
-                        CommandKind::CreateKey { key, .. } => *key,
-                        // detlint::allow(P003): constructor pairs CreateKey payloads with CreateKey commands; a mismatch is a local logic bug, not wire input
-                        _ => unreachable!("CreateKey payload without CreateKey command"),
-                    };
-                    self.queue.push_back(Queued {
-                        cmd: cmd.clone(),
-                        attempt: 0,
-                        body: QueuedBody::Create { key, signalled: false },
-                    });
+                    if let CommandKind::CreateKey { key, .. } = &cmd.kind {
+                        let (cmd, key) = (cmd.clone(), *key);
+                        self.queue.push_back(Queued::Create { cmd, key, signalled: false });
+                    } else {
+                        debug_assert!(false, "CreateKey payload without CreateKey command");
+                    }
                 }
             }
             Payload::DeleteKey { cmd, dest } => {
                 if *dest == self.partition {
-                    let key = match &cmd.kind {
-                        CommandKind::DeleteKey { key } => *key,
-                        // detlint::allow(P003): constructor pairs DeleteKey payloads with DeleteKey commands; a mismatch is a local logic bug, not wire input
-                        _ => unreachable!("DeleteKey payload without DeleteKey command"),
-                    };
-                    self.queue.push_back(Queued {
-                        cmd: cmd.clone(),
-                        attempt: 0,
-                        body: QueuedBody::Delete { key, signalled: false },
-                    });
+                    if let CommandKind::DeleteKey { key } = &cmd.kind {
+                        let (cmd, key) = (cmd.clone(), *key);
+                        self.queue.push_back(Queued::Delete { cmd, key, signalled: false });
+                    } else {
+                        debug_assert!(false, "DeleteKey payload without DeleteKey command");
+                    }
                 }
             }
             Payload::Plan { version, moves } => {
-                let version = *version;
                 // Record every move at *delivery* (the plan itself applies
                 // later, through the queue): a Done/Revert delivered after
                 // this plan but before its pump must already see the chain
                 // when it replays the key's history.
                 for &(key, from, to) in moves {
-                    self.history.record_move(key, version, from, to);
+                    self.history.record_move(key, *version, from, to);
                 }
-                // Dummy command for queue uniformity.
-                self.queue.push_back(Queued {
-                    cmd: Command {
-                        id: MsgId::new(u64::MAX, 0),
-                        client: dynastar_runtime::NodeId::EXTERNAL,
-                        kind: CommandKind::DeleteKey { key: LocKey(u64::MAX) },
-                    },
-                    attempt: 0,
-                    body: QueuedBody::Plan { version, moves: moves.clone() },
-                });
+                self.queue.push_back(Queued::Plan { version: *version, moves: moves.clone() });
             }
             &Payload::MigrationDone { version, key, from, to } => {
                 // Safe to apply at delivery (not queued): at the
@@ -962,16 +342,13 @@ impl<A: Application> ServerCore<A> {
                 // never resolve).
                 let settle = self.history.settle(key, version, from, to, MoveOutcome::Done);
                 if from == self.partition {
-                    self.retire_transfer((key, version), metrics);
+                    if let Some(e) = self.sender.retire(&self.config, (key, version)) {
+                        self.count(metrics, |ids| ids.migration_released, e.released);
+                    }
                 }
                 if matches!(settle, Settle::Applied { .. }) && to == self.partition {
-                    let e = self.staging.entry((version, key)).or_insert_with(|| StagedKey {
-                        from,
-                        total: None,
-                        chunks: BTreeMap::new(),
-                        done: false,
-                        done_requested: true,
-                    });
+                    let e =
+                        self.staging.entry((version, key)).or_insert(StagedKey::new(from, true));
                     e.done = true;
                     self.try_install_staged(version, key, metrics, &mut eff);
                 }
@@ -1008,15 +385,7 @@ impl<A: Application> ServerCore<A> {
                         // resolve against the pre-revert ownership on every
                         // replica, no matter how far its local pump has
                         // progressed.
-                        self.queue.push_back(Queued {
-                            cmd: Command {
-                                id: MsgId::new(u64::MAX, 0),
-                                client: dynastar_runtime::NodeId::EXTERNAL,
-                                kind: CommandKind::DeleteKey { key: LocKey(u64::MAX) },
-                            },
-                            attempt: 0,
-                            body: QueuedBody::MigrationRevert { version, key },
-                        });
+                        self.queue.push_back(Queued::Revert { version, key });
                     }
                 }
             }
@@ -1039,6 +408,19 @@ impl<A: Application> ServerCore<A> {
         self.pump(now, metrics, &mut eff);
         self.finalize_wakes(now, metrics, &mut eff);
         eff
+    }
+
+    /// Sends every shipment of borrowed variables received for
+    /// `(cmd, attempt)` straight back to its lender, unchanged: the command
+    /// will not execute here, and a lender blocks until its variables come
+    /// home.
+    fn bounce_vars_in(&mut self, cmd: MsgId, attempt: u32, eff: &mut Vec<Effect<A>>) {
+        for (from, vars) in self.vars_in.remove(&(cmd, attempt)).into_iter().flatten() {
+            eff.push(Effect::Send {
+                to: Destination::Partition(from),
+                msg: Direct::VarsReturn { cmd, attempt, vars },
+            });
+        }
     }
 
     /// Handles a direct message, owned or shared (`&Direct`). Every
@@ -1076,15 +458,7 @@ impl<A: Application> ServerCore<A> {
             }
             Direct::Abort { cmd, attempt, .. } => {
                 self.aborted.insert((cmd, attempt));
-                // Bounce anything already received for it.
-                if let Some(received) = self.vars_in.remove(&(cmd, attempt)) {
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd, attempt, vars },
-                        });
-                    }
-                }
+                self.bounce_vars_in(cmd, attempt, &mut eff);
             }
             Direct::Signal { cmd, from_partition } => {
                 if from_partition.is_none() {
@@ -1120,13 +494,7 @@ impl<A: Application> ServerCore<A> {
                         metrics.incr_counter(mn::MIGRATION_CHUNK_DUPS, 1);
                     }
                 } else {
-                    let e = self.staging.entry(k).or_insert_with(|| StagedKey {
-                        from,
-                        total: None,
-                        chunks: BTreeMap::new(),
-                        done: false,
-                        done_requested: false,
-                    });
+                    let e = self.staging.entry(k).or_insert(StagedKey::new(from, false));
                     if e.total.is_none() {
                         e.total = Some(total);
                     }
@@ -1148,21 +516,13 @@ impl<A: Application> ServerCore<A> {
                 }
             }
             Direct::PlanVarsAck { version, key, chunk } => {
-                if let Some(e) = self.outbox.get_mut(&(key, version)) {
-                    let i = chunk as usize;
-                    if i < e.acked.len() && !e.acked[i] {
-                        // Progress (even a late ack of a chunk already
-                        // queued for resend) restarts the retry ladder.
-                        e.acked[i] = true;
-                        e.attempts = 0;
-                        e.backoff = self.config.migration_chunk_timeout;
-                        if e.in_flight == Some(i) {
-                            e.in_flight = None;
-                        }
-                    }
+                self.sender.on_ack(&self.config, (key, version), chunk);
+            }
+            Direct::PlanVarsPull { key, to } => {
+                if self.sender.on_pull(key, to) && self.config.record_metrics {
+                    metrics.incr_counter(mn::MIGRATION_PULL_PROMOTIONS, 1);
                 }
             }
-            Direct::PlanVarsPull { key, to } => self.on_pull(key, to, metrics),
             Direct::SsmrExchange { cmd, attempt, from, vars } => {
                 self.ssmr_in.entry((cmd, attempt)).or_default().insert(from, vars);
             }
@@ -1208,7 +568,7 @@ impl<A: Application> ServerCore<A> {
             Some(e) => e,
             None => return,
         };
-        let vars: Vec<(VarId, Option<A::Value>)> = e.chunks.into_values().flatten().collect();
+        let vars: VarShipment<A> = e.chunks.into_values().flatten().collect();
         let count = vars.len() as u64;
         if self.owned.contains(&key) {
             for (v, val) in vars {
@@ -1216,10 +576,7 @@ impl<A: Application> ServerCore<A> {
                 self.awaiting_vars.remove(&v);
             }
             self.awaiting_keys.remove(&key);
-            if self.config.record_metrics {
-                let ids = self.mids(metrics);
-                metrics.incr(ids.objects_exchanged, count);
-            }
+            self.count(metrics, |ids| ids.objects_exchanged, count);
         } else if let Some(&next) = self.outmigrated.get(&key) {
             // The key was moved away again before staging completed:
             // forward the state as a classic primary shipment along the
@@ -1252,7 +609,7 @@ impl<A: Application> ServerCore<A> {
         version: u64,
         key: LocKey,
         from: PartitionId,
-        vars: Vec<(VarId, Option<A::Value>)>,
+        vars: VarShipment<A>,
         pending: Vec<VarId>,
         primary: bool,
         metrics: &mut Metrics,
@@ -1283,10 +640,7 @@ impl<A: Application> ServerCore<A> {
             self.awaiting_keys.remove(&key);
             self.awaiting_vars.extend(pending);
         }
-        if self.config.record_metrics {
-            let ids = self.mids(metrics);
-            metrics.incr(ids.objects_exchanged, received);
-        }
+        self.count(metrics, |ids| ids.objects_exchanged, received);
     }
 
     // ------------------------------------------------------------------
@@ -1297,102 +651,70 @@ impl<A: Application> ServerCore<A> {
     /// head is popped while being worked on and pushed back if it must
     /// wait, keeping borrows of `self` free for the handlers.
     ///
-    /// Commands still *apply* strictly in delivery order: the scheduler
-    /// only decides when the head is admitted — once a worker is free and
-    /// every conflicting in-flight predecessor has finished. With
-    /// `workers = 1` the gate collapses to the single busy clock, i.e. the
-    /// pre-parallel serial executor.
+    /// Commands *apply* strictly in delivery order: the execution engine
+    /// only decides when the head is admitted ([`ExecScheduler::gate`]).
+    /// This is also the one place that says why a head does not run.
     fn pump(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         loop {
-            self.exec.prune(now);
-            let gate = match self.queue.front() {
-                None => return,
-                Some(head) => {
-                    let (gate, stall) = self.gate_for(head, now);
-                    if let Some(stall) = stall {
-                        self.exec.note_stall(stall);
-                    }
-                    gate
-                }
-            };
-            if now < gate {
+            let Some(head) = self.queue.front() else { return };
+            let gate = self.exec.gate(head.head(), now);
+            let why = if now < gate {
                 // The modelled engine cannot admit the head yet: ask the
                 // hosting actor to wake us when it can.
                 eff.push(Effect::Wake { at: gate });
-                return;
-            }
-            let Some(mut entry) = self.queue.pop_front() else { return };
-            let done = match &entry.body {
-                QueuedBody::Access { .. } => self.pump_access(&mut entry, now, metrics, eff),
-                QueuedBody::Create { .. } => self.pump_create(&mut entry, now, metrics, eff),
-                QueuedBody::Delete { .. } => self.pump_delete(&mut entry, now, metrics, eff),
-                QueuedBody::Plan { .. } => self.pump_plan(&mut entry, now, metrics, eff),
-                QueuedBody::MigrationRevert { .. } => {
-                    self.pump_revert(&mut entry, now, metrics, eff)
+                GateReason::ExecGate { until: gate }
+            } else {
+                let Some(mut entry) = self.queue.pop_front() else { return };
+                let step = match &mut entry {
+                    Queued::Access {
+                        cmd,
+                        attempt,
+                        expected,
+                        target,
+                        keep,
+                        sent_vars,
+                        sent_exchange,
+                        sets,
+                    } => self.pump_access(
+                        cmd,
+                        *attempt,
+                        expected,
+                        *target,
+                        *keep,
+                        sent_vars,
+                        sent_exchange,
+                        sets,
+                        now,
+                        metrics,
+                        eff,
+                    ),
+                    Queued::Create { cmd, key, signalled } => {
+                        self.pump_create(cmd, *key, signalled, now, metrics, eff)
+                    }
+                    Queued::Delete { cmd, key, signalled } => {
+                        self.pump_delete(cmd, *key, signalled, eff)
+                    }
+                    // The plan applies in one go and its entry is dropped.
+                    Queued::Plan { version, moves } => {
+                        self.pump_plan(*version, std::mem::take(moves), now, metrics, eff)
+                    }
+                    Queued::Revert { version, key } => {
+                        self.pump_revert(*version, *key, metrics, eff)
+                    }
+                };
+                match step {
+                    Step::Done => continue,
+                    Step::Wait(why) => {
+                        self.queue.push_front(entry);
+                        why
+                    }
                 }
             };
-            if !done {
-                self.queue.push_front(entry);
-                return;
-            }
+            // Gated or put back: the head is on the queue either way.
+            let who = self.queue.front().and_then(Queued::who);
+            self.trace(now, format_args!("head {who:?} waits: {why:?}"));
+            return;
         }
-    }
-
-    /// When the modelled engine can admit the queue head, and — if that is
-    /// in the future because of a conflict or a full window — stall
-    /// attribution for the metrics.
-    ///
-    /// An `Access` head must find a free worker and wait out every
-    /// in-flight command its read/write sets conflict with (CBASE rule:
-    /// conflict iff one's writes intersect the other's reads∪writes).
-    /// Everything else (creates, deletes, plans, reverts) is a full
-    /// barrier — it waits for all workers to drain.
-    fn gate_for(&self, head: &Queued<A>, now: SimTime) -> (SimTime, Option<PendingStall>) {
-        let cfg = &self.config.exec;
-        let clocks = &self.exec.clocks;
-        if cfg.workers <= 1 {
-            // Serial fast path: one clock (also charged by single-shipment
-            // migration transfers), no classification, no window — exactly
-            // the pre-parallel `busy_until` gate.
-            return (clocks[0], None);
-        }
-        let QueuedBody::Access { sets, .. } = &head.body else {
-            // Full barrier. Worker clocks only ever grow past window
-            // finish times, so max(clocks) covers every in-flight command.
-            let drained = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
-            return (drained, None);
-        };
-        let Some(sets) = sets else {
-            // Execution itself is free (the window stays empty); only
-            // single-shipment migration charges occupy the clocks.
-            let free = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
-            return (free, None);
-        };
-        // A worker must be free…
-        let mut gate = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
-        // …every conflicting predecessor must have finished…
-        let mut conflicted = false;
-        for e in &self.exec.window {
-            if sets.conflicts_with(&e.sets) {
-                conflicted = true;
-                gate = gate.max(e.finish);
-            }
-        }
-        // …and the window must have room to track the admission.
-        let mut window_full = false;
-        if self.exec.window.len() >= cfg.window.max(1) as usize {
-            window_full = true;
-            if let Some(first_out) = self.exec.window.iter().map(|e| e.finish).min() {
-                gate = gate.max(first_out);
-            }
-        }
-        let stall = (now < gate && (conflicted || window_full)).then_some(PendingStall {
-            id: head.cmd.id,
-            attempt: head.attempt,
-            conflicted,
-            window_full,
-        });
-        (gate, stall)
     }
 
     /// Whether every variable this partition must provide is resolvable:
@@ -1415,7 +737,7 @@ impl<A: Application> ServerCore<A> {
 
     /// Collects this partition's (authoritative) values for its expected
     /// variables.
-    fn my_var_values(&self, expected: &[(VarId, PartitionId)]) -> Vec<(VarId, Option<A::Value>)> {
+    fn my_var_values(&self, expected: &[(VarId, PartitionId)]) -> VarShipment<A> {
         expected
             .iter()
             .filter(|&&(_, p)| p == self.partition)
@@ -1423,33 +745,32 @@ impl<A: Application> ServerCore<A> {
             .collect()
     }
 
+    /// The head is a command: borrow, execute, return (Algorithm 3 Task 1).
+    /// The entry is off the queue while it is worked on, so the command and
+    /// its routing are borrowed from it, never copied.
+    #[allow(clippy::too_many_arguments)]
     fn pump_access(
         &mut self,
-        entry: &mut Queued<A>,
+        cmd: &Command<A>,
+        attempt: u32,
+        expected: &[(VarId, PartitionId)],
+        target: PartitionId,
+        keep: bool,
+        sent_vars: &mut bool,
+        sent_exchange: &mut bool,
+        sets: &mut Option<AccessSets>,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let (cmd_id, attempt, client) = (entry.cmd.id, entry.attempt, entry.cmd.client);
-        // The entry is off the queue while it is worked on, so the command
-        // and its routing are borrowed from it, never copied.
-        let cmd = &entry.cmd;
-        let QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange, sets } =
-            &mut entry.body
-        else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Access; other variants cannot reach here
-            unreachable!("pump_access on non-access queue entry")
-        };
+    ) -> Step {
+        let (cmd_id, client) = (cmd.id, cmd.client);
         let CommandKind::Access { op, .. } = &cmd.kind else {
             // An `Access` payload always carries an `Access` command; on the
             // delivery path a violated invariant must not take the replica
             // down (P00x), so drop the command instead.
             debug_assert!(false, "access payload without access command");
-            return true;
+            return Step::Done;
         };
-        let expected: &[(VarId, PartitionId)] = expected;
-        let target = *target;
-        let keep = *keep;
         let multi = expected.windows(2).any(|w| w[0].1 != w[1].1);
 
         // Duplicate dispatch of an already-executed command: answer from
@@ -1460,38 +781,24 @@ impl<A: Application> ServerCore<A> {
                     to: Destination::Client(client),
                     msg: Direct::Reply { cmd: cmd_id, attempt, reply: reply.clone() },
                 });
-                if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                        });
-                    }
-                }
+                self.bounce_vars_in(cmd_id, attempt, eff);
             }
-            return true;
+            return Step::Done;
         }
 
-        // Known aborted: nothing to do (vars already bounced on arrival).
+        // Known aborted: nothing to do but bounce what arrived since.
         if self.aborted.contains(&(cmd_id, attempt)) {
-            if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
-                for (from, vars) in received {
-                    eff.push(Effect::Send {
-                        to: Destination::Partition(from),
-                        msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                    });
-                }
-            }
-            return true;
+            self.bounce_vars_in(cmd_id, attempt, eff);
+            return Step::Done;
         }
 
         // Staleness check for the variables expected of us.
         match self.my_vars_ready(expected) {
             Err(()) => {
-                trace_blocked(format_args!(
-                    "[{}] t={} cmd={} att={} stale routing: expected={:?}",
-                    self.partition, now, cmd_id, attempt, expected,
-                ));
+                self.trace(
+                    now,
+                    format_args!("cmd={cmd_id} att={attempt} stale routing: {expected:?}"),
+                );
                 // Tell the client to retry via the oracle; tell the target
                 // to abandon the command.
                 eff.push(Effect::Send {
@@ -1503,30 +810,16 @@ impl<A: Application> ServerCore<A> {
                         to: Destination::Partition(target),
                         msg: Direct::Abort { cmd: cmd_id, attempt, missing_at: self.partition },
                     });
-                } else if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
+                } else {
                     // We are the target: lenders that already shipped their
-                    // variables block until they come back — bounce them.
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                        });
-                    }
+                    // variables block until they come back.
+                    self.bounce_vars_in(cmd_id, attempt, eff);
                 }
                 self.aborted.insert((cmd_id, attempt));
-                if self.config.record_metrics {
-                    let ids = self.mids(metrics);
-                    metrics.incr(ids.cmd_retry, 1);
-                }
-                return true;
+                self.count(metrics, |ids| ids.cmd_retry, 1);
+                return Step::Done;
             }
-            Ok(false) => {
-                trace_blocked(format_args!(
-                    "[{}] t={} cmd={} att={} waits for in-flight migration: keys={:?} vars={:?}",
-                    self.partition, now, cmd_id, attempt, self.awaiting_keys, self.awaiting_vars
-                ));
-                return false; // wait for in-flight migration
-            }
+            Ok(false) => return Step::Wait(GateReason::AwaitingMigration),
             Ok(true) => {}
         }
 
@@ -1534,7 +827,7 @@ impl<A: Application> ServerCore<A> {
             // Single-partition fast path (Algorithm 3 Task 1a).
             let reply = self.run_op(op, expected, &mut BTreeMap::new());
             self.finish_execution(cmd, attempt, sets.take(), reply, false, now, metrics, eff);
-            return true;
+            return Step::Done;
         }
         let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
         dests.sort_unstable();
@@ -1546,7 +839,7 @@ impl<A: Application> ServerCore<A> {
                 *sent_exchange = true;
                 let mine = self.my_var_values(expected);
                 if self.config.record_metrics {
-                    let ids = self.mids(metrics);
+                    let ids = self.meter.ids(metrics);
                     metrics.incr(
                         ids.objects_exchanged,
                         mine.iter().filter(|(_, v)| v.is_some()).count() as u64,
@@ -1566,7 +859,8 @@ impl<A: Application> ServerCore<A> {
             }
             let have = self.ssmr_in.get(&(cmd_id, attempt)).map(|m| m.len()).unwrap_or(0);
             if have + 1 < dests.len() {
-                return false; // waiting for other partitions' shares
+                // Waiting for other partitions' shares.
+                return Step::Wait(GateReason::BorrowedVars { have, need: dests.len() - 1 });
             }
             // Assemble the full variable map and execute everywhere; only
             // our own variables are written back.
@@ -1575,7 +869,7 @@ impl<A: Application> ServerCore<A> {
                 shares.into_values().flatten().collect();
             let reply = self.run_op(op, expected, &mut vars);
             if self.config.record_metrics {
-                let ids = self.mids(metrics);
+                let ids = self.meter.ids(metrics);
                 metrics.record_at(ids.s_multi, now, 1.0);
             }
             if self.partition == dests[0] {
@@ -1586,11 +880,11 @@ impl<A: Application> ServerCore<A> {
                 self.admit_execution(cmd_id, attempt, sets.take(), now, metrics);
                 self.executed.insert(cmd_id, reply);
                 if self.config.record_metrics {
-                    let ids = self.mids(metrics);
+                    let ids = self.meter.ids(metrics);
                     metrics.record_at(ids.s_executed, now, 1.0);
                 }
             }
-            return true;
+            return Step::Done;
         }
 
         // DynaStar / DS-SMR path.
@@ -1598,15 +892,7 @@ impl<A: Application> ServerCore<A> {
             // Target: wait until every other involved partition shipped.
             let have = self.vars_in.get(&(cmd_id, attempt)).map(|m| m.len()).unwrap_or(0);
             if have + 1 < dests.len() {
-                trace_blocked(format_args!(
-                    "[{}] t={} target cmd={} att={} waits for vars: {have}/{} received",
-                    self.partition,
-                    now,
-                    cmd_id,
-                    attempt,
-                    dests.len() - 1
-                ));
-                return false;
+                return Step::Wait(GateReason::BorrowedVars { have, need: dests.len() - 1 });
             }
             let shipments = self.vars_in.remove(&(cmd_id, attempt)).unwrap_or_default();
             let mut borrowed: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
@@ -1620,14 +906,14 @@ impl<A: Application> ServerCore<A> {
             let reply = self.run_op(op, expected, &mut borrowed);
             self.settle_borrowed(cmd_id, attempt, borrowed, sources, keep, now, metrics, eff);
             self.finish_execution(cmd, attempt, sets.take(), reply, true, now, metrics, eff);
-            true
+            Step::Done
         } else {
             // Non-target: ship our variables, then (DynaStar) await return.
             if !*sent_vars {
                 *sent_vars = true;
                 let mine = self.my_var_values(expected);
                 if self.config.record_metrics {
-                    let ids = self.mids(metrics);
+                    let ids = self.meter.ids(metrics);
                     let shipped = mine.iter().filter(|(_, v)| v.is_some()).count();
                     metrics.incr(ids.objects_exchanged, shipped as u64);
                     metrics.record_at(ids.s_objects, now, shipped as f64);
@@ -1663,22 +949,18 @@ impl<A: Application> ServerCore<A> {
                     }
                     // Lent entries are moot: clear them.
                     self.lent.retain(|_, &mut (c, a)| !(c == cmd_id && a == attempt));
-                    return true;
+                    return Step::Done;
                 }
             }
             // DynaStar: block until the variables come home (line 17).
             let Some(returned) = self.returns_in.remove(&(cmd_id, attempt)) else {
-                trace_blocked(format_args!(
-                    "[{}] t={} lender cmd={} att={} waits for return from {}",
-                    self.partition, now, cmd_id, attempt, target
-                ));
-                return false;
+                return Step::Wait(GateReason::Return { target });
             };
             for (v, val) in returned {
                 self.lent.remove(&v);
                 self.apply_returned_var(v, val, eff);
             }
-            true
+            Step::Done
         }
     }
 
@@ -1772,20 +1054,15 @@ impl<A: Application> ServerCore<A> {
             });
         }
         if self.config.record_metrics {
-            let ids = self.mids(metrics);
+            let ids = self.meter.ids(metrics);
             metrics.incr(ids.objects_exchanged, returned_objects);
             metrics.record_at(ids.s_objects, now, returned_objects as f64);
         }
     }
 
-    /// Accounts the modelled CPU cost of one execution: assigns the
-    /// command to the earliest-free (lowest-index on ties) worker, charges
-    /// the service time, and registers its read/write sets (`sets`, cached
-    /// in the queue entry at delivery) in the dependency window so
-    /// successors conflict-check against it.
-    ///
-    /// Only called once the [`Self::gate_for`] gate has passed, so the
-    /// chosen worker's clock is at or before `now`.
+    /// Occupies a modelled worker for the execution that just happened
+    /// (`sets` are the command's, cached in its queue entry at delivery)
+    /// and records what the scheduler reports about the admission.
     fn admit_execution(
         &mut self,
         id: MsgId,
@@ -1794,38 +1071,15 @@ impl<A: Application> ServerCore<A> {
         now: SimTime,
         metrics: &mut Metrics,
     ) {
-        let cfg = self.config.exec;
-        if cfg.service_time.is_zero() {
-            return;
-        }
-        let Some(sets) = sets else {
-            // Serial fast path: exactly the old single-busy_until model.
-            advance_busy(&mut self.exec.clocks[0], now, cfg.service_time);
-            return;
-        };
-        let w = earliest_free_worker(&self.exec.clocks);
-        advance_busy(&mut self.exec.clocks[w], now, cfg.service_time);
-        let finish = self.exec.clocks[w];
-        let stall = self.exec.pending.take();
+        let Some(admitted) = self.exec.admit(id, attempt, sets, now) else { return };
         if self.config.record_metrics {
-            let ids = self.mids(metrics);
-            if !self.exec.window.is_empty() {
-                metrics.incr(ids.exec_parallel, 1);
-            }
-            if let Some(s) = stall {
-                if s.id == id && s.attempt == attempt {
-                    if s.conflicted {
-                        metrics.incr(ids.exec_serialized, 1);
-                    }
-                    if s.window_full {
-                        metrics.incr(ids.exec_window_stall, 1);
-                    }
-                }
-            }
-            let h = self.worker_hist(metrics, w);
-            metrics.observe(h, cfg.service_time);
+            let ids = self.meter.ids(metrics);
+            metrics.incr(ids.exec_parallel, u64::from(admitted.parallel));
+            metrics.incr(ids.exec_serialized, u64::from(admitted.serialized));
+            metrics.incr(ids.exec_window_stall, u64::from(admitted.window_stall));
+            let h = self.exec.worker_hist(metrics, admitted.worker);
+            metrics.observe(h, self.config.exec.service_time);
         }
-        self.exec.window.push_back(WindowEntry { sets, finish });
     }
 
     /// Reply, reply-cache, metrics and hint bookkeeping after execution.
@@ -1848,7 +1102,7 @@ impl<A: Application> ServerCore<A> {
         });
         self.executed.insert(cmd.id, reply);
         if self.config.record_metrics {
-            let ids = self.mids(metrics);
+            let ids = self.meter.ids(metrics);
             metrics.record_at(ids.s_executed, now, 1.0);
             if multi {
                 metrics.incr(ids.cmd_multi, 1);
@@ -1886,103 +1140,91 @@ impl<A: Application> ServerCore<A> {
         });
     }
 
-    fn pump_create(
-        &mut self,
-        entry: &mut Queued<A>,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let (cmd_id, client) = (entry.cmd.id, entry.cmd.client);
-        let QueuedBody::Create { key, signalled } = &mut entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Create; other variants cannot reach here
-            unreachable!("pump_create on non-create queue entry")
-        };
-        let key = *key;
+    /// Sends the oracle this partition's half of a create/delete
+    /// rendezvous, once, and says whether the oracle's half has arrived
+    /// (Algorithm 3 Task 2).
+    fn rendezvous(&mut self, cmd: MsgId, signalled: &mut bool, eff: &mut Vec<Effect<A>>) -> bool {
         if !*signalled {
             *signalled = true;
             eff.push(Effect::Send {
                 to: Destination::Oracle,
-                msg: Direct::Signal { cmd: cmd_id, from_partition: Some(self.partition) },
+                msg: Direct::Signal { cmd, from_partition: Some(self.partition) },
             });
         }
-        // Rendezvous: wait for the oracle's signal (Algorithm 3 Task 2).
-        if !self.oracle_signals.contains(&cmd_id) {
-            return false;
+        self.oracle_signals.contains(&cmd)
+    }
+
+    fn pump_create(
+        &mut self,
+        cmd: &Command<A>,
+        key: LocKey,
+        signalled: &mut bool,
+        now: SimTime,
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+    ) -> Step {
+        if !self.rendezvous(cmd.id, signalled, eff) {
+            return Step::Wait(GateReason::OracleSignal);
         }
-        if let CommandKind::CreateKey { vars, .. } = &entry.cmd.kind {
+        if let CommandKind::CreateKey { vars, .. } = &cmd.kind {
             self.owned.insert(key);
             for (v, val) in vars {
                 self.store.put(*v, Some(val.clone()));
             }
         }
         if self.config.record_metrics {
-            let ids = self.mids(metrics);
+            let ids = self.meter.ids(metrics);
             metrics.record_at(ids.s_executed, now, 1.0);
         }
         eff.push(Effect::Send {
-            to: Destination::Client(client),
-            msg: Direct::Ack { cmd: cmd_id },
+            to: Destination::Client(cmd.client),
+            msg: Direct::Ack { cmd: cmd.id },
         });
-        true
+        Step::Done
     }
 
     fn pump_delete(
         &mut self,
-        entry: &mut Queued<A>,
-        _now: SimTime,
-        _metrics: &mut Metrics,
+        cmd: &Command<A>,
+        key: LocKey,
+        signalled: &mut bool,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let (cmd_id, client) = (entry.cmd.id, entry.cmd.client);
-        let QueuedBody::Delete { key, signalled } = &mut entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Delete; other variants cannot reach here
-            unreachable!("pump_delete on non-delete queue entry")
-        };
-        let key = *key;
+    ) -> Step {
         if self.awaiting_keys.contains_key(&key) {
-            return false; // migration inbound; wait for the state first
+            // Migration inbound; wait for the state first.
+            return Step::Wait(GateReason::AwaitingMigration);
         }
         if !self.owned.contains(&key) {
             // Stale: the key moved away after the oracle routed the delete.
             eff.push(Effect::Send {
-                to: Destination::Client(client),
-                msg: Direct::Retry { cmd: cmd_id, attempt: 0 },
+                to: Destination::Client(cmd.client),
+                msg: Direct::Retry { cmd: cmd.id, attempt: 0 },
             });
-            return true;
+            return Step::Done;
         }
-        if !*signalled {
-            *signalled = true;
-            eff.push(Effect::Send {
-                to: Destination::Oracle,
-                msg: Direct::Signal { cmd: cmd_id, from_partition: Some(self.partition) },
-            });
-        }
-        if !self.oracle_signals.contains(&cmd_id) {
-            return false;
+        if !self.rendezvous(cmd.id, signalled, eff) {
+            return Step::Wait(GateReason::OracleSignal);
         }
         self.owned.remove(&key);
         drop(self.store.extract(|v| A::locality(v) == key));
         eff.push(Effect::Send {
-            to: Destination::Client(client),
-            msg: Direct::Ack { cmd: cmd_id },
+            to: Destination::Client(cmd.client),
+            msg: Direct::Ack { cmd: cmd.id },
         });
-        true
+        Step::Done
     }
 
+    /// Applies a plan: ownership of every moved key changes here, in queue
+    /// order; the variables follow (staged through [`Sender`], or as one
+    /// `PlanVars` shipment).
     fn pump_plan(
         &mut self,
-        entry: &mut Queued<A>,
+        version: u64,
+        moves: Vec<(LocKey, PartitionId, PartitionId)>,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let QueuedBody::Plan { version, moves } = &mut entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Plan; other variants cannot reach here
-            unreachable!("pump_plan on non-plan queue entry")
-        };
-        // The plan applies in one go and its entry is dropped afterwards.
-        let (version, moves) = (*version, std::mem::take(moves));
+    ) -> Step {
         self.plan_version = version;
         for (key, from, to) in moves {
             // Outbound: nominally `from == self.partition`, but a revert
@@ -2003,7 +1245,7 @@ impl<A: Application> ServerCore<A> {
                     continue; // already gone (e.g. DS-SMR moved it earlier)
                 }
                 self.outmigrated.insert(key, to);
-                let vars: Vec<(VarId, Option<A::Value>)> = self
+                let vars: VarShipment<A> = self
                     .store
                     .extract(|v| A::locality(v) == key)
                     .into_iter()
@@ -2014,7 +1256,7 @@ impl<A: Application> ServerCore<A> {
                 let pending: Vec<VarId> =
                     self.lent.keys().copied().filter(|&v| A::locality(v) == key).collect();
                 if self.config.record_metrics {
-                    let ids = self.mids(metrics);
+                    let ids = self.meter.ids(metrics);
                     metrics.incr(ids.objects_exchanged, vars.len() as u64);
                     metrics.record_at(ids.s_objects, now, vars.len() as f64);
                 }
@@ -2024,78 +1266,21 @@ impl<A: Application> ServerCore<A> {
                 // immediate shipment, so no supplement or returned loan
                 // can ever land mid-staging.
                 if self.config.staged_migration && !was_awaiting && pending.is_empty() {
-                    let per = self.config.migration_chunk_vars.max(1) as usize;
-                    let mut chunks: Vec<VarShipment<A>> =
-                        vars.chunks(per).map(|c| c.to_vec()).collect();
-                    if chunks.is_empty() {
-                        // Keyless-data moves still stage one empty chunk so
-                        // the destination reaches `total` and commits.
-                        chunks.push(Vec::new());
-                    }
-                    let n = chunks.len();
-                    // Per-link scheduling: moves arrive hottest-first (the
-                    // oracle orders them by access weight), so when the
-                    // link to `to` is at its in-flight cap this colder move
-                    // parks in FIFO order and a freed slot promotes it.
-                    let cap = self.config.migration_max_inflight_per_link;
-                    let deferred =
-                        cap > 0 && self.link_active.get(&to).copied().unwrap_or(0) >= cap;
-                    if deferred {
-                        self.link_waiting.entry(to).or_default().push_back((key, version));
-                    } else {
-                        self.active.push((key, version));
-                        if cap > 0 {
-                            *self.link_active.entry(to).or_insert(0) += 1;
-                        }
-                    }
-                    self.outbox.insert(
-                        (key, version),
-                        OutboxEntry {
-                            to,
-                            chunks,
-                            acked: vec![false; n],
-                            in_flight: None,
-                            attempts: 0,
-                            backoff: self.config.migration_chunk_timeout,
-                            deadline: SimTime::ZERO,
-                            gave_up: false,
-                            deferred,
-                            pulled: false,
-                        },
-                    );
-                    if self.config.record_metrics {
-                        let ids = self.mids(metrics);
-                        metrics.incr(ids.migration_keys_staged, 1);
-                        if deferred {
-                            metrics.incr(ids.migration_deferred, 1);
-                        }
-                    }
+                    let deferred = self.sender.stage(&self.config, (key, version), to, vars);
+                    self.count(metrics, |ids| ids.migration_keys_staged, 1);
+                    self.count(metrics, |ids| ids.migration_deferred, u64::from(deferred));
                     continue; // chunks ship from the migration pump
                 }
                 // Unthrottled path under a configured bandwidth model: the
                 // whole transfer charges the link at once — this is the
                 // stall baseline staged migration is measured against.
                 if self.config.migration_link_bytes_per_sec > 0 {
-                    let t = transfer_time(&self.config, vars.len());
-                    let w = earliest_free_worker(&self.exec.clocks);
-                    advance_busy(&mut self.exec.clocks[w], now, t);
+                    self.exec.charge(now, transfer_time(&self.config, vars.len()));
                 }
-                if was_awaiting {
-                    // Not authoritative yet: send only what we hold.
-                    if !vars.is_empty() {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(to),
-                            msg: Direct::PlanVars {
-                                version,
-                                key,
-                                from: self.partition,
-                                vars,
-                                pending,
-                                primary: false,
-                            },
-                        });
-                    }
-                } else {
+                // Still awaiting the key ourselves, we are not
+                // authoritative yet: send only what we hold, as a
+                // supplement.
+                if !was_awaiting || !vars.is_empty() {
                     eff.push(Effect::Send {
                         to: Destination::Partition(to),
                         msg: Direct::PlanVars {
@@ -2104,7 +1289,7 @@ impl<A: Application> ServerCore<A> {
                             from: self.partition,
                             vars,
                             pending,
-                            primary: true,
+                            primary: !was_awaiting,
                         },
                     });
                 }
@@ -2126,7 +1311,7 @@ impl<A: Application> ServerCore<A> {
         // it brings in: ask for those first, in queue order.
         let queue = std::mem::take(&mut self.queue);
         for q in &queue {
-            if let QueuedBody::Access { expected, .. } = &q.body {
+            if let Queued::Access { expected, .. } = q {
                 self.pull_awaited(expected, metrics, eff);
             }
         }
@@ -2149,7 +1334,7 @@ impl<A: Application> ServerCore<A> {
         for (v, key, from, vars, pending, primary) in ready {
             self.on_plan_vars(v, key, from, vars, pending, primary, metrics, eff);
         }
-        true
+        Step::Done
     }
 
     /// Queue-ordered source-side resolution of a gave-up staged migration.
@@ -2161,19 +1346,15 @@ impl<A: Application> ServerCore<A> {
     /// retained state there as the primary shipment the owner awaits.
     fn pump_revert(
         &mut self,
-        entry: &mut Queued<A>,
-        _now: SimTime,
+        version: u64,
+        key: LocKey,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let QueuedBody::MigrationRevert { version, key } = &entry.body else {
-            // detlint::allow(P003): pump dispatches to this handler by matching QueuedBody::MigrationRevert; other variants cannot reach here
-            unreachable!("pump_revert on non-revert queue entry")
+    ) -> Step {
+        let Some(e) = self.sender.retire(&self.config, (key, version)) else {
+            return Step::Done; // already dismantled (e.g. by a racing Done)
         };
-        let (version, key) = (*version, *key);
-        let Some(e) = self.retire_transfer((key, version), metrics) else {
-            return true; // already dismantled (e.g. by a racing Done)
-        };
+        self.count(metrics, |ids| ids.migration_released, e.released);
         let owner = self.history.resolved_owner_versioned(key);
         match owner {
             Some((owner, owner_version)) if owner != self.partition => {
@@ -2181,8 +1362,7 @@ impl<A: Application> ServerCore<A> {
                     self.outmigrated.insert(key, owner);
                 }
                 if !self.owned.contains(&key) {
-                    let vars: Vec<(VarId, Option<A::Value>)> =
-                        e.chunks.into_iter().flatten().collect();
+                    let vars: VarShipment<A> = e.chunks.into_iter().flatten().collect();
                     // Carry the version of the move that made `owner` the
                     // owner, so its plan-version buffering resolves the
                     // shipment against the right plan.
@@ -2213,59 +1393,8 @@ impl<A: Application> ServerCore<A> {
                 }
             }
         }
-        if self.config.record_metrics {
-            let ids = self.mids(metrics);
-            metrics.incr(ids.migration_reverts, 1);
-        }
-        true
-    }
-
-    /// Takes transfer `k` (toward `to`) out of the send order, frees its
-    /// in-flight slot on that link and promotes waiting deferred transfers
-    /// (oldest = hottest first) into free slots, at the end of the send
-    /// order. Without a per-link cap there are no slots to pass on.
-    fn release_link_slot(&mut self, k: TransferId, to: PartitionId, metrics: &mut Metrics) {
-        self.active.retain(|&a| a != k);
-        let cap = self.config.migration_max_inflight_per_link;
-        if cap == 0 {
-            return;
-        }
-        if let Some(n) = self.link_active.get_mut(&to) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.link_active.remove(&to);
-            }
-        }
-        while self.link_active.get(&to).copied().unwrap_or(0) < cap {
-            let Some(k) = self.link_waiting.get_mut(&to).and_then(VecDeque::pop_front) else {
-                self.link_waiting.remove(&to);
-                break;
-            };
-            match self.outbox.get_mut(&k) {
-                Some(e) if e.deferred && !e.gave_up => {
-                    e.deferred = false;
-                    self.active.push(k);
-                    *self.link_active.entry(to).or_insert(0) += 1;
-                    if self.config.record_metrics {
-                        let ids = self.mids(metrics);
-                        metrics.incr(ids.migration_released, 1);
-                    }
-                }
-                // Stale waiter (dismantled or pulled meanwhile): keep popping.
-                _ => {}
-            }
-        }
-    }
-
-    /// Dismantles a settled staged transfer: the entry leaves the outbox
-    /// and, unless it never held a link slot or gave it up earlier, the
-    /// send order.
-    fn retire_transfer(&mut self, k: TransferId, metrics: &mut Metrics) -> Option<OutboxEntry<A>> {
-        let e = self.outbox.remove(&k)?;
-        if !e.deferred && !e.gave_up {
-            self.release_link_slot(k, e.to, metrics);
-        }
-        Some(e)
+        self.count(metrics, |ids| ids.migration_reverts, 1);
+        Step::Done
     }
 
     /// Destination side of demand-first transfer: asks the old owner, once
@@ -2305,173 +1434,20 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Source side of demand-first transfer: the staged transfer of `key`
-    /// toward `to` joins the end of the pulled prefix of the send order,
-    /// taking a link slot even past the per-link cap. Only a priority
-    /// hint: a repeat, or a pull for a key with no staged transfer here
-    /// (classic shipment, settled, given up, chained elsewhere), changes
-    /// nothing.
-    fn on_pull(&mut self, key: LocKey, to: PartitionId, metrics: &mut Metrics) {
-        // Newest plan first: an older entry for the key is a superseded move.
-        let Some((&k, e)) = self
-            .outbox
-            .range_mut((key, 0)..=(key, u64::MAX))
-            .rev()
-            .find(|(_, e)| e.to == to && !e.pulled && !e.gave_up)
-        else {
-            return;
-        };
-        e.pulled = true;
-        if e.deferred {
-            // Its `link_waiting` ticket goes stale and is skipped there.
-            e.deferred = false;
-            *self.link_active.entry(to).or_insert(0) += 1;
-        } else {
-            self.active.retain(|&a| a != k);
-        }
-        self.active.insert(self.pulled_len(), k);
-        if self.config.record_metrics {
-            metrics.incr_counter(mn::MIGRATION_PULL_PROMOTIONS, 1);
-        }
-    }
-
-    /// Length of the pulled prefix of the send order.
-    fn pulled_len(&self) -> usize {
-        let pulled = |k| self.outbox.get(k).is_some_and(|e| e.pulled);
-        self.active.iter().position(|k| !pulled(k)).unwrap_or(self.active.len())
-    }
-
-    /// Drives the staged migrations this partition is the source of, from
-    /// the send order alone: times out unacked chunks (exponential
-    /// backoff, give-up and revert once retries are exhausted — which
-    /// frees the link slot for a deferred transfer), then puts chunks on
-    /// the migration link, one at a time. A timed-out chunk is resent
-    /// through the same link. The link clock is this pump's own: no chunk
-    /// ever occupies an execution worker.
-    ///
-    /// Which chunk goes next is *striped* over the partition's replicas,
-    /// whose links would otherwise all carry the same chunks. A chunk's
-    /// stripe is a function of its key and index ([`next_chunk`]), never of
-    /// its position: pulls arrive outside the total order, so the pulled
-    /// prefix is ordered differently at each replica. A replica walks its
-    /// own stripe front to back, then *steals* from its peers' stripes back
-    /// to front — first over the pulled prefix (demand never waits for
-    /// "its" replica), then over the background. Nothing coordinates the
-    /// walkers but the acks, which every destination replica sends to every
-    /// source replica: a peer that is down or slow costs time, not
-    /// completion, and two walkers send the same chunk only where they meet.
-    /// Returns the earliest future instant at which the pump needs to run
-    /// again (always `> now`: past-due work was just handled).
-    fn pump_migration(
-        &mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) -> Option<SimTime> {
-        if self.active.is_empty() {
-            return None;
-        }
-        let ids = if self.config.record_metrics { Some(self.mids(metrics)) } else { None };
-        let me = self.partition;
-        let backoff_cap = self.config.migration_chunk_timeout.saturating_mul(64);
-        let mut next_due: Option<SimTime> = None;
-        let due = |slot: &mut Option<SimTime>, at: SimTime| {
-            *slot = Some(slot.map_or(at, |cur| cur.min(at)));
-        };
-
-        let mut gave_up: Vec<(TransferId, PartitionId)> = Vec::new();
-        for &k in &self.active {
-            let Some(e) = self.outbox.get_mut(&k) else { continue };
-            if e.in_flight.is_none() {
-                continue;
-            }
-            if now < e.deadline {
-                due(&mut next_due, e.deadline);
-                continue;
-            }
-            // Ack deadline missed: queue the chunk for resend, or give up.
-            e.in_flight = None;
-            e.attempts += 1;
-            if e.attempts > self.config.migration_max_retries {
-                e.gave_up = true;
-                gave_up.push((k, e.to));
-            } else {
-                e.backoff = e.backoff.saturating_mul(2).min(backoff_cap);
-            }
-        }
-        for (k, to) in gave_up {
-            self.release_link_slot(k, to, metrics);
-            let (key, version) = k;
-            eff.push(Effect::Multicast {
-                mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
-                partitions: vec![me, to],
-                oracle: OracleDest::All,
-                payload: Payload::MigrationRevert { version, key, from: me, to },
-            });
-        }
-
-        // The pulled prefix, then the background; within each, this
-        // replica's stripe front to back, then its peers' back to front.
-        let (r, n) = self.replica;
-        let pulled = self.pulled_len();
-        'link: for class in [0..pulled, pulled..self.active.len()] {
-            for steal in [false, true] {
-                if steal && n == 1 {
-                    continue; // a lone sender has no peer to steal from
-                }
-                for j in 0..class.len() {
-                    let at = if steal { class.end - 1 - j } else { class.start + j };
-                    let (key, version) = self.active[at];
-                    let Some(e) = self.outbox.get_mut(&(key, version)) else { continue };
-                    if e.in_flight.is_some() {
-                        continue;
-                    }
-                    let Some(i) = next_chunk(&e.acked, key, (r, n), steal) else {
-                        continue; // nothing left here for this walk
-                    };
-                    if now < self.link_free {
-                        due(&mut next_due, self.link_free);
-                        break 'link;
-                    }
-                    #[cfg(test)]
-                    CHUNK_SENDS.with_borrow_mut(|log| log.push((me, r, key)));
-                    let transfer = transfer_time(&self.config, e.chunks[i].len());
-                    self.link_free = now + transfer;
-                    e.in_flight = Some(i);
-                    e.deadline = now + transfer + e.backoff;
-                    eff.push(Effect::Send {
-                        to: Destination::Partition(e.to),
-                        msg: Direct::PlanVarsChunk {
-                            version,
-                            key,
-                            from: me,
-                            chunk: i as u32,
-                            total: e.chunks.len() as u32,
-                            vars: e.chunks[i].clone(),
-                        },
-                    });
-                    if let Some(ids) = ids {
-                        metrics.incr(ids.migration_chunks_sent, 1);
-                        if e.attempts > 0 {
-                            metrics.incr(ids.migration_chunk_retries, 1);
-                        }
-                    }
-                    due(&mut next_due, e.deadline);
-                }
-            }
-        }
-        next_due
-    }
-
     /// Runs the migration pump and collapses this batch's `Wake` requests
     /// into the single earliest one. The hosting actor keeps one timer
     /// slot for wake-ups, so a later `Wake` would supersede an earlier
     /// one — the merged minimum must always include the migration pump's
     /// next instant (an ack deadline, or the link freeing up with chunks
-    /// still to send) or a retransmit or the rest of a plan could be lost. A batch with neither
-    /// wakes nor migration work leaves any previously armed timer intact.
+    /// still to send) or a retransmit or the rest of a plan could be lost.
+    /// A batch with neither wakes nor migration work leaves any previously
+    /// armed timer intact.
     fn finalize_wakes(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
-        let mut min_wake = self.pump_migration(now, metrics, eff);
+        let pumped = self.sender.pump(&self.config, now, eff);
+        self.count(metrics, |ids| ids.migration_chunks_sent, pumped.chunks_sent);
+        self.count(metrics, |ids| ids.migration_chunk_retries, pumped.chunk_retries);
+        self.count(metrics, |ids| ids.migration_released, pumped.released);
+        let mut min_wake = pumped.next_due;
         eff.retain(|e| match e {
             Effect::Wake { at } => {
                 min_wake = Some(min_wake.map_or(*at, |cur| cur.min(*at)));
@@ -2485,13 +1461,13 @@ impl<A: Application> ServerCore<A> {
     }
 }
 
-impl<A: Application> std::fmt::Debug for ServerCore<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<A: Application> fmt::Debug for ServerCore<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServerCore")
             .field("partition", &self.partition)
             .field("mode", &self.mode)
             .field("owned_keys", &self.owned.len())
-            .field("stored_vars", &self.store.0.len())
+            .field("stored_vars", &self.store.len())
             .field("queue", &self.queue.len())
             .finish()
     }
@@ -2500,7 +1476,7 @@ impl<A: Application> std::fmt::Debug for ServerCore<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::CommandKind;
+    use crate::routing::shard_of;
     use dynastar_runtime::{NodeId, SimDuration};
 
     struct App;

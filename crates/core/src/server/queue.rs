@@ -1,0 +1,109 @@
+//! What waits in a replica's in-order execution queue, and why its head is
+//! not running.
+
+use dynastar_amcast::MsgId;
+use dynastar_runtime::SimTime;
+
+use super::exec::Head;
+use crate::command::{AccessSets, Application, Command, LocKey, PartitionId, VarId};
+
+/// One entry of the in-order execution queue. Generic over the command
+/// type (`C` is always [`Command<A>`]) so that `Clone` can be derived
+/// without bounding `A: Clone`.
+#[derive(Debug, Clone)]
+pub(super) enum Queued<C> {
+    Access {
+        cmd: C,
+        attempt: u32,
+        expected: Vec<(VarId, PartitionId)>,
+        target: PartitionId,
+        keep: bool,
+        /// Multi-partition non-target: we shipped our vars and await return.
+        sent_vars: bool,
+        /// S-SMR: we broadcast our exchange share.
+        sent_exchange: bool,
+        /// The command's read/write sets, classified once at delivery
+        /// (`ExecScheduler::classify`).
+        sets: Option<AccessSets>,
+    },
+    Create {
+        cmd: C,
+        key: LocKey,
+        signalled: bool,
+    },
+    Delete {
+        cmd: C,
+        key: LocKey,
+        signalled: bool,
+    },
+    Plan {
+        version: u64,
+        moves: Vec<(LocKey, PartitionId, PartitionId)>,
+    },
+    /// Source-side rollback of a gave-up staged migration. Queued (not
+    /// applied at delivery) because re-owning the key must serialize with
+    /// command execution: a command delivered before the revert must see
+    /// the same ownership state on every replica regardless of local pump
+    /// timing.
+    Revert {
+        version: u64,
+        key: LocKey,
+    },
+}
+
+impl<A: Application> Queued<Command<A>> {
+    /// What the execution engine looks at: everything but a command is a
+    /// barrier.
+    pub(super) fn head(&self) -> Head<'_> {
+        match self {
+            Queued::Access { cmd, attempt, sets, .. } => {
+                Head::Access { id: cmd.id, attempt: *attempt, sets: sets.as_ref() }
+            }
+            _ => Head::Barrier,
+        }
+    }
+
+    /// The command and attempt this entry carries, for diagnostics.
+    pub(super) fn who(&self) -> Option<(MsgId, u32)> {
+        match self {
+            Queued::Access { cmd, attempt, .. } => Some((cmd.id, *attempt)),
+            Queued::Create { cmd, .. } | Queued::Delete { cmd, .. } => Some((cmd.id, 0)),
+            Queued::Plan { .. } | Queued::Revert { .. } => None,
+        }
+    }
+}
+
+/// Why the queue head is not running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum GateReason {
+    /// A key (or lent variable) it touches is still migrating in.
+    AwaitingMigration,
+    /// `have` of the `need` shipments of borrowed variables have arrived
+    /// (at the target; under S-SMR, at every involved partition).
+    BorrowedVars { have: usize, need: usize },
+    /// A lender waits for its variables to come home from `target`.
+    Return { target: PartitionId },
+    /// A create or delete waits for the oracle's rendezvous signal.
+    OracleSignal,
+    /// The modelled execution engine admits it at `until`.
+    ExecGate { until: SimTime },
+}
+
+/// What a queue handler made of the head: finished with it, or put it
+/// back to wait.
+pub(super) enum Step {
+    Done,
+    Wait(GateReason),
+}
+
+/// Emits protocol-stall diagnostics to stderr when the
+/// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
+pub(super) fn trace_blocked(args: std::fmt::Arguments<'_>) {
+    // Sampled once per process: this sits on executed-command paths, and
+    // `env::var_os` is far too slow to re-check per call.
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    // detlint::allow(D003): opt-in diagnostic gate only — the flag toggles eprintln tracing and never feeds protocol or simulation state
+    if *ON.get_or_init(|| std::env::var_os("DYNASTAR_TRACE_BLOCKED").is_some()) {
+        eprintln!("{args}");
+    }
+}

@@ -258,7 +258,8 @@ pub struct ThreadedClient<A: Application> {
 
 impl<A: Application> ThreadedClient<A> {
     /// Executes one command, blocking until its reply (or `None` after
-    /// `timeout`).
+    /// `timeout`, when the command is abandoned and the client is free to
+    /// execute the next).
     pub fn execute(&mut self, kind: CommandKind<A>, timeout: Duration) -> Option<Option<A::Reply>> {
         let deadline = Instant::now() + timeout;
         self.host.issue(kind, &mut self.fabric.port(&mut self.due));
@@ -277,7 +278,10 @@ impl<A: Application> ThreadedClient<A> {
                         self.host.on_backoff(&mut self.fabric.port(&mut self.due));
                     }
                 }
-                Err(_) => return None,
+                Err(_) => {
+                    self.host.abandon(&mut self.fabric.port(&mut self.due));
+                    return None;
+                }
             }
         }
     }

@@ -121,6 +121,27 @@ fn a_busy_executor_wakes_itself_up() {
 
 /// A staged transfer is paced by the link clock and by ack deadlines:
 /// both are wake-ups. Nothing else pumps it once the clients are silent.
+/// A caller that stops waiting leaves a client it can use again: the
+/// command it gave up on is a failure, not a command still in flight.
+#[test]
+fn a_client_whose_command_timed_out_executes_the_next() {
+    let mut cluster = start(ClusterConfig {
+        exec: ExecConfig::serial(SimDuration::from_millis(50)),
+        warm_client_caches: true,
+        ..ClusterConfig::default()
+    });
+    let mut client = cluster.client();
+    // Occupies the executor for 50 ms; the next waits behind it for longer
+    // than its caller does.
+    assert_eq!(add(&mut client, 1, &[0]), [1]);
+    assert!(client.execute(access(1, &[0]), Duration::from_millis(5)).is_none());
+    // The abandoned command was delivered, so it still executes — ahead of
+    // this one, whose reply the client now takes.
+    assert_eq!(add(&mut client, 1, &[0]), [3]);
+    assert_eq!(counter(&cluster, mn::CMD_FAILED), 1);
+    cluster.shutdown();
+}
+
 #[test]
 fn a_staged_plan_completes_with_the_clients_silent() {
     // Ten variables a key, two a chunk, 16 ms of link time a chunk.

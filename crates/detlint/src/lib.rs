@@ -24,7 +24,7 @@
 //!
 //! let cfg = Config::default();
 //! let report = analyze(
-//!     "crates/core/src/server.rs",
+//!     "crates/core/src/server/mod.rs",
 //!     "use std::time::Instant; // clock\n",
 //!     &cfg,
 //! );

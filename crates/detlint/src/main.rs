@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p detlint                   # full cross-file scan, exit 1 on findings
 //! cargo run -p detlint -- --format json  # machine-readable, for CI
-//! cargo run -p detlint -- --paths crates/core/src/server.rs   # fast per-file scan
+//! cargo run -p detlint -- --paths crates/core/src/oracle.rs   # fast per-file scan
 //! cargo run -p detlint -- --changed-only                      # fast scan of git-dirty files
 //! cargo run -p detlint -- --weld-map weld_map_ci.json         # write the weld map, with lines
 //! cargo run -p detlint -- --weld-baseline results/weld_map.json  # write its committed form
