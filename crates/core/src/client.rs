@@ -3,14 +3,14 @@
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::{
-    CounterId, FastHashMap, HistogramId, Metrics, NodeId, SeriesId, SimDuration, SimTime,
+    CounterId, FastHashMap, HistogramId, Interned, Metrics, NodeId, SeriesId, SimDuration, SimTime,
 };
 use rand::rngs::StdRng;
 
 use crate::command::{Application, Command, CommandKind, LocKey, Mode, PartitionId};
 use crate::metric_names as mn;
 use crate::payload::{Direct, Effect, OracleDest, Payload};
-use crate::routing::{compute_route, exec_shard};
+use crate::routing::{compute_route, dispatch_mid, exec_shard, query_mid};
 
 /// Generates the stream of commands a closed-loop client issues.
 ///
@@ -94,11 +94,8 @@ pub struct ClientCore<A: Application> {
     /// goes through an oracle query — the permanently-cold-cache client
     /// the fig8 flash-crowd benchmark models.
     caching: bool,
-    /// Interned metric handles for the per-command completion path, tagged
-    /// with the registry they were minted under — the threaded harness
-    /// hands cores a fresh scratch `Metrics` per call, so a bare cache
-    /// would index into the wrong instance.
-    mids: Option<(u64, ClientMetricIds)>,
+    /// Interned metric handles for the per-command completion path.
+    mids: Interned<ClientMetricIds>,
 }
 
 /// Dense metric ids recorded per completed/retried/timed-out command.
@@ -128,7 +125,7 @@ impl<A: Application> ClientCore<A> {
             deferred: None,
             oracle_shards: 1,
             caching: true,
-            mids: None,
+            mids: Interned::default(),
         }
     }
 
@@ -154,26 +151,18 @@ impl<A: Application> ClientCore<A> {
         }
     }
 
-    /// The interned metric ids, resolving them on first use (and again
-    /// whenever a different registry shows up).
+    /// The interned metric ids.
     fn mids(&mut self, metrics: &mut Metrics) -> ClientMetricIds {
-        if let Some((reg, ids)) = self.mids {
-            if reg == metrics.registry_id() {
-                return ids;
-            }
-        }
-        let ids = ClientMetricIds {
-            cmd_retry: metrics.counter_id(mn::CMD_RETRY),
-            s_cmd_retry: metrics.series_id(mn::CMD_RETRY),
-            cmd_completed: metrics.counter_id(mn::CMD_COMPLETED),
-            s_cmd_completed: metrics.series_id(mn::CMD_COMPLETED),
-            cmd_latency: metrics.histogram_id(mn::CMD_LATENCY),
-            cmd_timeout: metrics.counter_id(mn::CMD_TIMEOUT),
-            cmd_retry_backoff: metrics.counter_id(mn::CMD_RETRY_BACKOFF),
-            cmd_failed: metrics.counter_id(mn::CMD_FAILED),
-        };
-        self.mids = Some((metrics.registry_id(), ids));
-        ids
+        *self.mids.get(metrics, |m| ClientMetricIds {
+            cmd_retry: m.counter_id(mn::CMD_RETRY),
+            s_cmd_retry: m.series_id(mn::CMD_RETRY),
+            cmd_completed: m.counter_id(mn::CMD_COMPLETED),
+            s_cmd_completed: m.series_id(mn::CMD_COMPLETED),
+            cmd_latency: m.histogram_id(mn::CMD_LATENCY),
+            cmd_timeout: m.counter_id(mn::CMD_TIMEOUT),
+            cmd_retry_backoff: m.counter_id(mn::CMD_RETRY_BACKOFF),
+            cmd_failed: m.counter_id(mn::CMD_FAILED),
+        })
     }
 
     /// Pre-populates the location cache (S-SMR's static map, or warm-start
@@ -225,7 +214,7 @@ impl<A: Application> ClientCore<A> {
             if let Some(route) = compute_route(&cmd, |k| self.cache.get(&k).map(|&(p, _)| p)) {
                 let keep = self.mode.keeps_moved_state() && route.is_multi_partition();
                 return vec![Effect::Multicast {
-                    mid: cmd.id.derived(10 + attempt),
+                    mid: dispatch_mid(cmd.id, attempt),
                     partitions: route.dests.clone(),
                     // DS-SMR keep moves keys in every shard's map replica.
                     oracle: if keep { OracleDest::All } else { OracleDest::None },
@@ -244,7 +233,7 @@ impl<A: Application> ClientCore<A> {
         // the attempt so `Retry` referrals reach the owner shard.
         let shard = exec_shard(&cmd, attempt, self.oracle_shards);
         vec![Effect::Multicast {
-            mid: cmd.id.derived(100 + attempt),
+            mid: query_mid(cmd.id, attempt),
             partitions: Vec::new(),
             oracle: OracleDest::Shard(shard),
             payload: Payload::Exec { cmd, attempt },

@@ -42,7 +42,6 @@ pub mod client;
 pub mod cluster;
 pub mod command;
 mod deploy;
-mod edge_rows;
 mod hints;
 mod host;
 pub mod linearizability;

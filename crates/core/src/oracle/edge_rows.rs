@@ -1,5 +1,5 @@
-//! The oracle's co-access edge store: adjacency rows keyed by an edge's
-//! lower key.
+//! The workload graph's co-access edge store: adjacency rows keyed by an
+//! edge's lower key.
 //!
 //! Hint and digest batches arrive sorted by `(a, b)`, so a batch is a few
 //! hundred runs that share their lower key: one row lookup per run, then
@@ -15,8 +15,8 @@ use dynastar_runtime::hash::FastHashMap;
 use crate::command::LocKey;
 
 /// Undirected weighted edges; `(a, b)` and `(b, a)` are the same edge.
-#[derive(Clone, Default)]
-pub(crate) struct EdgeRows {
+#[derive(Debug, Clone, Default)]
+pub(super) struct EdgeRows {
     /// `rows[a][b]` is the weight of edge `(a, b)`, `a <= b`. No row is
     /// empty.
     rows: BTreeMap<LocKey, FastHashMap<LocKey, u64>>,
@@ -25,18 +25,18 @@ pub(crate) struct EdgeRows {
 }
 
 impl EdgeRows {
-    pub(crate) fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    pub(super) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Adds each `(a, b, weight)` to its edge, creating the edge if need
     /// be (also at weight 0). Any order is accepted; a batch sorted by
     /// lower key looks each row up once.
-    pub(crate) fn add_all(&mut self, edges: &[(LocKey, LocKey, u64)]) {
+    pub(super) fn add_all(&mut self, edges: &[(LocKey, LocKey, u64)]) {
         let mut rest = edges;
         while let Some(&(a, b, _)) = rest.first() {
             let lower = a.min(b);
@@ -52,7 +52,7 @@ impl EdgeRows {
     }
 
     /// Halves every weight and drops the edges that reach zero.
-    pub(crate) fn halve(&mut self) {
+    pub(super) fn halve(&mut self) {
         self.rows.retain(|_, row| {
             row.retain(|_, w| {
                 *w /= 2;
@@ -63,11 +63,12 @@ impl EdgeRows {
         self.len = self.rows.values().map(FastHashMap::len).sum();
     }
 
-    /// Shrinks the store to `cap` edges by the rule of
-    /// [`shrink_weighted`](crate::oracle): a decay pass, then eviction of
-    /// the excess lowest-`(weight, (a, b))` edges — an exact selection, so
-    /// what goes is a function of content alone. Returns how many went.
-    pub(crate) fn shrink_to(
+    /// Shrinks the store to `cap` edges by the rule the graph's vertices
+    /// follow: a decay pass, then eviction of the excess
+    /// lowest-`(weight, (a, b))` edges — an exact selection, so what goes
+    /// is a function of content alone. `scratch` is left empty. Returns
+    /// how many went.
+    pub(super) fn shrink_to(
         &mut self,
         cap: usize,
         scratch: &mut Vec<(u64, (LocKey, LocKey))>,
@@ -79,7 +80,6 @@ impl EdgeRows {
         self.halve();
         if self.len > cap {
             let excess = self.len - cap;
-            scratch.clear();
             for (&a, row) in &self.rows {
                 scratch.extend(row.iter().map(|(&b, &w)| (w, (a, b))));
             }
@@ -87,6 +87,7 @@ impl EdgeRows {
             for &(_, (a, b)) in &scratch[..excess] {
                 self.remove(a, b);
             }
+            scratch.clear();
         }
         (before - self.len) as u64
     }
@@ -103,7 +104,7 @@ impl EdgeRows {
 
     /// Calls `visit` with every row in key order: the edges' lower key and
     /// their `(upper key, weight)` entries, sorted by key.
-    pub(crate) fn for_each_row(&self, mut visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
+    pub(super) fn for_each_row(&self, mut visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
         let mut sorted = Vec::new();
         for (&a, row) in &self.rows {
             sorted.clear();
@@ -113,7 +114,7 @@ impl EdgeRows {
         }
     }
 
-    pub(crate) fn clear(&mut self) {
+    pub(super) fn clear(&mut self) {
         self.rows.clear();
         self.len = 0;
     }

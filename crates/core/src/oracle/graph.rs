@@ -1,0 +1,282 @@
+//! The workload graph (Algorithm 2 Task 4): per-key access counts and
+//! co-access edge weights, accumulated from hint and digest batches.
+//!
+//! The planner shard's instance is *the* workload graph: capped as it
+//! grows, decayed at each recompute, read by the plan computation. Any other
+//! shard's is the delta not yet shipped there, drained whole into a digest.
+
+use dynastar_runtime::hash::FastHashMap;
+
+use super::edge_rows::EdgeRows;
+use crate::command::LocKey;
+use crate::hints::{Edges, Vertices};
+
+/// Halves every weight and drops the entries that reach zero — leaving
+/// them would leak memory under a churning keyspace.
+fn halve<K>(map: &mut FastHashMap<K, u64>) {
+    map.retain(|_, w| {
+        *w /= 2;
+        *w > 0
+    });
+}
+
+/// Shrinks a weighted graph component to `cap` entries: first a decay pass,
+/// then, if still over, eviction of the `excess` lowest-(weight, key)
+/// entries — an exact selection, so the evicted set is a function of map
+/// *content* alone (hash-map iteration order never shows through).
+/// `scratch` is reused across passes and left empty. Returns how many
+/// entries were removed.
+fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
+    map: &mut FastHashMap<K, u64>,
+    cap: usize,
+    scratch: &mut Vec<(u64, K)>,
+) -> u64 {
+    if map.len() <= cap {
+        return 0;
+    }
+    let before = map.len();
+    halve(map);
+    if map.len() > cap {
+        let excess = map.len() - cap;
+        scratch.extend(map.iter().map(|(&k, &w)| (w, k)));
+        scratch.select_nth_unstable(excess - 1);
+        for &(_, k) in &scratch[..excess] {
+            map.remove(&k);
+        }
+        scratch.clear();
+    }
+    (before - map.len()) as u64
+}
+
+/// Vertex and edge weights, and how many changes were merged since the
+/// count was reset. The eviction scratch is empty between calls, so a clone
+/// copies content alone.
+#[derive(Debug, Clone, Default)]
+pub(super) struct WorkloadGraph {
+    vertices: FastHashMap<LocKey, u64>,
+    edges: EdgeRows,
+    changes: u64,
+    shrink_vertices: Vec<(u64, LocKey)>,
+    shrink_edges: Vec<(u64, (LocKey, LocKey))>,
+}
+
+impl WorkloadGraph {
+    /// Adds a hint or digest batch; every entry counts as one change.
+    pub(super) fn merge(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
+        self.changes += vertices.len() as u64 + edges.len() as u64;
+        for &(k, w) in vertices {
+            *self.vertices.entry(k).or_insert(0) += w;
+        }
+        self.edges.add_all(edges);
+    }
+
+    /// Brings each component that is over its cap back under it (see
+    /// [`shrink_weighted`]); the other is not touched. Returns how many
+    /// entries went.
+    pub(super) fn enforce_caps(&mut self, max_vertices: usize, max_edges: usize) -> u64 {
+        shrink_weighted(&mut self.vertices, max_vertices, &mut self.shrink_vertices)
+            + self.edges.shrink_to(max_edges, &mut self.shrink_edges)
+    }
+
+    /// Halves every weight so the graph tracks the *recent* workload.
+    pub(super) fn decay(&mut self) {
+        halve(&mut self.vertices);
+        self.edges.halve();
+    }
+
+    /// Drops a deleted key's vertex. Its edges stay until they decay; the
+    /// plan computation skips an edge whose endpoint left the map.
+    pub(super) fn forget(&mut self, key: LocKey) {
+        self.vertices.remove(&key);
+    }
+
+    /// Accumulated accesses of `key`.
+    pub(super) fn weight(&self, key: LocKey) -> u64 {
+        self.vertices.get(&key).copied().unwrap_or(0)
+    }
+
+    pub(super) fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    pub(super) fn reset_changes(&mut self) {
+        self.changes = 0;
+    }
+
+    pub(super) fn vertex_count(&self) -> usize {
+        self.vertices.len()
+    }
+
+    pub(super) fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.vertices.is_empty() && self.edges.is_empty()
+    }
+
+    /// Calls `visit` with every edge row in key order: the edges' lower
+    /// key and their `(upper key, weight)` entries, sorted by key.
+    pub(super) fn rows(&self, visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
+        self.edges.for_each_row(visit);
+    }
+
+    /// Empties the graph into canonical increment lists — vertices of
+    /// non-zero weight in key order, edges in `(a, b)` order — so a
+    /// digest's bytes are a function of content alone.
+    pub(super) fn drain_sorted(&mut self) -> (Vertices, Edges) {
+        let mut vertices: Vertices = self.vertices.drain().filter(|&(_, w)| w > 0).collect();
+        vertices.sort_unstable();
+        let mut edges = Vec::with_capacity(self.edges.len());
+        self.edges.for_each_row(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
+        self.edges.clear();
+        self.changes = 0;
+        (vertices, edges)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn k(key: u64) -> LocKey {
+        LocKey(key)
+    }
+
+    /// The graph's content, zero-weight vertices left out.
+    fn content(g: &WorkloadGraph) -> (Vertices, Edges) {
+        g.clone().drain_sorted()
+    }
+
+    #[test]
+    fn merge_accepts_any_order() {
+        let vertices = [(k(1), 2), (k(2), 3), (k(5), 1)];
+        let edges = [(k(1), k(2), 4), (k(1), k(5), 1), (k(2), k(5), 7)];
+        let mut sorted = WorkloadGraph::default();
+        sorted.merge(&vertices, &edges);
+        let mut shuffled = WorkloadGraph::default();
+        // Reversed, and two edges with their endpoints swapped.
+        shuffled.merge(
+            &[(k(5), 1), (k(2), 3), (k(1), 2)],
+            &[(k(5), k(2), 7), (k(1), k(5), 1), (k(2), k(1), 4)],
+        );
+        assert_eq!(content(&sorted), content(&shuffled));
+        assert_eq!(content(&sorted), (vertices.to_vec(), edges.to_vec()));
+        assert_eq!((sorted.changes(), shuffled.changes()), (6, 6));
+        // A second batch adds to the weights it finds.
+        sorted.merge(&[(k(1), 10)], &[(k(2), k(1), 10)]);
+        assert_eq!(sorted.weight(k(1)), 12);
+        assert_eq!(content(&sorted).1[0], (k(1), k(2), 14));
+        assert_eq!((sorted.vertex_count(), sorted.edge_count(), sorted.changes()), (3, 3, 8));
+    }
+
+    #[test]
+    fn caps_halve_then_evict_only_the_component_that_is_over() {
+        let mut g = WorkloadGraph::default();
+        let vertices: Vec<(LocKey, u64)> = (0..6).map(|i| (k(i), 10 + 2 * i)).collect();
+        let edges: Vec<(LocKey, LocKey, u64)> = (0..3).map(|i| (k(i), k(i + 1), 8)).collect();
+        g.merge(&vertices, &edges);
+        // Vertices are over their cap of 4, edges at theirs: the vertices
+        // are halved and the two lowest (weight, key) go; no edge moves.
+        assert_eq!(g.enforce_caps(4, 3), 2);
+        let (vs, es) = content(&g);
+        assert_eq!(vs, vec![(k(2), 7), (k(3), 8), (k(4), 9), (k(5), 10)]);
+        assert_eq!(es, edges);
+        // Now the edges alone: halved to 4 each, the tie evicts by key.
+        assert_eq!(g.enforce_caps(4, 1), 2);
+        assert_eq!(content(&g), (vs, vec![(k(2), k(3), 4)]));
+        // Under both caps nothing decays.
+        assert_eq!(g.enforce_caps(4, 1), 0);
+        assert_eq!(g.weight(k(5)), 10);
+        // Halving alone can bring a component under its cap: weight-1
+        // entries decay away and count as evicted.
+        g.merge(&[(k(7), 1), (k(8), 1)], &[]);
+        assert_eq!(g.enforce_caps(5, 1), 2);
+        assert_eq!(content(&g).0, vec![(k(2), 3), (k(3), 4), (k(4), 4), (k(5), 5)]);
+    }
+
+    #[test]
+    fn drain_is_key_ordered_and_leaves_nothing() {
+        let mut g = WorkloadGraph::default();
+        g.merge(&[(k(9), 1), (k(3), 0), (k(4), 2)], &[(k(9), k(4), 1), (k(3), k(4), 5)]);
+        g.merge(&[(k(1), 6)], &[(k(4), k(1), 2)]);
+        assert_eq!(g.changes(), 7);
+        let (vs, es) = g.drain_sorted();
+        assert_eq!(vs, vec![(k(1), 6), (k(4), 2), (k(9), 1)], "key order, zero weight dropped");
+        assert_eq!(es, vec![(k(1), k(4), 2), (k(3), k(4), 5), (k(4), k(9), 1)]);
+        assert!(g.is_empty());
+        assert_eq!((g.vertex_count(), g.edge_count(), g.changes()), (0, 0, 0));
+        assert_eq!(g.drain_sorted(), (vec![], vec![]));
+    }
+
+    #[test]
+    fn forget_drops_the_vertex_and_keeps_its_edges() {
+        let mut g = WorkloadGraph::default();
+        g.merge(&[(k(1), 5), (k(2), 5)], &[(k(1), k(2), 3)]);
+        g.forget(k(1));
+        assert_eq!((g.weight(k(1)), g.weight(k(2))), (0, 5));
+        assert_eq!((g.vertex_count(), g.edge_count()), (1, 1));
+        let mut rows = Vec::new();
+        g.rows(|a, row| rows.push((a, row.to_vec())));
+        assert_eq!(rows, vec![(k(1), vec![(k(2), 3)])]);
+        // Decay halves both components and drops what reaches zero.
+        g.decay();
+        assert_eq!(content(&g), (vec![(k(2), 2)], vec![(k(1), k(2), 1)]));
+        g.decay();
+        g.decay();
+        assert!(g.is_empty());
+    }
+
+    #[test]
+    fn shrink_cap_zero_empties_map() {
+        let mut map: FastHashMap<u64, u64> = (0..8u64).map(|k| (k, 10 + k)).collect();
+        let mut scratch = Vec::new();
+        let removed = shrink_weighted(&mut map, 0, &mut scratch);
+        assert_eq!(removed, 8);
+        assert!(map.is_empty());
+    }
+
+    #[test]
+    fn shrink_all_equal_weights_is_content_deterministic() {
+        // All-equal weights: the (weight, key) selection must fall back to
+        // key order, independent of hash-map iteration order.
+        let run = |insert_order: &[u64]| -> Vec<u64> {
+            let mut map: FastHashMap<u64, u64> = FastHashMap::default();
+            for &k in insert_order {
+                map.insert(k, 8); // halves to 4, nothing decays away
+            }
+            let mut scratch = Vec::new();
+            shrink_weighted(&mut map, 3, &mut scratch);
+            let mut left: Vec<u64> = map.keys().copied().collect();
+            left.sort_unstable();
+            left
+        };
+        let a = run(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let b = run(&[7, 3, 5, 1, 6, 0, 2, 4]);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a, b, "survivors must not depend on insertion order");
+        assert_eq!(a, vec![5, 6, 7], "ties evict the lowest keys");
+    }
+
+    #[test]
+    fn shrink_exactly_at_cap_is_noop() {
+        let mut map: FastHashMap<u64, u64> = (0..5u64).map(|k| (k, 1)).collect();
+        let mut scratch = Vec::new();
+        // len == cap: no decay pass, no eviction, weights untouched.
+        assert_eq!(shrink_weighted(&mut map, 5, &mut scratch), 0);
+        assert_eq!(map.len(), 5);
+        assert!(map.values().all(|&w| w == 1), "at-cap map must not decay");
+    }
+
+    #[test]
+    fn shrink_reuses_scratch_buffer() {
+        let mut scratch = Vec::new();
+        let mut map: FastHashMap<u64, u64> = (0..100u64).map(|k| (k, 100 + k)).collect();
+        shrink_weighted(&mut map, 10, &mut scratch);
+        let cap_after_first = scratch.capacity();
+        assert!(cap_after_first >= 90);
+        let mut map2: FastHashMap<u64, u64> = (0..50u64).map(|k| (k, 100 + k)).collect();
+        shrink_weighted(&mut map2, 10, &mut scratch);
+        assert_eq!(scratch.capacity(), cap_after_first, "second pass must reuse the buffer");
+    }
+}

@@ -7,45 +7,43 @@
 //! multicasts by deterministic message ids, direct messages by receiver-
 //! side dedup keys or client-side outstanding-command state.
 //!
-//! Responsibilities:
+//! Responsibilities, and where each lives:
 //!
 //! * answer `Exec` requests with a *prophecy* and dispatch the command to
-//!   the involved partitions (Task 1);
-//! * coordinate create/delete of locality keys (Tasks 2–3);
-//! * accumulate the workload graph from hints and, past a change
-//!   threshold, compute an optimized repartitioning with the multilevel
-//!   partitioner and multicast the plan (Tasks 4–5). Computation cost is
-//!   modelled as a configurable delay so the simulated oracle "computes
-//!   concurrently" as in §5.2 while replicas stay deterministic.
+//!   the involved partitions (Task 1), and coordinate create/delete of
+//!   locality keys (Tasks 2–3) — this file, which owns the location map;
+//! * accumulate the workload graph from hints (Task 4) — [`graph`];
+//! * past a change threshold, compute an optimized repartitioning with the
+//!   multilevel partitioner and multicast the plan (Task 5) — [`planner`].
+//!   Computation cost is modelled as a configurable delay so the simulated
+//!   oracle "computes concurrently" as in §5.2 while replicas stay
+//!   deterministic.
+
+mod config;
+mod edge_rows;
+mod graph;
+mod planner;
 
 use std::borrow::{Borrow, Cow};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 use dynastar_amcast::MsgId;
-use dynastar_partitioner::{
-    align_labels, partition as ml_partition, partition_from, GraphBuilder, PartitionConfig,
-    Partitioning,
-};
 use dynastar_runtime::hash::FastHashMap;
-use dynastar_runtime::{Metrics, SimDuration, SimTime};
+use dynastar_runtime::{CounterId, Interned, Metrics, SeriesId, SimTime};
 
-use crate::command::{Application, Command, CommandKind, LocKey, Mode, PartitionId};
-use crate::edge_rows::EdgeRows;
+pub use self::config::OracleConfig;
+use self::graph::WorkloadGraph;
+use self::planner::Planner;
+use crate::command::{Application, Command, CommandKind, LocKey, PartitionId};
 use crate::metric_names as mn;
 use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
 use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
-use crate::routing::{compute_route, shard_of};
+use crate::routing::{compute_route, dispatch_mid, shard_of, CREATE_TAG, DELETE_TAG};
 
-/// Derivation tags for oracle-originated multicasts (see
-/// [`MsgId::derived`]).
+/// Tags of the multicasts the oracle originates under its own origins (the
+/// ids derived from a command are [`dispatch_mid`] and its neighbours).
 mod tag {
-    /// Access dispatch for attempt `a` uses `ACCESS_BASE + a`.
-    pub const ACCESS_BASE: u32 = 10;
-    /// Create coordination multicast.
-    pub const CREATE: u32 = 200;
-    /// Delete coordination multicast.
-    pub const DELETE: u32 = 210;
-    /// Plan publication (derived from the triggering hint).
+    /// Plan publication.
     pub const PLAN: u32 = 300;
     /// Recompute-proposal marker ([`super::Payload::Recompute`]).
     pub const RECOMPUTE: u32 = 310;
@@ -55,190 +53,26 @@ mod tag {
     pub const FLUSH: u32 = 330;
 }
 
-/// Origin of shard-`shard`-originated deterministic message ids (digests
-/// and flush markers). The planner's plan/recompute markers use
-/// `u64::MAX - 1`; shard `s` gets `u64::MAX - 2 - s`, a band far above
+/// Origin of plan and recompute-marker ids, whose `seq` is the version.
+const PLANNER_ORIGIN: u64 = u64::MAX - 1;
+
+/// Origin of shard `shard`'s digest and flush-marker ids: a band far above
 /// client and partition origins.
 fn shard_origin(shard: u32) -> u64 {
     u64::MAX - 2 - shard as u64
 }
 
-/// Tunables for the oracle.
-#[derive(Debug, Clone)]
-pub struct OracleConfig {
-    /// Number of state partitions.
-    pub partitions: u32,
-    /// Execution mode (drives routing-side behaviour differences).
-    pub mode: Mode,
-    /// Workload-graph change count that triggers a repartitioning.
-    pub repartition_threshold: u64,
-    /// Modelled partitioner base latency.
-    pub compute_base: SimDuration,
-    /// Modelled additional latency per graph element (vertex or edge).
-    pub compute_per_element: SimDuration,
-    /// Allowed partition imbalance (paper: 1.2).
-    pub balance_factor: f64,
-    /// Halve hint weights at every recompute so the graph tracks the
-    /// *recent* workload (needed for the paper's dynamic experiment).
-    pub decay_hints: bool,
-    /// Hard cap on workload-graph vertices. Without a cap the graph grows
-    /// without limit under a churning keyspace (keys accessed once are
-    /// remembered forever, and with `decay_hints` off nothing ever shrinks
-    /// it). When the cap is exceeded the oracle runs a decay pass and then
-    /// evicts the lowest-weight vertices — the entries that influence the
-    /// next plan least.
-    pub max_graph_vertices: usize,
-    /// Hard cap on workload-graph edges; enforced like
-    /// [`OracleConfig::max_graph_vertices`].
-    pub max_graph_edges: usize,
-    /// Minimum time between repartitionings. Even past the change
-    /// threshold, the oracle waits this long after the previous plan —
-    /// repartitioning is rare and deliberate in the paper (§4.3: "it is
-    /// expected to happen rarely").
-    pub min_plan_interval: SimDuration,
-    /// Whether this replica records oracle-side metrics (only one replica
-    /// per oracle group should, or counters multiply by the replication
-    /// factor).
-    pub record_metrics: bool,
-    /// Warm-start repartitioning: seed the partitioner's boundary
-    /// refinement from the current location map (the surviving keys of
-    /// the last published plan) instead of re-running the full multilevel
-    /// pipeline. Falls back to a full run when the warm cut or keyspace
-    /// churn disqualify it — see [`OracleConfig::warm_quality_ratio`] and
-    /// [`OracleConfig::warm_churn_limit`].
-    pub warm_start: bool,
-    /// Accept a warm-started plan only while its normalized edge cut
-    /// (cut / total edge weight) stays within this ratio of the last
-    /// *full* multilevel run's. Past it, the incremental path has drifted
-    /// too far from optimal and a full run recalibrates.
-    pub warm_quality_ratio: f64,
-    /// Fall back to a full run when keys created + deleted since the last
-    /// plan compute exceed this fraction of the tracked keyspace — a
-    /// churned keyspace leaves too little of the previous assignment to
-    /// warm-start from.
-    pub warm_churn_limit: f64,
-    /// Number of oracle shard groups the cluster runs (DESIGN.md §7).
-    /// `1` reproduces the unsharded oracle exactly.
-    pub shards: u32,
-    /// This core's shard index, `0..shards`. Shard 0 is the planner: it
-    /// owns the workload graph and the recompute/plan machinery; other
-    /// shards forward their hint slices to it as [`Payload::GraphDigest`]s.
-    pub shard: u32,
-    /// A non-planner shard ships its pending graph delta to the planner
-    /// once this many changes accumulate (count gate — evaluated at
-    /// delivery positions, so it is identical on every replica).
-    pub digest_threshold: u64,
-    /// Trickle flush: a shard replica whose sub-threshold delta has sat
-    /// unshipped this long proposes a [`Payload::DigestFlush`] marker.
-    pub digest_interval: SimDuration,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            partitions: 1,
-            mode: Mode::Dynastar,
-            repartition_threshold: 2_000,
-            compute_base: SimDuration::from_millis(50),
-            compute_per_element: SimDuration::from_micros(1),
-            balance_factor: 1.2,
-            decay_hints: true,
-            max_graph_vertices: 1 << 18,
-            max_graph_edges: 1 << 20,
-            min_plan_interval: SimDuration::from_secs(30),
-            record_metrics: true,
-            warm_start: true,
-            warm_quality_ratio: 1.1,
-            warm_churn_limit: 0.25,
-            shards: 1,
-            shard: 0,
-            digest_threshold: 256,
-            digest_interval: SimDuration::from_millis(500),
-        }
-    }
-}
-
-/// Shrinks a weighted graph component to `cap` entries: first a decay pass
-/// (halve every weight, dropping entries that reach zero), then, if still
-/// over, eviction of the `excess` lowest-(weight, key) entries — an exact
-/// selection, so the evicted set is a function of map *content* alone
-/// (hash-map iteration order never shows through). `scratch` is reused
-/// across passes instead of allocating a fresh buffer each time. Returns
-/// how many entries were removed.
-fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
-    map: &mut FastHashMap<K, u64>,
-    cap: usize,
-    scratch: &mut Vec<(u64, K)>,
-) -> u64 {
-    if map.len() <= cap {
-        return 0;
-    }
-    let before = map.len();
-    map.retain(|_, w| {
-        *w /= 2;
-        *w > 0
-    });
-    if map.len() > cap {
-        let excess = map.len() - cap;
-        scratch.clear();
-        scratch.extend(map.iter().map(|(&k, &w)| (w, k)));
-        scratch.select_nth_unstable(excess - 1);
-        for &(_, k) in &scratch[..excess] {
-            map.remove(&k);
-        }
-    }
-    (before - map.len()) as u64
-}
-
-/// The first index at or after `from` of ascending `keys` that holds `key`
-/// or more. Gallops, so a walk that keeps seeking on from its last hit
-/// costs the log of each advance, whether its steps are short or long.
-fn seek(keys: &[LocKey], from: usize, key: LocKey) -> usize {
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < keys.len() && keys[hi] < key {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    lo + keys[lo..hi.min(keys.len())].partition_point(|&k| k < key)
-}
-
-/// Pending workload-graph delta a non-planner oracle shard accumulates
-/// between digests. Both components are ordered by key, so the digest
-/// bytes are a function of delta *content* alone.
-#[derive(Clone, Default)]
-struct DigestDelta {
-    vertices: BTreeMap<LocKey, u64>,
-    edges: EdgeRows,
-    changes: u64,
-}
-
-impl DigestDelta {
-    fn add(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
-        for &(k, w) in vertices {
-            *self.vertices.entry(k).or_insert(0) += w;
-        }
-        self.edges.add_all(edges);
-        self.changes += vertices.len() as u64 + edges.len() as u64;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.vertices.is_empty() && self.edges.is_empty()
-    }
-
-    /// Drains the delta into canonical (key-sorted) vertex and edge
-    /// increment lists, resetting it to empty.
-    #[allow(clippy::type_complexity)]
-    fn drain(&mut self) -> (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>) {
-        let vertices = std::mem::take(&mut self.vertices).into_iter().filter(|&(_, w)| w > 0);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        self.edges.for_each_row(|a, row| {
-            edges.extend(row.iter().map(|&(b, w)| (a, b, w)));
-        });
-        self.edges.clear();
-        self.changes = 0;
-        (vertices.collect(), edges)
-    }
+/// Where a non-planner shard stands in shipping its pending delta.
+#[derive(Debug, Clone, Copy, Default)]
+struct DigestClock {
+    /// Sequence number of the next digest this shard ships.
+    seq: u32,
+    /// Lowest digest seq this replica has *not* proposed a flush marker
+    /// for — a local flood guard; the marker itself dedups by message id.
+    proposed_flush: u32,
+    /// When this shard last shipped a digest (replica-local; only gates
+    /// flush-marker proposals, like the recompute interval gate).
+    last_at: SimTime,
 }
 
 /// One oracle replica's protocol core. See the [module docs](self).
@@ -250,87 +84,38 @@ pub struct OracleCore<A: Application> {
     /// [`shard_of`]-owned slice is authoritative for "this key does not
     /// exist" answers and for [`OracleCore::location_view`].
     map: FastHashMap<LocKey, PartitionId>,
-    /// Workload graph: vertex access counts and co-access edge weights
-    /// (planner shard only; other shards accumulate into `delta`).
-    vertices: FastHashMap<LocKey, u64>,
-    edges: EdgeRows,
-    /// Changes accumulated since the last plan.
-    changes: u64,
-    /// A plan is being "computed" (timer pending).
-    computing: bool,
-    /// The computed plan awaiting its publication timer.
-    pending_plan: Option<(MsgId, Payload<A>)>,
-    /// Version of the last *applied* plan.
-    plan_version: u64,
-    /// When the last plan was applied (gates the next recompute).
-    last_plan_at: SimTime,
-    /// When the in-flight recompute started (plan-compute-time metric).
-    compute_started_at: SimTime,
-    /// Highest plan version this replica has proposed a recompute marker
-    /// for. A local flood guard only — the marker itself is deduplicated
-    /// across replicas by its message id.
-    proposed_recompute: u64,
     /// Bounded per-key log of plan decisions. `MigrationDone` /
     /// `MigrationRevert` are resolved by replaying the key's history, so a
     /// revert of move v composes with a chained move at v+1, and decisions
     /// below the compaction floor are ignored (default-deny).
     history: PlanHistory,
-    /// Normalized edge cut (cut / total edge weight) of the last *full*
-    /// multilevel run — the warm-start quality reference.
-    last_full_cut_frac: Option<f64>,
-    /// Keys created or deleted since the last plan compute (warm-start
-    /// churn gate).
-    churn_since_plan: u64,
+    /// Version of the last *applied* plan.
+    plan_version: u64,
+    /// On the planner shard, the workload graph and its changes since the
+    /// last plan; on any other, the delta not yet shipped to the planner.
+    graph: WorkloadGraph,
+    planner: Planner,
+    digests: DigestClock,
     /// Interned (counter, series) ids for [`mn::ORACLE_QUERIES`] — the
-    /// oracle's per-delivery hot path — resolved lazily.
-    query_ids: Option<(u64, dynastar_runtime::CounterId, dynastar_runtime::SeriesId)>,
-    /// Pending graph delta not yet shipped to the planner (non-planner
-    /// shards only).
-    delta: DigestDelta,
-    /// Sequence number of the next digest this shard ships.
-    digest_seq: u32,
-    /// Lowest digest seq this replica has *not* proposed a flush marker
-    /// for — a local flood guard; the marker itself dedups by message id.
-    proposed_flush: u32,
-    /// When this shard last shipped a digest (replica-local; only gates
-    /// flush-marker proposals, like the recompute interval gate).
-    last_digest_at: SimTime,
-    /// Reusable eviction scratch for [`shrink_weighted`] over vertices.
-    shrink_vertices: Vec<(u64, LocKey)>,
-    /// Reusable eviction scratch for [`EdgeRows::shrink_to`].
-    shrink_edges: Vec<(u64, (LocKey, LocKey))>,
+    /// oracle's per-delivery hot path.
+    query_ids: Interned<(CounterId, SeriesId)>,
     _marker: std::marker::PhantomData<A>,
 }
 
-/// Manual impl: deriving would bound `A: Clone`, but only `A`'s associated
-/// types need cloning. A clone is the full protocol state — what a
-/// recovering oracle replica installs from a live peer.
+/// Manual impl: deriving would bound `A: Clone`. A clone is the full
+/// protocol state — what a recovering oracle replica installs from a live
+/// peer.
 impl<A: Application> Clone for OracleCore<A> {
     fn clone(&self) -> Self {
         OracleCore {
             config: self.config.clone(),
             map: self.map.clone(),
-            vertices: self.vertices.clone(),
-            edges: self.edges.clone(),
-            changes: self.changes,
-            computing: self.computing,
-            pending_plan: self.pending_plan.clone(),
-            plan_version: self.plan_version,
-            last_plan_at: self.last_plan_at,
-            compute_started_at: self.compute_started_at,
-            proposed_recompute: self.proposed_recompute,
             history: self.history.clone(),
-            last_full_cut_frac: self.last_full_cut_frac,
-            churn_since_plan: self.churn_since_plan,
-            query_ids: self.query_ids,
-            delta: self.delta.clone(),
-            digest_seq: self.digest_seq,
-            proposed_flush: self.proposed_flush,
-            last_digest_at: self.last_digest_at,
-            // Scratch buffers carry no protocol state; a recovering
-            // replica starts with fresh (empty) ones.
-            shrink_vertices: Vec::new(),
-            shrink_edges: Vec::new(),
+            plan_version: self.plan_version,
+            graph: self.graph.clone(),
+            planner: self.planner.clone(),
+            digests: self.digests,
+            query_ids: self.query_ids.clone(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -350,31 +135,17 @@ impl<A: Application> OracleCore<A> {
         OracleCore {
             config,
             map: FastHashMap::default(),
-            vertices: FastHashMap::default(),
-            edges: EdgeRows::default(),
-            changes: 0,
-            computing: false,
-            pending_plan: None,
-            plan_version: 0,
-            last_plan_at: SimTime::ZERO,
-            compute_started_at: SimTime::ZERO,
-            proposed_recompute: 0,
             history: PlanHistory::new(PLAN_HISTORY_PER_KEY),
-            last_full_cut_frac: None,
-            churn_since_plan: 0,
-            query_ids: None,
-            delta: DigestDelta::default(),
-            digest_seq: 0,
-            proposed_flush: 0,
-            last_digest_at: SimTime::ZERO,
-            shrink_vertices: Vec::new(),
-            shrink_edges: Vec::new(),
+            plan_version: 0,
+            graph: WorkloadGraph::default(),
+            planner: Planner::default(),
+            digests: DigestClock::default(),
+            query_ids: Interned::default(),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Whether this core is the planner shard (shard 0): the one that
-    /// owns the workload graph and the recompute/plan machinery.
+    /// Whether this core is the planner shard (shard 0).
     fn is_planner(&self) -> bool {
         self.config.shard == 0
     }
@@ -421,14 +192,19 @@ impl<A: Application> OracleCore<A> {
         self.plan_version
     }
 
+    /// The workload graph, which only the planner shard holds.
+    fn workload(&self) -> Option<&WorkloadGraph> {
+        self.is_planner().then_some(&self.graph)
+    }
+
     /// Number of vertices currently in the workload graph.
     pub fn graph_vertices(&self) -> usize {
-        self.vertices.len()
+        self.workload().map_or(0, WorkloadGraph::vertex_count)
     }
 
     /// Number of edges currently in the workload graph.
     pub fn graph_edges(&self) -> usize {
-        self.edges.len()
+        self.workload().map_or(0, WorkloadGraph::edge_count)
     }
 
     /// Handles an atomic multicast delivery addressed to the oracle.
@@ -446,15 +222,9 @@ impl<A: Application> OracleCore<A> {
         match payload.borrow() {
             Payload::Exec { cmd, attempt } => {
                 if self.config.record_metrics {
-                    let (c, s) = match self.query_ids {
-                        Some((reg, c, s)) if reg == metrics.registry_id() => (c, s),
-                        _ => {
-                            let c = metrics.counter_id(mn::ORACLE_QUERIES);
-                            let s = metrics.series_id(mn::ORACLE_QUERIES);
-                            self.query_ids = Some((metrics.registry_id(), c, s));
-                            (c, s)
-                        }
-                    };
+                    let &(c, s) = self.query_ids.get(metrics, |m| {
+                        (m.counter_id(mn::ORACLE_QUERIES), m.series_id(mn::ORACLE_QUERIES))
+                    });
                     metrics.incr(c, 1);
                     metrics.record_at(s, now, 1.0);
                 }
@@ -469,23 +239,17 @@ impl<A: Application> OracleCore<A> {
                     debug_assert!(false, "CreateKey payload without CreateKey command");
                     return eff;
                 };
-                let ok = !self.map.contains_key(&key);
-                if ok {
-                    self.map.insert(key, dest);
-                    self.churn_since_plan += 1;
+                // A late duplicate leaves the map alone: its client got
+                // `nok` from its Exec and the partition installs nothing.
+                if let Entry::Vacant(slot) = self.map.entry(key) {
+                    slot.insert(dest);
+                    self.planner.note_churn();
                 }
-                // Rendezvous signal towards the partition (Task 2); `ok`
-                // is encoded in `from_partition: None` + the separate nok
-                // channel below.
+                // Rendezvous signal towards the partition (Task 2).
                 eff.push(Effect::Send {
                     to: Destination::Partition(dest),
                     msg: Direct::Signal { cmd: cmd.id, from_partition: None },
                 });
-                if !ok {
-                    // Late duplicate: the partition will install nothing
-                    // because the client already got `nok` from Exec of the
-                    // loser; nothing more to do (map unchanged).
-                }
             }
             &Payload::DeleteKey { ref cmd, dest } => {
                 let CommandKind::DeleteKey { key } = cmd.kind else {
@@ -497,64 +261,59 @@ impl<A: Application> OracleCore<A> {
                 // so their decisions agree.
                 if self.map.get(&key) == Some(&dest) {
                     self.map.remove(&key);
-                    self.vertices.remove(&key);
-                    self.churn_since_plan += 1;
+                    if self.is_planner() {
+                        self.graph.forget(key);
+                    }
+                    self.planner.note_churn();
                 }
                 eff.push(Effect::Send {
                     to: Destination::Partition(dest),
                     msg: Direct::Signal { cmd: cmd.id, from_partition: None },
                 });
             }
+            Payload::Hint { vertices, edges } | Payload::GraphDigest { vertices, edges, .. }
+                if self.is_planner() =>
+            {
+                // A shard's digest merges exactly like a hint batch.
+                self.graph.merge(vertices, edges);
+                let (max_v, max_e) = (self.config.max_graph_vertices, self.config.max_graph_edges);
+                let evicted = self.graph.enforce_caps(max_v, max_e);
+                if evicted > 0 && self.config.record_metrics {
+                    metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
+                }
+                self.maybe_propose_recompute(now, &mut eff);
+            }
             Payload::Hint { vertices, edges } => {
-                if self.is_planner() {
-                    self.merge_graph(vertices, edges, metrics);
-                    self.maybe_propose_recompute(now, &mut eff);
-                } else {
-                    // Non-planner shard: accumulate into the pending delta
-                    // and ship a digest to the planner once the count gate
-                    // opens. The gate reads only delivered state, so every
-                    // replica of the shard drains the same delta at the
-                    // same position and the digests dedup by message id.
-                    self.delta.add(vertices, edges);
-                    if self.delta.changes >= self.config.digest_threshold {
-                        self.emit_digest(now, &mut eff);
-                    }
+                // Another shard ships its pending delta once the count
+                // gate opens. The gate reads only delivered state, so every
+                // replica drains the same delta at the same position and
+                // the digests dedup by message id.
+                self.graph.merge(vertices, edges);
+                if self.graph.changes() >= self.config.digest_threshold {
+                    self.emit_digest(now, &mut eff);
                 }
             }
-            Payload::GraphDigest { vertices, edges, .. } => {
-                // Planner only (digests are multicast to shard 0 alone,
-                // but the handler stays total for wire hygiene): merge the
-                // shard's delta exactly like a hint batch.
-                if self.is_planner() {
-                    self.merge_graph(vertices, edges, metrics);
-                    self.maybe_propose_recompute(now, &mut eff);
-                }
-            }
+            // Digests go to the planner's group alone.
+            Payload::GraphDigest { .. } => {}
             &Payload::DigestFlush { shard, seq } => {
                 // Drain a lingering delta at the marker's delivery
-                // position. A stale marker (the delta already shipped via
-                // the count gate, bumping `digest_seq` past `seq`) no-ops.
-                if shard == self.config.shard && seq == self.digest_seq && !self.delta.is_empty() {
+                // position. A stale marker (the count gate shipped the
+                // delta and moved the seq on) no-ops; the planner's graph
+                // is no delta.
+                if !self.is_planner()
+                    && shard == self.config.shard
+                    && seq == self.digests.seq
+                    && !self.graph.is_empty()
+                {
                     self.emit_digest(now, &mut eff);
                 }
             }
             &Payload::Recompute { version } => {
                 // Compute at the marker's delivery position so every
-                // replica snapshots the same graph. Only log-deterministic
-                // state is re-checked here (no local time): a marker that
-                // raced a newer plan or an emptied keyspace is dropped.
-                // Markers target the planner shard alone; a misdirected
-                // one elsewhere is dropped by the planner check.
-                if self.is_planner()
-                    && version == self.plan_version + 1
-                    && !self.computing
-                    && !self.map.is_empty()
+                // replica snapshots the same graph.
+                if self.planner.on_marker(&self.config, version, self.plan_version, self.map.len())
                 {
                     self.start_recompute(now, &mut eff, metrics);
-                } else if self.proposed_recompute < version {
-                    // Keep the local guard monotone so a dropped marker
-                    // does not block this replica from proposing again.
-                    self.proposed_recompute = version;
                 }
             }
             Payload::Plan { version, moves } => {
@@ -564,15 +323,16 @@ impl<A: Application> OracleCore<A> {
                     self.history.record_move(key, version, from, to);
                 }
                 self.plan_version = version;
-                self.computing = false;
-                self.changes = 0;
-                self.last_plan_at = now;
-                // Every shard applies the plan to its map replica, but
-                // only the planner records it — or the counters would
-                // multiply by the shard count.
-                if self.config.record_metrics && self.is_planner() {
-                    metrics.incr_counter(mn::PLANS_PUBLISHED, 1);
-                    metrics.record_series(mn::PLAN_MOVES, now, moves.len() as f64);
+                self.planner.on_plan_applied(now);
+                // Every shard applies the plan to its map replica; only
+                // the planner records it, or the counters would multiply
+                // by the shard count.
+                if self.is_planner() {
+                    self.graph.reset_changes();
+                    if self.config.record_metrics {
+                        metrics.incr_counter(mn::PLANS_PUBLISHED, 1);
+                        metrics.record_series(mn::PLAN_MOVES, now, moves.len() as f64);
+                    }
                 }
             }
             &Payload::MigrationDone { version, key, from, to } => {
@@ -640,42 +400,19 @@ impl<A: Application> OracleCore<A> {
         eff
     }
 
-    /// Merges a hint or digest batch into the planner's workload graph,
-    /// enforcing the graph caps.
-    fn merge_graph(
-        &mut self,
-        vertices: &[(LocKey, u64)],
-        edges: &[(LocKey, LocKey, u64)],
-        metrics: &mut Metrics,
-    ) {
-        self.changes += vertices.len() as u64 + edges.len() as u64;
-        for &(k, w) in vertices {
-            *self.vertices.entry(k).or_insert(0) += w;
-        }
-        self.edges.add_all(edges);
-        let evicted = shrink_weighted(
-            &mut self.vertices,
-            self.config.max_graph_vertices,
-            &mut self.shrink_vertices,
-        ) + self.edges.shrink_to(self.config.max_graph_edges, &mut self.shrink_edges);
-        if evicted > 0 && self.config.record_metrics {
-            metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
-        }
-    }
-
     /// Drains the pending delta into a [`Payload::GraphDigest`] multicast
     /// to the planner shard. Every replica of this shard reaches this at
     /// the same delivery position with the same delta, so the digest's
     /// deterministic id dedups the copies.
     fn emit_digest(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        let (vertices, edges) = self.delta.drain();
+        let (vertices, edges) = self.graph.drain_sorted();
         if vertices.is_empty() && edges.is_empty() {
             return;
         }
         let shard = self.config.shard;
-        let seq = self.digest_seq;
-        self.digest_seq += 1;
-        self.last_digest_at = now;
+        let seq = self.digests.seq;
+        self.digests.seq += 1;
+        self.digests.last_at = now;
         eff.push(Effect::Multicast {
             mid: MsgId { origin: shard_origin(shard), seq, tag: tag::DIGEST },
             partitions: Vec::new(),
@@ -691,15 +428,15 @@ impl<A: Application> OracleCore<A> {
     /// happens at the marker's delivery position, identical everywhere.
     fn maybe_propose_flush(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
         if self.is_planner()
-            || self.delta.is_empty()
-            || now.saturating_duration_since(self.last_digest_at) < self.config.digest_interval
-            || self.proposed_flush > self.digest_seq
+            || self.graph.is_empty()
+            || now.saturating_duration_since(self.digests.last_at) < self.config.digest_interval
+            || self.digests.proposed_flush > self.digests.seq
         {
             return;
         }
         let shard = self.config.shard;
-        let seq = self.digest_seq;
-        self.proposed_flush = seq + 1;
+        let seq = self.digests.seq;
+        self.digests.proposed_flush = seq + 1;
         eff.push(Effect::Multicast {
             mid: MsgId { origin: shard_origin(shard), seq, tag: tag::FLUSH },
             partitions: Vec::new(),
@@ -708,34 +445,47 @@ impl<A: Application> OracleCore<A> {
         });
     }
 
+    /// A query's answer, stamped with the plan version it holds under.
+    fn prophecy(
+        &self,
+        cmd: &Command<A>,
+        ok: bool,
+        locations: Vec<(LocKey, PartitionId)>,
+    ) -> Effect<A> {
+        Effect::Send {
+            to: Destination::Client(cmd.client),
+            msg: Direct::Prophecy { cmd: cmd.id, ok, locations, version: self.plan_version },
+        }
+    }
+
+    /// Sends the client on to another shard: its retry's attempt rotation
+    /// reaches the owner of the key's slice within `shards` attempts.
+    fn refer_back(cmd: &Command<A>, attempt: u32) -> Effect<A> {
+        Effect::Send {
+            to: Destination::Client(cmd.client),
+            msg: Direct::Retry { cmd: cmd.id, attempt },
+        }
+    }
+
+    /// Whether this shard is the authority for `key` existing or not.
+    fn owns(&self, key: LocKey) -> bool {
+        shard_of(key, self.config.shards) == self.config.shard
+    }
+
     /// Task 1: route a command, reply with a prophecy, dispatch.
     fn handle_exec(&mut self, cmd: &Command<A>, attempt: u32, eff: &mut Vec<Effect<A>>) {
-        let client = cmd.client;
         match &cmd.kind {
-            CommandKind::CreateKey { key, .. } => {
-                let key = *key;
-                // The owner shard of the key's slice is the single
-                // authority for the exists/absent decision. Clients route
-                // create queries there; a misdirected one is referred
-                // back rather than answered from a possibly-lagging
-                // foreign-slice replica.
-                if shard_of(key, self.config.shards) != self.config.shard {
-                    eff.push(Effect::Send {
-                        to: Destination::Client(client),
-                        msg: Direct::Retry { cmd: cmd.id, attempt },
-                    });
-                    return;
-                }
-                if self.map.contains_key(&key) {
-                    eff.push(Effect::Send {
-                        to: Destination::Client(client),
-                        msg: Direct::Prophecy {
-                            cmd: cmd.id,
-                            ok: false,
-                            locations: vec![(key, self.map[&key])],
-                            version: self.plan_version,
-                        },
-                    });
+            // Clients route create and delete queries to the key's owner
+            // shard; a misdirected one is referred back rather than
+            // answered from a possibly-lagging foreign-slice replica.
+            CommandKind::CreateKey { key, .. } | CommandKind::DeleteKey { key }
+                if !self.owns(*key) =>
+            {
+                eff.push(Self::refer_back(cmd, attempt));
+            }
+            &CommandKind::CreateKey { key, .. } => {
+                if let Some(&at) = self.map.get(&key) {
+                    eff.push(self.prophecy(cmd, false, vec![(key, at)]));
                     return;
                 }
                 // Deterministic "random" partition pick: every oracle
@@ -744,60 +494,27 @@ impl<A: Application> OracleCore<A> {
                     ((cmd.id.origin.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ cmd.id.seq as u64)
                         % self.config.partitions as u64) as u32,
                 );
-                eff.push(Effect::Send {
-                    to: Destination::Client(client),
-                    msg: Direct::Prophecy {
-                        cmd: cmd.id,
-                        ok: true,
-                        locations: vec![(key, dest)],
-                        version: self.plan_version,
-                    },
-                });
+                eff.push(self.prophecy(cmd, true, vec![(key, dest)]));
                 eff.push(Effect::Multicast {
-                    mid: cmd.id.derived(tag::CREATE),
+                    mid: cmd.id.derived(CREATE_TAG),
                     partitions: vec![dest],
                     // Every shard's map replica must observe the insert.
                     oracle: OracleDest::All,
                     payload: Payload::CreateKey { cmd: cmd.clone(), dest },
                 });
             }
-            CommandKind::DeleteKey { key } => {
-                let key = *key;
-                if shard_of(key, self.config.shards) != self.config.shard {
-                    eff.push(Effect::Send {
-                        to: Destination::Client(client),
-                        msg: Direct::Retry { cmd: cmd.id, attempt },
-                    });
+            &CommandKind::DeleteKey { key } => {
+                let Some(&dest) = self.map.get(&key) else {
+                    eff.push(self.prophecy(cmd, false, Vec::new()));
                     return;
-                }
-                match self.map.get(&key).copied() {
-                    None => eff.push(Effect::Send {
-                        to: Destination::Client(client),
-                        msg: Direct::Prophecy {
-                            cmd: cmd.id,
-                            ok: false,
-                            locations: Vec::new(),
-                            version: self.plan_version,
-                        },
-                    }),
-                    Some(dest) => {
-                        eff.push(Effect::Send {
-                            to: Destination::Client(client),
-                            msg: Direct::Prophecy {
-                                cmd: cmd.id,
-                                ok: true,
-                                locations: vec![(key, dest)],
-                                version: self.plan_version,
-                            },
-                        });
-                        eff.push(Effect::Multicast {
-                            mid: cmd.id.derived(tag::DELETE),
-                            partitions: vec![dest],
-                            oracle: OracleDest::All,
-                            payload: Payload::DeleteKey { cmd: cmd.clone(), dest },
-                        });
-                    }
-                }
+                };
+                eff.push(self.prophecy(cmd, true, vec![(key, dest)]));
+                eff.push(Effect::Multicast {
+                    mid: cmd.id.derived(DELETE_TAG),
+                    partitions: vec![dest],
+                    oracle: OracleDest::All,
+                    payload: Payload::DeleteKey { cmd: cmd.clone(), dest },
+                });
             }
             CommandKind::Access { .. } => {
                 let route = compute_route(cmd, |k| self.map.get(&k).copied());
@@ -806,32 +523,14 @@ impl<A: Application> OracleCore<A> {
                     // key's slice may answer `nok` — a foreign-slice
                     // replica could merely be behind on that slice's
                     // create. If none of the missing keys is ours, refer
-                    // the client back: the retry's attempt rotation
-                    // reaches the owner within `shards` attempts.
-                    let authoritative = self.config.shards == 1 || {
-                        let keys = cmd.keys();
-                        let missing_mine = keys.iter().any(|&k| {
-                            !self.map.contains_key(&k)
-                                && shard_of(k, self.config.shards) == self.config.shard
-                        });
-                        missing_mine || keys.iter().all(|k| self.map.contains_key(k))
-                    };
-                    if authoritative {
-                        eff.push(Effect::Send {
-                            to: Destination::Client(client),
-                            msg: Direct::Prophecy {
-                                cmd: cmd.id,
-                                ok: false,
-                                locations: Vec::new(),
-                                version: self.plan_version,
-                            },
-                        });
+                    // the client back.
+                    let authoritative = self.config.shards == 1
+                        || cmd.keys().iter().any(|&k| !self.map.contains_key(&k) && self.owns(k));
+                    eff.push(if authoritative {
+                        self.prophecy(cmd, false, Vec::new())
                     } else {
-                        eff.push(Effect::Send {
-                            to: Destination::Client(client),
-                            msg: Direct::Retry { cmd: cmd.id, attempt },
-                        });
-                    }
+                        Self::refer_back(cmd, attempt)
+                    });
                     return;
                 };
                 let locations: Vec<(LocKey, PartitionId)> = cmd
@@ -839,18 +538,10 @@ impl<A: Application> OracleCore<A> {
                     .into_iter()
                     .filter_map(|k| self.map.get(&k).map(|&p| (k, p)))
                     .collect();
-                eff.push(Effect::Send {
-                    to: Destination::Client(client),
-                    msg: Direct::Prophecy {
-                        cmd: cmd.id,
-                        ok: true,
-                        locations,
-                        version: self.plan_version,
-                    },
-                });
+                eff.push(self.prophecy(cmd, true, locations));
                 let keep = self.config.mode.keeps_moved_state() && route.is_multi_partition();
                 eff.push(Effect::Multicast {
-                    mid: cmd.id.derived(tag::ACCESS_BASE + attempt),
+                    mid: dispatch_mid(cmd.id, attempt),
                     partitions: route.dests.clone(),
                     // DS-SMR keep moves keys in every shard's map replica.
                     oracle: if keep { OracleDest::All } else { OracleDest::None },
@@ -866,188 +557,41 @@ impl<A: Application> OracleCore<A> {
         }
     }
 
-    /// Proposes a recompute marker when the local gates pass. The compute
-    /// itself runs at the marker's *delivery* (see [`Payload::Recompute`]):
-    /// the interval gate reads replica-local delivery time, so acting on it
-    /// directly would let replicas snapshot the workload graph at different
-    /// log positions and publish divergent plans under one id.
+    /// Proposes a recompute marker when the planner's local gates pass;
+    /// the compute itself runs at the marker's *delivery* (see
+    /// [`Payload::Recompute`]).
     fn maybe_propose_recompute(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        if !self.should_recompute(now) {
-            return;
+        let due =
+            self.planner.due(now, &self.config, &self.graph, self.plan_version, self.map.len());
+        if let Some(version) = due {
+            eff.push(Effect::Multicast {
+                mid: MsgId { origin: PLANNER_ORIGIN, seq: version as u32, tag: tag::RECOMPUTE },
+                partitions: Vec::new(),
+                // Only the planner computes; the marker stays on its group.
+                oracle: OracleDest::Shard(0),
+                payload: Payload::Recompute { version },
+            });
         }
-        let version = self.plan_version + 1;
-        if self.proposed_recompute >= version {
-            return; // this version's marker is already in flight
-        }
-        self.proposed_recompute = version;
-        eff.push(Effect::Multicast {
-            mid: MsgId { origin: u64::MAX - 1, seq: version as u32, tag: tag::RECOMPUTE },
-            partitions: Vec::new(),
-            // Only the planner computes; the marker stays on its group.
-            oracle: OracleDest::Shard(0),
-            payload: Payload::Recompute { version },
-        });
     }
 
-    fn should_recompute(&self, now: SimTime) -> bool {
-        self.config.mode.optimizes()
-            && self.is_planner()
-            && !self.computing
-            && self.config.partitions > 1
-            && self.changes >= self.config.repartition_threshold
-            && !self.map.is_empty()
-            && now.saturating_duration_since(self.last_plan_at) >= self.config.min_plan_interval
-    }
-
-    /// Computes a plan from the current graph snapshot and schedules its
-    /// publication after the modelled compute time (§5.2's concurrent
-    /// repartitioning).
+    /// Computes a plan from the current map and graph and schedules its
+    /// publication after the modelled compute time.
     fn start_recompute(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>, metrics: &mut Metrics) {
-        self.computing = true;
-        self.compute_started_at = now;
-        let (plan_mid, payload, elements, warm, cut) = self.compute_plan();
+        let mut keys: Vec<(LocKey, PartitionId)> = self.map.iter().map(|(&k, &p)| (k, p)).collect();
+        keys.sort_unstable();
+        let version = self.plan_version + 1;
+        let started = self.planner.start_compute(now, &self.graph, &keys, &self.config, version);
         if self.config.record_metrics {
-            if warm {
+            if started.warm {
                 metrics.incr_counter(mn::PLANS_WARM, 1);
             }
-            metrics.record_series(mn::PLAN_EDGE_CUT, now, cut);
+            metrics.record_series(mn::PLAN_EDGE_CUT, now, started.cut_frac);
         }
-        let after = self.config.compute_base
-            + self.config.compute_per_element.saturating_mul(elements as u64);
-        self.pending_plan = Some((plan_mid, payload));
-        eff.push(Effect::SchedulePlan { after });
+        eff.push(Effect::SchedulePlan { after: started.after });
+        // The plan saw the weights as they were; only then do they decay.
         if self.config.decay_hints {
-            // Entries decayed to zero are dropped on both components —
-            // leaving zero-weight vertices in place would leak memory under
-            // a churning keyspace.
-            self.vertices.retain(|_, w| {
-                *w /= 2;
-                *w > 0
-            });
-            self.edges.halve();
+            self.graph.decay();
         }
-    }
-
-    /// Builds the dense graph, runs the partitioner — the incremental
-    /// warm-start path when eligible, the full multilevel pipeline
-    /// otherwise — aligns labels with the current map and produces the
-    /// Plan payload. Returns `(plan id, payload, modelled elements,
-    /// warm-start used, normalized edge cut)`.
-    ///
-    /// Warm start seeds `partition_from`'s boundary refinement with the
-    /// current location map (the surviving keys of the last published
-    /// plan, mapped through the key index). It is taken only when (a) at
-    /// least one full run has recorded a reference cut, (b) keyspace
-    /// churn since the last plan stays under
-    /// [`OracleConfig::warm_churn_limit`], and (c) the warm cut lands
-    /// within [`OracleConfig::warm_quality_ratio`] of the reference;
-    /// otherwise the full pipeline runs and re-records the reference.
-    fn compute_plan(&mut self) -> (MsgId, Payload<A>, usize, bool, f64) {
-        let keys: Vec<LocKey> = {
-            let mut ks: Vec<LocKey> = self.map.keys().copied().collect();
-            ks.sort_unstable();
-            ks
-        };
-        let mut b = GraphBuilder::new();
-        if !keys.is_empty() {
-            b.add_vertex(keys.len() as u32 - 1);
-        }
-        for (i, k) in keys.iter().enumerate() {
-            let w = 1 + self.vertices.get(k).copied().unwrap_or(0);
-            b.set_vertex_weight(i as u32, w);
-        }
-        // Rows, their (sorted) entries and `keys` all ascend by key: one
-        // merge walk finds every endpoint's index, and every replica (and
-        // build profile) feeds the builder the same edges in the same
-        // order. An edge with an endpoint no longer in the map is skipped.
-        let mut ia = 0;
-        self.edges.for_each_row(|a, row| {
-            ia = seek(&keys, ia, a);
-            if keys.get(ia) != Some(&a) {
-                return;
-            }
-            let mut ib = ia;
-            for &(bk, w) in row {
-                ib = seek(&keys, ib, bk);
-                if w > 0 && keys.get(ib) == Some(&bk) {
-                    b.add_edge(ia as u32, ib as u32, w);
-                }
-            }
-        });
-        let g = b.build();
-        let k = self.config.partitions;
-        let cfg = PartitionConfig::default()
-            .seed(self.plan_version + 1)
-            .balance_factor(self.config.balance_factor);
-        let prev = Partitioning::new(k, keys.iter().map(|kk| self.map[kk].0).collect());
-        let total_ew = g.total_edge_weight();
-        let cut_frac = |cut: u64| if total_ew == 0 { 0.0 } else { cut as f64 / total_ew as f64 };
-        let churn_ok = (self.churn_since_plan as f64)
-            <= self.config.warm_churn_limit * self.map.len().max(1) as f64;
-        let mut warm_used = false;
-        let mut plan: Option<Partitioning> = None;
-        if self.config.warm_start && self.plan_version > 0 && churn_ok {
-            if let Some(full_frac) = self.last_full_cut_frac {
-                let warm = partition_from(&g, k, prev.assignment(), &cfg);
-                let ok_cut = cut_frac(warm.edge_cut(&g))
-                    <= self.config.warm_quality_ratio * full_frac + 1e-12;
-                if ok_cut {
-                    // `partition_from` refines in place under prev's
-                    // labels, so the result needs no re-alignment.
-                    warm_used = true;
-                    plan = Some(warm);
-                }
-            }
-        }
-        let aligned = match plan {
-            Some(warm) => warm,
-            None => {
-                let fresh = ml_partition(&g, k, &cfg);
-                self.last_full_cut_frac = Some(cut_frac(fresh.edge_cut(&g)));
-                align_labels(&prev, &fresh)
-            }
-        };
-        self.churn_since_plan = 0;
-        let mut moves: Vec<(LocKey, PartitionId, PartitionId)> = keys
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &key)| {
-                let from = prev.part_of(i as u32);
-                let to = aligned.part_of(i as u32);
-                (from != to).then_some((key, PartitionId(from), PartitionId(to)))
-            })
-            .collect();
-        // Hot keys first: the plan's move order is the cluster-wide
-        // migration schedule (servers ship outbox entries in plan order and
-        // the per-link in-flight cap defers the tail), so sorting by
-        // workload-graph access weight moves the traffic-carrying keys while
-        // link budget is still uncontended. Weight snapshot is pre-decay
-        // (compute_plan runs before decay_hints) and the key tie-break keeps
-        // the order deterministic across replicas.
-        moves.sort_by(|a, b| {
-            let wa = self.vertices.get(&a.0).copied().unwrap_or(0);
-            let wb = self.vertices.get(&b.0).copied().unwrap_or(0);
-            wb.cmp(&wa).then_with(|| a.0.cmp(&b.0))
-        });
-        let version = self.plan_version + 1;
-        // Deterministic plan id: every oracle replica derives the same.
-        let mid = MsgId { origin: u64::MAX - 1, seq: version as u32, tag: tag::PLAN };
-        // Modelled compute cost: the warm path's measured wall-clock runs
-        // an order of magnitude below the full pipeline's on the same
-        // graph (results/BENCH_partitioner.json), so its modelled element
-        // count scales down the same way.
-        let elements = {
-            let full = g.vertex_count() + g.edge_count();
-            if warm_used {
-                full / 10
-            } else {
-                full
-            }
-        };
-        // Normalized cut: raw cut grows with accumulated hint weight, so
-        // only the fraction is comparable across runs and shard counts.
-        let cut = cut_frac(aligned.edge_cut(&g));
-        (mid, Payload::Plan { version, moves }, elements, warm_used, cut)
     }
 
     /// Fires when the modelled compute time elapses: publish the pending
@@ -1057,23 +601,20 @@ impl<A: Application> OracleCore<A> {
     /// other reasons, the recompute starts here instead of waiting for
     /// the next hint or tick.
     pub fn on_plan_timer(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
-        let Some((mid, payload)) = self.pending_plan.take() else {
+        let Some((version, moves, took)) = self.planner.take_pending(now) else {
             let mut eff = Vec::new();
             self.maybe_propose_recompute(now, &mut eff);
             return eff;
         };
         if self.config.record_metrics {
-            metrics.record_histogram(
-                mn::PLAN_COMPUTE_TIME,
-                now.saturating_duration_since(self.compute_started_at),
-            );
+            metrics.record_histogram(mn::PLAN_COMPUTE_TIME, took);
         }
         vec![Effect::Multicast {
-            mid,
+            mid: MsgId { origin: PLANNER_ORIGIN, seq: version as u32, tag: tag::PLAN },
             partitions: (0..self.config.partitions).map(PartitionId).collect(),
             // Every shard applies the plan to its full-map replica.
             oracle: OracleDest::All,
-            payload,
+            payload: Payload::Plan { version, moves },
         }]
     }
 }
@@ -1082,9 +623,9 @@ impl<A: Application> std::fmt::Debug for OracleCore<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OracleCore")
             .field("keys", &self.map.len())
-            .field("graph_vertices", &self.vertices.len())
-            .field("graph_edges", &self.edges.len())
-            .field("changes", &self.changes)
+            .field("graph_vertices", &self.graph.vertex_count())
+            .field("graph_edges", &self.graph.edge_count())
+            .field("changes", &self.graph.changes())
             .field("plan_version", &self.plan_version)
             .finish()
     }
@@ -1093,8 +634,8 @@ impl<A: Application> std::fmt::Debug for OracleCore<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{Command, CommandKind};
-    use dynastar_runtime::NodeId;
+    use crate::command::{Command, CommandKind, Mode};
+    use dynastar_runtime::{NodeId, SimDuration};
     use std::collections::BTreeMap as Map;
 
     struct App;
@@ -1654,61 +1195,6 @@ mod tests {
             &mut m,
         );
         assert_eq!(o.location_of(LocKey(0)), Some(PartitionId(1)), "done settled first");
-    }
-
-    // --- shrink_weighted edge cases -------------------------------------
-
-    #[test]
-    fn shrink_cap_zero_empties_map() {
-        let mut map: FastHashMap<u64, u64> = (0..8u64).map(|k| (k, 10 + k)).collect();
-        let mut scratch = Vec::new();
-        let removed = shrink_weighted(&mut map, 0, &mut scratch);
-        assert_eq!(removed, 8);
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn shrink_all_equal_weights_is_content_deterministic() {
-        // All-equal weights: the (weight, key) selection must fall back to
-        // key order, independent of hash-map iteration order.
-        let run = |insert_order: &[u64]| -> Vec<u64> {
-            let mut map: FastHashMap<u64, u64> = FastHashMap::default();
-            for &k in insert_order {
-                map.insert(k, 8); // halves to 4, nothing decays away
-            }
-            let mut scratch = Vec::new();
-            shrink_weighted(&mut map, 3, &mut scratch);
-            let mut left: Vec<u64> = map.keys().copied().collect();
-            left.sort_unstable();
-            left
-        };
-        let a = run(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let b = run(&[7, 3, 5, 1, 6, 0, 2, 4]);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a, b, "survivors must not depend on insertion order");
-        assert_eq!(a, vec![5, 6, 7], "ties evict the lowest keys");
-    }
-
-    #[test]
-    fn shrink_exactly_at_cap_is_noop() {
-        let mut map: FastHashMap<u64, u64> = (0..5u64).map(|k| (k, 1)).collect();
-        let mut scratch = Vec::new();
-        // len == cap: no decay pass, no eviction, weights untouched.
-        assert_eq!(shrink_weighted(&mut map, 5, &mut scratch), 0);
-        assert_eq!(map.len(), 5);
-        assert!(map.values().all(|&w| w == 1), "at-cap map must not decay");
-    }
-
-    #[test]
-    fn shrink_reuses_scratch_buffer() {
-        let mut scratch = Vec::new();
-        let mut map: FastHashMap<u64, u64> = (0..100u64).map(|k| (k, 100 + k)).collect();
-        shrink_weighted(&mut map, 10, &mut scratch);
-        let cap_after_first = scratch.capacity();
-        assert!(cap_after_first >= 90);
-        let mut map2: FastHashMap<u64, u64> = (0..50u64).map(|k| (k, 100 + k)).collect();
-        shrink_weighted(&mut map2, 10, &mut scratch);
-        assert_eq!(scratch.capacity(), cap_after_first, "second pass must reuse the buffer");
     }
 
     // --- oracle sharding -------------------------------------------------

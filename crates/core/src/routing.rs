@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use dynastar_amcast::MsgId;
+
 use crate::command::{Application, Command, CommandKind, LocKey, PartitionId, VarId};
 
 /// The oracle shard whose slice of the location map owns `key`.
@@ -53,6 +55,40 @@ pub fn exec_shard<A: Application>(cmd: &Command<A>, attempt: u32, shards: u32) -
         }
     }
 }
+
+/// Attempts below this keep the compact tags `base + attempt`; ids break
+/// timestamp ties in the multicast order, so these never change.
+const COMPACT_ATTEMPTS: u32 = 90;
+
+/// The derivation tag ([`MsgId::derived`]) of a command's `attempt`-th
+/// multicast of one kind. The kinds' tags never meet — the compact ranges
+/// are `[10, 100)` and `[100, 190)`, create is 200, delete 210, and later
+/// attempts continue in the quarter of the tag space `band` (1 or 2) names
+/// — because a group can see two kinds of one command (a DS-SMR `keep`
+/// dispatch and the oracle query; create/delete coordination) and the
+/// multicast layer drops a repeated id as a duplicate.
+fn attempt_tag(base: u32, band: u32, attempt: u32) -> u32 {
+    if attempt < COMPACT_ATTEMPTS {
+        base + attempt
+    } else {
+        (band << 30) | (attempt & ((1 << 30) - 1))
+    }
+}
+
+/// Id of the `attempt`-th dispatch of command `cmd` to its partitions.
+pub(crate) fn dispatch_mid(cmd: MsgId, attempt: u32) -> MsgId {
+    cmd.derived(attempt_tag(10, 1, attempt))
+}
+
+/// Id of the `attempt`-th oracle query (`Payload::Exec`) for command `cmd`.
+pub(crate) fn query_mid(cmd: MsgId, attempt: u32) -> MsgId {
+    cmd.derived(attempt_tag(100, 2, attempt))
+}
+
+/// Derivation tag of a command's create-coordination multicast.
+pub(crate) const CREATE_TAG: u32 = 200;
+/// Derivation tag of a command's delete-coordination multicast.
+pub(crate) const DELETE_TAG: u32 = 210;
 
 /// A fully resolved routing decision for an access command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +138,6 @@ pub fn compute_route<A: Application>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynastar_amcast::MsgId;
     use dynastar_runtime::NodeId;
 
     struct App;
@@ -130,6 +165,24 @@ mod tests {
     /// Locations: var v lives in partition v % 3.
     fn mod3(key: LocKey) -> Option<PartitionId> {
         Some(PartitionId((key.0 % 3) as u32))
+    }
+
+    #[test]
+    fn a_commands_multicast_ids_never_meet() {
+        use std::collections::BTreeSet;
+        let cmd = MsgId::new(1, 0);
+        // Past 2^30 attempts a kind reuses its own ids, never another's.
+        let attempts = || (0..1_000).chain([(1 << 30) + 5, (1 << 31) + 95, u32::MAX]);
+        let dispatches: BTreeSet<MsgId> = attempts().map(|a| dispatch_mid(cmd, a)).collect();
+        let queries: BTreeSet<MsgId> = attempts().map(|a| query_mid(cmd, a)).collect();
+        assert!(dispatches.len() >= 1_000 && queries.len() >= 1_000);
+        assert!(dispatches.is_disjoint(&queries));
+        for fixed in [cmd.derived(CREATE_TAG), cmd.derived(DELETE_TAG)] {
+            assert!(!dispatches.contains(&fixed) && !queries.contains(&fixed));
+        }
+        // The ids of early attempts break ties in the multicast order.
+        assert_eq!(dispatch_mid(cmd, 89), cmd.derived(99));
+        assert_eq!(query_mid(cmd, 89), cmd.derived(189));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 
 use dynastar_amcast::MsgId;
-use dynastar_runtime::{HistogramId, Metrics, SimDuration, SimTime};
+use dynastar_runtime::{HistogramId, Interned, Metrics, SimDuration, SimTime};
 
 use crate::command::{AccessSets, Application, Command, CommandKind};
 use crate::metric_names as mn;
@@ -127,9 +127,8 @@ pub(super) struct ExecScheduler {
     pending: Option<PendingStall>,
     /// Pre-rendered per-worker busy-histogram names.
     name_worker_busy: Vec<String>,
-    /// Their lazily interned ids, tagged with the resolving registry's id
-    /// (same contract as the server's `Meter`).
-    worker_busy_ids: Option<(u64, Vec<HistogramId>)>,
+    /// Their interned ids.
+    worker_busy_ids: Interned<Vec<HistogramId>>,
 }
 
 impl ExecScheduler {
@@ -141,7 +140,7 @@ impl ExecScheduler {
             window: VecDeque::new(),
             pending: None,
             name_worker_busy: (0..workers).map(mn::exec_worker_busy).collect(),
-            worker_busy_ids: None,
+            worker_busy_ids: Interned::default(),
         }
     }
 
@@ -280,19 +279,10 @@ impl ExecScheduler {
         advance_busy(&mut self.clocks[w], now, cost);
     }
 
-    /// The interned busy-histogram id of worker `w`, resolved lazily
-    /// against the current registry.
+    /// The interned busy-histogram id of worker `w`.
     pub(super) fn worker_hist(&mut self, metrics: &mut Metrics, w: usize) -> HistogramId {
-        if let Some((reg, ids)) = &self.worker_busy_ids {
-            if *reg == metrics.registry_id() {
-                return ids[w];
-            }
-        }
-        let ids: Vec<HistogramId> =
-            self.name_worker_busy.iter().map(|n| metrics.histogram_id(n)).collect();
-        let id = ids[w];
-        self.worker_busy_ids = Some((metrics.registry_id(), ids));
-        id
+        let names = &self.name_worker_busy;
+        self.worker_busy_ids.get(metrics, |m| names.iter().map(|n| m.histogram_id(n)).collect())[w]
     }
 }
 

@@ -1,6 +1,6 @@
 //! The metric handles of one replica, interned once per registry.
 
-use dynastar_runtime::{CounterId, Metrics, SeriesId};
+use dynastar_runtime::{CounterId, Interned, Metrics, SeriesId};
 
 use crate::command::PartitionId;
 use crate::metric_names as mn;
@@ -29,18 +29,14 @@ pub(super) struct ServerMetricIds {
     pub s_objects: SeriesId,
 }
 
-/// Resolves [`ServerMetricIds`] lazily against the simulation's registry
-/// on first record, tagged with that registry's id so a core handed a
-/// different `Metrics` instance re-interns instead of indexing into the
-/// wrong registry. Ids carry their tag, so a clone installed on another
-/// replica of the same simulation can keep them.
+/// Resolves [`ServerMetricIds`] against the registry on first record.
 #[derive(Debug, Clone)]
 pub(super) struct Meter {
     /// Pre-rendered per-partition series names (hot path).
     name_executed: String,
     name_multi: String,
     name_objects: String,
-    ids: Option<(u64, ServerMetricIds)>,
+    ids: Interned<ServerMetricIds>,
 }
 
 impl Meter {
@@ -49,40 +45,33 @@ impl Meter {
             name_executed: mn::partition_executed(partition.0),
             name_multi: mn::partition_multi(partition.0),
             name_objects: mn::partition_objects(partition.0),
-            ids: None,
+            ids: Interned::default(),
         }
     }
 
-    /// The interned metric ids, resolving them on first use (and again
-    /// whenever a different registry shows up).
+    /// The interned metric ids.
     #[inline]
     pub(super) fn ids(&mut self, metrics: &mut Metrics) -> ServerMetricIds {
-        if let Some((reg, ids)) = self.ids {
-            if reg == metrics.registry_id() {
-                return ids;
-            }
-        }
-        let ids = ServerMetricIds {
-            objects_exchanged: metrics.counter_id(mn::OBJECTS_EXCHANGED),
-            cmd_retry: metrics.counter_id(mn::CMD_RETRY),
-            cmd_multi: metrics.counter_id(mn::CMD_MULTI),
-            cmd_single: metrics.counter_id(mn::CMD_SINGLE),
-            migration_chunks_sent: metrics.counter_id(mn::MIGRATION_CHUNKS_SENT),
-            migration_chunk_retries: metrics.counter_id(mn::MIGRATION_CHUNK_RETRIES),
-            migration_reverts: metrics.counter_id(mn::MIGRATION_REVERTS),
-            migration_keys_staged: metrics.counter_id(mn::MIGRATION_KEYS_STAGED),
-            migration_deferred: metrics.counter_id(mn::MIGRATION_DEFERRED),
-            migration_released: metrics.counter_id(mn::MIGRATION_RELEASED),
-            exec_parallel: metrics.counter_id(mn::EXEC_PARALLEL),
-            exec_serialized: metrics.counter_id(mn::EXEC_SERIALIZED),
-            exec_window_stall: metrics.counter_id(mn::EXEC_WINDOW_STALL),
-            s_cmd_multi: metrics.series_id(mn::CMD_MULTI),
-            s_cmd_single: metrics.series_id(mn::CMD_SINGLE),
-            s_executed: metrics.series_id(&self.name_executed),
-            s_multi: metrics.series_id(&self.name_multi),
-            s_objects: metrics.series_id(&self.name_objects),
-        };
-        self.ids = Some((metrics.registry_id(), ids));
-        ids
+        let Meter { name_executed, name_multi, name_objects, ids } = self;
+        *ids.get(metrics, |m| ServerMetricIds {
+            objects_exchanged: m.counter_id(mn::OBJECTS_EXCHANGED),
+            cmd_retry: m.counter_id(mn::CMD_RETRY),
+            cmd_multi: m.counter_id(mn::CMD_MULTI),
+            cmd_single: m.counter_id(mn::CMD_SINGLE),
+            migration_chunks_sent: m.counter_id(mn::MIGRATION_CHUNKS_SENT),
+            migration_chunk_retries: m.counter_id(mn::MIGRATION_CHUNK_RETRIES),
+            migration_reverts: m.counter_id(mn::MIGRATION_REVERTS),
+            migration_keys_staged: m.counter_id(mn::MIGRATION_KEYS_STAGED),
+            migration_deferred: m.counter_id(mn::MIGRATION_DEFERRED),
+            migration_released: m.counter_id(mn::MIGRATION_RELEASED),
+            exec_parallel: m.counter_id(mn::EXEC_PARALLEL),
+            exec_serialized: m.counter_id(mn::EXEC_SERIALIZED),
+            exec_window_stall: m.counter_id(mn::EXEC_WINDOW_STALL),
+            s_cmd_multi: m.series_id(mn::CMD_MULTI),
+            s_cmd_single: m.series_id(mn::CMD_SINGLE),
+            s_executed: m.series_id(name_executed),
+            s_multi: m.series_id(name_multi),
+            s_objects: m.series_id(name_objects),
+        })
     }
 }

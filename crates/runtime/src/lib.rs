@@ -63,7 +63,9 @@ pub mod prelude {
 
 pub use actor::{Actor, Ctx, NodeId};
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
-pub use metrics::{Cdf, CounterId, Histogram, HistogramId, Metrics, SeriesId, TimeSeries};
+pub use metrics::{
+    Cdf, CounterId, Histogram, HistogramId, Interned, Metrics, SeriesId, TimeSeries,
+};
 pub use net::{LatencyModel, NetConfig};
 pub use sim::{SimConfig, Simulation};
 pub use time::{SimDuration, SimTime};

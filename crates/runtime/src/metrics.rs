@@ -432,6 +432,45 @@ impl Metrics {
     }
 }
 
+/// Metric ids resolved once per registry: the value sits beside the
+/// [`Metrics::registry_id`] it was resolved under, and a different registry
+/// showing up (the threaded harness hands cores a scratch `Metrics` per
+/// call) resolves it again instead of indexing into the wrong instance. Ids
+/// carry their tag, so a clone installed in the same simulation keeps them.
+#[derive(Debug, Clone)]
+pub struct Interned<T>(Option<(u64, T)>);
+
+impl<T> Default for Interned<T> {
+    fn default() -> Self {
+        Interned(None)
+    }
+}
+
+impl<T> Interned<T> {
+    /// The value for `metrics`, calling `resolve` on first use and whenever
+    /// the registry is another than last time.
+    ///
+    /// `#[inline]`: the callers are generic protocol cores compiled in the
+    /// crate that names their application, and this sits on their
+    /// per-command paths.
+    #[inline]
+    pub fn get(&mut self, metrics: &mut Metrics, resolve: impl FnOnce(&mut Metrics) -> T) -> &T {
+        let registry = metrics.registry_id();
+        if self.0.as_ref().is_some_and(|(tag, _)| *tag != registry) {
+            self.0 = None;
+        }
+        &self.0.get_or_insert_with(|| cold(|| (registry, resolve(metrics)))).1
+    }
+}
+
+/// Keeps `f` — the interning of a dozen names — out of line at the many
+/// per-command sites [`Interned::get`] is inlined into.
+#[cold]
+#[inline(never)]
+fn cold<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +560,25 @@ mod tests {
         m.reset();
         assert_eq!(m.counter("x"), 0);
         assert!(m.series("tput").is_none());
+    }
+
+    #[test]
+    fn interned_resolves_once_per_registry() {
+        let (mut a, mut b) = (Metrics::new(), Metrics::new());
+        let _ = b.counter_id("other"); // so "x" is id 0 in `a`, 1 in `b`
+        let mut cached: Interned<CounterId> = Interned::default();
+        let mut resolved = 0;
+        for use_a in [true, true, false, false, true] {
+            let m = if use_a { &mut a } else { &mut b };
+            let id = *cached.get(m, |m| {
+                resolved += 1;
+                m.counter_id("x")
+            });
+            m.incr(id, 1);
+        }
+        assert_eq!(resolved, 3, "first use, then once per change of registry");
+        assert_eq!((a.counter("x"), b.counter("x")), (3, 2));
+        assert_eq!(b.counter("other"), 0);
     }
 
     #[test]
