@@ -61,6 +61,20 @@ struct Outstanding<A: Application> {
     issued_at: SimTime,
 }
 
+/// A client's location cache: `key → (partition, plan version the fact
+/// came from)`.
+pub(crate) type LocationCache = FastHashMap<LocKey, (PartitionId, u64)>;
+
+/// A cache that knows `entries` (S-SMR's static map, or a warm start),
+/// built once per deployment and copied into each client
+/// ([`ClientCore::set_cache`]). Entries are tagged with the initial plan
+/// version 0, so the first observed repartitioning flushes them.
+pub(crate) fn warm_cache(
+    entries: impl IntoIterator<Item = (LocKey, PartitionId)>,
+) -> LocationCache {
+    entries.into_iter().map(|(k, p)| (k, (p, 0))).collect()
+}
+
 /// Client-side protocol logic: location cache, oracle fallback, retry.
 ///
 /// Drive it with [`ClientCore::issue`], [`ClientCore::on_direct`] and
@@ -70,11 +84,11 @@ pub struct ClientCore<A: Application> {
     id: NodeId,
     mode: Mode,
     seq: u32,
-    /// `key → (partition, plan version the fact came from)`. Entries from a
-    /// plan older than [`ClientCore::plan_version`] are flushed wholesale
-    /// when a newer version is observed — without the version tag, every
-    /// stale entry would cost its own NOK round-trip before being evicted.
-    cache: FastHashMap<LocKey, (PartitionId, u64)>,
+    /// Entries from a plan older than [`ClientCore::plan_version`] are
+    /// flushed wholesale when a newer version is observed — without the
+    /// version tag, every stale entry would cost its own NOK round-trip
+    /// before being evicted.
+    cache: LocationCache,
     /// Highest oracle plan version observed in prophecies.
     plan_version: u64,
     outstanding: Option<Outstanding<A>>,
@@ -165,11 +179,10 @@ impl<A: Application> ClientCore<A> {
         })
     }
 
-    /// Pre-populates the location cache (S-SMR's static map, or warm-start
-    /// experiments). Entries are tagged with the initial plan version 0, so
-    /// the first observed repartitioning flushes them.
-    pub fn preload_cache(&mut self, entries: impl IntoIterator<Item = (LocKey, PartitionId)>) {
-        self.cache.extend(entries.into_iter().map(|(k, p)| (k, (p, 0))));
+    /// Starts the location cache from a copy of a deployment's
+    /// [`warm_cache`]: one table copy instead of an insert per key.
+    pub(crate) fn set_cache(&mut self, cache: &LocationCache) {
+        self.cache.clone_from(cache);
     }
 
     /// Number of cached locations (test/debug aid).

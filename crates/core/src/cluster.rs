@@ -10,9 +10,9 @@ use std::sync::Arc;
 use dynastar_paxos::Ballot;
 use dynastar_runtime::{Actor, Ctx, Metrics, NodeId, SimConfig, SimDuration, SimTime, Simulation};
 
-use crate::client::{ClientEvent, Workload};
+use crate::client::{ClientEvent, LocationCache, Workload};
 use crate::command::{Application, LocKey, PartitionId, VarId};
-use crate::deploy::{build_hosts, client_host};
+use crate::deploy::{build_hosts, client_cache, client_host};
 use crate::host::{unwrap_released, ClientHost, Port, ReplicaHost, RouteTable, TICK};
 use crate::metric_names;
 use crate::transport::Wiring;
@@ -502,7 +502,8 @@ impl<A: Application> ClusterBuilder<A> {
             let id = sim.add_node(name, ServerActor::new(host));
             debug_assert_eq!(id, routes.node_of(me));
         }
-        Cluster { sim, routes, config: cfg, placement: self.placement.clone(), clients: Vec::new() }
+        let client_cache = client_cache(&cfg, &self.placement);
+        Cluster { sim, routes, config: cfg, client_cache, clients: Vec::new() }
     }
 }
 
@@ -514,7 +515,8 @@ pub struct Cluster<A: Application> {
     routes: Arc<RouteTable>,
     /// The configuration the cluster was built with.
     pub config: ClusterConfig,
-    placement: BTreeMap<LocKey, PartitionId>,
+    /// What each new client's location cache starts as.
+    client_cache: LocationCache,
     clients: Vec<NodeId>,
 }
 
@@ -531,7 +533,7 @@ impl<A: Application> Cluster<A> {
         let id = NodeId::from_raw(self.sim.node_count() as u32);
         let jitter_us = 1 + (idx as u64 * 137) % 5_000;
         let actor = ClientActor {
-            host: client_host(id, &self.config, &self.placement, Arc::clone(&self.routes)),
+            host: client_host(id, &self.config, &self.client_cache, Arc::clone(&self.routes)),
             workload,
             wiring: Wiring::new(0),
             timeout: self.config.client_timeout,
@@ -609,9 +611,10 @@ impl<A: Application> std::fmt::Debug for Cluster<A> {
 mod tests {
     use super::*;
     use crate::command::CommandKind;
+    use crate::oracle::PLANNER_VERTICES;
     use crate::payload::PAYLOAD_CLONES;
     use crate::server::ServerConfig;
-    use crate::server::CHUNK_SENDS;
+    use crate::server::{CHUNK_SENDS, HINTS_SENT};
     use rand::rngs::StdRng;
     use rand::Rng;
 
@@ -673,6 +676,42 @@ mod tests {
         assert!(metrics.counter(metric_names::PLANS_PUBLISHED) >= 1, "no plan: nothing was hinted");
         assert!(metrics.counter(metric_names::CMD_COMPLETED) > 100);
         assert_eq!(PAYLOAD_CLONES.get(), 0, "a delivered payload was deep-copied");
+    }
+
+    /// Hints feed the plan and nothing else. A deployment that can never
+    /// plan — one partition, or a threshold of `u64::MAX` — multicasts no
+    /// hint and its planner's graph stays empty; with a reachable
+    /// threshold on two partitions they flow.
+    #[test]
+    fn only_a_deployment_that_can_plan_collects_hints() {
+        let run = |partitions: u32, repartition_threshold| {
+            let mut config = ClusterConfig {
+                partitions,
+                replicas: 3,
+                repartition_threshold,
+                min_plan_interval: SimDuration::from_millis(200),
+                ..ClusterConfig::default()
+            };
+            config.server.hint_batch = 8;
+            let mut builder = ClusterBuilder::<Bank>::new(config);
+            for key in 0..8 {
+                builder.place(LocKey(key), PartitionId((key / 2) as u32 % partitions));
+            }
+            builder.with_vars((0..80).map(|v| (VarId(v), 0)));
+            let mut cluster = builder.build();
+            for _ in 0..4 {
+                cluster.add_client(Pairs);
+            }
+            HINTS_SENT.set(0);
+            PLANNER_VERTICES.set(0);
+            cluster.run_for(SimDuration::from_secs(1));
+            assert!(cluster.metrics().counter(metric_names::CMD_COMPLETED) > 100);
+            (HINTS_SENT.get(), PLANNER_VERTICES.get())
+        };
+        assert_eq!(run(1, 40), (0, 0), "one partition");
+        assert_eq!(run(2, u64::MAX), (0, 0), "an unreachable threshold");
+        let (sent, vertices) = run(2, 40);
+        assert!(sent > 0 && vertices > 0, "{sent} hints sent, {vertices} vertices");
     }
 
     /// Every even key with its odd neighbour, which starts on the other

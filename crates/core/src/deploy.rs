@@ -9,7 +9,7 @@ use dynastar_amcast::{GroupId, MemberId};
 use dynastar_paxos::{BatchConfig, GroupConfig};
 use dynastar_runtime::{NetConfig, NodeId, SimDuration};
 
-use crate::client::ClientCore;
+use crate::client::{warm_cache, ClientCore, LocationCache};
 use crate::command::{Application, LocKey, Mode, PartitionId, VarId};
 use crate::host::{ClientHost, ReplicaHost, Role, RouteTable};
 use crate::oracle::{OracleConfig, OracleCore};
@@ -33,6 +33,10 @@ pub struct ClusterConfig {
     /// Partition server tunables.
     pub server: ServerConfig,
     /// Workload-graph change count that triggers repartitioning.
+    /// `u64::MAX` never repartitions — and then, as with one partition or
+    /// a mode that does not repartition, partitions collect no hints: the
+    /// per-partition config this one derives clears `collect_hints` (see
+    /// [`OracleConfig::can_plan`]).
     pub repartition_threshold: u64,
     /// Minimum time between repartitionings.
     pub min_plan_interval: SimDuration,
@@ -116,7 +120,9 @@ impl ClusterConfig {
     /// recording flag, the replica index) is stamped by the host.
     pub(crate) fn server_config(&self) -> ServerConfig {
         ServerConfig {
-            collect_hints: self.mode.optimizes() && self.server.collect_hints,
+            // Hints feed the plan and nothing else: a deployment whose
+            // oracle can never plan does not pay to collect them.
+            collect_hints: self.server.collect_hints && self.oracle_config(0).can_plan(),
             exec: self.exec,
             // Deliberately not `self.oracle_shards`: servers flush whole
             // hints to planner shard 0 however many shards serve queries.
@@ -211,11 +217,27 @@ pub(crate) fn build_hosts<A: Application>(
     (routes, hosts)
 }
 
-/// Builds the client `id` of a deployment.
+/// What every client of a deployment knows of the placement when it
+/// starts: all of it if client caches are warm (always for S-SMR, whose
+/// map is static), nothing otherwise. Built once; [`client_host`] copies it.
+pub(crate) fn client_cache(
+    cfg: &ClusterConfig,
+    placement: &BTreeMap<LocKey, PartitionId>,
+) -> LocationCache {
+    let warm = cfg.mode == Mode::SSmr || (cfg.client_location_cache && cfg.warm_client_caches);
+    if warm {
+        warm_cache(placement.iter().map(|(&k, &p)| (k, p)))
+    } else {
+        LocationCache::default()
+    }
+}
+
+/// Builds the client `id` of a deployment, starting from the deployment's
+/// [`client_cache`].
 pub(crate) fn client_host<A: Application>(
     id: NodeId,
     cfg: &ClusterConfig,
-    placement: &BTreeMap<LocKey, PartitionId>,
+    cache: &LocationCache,
     routes: Arc<RouteTable>,
 ) -> ClientHost<A> {
     let mut core = ClientCore::new(id, cfg.mode);
@@ -225,8 +247,8 @@ pub(crate) fn client_host<A: Application>(
     // regardless of the cache knob.
     if !cfg.client_location_cache && cfg.mode != Mode::SSmr {
         core.set_location_cache(false);
-    } else if cfg.warm_client_caches || cfg.mode == Mode::SSmr {
-        core.preload_cache(placement.iter().map(|(&k, &p)| (k, p)));
+    } else {
+        core.set_cache(cache);
     }
     ClientHost::new(core, routes)
 }

@@ -627,7 +627,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::command::{Command, LocKey, VarId};
-    use crate::deploy::{build_hosts, client_host, ClusterConfig};
+    use crate::deploy::{build_hosts, client_cache, client_host, ClusterConfig};
     use crate::server::{ExecConfig, ServerConfig, CHUNK_SENDS};
 
     /// Counters, one variable to a key; an access bumps what it names.
@@ -850,7 +850,7 @@ pub(crate) mod tests {
         // `exec_shard` picks, and nowhere else.
         let config = ClusterConfig { partitions: 2, oracle_shards: 4, ..ClusterConfig::default() };
         let mut client =
-            client_host::<App>(NodeId::from_raw(CLIENT), &config, &BTreeMap::new(), four.into());
+            client_host::<App>(NodeId::from_raw(CLIENT), &config, &Default::default(), four.into());
         let mut port = Recorder::at(SimTime::ZERO);
         let cmd = access(0, &[5]);
         let shard = crate::routing::exec_shard(&cmd, 0, 4);
@@ -897,5 +897,33 @@ pub(crate) mod tests {
         group[0].absorb(work(), &mut port);
         assert_eq!(CHUNK_SENDS.take(), [(PartitionId(0), 0, LocKey(0))]);
         assert_eq!(port.metrics.counter(metric_names::CMD_SINGLE), 1);
+    }
+
+    #[test]
+    fn clients_start_from_their_own_copy_of_the_deployments_warm_cache() {
+        let placement: BTreeMap<_, _> =
+            (0..8).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect();
+        let cold = ClusterConfig::default();
+        assert!(client_cache(&cold, &placement).is_empty());
+        let config = ClusterConfig { warm_client_caches: true, ..cold };
+        let cache = client_cache(&config, &placement);
+        let routes = Arc::new(RouteTable::new(2, 1, 3));
+        let client = |id| client_host::<App>(NodeId::from_raw(id), &config, &cache, routes.clone());
+        let (mut a, mut b) = (client(CLIENT), client(CLIENT + 1));
+        assert_eq!((a.core.cache_len(), b.core.cache_len()), (8, 8));
+
+        // Both route key 5 straight to partition 1 (nodes 3..6).
+        let mut port = Recorder::at(SimTime::ZERO);
+        let to_partition_1 = [Seen::Clock, send(3, "Access"), send(4, "Access"), send(5, "Access")];
+        a.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(port.take(), to_partition_1);
+        // A stale-routing `Retry` drops key 5 from `a`'s cache alone: `a`
+        // asks the oracle (nodes 6..9), `b` still goes straight there.
+        let retry = Direct::Retry { cmd: MsgId::new(CLIENT as u64, 0), attempt: 0 };
+        assert!(a.on_direct(retry, &mut port).is_none());
+        assert_eq!(port.take()[1..], [send(6, "Exec"), send(7, "Exec"), send(8, "Exec")]);
+        assert_eq!((a.core.cache_len(), b.core.cache_len()), (7, 8));
+        b.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(port.take(), to_partition_1);
     }
 }

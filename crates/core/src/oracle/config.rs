@@ -12,6 +12,7 @@ pub struct OracleConfig {
     /// Execution mode (drives routing-side behaviour differences).
     pub mode: Mode,
     /// Workload-graph change count that triggers a repartitioning.
+    /// `u64::MAX` never does (see [`OracleConfig::can_plan`]).
     pub repartition_threshold: u64,
     /// Modelled partitioner base latency.
     pub compute_base: SimDuration,
@@ -76,6 +77,16 @@ pub struct OracleConfig {
     pub digest_interval: SimDuration,
 }
 
+impl OracleConfig {
+    /// Whether this deployment can ever compute a plan: the mode
+    /// repartitions, there is more than one partition to repartition over,
+    /// and the change threshold is reachable. When it cannot, nobody needs
+    /// the workload graph — partitions are not asked to collect hints.
+    pub fn can_plan(&self) -> bool {
+        self.mode.optimizes() && self.partitions > 1 && self.repartition_threshold != u64::MAX
+    }
+}
+
 impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
@@ -97,6 +108,37 @@ impl Default for OracleConfig {
             shard: 0,
             digest_threshold: 256,
             digest_interval: SimDuration::from_millis(500),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_dynastar_over_several_partitions_with_a_reachable_threshold_can_plan() {
+        const NEVER: u64 = u64::MAX;
+        let table = [
+            (Mode::Dynastar, 2, 2_000, true),
+            (Mode::Dynastar, 8, 0, true),
+            (Mode::Dynastar, 2, NEVER - 1, true),
+            (Mode::Dynastar, 2, NEVER, false),
+            (Mode::Dynastar, 1, 2_000, false),
+            (Mode::Dynastar, 1, NEVER, false),
+            (Mode::SSmr, 2, 2_000, false),
+            (Mode::SSmr, 1, NEVER, false),
+            (Mode::DsSmr, 8, 2_000, false),
+            (Mode::DsSmr, 2, NEVER, false),
+        ];
+        for (mode, partitions, repartition_threshold, can) in table {
+            let cfg =
+                OracleConfig { mode, partitions, repartition_threshold, ..OracleConfig::default() };
+            assert_eq!(
+                cfg.can_plan(),
+                can,
+                "{mode:?}, {partitions} partitions, {repartition_threshold}"
+            );
         }
     }
 }

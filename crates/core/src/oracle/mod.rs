@@ -56,6 +56,15 @@ mod tag {
 /// Origin of plan and recompute-marker ids, whose `seq` is the version.
 const PLANNER_ORIGIN: u64 = u64::MAX - 1;
 
+#[cfg(test)]
+thread_local! {
+    /// The most vertices a planner's workload graph on this thread held
+    /// after merging a hint — what a cluster test cannot read through the
+    /// simulator.
+    pub(crate) static PLANNER_VERTICES: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// Origin of shard `shard`'s digest and flush-marker ids: a band far above
 /// client and partition origins.
 fn shard_origin(shard: u32) -> u64 {
@@ -276,6 +285,8 @@ impl<A: Application> OracleCore<A> {
             {
                 // A shard's digest merges exactly like a hint batch.
                 self.graph.merge(vertices, edges);
+                #[cfg(test)]
+                PLANNER_VERTICES.set(PLANNER_VERTICES.get().max(self.graph_vertices()));
                 let (max_v, max_e) = (self.config.max_graph_vertices, self.config.max_graph_edges);
                 let evicted = self.graph.enforce_caps(max_v, max_e);
                 if evicted > 0 && self.config.record_metrics {

@@ -7,7 +7,7 @@
 //! plan then waits out the modelled compute time (§5.2) before publication.
 
 use dynastar_partitioner::{
-    align_labels, partition as ml_partition, partition_from, GraphBuilder, PartitionConfig,
+    align_labels, partition as ml_partition, partition_from, Graph, GraphBuilder, PartitionConfig,
     Partitioning,
 };
 use dynastar_runtime::{SimDuration, SimTime};
@@ -46,6 +46,41 @@ fn seek(keys: &[(LocKey, PartitionId)], from: usize, key: LocKey) -> usize {
     lo + keys[lo..hi.min(keys.len())].partition_point(|&(k, _)| k < key)
 }
 
+/// The partitioner's view of `graph`: vertex `i` is `keys[i]` (ascending),
+/// weighted one more than its accesses.
+fn plan_graph(keys: &[(LocKey, PartitionId)], graph: &WorkloadGraph) -> Graph {
+    let mut b = GraphBuilder::new();
+    // The feed is at most every tracked edge: one allocation, no regrowth.
+    b.reserve_edges(graph.edge_count());
+    if !keys.is_empty() {
+        b.add_vertex(keys.len() as u32 - 1);
+    }
+    for (i, &(key, _)) in keys.iter().enumerate() {
+        b.set_vertex_weight(i as u32, 1 + graph.weight(key));
+    }
+    // Rows, their (sorted) entries and `keys` all ascend by key: one merge
+    // walk finds every endpoint's index, and the edges reach the builder
+    // in ascending `(a, b)` order without repeats — appends, and a `build`
+    // that needs no sort. An edge with an endpoint no longer in the map is
+    // skipped.
+    let at = |i: usize, key: LocKey| keys.get(i).is_some_and(|&(k, _)| k == key);
+    let mut ia = 0;
+    graph.rows(|a, row| {
+        ia = seek(keys, ia, a);
+        if !at(ia, a) {
+            return;
+        }
+        let mut ib = ia;
+        for &(bk, w) in row {
+            ib = seek(keys, ib, bk);
+            if w > 0 && at(ib, bk) {
+                b.add_edge(ia as u32, ib as u32, w);
+            }
+        }
+    });
+    b.build()
+}
+
 /// Partitions the tracked `keys` (ascending, each with its current owner)
 /// by the workload `graph` and diffs the result against the owners.
 ///
@@ -62,33 +97,7 @@ pub(super) fn compute_plan(
     version: u64,
     warm_reference: Option<f64>,
 ) -> Computed {
-    let mut b = GraphBuilder::new();
-    if !keys.is_empty() {
-        b.add_vertex(keys.len() as u32 - 1);
-    }
-    for (i, &(key, _)) in keys.iter().enumerate() {
-        b.set_vertex_weight(i as u32, 1 + graph.weight(key));
-    }
-    // Rows, their (sorted) entries and `keys` all ascend by key: one
-    // merge walk finds every endpoint's index, and every replica (and
-    // build profile) feeds the builder the same edges in the same
-    // order. An edge with an endpoint no longer in the map is skipped.
-    let at = |i: usize, key: LocKey| keys.get(i).is_some_and(|&(k, _)| k == key);
-    let mut ia = 0;
-    graph.rows(|a, row| {
-        ia = seek(keys, ia, a);
-        if !at(ia, a) {
-            return;
-        }
-        let mut ib = ia;
-        for &(bk, w) in row {
-            ib = seek(keys, ib, bk);
-            if w > 0 && at(ib, bk) {
-                b.add_edge(ia as u32, ib as u32, w);
-            }
-        }
-    });
-    let g = b.build();
+    let g = plan_graph(keys, graph);
     let k = cfg.partitions;
     let pcfg = PartitionConfig::default().seed(version).balance_factor(cfg.balance_factor);
     let prev = Partitioning::new(k, keys.iter().map(|&(_, p)| p.0).collect());
@@ -175,10 +184,9 @@ impl Planner {
         plan_version: u64,
         tracked_keys: usize,
     ) -> Option<u64> {
-        let open = cfg.mode.optimizes()
+        let open = cfg.can_plan()
             && cfg.shard == 0
             && !self.computing
-            && cfg.partitions > 1
             && graph.changes() >= cfg.repartition_threshold
             && tracked_keys > 0
             && now.saturating_duration_since(self.last_plan_at) >= cfg.min_plan_interval;

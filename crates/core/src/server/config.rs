@@ -9,7 +9,12 @@ use super::ExecConfig;
 pub struct ServerConfig {
     /// Executed commands per workload-hint batch sent to the oracle.
     pub hint_batch: u32,
-    /// Whether to collect hints at all (DynaStar mode only).
+    /// Whether to collect hints at all (DynaStar mode only). In a cluster
+    /// this is the setting ANDed with whether the oracle can ever plan
+    /// (`OracleConfig::can_plan`: DynaStar mode, more than one partition
+    /// and a finite `repartition_threshold`) — `ClusterConfig::server_config`
+    /// derives the bit, so a deployment that never repartitions sends no
+    /// hint.
     pub collect_hints: bool,
     /// Whether this replica records server-side metrics. Every replica of
     /// a partition executes every command, so exactly one replica (index

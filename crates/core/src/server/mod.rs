@@ -62,6 +62,14 @@ use store::{take_value, Awaited, StagedKey, Store};
 /// clients use their node id as origin, which stays far below this.
 pub const PARTITION_ORIGIN_BASE: u64 = 1_000_000_000;
 
+#[cfg(test)]
+thread_local! {
+    /// Hint sequence numbers the partition cores on this thread consumed —
+    /// one per hint multicast, which a cluster test cannot count through
+    /// the simulator.
+    pub(crate) static HINTS_SENT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Variables shipped between partitions: `(var, value-or-absent)` pairs.
 type VarShipment<A> = Shipment<<A as Application>::Value>;
 /// Shipments collected per source partition.
@@ -1137,6 +1145,8 @@ impl<A: Application> ServerCore<A> {
                 payload: Payload::Hint { vertices, edges },
             });
             *seq += 1;
+            #[cfg(test)]
+            HINTS_SENT.set(HINTS_SENT.get() + 1);
         });
     }
 

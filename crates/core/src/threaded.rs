@@ -28,9 +28,9 @@ use dynastar_runtime::hash::FastHashMap;
 use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::client::ClientEvent;
+use crate::client::{ClientEvent, LocationCache};
 use crate::command::{Application, CommandKind, LocKey, PartitionId, VarId};
-use crate::deploy::{build_hosts, client_host, ClusterConfig};
+use crate::deploy::{build_hosts, client_cache, client_host, ClusterConfig};
 use crate::host::{unwrap_released, ClientHost, Inner, Port, ReplicaHost, RouteTable, TICK};
 
 type Inbox<A> = Sender<Arc<Inner<A>>>;
@@ -168,7 +168,8 @@ pub struct ThreadedCluster<A: Application> {
     handles: Vec<JoinHandle<()>>,
     next_client: u32,
     config: ClusterConfig,
-    placement: BTreeMap<LocKey, PartitionId>,
+    /// What each new client's location cache starts as.
+    client_cache: LocationCache,
 }
 
 impl<A: Application> ThreadedCluster<A> {
@@ -206,7 +207,16 @@ impl<A: Application> ThreadedCluster<A> {
         };
         let handles = hosts.into_iter().zip(inboxes).map(spawn).collect();
         // Client ids start well clear of the replicas' node ids.
-        ThreadedCluster { fabric, routes, stop, handles, next_client: 1_000_000, config, placement }
+        let client_cache = client_cache(&config, &placement);
+        ThreadedCluster {
+            fabric,
+            routes,
+            stop,
+            handles,
+            next_client: 1_000_000,
+            config,
+            client_cache,
+        }
     }
 
     /// Creates a synchronous client handle.
@@ -215,7 +225,7 @@ impl<A: Application> ThreadedCluster<A> {
         self.next_client += 1;
         let (tx, rx) = unbounded();
         self.fabric.clients.lock().insert(id, tx);
-        let host = client_host(id, &self.config, &self.placement, Arc::clone(&self.routes));
+        let host = client_host(id, &self.config, &self.client_cache, Arc::clone(&self.routes));
         ThreadedClient { host, rx, fabric: Arc::clone(&self.fabric), due: Deadlines::default() }
     }
 

@@ -1,7 +1,7 @@
 //! Undirected weighted graphs in compressed adjacency form.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// An undirected graph with vertex and edge weights, stored in CSR
 /// (compressed sparse row) form for cache-friendly traversal.
@@ -72,8 +72,8 @@ impl Graph {
     /// Assembles a graph directly from pre-built CSR arrays, bypassing
     /// [`GraphBuilder`]'s edge accumulator. The coarsening hot loop uses
     /// this: it merges parallel edges itself with a dense scratch map, so
-    /// routing every coarse edge through a `BTreeMap` again would only
-    /// re-do (and slow down) work already done.
+    /// pushing every coarse edge through the builder's sort-and-merge
+    /// again would only re-do (and slow down) work already done.
     ///
     /// Invariants the caller must uphold (checked in debug builds): every
     /// undirected edge appears exactly twice (once per endpoint row), rows
@@ -93,12 +93,17 @@ impl Graph {
 /// Vertices are created implicitly by mentioning them; duplicate edges are
 /// merged by summing their weights; self-loops are ignored (they never
 /// affect a partition's cut).
+///
+/// Edges fed in ascending `(min, max)` order without duplicates — what a
+/// caller walking an ordered adjacency naturally produces — cost an append
+/// each and a linear [`build`](Self::build).
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
-    /// Edge accumulator keyed by canonical `(min, max)` endpoints.
-    /// Ordered so [`build`](Self::build) fills CSR rows deterministically
-    /// without a separate sort.
-    edges: BTreeMap<(u32, u32), u64>,
+    /// `(min, max, weight)` in insertion order. [`build`](Self::build)
+    /// sorts a copy stably by endpoints (a run-detecting sort: one pass
+    /// when the feed is already ordered) and sums equal neighbours, so
+    /// CSR rows fill in ascending `(min, max)` order whatever the feed.
+    edges: Vec<(u32, u32, u64)>,
     vwgt: Vec<u64>,
 }
 
@@ -130,9 +135,15 @@ impl GraphBuilder {
         self.add_vertex(u);
         self.add_vertex(v);
         if u != v {
-            let key = (u.min(v), u.max(v));
-            *self.edges.entry(key).or_insert(0) += w;
+            self.edges.push((u.min(v), u.max(v), w));
         }
+        self
+    }
+
+    /// Makes room for `additional` more [`add_edge`](Self::add_edge) calls,
+    /// so a feed of known size allocates its edge list once.
+    pub fn reserve_edges(&mut self, additional: usize) -> &mut Self {
+        self.edges.reserve_exact(additional);
         self
     }
 
@@ -143,9 +154,24 @@ impl GraphBuilder {
 
     /// Finalizes into CSR form.
     pub fn build(&self) -> Graph {
+        let ends = |&(u, v, _): &(u32, u32, u64)| (u, v);
+        let sorted = if self.edges.is_sorted_by_key(ends) {
+            Cow::Borrowed(&self.edges[..])
+        } else {
+            let mut copy = self.edges.clone();
+            copy.sort_by_key(ends);
+            Cow::Owned(copy)
+        };
+        // One edge per run of equal endpoints, weights summed.
+        let merged = || {
+            sorted.chunk_by(|a, b| ends(a) == ends(b)).map(|run| {
+                let (u, v, _) = run[0];
+                (u, v, run.iter().map(|&(_, _, w)| w).sum::<u64>())
+            })
+        };
         let n = self.vwgt.len();
         let mut degree = vec![0usize; n];
-        for &(u, v) in self.edges.keys() {
+        for (u, v, _) in merged() {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
@@ -156,8 +182,8 @@ impl GraphBuilder {
         let mut adj = vec![(0u32, 0u64); xadj[n]];
         let mut cursor = xadj.clone();
         let mut total_ewgt = 0;
-        // BTreeMap iterates in key order, so CSR rows fill deterministically.
-        for (&(u, v), &w) in &self.edges {
+        // Edges in ascending endpoint order: rows fill deterministically.
+        for (u, v, w) in merged() {
             adj[cursor[u as usize]] = (v, w);
             cursor[u as usize] += 1;
             adj[cursor[v as usize]] = (u, w);
@@ -234,5 +260,79 @@ mod tests {
         let g = GraphBuilder::new().build();
         assert_eq!(g.vertex_count(), 0);
         assert_eq!(g.edge_count(), 0);
+    }
+
+    /// The CSR a `BTreeMap<(min, max), weight>` accumulator builds from
+    /// `edges` over `n` vertices of weight `1 + v`: rows filled in key
+    /// order, parallel edges summed, self-loops dropped.
+    fn reference(n: u32, edges: &[(u32, u32, u64)]) -> Graph {
+        let mut merged = std::collections::BTreeMap::new();
+        for &(u, v, w) in edges.iter().filter(|e| e.0 != e.1) {
+            *merged.entry((u.min(v), u.max(v))).or_insert(0) += w;
+        }
+        let mut rows = vec![Vec::new(); n as usize];
+        for (&(u, v), &w) in &merged {
+            rows[u as usize].push((v, w));
+            rows[v as usize].push((u, w));
+        }
+        let mut xadj = vec![0];
+        for row in &rows {
+            xadj.push(xadj.last().unwrap() + row.len());
+        }
+        let vwgt: Vec<u64> = (0..u64::from(n)).map(|v| 1 + v).collect();
+        Graph::from_csr(xadj, rows.concat(), vwgt)
+    }
+
+    /// `edges` fed to a builder that knows `n` vertices of weight `1 + v`.
+    fn built(n: u32, edges: &[(u32, u32, u64)]) -> Graph {
+        let mut b = GraphBuilder::new();
+        for v in 0..n {
+            b.set_vertex_weight(v, 1 + u64::from(v));
+        }
+        for &(u, v, w) in edges {
+            b.add_edge(u, v, w);
+        }
+        b.build()
+    }
+
+    fn assert_same_csr(got: &Graph, want: &Graph) {
+        assert_eq!(got.xadj, want.xadj);
+        assert_eq!(got.adj, want.adj);
+        assert_eq!(got.vwgt, want.vwgt);
+        assert_eq!(got.total_vwgt, want.total_vwgt);
+        assert_eq!(got.total_ewgt, want.total_ewgt);
+    }
+
+    #[test]
+    fn any_feed_order_builds_the_ordered_map_csr() {
+        // Ascending `(min, max)` without repeats: the append-only feed.
+        let sorted = [(0, 1, 3), (0, 4, 1), (1, 2, 5), (2, 4, 0), (3, 4, 7)];
+        assert_same_csr(&built(6, &sorted), &reference(6, &sorted));
+        // Reversed, endpoints swapped, repeated, with self-loops; vertex 5
+        // stays isolated throughout.
+        let mut messy: Vec<_> = sorted.iter().rev().map(|&(u, v, w)| (v, u, w)).collect();
+        messy.extend([(1, 0, 2), (4, 4, 9), (0, 1, 1), (2, 2, 1), (4, 0, 6)]);
+        let g = built(6, &messy);
+        assert_same_csr(&g, &reference(6, &messy));
+        assert_eq!(g.neighbors(0), &[(1, 6), (4, 7)]);
+        assert_eq!(g.degree(5), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random edge lists — parallel edges, both endpoint orders,
+        /// self-loops, untouched vertices — fed as drawn and fed sorted.
+        #[test]
+        fn builder_matches_the_ordered_map_reference(
+            n in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40, 0u64..20), 0..300),
+        ) {
+            let mut edges: Vec<_> = raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let want = reference(n, &edges);
+            assert_same_csr(&built(n, &edges), &want);
+            edges.sort_unstable_by_key(|&(u, v, _)| (u.min(v), u.max(v)));
+            assert_same_csr(&built(n, &edges), &want);
+        }
     }
 }

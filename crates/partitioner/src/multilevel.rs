@@ -7,7 +7,8 @@
 //!
 //! * **Coarsening** contracts CSR→CSR directly: parallel coarse edges are
 //!   merged through a dense `position + 1` scratch map indexed by coarse
-//!   id, never through `GraphBuilder`'s `BTreeMap` accumulator. Matching
+//!   id, never through `GraphBuilder`'s sort-and-merge of an edge list
+//!   (a coarse row's neighbours come out in no useful order). Matching
 //!   and scratch buffers are reused across levels via [`Scratch`], and the
 //!   first level borrows the caller's graph instead of cloning it.
 //! * **Initial partitioning** grows regions off a lazy-deletion binary
