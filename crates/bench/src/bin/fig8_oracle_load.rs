@@ -209,8 +209,8 @@ fn main() {
          (paper target: >= 3x at 4 shards);",
         SHARDS[SHARDS.len() - 1]
     );
-    println!("normalized plan cut stays flat across shard counts (the planner");
-    println!("merges the same digested workload graph whichever shard collected it).\n");
+    println!("normalized plan cut stays flat across shard counts (partitions send");
+    println!("every hint to planner shard 0, whatever the shard count).\n");
 
     // Timeline: cache dynamics at one shard.
     eprintln!("fig8 [timeline]: {tl_secs}s cold-start run...");

@@ -681,14 +681,16 @@ mod tests {
     /// Hints feed the plan and nothing else. A deployment that can never
     /// plan — one partition, or a threshold of `u64::MAX` — multicasts no
     /// hint and its planner's graph stays empty; with a reachable
-    /// threshold on two partitions they flow.
+    /// threshold on two partitions they flow to the planner, however many
+    /// oracle shards serve queries.
     #[test]
     fn only_a_deployment_that_can_plan_collects_hints() {
-        let run = |partitions: u32, repartition_threshold| {
+        let run = |partitions: u32, repartition_threshold, oracle_shards| {
             let mut config = ClusterConfig {
                 partitions,
                 replicas: 3,
                 repartition_threshold,
+                oracle_shards,
                 min_plan_interval: SimDuration::from_millis(200),
                 ..ClusterConfig::default()
             };
@@ -708,10 +710,12 @@ mod tests {
             assert!(cluster.metrics().counter(metric_names::CMD_COMPLETED) > 100);
             (HINTS_SENT.get(), PLANNER_VERTICES.get())
         };
-        assert_eq!(run(1, 40), (0, 0), "one partition");
-        assert_eq!(run(2, u64::MAX), (0, 0), "an unreachable threshold");
-        let (sent, vertices) = run(2, 40);
-        assert!(sent > 0 && vertices > 0, "{sent} hints sent, {vertices} vertices");
+        assert_eq!(run(1, 40, 1), (0, 0), "one partition");
+        assert_eq!(run(2, u64::MAX, 1), (0, 0), "an unreachable threshold");
+        for shards in [1, 4] {
+            let (sent, vertices) = run(2, 40, shards);
+            assert!(sent > 0 && vertices > 0, "{shards} shards: {sent} hints, {vertices} vertices");
+        }
     }
 
     /// Every even key with its odd neighbour, which starts on the other

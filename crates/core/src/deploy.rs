@@ -124,12 +124,6 @@ impl ClusterConfig {
             // oracle can never plan does not pay to collect them.
             collect_hints: self.server.collect_hints && self.oracle_config(0).can_plan(),
             exec: self.exec,
-            // Deliberately not `self.oracle_shards`: servers flush whole
-            // hints to planner shard 0 however many shards serve queries.
-            // Splitting the flush by slice measured −11% `cmds_per_sim_s`
-            // on `oracle_cold` and re-pins the O=4 golden; ROADMAP item 5
-            // decides whether the per-shard hint path lives.
-            oracle_shards: 1,
             ..self.server.clone()
         }
     }

@@ -12,7 +12,6 @@
 //! accumulating every command's key clique into ordered maps.
 
 use crate::command::{Application, Command, LocKey};
-use crate::routing::shard_of;
 
 /// A hint's `(key, accesses)` vertex list.
 pub(crate) type Vertices = Vec<(LocKey, u64)>;
@@ -53,10 +52,6 @@ struct Scratch {
     acc: Vec<u64>,
     /// …and one bit per rank that has gathered any.
     bits: Vec<u64>,
-    /// Per oracle shard, how many vertices and edges it is owed…
-    sizes: Vec<(usize, usize)>,
-    /// …and the lists being filled for it.
-    slices: Vec<(Vertices, Edges)>,
 }
 
 /// A snapshot carries the half-filled batch; a recovering replica grows
@@ -79,11 +74,10 @@ impl HintArena {
 
     /// Expands the batch and empties the arena: a vertex weighs the
     /// commands that touched its key, an edge the commands that touched
-    /// both of its keys. A vertex goes to its key's owner among `shards`
-    /// oracle shards, an edge to its lower key's; `emit` receives each
-    /// non-empty slice in shard order. Lists are allocated at their exact
-    /// size: they travel, and are retained, as allocated.
-    pub(crate) fn flush(&mut self, shards: u32, mut emit: impl FnMut(u32, Vertices, Edges)) {
+    /// both of its keys. Both lists are empty for a batch of key-less
+    /// commands. Lists are allocated at their exact size: they travel, and
+    /// are retained, as allocated.
+    pub(crate) fn flush(&mut self) -> (Vertices, Edges) {
         let Self { keys, lens, scratch: s } = self;
         s.rank(keys);
         s.group_sets(keys, lens);
@@ -91,29 +85,13 @@ impl HintArena {
         keys.clear();
         lens.clear();
 
-        s.sizes.clear();
-        s.sizes.resize(shards.max(1) as usize, (0, 0));
-        for a in 0..s.vertices.len() {
-            let row = s.row_len(a);
-            let size = &mut s.sizes[shard_of(s.vertices[a].0, shards) as usize];
-            size.0 += 1;
-            size.1 += row;
+        let vertices = s.vertices.to_vec();
+        let pairs = (0..vertices.len()).map(|a| s.row_len(a)).sum();
+        let mut edges = Vec::with_capacity(pairs);
+        for a in 0..vertices.len() {
+            s.row_into(a, &mut edges);
         }
-        s.slices.clear();
-        s.slices
-            .extend(s.sizes.iter().map(|&(v, e)| (Vec::with_capacity(v), Vec::with_capacity(e))));
-        for a in 0..s.vertices.len() {
-            let vertex = s.vertices[a];
-            let shard = shard_of(vertex.0, shards) as usize;
-            s.slices[shard].0.push(vertex);
-            s.row_into(a, shard);
-        }
-        for (shard, slice) in s.slices.iter_mut().enumerate() {
-            let (vertices, edges) = std::mem::take(slice);
-            if !vertices.is_empty() || !edges.is_empty() {
-                emit(shard as u32, vertices, edges);
-            }
-        }
+        (vertices, edges)
     }
 }
 
@@ -212,11 +190,10 @@ impl Scratch {
 
     /// Appends row `a` of the co-access matrix — one edge per distinct key
     /// ranking above `a` that shares a command with it, in key order, the
-    /// sharing commands counted — to `slices[shard]`.
-    fn row_into(&mut self, a: usize, shard: usize) {
-        let Self { vertices, starts, members, ranks, acc, bits, slices, .. } = self;
+    /// sharing commands counted — to `edges`.
+    fn row_into(&mut self, a: usize, edges: &mut Edges) {
+        let Self { vertices, starts, members, ranks, acc, bits, .. } = self;
         let key = vertices[a].0;
-        let edges = &mut slices[shard].1;
         let sets = &members[starts[a] as usize..starts[a + 1] as usize];
         if let [(from, to, times)] = *sets {
             // One set only: its tail is the row, sorted and coalesced.

@@ -254,14 +254,6 @@ fn interpret<A: Application, P: Port<A>>(
                     Destination::Partition(p) => {
                         fan_out(port, routes.group_nodes(GroupId(p.0)), &body)
                     }
-                    // Every replica of every oracle shard group, in shard
-                    // order: the sender cannot know which shard cares, and
-                    // receiver-side dedup makes the extra copies harmless.
-                    Destination::Oracle => {
-                        for g in routes.oracle_groups() {
-                            fan_out(port, routes.group_nodes(g), &body);
-                        }
-                    }
                     Destination::Client(node) => port.send(node, body),
                 }
             }
@@ -295,6 +287,7 @@ impl<A: Application> Role<A> {
         }
     }
 
+    /// No direct message is addressed to an oracle replica.
     fn on_direct(
         &mut self,
         msg: &Direct<A>,
@@ -303,7 +296,7 @@ impl<A: Application> Role<A> {
     ) -> Vec<Effect<A>> {
         match self {
             Role::Partition(c) => c.on_direct(msg, now, metrics),
-            Role::Oracle(c) => c.on_direct(msg, now, metrics),
+            Role::Oracle(_) => Vec::new(),
         }
     }
 

@@ -63,17 +63,15 @@ pub struct OracleConfig {
     /// `1` reproduces the unsharded oracle exactly.
     pub shards: u32,
     /// This core's shard index, `0..shards`. Shard 0 is the planner: it
-    /// owns the workload graph and the recompute/plan machinery; other
-    /// shards forward their hint slices to it as
-    /// [`Payload::GraphDigest`](crate::payload::Payload::GraphDigest)s.
+    /// owns the workload graph and the recompute/plan machinery, and
+    /// partitions send their hints to it whole.
     pub shard: u32,
-    /// A non-planner shard ships its pending graph delta to the planner
-    /// once this many changes accumulate (count gate — evaluated at
-    /// delivery positions, so it is identical on every replica).
+    /// Has no effect: no shard ships a graph digest any more. Kept only
+    /// because the benchmark names it in a full struct literal; the
+    /// benchmark-only change removes it.
     pub digest_threshold: u64,
-    /// Trickle flush: a shard replica whose sub-threshold delta has sat
-    /// unshipped this long proposes a
-    /// [`Payload::DigestFlush`](crate::payload::Payload::DigestFlush) marker.
+    /// Has no effect, like [`OracleConfig::digest_threshold`], and goes
+    /// with it.
     pub digest_interval: SimDuration,
 }
 

@@ -1,12 +1,12 @@
 //! The workload graph's co-access edge store: adjacency rows keyed by an
 //! edge's lower key.
 //!
-//! Hint and digest batches arrive sorted by `(a, b)`, so a batch is a few
+//! Hint batches arrive sorted by `(a, b)`, so a batch is a few
 //! hundred runs that share their lower key: one row lookup per run, then
 //! increments inside one small table — where a flat pair-keyed map probes
 //! a table the size of the whole graph for every edge. Rows are kept in key
 //! order; a reader that needs edges in `(a, b)` order (the planner's graph
-//! build, a digest) sorts one row at a time.
+//! build) sorts one row at a time.
 
 use std::collections::BTreeMap;
 
@@ -27,10 +27,6 @@ pub(super) struct EdgeRows {
 impl EdgeRows {
     pub(super) fn len(&self) -> usize {
         self.len
-    }
-
-    pub(super) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Adds each `(a, b, weight)` to its edge, creating the edge if need
@@ -112,10 +108,5 @@ impl EdgeRows {
             sorted.sort_unstable();
             visit(a, &sorted);
         }
-    }
-
-    pub(super) fn clear(&mut self) {
-        self.rows.clear();
-        self.len = 0;
     }
 }

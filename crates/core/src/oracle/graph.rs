@@ -1,15 +1,12 @@
 //! The workload graph (Algorithm 2 Task 4): per-key access counts and
-//! co-access edge weights, accumulated from hint and digest batches.
-//!
-//! The planner shard's instance is *the* workload graph: capped as it
-//! grows, decayed at each recompute, read by the plan computation. Any other
-//! shard's is the delta not yet shipped there, drained whole into a digest.
+//! co-access edge weights, accumulated from hint batches on the planner
+//! shard, capped as it grows, decayed at each recompute and read by the
+//! plan computation.
 
 use dynastar_runtime::hash::FastHashMap;
 
 use super::edge_rows::EdgeRows;
 use crate::command::LocKey;
-use crate::hints::{Edges, Vertices};
 
 /// Halves every weight and drops the entries that reach zero — leaving
 /// them would leak memory under a churning keyspace.
@@ -61,7 +58,7 @@ pub(super) struct WorkloadGraph {
 }
 
 impl WorkloadGraph {
-    /// Adds a hint or digest batch; every entry counts as one change.
+    /// Adds a hint batch; every entry counts as one change.
     pub(super) fn merge(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
         self.changes += vertices.len() as u64 + edges.len() as u64;
         for &(k, w) in vertices {
@@ -111,41 +108,30 @@ impl WorkloadGraph {
         self.edges.len()
     }
 
-    pub(super) fn is_empty(&self) -> bool {
-        self.vertices.is_empty() && self.edges.is_empty()
-    }
-
     /// Calls `visit` with every edge row in key order: the edges' lower
     /// key and their `(upper key, weight)` entries, sorted by key.
     pub(super) fn rows(&self, visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
         self.edges.for_each_row(visit);
-    }
-
-    /// Empties the graph into canonical increment lists — vertices of
-    /// non-zero weight in key order, edges in `(a, b)` order — so a
-    /// digest's bytes are a function of content alone.
-    pub(super) fn drain_sorted(&mut self) -> (Vertices, Edges) {
-        let mut vertices: Vertices = self.vertices.drain().filter(|&(_, w)| w > 0).collect();
-        vertices.sort_unstable();
-        let mut edges = Vec::with_capacity(self.edges.len());
-        self.edges.for_each_row(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
-        self.edges.clear();
-        self.changes = 0;
-        (vertices, edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hints::{Edges, Vertices};
 
     fn k(key: u64) -> LocKey {
         LocKey(key)
     }
 
-    /// The graph's content, zero-weight vertices left out.
+    /// The graph's content in key order, zero-weight vertices left out.
     fn content(g: &WorkloadGraph) -> (Vertices, Edges) {
-        g.clone().drain_sorted()
+        let mut vertices: Vertices =
+            g.vertices.iter().filter(|&(_, &w)| w > 0).map(|(&k, &w)| (k, w)).collect();
+        vertices.sort_unstable();
+        let mut edges = Vec::new();
+        g.rows(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
+        (vertices, edges)
     }
 
     #[test]
@@ -196,20 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_key_ordered_and_leaves_nothing() {
-        let mut g = WorkloadGraph::default();
-        g.merge(&[(k(9), 1), (k(3), 0), (k(4), 2)], &[(k(9), k(4), 1), (k(3), k(4), 5)]);
-        g.merge(&[(k(1), 6)], &[(k(4), k(1), 2)]);
-        assert_eq!(g.changes(), 7);
-        let (vs, es) = g.drain_sorted();
-        assert_eq!(vs, vec![(k(1), 6), (k(4), 2), (k(9), 1)], "key order, zero weight dropped");
-        assert_eq!(es, vec![(k(1), k(4), 2), (k(3), k(4), 5), (k(4), k(9), 1)]);
-        assert!(g.is_empty());
-        assert_eq!((g.vertex_count(), g.edge_count(), g.changes()), (0, 0, 0));
-        assert_eq!(g.drain_sorted(), (vec![], vec![]));
-    }
-
-    #[test]
     fn forget_drops_the_vertex_and_keeps_its_edges() {
         let mut g = WorkloadGraph::default();
         g.merge(&[(k(1), 5), (k(2), 5)], &[(k(1), k(2), 3)]);
@@ -224,7 +196,7 @@ mod tests {
         assert_eq!(content(&g), (vec![(k(2), 2)], vec![(k(1), k(2), 1)]));
         g.decay();
         g.decay();
-        assert!(g.is_empty());
+        assert_eq!((g.vertex_count(), g.edge_count()), (0, 0));
     }
 
     #[test]

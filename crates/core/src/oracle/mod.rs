@@ -24,7 +24,7 @@ mod edge_rows;
 mod graph;
 mod planner;
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 
 use dynastar_amcast::MsgId;
@@ -47,10 +47,6 @@ mod tag {
     pub const PLAN: u32 = 300;
     /// Recompute-proposal marker ([`super::Payload::Recompute`]).
     pub const RECOMPUTE: u32 = 310;
-    /// Per-shard workload-graph digest ([`super::Payload::GraphDigest`]).
-    pub const DIGEST: u32 = 320;
-    /// Digest-flush marker ([`super::Payload::DigestFlush`]).
-    pub const FLUSH: u32 = 330;
 }
 
 /// Origin of plan and recompute-marker ids, whose `seq` is the version.
@@ -63,25 +59,6 @@ thread_local! {
     /// simulator.
     pub(crate) static PLANNER_VERTICES: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
-}
-
-/// Origin of shard `shard`'s digest and flush-marker ids: a band far above
-/// client and partition origins.
-fn shard_origin(shard: u32) -> u64 {
-    u64::MAX - 2 - shard as u64
-}
-
-/// Where a non-planner shard stands in shipping its pending delta.
-#[derive(Debug, Clone, Copy, Default)]
-struct DigestClock {
-    /// Sequence number of the next digest this shard ships.
-    seq: u32,
-    /// Lowest digest seq this replica has *not* proposed a flush marker
-    /// for — a local flood guard; the marker itself dedups by message id.
-    proposed_flush: u32,
-    /// When this shard last shipped a digest (replica-local; only gates
-    /// flush-marker proposals, like the recompute interval gate).
-    last_at: SimTime,
 }
 
 /// One oracle replica's protocol core. See the [module docs](self).
@@ -100,11 +77,11 @@ pub struct OracleCore<A: Application> {
     history: PlanHistory,
     /// Version of the last *applied* plan.
     plan_version: u64,
-    /// On the planner shard, the workload graph and its changes since the
-    /// last plan; on any other, the delta not yet shipped to the planner.
+    /// The workload graph and its changes since the last plan. Only the
+    /// planner shard (shard 0) is sent hints, so on any other it stays
+    /// empty.
     graph: WorkloadGraph,
     planner: Planner,
-    digests: DigestClock,
     /// Interned (counter, series) ids for [`mn::ORACLE_QUERIES`] — the
     /// oracle's per-delivery hot path.
     query_ids: Interned<(CounterId, SeriesId)>,
@@ -123,7 +100,6 @@ impl<A: Application> Clone for OracleCore<A> {
             plan_version: self.plan_version,
             graph: self.graph.clone(),
             planner: self.planner.clone(),
-            digests: self.digests,
             query_ids: self.query_ids.clone(),
             _marker: std::marker::PhantomData,
         }
@@ -148,7 +124,6 @@ impl<A: Application> OracleCore<A> {
             plan_version: 0,
             graph: WorkloadGraph::default(),
             planner: Planner::default(),
-            digests: DigestClock::default(),
             query_ids: Interned::default(),
             _marker: std::marker::PhantomData,
         }
@@ -201,26 +176,23 @@ impl<A: Application> OracleCore<A> {
         self.plan_version
     }
 
-    /// The workload graph, which only the planner shard holds.
-    fn workload(&self) -> Option<&WorkloadGraph> {
-        self.is_planner().then_some(&self.graph)
-    }
-
-    /// Number of vertices currently in the workload graph.
+    /// Number of vertices currently in the workload graph (0 off the
+    /// planner shard).
     pub fn graph_vertices(&self) -> usize {
-        self.workload().map_or(0, WorkloadGraph::vertex_count)
+        self.graph.vertex_count()
     }
 
-    /// Number of edges currently in the workload graph.
+    /// Number of edges currently in the workload graph (0 off the planner
+    /// shard).
     pub fn graph_edges(&self) -> usize {
-        self.workload().map_or(0, WorkloadGraph::edge_count)
+        self.graph.edge_count()
     }
 
     /// Handles an atomic multicast delivery addressed to the oracle.
     ///
     /// The payload is read in place — every replica of every destination
-    /// group is handed the same one; hint, digest and plan bodies are
-    /// never copied.
+    /// group is handed the same one; hint and plan bodies are never
+    /// copied.
     pub fn on_deliver(
         &mut self,
         payload: impl Borrow<Payload<A>>,
@@ -257,7 +229,7 @@ impl<A: Application> OracleCore<A> {
                 // Rendezvous signal towards the partition (Task 2).
                 eff.push(Effect::Send {
                     to: Destination::Partition(dest),
-                    msg: Direct::Signal { cmd: cmd.id, from_partition: None },
+                    msg: Direct::Signal { cmd: cmd.id },
                 });
             }
             &Payload::DeleteKey { ref cmd, dest } => {
@@ -270,20 +242,15 @@ impl<A: Application> OracleCore<A> {
                 // so their decisions agree.
                 if self.map.get(&key) == Some(&dest) {
                     self.map.remove(&key);
-                    if self.is_planner() {
-                        self.graph.forget(key);
-                    }
+                    self.graph.forget(key);
                     self.planner.note_churn();
                 }
                 eff.push(Effect::Send {
                     to: Destination::Partition(dest),
-                    msg: Direct::Signal { cmd: cmd.id, from_partition: None },
+                    msg: Direct::Signal { cmd: cmd.id },
                 });
             }
-            Payload::Hint { vertices, edges } | Payload::GraphDigest { vertices, edges, .. }
-                if self.is_planner() =>
-            {
-                // A shard's digest merges exactly like a hint batch.
+            Payload::Hint { vertices, edges } if self.is_planner() => {
                 self.graph.merge(vertices, edges);
                 #[cfg(test)]
                 PLANNER_VERTICES.set(PLANNER_VERTICES.get().max(self.graph_vertices()));
@@ -294,31 +261,8 @@ impl<A: Application> OracleCore<A> {
                 }
                 self.maybe_propose_recompute(now, &mut eff);
             }
-            Payload::Hint { vertices, edges } => {
-                // Another shard ships its pending delta once the count
-                // gate opens. The gate reads only delivered state, so every
-                // replica drains the same delta at the same position and
-                // the digests dedup by message id.
-                self.graph.merge(vertices, edges);
-                if self.graph.changes() >= self.config.digest_threshold {
-                    self.emit_digest(now, &mut eff);
-                }
-            }
-            // Digests go to the planner's group alone.
-            Payload::GraphDigest { .. } => {}
-            &Payload::DigestFlush { shard, seq } => {
-                // Drain a lingering delta at the marker's delivery
-                // position. A stale marker (the count gate shipped the
-                // delta and moved the seq on) no-ops; the planner's graph
-                // is no delta.
-                if !self.is_planner()
-                    && shard == self.config.shard
-                    && seq == self.digests.seq
-                    && !self.graph.is_empty()
-                {
-                    self.emit_digest(now, &mut eff);
-                }
-            }
+            // Partitions address hints to the planner alone.
+            Payload::Hint { .. } => {}
             &Payload::Recompute { version } => {
                 // Compute at the marker's delivery position so every
                 // replica snapshots the same graph.
@@ -389,71 +333,13 @@ impl<A: Application> OracleCore<A> {
         eff
     }
 
-    /// Handles direct messages (partition rendezvous signals — the oracle
-    /// does not block on them, so they are consumed silently).
-    pub fn on_direct<'a>(
-        &mut self,
-        _msg: impl Into<Cow<'a, Direct<A>>>,
-        _now: SimTime,
-        _metrics: &mut Metrics,
-    ) -> Vec<Effect<A>> {
-        Vec::new()
-    }
-
     /// Periodic check (driven by the hosting actor's tick): the planner
     /// proposes a recompute if the change threshold was crossed while the
-    /// minimum-interval gate was still closed; other shards propose a
-    /// digest flush for a lingering sub-threshold delta.
+    /// minimum-interval gate was still closed.
     pub fn on_tick(&mut self, now: SimTime, _metrics: &mut Metrics) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
         self.maybe_propose_recompute(now, &mut eff);
-        self.maybe_propose_flush(now, &mut eff);
         eff
-    }
-
-    /// Drains the pending delta into a [`Payload::GraphDigest`] multicast
-    /// to the planner shard. Every replica of this shard reaches this at
-    /// the same delivery position with the same delta, so the digest's
-    /// deterministic id dedups the copies.
-    fn emit_digest(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        let (vertices, edges) = self.graph.drain_sorted();
-        if vertices.is_empty() && edges.is_empty() {
-            return;
-        }
-        let shard = self.config.shard;
-        let seq = self.digests.seq;
-        self.digests.seq += 1;
-        self.digests.last_at = now;
-        eff.push(Effect::Multicast {
-            mid: MsgId { origin: shard_origin(shard), seq, tag: tag::DIGEST },
-            partitions: Vec::new(),
-            oracle: OracleDest::Shard(0),
-            payload: Payload::GraphDigest { shard, seq, vertices, edges },
-        });
-    }
-
-    /// Proposes a [`Payload::DigestFlush`] marker when a non-planner
-    /// shard's delta has idled past the digest interval — the trickle
-    /// tail the count gate alone would strand. Mirrors the recompute
-    /// marker: the interval reads replica-local time, so the *drain*
-    /// happens at the marker's delivery position, identical everywhere.
-    fn maybe_propose_flush(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        if self.is_planner()
-            || self.graph.is_empty()
-            || now.saturating_duration_since(self.digests.last_at) < self.config.digest_interval
-            || self.digests.proposed_flush > self.digests.seq
-        {
-            return;
-        }
-        let shard = self.config.shard;
-        let seq = self.digests.seq;
-        self.digests.proposed_flush = seq + 1;
-        eff.push(Effect::Multicast {
-            mid: MsgId { origin: shard_origin(shard), seq, tag: tag::FLUSH },
-            partitions: Vec::new(),
-            oracle: OracleDest::Shard(shard),
-            payload: Payload::DigestFlush { shard, seq },
-        });
     }
 
     /// A query's answer, stamped with the plan version it holds under.
@@ -1217,8 +1103,6 @@ mod tests {
             min_plan_interval: SimDuration::from_millis(1),
             shards,
             shard,
-            digest_threshold: 4,
-            digest_interval: SimDuration::from_millis(10),
             ..OracleConfig::default()
         });
         o.preload_map((0..4).map(|k| (LocKey(k), PartitionId((k % 2) as u32))));
@@ -1242,109 +1126,26 @@ mod tests {
         assert_eq!(union, full, "shard views must partition the full map");
     }
 
+    /// Hints are addressed to the planner shard alone; one that reaches
+    /// another shard is dropped, however many changes it brings (600 here)
+    /// and however long it sits (a tick a second later).
     #[test]
-    fn non_planner_ships_digest_at_threshold() {
+    fn a_non_planner_shard_ignores_hints() {
         let mut o = sharded(4, 1);
         let mut m = Metrics::new();
-        // 3 changes: below the threshold of 4 — nothing ships.
-        let eff = o.on_deliver(
-            Payload::Hint {
-                vertices: vec![(LocKey(0), 5), (LocKey(1), 5)],
-                edges: vec![(LocKey(0), LocKey(1), 9)],
-            },
-            SimTime::from_millis(1),
-            &mut m,
-        );
-        assert!(eff.is_empty(), "sub-threshold delta must not ship");
-        assert_eq!(o.graph_vertices(), 0, "non-planner must not grow its own graph");
-        // One more change crosses the gate: a digest ships to the planner.
-        let eff = o.on_deliver(
-            Payload::Hint { vertices: vec![(LocKey(2), 7)], edges: vec![] },
-            SimTime::from_millis(2),
-            &mut m,
-        );
-        let digest = eff
-            .iter()
-            .find_map(|e| match e {
-                Effect::Multicast {
-                    mid,
-                    oracle: OracleDest::Shard(0),
-                    payload: Payload::GraphDigest { shard, seq, vertices, edges },
-                    ..
-                } => Some((*mid, *shard, *seq, vertices.clone(), edges.clone())),
-                _ => None,
-            })
-            .expect("digest shipped at threshold");
-        assert_eq!(digest.0, MsgId { origin: shard_origin(1), seq: 0, tag: tag::DIGEST });
-        assert_eq!(digest.1, 1);
-        assert_eq!(digest.2, 0);
-        // Canonical key order, weights accumulated across hints.
-        assert_eq!(digest.3, vec![(LocKey(0), 5), (LocKey(1), 5), (LocKey(2), 7)]);
-        assert_eq!(digest.4, vec![(LocKey(0), LocKey(1), 9)]);
-    }
-
-    #[test]
-    fn planner_merges_digest_like_hints() {
-        let mut o = sharded(1, 0);
-        let mut m = Metrics::new();
-        let eff = o.on_deliver(
-            Payload::GraphDigest {
-                shard: 2,
-                seq: 0,
-                vertices: (0..4).map(|k| (LocKey(k), 5)).collect(),
-                edges: vec![(LocKey(0), LocKey(1), 20), (LocKey(2), LocKey(3), 20)],
-            },
-            SimTime::from_millis(2),
-            &mut m,
-        );
-        assert_eq!(o.graph_vertices(), 4);
-        assert_eq!(o.graph_edges(), 2);
-        // 6 changes >= threshold 5: the digest triggers the recompute
-        // proposal exactly as a hint batch would.
-        assert!(eff
-            .iter()
-            .any(|e| matches!(e, Effect::Multicast { payload: Payload::Recompute { .. }, .. })));
-    }
-
-    #[test]
-    fn flush_marker_drains_lingering_delta() {
-        let mut o = sharded(4, 2);
-        let mut m = Metrics::new();
-        let _ = o.on_deliver(
-            Payload::Hint { vertices: vec![(LocKey(0), 3)], edges: vec![] },
-            SimTime::from_millis(1),
-            &mut m,
-        );
-        // Before the interval elapses a tick proposes nothing.
-        assert!(o.on_tick(SimTime::from_millis(5), &mut m).is_empty());
-        let eff = o.on_tick(SimTime::from_millis(20), &mut m);
-        let (shard, seq) = eff
-            .iter()
-            .find_map(|e| match e {
-                Effect::Multicast {
-                    oracle: OracleDest::Shard(s),
-                    payload: Payload::DigestFlush { shard, seq },
-                    ..
-                } => {
-                    assert_eq!(*s, *shard, "flush marker targets its own shard group");
-                    Some((*shard, *seq))
-                }
-                _ => None,
-            })
-            .expect("idle delta proposes a flush");
-        assert_eq!((shard, seq), (2, 0));
-        // A duplicate tick must not re-propose the same flush.
-        assert!(o.on_tick(SimTime::from_millis(40), &mut m).is_empty());
-        // Delivery of the marker drains the delta into a digest.
-        let eff =
-            o.on_deliver(Payload::DigestFlush { shard, seq }, SimTime::from_millis(41), &mut m);
-        assert!(eff
-            .iter()
-            .any(|e| matches!(e, Effect::Multicast { payload: Payload::GraphDigest { .. }, .. })));
-        // A stale (already-drained) marker no-ops.
-        let eff =
-            o.on_deliver(Payload::DigestFlush { shard, seq }, SimTime::from_millis(42), &mut m);
-        assert!(eff.is_empty(), "stale flush marker must no-op");
+        for k in 0..300u64 {
+            let eff = o.on_deliver(
+                Payload::Hint {
+                    vertices: vec![(LocKey(k), 5)],
+                    edges: vec![(LocKey(k), LocKey(k + 1), 9)],
+                },
+                SimTime::from_millis(1),
+                &mut m,
+            );
+            assert!(eff.is_empty(), "hint {k} had an effect");
+        }
+        assert!(o.on_tick(SimTime::from_millis(1_001), &mut m).is_empty());
+        assert_eq!((o.graph_vertices(), o.graph_edges()), (0, 0));
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub enum Payload<A: Application> {
         /// The partition currently owning the key.
         dest: PartitionId,
     },
-    /// Partition → oracle: workload-graph hints (Algorithm 2 Task 4).
+    /// Partition → planner oracle shard: workload-graph hints (Algorithm 2
+    /// Task 4).
     Hint {
         /// `(key, access count)` vertex increments.
         vertices: Vec<(LocKey, u64)>,
@@ -113,36 +114,6 @@ pub enum Payload<A: Application> {
         from: PartitionId,
         /// The destination that never finished receiving.
         to: PartitionId,
-    },
-    /// Non-planner oracle shard → planner shard: a drained slice of the
-    /// shard's pending workload-graph delta. The planner merges digests
-    /// into its graph exactly like [`Payload::Hint`]s; every replica of
-    /// the originating shard drains the same delta at the same delivery
-    /// position and submits the same deterministic message id, so the
-    /// multicast layer delivers each digest once.
-    GraphDigest {
-        /// The originating oracle shard.
-        shard: u32,
-        /// The shard's digest sequence number (dedups the replicas'
-        /// copies via the message id).
-        seq: u32,
-        /// `(key, access count)` vertex increments since the last digest.
-        vertices: Vec<(LocKey, u64)>,
-        /// `(key a, key b, weight)` edge increments since the last digest.
-        edges: Vec<(LocKey, LocKey, u64)>,
-    },
-    /// Oracle shard replicas → own shard group: agree on the log position
-    /// at which a lingering (sub-threshold) delta is drained into a
-    /// digest. Same reasoning as [`Payload::Recompute`]: the trickle
-    /// timer is replica-local, so acting on it directly would have each
-    /// replica drain a different delta; the marker's delivery position
-    /// makes the drain identical everywhere.
-    DigestFlush {
-        /// The shard whose delta should be drained.
-        shard: u32,
-        /// The digest sequence this flush proposes to emit; stale
-        /// markers (the delta already shipped via the count gate) no-op.
-        seq: u32,
     },
 }
 
@@ -219,13 +190,14 @@ pub enum Direct<A: Application> {
         /// Partition that detected the mismatch.
         missing_at: PartitionId,
     },
-    /// Oracle ⇄ partition rendezvous for create/delete coordination
-    /// (Algorithm 2 Task 2/3, Algorithm 3 Task 2).
+    /// Oracle → partition: the oracle's half of the create/delete
+    /// rendezvous (Algorithm 2 Task 2/3, Algorithm 3 Task 2). Only the
+    /// partition waits: both sides apply the same ordered `CreateKey` /
+    /// `DeleteKey` payload by the same rule, so the oracle has nothing to
+    /// learn from the partition's half.
     Signal {
         /// The create/delete command.
         cmd: MsgId,
-        /// Sending side's group: `None` = oracle, `Some(p)` = partition.
-        from_partition: Option<PartitionId>,
     },
     /// Old owner → new owner: a migrating key's variables (plan
     /// application, Algorithm 3 Task 3).
@@ -329,7 +301,7 @@ pub enum DedupKey {
     /// Key for [`Direct::Abort`].
     Abort(MsgId, u32, PartitionId),
     /// Key for [`Direct::Signal`].
-    Signal(MsgId, Option<PartitionId>),
+    Signal(MsgId),
     /// Key for [`Direct::PlanVars`]; the bool is `primary`.
     PlanVars(u64, LocKey, PartitionId, bool),
     /// Key for [`Direct::SsmrExchange`].
@@ -359,7 +331,7 @@ impl<A: Application> Direct<A> {
             Direct::Abort { cmd, attempt, missing_at } => {
                 Some(DedupKey::Abort(*cmd, *attempt, *missing_at))
             }
-            Direct::Signal { cmd, from_partition } => Some(DedupKey::Signal(*cmd, *from_partition)),
+            Direct::Signal { cmd } => Some(DedupKey::Signal(*cmd)),
             Direct::PlanVars { version, key, from, primary, .. } => {
                 Some(DedupKey::PlanVars(*version, *key, *from, *primary))
             }
@@ -375,8 +347,6 @@ impl<A: Application> Direct<A> {
 pub enum Destination {
     /// Every replica of a partition group.
     Partition(PartitionId),
-    /// Every replica of every oracle shard group.
-    Oracle,
     /// A single client process.
     Client(NodeId),
 }
@@ -475,15 +445,6 @@ impl<A: Application> Clone for Payload<A> {
             Payload::MigrationRevert { version, key, from, to } => {
                 Payload::MigrationRevert { version: *version, key: *key, from: *from, to: *to }
             }
-            Payload::GraphDigest { shard, seq, vertices, edges } => Payload::GraphDigest {
-                shard: *shard,
-                seq: *seq,
-                vertices: vertices.clone(),
-                edges: edges.clone(),
-            },
-            Payload::DigestFlush { shard, seq } => {
-                Payload::DigestFlush { shard: *shard, seq: *seq }
-            }
         }
     }
 }
@@ -511,9 +472,7 @@ impl<A: Application> Clone for Direct<A> {
             Direct::Abort { cmd, attempt, missing_at } => {
                 Direct::Abort { cmd: *cmd, attempt: *attempt, missing_at: *missing_at }
             }
-            Direct::Signal { cmd, from_partition } => {
-                Direct::Signal { cmd: *cmd, from_partition: *from_partition }
-            }
+            Direct::Signal { cmd } => Direct::Signal { cmd: *cmd },
             Direct::PlanVars { version, key, from, vars, pending, primary } => Direct::PlanVars {
                 version: *version,
                 key: *key,

@@ -14,8 +14,8 @@ use crate::command::{Application, Command, CommandKind, LocKey, PartitionId, Var
 /// The oracle shard whose slice of the location map owns `key`.
 ///
 /// Every process derives slice ownership from this pure function — shard
-/// cores to report their owned slice, partitions to address hint batches,
-/// clients to route create/delete queries — so a deterministic spread
+/// cores to report their owned slice, clients to route create/delete
+/// queries — so a deterministic spread
 /// matters: the multiply-shift mix decorrelates slice ownership from the
 /// dense low-id keys the workloads use (a plain modulus would alias slice
 /// stripes with round-robin placement stripes).

@@ -46,11 +46,6 @@ pub struct ServerConfig {
     /// tail, releasing deferred moves as transfers settle. `0` disables
     /// the cap: every move ships at once.
     pub migration_max_inflight_per_link: u32,
-    /// Number of oracle shard groups in the deployment. Hint batches are
-    /// split by slice ownership ([`crate::routing::shard_of`]) and each
-    /// slice multicast to its owner shard; `1` emits the single classic
-    /// hint multicast.
-    pub oracle_shards: u32,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +62,6 @@ impl Default for ServerConfig {
             migration_chunk_timeout: SimDuration::from_millis(200),
             migration_max_retries: 5,
             migration_max_inflight_per_link: 0,
-            oracle_shards: 1,
         }
     }
 }

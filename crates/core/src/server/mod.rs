@@ -313,7 +313,7 @@ impl<A: Application> ServerCore<A> {
                 if *dest == self.partition {
                     if let CommandKind::CreateKey { key, .. } = &cmd.kind {
                         let (cmd, key) = (cmd.clone(), *key);
-                        self.queue.push_back(Queued::Create { cmd, key, signalled: false });
+                        self.queue.push_back(Queued::Create { cmd, key });
                     } else {
                         debug_assert!(false, "CreateKey payload without CreateKey command");
                     }
@@ -323,7 +323,7 @@ impl<A: Application> ServerCore<A> {
                 if *dest == self.partition {
                     if let CommandKind::DeleteKey { key } = &cmd.kind {
                         let (cmd, key) = (cmd.clone(), *key);
-                        self.queue.push_back(Queued::Delete { cmd, key, signalled: false });
+                        self.queue.push_back(Queued::Delete { cmd, key });
                     } else {
                         debug_assert!(false, "DeleteKey payload without DeleteKey command");
                     }
@@ -397,11 +397,7 @@ impl<A: Application> ServerCore<A> {
                     }
                 }
             }
-            Payload::Exec { .. }
-            | Payload::Hint { .. }
-            | Payload::Recompute { .. }
-            | Payload::GraphDigest { .. }
-            | Payload::DigestFlush { .. } => {
+            Payload::Exec { .. } | Payload::Hint { .. } | Payload::Recompute { .. } => {
                 // Oracle-only payloads; partitions are never destinations.
             }
         }
@@ -468,10 +464,8 @@ impl<A: Application> ServerCore<A> {
                 self.aborted.insert((cmd, attempt));
                 self.bounce_vars_in(cmd, attempt, &mut eff);
             }
-            Direct::Signal { cmd, from_partition } => {
-                if from_partition.is_none() {
-                    self.oracle_signals.insert(cmd);
-                }
+            Direct::Signal { cmd } => {
+                self.oracle_signals.insert(cmd);
             }
             Direct::PlanVars { version, key, from, vars, pending, primary } => {
                 self.on_plan_vars(version, key, from, vars, pending, primary, metrics, &mut eff);
@@ -696,12 +690,8 @@ impl<A: Application> ServerCore<A> {
                         metrics,
                         eff,
                     ),
-                    Queued::Create { cmd, key, signalled } => {
-                        self.pump_create(cmd, *key, signalled, now, metrics, eff)
-                    }
-                    Queued::Delete { cmd, key, signalled } => {
-                        self.pump_delete(cmd, *key, signalled, eff)
-                    }
+                    Queued::Create { cmd, key } => self.pump_create(cmd, *key, now, metrics, eff),
+                    Queued::Delete { cmd, key } => self.pump_delete(cmd, *key, eff),
                     // The plan applies in one go and its entry is dropped.
                     Queued::Plan { version, moves } => {
                         self.pump_plan(*version, std::mem::take(moves), now, metrics, eff)
@@ -1126,54 +1116,40 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Notes an executed command's key set for the workload graph and
-    /// multicasts a hint batch when due (Algorithm 2 Task 4, partition
-    /// side): one multicast per oracle shard that is owed a slice, in shard
-    /// order, each consuming a hint sequence number. With one shard this is
-    /// exactly the single classic hint multicast.
+    /// Notes an executed command's key set for the workload graph and,
+    /// when a batch is due, multicasts it whole to the planner shard
+    /// (Algorithm 2 Task 4, partition side). Each hint consumes a hint
+    /// sequence number; a batch of key-less commands sends nothing.
     fn record_hint(&mut self, cmd: &Command<A>, eff: &mut Vec<Effect<A>>) {
         if self.hints.record(cmd) < self.config.hint_batch as usize {
             return;
         }
-        let origin = PARTITION_ORIGIN_BASE + self.partition.0 as u64;
-        let seq = &mut self.hint_seq;
-        self.hints.flush(self.config.oracle_shards, |shard, vertices, edges| {
-            eff.push(Effect::Multicast {
-                mid: MsgId::new(origin, *seq),
-                partitions: Vec::new(),
-                oracle: OracleDest::Shard(shard),
-                payload: Payload::Hint { vertices, edges },
-            });
-            *seq += 1;
-            #[cfg(test)]
-            HINTS_SENT.set(HINTS_SENT.get() + 1);
-        });
-    }
-
-    /// Sends the oracle this partition's half of a create/delete
-    /// rendezvous, once, and says whether the oracle's half has arrived
-    /// (Algorithm 3 Task 2).
-    fn rendezvous(&mut self, cmd: MsgId, signalled: &mut bool, eff: &mut Vec<Effect<A>>) -> bool {
-        if !*signalled {
-            *signalled = true;
-            eff.push(Effect::Send {
-                to: Destination::Oracle,
-                msg: Direct::Signal { cmd, from_partition: Some(self.partition) },
-            });
+        let (vertices, edges) = self.hints.flush();
+        if vertices.is_empty() {
+            return;
         }
-        self.oracle_signals.contains(&cmd)
+        eff.push(Effect::Multicast {
+            mid: MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq),
+            partitions: Vec::new(),
+            oracle: OracleDest::Shard(0),
+            payload: Payload::Hint { vertices, edges },
+        });
+        self.hint_seq += 1;
+        #[cfg(test)]
+        HINTS_SENT.set(HINTS_SENT.get() + 1);
     }
 
+    /// Installs a created key once the oracle's rendezvous signal has
+    /// arrived (Algorithm 3 Task 2).
     fn pump_create(
         &mut self,
         cmd: &Command<A>,
         key: LocKey,
-        signalled: &mut bool,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> Step {
-        if !self.rendezvous(cmd.id, signalled, eff) {
+        if !self.oracle_signals.contains(&cmd.id) {
             return Step::Wait(GateReason::OracleSignal);
         }
         if let CommandKind::CreateKey { vars, .. } = &cmd.kind {
@@ -1193,13 +1169,7 @@ impl<A: Application> ServerCore<A> {
         Step::Done
     }
 
-    fn pump_delete(
-        &mut self,
-        cmd: &Command<A>,
-        key: LocKey,
-        signalled: &mut bool,
-        eff: &mut Vec<Effect<A>>,
-    ) -> Step {
+    fn pump_delete(&mut self, cmd: &Command<A>, key: LocKey, eff: &mut Vec<Effect<A>>) -> Step {
         if self.awaiting_keys.contains_key(&key) {
             // Migration inbound; wait for the state first.
             return Step::Wait(GateReason::AwaitingMigration);
@@ -1212,7 +1182,7 @@ impl<A: Application> ServerCore<A> {
             });
             return Step::Done;
         }
-        if !self.rendezvous(cmd.id, signalled, eff) {
+        if !self.oracle_signals.contains(&cmd.id) {
             return Step::Wait(GateReason::OracleSignal);
         }
         self.owned.remove(&key);
@@ -1768,14 +1738,11 @@ mod tests {
             now(),
             &mut m,
         );
-        // Signals the oracle, but does not install yet.
-        assert!(eff.iter().any(|e| matches!(
-            e,
-            Effect::Send { to: Destination::Oracle, msg: Direct::Signal { .. } }
-        )));
+        // Waits silently: nothing is sent, nothing installed.
+        assert!(!eff.iter().any(|e| matches!(e, Effect::Send { .. })));
         assert!(!s.owns(LocKey(4)));
         // Oracle's signal arrives → install + ack.
-        let eff = s.on_direct(Direct::Signal { cmd: cmd.id, from_partition: None }, now(), &mut m);
+        let eff = s.on_direct(Direct::Signal { cmd: cmd.id }, now(), &mut m);
         assert!(s.owns(LocKey(4)));
         assert_eq!(s.value_of(VarId(40)), Some(&1));
         assert!(eff.iter().any(|e| matches!(

@@ -29,12 +29,10 @@ pub(super) enum Queued<C> {
     Create {
         cmd: C,
         key: LocKey,
-        signalled: bool,
     },
     Delete {
         cmd: C,
         key: LocKey,
-        signalled: bool,
     },
     Plan {
         version: u64,

@@ -13,8 +13,8 @@ use dynastar_amcast::MsgId;
 use dynastar_core::payload::{Destination, Effect};
 use dynastar_core::server::{ServerCore, PARTITION_ORIGIN_BASE};
 use dynastar_core::{
-    shard_of, Application, Command, CommandKind, Direct, LocKey, Mode, OracleDest, PartitionId,
-    Payload, ServerConfig, VarId,
+    Application, Command, CommandKind, Direct, LocKey, Mode, OracleDest, PartitionId, Payload,
+    ServerConfig, VarId,
 };
 use dynastar_runtime::{Metrics, NodeId, SimTime};
 use rand::rngs::StdRng;
@@ -62,8 +62,8 @@ impl Application for Keys {
     fn execute(_: &(), _: &mut BTreeMap<VarId, Option<i64>>) {}
 }
 
-/// A hint multicast as the wire sees it: id, shard, vertices, edges.
-type Hint = (MsgId, u32, Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
+/// A hint multicast as the wire sees it: id, vertices, edges.
+type Hint = (MsgId, Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
 
 fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
     eff.into_iter()
@@ -71,15 +71,16 @@ fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
             Effect::Multicast {
                 mid,
                 partitions,
-                oracle: OracleDest::Shard(s),
+                oracle,
                 payload: Payload::Hint { vertices, edges },
             } => {
                 assert!(partitions.is_empty(), "hints go to the oracle only");
+                assert_eq!(oracle, OracleDest::Shard(0), "hints go to the planner shard whole");
                 // Hint lists are retained as allocated (Paxos log, ARQ
                 // buffers): not a byte of slack.
                 assert_eq!(vertices.capacity(), vertices.len(), "vertex list has slack");
                 assert_eq!(edges.capacity(), edges.len(), "edge list has slack");
-                Some((mid, s, vertices, edges))
+                Some((mid, vertices, edges))
             }
             _ => None,
         })
@@ -87,11 +88,10 @@ fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
 }
 
 /// The clique accumulator the arena replaced: per command, every key and
-/// every key pair into ordered maps; per batch, the maps split by shard.
+/// every key pair into ordered maps, emptied into one hint per batch.
 struct CliqueReference {
     partition: u32,
     batch: u32,
-    shards: u32,
     vertices: BTreeMap<LocKey, u64>,
     edges: BTreeMap<(LocKey, LocKey), u64>,
     execs: u32,
@@ -111,25 +111,14 @@ impl CliqueReference {
             return Vec::new();
         }
         self.execs = 0;
-        let mut slices = vec![(Vec::new(), Vec::new()); self.shards as usize];
-        for (&k, &w) in &self.vertices {
-            slices[shard_of(k, self.shards) as usize].0.push((k, w));
+        if self.vertices.is_empty() {
+            return Vec::new();
         }
-        for (&(a, b), &w) in &self.edges {
-            slices[shard_of(a, self.shards) as usize].1.push((a, b, w));
-        }
-        self.vertices.clear();
-        self.edges.clear();
-        let mut out = Vec::new();
-        for (s, (vertices, edges)) in slices.into_iter().enumerate() {
-            if vertices.is_empty() && edges.is_empty() {
-                continue;
-            }
-            let mid = MsgId::new(PARTITION_ORIGIN_BASE + u64::from(self.partition), self.seq);
-            self.seq += 1;
-            out.push((mid, s as u32, vertices, edges));
-        }
-        out
+        let vertices = std::mem::take(&mut self.vertices).into_iter().collect();
+        let edges = std::mem::take(&mut self.edges).into_iter().map(|((a, b), w)| (a, b, w));
+        let mid = MsgId::new(PARTITION_ORIGIN_BASE + u64::from(self.partition), self.seq);
+        self.seq += 1;
+        vec![(mid, vertices, edges.collect())]
     }
 }
 
@@ -179,15 +168,14 @@ fn key_sets(seed: u64, stream: Stream) -> Vec<Vec<u64>> {
 
 /// Drives `stream` through a core and the reference; returns the hints
 /// both agreed on.
-fn hint_streams_match(shards: u32, stream: Stream) -> Vec<Hint> {
+fn hint_streams_match(stream: Stream) -> Vec<Hint> {
     let Stream { commands, batch, pool, .. } = stream;
-    let config = ServerConfig { hint_batch: batch, oracle_shards: shards, ..Default::default() };
+    let config = ServerConfig { hint_batch: batch, ..Default::default() };
     let mut core = ServerCore::<Keys>::new(PartitionId(3), Mode::Dynastar, config);
     core.preload((0..pool).map(LocKey), (0..pool).map(|v| (VarId(v), 0)));
     let mut reference = CliqueReference {
         partition: 3,
         batch,
-        shards,
         vertices: BTreeMap::new(),
         edges: BTreeMap::new(),
         execs: 0,
@@ -195,7 +183,7 @@ fn hint_streams_match(shards: u32, stream: Stream) -> Vec<Hint> {
     };
     let mut metrics = Metrics::new();
     let (mut got, mut want) = (Vec::new(), Vec::new());
-    for (i, set) in key_sets(0xA11CE + u64::from(shards), stream).into_iter().enumerate() {
+    for (i, set) in key_sets(0xA11CF, stream).into_iter().enumerate() {
         if i == commands / 2 + 5 {
             // A recovering replica installs a peer's clone mid-batch: the
             // half-filled arena must travel with it.
@@ -208,29 +196,21 @@ fn hint_streams_match(shards: u32, stream: Stream) -> Vec<Hint> {
         want.extend(reference.record(&cmd.keys()));
         got.extend(hints_of(core.on_deliver(payload, NOW, &mut metrics)));
     }
-    let batches = commands / batch as usize;
-    assert!(want.len() >= batches && (shards > 1 || want.len() == batches));
-    assert_eq!(got, want, "arena and clique accumulator disagree at {shards} shard(s)");
+    assert_eq!(want.len(), commands / batch as usize);
+    assert_eq!(got, want, "arena and clique accumulator disagree");
     got
 }
 
-/// The most distinct keys any one batch of `hints` held (a batch's slices
-/// carry consecutive sequence numbers, so this sums per batch only at one
-/// shard).
+/// The most distinct keys any one batch of `hints` held.
 fn widest_batch(hints: &[Hint]) -> usize {
-    hints.iter().map(|h| h.2.len()).max().unwrap_or(0)
+    hints.iter().map(|h| h.1.len()).max().unwrap_or(0)
 }
 
 #[test]
 fn hint_arena_matches_clique_accumulation_unsharded() {
-    let hints = hint_streams_match(1, MIXED);
-    let edges: usize = hints.iter().map(|h| h.3.len()).sum();
+    let hints = hint_streams_match(MIXED);
+    let edges: usize = hints.iter().map(|h| h.2.len()).sum();
     assert!(edges > 20_000 * hints.len() / 4, "the stream must contain hub cliques, got {edges}");
-}
-
-#[test]
-fn hint_arena_matches_clique_accumulation_over_four_shards() {
-    hint_streams_match(4, MIXED);
 }
 
 /// The accumulator marks touched keys in 64-bit words: batches within one
@@ -240,15 +220,12 @@ fn hint_arena_matches_clique_accumulation_over_four_shards() {
 fn hint_arena_matches_clique_accumulation_across_bitset_words() {
     let narrow = Stream { commands: 96, batch: 16, pool: 48, hubs: 0, small: 6 };
     let wide = Stream { commands: 96, batch: 48, pool: 6_000, hubs: 9, small: 1 };
-    for shards in [1, 4] {
-        let hints = hint_streams_match(shards, narrow);
-        assert!(widest_batch(&hints) <= 64, "the narrow stream must fit one word");
-        assert!(hints.iter().any(|h| !h.3.is_empty()));
-        hint_streams_match(shards, MIXED);
-        let hints = hint_streams_match(shards, wide);
-        assert!(shards > 1 || widest_batch(&hints) > 4_096, "got {}", widest_batch(&hints));
-    }
-    assert!(widest_batch(&hint_streams_match(1, MIXED)) > 64);
+    let hints = hint_streams_match(narrow);
+    assert!(widest_batch(&hints) <= 64, "the narrow stream must fit one word");
+    assert!(hints.iter().any(|h| !h.2.is_empty()));
+    let hints = hint_streams_match(wide);
+    assert!(widest_batch(&hints) > 4_096, "got {}", widest_batch(&hints));
+    assert!(widest_batch(&hint_streams_match(MIXED)) > 64);
 }
 
 // ---- (b) write-back semantics ----------------------------------------------

