@@ -169,17 +169,15 @@ pub struct McastMember<V> {
 }
 
 impl<V: Clone> McastMember<V> {
-    /// Creates the member `me` of `topo` with deployment timing: the
-    /// election timeout (600 ticks ≈ 0.6 s at a 1 ms tick) sits well above
-    /// the transport's retransmission delay so message loss does not
-    /// depose healthy leaders.
+    /// Creates the member `me` of `topo` with deployment timing
+    /// ([`GroupConfig::deployment`]).
     ///
     /// # Panics
     ///
     /// Panics if `me` is not an address within `topo`.
     pub fn new(me: MemberId, topo: Topology) -> Self {
         let size = topo.size_of(me.group);
-        Self::with_group_config(me, topo, GroupConfig::with_timing(size, 600, 2))
+        Self::with_group_config(me, topo, GroupConfig::deployment(size))
     }
 
     /// Creates the member with an explicit consensus timing configuration
@@ -556,11 +554,17 @@ impl<V: Clone> McastMember<V> {
             self.delivered_count += 1;
             // Keep the payload around while other groups still need our
             // timestamp retransmitted.
-            if self.ts_out.keys().any(|&(m, _)| m == mid) {
+            if self.ts_out_pending(mid) {
                 self.delivered_payloads.insert(mid, (p.dests.clone(), payload.clone()));
             }
             out.delivered.push(Delivery { mid, final_ts: fts, dests: p.dests, payload });
         }
+    }
+
+    /// Whether some group still needs our timestamp for `mid`: a range
+    /// over the `(mid, _)` key prefix, not a scan of the whole table.
+    fn ts_out_pending(&self, mid: MsgId) -> bool {
+        self.ts_out.range((mid, GroupId(0))..=(mid, GroupId(u32::MAX))).next().is_some()
     }
 
     /// Sends (or re-sends) our group's timestamps to groups that have not
@@ -639,7 +643,7 @@ impl<V: Clone> McastMember<V> {
             McastWire::TsAck { mid, from_group, by_group } => {
                 if from_group == self.me.group {
                     self.ts_out.remove(&(mid, by_group));
-                    if !self.ts_out.keys().any(|&(m, _)| m == mid) {
+                    if !self.ts_out_pending(mid) {
                         self.delivered_payloads.remove(&mid);
                     }
                 }

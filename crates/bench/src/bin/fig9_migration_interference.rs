@@ -239,6 +239,9 @@ fn main() {
     }
     record.write_out(&args);
     record.gate(&args, "completed", true);
+    // The worst second: churn's falls to 0 when a crashed leader's group
+    // stalls for more than one election timeout.
+    record.gate(&args, "worst_tput", true);
     // Replica 0's sends: about a third of `keys_staged` while the source's
     // replicas stripe a plan between them, most of it if they stop (the
     // stall rows send no chunk: 0 against 0 passes).

@@ -151,7 +151,7 @@ impl ClusterConfig {
     /// serialization model) without touching the partitions'.
     fn group_config(&self, oracle: bool) -> GroupConfig {
         let batch = if oracle { self.oracle_batch.unwrap_or(self.batch) } else { self.batch };
-        GroupConfig::with_timing(self.replicas, 600, 2).with_batching(batch)
+        GroupConfig::deployment(self.replicas).with_batching(batch)
     }
 }
 

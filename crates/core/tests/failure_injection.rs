@@ -9,6 +9,7 @@ use dynastar_core::{
     Application, ClusterBuilder, ClusterConfig, Command, CommandKind, LocKey, Mode, PartitionId,
     VarId, Workload,
 };
+use dynastar_paxos::GroupConfig;
 use dynastar_runtime::{LatencyModel, NetConfig, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -35,7 +36,8 @@ struct Load {
     vars: u64,
     remaining: u32,
     multi_pct: u32,
-    completed: Arc<Mutex<u32>>,
+    /// When each successful command completed.
+    completed: Arc<Mutex<Vec<SimTime>>>,
 }
 
 impl Workload<Counters> for Load {
@@ -53,21 +55,17 @@ impl Workload<Counters> for Load {
         Some(CommandKind::Access { op: 1, vars })
     }
 
-    fn on_completed(&mut self, _now: SimTime, _cmd: &Command<Counters>, reply: Option<&i64>) {
+    fn on_completed(&mut self, now: SimTime, _cmd: &Command<Counters>, reply: Option<&i64>) {
         if reply.is_some() {
-            *self.completed.lock().unwrap() += 1;
+            self.completed.lock().unwrap().push(now);
         }
     }
 }
 
-fn build(
-    seed: u64,
-    net: NetConfig,
-    replicas: usize,
-) -> (dynastar_core::Cluster<Counters>, Arc<Mutex<u32>>) {
-    let config = ClusterConfig {
+fn config(seed: u64, net: NetConfig) -> ClusterConfig {
+    ClusterConfig {
         partitions: 2,
-        replicas,
+        replicas: 3,
         mode: Mode::Dynastar,
         seed,
         net,
@@ -75,14 +73,17 @@ fn build(
         warm_client_caches: true,
         client_timeout: SimDuration::from_secs(3),
         ..ClusterConfig::default()
-    };
+    }
+}
+
+fn build(config: ClusterConfig) -> (dynastar_core::Cluster<Counters>, Arc<Mutex<Vec<SimTime>>>) {
     let mut b = ClusterBuilder::new(config);
     for v in 0..20u64 {
         b.place(LocKey(v), PartitionId((v % 2) as u32));
         b.with_var(VarId(v), 0);
     }
     let mut cluster = b.build();
-    let completed = Arc::new(Mutex::new(0));
+    let completed = Arc::new(Mutex::new(Vec::new()));
     for _ in 0..3 {
         cluster.add_client(Load {
             vars: 20,
@@ -94,44 +95,64 @@ fn build(
     (cluster, completed)
 }
 
+/// Crashes `leader` (an initial Paxos leader) mid-run, runs to the end and
+/// checks that every command completed and that the service stalled for at
+/// most one failover: the dead leader's successor campaigns after the base
+/// election timeout, its peer one stagger step later, and the rest of the
+/// failover fits in 100 ms (1 ms ticks).
+fn assert_one_failover(config: ClusterConfig, leader: NodeId) {
+    let (mut cluster, completed) = build(config);
+    // Fault-free, the 120 commands take about 100 ms.
+    let crash = SimTime::from_millis(50);
+    cluster.sim.schedule_crash(crash, leader);
+    cluster.run_for(SimDuration::from_secs(180));
+    let done = completed.lock().unwrap();
+    assert_eq!(done.len(), 120);
+    let after: Vec<SimTime> =
+        std::iter::once(crash).chain(done.iter().copied().filter(|&t| t > crash)).collect();
+    assert!(after.len() > 1, "every command completed before the crash");
+    let gap = after.windows(2).map(|w| w[1] - w[0]).max().unwrap_or_default();
+    let cfg = GroupConfig::deployment(3);
+    let ticks = u64::from(cfg.election_timeout_ticks + cfg.election_stagger_ticks());
+    let bound = SimDuration::from_millis(ticks + 100);
+    assert!(gap < bound, "longest gap after the crash {gap} (bound {bound})");
+}
+
 #[test]
 fn partition_leader_crash_is_tolerated() {
-    let (mut cluster, completed) = build(1, NetConfig::default(), 3);
     // Node 0 = partition 0 replica 0 (initial Paxos leader).
-    cluster.sim.schedule_crash(SimTime::from_millis(300), NodeId::from_raw(0));
-    cluster.run_for(SimDuration::from_secs(180));
-    assert_eq!(*completed.lock().unwrap(), 120);
+    assert_one_failover(config(1, NetConfig::default()), NodeId::from_raw(0));
 }
 
 #[test]
 fn oracle_replica_crash_is_tolerated() {
-    let (mut cluster, completed) = build(2, NetConfig::default(), 3);
-    // Oracle group starts at node 2*3 = 6; crash its leader.
-    cluster.sim.schedule_crash(SimTime::from_millis(300), NodeId::from_raw(6));
-    cluster.run_for(SimDuration::from_secs(180));
-    assert_eq!(*completed.lock().unwrap(), 120);
+    // Oracle group starts at node 2*3 = 6; crash its leader. Without a
+    // client location cache every command queries the oracle, so its
+    // failover is on every command's path.
+    let config = ClusterConfig { client_location_cache: false, ..config(2, NetConfig::default()) };
+    assert_one_failover(config, NodeId::from_raw(6));
 }
 
 #[test]
 fn simultaneous_minority_crashes_everywhere() {
-    let (mut cluster, completed) = build(3, NetConfig::default(), 3);
+    let (mut cluster, completed) = build(config(3, NetConfig::default()));
     // One replica of each partition and of the oracle, all at once.
     cluster.sim.schedule_crash(SimTime::from_millis(200), NodeId::from_raw(1));
     cluster.sim.schedule_crash(SimTime::from_millis(200), NodeId::from_raw(4));
     cluster.sim.schedule_crash(SimTime::from_millis(200), NodeId::from_raw(7));
     cluster.run_for(SimDuration::from_secs(180));
-    assert_eq!(*completed.lock().unwrap(), 120);
+    assert_eq!(completed.lock().unwrap().len(), 120);
 }
 
 #[test]
 fn transient_disconnection_heals() {
-    let (mut cluster, completed) = build(4, NetConfig::default(), 3);
+    let (mut cluster, completed) = build(config(4, NetConfig::default()));
     // Disconnect a partition replica for 2 seconds mid-run; catch-up must
     // bring it back in sync and the service never stalls.
     cluster.sim.schedule_disconnect(SimTime::from_millis(200), NodeId::from_raw(1));
     cluster.sim.schedule_reconnect(SimTime::from_millis(2_200), NodeId::from_raw(1));
     cluster.run_for(SimDuration::from_secs(180));
-    assert_eq!(*completed.lock().unwrap(), 120);
+    assert_eq!(completed.lock().unwrap().len(), 120);
 }
 
 #[test]
@@ -144,16 +165,16 @@ fn lossy_network_makes_progress() {
             max: SimDuration::from_micros(900),
         })
         .loss_probability(0.02);
-    let (mut cluster, completed) = build(5, net, 3);
+    let (mut cluster, completed) = build(config(5, net));
     // Run in slices and stop once every command completed (retransmission
     // timers make quiescence slow to simulate otherwise).
     for _ in 0..30 {
         cluster.run_for(SimDuration::from_secs(10));
-        if *completed.lock().unwrap() == 120 {
+        if completed.lock().unwrap().len() == 120 {
             break;
         }
     }
-    let done = *completed.lock().unwrap();
+    let done = completed.lock().unwrap().len();
     assert_eq!(done, 120, "only {done}/120 under loss");
     // Exactly-once: the counter totals must equal the number of increments
     // (121st increment would mean a duplicate execution). Total adds =

@@ -511,7 +511,8 @@ impl<V: Clone> PaxosReplica<V> {
     /// Advances the replica's clock by one tick.
     ///
     /// Leaders emit heartbeats; followers count leader silence and start an
-    /// election when their (index-staggered) timeout expires.
+    /// election when their rank-staggered timeout expires (see
+    /// [`GroupConfig::election_timeout_ticks`]).
     pub fn tick(&mut self) -> Output<V> {
         let mut out = Output::new();
         match &mut self.role {
@@ -534,14 +535,27 @@ impl<V: Clone> PaxosReplica<V> {
             }
             Role::Follower | Role::Candidate { .. } => {
                 self.ticks_since_leader += 1;
-                let timeout = self.cfg.election_timeout_ticks * (1 + self.idx as u32);
-                if self.ticks_since_leader >= timeout {
+                if self.ticks_since_leader >= self.election_timeout() {
                     self.ticks_since_leader = 0;
                     self.start_election(&mut out);
                 }
             }
         }
         out
+    }
+
+    /// Leader silence after which this replica campaigns: the base timeout
+    /// plus one stagger step per rank. The rank is the ring distance behind
+    /// the believed leader, so its successor goes first and a deposed
+    /// leader last; with no hint, or one outside the group (it arrives on
+    /// the wire as a ballot owner), the rank is this replica's index.
+    fn election_timeout(&self) -> u32 {
+        let n = self.cfg.size;
+        let rank = match self.leader_hint {
+            Some(leader) if leader < n => (self.idx + n - leader - 1) % n,
+            _ => self.idx,
+        };
+        self.cfg.election_timeout_ticks + rank as u32 * self.cfg.election_stagger_ticks()
     }
 
     fn start_election(&mut self, out: &mut Output<V>) {
@@ -935,6 +949,91 @@ mod tests {
         }
     }
 
+    /// Deployment-timed group of `n` led by `leader`, whose heartbeat has
+    /// just reached every follower (so each has counted zero quiet ticks).
+    fn led_by(n: usize, leader: usize) -> Net {
+        let mut net = Net::with_cfg(GroupConfig::deployment(n));
+        if leader != 0 {
+            let mut out = Output::new();
+            net.replicas[leader].start_election(&mut out);
+            net.absorb(leader, out);
+            net.drain();
+        }
+        net.run(net.replicas[leader].cfg.heartbeat_interval_ticks as usize);
+        assert!(net.replicas[leader].is_leader());
+        for r in &net.replicas {
+            assert_eq!((r.leader_hint(), r.ticks_since_leader), (Some(leader), 0));
+        }
+        net
+    }
+
+    /// Ticks `net` one tick at a time for `ticks` ticks and returns every
+    /// `(tick, candidate, ballot)` whose Prepare went out.
+    fn prepares(net: &mut Net, ticks: u32) -> Vec<(u32, usize, Ballot)> {
+        let mut seen = Vec::new();
+        for t in 1..=ticks {
+            net.tick_all();
+            for &(from, _, ref msg) in &net.queue {
+                if let PaxosMsg::Prepare { ballot } = *msg {
+                    if !seen.iter().any(|&(_, _, b)| b == ballot) {
+                        seen.push((t, from, ballot));
+                    }
+                }
+            }
+            net.drain();
+        }
+        seen
+    }
+
+    #[test]
+    fn dead_leaders_ring_successor_campaigns_first_and_alone() {
+        for n in [3, 5] {
+            let cfg = GroupConfig::deployment(n);
+            let (base, step) = (cfg.election_timeout_ticks, cfg.election_stagger_ticks());
+            // Long enough for the last rank to fire had nobody won.
+            let horizon = base + n as u32 * step;
+            for leader in 0..n {
+                let successor = (leader + 1) % n;
+                let mut net = led_by(n, leader);
+                net.down.insert(leader);
+                let elections = prepares(&mut net, horizon);
+                assert_eq!(elections.len(), 1, "n={n} leader={leader}: {elections:?}");
+                assert_eq!(elections[0].0, base, "n={n} leader={leader}: first Prepare tick");
+                assert_eq!(elections[0].1, successor, "n={n} leader={leader}: candidate");
+                assert!(net.replicas[successor].is_leader());
+
+                // Were the successor dead too, the next rank would wait
+                // exactly one stagger step longer.
+                let mut net = led_by(n, leader);
+                net.down.extend([leader, successor]);
+                let elections = prepares(&mut net, base + step);
+                assert_eq!(
+                    elections.first().map(|&(t, from, _)| (t, from)),
+                    Some((base + step, (leader + 2) % n)),
+                    "n={n} leader={leader}: next rank"
+                );
+
+                // A hint outside the group (a ballot owner off the wire)
+                // falls back to index order, without panicking.
+                let mut net = led_by(n, leader);
+                let bogus = Ballot { round: 5, owner: n + 3 };
+                for i in (0..n).filter(|&i| i != leader) {
+                    let hb = PaxosMsg::Heartbeat { ballot: bogus, decided_up_to: Slot(0) };
+                    let _ = net.replicas[i].on_message(leader, hb);
+                    assert_eq!(net.replicas[i].leader_hint(), Some(n + 3));
+                }
+                net.down.insert(leader);
+                let first_live = usize::from(leader == 0);
+                let elections = prepares(&mut net, horizon);
+                assert_eq!(
+                    elections.first().map(|&(t, from, _)| (t, from)),
+                    Some((base + first_live as u32 * step, first_live)),
+                    "n={n} leader={leader}: index fallback"
+                );
+            }
+        }
+    }
+
     #[test]
     fn minority_crash_does_not_block_progress() {
         let mut net = Net::new(5);
@@ -1105,8 +1204,9 @@ mod tests {
         // The group notices the silent ex-leader and elects a new one;
         // afterwards everyone (including the recovered node) makes progress.
         net.run(40);
-        // A proper election (possibly won by the recovered node itself —
-        // its stagger is shortest) restores a leader.
+        // A proper election restores a leader. The recovered node has no
+        // hint, so it ranks by index level with replica 1 (its ring
+        // successor); ballots settle the duel.
         assert!(net.replicas.iter().any(|r| r.is_leader()));
         let leader = net.replicas.iter().position(|r| r.is_leader()).unwrap();
         net.propose_at(leader, 7);

@@ -108,9 +108,13 @@ impl Default for BatchConfig {
 pub struct GroupConfig {
     /// Number of replicas in the group.
     pub size: usize,
-    /// Ticks of leader silence before a follower starts an election.
-    /// Follower `i` waits `election_timeout_ticks * (1 + i)` ticks, which
-    /// staggers elections and avoids duelling leaders.
+    /// Ticks of leader silence before the first follower starts an
+    /// election. Followers campaign in rank order: rank `r` waits
+    /// `election_timeout_ticks + r * election_stagger_ticks()`. A
+    /// follower's rank is its ring distance behind the leader it last
+    /// heard from, so the dead leader's successor has rank 0; with no
+    /// known leader it is the follower's own index. The stagger lets the
+    /// first candidate win before the next one wakes.
     pub election_timeout_ticks: u32,
     /// Ticks between leader heartbeats.
     pub heartbeat_interval_ticks: u32,
@@ -122,8 +126,8 @@ impl GroupConfig {
     /// A group of `size` replicas with default timing (heartbeat every 2
     /// ticks, election after 10 quiet ticks). This fast timing suits
     /// tests driving replicas tick-by-tick; deployments over lossy
-    /// transports should use [`GroupConfig::with_timing`] with an election
-    /// timeout well above the transport's retransmission delay, or
+    /// transports should use [`GroupConfig::deployment`], whose election
+    /// timeout sits well above the transport's retransmission delay, or
     /// leadership thrashes whenever a heartbeat is delayed.
     ///
     /// # Panics
@@ -131,6 +135,18 @@ impl GroupConfig {
     /// Panics if `size` is zero.
     pub fn new(size: usize) -> Self {
         Self::with_timing(size, 10, 2)
+    }
+
+    /// A group of `size` replicas with deployment timing: heartbeat every
+    /// 2 ticks, election after 600 quiet ticks (≈ 0.6 s at a 1 ms tick),
+    /// well above the transport's retransmission delay so message loss
+    /// does not depose healthy leaders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is zero.
+    pub fn deployment(size: usize) -> Self {
+        Self::with_timing(size, 600, 2)
     }
 
     /// A group of `size` replicas with explicit timing (in ticks).
@@ -162,6 +178,13 @@ impl GroupConfig {
         assert!(batch.max_batch > 0, "max_batch must be at least 1");
         self.batch = batch;
         self
+    }
+
+    /// Extra ticks each election rank waits behind the one before it: an
+    /// eighth of the election timeout (at least one tick). At deployment
+    /// timing that is 75 ticks, far longer than a Prepare round trip.
+    pub fn election_stagger_ticks(&self) -> u32 {
+        (self.election_timeout_ticks / 8).max(1)
     }
 
     /// The quorum size: a strict majority of the group.

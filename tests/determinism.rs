@@ -387,9 +387,17 @@ fn run_scenario_golden(seed: u64) -> (u64, u64, u64) {
 /// instead of each pushing all of them in the same order, so every key —
 /// and the ones a waiting command pulled above all — arrives up to three
 /// times sooner. The plans are the same; only when chunks leave changed.
+///
+/// Re-pinned once when elections became rank-ordered (was
+/// `0x8415_45ab_89da_ec09` / 16208): after a leader crash the dead
+/// leader's ring successor campaigns after one election timeout instead of
+/// a multiple of it set by its index, so a group whose leader the churn
+/// nemesis kills stalls ≈ 0.6 s instead of ≈ 1.2 s and more commands
+/// complete in the same window. This is the only golden that crashes a
+/// node; the fault-free ones never elect and are untouched.
 const SCENARIO_GOLDEN_SEED: u64 = 42;
-const SCENARIO_GOLDEN_HASH: u64 = 0x8415_45ab_89da_ec09;
-const SCENARIO_GOLDEN_COUNT: u64 = 16208;
+const SCENARIO_GOLDEN_HASH: u64 = 0x49c2_ffab_7074_85f9;
+const SCENARIO_GOLDEN_COUNT: u64 = 16882;
 
 #[test]
 fn churn_flash_crowd_scenario_matches_golden_hash() {
