@@ -411,3 +411,35 @@ impl<A: Application> std::fmt::Debug for ClientCore<A> {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::VarId;
+    use crate::host::tests::App;
+
+    fn access(var: u64) -> CommandKind<App> {
+        CommandKind::Access { op: (), vars: vec![VarId(var)] }
+    }
+
+    /// A caller that stops waiting frees the client: the command it gave
+    /// up on is a failure, and the next one goes out.
+    #[test]
+    fn an_abandoned_command_fails_and_the_next_goes_out() {
+        let mut metrics = Metrics::new();
+        let mut client = ClientCore::<App>::new(NodeId::from_raw(7), Mode::Dynastar);
+        assert_eq!(client.issue(access(0), SimTime::ZERO).len(), 1);
+        let first = client.outstanding_cmd().expect("in flight");
+
+        let event = client.abandon(SimTime::from_millis(5), &mut metrics);
+        let Some(ClientEvent::Completed { cmd, ok, latency, .. }) = event else {
+            panic!("abandoning completes the command: {event:?}");
+        };
+        assert_eq!((cmd.id, ok, latency), (first, false, SimDuration::from_millis(5)));
+        assert!(!client.is_busy());
+        assert_eq!(metrics.counter(mn::CMD_FAILED), 1);
+
+        assert_eq!(client.issue(access(1), SimTime::from_millis(6)).len(), 1);
+        assert!(client.outstanding_cmd().is_some_and(|next| next != first));
+    }
+}

@@ -15,9 +15,7 @@ use crate::host::{ClientHost, ReplicaHost, Role, RouteTable};
 use crate::oracle::{OracleConfig, OracleCore};
 use crate::server::{ExecConfig, ServerConfig, ServerCore};
 
-/// Deployment parameters, for the simulated [`crate::Cluster`] and the
-/// [`crate::threaded::ThreadedCluster`] alike (threads ignore `seed` and
-/// `net`: their network and clock are real).
+/// Deployment parameters of a simulated [`crate::Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of state partitions.

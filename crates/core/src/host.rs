@@ -1,14 +1,14 @@
 //! The sans-io host of a protocol core: everything between "a message
 //! body arrived / a timer fired" and "these bodies go out, these timers
-//! are armed", written once for both deployments.
+//! are armed", written once for any driver.
 //!
 //! A [`ReplicaHost`] is the paper's process model — multicast member →
 //! deliver → execute → emit — around either core ([`Role`]); a
 //! [`ClientHost`] is the client-side twin. Neither knows a transport, a
 //! clock or a thread: the driver hands in a [`Port`] and the host calls it
 //! in place, in effect order, so the simulated schedule is a function of
-//! the cores alone. `cluster.rs` drives hosts from the simulator,
-//! `threaded.rs` from OS threads.
+//! the cores alone. `cluster.rs` drives hosts from the simulator; the
+//! tests below drive them from a recording port.
 //!
 //! Topology convention: partitions `0..k` are multicast groups `0..k`; the
 //! `O` oracle shards are groups `k..k+O` (shard `s` is group `k+s`; the
@@ -584,12 +584,6 @@ impl<A: Application> ClientHost<A> {
         let now = port.now();
         let effects = self.core.on_timeout(now, port.metrics());
         self.apply(effects, port);
-    }
-
-    /// The caller stopped waiting: drop the outstanding command (a failure).
-    pub(crate) fn abandon(&mut self, port: &mut impl Port<A>) {
-        let now = port.now();
-        self.core.abandon(now, port.metrics());
     }
 
     /// The wake timer armed through [`Port::arm_wake`] fired: dispatch the

@@ -51,7 +51,6 @@ pub mod oracle;
 pub mod payload;
 pub mod routing;
 pub mod server;
-pub mod threaded;
 mod transport;
 
 pub use client::{ClientCore, ClientEvent, Workload};

@@ -139,6 +139,9 @@ fn longest_gap_across_the_plan(one_down: bool) -> (SimDuration, SimDuration) {
     assert_eq!(m.counter(mn::MIGRATION_REVERTS), 0);
     assert_eq!(m.counter(mn::MIGRATION_CHUNK_RETRIES), 0);
     assert_eq!(m.counter(mn::CMD_FAILED), 0, "stale routing retries, never surfaces");
+    // A client whose cache names a key's old owner is turned away and
+    // waits out its backoff before asking again.
+    assert!(m.counter(mn::CMD_RETRY_BACKOFF) >= 1, "no stale client backed off");
     assert!(m.counter(mn::MIGRATION_PULL_PROMOTIONS) > 0, "waiting commands pulled their keys");
 
     // Longest stretch without a completion anywhere, warm-up excluded.

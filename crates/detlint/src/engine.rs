@@ -48,9 +48,6 @@ pub struct FileReport {
     pub suppressed: usize,
     /// How many well-formed directives the file carries.
     pub directives: usize,
-    /// The findings the directives suppressed (the weld map still
-    /// lists justified welds).
-    pub suppressed_findings: Vec<Finding>,
 }
 
 /// One parsed, well-formed suppression directive.
@@ -158,7 +155,6 @@ pub(crate) fn finalize(
         }
         if hit {
             report.suppressed += 1;
-            report.suppressed_findings.push(f);
         } else {
             report.findings.push(f);
         }
@@ -180,11 +176,18 @@ pub(crate) fn finalize(
     }
 
     report.findings.sort_by_key(|f| (f.line, f.rule));
-    report.suppressed_findings.sort_by_key(|f| (f.line, f.rule));
     report
 }
 
-fn push(out: &mut Vec<Finding>, path: &str, line: u32, rule: &'static str, message: String) {
+/// Appends a `rule` finding carrying the catalog's hint; every rule
+/// family reports through this.
+pub(crate) fn push(
+    out: &mut Vec<Finding>,
+    path: &str,
+    line: u32,
+    rule: &'static str,
+    message: String,
+) {
     let info = rules::rule(rule).expect("known rule id");
     out.push(Finding { file: path.to_string(), line, rule: info.id, message, hint: info.hint });
 }

@@ -13,8 +13,7 @@
 //! **D** determinism hazards in simulation-facing crates, **P** panic
 //! hazards on protocol message paths (reachability-filtered to
 //! protocol entry points in full scans), **W** IO-weld boundary
-//! violations feeding `results/weld_map.json` ([`weld`]), **T**
-//! wire-enum totality ([`totality`]), **X** exec-scheduler
+//! violations ([`weld`]), **T** wire-enum totality ([`totality`]), **X** exec-scheduler
 //! determinism ([`sched`]), and **S** governance: of
 //! `// detlint::allow(RULE): why` directives, and of the function names
 //! `detlint.toml` designates (one that matches nothing is a finding).
@@ -50,8 +49,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::{parse_config, Config};
 pub use engine::{analyze, FileReport, Finding};
-pub use report::{render_weld_baseline, render_weld_map, weld_map_count, Stats};
-pub use weld::Weld;
+pub use report::Stats;
 
 use symbols::{SourceFile, SymbolTable};
 
@@ -61,8 +59,6 @@ pub struct ScanReport {
     /// All unsuppressed findings, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
     pub stats: Stats,
-    /// Every W finding, suppressed or not — the weld map.
-    pub welds: Vec<Weld>,
 }
 
 impl ScanReport {
@@ -153,11 +149,9 @@ pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport
 
     // Cross-file families.
     let mut cross = Vec::new();
-    let welds = if config.weld_scope.is_empty() {
-        Vec::new()
-    } else {
-        weld::run(&files, &syms, &graph, config, &mut cross)
-    };
+    if !config.weld_scope.is_empty() {
+        weld::run(&files, &syms, &graph, config, &mut cross);
+    }
     if !config.wire_enums.is_empty() {
         totality::run(&files, &syms, config, &mut cross);
     }
@@ -174,8 +168,7 @@ pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport
 
     // Finalize each file: suppression + governance, with reachability
     // notes on stale P directives.
-    let mut report = ScanReport { welds, ..ScanReport::default() };
-    let mut suppressed_at: Vec<(String, u32, &'static str)> = Vec::new();
+    let mut report = ScanReport::default();
     for (fi, file) in files.iter().enumerate() {
         let note = |target_line: u32, rule: &str| -> Option<String> {
             if !rule.starts_with('P') || p_reach.is_none() {
@@ -202,20 +195,10 @@ pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport
         report.stats.files_scanned += 1;
         report.stats.suppressed += fr.suppressed;
         report.stats.directives += fr.directives;
-        for f in &fr.suppressed_findings {
-            suppressed_at.push((f.file.clone(), f.line, f.rule));
-        }
         report.findings.extend(fr.findings);
     }
     report.findings.extend(unresolved_names(&files, &syms, config));
     report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    // Mark suppressed welds for the weld map.
-    for w in &mut report.welds {
-        w.suppressed =
-            suppressed_at.iter().any(|(f, l, r)| f == &w.file && *l == w.line && *r == w.rule);
-    }
-    report.welds.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
 }
 

@@ -5,9 +5,6 @@
 //! cargo run -p detlint -- --format json  # machine-readable, for CI
 //! cargo run -p detlint -- --paths crates/core/src/oracle.rs   # fast per-file scan
 //! cargo run -p detlint -- --changed-only                      # fast scan of git-dirty files
-//! cargo run -p detlint -- --weld-map weld_map_ci.json         # write the weld map, with lines
-//! cargo run -p detlint -- --weld-baseline results/weld_map.json  # write its committed form
-//! cargo run -p detlint -- --ratchet results/weld_map.json     # enforce the weld ceiling
 //! cargo run -p detlint -- --list-rules
 //! ```
 //!
@@ -18,8 +15,7 @@
 //! about directives those families own — the full CI scan is the
 //! authority.
 //!
-//! Exit codes: 0 clean, 1 diagnostics reported (or ratchet exceeded),
-//! 2 usage/IO error.
+//! Exit codes: 0 clean, 1 diagnostics reported, 2 usage/IO error.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +24,7 @@ use std::process::ExitCode;
 
 use detlint::{
     collect_files, config::glob_match, engine::analyze_partial, find_workspace_root, load_config,
-    parse_config, report, rules, scan_sources, Stats,
+    parse_config, report, rules, scan_workspace, Stats,
 };
 
 const USAGE: &str = "\
@@ -36,9 +32,7 @@ detlint — workspace determinism & protocol-hygiene analyzer
 
 USAGE:
     detlint [--root <dir>] [--config <file>] [--format human|json]
-            [--paths <glob>[,<glob>…]] [--changed-only]
-            [--weld-map <out.json>] [--weld-baseline <out.json>]
-            [--ratchet <baseline.json>] [--list-rules]
+            [--paths <glob>[,<glob>…]] [--changed-only] [--list-rules]
 
 OPTIONS:
     --root <dir>        workspace root (default: nearest ancestor with [workspace])
@@ -47,12 +41,6 @@ OPTIONS:
     --paths <globs>     fast per-file scan of matching files only (D + governance;
                         repeatable, comma-separated; cross-file families skipped)
     --changed-only      fast per-file scan of files reported dirty by git
-    --weld-map <out>    write the weld-map JSON after a full scan (CI artifact)
-    --weld-baseline <out>
-                        write the weld map without line numbers — the form
-                        committed as results/weld_map.json
-    --ratchet <file>    fail (exit 1) when the scan's weld count exceeds the
-                        committed baseline's `count`
     --list-rules        print the rule catalog and exit
     --help              this text
 ";
@@ -79,9 +67,6 @@ fn run() -> Result<bool, String> {
     let mut format = "human".to_string();
     let mut paths: Vec<String> = Vec::new();
     let mut changed_only = false;
-    let mut weld_map_out: Option<PathBuf> = None;
-    let mut weld_baseline_out: Option<PathBuf> = None;
-    let mut ratchet: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -96,11 +81,6 @@ fn run() -> Result<bool, String> {
                     .filter(|s| !s.is_empty()),
             ),
             "--changed-only" => changed_only = true,
-            "--weld-map" => weld_map_out = Some(next_value(&mut args, "--weld-map")?.into()),
-            "--weld-baseline" => {
-                weld_baseline_out = Some(next_value(&mut args, "--weld-baseline")?.into())
-            }
-            "--ratchet" => ratchet = Some(next_value(&mut args, "--ratchet")?.into()),
             "--list-rules" => {
                 for r in rules::RULES {
                     println!("{}  {}\n      fix: {}", r.id, r.title, r.hint);
@@ -118,12 +98,6 @@ fn run() -> Result<bool, String> {
         return Err(format!("--format must be human or json, got {format:?}"));
     }
     let partial = changed_only || !paths.is_empty();
-    if partial && (weld_map_out.is_some() || weld_baseline_out.is_some() || ratchet.is_some()) {
-        return Err(
-            "--weld-map/--weld-baseline/--ratchet need a full scan, not --paths/--changed-only"
-                .into(),
-        );
-    }
 
     let root = match root {
         Some(r) => r,
@@ -151,7 +125,7 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let (findings, stats, clean) = if partial {
+    let (findings, stats) = if partial {
         let mut findings = Vec::new();
         let mut stats = Stats::default();
         for rel in collect_files(&root, &config).map_err(|e| e.to_string())? {
@@ -165,45 +139,10 @@ fn run() -> Result<bool, String> {
             stats.directives += fr.directives;
             findings.extend(fr.findings);
         }
-        let clean = findings.is_empty();
-        (findings, stats, clean)
+        (findings, stats)
     } else {
-        let mut sources = Vec::new();
-        for rel in collect_files(&root, &config).map_err(|e| e.to_string())? {
-            let src = std::fs::read_to_string(root.join(&rel)).map_err(|e| e.to_string())?;
-            sources.push((rel, src));
-        }
-        let scan = scan_sources(&sources, &config);
-        let write_map = |out: &Option<PathBuf>, render: fn(&[detlint::Weld]) -> String| {
-            let Some(out) = out else { return Ok(()) };
-            std::fs::write(out, render(&scan.welds)).map_err(|e| format!("{}: {e}", out.display()))
-        };
-        write_map(&weld_map_out, report::render_weld_map)?;
-        write_map(&weld_baseline_out, report::render_weld_baseline)?;
-        let mut clean = scan.clean();
-        if let Some(baseline) = &ratchet {
-            let text = std::fs::read_to_string(baseline)
-                .map_err(|e| format!("{}: {e}", baseline.display()))?;
-            let ceiling = report::weld_map_count(&text)
-                .ok_or_else(|| format!("{}: no \"count\" field", baseline.display()))?;
-            if scan.welds.len() > ceiling {
-                eprintln!(
-                    "detlint: weld ratchet FAILED — {} welds exceed the committed ceiling of {} \
-                     (regenerate {} only when a weld is deliberately added)",
-                    scan.welds.len(),
-                    ceiling,
-                    baseline.display(),
-                );
-                clean = false;
-            } else {
-                println!(
-                    "detlint: weld ratchet ok — {} weld(s) within ceiling {}",
-                    scan.welds.len(),
-                    ceiling
-                );
-            }
-        }
-        (scan.findings, scan.stats, clean)
+        let scan = scan_workspace(&root, &config).map_err(|e| e.to_string())?;
+        (scan.findings, scan.stats)
     };
 
     let rendered = match format.as_str() {
@@ -211,7 +150,7 @@ fn run() -> Result<bool, String> {
         _ => report::render_human(&findings, stats),
     };
     print!("{rendered}");
-    Ok(clean)
+    Ok(findings.is_empty())
 }
 
 /// `.rs` files git reports as dirty (staged or not) relative to HEAD.

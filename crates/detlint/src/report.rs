@@ -1,9 +1,7 @@
-//! Rendering: a human-readable aligned table, a machine-readable
-//! JSON document, and the weld-map JSON (all hand-rolled — the
-//! analyzer carries no deps).
+//! Rendering: a human-readable aligned table and a machine-readable
+//! JSON document (both hand-rolled — the analyzer carries no deps).
 
 use crate::engine::Finding;
-use crate::weld::Weld;
 
 /// Scan totals alongside the findings.
 #[derive(Debug, Default, Clone, Copy)]
@@ -65,56 +63,6 @@ pub fn render_json(findings: &[Finding], stats: Stats) -> String {
     out
 }
 
-/// Renders the weld map — the work-list and ratchet for
-/// the sans-IO refactor — as CI uploads it. Entries are sorted by (file, line, rule)
-/// upstream so the file is byte-stable across runs; `count` includes
-/// suppressed (justified) welds, because the ratchet bounds the total
-/// IO surface, not just the unjustified part.
-pub fn render_weld_map(welds: &[Weld]) -> String {
-    render_welds(welds, true)
-}
-
-/// The form of the weld map that is committed as `results/weld_map.json`:
-/// [`render_weld_map`] without the line numbers, so that moving a welded
-/// function within its file does not make the committed map stale.
-pub fn render_weld_baseline(welds: &[Weld]) -> String {
-    render_welds(welds, false)
-}
-
-fn render_welds(welds: &[Weld], lines: bool) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"welds\": [");
-    for (i, w) in welds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let prims: Vec<String> = w.primitives.iter().map(|p| json_str(p)).collect();
-        let line = if lines { format!("\"line\": {}, ", w.line) } else { String::new() };
-        out.push_str(&format!(
-            "\n    {{\"fn\": {}, \"file\": {}, {line}\"rule\": {}, \"primitives\": [{}], \"suppressed\": {}}}",
-            json_str(&w.fn_name),
-            json_str(&w.file),
-            json_str(w.rule),
-            prims.join(", "),
-            w.suppressed,
-        ));
-    }
-    if !welds.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}\n", welds.len()));
-    out
-}
-
-/// Extracts the `"count"` field from a weld-map JSON document — the
-/// CI ratchet baseline. A tiny scan, not a JSON parser: the document
-/// is machine-written by [`render_weld_map`].
-pub fn weld_map_count(json: &str) -> Option<usize> {
-    let k = json.rfind("\"count\"")?;
-    let rest = json[k + 7..].trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 fn digits(mut n: u32) -> usize {
     let mut d = 1;
     while n >= 10 {
@@ -167,26 +115,6 @@ mod tests {
         assert!(s.contains("FAIL"));
         let clean = render_human(&[], Stats::default());
         assert!(clean.contains("clean"));
-    }
-
-    #[test]
-    fn weld_map_roundtrips_count() {
-        let welds = vec![Weld {
-            fn_name: "ThreadedCluster::start".into(),
-            file: "crates/core/src/threaded.rs".into(),
-            line: 42,
-            rule: "W001",
-            primitives: vec!["thread::spawn".into(), "Instant".into()],
-            suppressed: true,
-        }];
-        let json = render_weld_map(&welds);
-        assert!(json.contains("\"fn\": \"ThreadedCluster::start\""));
-        assert!(json.contains("\"suppressed\": true"));
-        assert_eq!(weld_map_count(&json), Some(1));
-        assert_eq!(weld_map_count(&render_weld_map(&[])), Some(0));
-        assert!(json.contains("\"line\": 42"));
-        let baseline = render_weld_baseline(&welds);
-        assert_eq!(baseline, json.replace("\"line\": 42, ", ""));
     }
 
     #[test]

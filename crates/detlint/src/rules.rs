@@ -77,12 +77,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "W001",
         title: "direct IO-primitive use in a protocol-crate function (weld to the host environment)",
-        hint: "route clocks/spawning/channels/entropy through the runtime facade; this entry is on the sans-IO work-list in results/weld_map.json",
+        hint: "route clocks/spawning/channels/entropy through the runtime facade, or move the IO into a driver outside the weld scope",
     },
     RuleInfo {
         id: "W002",
         title: "protocol-crate function transitively reaches an IO weld through the call graph",
-        hint: "cut the weld in the named callee (see results/weld_map.json), or invert the dependency so IO stays behind the runtime facade",
+        hint: "cut the weld in the named callee, or invert the dependency so IO stays behind the runtime facade",
     },
     RuleInfo {
         id: "W003",

@@ -19,9 +19,8 @@
 
 use crate::callgraph::{self, CallGraph};
 use crate::config::Config;
-use crate::engine::Finding;
+use crate::engine::{push, Finding};
 use crate::parser::ident_at;
-use crate::rules;
 use crate::symbols::{SourceFile, SymbolTable};
 
 pub fn run(
@@ -99,9 +98,4 @@ pub fn run(
             }
         }
     }
-}
-
-fn push(out: &mut Vec<Finding>, path: &str, line: u32, rule: &'static str, message: String) {
-    let info = rules::rule(rule).expect("known rule id");
-    out.push(Finding { file: path.to_string(), line, rule: info.id, message, hint: info.hint });
 }

@@ -22,10 +22,9 @@
 use std::collections::BTreeMap;
 
 use crate::config::Config;
-use crate::engine::Finding;
+use crate::engine::{push, Finding};
 use crate::lexer::Token;
 use crate::parser::{ident_at, is_punct, match_braces};
-use crate::rules;
 use crate::symbols::{SourceFile, SymbolTable};
 
 pub fn run(files: &[SourceFile], syms: &SymbolTable, config: &Config, out: &mut Vec<Finding>) {
@@ -95,11 +94,6 @@ pub fn run(files: &[SourceFile], syms: &SymbolTable, config: &Config, out: &mut 
             out,
         );
     }
-}
-
-fn push(out: &mut Vec<Finding>, path: &str, line: u32, rule: &'static str, message: String) {
-    let info = rules::rule(rule).expect("known rule id");
-    out.push(Finding { file: path.to_string(), line, rule: info.id, message, hint: info.hint });
 }
 
 /// `Enum::Variant` at token `i` when `Enum` is designated and

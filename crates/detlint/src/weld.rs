@@ -2,9 +2,8 @@
 //!
 //! The sans-IO refactor (ROADMAP) requires the protocol crates to
 //! reach wall clocks, sockets, threads, channels, and entropy only
-//! through the `runtime` facade. These rules enumerate every place
-//! that contract is currently broken — the *weld map* — so the
-//! refactor has a work-list and CI has a ratchet:
+//! through the `runtime` facade. These rules flag every place that
+//! contract is broken; a weld fails the scan like any other finding:
 //!
 //! * **W001** — a function in the weld scope touches an IO primitive
 //!   directly (clock types, entropy sources, thread spawning/sleeping,
@@ -15,42 +14,24 @@
 //! * **W003** — a weld-scope file imports an IO module wholesale
 //!   (`std::{net,fs,process,thread}`, `mpsc`, `crossbeam`, or
 //!   `std::time::{Instant,SystemTime}`).
-//!
-//! Every W finding — suppressed or not — is also exported as a
-//! [`Weld`] entry for `results/weld_map.json`.
 
 use std::collections::VecDeque;
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::engine::Finding;
+use crate::engine::{push, Finding};
 use crate::parser::{ident_at, is_punct};
-use crate::rules;
 use crate::symbols::{SourceFile, SymbolTable};
 
-/// One weld-map entry: a W finding plus its owning function and the
-/// primitives (or call path / import) behind it.
-#[derive(Debug, Clone)]
-pub struct Weld {
-    pub fn_name: String,
-    pub file: String,
-    pub line: u32,
-    pub rule: &'static str,
-    pub primitives: Vec<String>,
-    /// Filled in after suppression resolution.
-    pub suppressed: bool,
-}
-
-/// Runs W001/W002/W003. Returns the welds; the corresponding findings
-/// are appended to `out` for the suppression pipeline.
+/// Runs W001/W002/W003, appending their findings to `out` for the
+/// suppression pipeline.
 pub fn run(
     files: &[SourceFile],
     syms: &SymbolTable,
     graph: &CallGraph,
     config: &Config,
     out: &mut Vec<Finding>,
-) -> Vec<Weld> {
-    let mut welds = Vec::new();
+) {
     let in_scope = |fid: usize| {
         let path = files[syms.fns[fid].file].path.as_str();
         config.in_weld_scope(path) && !config.is_weld_facade(path) && !syms.fns[fid].item.is_test
@@ -77,23 +58,15 @@ pub fn run(
             }
         }
         let qualified = qualified_name(&f.item.owner, &f.item.name);
-        push_weld(
-            out,
-            &mut welds,
-            &qualified,
-            &file.path,
-            line,
-            "W001",
-            format!("fn `{qualified}` touches IO primitives directly ({})", names.join(", ")),
-            names,
-        );
+        let message =
+            format!("fn `{qualified}` touches IO primitives directly ({})", names.join(", "));
+        push(out, &file.path, line, "W001", message);
     }
 
     // W002: transitive reach, propagated caller-ward to a fixpoint
     // along *confident* edges only — an ambiguous shared name must
-    // not smear a weld from the wall-clock deployment into the sim
-    // path. `via[f]` records the callee that welded f, for the
-    // message.
+    // not smear a weld onto an unrelated function. `via[f]` records
+    // the callee that welded f, for the message.
     let mut welded = direct.clone();
     let mut via: Vec<Option<usize>> = vec![None; syms.fns.len()];
     let mut queue: VecDeque<usize> = (0..syms.fns.len()).filter(|&f| direct[f]).collect();
@@ -111,16 +84,8 @@ pub fn run(
         let file = &files[f.file];
         let qualified = qualified_name(&f.item.owner, &f.item.name);
         let callee_name = qualified_name(&syms.fns[callee].item.owner, &syms.fns[callee].item.name);
-        push_weld(
-            out,
-            &mut welds,
-            &qualified,
-            &file.path,
-            f.item.line,
-            "W002",
-            format!("fn `{qualified}` reaches an IO weld via `{callee_name}`"),
-            vec![format!("via {callee_name}")],
-        );
+        let message = format!("fn `{qualified}` reaches an IO weld via `{callee_name}`");
+        push(out, &file.path, f.item.line, "W002", message);
     }
 
     // W003: IO-module imports, per use item.
@@ -133,43 +98,10 @@ pub fn run(
                 continue;
             }
             let Some(module) = io_import(&u.idents) else { continue };
-            push_weld(
-                out,
-                &mut welds,
-                "(use)",
-                &file.path,
-                u.line,
-                "W003",
-                format!("IO-module import (`{module}`) in weld scope"),
-                vec![module],
-            );
+            let message = format!("IO-module import (`{module}`) in weld scope");
+            push(out, &file.path, u.line, "W003", message);
         }
     }
-
-    welds
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_weld(
-    out: &mut Vec<Finding>,
-    welds: &mut Vec<Weld>,
-    fn_name: &str,
-    file: &str,
-    line: u32,
-    rule: &'static str,
-    message: String,
-    primitives: Vec<String>,
-) {
-    let info = rules::rule(rule).expect("known rule id");
-    out.push(Finding { file: file.to_string(), line, rule: info.id, message, hint: info.hint });
-    welds.push(Weld {
-        fn_name: fn_name.to_string(),
-        file: file.to_string(),
-        line,
-        rule: info.id,
-        primitives,
-        suppressed: false,
-    });
 }
 
 fn qualified_name(owner: &Option<String>, name: &str) -> String {

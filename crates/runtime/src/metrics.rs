@@ -434,8 +434,8 @@ impl Metrics {
 
 /// Metric ids resolved once per registry: the value sits beside the
 /// [`Metrics::registry_id`] it was resolved under, and a different registry
-/// showing up (the threaded harness hands cores a scratch `Metrics` per
-/// call) resolves it again instead of indexing into the wrong instance. Ids
+/// showing up (a test or a per-layer drive hands a core its own
+/// `Metrics`) resolves it again instead of indexing into the wrong instance. Ids
 /// carry their tag, so a clone installed in the same simulation keeps them.
 #[derive(Debug, Clone)]
 pub struct Interned<T>(Option<(u64, T)>);
