@@ -25,10 +25,9 @@ use dynastar_bench::setup::run_parallel;
 use dynastar_core::metric_names as mn;
 use dynastar_runtime::SimDuration;
 
-/// Scenario dimensions (full vs `--smoke`); `staged` is set per run. The
-/// per-link cap of 4 is the cluster-wide scheduler under test: the
-/// oracle's hot-first move order decides who goes first and deferred keys
-/// are released as slots free.
+/// Scenario dimensions (full vs `--smoke`); `staged` is set per run. Each
+/// source→destination link holds at most 4 staged chunks awaiting their
+/// ack; the oracle's hot-first move order decides who goes first.
 fn params(smoke: bool) -> Params {
     let base = Params {
         partitions: 4,
@@ -76,8 +75,6 @@ struct RunResult {
     chunk_retries: u64,
     chunk_dups: u64,
     reverts: u64,
-    deferred: u64,
-    released: u64,
     pulls: u64,
     pull_promotions: u64,
     median_tput: f64,
@@ -115,8 +112,6 @@ fn run_one(scenario: &'static str, p: &Params, warmup: usize) -> RunResult {
         chunk_retries: m.counter(mn::MIGRATION_CHUNK_RETRIES),
         chunk_dups: m.counter(mn::MIGRATION_CHUNK_DUPS),
         reverts: m.counter(mn::MIGRATION_REVERTS),
-        deferred: m.counter(mn::MIGRATION_DEFERRED),
-        released: m.counter(mn::MIGRATION_RELEASED),
         pulls: m.counter(mn::MIGRATION_PULLS),
         pull_promotions: m.counter(mn::MIGRATION_PULL_PROMOTIONS),
         median_tput: median,
@@ -181,7 +176,6 @@ fn main() {
                 format!("{}", r.keys_staged),
                 format!("{}", r.chunk_retries),
                 format!("{}", r.reverts),
-                format!("{}", r.deferred),
                 format!("{}", r.plans),
             ]
         })
@@ -199,7 +193,6 @@ fn main() {
             "staged",
             "chunk-rtx",
             "reverts",
-            "defer",
             "plans",
         ],
         &rows,
@@ -228,8 +221,6 @@ fn main() {
                 .num("chunk_retries", r.chunk_retries)
                 .num("chunk_dups", r.chunk_dups)
                 .num("reverts", r.reverts)
-                .num("deferred", r.deferred)
-                .num("released", r.released)
                 .num("pulls", r.pulls)
                 .num("pull_promotions", r.pull_promotions)
                 .float("median_tput", r.median_tput, 1)

@@ -57,8 +57,8 @@ pub struct Params {
     /// Staged (chunked, rate-limited, acked, with client retry backoff)
     /// migration, or the single-shipment stall baseline.
     pub staged: bool,
-    /// Staged transfers in flight per source→destination link (0 = no
-    /// cap; ignored by the stall baseline, which never stages).
+    /// Staged chunks awaiting an ack per source→destination link (0 =
+    /// unbounded; ignored by the stall baseline, which never stages).
     pub inflight_cap: u32,
 }
 

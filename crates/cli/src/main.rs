@@ -53,7 +53,11 @@ static SPEC: Spec = Spec {
         Opt::Value("staged", "<on|off>", "chunked rate-limited state migration [on]"),
         Opt::Value("domain", "<n>", "counters keyspace (diurnal/zipf_ramp/chained_move) [200]"),
         Opt::Value("waves", "<n>", "churn crash-restart waves [2]"),
-        Opt::Value("inflight-cap", "<n>", "staged transfers in flight per link, 0 = no cap [4]"),
+        Opt::Value(
+            "inflight-cap",
+            "<n>",
+            "staged chunks awaiting an ack per link, 0 = unbounded [4]",
+        ),
     ],
 };
 
@@ -205,9 +209,7 @@ fn print_scenario_summary(name: &str, m: &Metrics, p: &Params) {
             m.counter(mn::MIGRATION_REVERTS),
         );
         println!(
-            "link scheduler     : {} deferred, {} released, {} pulled first ({} pulls)",
-            m.counter(mn::MIGRATION_DEFERRED),
-            m.counter(mn::MIGRATION_RELEASED),
+            "link scheduler     : {} pulled first ({} pulls)",
             m.counter(mn::MIGRATION_PULL_PROMOTIONS),
             m.counter(mn::MIGRATION_PULLS),
         );

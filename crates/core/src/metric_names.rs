@@ -58,12 +58,10 @@ pub const MIGRATION_REVERTS: &str = "migration.reverts";
 /// Counter: key moves that took the staged (chunked, rate-limited)
 /// migration path instead of the classic single shipment.
 pub const MIGRATION_KEYS_STAGED: &str = "migration.keys_staged";
-/// Counter: staged key moves deferred at plan time because the
-/// source→destination link already carried
-/// `migration_max_inflight_per_link` transfers.
+/// No longer recorded: every staged move joins the send order at once, so
+/// none is deferred and this counter reads 0. Kept only because the
+/// benchmark's report still names it.
 pub const MIGRATION_DEFERRED: &str = "migration.deferred";
-/// Counter: deferred key moves promoted into a freed in-flight slot.
-pub const MIGRATION_RELEASED: &str = "migration.released";
 /// Counter: [`crate::payload::Direct::PlanVarsPull`]s sent by destination
 /// partitions — one per awaited key a delivered command names.
 pub const MIGRATION_PULLS: &str = "migration.pulls";

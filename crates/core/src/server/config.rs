@@ -39,12 +39,11 @@ pub struct ServerConfig {
     /// Chunk retransmissions before the source gives up and reverts the
     /// key's move (falling back to the previous plan).
     pub migration_max_retries: u32,
-    /// Cluster-wide migration scheduling: max staged key transfers
-    /// concurrently in flight per source→destination link. Plans list
-    /// moves hottest-first (oracle orders by workload-graph weight), so
-    /// the cap ships the traffic-carrying keys immediately and defers the
-    /// tail, releasing deferred moves as transfers settle. `0` disables
-    /// the cap: every move ships at once.
+    /// The window of a source→destination link: max staged chunks put on
+    /// it that still await their ack. A chunk toward a full window waits
+    /// for an ack, a timeout or a give-up to free a place. While acks
+    /// return before the link frees the window never binds; under a delay
+    /// brownout it bounds how many chunks time out. `0` = unbounded.
     pub migration_max_inflight_per_link: u32,
 }
 

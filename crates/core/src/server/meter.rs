@@ -17,8 +17,6 @@ pub(super) struct ServerMetricIds {
     pub migration_chunk_retries: CounterId,
     pub migration_reverts: CounterId,
     pub migration_keys_staged: CounterId,
-    pub migration_deferred: CounterId,
-    pub migration_released: CounterId,
     pub exec_parallel: CounterId,
     pub exec_serialized: CounterId,
     pub exec_window_stall: CounterId,
@@ -62,8 +60,6 @@ impl Meter {
             migration_chunk_retries: m.counter_id(mn::MIGRATION_CHUNK_RETRIES),
             migration_reverts: m.counter_id(mn::MIGRATION_REVERTS),
             migration_keys_staged: m.counter_id(mn::MIGRATION_KEYS_STAGED),
-            migration_deferred: m.counter_id(mn::MIGRATION_DEFERRED),
-            migration_released: m.counter_id(mn::MIGRATION_RELEASED),
             exec_parallel: m.counter_id(mn::EXEC_PARALLEL),
             exec_serialized: m.counter_id(mn::EXEC_SERIALIZED),
             exec_window_stall: m.counter_id(mn::EXEC_WINDOW_STALL),

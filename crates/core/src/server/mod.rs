@@ -350,9 +350,7 @@ impl<A: Application> ServerCore<A> {
                 // never resolve).
                 let settle = self.history.settle(key, version, from, to, MoveOutcome::Done);
                 if from == self.partition {
-                    if let Some(e) = self.sender.retire(&self.config, (key, version)) {
-                        self.count(metrics, |ids| ids.migration_released, e.released);
-                    }
+                    self.sender.retire((key, version));
                 }
                 if matches!(settle, Settle::Applied { .. }) && to == self.partition {
                     let e =
@@ -1246,9 +1244,8 @@ impl<A: Application> ServerCore<A> {
                 // immediate shipment, so no supplement or returned loan
                 // can ever land mid-staging.
                 if self.config.staged_migration && !was_awaiting && pending.is_empty() {
-                    let deferred = self.sender.stage(&self.config, (key, version), to, vars);
+                    self.sender.stage(&self.config, (key, version), to, vars);
                     self.count(metrics, |ids| ids.migration_keys_staged, 1);
-                    self.count(metrics, |ids| ids.migration_deferred, u64::from(deferred));
                     continue; // chunks ship from the migration pump
                 }
                 // Unthrottled path under a configured bandwidth model: the
@@ -1331,10 +1328,9 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> Step {
-        let Some(e) = self.sender.retire(&self.config, (key, version)) else {
+        let Some(e) = self.sender.retire((key, version)) else {
             return Step::Done; // already dismantled (e.g. by a racing Done)
         };
-        self.count(metrics, |ids| ids.migration_released, e.released);
         let owner = self.history.resolved_owner_versioned(key);
         match owner {
             Some((owner, owner_version)) if owner != self.partition => {
@@ -1426,7 +1422,6 @@ impl<A: Application> ServerCore<A> {
         let pumped = self.sender.pump(&self.config, now, eff);
         self.count(metrics, |ids| ids.migration_chunks_sent, pumped.chunks_sent);
         self.count(metrics, |ids| ids.migration_chunk_retries, pumped.chunk_retries);
-        self.count(metrics, |ids| ids.migration_released, pumped.released);
         let mut min_wake = pumped.next_due;
         eff.retain(|e| match e {
             Effect::Wake { at } => {
@@ -2235,11 +2230,10 @@ mod tests {
 
     /// fig9's link model at test scale: one variable per key and per chunk,
     /// 8 KiB over 1 MiB/s = 7 812 us on the wire.
-    fn linked_config(cap: u32) -> ServerConfig {
+    fn linked_config() -> ServerConfig {
         ServerConfig {
             migration_var_bytes: 8 * 1024,
             migration_link_bytes_per_sec: 1024 * 1024,
-            migration_max_inflight_per_link: cap,
             ..staged_config(5)
         }
     }
@@ -2309,7 +2303,7 @@ mod tests {
             (ExecConfig::pool(8, SimDuration::from_millis(1)), 8),
         ];
         for (exec, free_slots) in engines {
-            let mut src = keyed_server(0, 0..20, ServerConfig { exec, ..linked_config(0) });
+            let mut src = keyed_server(0, 0..20, ServerConfig { exec, ..linked_config() });
             let mut m = Metrics::new();
             let eff = src.on_deliver(plan_moving(0..12), now(), &mut m);
             let mut sent = vec![(now(), chunk_keys(&eff))];
@@ -2334,65 +2328,6 @@ mod tests {
             }
             assert_eq!(m.counter(mn::MIGRATION_CHUNK_RETRIES), 0);
         }
-    }
-
-    #[test]
-    fn pull_promotes_a_deferred_key_past_hotter_waiters_and_the_cap() {
-        // Cap 1: key 0 (hottest) holds the link's only slot, 1–3 wait.
-        let mut src = keyed_server(0, 0..4, linked_config(1));
-        let mut m = Metrics::new();
-        let eff = src.on_deliver(plan_moving(0..4), now(), &mut m);
-        assert_eq!(chunk_keys(&eff), [0]);
-        assert_eq!(m.counter(mn::MIGRATION_DEFERRED), 3);
-
-        // The destination is waiting for the coldest key.
-        let eff = src.on_direct(pull(3, 1), now(), &mut m);
-        assert!(chunk_keys(&eff).is_empty(), "key 0's chunk still occupies the link");
-        let link_free = now() + CHUNK_WIRE_TIME;
-        assert_eq!(wake_of(&eff), Some(link_free));
-        // Twice is once.
-        let _ = src.on_direct(pull(3, 1), now(), &mut m);
-        assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 1);
-
-        // The promotion is part of the protocol state a recovering replica
-        // installs: the rest of the scenario runs on a clone.
-        let mut src = src.clone();
-        let eff = src.on_wake(link_free, &mut m);
-        assert_eq!(chunk_keys(&eff), [3], "ahead of keys 1 and 2, past the cap");
-        let eff = src.on_wake(link_free + CHUNK_WIRE_TIME, &mut m);
-        assert!(chunk_keys(&eff).is_empty(), "keys 1 and 2 keep waiting for a slot");
-        assert_eq!(m.counter(mn::MIGRATION_RELEASED), 0);
-
-        // No-ops: a key that is not moving, another destination's pull, a
-        // settled transfer, and a source that shipped the classic way.
-        let done = Payload::MigrationDone {
-            version: PLAN_V1,
-            key: LocKey(0),
-            from: PartitionId(0),
-            to: PartitionId(1),
-        };
-        let _ = src.on_deliver(done, link_free + CHUNK_WIRE_TIME, &mut m);
-        for stray in [pull(99, 1), pull(1, 2), pull(0, 1)] {
-            let eff = src.on_direct(stray, link_free + CHUNK_WIRE_TIME, &mut m);
-            assert!(chunk_keys(&eff).is_empty());
-        }
-        let mut classic = server(0, &[0], &[(0, 7)]);
-        let eff = classic.on_deliver(move_plan(), now(), &mut m);
-        assert!(eff.iter().any(|e| matches!(e, Effect::Send { msg: Direct::PlanVars { .. }, .. })));
-        assert!(classic.on_direct(pull(0, 1), now(), &mut m).is_empty());
-        assert_eq!(m.counter(mn::MIGRATION_PULL_PROMOTIONS), 1);
-
-        // Key 0's slot went to nobody (key 3 holds one past the cap); key
-        // 3's Done frees it for the hottest waiter.
-        let done = Payload::MigrationDone {
-            version: PLAN_V1,
-            key: LocKey(3),
-            from: PartitionId(0),
-            to: PartitionId(1),
-        };
-        let eff = src.on_deliver(done, link_free + CHUNK_WIRE_TIME, &mut m);
-        assert_eq!(chunk_keys(&eff), [1]);
-        assert_eq!(m.counter(mn::MIGRATION_RELEASED), 1);
     }
 
     #[test]
@@ -2474,7 +2409,7 @@ mod tests {
         /// each, one variable per chunk, on fig9's link.
         fn new(keys: std::ops::Range<u64>, vars_per_key: u64) -> Self {
             let core = |p: u32| {
-                let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, linked_config(0));
+                let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, linked_config());
                 if p == 0 {
                     let vars =
                         keys.clone().flat_map(|k| (0..vars_per_key).map(move |v| k * 10 + v));
@@ -2696,7 +2631,7 @@ mod tests {
         // No stripe, nothing to steal: pulled prefix, then plan order, each
         // transfer's lowest unacked chunk — with or without `set_replica`.
         let run = |stamp: bool| {
-            let mut src = ServerCore::<App>::new(PartitionId(0), Mode::Dynastar, linked_config(0));
+            let mut src = ServerCore::<App>::new(PartitionId(0), Mode::Dynastar, linked_config());
             src.preload(
                 (0..4).map(LocKey),
                 (0..4).flat_map(|k| [k * 10, k * 10 + 1]).map(|v| (VarId(v), 0)),

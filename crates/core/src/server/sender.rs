@@ -1,6 +1,5 @@
 //! The source side of staged migration: the transfers a plan staged at this
-//! replica, which of them hold a link slot, and which chunk goes on the
-//! migration link next.
+//! replica and which chunk goes on the migration link next.
 //!
 //! The server calls [`Sender::stage`] when a plan moves a key away,
 //! [`Sender::on_ack`] and [`Sender::on_pull`] for the destination's
@@ -9,7 +8,7 @@
 //! store and where a key has gone stay with the server; everything here is
 //! chunk data retained until the move settles, and send order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use dynastar_runtime::{SimDuration, SimTime};
 
@@ -60,6 +59,15 @@ fn next_chunk(acked: &[bool], key: LocKey, (r, n): (u32, u32), steal: bool) -> O
     }
 }
 
+/// `to`'s count in a per-destination `window`, from zero if it has none.
+fn window_of(window: &mut Vec<(PartitionId, u32)>, to: PartitionId) -> &mut u32 {
+    let i = window.iter().position(|&(p, _)| p == to).unwrap_or_else(|| {
+        window.push((to, 0));
+        window.len() - 1
+    });
+    &mut window[i].1
+}
+
 /// One staged key migration ([`TransferId`] keyed). All chunk data is
 /// retained until the migration settles, so a revert can reinstall the key
 /// and a retransmit can resend any chunk.
@@ -81,10 +89,6 @@ struct OutboxEntry<V> {
     deadline: SimTime,
     /// Retries exhausted; a revert has been requested.
     gave_up: bool,
-    /// Waiting for a per-link in-flight slot; the entry is outside
-    /// [`Sender::active`] until [`Sender::release_link_slot`] or a pull
-    /// promotes it.
-    deferred: bool,
     /// The destination asked for this key ([`Direct::PlanVarsPull`]): the
     /// entry sits in the demand-first prefix of [`Sender::active`].
     pulled: bool,
@@ -97,9 +101,6 @@ pub(super) struct Retired<V> {
     pub to: PartitionId,
     /// The retained chunk data (a revert reinstalls or re-ships it).
     pub chunks: Vec<Shipment<V>>,
-    /// Deferred transfers its link slot was passed on to
-    /// (`migration.released`).
-    pub released: u64,
 }
 
 /// What one [`Sender::pump`] did — the counters the server records.
@@ -112,9 +113,6 @@ pub(super) struct Pumped {
     pub chunks_sent: u64,
     /// …of which resends after a missed ack (`migration.chunk_retries`).
     pub chunk_retries: u64,
-    /// Deferred transfers promoted into slots that give-ups freed
-    /// (`migration.released`).
-    pub released: u64,
 }
 
 /// Staged migrations one replica is the source of. See the
@@ -129,17 +127,15 @@ pub(super) struct Sender<V> {
     /// clone it installs.
     replica: (u32, u32),
     outbox: BTreeMap<TransferId, OutboxEntry<V>>,
-    /// The send order: every outbox entry that holds a link slot (not
-    /// deferred, not given up). Pulled entries form a prefix in pull order
-    /// — the demand FIFO — followed by the rest in plan/promotion
-    /// (hottest-first) order; the pump looks at nothing else.
+    /// The send order: every outbox entry that has not given up. Pulled
+    /// entries form a prefix in pull order — the demand FIFO — followed by
+    /// the rest in plan (hottest-first) order; the pump looks at nothing
+    /// else.
     active: Vec<TransferId>,
-    /// Per-destination count of staged transfers holding an in-flight slot
-    /// (only maintained when `migration_max_inflight_per_link > 0`).
-    link_active: BTreeMap<PartitionId, u32>,
-    /// Deferred outbox entries per destination, in plan (hottest-first)
-    /// order, promoted as slots free up.
-    link_waiting: BTreeMap<PartitionId, VecDeque<TransferId>>,
+    /// The pump's scratch: chunks awaiting their ack per destination,
+    /// recounted on every pump and kept between pumps only so that the
+    /// count allocates nothing.
+    window: Vec<(PartitionId, u32)>,
     /// When the modelled migration link (one per source replica) has
     /// finished putting the last chunk on the wire. Chunks serialize on
     /// this clock, not on the execution workers'.
@@ -154,8 +150,7 @@ impl<V: Clone> Sender<V> {
             replica: (0, 1),
             outbox: BTreeMap::new(),
             active: Vec::new(),
-            link_active: BTreeMap::new(),
-            link_waiting: BTreeMap::new(),
+            window: Vec::new(),
             link_free: SimTime::ZERO,
         }
     }
@@ -166,18 +161,16 @@ impl<V: Clone> Sender<V> {
         self.replica = (r, n.max(1));
     }
 
-    /// Stages `vars` as transfer `k` toward `to`, pre-split into chunks.
-    /// Moves arrive hottest-first (the oracle orders a plan by access
-    /// weight), so when the link to `to` is at its in-flight cap this
-    /// colder move parks in FIFO order until a freed slot promotes it:
-    /// returns whether it was so deferred.
+    /// Stages `vars` as transfer `k` toward `to`, pre-split into chunks, at
+    /// the end of the send order. Moves arrive hottest-first (the oracle
+    /// orders a plan by access weight), and so the send order is too.
     pub(super) fn stage(
         &mut self,
         cfg: &ServerConfig,
         k: TransferId,
         to: PartitionId,
         vars: Shipment<V>,
-    ) -> bool {
+    ) {
         let per = cfg.migration_chunk_vars.max(1) as usize;
         let mut chunks: Vec<Shipment<V>> = vars.chunks(per).map(|c| c.to_vec()).collect();
         if chunks.is_empty() {
@@ -185,16 +178,7 @@ impl<V: Clone> Sender<V> {
             // destination reaches `total` and commits.
             chunks.push(Vec::new());
         }
-        let cap = cfg.migration_max_inflight_per_link;
-        let deferred = cap > 0 && self.link_active.get(&to).copied().unwrap_or(0) >= cap;
-        if deferred {
-            self.link_waiting.entry(to).or_default().push_back(k);
-        } else {
-            self.active.push(k);
-            if cap > 0 {
-                *self.link_active.entry(to).or_insert(0) += 1;
-            }
-        }
+        self.active.push(k);
         self.outbox.insert(
             k,
             OutboxEntry {
@@ -206,11 +190,9 @@ impl<V: Clone> Sender<V> {
                 backoff: cfg.migration_chunk_timeout,
                 deadline: SimTime::ZERO,
                 gave_up: false,
-                deferred,
                 pulled: false,
             },
         );
-        deferred
     }
 
     /// The destination acknowledged `chunk` of transfer `k`. Progress —
@@ -230,11 +212,10 @@ impl<V: Clone> Sender<V> {
     }
 
     /// Demand-first transfer: the staged transfer of `key` toward `to`
-    /// joins the end of the pulled prefix of the send order, taking a link
-    /// slot even past the per-link cap. Only a priority hint: a repeat, or
-    /// a pull for a key with no staged transfer here (classic shipment,
-    /// settled, given up, chained elsewhere), changes nothing and returns
-    /// `false`.
+    /// moves to the end of the pulled prefix of the send order. Only a
+    /// priority hint: a repeat, or a pull for a key with no staged transfer
+    /// here (classic shipment, settled, given up, chained elsewhere),
+    /// changes nothing and returns `false`.
     pub(super) fn on_pull(&mut self, key: LocKey, to: PartitionId) -> bool {
         // Newest plan first: an older entry for the key is a superseded move.
         let Some((&k, e)) = self
@@ -246,13 +227,7 @@ impl<V: Clone> Sender<V> {
             return false;
         };
         e.pulled = true;
-        if e.deferred {
-            // Its `link_waiting` ticket goes stale and is skipped there.
-            e.deferred = false;
-            *self.link_active.entry(to).or_insert(0) += 1;
-        } else {
-            self.active.retain(|&a| a != k);
-        }
+        self.active.retain(|&a| a != k);
         self.active.insert(self.pulled_len(), k);
         true
     }
@@ -263,60 +238,27 @@ impl<V: Clone> Sender<V> {
         self.active.iter().position(|k| !pulled(k)).unwrap_or(self.active.len())
     }
 
-    /// Takes transfer `k` (toward `to`) out of the send order, frees its
-    /// in-flight slot on that link and promotes waiting deferred transfers
-    /// (oldest = hottest first) into free slots, at the end of the send
-    /// order; returns how many. Without a per-link cap there are no slots
-    /// to pass on.
-    fn release_link_slot(&mut self, cfg: &ServerConfig, k: TransferId, to: PartitionId) -> u64 {
-        self.active.retain(|&a| a != k);
-        let cap = cfg.migration_max_inflight_per_link;
-        if cap == 0 {
-            return 0;
-        }
-        if let Some(n) = self.link_active.get_mut(&to) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.link_active.remove(&to);
-            }
-        }
-        let mut released = 0;
-        while self.link_active.get(&to).copied().unwrap_or(0) < cap {
-            let Some(k) = self.link_waiting.get_mut(&to).and_then(VecDeque::pop_front) else {
-                self.link_waiting.remove(&to);
-                break;
-            };
-            match self.outbox.get_mut(&k) {
-                Some(e) if e.deferred && !e.gave_up => {
-                    e.deferred = false;
-                    self.active.push(k);
-                    *self.link_active.entry(to).or_insert(0) += 1;
-                    released += 1;
-                }
-                // Stale waiter (dismantled or pulled meanwhile): keep popping.
-                _ => {}
-            }
-        }
-        released
-    }
-
-    /// Dismantles a settled transfer: the entry leaves the outbox and,
-    /// unless it never held a link slot or gave it up earlier, the send
-    /// order. `None` when it was already dismantled.
-    pub(super) fn retire(&mut self, cfg: &ServerConfig, k: TransferId) -> Option<Retired<V>> {
+    /// Dismantles a settled transfer: the entry leaves the outbox and the
+    /// send order. `None` when it was already dismantled.
+    pub(super) fn retire(&mut self, k: TransferId) -> Option<Retired<V>> {
         let e = self.outbox.remove(&k)?;
-        let held_slot = !e.deferred && !e.gave_up;
-        let released = if held_slot { self.release_link_slot(cfg, k, e.to) } else { 0 };
-        Some(Retired { to: e.to, chunks: e.chunks, released })
+        self.active.retain(|&a| a != k);
+        Some(Retired { to: e.to, chunks: e.chunks })
     }
 
     /// Drives the staged transfers from the send order alone: times out
     /// unacked chunks (exponential backoff; once retries are exhausted,
-    /// give up and multicast the revert — which frees the link slot for a
-    /// deferred transfer), then puts chunks on the migration link, one at a
-    /// time. A timed-out chunk is resent through the same link. The link
-    /// clock is this pump's own: no chunk ever occupies an execution
-    /// worker.
+    /// give up and multicast the revert), then puts chunks on the migration
+    /// link, one at a time. A timed-out chunk is resent through the same
+    /// link. The link clock is this pump's own: no chunk ever occupies an
+    /// execution worker.
+    ///
+    /// Each destination has a *window* of `migration_max_inflight_per_link`
+    /// chunks awaiting their ack (0 = unbounded). The timeout pass counts
+    /// what each window holds, and a chunk toward a full one waits for an
+    /// ack, a timeout or a give-up to free a place: a resend takes the
+    /// place its timed-out chunk left. While acks return before the link
+    /// frees, the window never binds.
     ///
     /// Which chunk goes next is *striped* over the partition's replicas,
     /// whose links would otherwise all carry the same chunks. A chunk's
@@ -340,11 +282,13 @@ impl<V: Clone> Sender<V> {
             return out;
         }
         let me = self.me;
+        let cap = cfg.migration_max_inflight_per_link;
         let backoff_cap = cfg.migration_chunk_timeout.saturating_mul(64);
         let due = |slot: &mut Option<SimTime>, at: SimTime| {
             *slot = Some(slot.map_or(at, |cur| cur.min(at)));
         };
 
+        self.window.clear();
         let mut gave_up: Vec<(TransferId, PartitionId)> = Vec::new();
         for &k in &self.active {
             let Some(e) = self.outbox.get_mut(&k) else { continue };
@@ -353,6 +297,9 @@ impl<V: Clone> Sender<V> {
             }
             if now < e.deadline {
                 due(&mut out.next_due, e.deadline);
+                if cap > 0 {
+                    *window_of(&mut self.window, e.to) += 1;
+                }
                 continue;
             }
             // Ack deadline missed: queue the chunk for resend, or give up.
@@ -366,7 +313,7 @@ impl<V: Clone> Sender<V> {
             }
         }
         for (k, to) in gave_up {
-            out.released += self.release_link_slot(cfg, k, to);
+            self.active.retain(|&a| a != k);
             let (key, version) = k;
             eff.push(Effect::Multicast {
                 mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
@@ -395,6 +342,9 @@ impl<V: Clone> Sender<V> {
                     let Some(i) = next_chunk(&e.acked, key, (r, n), steal) else {
                         continue; // nothing left here for this walk
                     };
+                    if cap > 0 && *window_of(&mut self.window, e.to) >= cap {
+                        continue; // the destination's window is full
+                    }
                     if now < self.link_free {
                         due(&mut out.next_due, self.link_free);
                         break 'link;
@@ -405,6 +355,9 @@ impl<V: Clone> Sender<V> {
                     self.link_free = now + transfer;
                     e.in_flight = Some(i);
                     e.deadline = now + transfer + e.backoff;
+                    if cap > 0 {
+                        *window_of(&mut self.window, e.to) += 1;
+                    }
                     eff.push(Effect::Send {
                         to: Destination::Partition(e.to),
                         msg: Direct::PlanVarsChunk {
@@ -454,7 +407,7 @@ mod tests {
 
     /// One variable per chunk, a 200 ms ack timeout; `linked` prices a
     /// chunk at [`CHUNK_WIRE`], otherwise the link is free.
-    fn config(cap: u32, max_retries: u32, linked: bool) -> ServerConfig {
+    fn config(window: u32, max_retries: u32, linked: bool) -> ServerConfig {
         ServerConfig {
             staged_migration: true,
             migration_chunk_vars: 1,
@@ -462,23 +415,20 @@ mod tests {
             migration_link_bytes_per_sec: if linked { 1_000_000 } else { 0 },
             migration_chunk_timeout: SimDuration::from_millis(200),
             migration_max_retries: max_retries,
-            migration_max_inflight_per_link: cap,
+            migration_max_inflight_per_link: window,
             ..ServerConfig::default()
         }
     }
 
     /// A sender for partition 0 with `keys` staged toward [`DEST`] in
-    /// order, `chunks` chunks each; returns which of them were deferred.
-    fn staged(cfg: &ServerConfig, keys: &[u64], chunks: u64) -> (Sender<u8>, Vec<bool>) {
+    /// order, `chunks` chunks each.
+    fn staged(cfg: &ServerConfig, keys: &[u64], chunks: u64) -> Sender<u8> {
         let mut s = Sender::new(PartitionId(0));
-        let deferred = keys
-            .iter()
-            .map(|&k| {
-                let vars = (0..chunks).map(|i| (VarId(k * 10 + i), Some(0))).collect();
-                s.stage(cfg, (LocKey(k), VERSION), DEST, vars)
-            })
-            .collect();
-        (s, deferred)
+        for &k in keys {
+            let vars = (0..chunks).map(|i| (VarId(k * 10 + i), Some(0))).collect();
+            s.stage(cfg, (LocKey(k), VERSION), DEST, vars);
+        }
+        s
     }
 
     /// Pumps at `now`; returns the outcome and the `(key, chunk)` of every
@@ -518,7 +468,7 @@ mod tests {
     fn own_stripe_front_to_back_then_steal_back_to_front_pulled_prefix_first() {
         let cfg = config(0, 5, false);
         for r in 0..3 {
-            let (mut s, _) = staged(&cfg, &[0, 1, 2, 3, 4], 3);
+            let mut s = staged(&cfg, &[0, 1, 2, 3, 4], 3);
             s.set_replica(r, 3);
             assert!(s.on_pull(LocKey(3), DEST));
             // Every key has exactly one chunk in this replica's stripe:
@@ -543,7 +493,7 @@ mod tests {
     #[test]
     fn one_chunk_per_link_clock_interval() {
         let cfg = config(0, 5, true);
-        let (mut s, _) = staged(&cfg, &[0, 1], 2);
+        let mut s = staged(&cfg, &[0, 1], 2);
         let ack_due = |sent_at: u64| at(sent_at) + CHUNK_WIRE + cfg.migration_chunk_timeout;
         // The first chunk occupies the link; the second key waits for it.
         let (pumped, sent, _) = pump(&mut s, &cfg, at(0));
@@ -567,67 +517,152 @@ mod tests {
     }
 
     #[test]
-    fn a_pull_promotes_a_deferred_transfer_past_the_cap() {
-        let cfg = config(1, 5, false);
-        let (mut s, deferred) = staged(&cfg, &[0, 1, 2], 1);
-        assert_eq!(deferred, [false, true, true]);
-        assert!(s.on_pull(LocKey(2), DEST));
-        // A repeat, another destination, an unknown key: nothing changes.
-        assert!(!s.on_pull(LocKey(2), DEST));
-        assert!(!s.on_pull(LocKey(1), PartitionId(7)));
-        assert!(!s.on_pull(LocKey(9), DEST));
-        // Demand first, then the slot holder; key 1 still waits.
-        let (_, sent, _) = pump(&mut s, &cfg, at(0));
-        assert_eq!(sent, [(2, 0), (0, 0)]);
-        // Two transfers hold the one slot's worth: the first to settle
-        // passes nothing on, the second frees the slot for key 1 (key 2's
-        // own ticket in the waiting line is stale and skipped).
-        assert_eq!(s.retire(&cfg, (LocKey(0), VERSION)).map(|r| r.released), Some(0));
-        assert_eq!(s.retire(&cfg, (LocKey(2), VERSION)).map(|r| r.released), Some(1));
-        let (_, sent, _) = pump(&mut s, &cfg, at(1));
-        assert_eq!(sent, [(1, 0)]);
-        assert!(s.retire(&cfg, (LocKey(2), VERSION)).is_none());
-    }
-
-    #[test]
     fn an_ack_resets_the_retry_ladder() {
         let cfg = config(0, 5, false);
-        let (mut s, _) = staged(&cfg, &[0], 2);
+        let mut s = staged(&cfg, &[0], 2);
         let (pumped, _, _) = pump(&mut s, &cfg, at(0));
         assert_eq!(pumped.next_due, Some(at(200)));
         // The ack deadline passes: the chunk goes again, with the timeout doubled.
         let (pumped, sent, _) = pump(&mut s, &cfg, at(200));
         assert_eq!(sent, [(0, 0)]);
-        assert_eq!(
-            pumped,
-            Pumped { next_due: Some(at(600)), chunks_sent: 1, chunk_retries: 1, released: 0 }
-        );
+        assert_eq!(pumped, Pumped { next_due: Some(at(600)), chunks_sent: 1, chunk_retries: 1 });
         // Progress: the next chunk is a first send on the base timeout.
         s.on_ack(&cfg, (LocKey(0), VERSION), 0);
         let (pumped, sent, _) = pump(&mut s, &cfg, at(300));
         assert_eq!(sent, [(0, 1)]);
-        assert_eq!(
-            pumped,
-            Pumped { next_due: Some(at(500)), chunks_sent: 1, chunk_retries: 0, released: 0 }
-        );
+        assert_eq!(pumped, Pumped { next_due: Some(at(500)), chunks_sent: 1, chunk_retries: 0 });
     }
 
+    /// One step of a [`Case`]'s script.
+    enum Step {
+        /// Pump at this many ms: the `(key, chunk)`s put on the link, in
+        /// order, and the keys whose revert went out.
+        Pump(u64, &'static [(u64, u32)], &'static [u64]),
+        /// The destination acks `(key, chunk)`.
+        Ack(u64, u32),
+        /// The partition named pulls `key`: whether the sender honours it.
+        Pull(u64, PartitionId, bool),
+        /// Go on with a clone, as a recovering replica that installs this
+        /// replica's state does.
+        Fork,
+        /// `key`'s move settles: whether it was still in the outbox. What
+        /// comes back is its data, given up or not.
+        Retire(u64, bool),
+    }
+    use Step::*;
+
+    /// One-chunk keys staged toward [`DEST`] in order, a linked sender with
+    /// this window and retry budget, and a script.
+    struct Case {
+        name: &'static str,
+        window: u32,
+        max_retries: u32,
+        keys: &'static [u64],
+        script: &'static [Step],
+    }
+
+    const CASES: &[Case] = &[
+        Case {
+            name: "an ack, not the Done, frees a place in the window",
+            window: 1,
+            max_retries: 5,
+            keys: &[0, 1, 2],
+            script: &[
+                Pump(0, &[(0, 0)], &[]),
+                Pump(1, &[], &[]),
+                Ack(0, 0),
+                Pump(1, &[(1, 0)], &[]),
+                Pump(2, &[], &[]),
+            ],
+        },
+        Case {
+            name: "without acks, a resend takes its timed-out chunk's place",
+            window: 2,
+            max_retries: 5,
+            keys: &[0, 1, 2],
+            script: &[
+                Pump(0, &[(0, 0)], &[]),
+                Pump(1, &[(1, 0)], &[]),
+                Pump(2, &[], &[]),
+                Pump(100, &[], &[]),
+                // Key 0's ack was due at 0 + wire + 200 ms.
+                Pump(201, &[(0, 0)], &[]),
+                Pump(202, &[(1, 0)], &[]),
+                Pump(203, &[], &[]),
+            ],
+        },
+        Case {
+            name: "window 0 is unbounded",
+            window: 0,
+            max_retries: 5,
+            keys: &[0, 1, 2],
+            script: &[Pump(0, &[(0, 0)], &[]), Pump(1, &[(1, 0)], &[]), Pump(2, &[(2, 0)], &[])],
+        },
+        Case {
+            name: "a pulled key goes first, and a clone carries the pull",
+            window: 1,
+            max_retries: 5,
+            keys: &[0, 1, 2],
+            script: &[
+                Pull(2, DEST, true),
+                // A repeat, another destination, an unknown key: no-ops.
+                Pull(2, DEST, false),
+                Pull(1, PartitionId(7), false),
+                Pull(9, DEST, false),
+                Fork,
+                Pump(0, &[(2, 0)], &[]),
+                Ack(2, 0),
+                Pump(1, &[(0, 0)], &[]),
+                // A settled move leaves the window and ignores a pull.
+                Retire(0, true),
+                Pull(0, DEST, false),
+                Pump(2, &[(1, 0)], &[]),
+                Retire(0, false),
+            ],
+        },
+        Case {
+            name: "giving up reverts, frees the place and keeps the data",
+            window: 1,
+            max_retries: 0,
+            keys: &[0, 1],
+            script: &[
+                Pump(0, &[(0, 0)], &[]),
+                Pump(201, &[(1, 0)], &[0]),
+                Pull(0, DEST, false),
+                Retire(0, true),
+                Retire(0, false),
+            ],
+        },
+    ];
+
     #[test]
-    fn giving_up_frees_the_slot_for_the_oldest_waiter() {
-        let cfg = config(1, 0, false);
-        let (mut s, deferred) = staged(&cfg, &[0, 1, 2], 1);
-        assert_eq!(deferred, [false, true, true]);
-        let (_, sent, reverts) = pump(&mut s, &cfg, at(0));
-        assert_eq!((sent, reverts), (vec![(0, 0)], vec![]));
-        // No retries allowed: the missed ack reverts key 0, and key 1 —
-        // deferred first — takes its slot within the same pump.
-        let (pumped, sent, reverts) = pump(&mut s, &cfg, at(200));
-        assert_eq!((sent, reverts), (vec![(1, 0)], vec![0]));
-        assert_eq!(pumped.released, 1);
-        // The given-up transfer keeps its data for the revert to reinstall,
-        // and holds no slot to pass on when it is dismantled.
-        let retired = s.retire(&cfg, (LocKey(0), VERSION)).expect("still in the outbox");
-        assert_eq!((retired.to, retired.released), (DEST, 0));
-        assert_eq!(retired.chunks, [vec![(VarId(0), Some(0))]]);
+    fn window_pull_and_give_up_cases() {
+        for case in CASES {
+            let cfg = config(case.window, case.max_retries, true);
+            let mut s = staged(&cfg, case.keys, 1);
+            for (n, step) in case.script.iter().enumerate() {
+                match *step {
+                    Pump(ms, sent, reverts) => {
+                        let (_, got, got_reverts) = pump(&mut s, &cfg, at(ms));
+                        assert_eq!(
+                            (&got[..], &got_reverts[..]),
+                            (sent, reverts),
+                            "{}: {n}",
+                            case.name
+                        );
+                    }
+                    Ack(k, chunk) => s.on_ack(&cfg, (LocKey(k), VERSION), chunk),
+                    Pull(k, to, honoured) => {
+                        assert_eq!(s.on_pull(LocKey(k), to), honoured, "{}: {n}", case.name);
+                    }
+                    Fork => s = s.clone(),
+                    Retire(k, present) => {
+                        let retired = s.retire((LocKey(k), VERSION)).map(|r| (r.to, r.chunks));
+                        let data = (DEST, vec![vec![(VarId(k * 10), Some(0))]]);
+                        assert_eq!(retired, present.then_some(data), "{}: {n}", case.name);
+                    }
+                }
+            }
+        }
     }
 }

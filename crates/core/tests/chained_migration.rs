@@ -82,7 +82,6 @@ struct RunOutcome {
     failed: u64,
     reverts: u64,
     chunk_retries: u64,
-    released: u64,
 }
 
 fn run_chained(seed: u64, secs: u64, trace: bool) -> RunOutcome {
@@ -157,14 +156,12 @@ fn run_chained_sharded(seed: u64, secs: u64, trace: bool, shards: u32) -> RunOut
             cluster.run_for(SimDuration::from_secs(1));
             let m = cluster.metrics();
             eprintln!(
-                "t={s:>2}s plans={} staged={} sent={} rtx={} reverts={} defer={} rel={} done={} failed={}",
+                "t={s:>2}s plans={} staged={} sent={} rtx={} reverts={} done={} failed={}",
                 m.counter(mn::PLANS_PUBLISHED),
                 m.counter(mn::MIGRATION_KEYS_STAGED),
                 m.counter(mn::MIGRATION_CHUNKS_SENT),
                 m.counter(mn::MIGRATION_CHUNK_RETRIES),
                 m.counter(mn::MIGRATION_REVERTS),
-                m.counter(mn::MIGRATION_DEFERRED),
-                m.counter(mn::MIGRATION_RELEASED),
                 m.counter(mn::CMD_COMPLETED),
                 m.counter(mn::CMD_FAILED),
             );
@@ -178,7 +175,6 @@ fn run_chained_sharded(seed: u64, secs: u64, trace: bool, shards: u32) -> RunOut
         failed: m.counter(mn::CMD_FAILED),
         reverts: m.counter(mn::MIGRATION_REVERTS),
         chunk_retries: m.counter(mn::MIGRATION_CHUNK_RETRIES),
-        released: m.counter(mn::MIGRATION_RELEASED),
         views: cluster.location_views(),
     }
 }
@@ -190,7 +186,6 @@ fn chained_moves_with_giveup_reverts_converge() {
     assert_eq!(out.failed, 0, "blackout must never surface client-visible errors");
     assert!(out.chunk_retries > 0, "blackout must force chunk retries");
     assert!(out.reverts > 0, "blackout must force give-up reverts");
-    assert!(out.released > 0, "the link scheduler must cycle slots");
 
     // Group convergence: within each group every live replica reports the
     // same key→partition view, byte for byte.
