@@ -174,7 +174,6 @@ pub(crate) fn build_hosts<A: Application>(
         let key = A::locality(v);
         let p = *placement
             .get(&key)
-            // detlint::allow(P003): build_hosts runs at test/bench setup, before any replica exists; a mis-specified fixture should fail fast
             .unwrap_or_else(|| panic!("initial var {v} has unplaced key {key}"));
         vars_by_part[p.0 as usize].push((v, val));
     }

@@ -197,11 +197,6 @@ impl ExecScheduler {
     #[inline]
     pub(super) fn gate(&mut self, head: Head<'_>, now: SimTime) -> SimTime {
         self.window.retain(|e| e.finish > now);
-        if self.cfg.workers <= 1 {
-            // Serial fast path: one clock (also charged by single-shipment
-            // migration transfers), no classification, no window.
-            return self.clocks[0];
-        }
         let Head::Access { id, attempt, sets } = head else {
             // Worker clocks only ever grow past window finish times, so
             // max(clocks) covers every in-flight command.

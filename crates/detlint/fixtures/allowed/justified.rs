@@ -27,3 +27,8 @@ fn branch(state: u32) {
         _ => unreachable!("caller dispatches on state"),
     }
 }
+
+fn driver() {
+    // detlint::allow(D006): this fixture stands in for a host driver that owns a real thread
+    std::thread::spawn(|| ());
+}

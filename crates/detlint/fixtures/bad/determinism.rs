@@ -46,6 +46,24 @@ fn pinned() -> HashMap<u32, u64, BuildHasherDefault<FxHasher>> {
     HashMap::with_hasher(BuildHasherDefault::default())
 }
 
+// Host IO: sockets, threads, channels, files and processes (D006), and
+// the imports that bring them in (D007). A crate's own `net` is not std's.
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::thread;
+use crate::net::NetConfig;
+
+fn host_io(pool: &Pool) {
+    let _ = TcpStream::connect("peer:1");
+    let _ = std::thread::spawn(|| ());
+    let _ = thread::Builder::new();
+    let (_tx, _rx) = mpsc::channel::<u8>();
+    let (_s, _r) = crossbeam::channel::unbounded();
+    let _ = std::fs::read("state");
+    pool.spawn(|| ());
+    std::process::exit(0);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

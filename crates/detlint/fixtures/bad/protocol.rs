@@ -1,5 +1,6 @@
 //! Fixture: one of every protocol-path panic hazard. Scanned with a
-//! protocol role; the golden pins the expected (line, rule) pairs.
+//! protocol role; the golden pins the expected (line, rule) pairs. P
+//! covers every non-test function of the file, handler or not.
 
 fn on_message(input: Option<u32>) -> u32 {
     input.unwrap()
@@ -37,4 +38,12 @@ fn checksum(buf: &[u8]) -> u8 {
 fn graceful_decode(buf: &[u8]) -> Option<u8> {
     // Negative case: `get` never panics, even inside a decode fn.
     buf.get(0).copied()
+}
+
+fn orphan_helper(state: u32) -> u32 {
+    // No handler calls this; a panic here is flagged all the same.
+    if state == 0 {
+        panic!("no state");
+    }
+    state
 }

@@ -1,5 +1,5 @@
-//! X-family fixture: helpers reachable from the exec-scheduler roots
-//! must not iterate unordered maps or capture shared mutable state.
+//! X-family fixture: no code of an exec-scheduler file may name an
+//! unordered map or shared mutable state, whoever calls it.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

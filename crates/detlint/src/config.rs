@@ -26,30 +26,16 @@ pub struct Config {
     pub decode_markers: Vec<String>,
     /// Files never scanned at all.
     pub skip: Vec<String>,
-    /// Files subject to IO-weld (W) rules: the protocol crates the
-    /// sans-IO refactor will carve out. Empty disables the family.
-    pub weld_scope: Vec<String>,
-    /// Files that *are* the IO facade: never welded, and calls into
-    /// them do not propagate welds.
-    pub weld_facade: Vec<String>,
     /// Names of the designated wire enums (T rules). Empty disables
     /// the family.
     pub wire_enums: Vec<String>,
     /// Exact names of handler functions whose wire-enum matches must
     /// be wildcard-free (T002).
     pub handler_fns: Vec<String>,
-    /// Exact names of protocol entry-point functions. When non-empty,
-    /// P rules fire only in functions reachable from an entry point
-    /// (or a decode function) in a protocol file; empty keeps the
-    /// per-file v1 behaviour of flagging everywhere.
-    pub protocol_entries: Vec<String>,
-    /// Root functions (`name` or `Owner::name`) of the exec-scheduler
-    /// determinism (X) analysis. Empty disables the family.
-    pub scheduler_roots: Vec<String>,
-    /// Files the scheduler roots must be declared in.
+    /// Files subject to exec-scheduler determinism (X) rules.
     pub scheduler_scope: Vec<String>,
     /// Files that are wholly test code (integration-test trees) —
-    /// exempt from D/P/W/X, and counted as coverage for T003.
+    /// exempt from D/P/X, and counted as coverage for T003.
     pub test_globs: Vec<String>,
     /// Line of each key in the `detlint.toml` that set it, so a finding
     /// about a list can point at it.
@@ -65,12 +51,8 @@ impl Default for Config {
             protocol: Vec::new(),
             decode_markers: Vec::new(),
             skip: Vec::new(),
-            weld_scope: Vec::new(),
-            weld_facade: Vec::new(),
             wire_enums: Vec::new(),
             handler_fns: Vec::new(),
-            protocol_entries: Vec::new(),
-            scheduler_roots: Vec::new(),
             scheduler_scope: Vec::new(),
             test_globs: Vec::new(),
             key_lines: Default::default(),
@@ -85,6 +67,7 @@ impl Default for Config {
 pub struct FileRole {
     pub sim: bool,
     pub protocol: bool,
+    pub sched: bool,
 }
 
 impl Config {
@@ -93,6 +76,7 @@ impl Config {
         FileRole {
             sim: self.sim.iter().any(|g| glob_match(g, path)),
             protocol: self.protocol.iter().any(|g| glob_match(g, path)),
+            sched: self.scheduler_scope.iter().any(|g| glob_match(g, path)),
         }
     }
 
@@ -104,21 +88,6 @@ impl Config {
     /// True when `fn_name` marks an on-wire decode function.
     pub fn is_decode_fn(&self, fn_name: &str) -> bool {
         self.decode_markers.iter().any(|m| fn_name.contains(m))
-    }
-
-    /// True when `path` is subject to W rules.
-    pub fn in_weld_scope(&self, path: &str) -> bool {
-        self.weld_scope.iter().any(|g| glob_match(g, path))
-    }
-
-    /// True when `path` is part of the IO facade.
-    pub fn is_weld_facade(&self, path: &str) -> bool {
-        self.weld_facade.iter().any(|g| glob_match(g, path))
-    }
-
-    /// True when `path` may declare scheduler roots.
-    pub fn in_scheduler_scope(&self, path: &str) -> bool {
-        self.scheduler_scope.iter().any(|g| glob_match(g, path))
     }
 
     /// True when `path` is wholly test code.
@@ -174,12 +143,8 @@ pub fn parse_config(text: &str, base: Config) -> Result<Config, ConfigError> {
             "protocol" => cfg.protocol = items,
             "decode_markers" => cfg.decode_markers = items,
             "skip" => cfg.skip = items,
-            "weld_scope" => cfg.weld_scope = items,
-            "weld_facade" => cfg.weld_facade = items,
             "wire_enums" => cfg.wire_enums = items,
             "handler_fns" => cfg.handler_fns = items,
-            "protocol_entries" => cfg.protocol_entries = items,
-            "scheduler_roots" => cfg.scheduler_roots = items,
             "scheduler_scope" => cfg.scheduler_scope = items,
             "test_globs" => cfg.test_globs = items,
             other => {
@@ -187,8 +152,7 @@ pub fn parse_config(text: &str, base: Config) -> Result<Config, ConfigError> {
                     line: n + 1,
                     message: format!(
                         "unknown key {other:?} (expected sim, protocol, decode_markers, skip, \
-                         weld_scope, weld_facade, wire_enums, handler_fns, protocol_entries, \
-                         scheduler_roots, scheduler_scope, test_globs)"
+                         wire_enums, handler_fns, scheduler_scope, test_globs)"
                     ),
                 })
             }
@@ -340,7 +304,8 @@ decode_markers = "decode"
     fn roles_resolve() {
         let cfg = Config::default();
         let r = cfg.role("crates/core/src/server/mod.rs");
-        assert!(r.sim && r.protocol);
+        assert!(r.sim && r.protocol && !r.sched);
+        assert!(cfg.role("crates/core/src/server/exec.rs").sched);
         let r = cfg.role("crates/core/src/command.rs");
         assert!(r.sim && !r.protocol);
         let r = cfg.role("crates/bench/src/lib.rs");

@@ -1,33 +1,33 @@
-//! The rule engine: token-sequence matching plus suppression
-//! bookkeeping for a single file.
+//! The rule engine: per-file token rules plus suppression bookkeeping.
 //!
-//! Per-file analysis is staged so the cross-file pipeline in
-//! [`crate::scan_sources`] can interleave:
+//! Every rule except wire totality (T) looks at one file's tokens and
+//! nothing else, scoped by one config key ([`Config::role`]): D over
+//! `sim`, P over `protocol`, X over `scheduler_scope`. A file is
+//! analysed in three stages:
 //!
 //! 1. **Test spans** ([`crate::parser::test_spans`]). Items under
 //!    `#[test]` / `#[cfg(test)]` are excluded wholesale — test-only
 //!    nondeterminism cannot perturb a replica, and test assertions
 //!    legitimately panic.
-//! 2. **Raw findings** ([`raw_findings`]). D rules run when the file
-//!    is simulation-facing, P rules when it is on a protocol path
-//!    (per [`Config::role`]).
-//! 3. **Finalize** ([`finalize`]). Cross-file findings (W/T/X, and
-//!    reachability-filtered P) are merged in by the caller, then
-//!    `// detlint::allow(RULE): why` directives are parsed (malformed
-//!    ones become S001/S003 findings), applied (line directives cover
-//!    their own line when trailing, else the next code line;
-//!    `allow-file` covers the whole file), and audited — every
-//!    directive must justify itself *and* be used, or it is itself a
-//!    finding (S001/S002).
+//! 2. **Raw findings** ([`raw_findings`]). At most one finding per
+//!    token and family.
+//! 3. **Finalize** ([`finalize`]). The whole-workspace scan merges the
+//!    file's T findings in first; then `// detlint::allow(RULE): why`
+//!    directives are parsed (malformed ones become S001/S003 findings),
+//!    applied (line directives cover their own line when trailing, else
+//!    the next code line; `allow-file` covers the whole file), and
+//!    audited — every directive must justify itself *and* be used, or
+//!    it is itself a finding (S001/S002).
 //!
-//! [`analyze`] composes the stages for a standalone single-file scan
-//! (no symbol table, so P rules fire everywhere and W/T/X not at
-//! all) — the mode fixtures and `--paths` pre-commit runs use.
+//! [`analyze`] composes the stages for one file on its own — what
+//! `--paths` / `--changed-only` and the fixtures run. It reports exactly
+//! what the whole-workspace scan reports for that file, except that it
+//! cannot run T and so leaves T directives unjudged.
 
 use crate::config::{Config, FileRole};
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::parser::{self, ident_at, is_punct, Span};
-use crate::rules;
+use crate::{rules, sched};
 
 /// One diagnostic.
 #[derive(Debug, Clone)]
@@ -64,47 +64,17 @@ struct Directive {
     used: Vec<bool>,
 }
 
-/// Hooks the cross-file pipeline threads into [`finalize`].
-pub(crate) struct FinalizeOpts<'a> {
-    /// Whether an *unused* directive for this rule id should fire
-    /// S002. Partial scans (`--paths`) cannot judge families they did
-    /// not run, so they pass a narrower predicate.
-    pub s002_check: &'a dyn Fn(&str) -> bool,
-    /// Extra explanation appended to an S002 message, given the
-    /// directive's target line and the unused rule id (the pipeline
-    /// notes e.g. that a P rule cannot fire in an unreachable fn).
-    pub s002_note: &'a dyn Fn(u32, &str) -> Option<String>,
-}
-
-pub(crate) const FULL_OPTS: FinalizeOpts<'static> =
-    FinalizeOpts { s002_check: &|_| true, s002_note: &|_, _| None };
-
-/// Analyzes one file's source standalone. `path` is
-/// workspace-relative with `/` separators; it selects the rule
-/// families via `config` and prefixes every finding.
+/// Analyzes one file's source on its own. `path` is workspace-relative
+/// with `/` separators; it selects the rule families via `config` and
+/// prefixes every finding.
 pub fn analyze(path: &str, src: &str, config: &Config) -> FileReport {
     let lexed = lex(src);
     let test_spans = parser::test_spans(&lexed.tokens);
     let raw = raw_findings(path, &lexed, config.role(path), config, &test_spans);
-    finalize(path, &lexed, &test_spans, raw, &FULL_OPTS)
+    finalize(path, &lexed, &test_spans, raw, false)
 }
 
-/// Analyzes one file in fast pre-commit mode (`--paths` /
-/// `--changed-only`): D rules and directive governance only. P rules
-/// are reachability-filtered in full scans, so flagging them per-file
-/// here would contradict CI; W/T/X need the symbol table outright.
-/// S002 accordingly stays quiet about directives those families own.
-pub fn analyze_partial(path: &str, src: &str, config: &Config) -> FileReport {
-    let lexed = lex(src);
-    let test_spans = parser::test_spans(&lexed.tokens);
-    let role = FileRole { sim: config.role(path).sim, protocol: false };
-    let raw = raw_findings(path, &lexed, role, config, &test_spans);
-    let opts =
-        FinalizeOpts { s002_check: &|id: &str| id.starts_with('D'), s002_note: &|_, _| None };
-    finalize(path, &lexed, &test_spans, raw, &opts)
-}
-
-/// Stage 2: the per-file token rules (D/P), unsuppressed.
+/// Stage 2: the per-file token rules (D/P/X), unsuppressed.
 pub(crate) fn raw_findings(
     path: &str,
     lexed: &Lexed,
@@ -112,21 +82,44 @@ pub(crate) fn raw_findings(
     config: &Config,
     test_spans: &[Span],
 ) -> Vec<Finding> {
-    let in_test = |line: u32| test_spans.iter().any(|s| s.contains(line));
+    let tokens = &lexed.tokens;
+    let decode_spans = if role.protocol { decode_fn_spans(tokens, config) } else { Vec::new() };
     let mut raw = Vec::new();
-    if role.sim || role.protocol {
-        scan_rules(path, lexed, role, config, &in_test, &mut raw);
+    // The `use` item `i` may be inside: the index of its `;`, and
+    // whether it names `std`.
+    let mut use_end = 0;
+    let mut use_std = false;
+    for i in 0..tokens.len() {
+        if ident_at(tokens, i) == Some("use") {
+            use_end = (i..tokens.len()).find(|&j| is_punct(tokens, j, ";")).unwrap_or(i);
+            use_std = (i..use_end).any(|j| ident_at(tokens, j) == Some("std"));
+        }
+        let line = tokens[i].line;
+        if test_spans.iter().any(|s| s.contains(line)) {
+            continue;
+        }
+        let in_use = (i < use_end).then_some(use_std);
+        let in_decode = || decode_spans.iter().any(|s| s.contains(line));
+        let hits = [
+            role.sim.then(|| determinism(tokens, i, in_use)).flatten(),
+            role.protocol.then(|| protocol(tokens, i, in_decode)).flatten(),
+            role.sched.then(|| sched::finding(tokens, i)).flatten(),
+        ];
+        for (rule, message) in hits.into_iter().flatten() {
+            push(&mut raw, path, line, rule, message);
+        }
     }
     raw
 }
 
-/// Stage 3: suppression resolution over the merged finding set.
+/// Stage 3: suppression resolution over the merged finding set. Only a
+/// scan that ran T (`judge_t`) may call a T directive unused.
 pub(crate) fn finalize(
     path: &str,
     lexed: &Lexed,
     test_spans: &[Span],
     mut raw: Vec<Finding>,
-    opts: &FinalizeOpts<'_>,
+    judge_t: bool,
 ) -> FileReport {
     let in_test = |line: u32| test_spans.iter().any(|s| s.contains(line));
     // Two path prefixes can both flag e.g. `std::env::var` (once as
@@ -163,14 +156,10 @@ pub(crate) fn finalize(
     // Unused directives are findings themselves.
     for d in &directives {
         for (i, id) in d.ids.iter().enumerate() {
-            if d.used[i] || !(opts.s002_check)(id) {
+            if d.used[i] || (!judge_t && id.starts_with('T')) {
                 continue;
             }
-            let target = if d.file_scope { d.line } else { d.target_line };
-            let mut message = format!("directive allows {id} but suppresses nothing");
-            if let Some(note) = (opts.s002_note)(target, id) {
-                message.push_str(&format!(" ({note})"));
-            }
+            let message = format!("directive allows {id} but suppresses nothing");
             push(&mut report.findings, path, d.line, "S002", message);
         }
     }
@@ -193,128 +182,78 @@ pub(crate) fn push(
 }
 
 // ---------------------------------------------------------------------------
-// Rule scanning.
+// Token rules.
 // ---------------------------------------------------------------------------
 
-fn scan_rules(
-    path: &str,
-    lexed: &Lexed,
-    role: FileRole,
-    config: &Config,
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    let tokens = &lexed.tokens;
-    let decode_spans = if role.protocol { decode_fn_spans(tokens, config) } else { Vec::new() };
+/// The D finding at token `i`, if any. `in_use` is `Some(names std)`
+/// while `i` is inside a `use` item. The first matching arm wins, so a
+/// token is reported once.
+fn determinism(tokens: &[Token], i: usize, in_use: Option<bool>) -> Option<(&'static str, String)> {
+    let id = ident_at(tokens, i)?;
+    let next = if is_punct(tokens, i + 1, "::") { ident_at(tokens, i + 2) } else { None };
+    let call = is_punct(tokens, i + 1, "(");
+    Some(match (id, next) {
+        ("Instant" | "SystemTime", _) => ("D001", format!("`{id}` is wall-clock time")),
+        ("thread_rng" | "OsRng" | "from_entropy" | "getrandom", _) => {
+            ("D002", format!("`{id}` draws OS entropy"))
+        }
+        ("std", Some("env")) => ("D003", "`std::env` read".to_string()),
+        ("env", Some("var" | "var_os" | "vars" | "vars_os" | "args" | "args_os")) => {
+            ("D003", "`env::*` read".to_string())
+        }
+        ("thread", Some("sleep")) => ("D004", "`thread::sleep` blocks on wall time".to_string()),
+        ("HashMap" | "HashSet", _) if !randomstate_exempt(tokens, i) => (
+            "D005",
+            format!("`{id}` with default `RandomState` (iteration order varies per process)"),
+        ),
+        ("TcpStream" | "TcpListener" | "UdpSocket", _) => {
+            ("D006", format!("`{id}` is a host socket"))
+        }
+        ("thread", Some(m @ ("spawn" | "Builder"))) => {
+            ("D006", format!("`thread::{m}` starts an OS thread"))
+        }
+        ("fs" | "process" | "mpsc", Some(_)) => ("D006", format!("`{id}::*` reaches the host")),
+        ("unbounded" | "bounded", _) if call => ("D006", format!("`{id}()` builds a channel")),
+        ("spawn", _) if call && i > 0 && is_punct(tokens, i - 1, ".") => {
+            ("D006", "`.spawn()` starts a task off the simulator".to_string())
+        }
+        ("net" | "fs" | "process" | "thread", _) if in_use == Some(true) => {
+            ("D007", format!("`std::{id}` import"))
+        }
+        ("mpsc" | "crossbeam", _) if in_use.is_some() => ("D007", format!("`{id}` import")),
+        _ => return None,
+    })
+}
 
-    for i in 0..tokens.len() {
-        let line = tokens[i].line;
-        if in_test(line) {
-            continue;
-        }
-        if role.sim {
-            if let Some(id) = ident_at(tokens, i) {
-                match id {
-                    "Instant" | "SystemTime" => {
-                        push(out, path, line, "D001", format!("`{id}` is wall-clock time"));
-                    }
-                    "thread_rng" | "OsRng" | "from_entropy" | "getrandom" => {
-                        push(out, path, line, "D002", format!("`{id}` draws OS entropy"));
-                    }
-                    "std"
-                        if is_punct(tokens, i + 1, "::")
-                            && ident_at(tokens, i + 2) == Some("env") =>
-                    {
-                        push(out, path, line, "D003", "`std::env` read".to_string());
-                    }
-                    "env"
-                        if is_punct(tokens, i + 1, "::")
-                            && matches!(
-                                ident_at(tokens, i + 2),
-                                Some("var" | "var_os" | "vars" | "vars_os" | "args" | "args_os")
-                            ) =>
-                    {
-                        push(out, path, line, "D003", "`env::*` read".to_string());
-                    }
-                    "thread"
-                        if is_punct(tokens, i + 1, "::")
-                            && ident_at(tokens, i + 2) == Some("sleep") =>
-                    {
-                        push(
-                            out,
-                            path,
-                            line,
-                            "D004",
-                            "`thread::sleep` blocks on wall time".to_string(),
-                        );
-                    }
-                    "HashMap" | "HashSet" if !randomstate_exempt(tokens, i) => {
-                        push(
-                            out,
-                            path,
-                            line,
-                            "D005",
-                            format!("`{id}` with default `RandomState` (iteration order varies per process)"),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if role.protocol {
-            if is_punct(tokens, i, ".") && is_punct(tokens, i + 2, "(") {
-                match ident_at(tokens, i + 1) {
-                    Some("unwrap") => {
-                        push(
-                            out,
-                            path,
-                            line,
-                            "P001",
-                            "`.unwrap()` can panic a replica".to_string(),
-                        );
-                    }
-                    Some("expect") => {
-                        push(
-                            out,
-                            path,
-                            line,
-                            "P002",
-                            "`.expect()` can panic a replica".to_string(),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(id @ ("panic" | "unreachable" | "todo" | "unimplemented")) =
-                ident_at(tokens, i)
-            {
-                if is_punct(tokens, i + 1, "!") {
-                    push(out, path, line, "P003", format!("`{id}!` aborts the replica"));
-                }
-            }
-            // Index expression: `[` directly preceded by a value-ish
-            // token, inside a decode fn. (`vec![…]` and `#[…]` are not
-            // index expressions: their `[` follows `!` / `#`.)
-            let prev_is_value = i > 0
-                && match &tokens[i - 1].kind {
-                    TokKind::Ident(_) => true,
-                    TokKind::Punct(p) => p == ")" || p == "]",
-                    _ => false,
-                };
-            if is_punct(tokens, i, "[")
-                && prev_is_value
-                && decode_spans.iter().any(|s| s.contains(line))
-            {
-                push(
-                    out,
-                    path,
-                    line,
-                    "P004",
-                    "indexing in a decode fn panics on short/garbled input".to_string(),
-                );
-            }
-        }
+/// The P finding at token `i`, if any; `in_decode` says whether `i` is
+/// inside a decode-marker function (P004).
+fn protocol(
+    tokens: &[Token],
+    i: usize,
+    in_decode: impl Fn() -> bool,
+) -> Option<(&'static str, String)> {
+    if is_punct(tokens, i, ".") && is_punct(tokens, i + 2, "(") {
+        return match ident_at(tokens, i + 1)? {
+            "unwrap" => Some(("P001", "`.unwrap()` can panic a replica".to_string())),
+            "expect" => Some(("P002", "`.expect()` can panic a replica".to_string())),
+            _ => None,
+        };
     }
+    if let Some(id @ ("panic" | "unreachable" | "todo" | "unimplemented")) = ident_at(tokens, i) {
+        return is_punct(tokens, i + 1, "!")
+            .then(|| ("P003", format!("`{id}!` aborts the replica")));
+    }
+    // Index expression: `[` directly preceded by a value-ish token.
+    // (`vec![…]` and `#[…]` are not index expressions: their `[`
+    // follows `!` / `#`.)
+    let prev_is_value = i > 0
+        && match &tokens[i - 1].kind {
+            TokKind::Ident(_) => true,
+            TokKind::Punct(p) => p == ")" || p == "]",
+            _ => false,
+        };
+    (is_punct(tokens, i, "[") && prev_is_value && in_decode())
+        .then(|| ("P004", "indexing in a decode fn panics on short/garbled input".to_string()))
 }
 
 /// True when a `HashMap`/`HashSet` mention at `i` explicitly names a

@@ -6,17 +6,18 @@
 //! scan scope.
 //!
 //! The analyzer is a hand-rolled lexer ([`lexer`]), an item-level
-//! parser ([`parser`]), a workspace symbol table ([`symbols`]) with a
-//! call graph ([`callgraph`]), and a rule engine ([`engine`]) — no
-//! syn, no regex, no dependencies — so it builds in well under a
-//! second and runs first in CI. Six rule families ([`rules`]):
-//! **D** determinism hazards in simulation-facing crates, **P** panic
-//! hazards on protocol message paths (reachability-filtered to
-//! protocol entry points in full scans), **W** IO-weld boundary
-//! violations ([`weld`]), **T** wire-enum totality ([`totality`]), **X** exec-scheduler
-//! determinism ([`sched`]), and **S** governance: of
-//! `// detlint::allow(RULE): why` directives, and of the function names
-//! `detlint.toml` designates (one that matches nothing is a finding).
+//! parser ([`parser`]) and a rule engine ([`engine`]) — no syn, no
+//! regex, no dependencies — so it builds in well under a second and runs
+//! first in CI. Every rule family but one is a per-file token rule
+//! scoped by one config key, so a file gets the same verdict whether the
+//! whole workspace or only that file is scanned ([`rules`]): **D**
+//! determinism and host-IO hazards in simulation-facing crates (`sim`),
+//! **P** panic hazards in protocol files (`protocol`), **X**
+//! exec-scheduler determinism ([`sched`], `scheduler_scope`). **T**
+//! wire-enum totality ([`totality`]) is the one cross-file family. **S**
+//! governs `// detlint::allow(RULE): why` directives, and the handler
+//! names `detlint.toml` designates (one that matches nothing is a
+//! finding).
 //!
 //! ```
 //! use detlint::{analyze, Config};
@@ -33,7 +34,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod config;
 pub mod engine;
 pub mod lexer;
@@ -41,9 +41,7 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod sched;
-pub mod symbols;
 pub mod totality;
-pub mod weld;
 
 use std::path::{Path, PathBuf};
 
@@ -51,7 +49,9 @@ pub use config::{parse_config, Config};
 pub use engine::{analyze, FileReport, Finding};
 pub use report::Stats;
 
-use symbols::{SourceFile, SymbolTable};
+use config::FileRole;
+use lexer::{lex, Lexed};
+use parser::{ParsedFile, Span};
 
 /// A whole-workspace scan result.
 #[derive(Debug, Default)]
@@ -98,151 +98,68 @@ pub fn collect_files(root: &Path, config: &Config) -> std::io::Result<Vec<String
     Ok(out)
 }
 
-/// The cross-file pipeline over an in-memory `(path, source)` set:
-/// parse everything, build the symbol table and call graph, run the
-/// per-file D/P rules (P filtered to protocol-entry reachability when
-/// `protocol_entries` is configured), run the cross-file W/T/X
-/// families, then resolve suppressions per file so a directive can
+/// One loaded source file, parsed and role-tagged.
+pub(crate) struct SourceFile {
+    /// Workspace-relative `/`-separated path.
+    pub path: String,
+    pub lexed: Lexed,
+    pub parsed: ParsedFile,
+    pub test_spans: Vec<Span>,
+    pub role: FileRole,
+    /// Whole file is test code (integration-test trees).
+    pub is_test_file: bool,
+}
+
+impl SourceFile {
+    fn load(path: &str, src: &str, config: &Config) -> SourceFile {
+        let lexed = lex(src);
+        SourceFile {
+            path: path.to_string(),
+            role: config.role(path),
+            is_test_file: config.is_test_file(path),
+            test_spans: parser::test_spans(&lexed.tokens),
+            parsed: parser::parse(&lexed),
+            lexed,
+        }
+    }
+
+    /// True when `line` is inside test code (a `#[test]`/`#[cfg(test)]`
+    /// span, or anywhere in a test-tree file).
+    pub fn in_test(&self, line: u32) -> bool {
+        self.is_test_file || self.test_spans.iter().any(|s| s.contains(line))
+    }
+}
+
+/// The whole-workspace pipeline over an in-memory `(path, source)` set:
+/// the cross-file T family over every file, then each file's own D/P/X
+/// token rules, with suppressions resolved per file so a directive can
 /// govern any family's finding.
 pub fn scan_sources(sources: &[(String, String)], config: &Config) -> ScanReport {
     let files: Vec<SourceFile> =
         sources.iter().map(|(p, s)| SourceFile::load(p, s, config)).collect();
-    let syms = SymbolTable::build(&files);
-    let graph = callgraph::CallGraph::build(&files, &syms);
-
-    // Protocol-entry reachability for the P family.
-    let p_reach = if config.protocol_entries.is_empty() {
-        None
-    } else {
-        let mut roots = Vec::new();
-        for (id, f) in syms.fns.iter().enumerate() {
-            if !files[f.file].role.protocol || f.item.is_test {
-                continue;
-            }
-            if config.protocol_entries.iter().any(|e| e == &f.item.name)
-                || config.is_decode_fn(&f.item.name)
-            {
-                roots.push(id);
-            }
-        }
-        Some(callgraph::reachable(&graph, &roots))
-    };
-
-    // Per-file raw findings, P-filtered.
-    let mut per_file: Vec<Vec<Finding>> = Vec::with_capacity(files.len());
-    for (fi, file) in files.iter().enumerate() {
+    let mut cross = Vec::new();
+    if !config.wire_enums.is_empty() {
+        totality::run(&files, config, &mut cross);
+    }
+    let mut report = ScanReport::default();
+    for file in &files {
+        let (mine, rest): (Vec<Finding>, Vec<Finding>) =
+            cross.into_iter().partition(|f| f.file == file.path);
+        cross = rest;
         let mut raw =
             engine::raw_findings(&file.path, &file.lexed, file.role, config, &file.test_spans);
-        if let Some(reach) = &p_reach {
-            raw.retain(|f| {
-                if !f.rule.starts_with('P') {
-                    return true;
-                }
-                match syms.fn_at(fi, f.line) {
-                    Some(fid) => reach[fid],
-                    None => true, // outside any fn: keep
-                }
-            });
-        }
-        per_file.push(raw);
-    }
-
-    // Cross-file families.
-    let mut cross = Vec::new();
-    if !config.weld_scope.is_empty() {
-        weld::run(&files, &syms, &graph, config, &mut cross);
-    }
-    if !config.wire_enums.is_empty() {
-        totality::run(&files, &syms, config, &mut cross);
-    }
-    if !config.scheduler_roots.is_empty() {
-        sched::run(&files, &syms, &graph, config, &mut cross);
-    }
-    let index_of: std::collections::BTreeMap<&str, usize> =
-        files.iter().enumerate().map(|(i, f)| (f.path.as_str(), i)).collect();
-    for f in cross {
-        if let Some(&fi) = index_of.get(f.file.as_str()) {
-            per_file[fi].push(f);
-        }
-    }
-
-    // Finalize each file: suppression + governance, with reachability
-    // notes on stale P directives.
-    let mut report = ScanReport::default();
-    for (fi, file) in files.iter().enumerate() {
-        let note = |target_line: u32, rule: &str| -> Option<String> {
-            if !rule.starts_with('P') || p_reach.is_none() {
-                return None;
-            }
-            let fid = syms.fn_at(fi, target_line)?;
-            if p_reach.as_ref().is_some_and(|r| !r[fid]) {
-                let name = &syms.fns[fid].item.name;
-                Some(format!(
-                    "fn `{name}` is not reachable from any protocol entry point, so P rules cannot fire here"
-                ))
-            } else {
-                None
-            }
-        };
-        let opts = engine::FinalizeOpts { s002_check: &|_| true, s002_note: &note };
-        let fr = engine::finalize(
-            &file.path,
-            &file.lexed,
-            &file.test_spans,
-            std::mem::take(&mut per_file[fi]),
-            &opts,
-        );
+        raw.extend(mine);
+        let fr = engine::finalize(&file.path, &file.lexed, &file.test_spans, raw, true);
         report.stats.files_scanned += 1;
         report.stats.suppressed += fr.suppressed;
         report.stats.directives += fr.directives;
         report.findings.extend(fr.findings);
     }
-    report.findings.extend(unresolved_names(&files, &syms, config));
+    // What no scanned file claims is about `detlint.toml` (S004), which
+    // no directive can govern.
+    report.findings.extend(cross);
     report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
-}
-
-/// S004: every function a name list of the config designates must exist
-/// where its family looks for it — a root that a rename left behind
-/// would otherwise shrink the X cone, the P entry cone or the T handler
-/// set without a word. A family that is switched off (no scheduler roots,
-/// no protocol file, no wire enum) is not judged.
-fn unresolved_names(files: &[SourceFile], syms: &SymbolTable, config: &Config) -> Vec<Finding> {
-    let live = |name: &str, in_file: &dyn Fn(&SourceFile) -> bool| {
-        syms.by_name.get(name).is_some_and(|ids| {
-            ids.iter().any(|&id| !syms.fns[id].item.is_test && in_file(&files[syms.fns[id].file]))
-        })
-    };
-    let mut missing: Vec<(&str, &String)> = Vec::new();
-    for spec in &config.scheduler_roots {
-        let found = syms
-            .resolve_spec(spec)
-            .iter()
-            .any(|&id| config.in_scheduler_scope(&files[syms.fns[id].file].path));
-        if !found {
-            missing.push(("scheduler_roots", spec));
-        }
-    }
-    if files.iter().any(|f| f.role.protocol) {
-        let absent = |name: &&String| !live(name, &|f| f.role.protocol);
-        missing
-            .extend(config.protocol_entries.iter().filter(absent).map(|n| ("protocol_entries", n)));
-    }
-    if !config.wire_enums.is_empty() {
-        let absent = |name: &&String| !live(name, &|_| true);
-        missing.extend(config.handler_fns.iter().filter(absent).map(|n| ("handler_fns", n)));
-    }
-    let info = rules::rule("S004").expect("known rule id");
-    missing
-        .into_iter()
-        .map(|(key, name)| Finding {
-            file: "detlint.toml".to_string(),
-            line: config.key_lines.get(key).copied().unwrap_or(0),
-            rule: info.id,
-            message: format!("`{key}` entry {name:?} matches no function"),
-            hint: info.hint,
-        })
-        .collect()
 }
 
 /// Scans the workspace rooted at `root` with `config`.

@@ -1,19 +1,18 @@
 //! detlint CLI.
 //!
 //! ```text
-//! cargo run -p detlint                   # full cross-file scan, exit 1 on findings
+//! cargo run -p detlint                   # whole-workspace scan, exit 1 on findings
 //! cargo run -p detlint -- --format json  # machine-readable, for CI
-//! cargo run -p detlint -- --paths crates/core/src/oracle.rs   # fast per-file scan
-//! cargo run -p detlint -- --changed-only                      # fast scan of git-dirty files
+//! cargo run -p detlint -- --paths crates/core/src/oracle   # scan the matching files only
+//! cargo run -p detlint -- --changed-only                   # scan the git-dirty files only
 //! cargo run -p detlint -- --list-rules
 //! ```
 //!
-//! `--paths`/`--changed-only` run the *per-file* engine only: D rules
-//! and directive governance, in milliseconds, without re-lexing the
-//! workspace. Cross-file families (P reachability, W/T/X) need the
-//! whole symbol table, so partial scans skip them and keep S002 quiet
-//! about directives those families own — the full CI scan is the
-//! authority.
+//! `--paths`/`--changed-only` scan only the named files, in
+//! milliseconds. D, P and X are per-file rules, so a partial scan
+//! reports exactly what the full scan reports for those files. Only
+//! wire totality (T) needs every file: a partial scan skips it and
+//! leaves T directives unjudged.
 //!
 //! Exit codes: 0 clean, 1 diagnostics reported, 2 usage/IO error.
 
@@ -23,8 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use detlint::{
-    collect_files, config::glob_match, engine::analyze_partial, find_workspace_root, load_config,
-    parse_config, report, rules, scan_workspace, Stats,
+    analyze, collect_files, config::glob_match, find_workspace_root, load_config, parse_config,
+    report, rules, scan_workspace, Stats,
 };
 
 const USAGE: &str = "\
@@ -38,9 +37,9 @@ OPTIONS:
     --root <dir>        workspace root (default: nearest ancestor with [workspace])
     --config <file>     detlint config (default: <root>/detlint.toml if present)
     --format <fmt>      output format: human (default) or json
-    --paths <globs>     fast per-file scan of matching files only (D + governance;
-                        repeatable, comma-separated; cross-file families skipped)
-    --changed-only      fast per-file scan of files reported dirty by git
+    --paths <globs>     scan matching files only (repeatable, comma-separated):
+                        D, P, X and governance as in a full scan; T skipped
+    --changed-only      the same, over the files git reports dirty
     --list-rules        print the rule catalog and exit
     --help              this text
 ";
@@ -133,7 +132,7 @@ fn run() -> Result<bool, String> {
                 continue;
             }
             let src = std::fs::read_to_string(root.join(&rel)).map_err(|e| e.to_string())?;
-            let fr = analyze_partial(&rel, &src, &config);
+            let fr = analyze(&rel, &src, &config);
             stats.files_scanned += 1;
             stats.suppressed += fr.suppressed;
             stats.directives += fr.directives;

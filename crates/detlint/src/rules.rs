@@ -1,18 +1,21 @@
 //! The rule catalog: ids, one-line titles, and fix hints.
 //!
-//! Three families (DESIGN.md §6 carries the long-form rationale):
+//! Five families (DESIGN.md §6 carries the long-form rationale):
 //!
 //! * **D — determinism hazards.** The simulation's correctness story
 //!   (linearizability checks, the golden FNV-1a delivered-command
 //!   hash, bit-identical parallel sweeps) requires every replica-side
 //!   computation to be a pure function of the seed. Wall clocks, OS
-//!   entropy, environment reads and randomly-keyed hash containers
-//!   all smuggle per-process state into that function.
+//!   entropy, environment reads, randomly-keyed hash containers and
+//!   host IO (sockets, threads, channels, files) all smuggle
+//!   per-process state into that function.
 //! * **P — protocol-handler hygiene.** Message-delivery and on-wire
 //!   decode paths run against peer-controlled input under the nemesis
 //!   (crashes, replays, reordering). A `panic!` there takes down a
 //!   replica; the protocol is designed to degrade by dropping and
 //!   counting instead.
+//! * **X — exec-scheduler determinism** ([`crate::sched`]) and **T —
+//!   wire-enum totality** ([`crate::totality`]).
 //! * **S — suppression governance.** Findings are silenced only by an
 //!   inline `// detlint::allow(<rule>): <justification>` directive;
 //!   the justification is mandatory and unused directives are errors,
@@ -55,6 +58,16 @@ pub const RULES: &[RuleInfo] = &[
         hint: "use `runtime::hash::{FastHashMap,FastHashSet}` or a `BTreeMap`, and sort before any effect-emitting iteration",
     },
     RuleInfo {
+        id: "D006",
+        title: "host IO (sockets, `thread::spawn`/`Builder`, `fs::`/`process::`/`mpsc::`, channel constructors, `.spawn()`) in simulation-facing code",
+        hint: "model it as a simulated message, timer or actor; the simulator is the only thing that runs the hosts",
+    },
+    RuleInfo {
+        id: "D007",
+        title: "host-IO module import (`std::{net,fs,process,thread}`, `mpsc`, `crossbeam`) in simulation-facing code",
+        hint: "drop the import; simulation-facing code reaches the host only through the simulator",
+    },
+    RuleInfo {
         id: "P001",
         title: "`.unwrap()` on a protocol message-delivery/decode path",
         hint: "degrade gracefully: drop the message, bump a counter, and let retransmission recover",
@@ -75,21 +88,6 @@ pub const RULES: &[RuleInfo] = &[
         hint: "use `get(..)`/`split_at_checked`/`try_into` with an error path; wire input controls these offsets",
     },
     RuleInfo {
-        id: "W001",
-        title: "direct IO-primitive use in a protocol-crate function (weld to the host environment)",
-        hint: "route clocks/spawning/channels/entropy through the runtime facade, or move the IO into a driver outside the weld scope",
-    },
-    RuleInfo {
-        id: "W002",
-        title: "protocol-crate function transitively reaches an IO weld through the call graph",
-        hint: "cut the weld in the named callee, or invert the dependency so IO stays behind the runtime facade",
-    },
-    RuleInfo {
-        id: "W003",
-        title: "IO-module import (`std::{net,fs,process,thread}`, `mpsc`, `crossbeam`, wall-clock types) in a protocol crate",
-        hint: "import the runtime facade instead; IO types in signatures weld the protocol core to one host environment",
-    },
-    RuleInfo {
         id: "T001",
         title: "wire-enum variant never constructed or matched in non-test code",
         hint: "dead protocol surface: remove the variant or wire up its send path",
@@ -106,12 +104,12 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "X001",
-        title: "unordered hash container in an exec-scheduler-reachable function",
+        title: "unordered hash container in exec-scheduler code",
         hint: "scheduler decisions must not depend on hash-iteration order; use Vec/VecDeque/BTreeMap",
     },
     RuleInfo {
         id: "X002",
-        title: "shared-mutability primitive in an exec-scheduler-reachable function",
+        title: "shared-mutability primitive in exec-scheduler code",
         hint: "thread scheduler state through &mut self; shared mutable state breaks replica bit-identity",
     },
     RuleInfo {
@@ -131,8 +129,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "S004",
-        title: "`detlint.toml` names a function that does not exist",
-        hint: "fix or delete the entry: a root that resolves to nothing silently shrinks what its rule family scans",
+        title: "`detlint.toml` names a handler function that does not exist",
+        hint: "fix or delete the entry: a handler name that resolves to nothing silently shrinks what T002 checks",
     },
 ];
 

@@ -3,7 +3,7 @@
 //! A wire variant nobody constructs is dead protocol surface; a
 //! handler match with a wildcard arm silently swallows variants added
 //! later; a variant no test ever mentions has an uncovered decode
-//! path. With the symbol table these become checkable:
+//! path. Across the scanned file set these become checkable:
 //!
 //! * **T001** — a declared variant of a designated wire enum has no
 //!   qualified `Enum::Variant` mention anywhere in non-test code.
@@ -18,6 +18,11 @@
 //! glob-imported bare variant names are invisible, which this
 //! workspace's style (no enum glob imports on protocol paths) makes
 //! acceptable.
+//!
+//! T is the one cross-file family, so it also owns the one config check
+//! that needs the whole file set: a `handler_fns` entry that names no
+//! non-test function anywhere is **S004** — a rename would otherwise
+//! shrink the T002 handler set silently.
 
 use std::collections::BTreeMap;
 
@@ -25,18 +30,33 @@ use crate::config::Config;
 use crate::engine::{push, Finding};
 use crate::lexer::Token;
 use crate::parser::{ident_at, is_punct, match_braces};
-use crate::symbols::{SourceFile, SymbolTable};
+use crate::SourceFile;
 
-pub fn run(files: &[SourceFile], syms: &SymbolTable, config: &Config, out: &mut Vec<Finding>) {
+pub(crate) fn run(files: &[SourceFile], config: &Config, out: &mut Vec<Finding>) {
+    let live_fns = || {
+        files.iter().flat_map(|file| {
+            file.parsed.fns.iter().filter(|f| !file.in_test(f.line)).map(move |f| (file, f))
+        })
+    };
+    for name in &config.handler_fns {
+        if !live_fns().any(|(_, f)| &f.name == name) {
+            let line = config.key_lines.get("handler_fns").copied().unwrap_or(0);
+            let message = format!("`handler_fns` entry {name:?} matches no function");
+            push(out, "detlint.toml", line, "S004", message);
+        }
+    }
+
     // Designated enums: name → (file, line-per-variant).
     let mut variants: BTreeMap<&str, BTreeMap<&str, (usize, u32)>> = BTreeMap::new();
-    for (fi, e) in &syms.enums {
-        if e.is_test || !config.wire_enums.iter().any(|w| w == &e.name) {
-            continue;
-        }
-        let entry = variants.entry(e.name.as_str()).or_default();
-        for v in &e.variants {
-            entry.entry(v.name.as_str()).or_insert((*fi, v.line));
+    for (fi, file) in files.iter().enumerate() {
+        for e in &file.parsed.enums {
+            if file.in_test(e.line) || !config.wire_enums.contains(&e.name) {
+                continue;
+            }
+            let entry = variants.entry(e.name.as_str()).or_default();
+            for v in &e.variants {
+                entry.entry(v.name.as_str()).or_insert((fi, v.line));
+            }
         }
     }
     if variants.is_empty() {
@@ -80,17 +100,13 @@ pub fn run(files: &[SourceFile], syms: &SymbolTable, config: &Config, out: &mut 
     }
 
     // T002: wildcard arms in designated-handler matches over these enums.
-    for f in &syms.fns {
-        if f.item.is_test || !config.handler_fns.iter().any(|h| h == &f.item.name) {
-            continue;
-        }
-        let file = &files[f.file];
+    for (file, f) in live_fns().filter(|(_, f)| config.handler_fns.contains(&f.name)) {
         scan_handler_matches(
             &file.lexed.tokens,
-            f.item.body.clone(),
+            f.body.clone(),
             &variants,
             &file.path,
-            &f.item.name,
+            &f.name,
             out,
         );
     }

@@ -12,7 +12,9 @@ use detlint::{analyze, parse_config, Config};
 
 /// Fixture scan roles, mirroring how detlint.toml assigns the live
 /// tree's roles. `clean.rs` and `justified.rs` get BOTH roles so they
-/// prove cleanliness against every rule family at once.
+/// prove cleanliness against every rule family at once. No wire enum is
+/// designated, so a whole-workspace scan of a fixture runs the same
+/// rules as a scan of that file alone.
 fn fixture_config() -> Config {
     let toml = r#"
 sim = [
@@ -27,6 +29,7 @@ protocol = [
     "fixtures/allowed/justified.rs",
 ]
 skip = []
+wire_enums = []
 "#;
     parse_config(toml, Config::default()).expect("fixture config parses")
 }
@@ -84,8 +87,8 @@ fn clean_fixture_is_clean() {
 fn justified_fixture_is_suppressed_clean() {
     let report = scan("fixtures/allowed/justified.rs");
     assert!(report.findings.is_empty(), "unexpected findings: {:?}", report.findings);
-    assert!(report.suppressed >= 4, "expected several suppressed findings");
-    assert_eq!(report.directives, 4);
+    assert!(report.suppressed >= 5, "expected several suppressed findings");
+    assert_eq!(report.directives, 5);
 }
 
 /// The governance property end to end: every directive in the allowed
@@ -102,7 +105,7 @@ fn deleting_any_suppression_fails_the_scan() {
         .filter(|(_, l)| l.trim_start().starts_with("// detlint::allow"))
         .map(|(i, _)| i)
         .collect();
-    assert_eq!(directive_lines.len(), 4, "fixture should carry 4 directives");
+    assert_eq!(directive_lines.len(), 5, "fixture should carry 5 directives");
     for &del in &directive_lines {
         let edited: String = src
             .lines()
@@ -120,10 +123,25 @@ fn deleting_any_suppression_fails_the_scan() {
     }
 }
 
+/// `--paths` / `--changed-only` run [`analyze`] per file; CI runs the
+/// whole-workspace scan. Both must give a file the same verdict.
+#[test]
+fn per_file_scan_matches_the_full_scan() {
+    for rel in ["fixtures/bad/protocol.rs", "fixtures/bad/determinism.rs"] {
+        let row = |f: &detlint::Finding| format!("{} {} {} {}", f.file, f.line, f.rule, f.message);
+        let alone: Vec<String> = scan(rel).findings.iter().map(row).collect();
+        let sources = [(rel.to_string(), fixture_src(rel))];
+        let full = detlint::scan_sources(&sources, &fixture_config());
+        let full: Vec<String> = full.findings.iter().map(row).collect();
+        assert!(!alone.is_empty());
+        assert_eq!(alone, full, "{rel}: per-file and full scans disagree");
+    }
+}
+
 // ---------------------------------------------------------------
-// Cross-file rule families (W / T / X / P-reachability). Each family
-// scans its own fixture set with a config that enables only that
-// family, and pins a `file line rule` golden.
+// Fixture sets scanned whole (T, and X through the same pipeline),
+// each with a config that enables only its family and a
+// `file line rule` golden.
 // ---------------------------------------------------------------
 
 /// Scans a fixture set with a family-specific config. Keys absent from
@@ -153,28 +171,9 @@ fn check_set_golden(report: &detlint::ScanReport, golden_rel: &str) {
     );
 }
 
-const WELD_TOML: &str = r#"
-sim = []
-protocol = []
-wire_enums = []
-scheduler_roots = []
-weld_scope = ["fixtures/weld/**"]
-weld_facade = ["fixtures/weld/facade.rs"]
-"#;
-
-#[test]
-fn weld_fixture_matches_golden() {
-    let report = scan_set(&["fixtures/weld/core.rs", "fixtures/weld/facade.rs"], WELD_TOML);
-    check_set_golden(&report, "fixtures/weld/set.expected");
-    // The two governed welds fire and their directives absorb them.
-    assert_eq!(report.stats.suppressed, 2);
-}
-
 const TOTALITY_TOML: &str = r#"
 sim = []
 protocol = []
-weld_scope = []
-scheduler_roots = []
 wire_enums = ["Payload"]
 handler_fns = ["on_deliver", "on_direct"]
 "#;
@@ -183,14 +182,19 @@ handler_fns = ["on_deliver", "on_direct"]
 fn totality_fixture_matches_golden() {
     let report = scan_set(&["fixtures/totality/wire.rs"], TOTALITY_TOML);
     check_set_golden(&report, "fixtures/totality/set.expected");
+    // Alone, the file cannot be judged for T: its three T directives
+    // are neither used nor called unused.
+    let config = parse_config(TOTALITY_TOML, Config::default()).expect("config parses");
+    let rel = "fixtures/totality/wire.rs";
+    let alone = analyze(rel, &fixture_src(rel), &config);
+    assert!(alone.findings.is_empty(), "{:?}", alone.findings);
+    assert_eq!((alone.directives, alone.suppressed), (3, 0));
 }
 
 const SCHED_TOML: &str = r#"
 sim = []
 protocol = []
-weld_scope = []
 wire_enums = []
-scheduler_roots = ["Sched::run"]
 scheduler_scope = ["fixtures/sched/sched.rs"]
 "#;
 
@@ -199,40 +203,14 @@ fn sched_fixture_matches_golden() {
     let report = scan_set(&["fixtures/sched/sched.rs"], SCHED_TOML);
     check_set_golden(&report, "fixtures/sched/set.expected");
     assert!(
-        !report.findings.iter().any(|f| f.line > 33),
-        "helpers unreachable from the scheduler roots must not be flagged: {:?}",
+        report.findings.iter().any(|f| f.line > 33),
+        "a helper no scheduler method calls is still scheduler code: {:?}",
         report.findings
     );
 }
 
-const REACH_TOML: &str = r#"
-sim = []
-weld_scope = []
-wire_enums = []
-scheduler_roots = []
-protocol = ["fixtures/reach/proto.rs"]
-protocol_entries = ["on_message"]
-"#;
-
-#[test]
-fn reachability_fixture_matches_golden() {
-    let report = scan_set(&["fixtures/reach/proto.rs"], REACH_TOML);
-    check_set_golden(&report, "fixtures/reach/set.expected");
-    let s002 = report
-        .findings
-        .iter()
-        .find(|f| f.rule == "S002")
-        .expect("the out-of-cone suppression must be flagged stale");
-    assert!(
-        s002.message.contains("not reachable"),
-        "S002 should explain WHY the directive is stale: {}",
-        s002.message
-    );
-}
-
-/// A function name in the config that matches nothing fails the scan —
-/// for each of the three lists that designate functions, and only while
-/// the family the list feeds is switched on.
+/// A handler name in the config that matches nothing fails the scan,
+/// while the T family is switched on.
 #[test]
 fn a_configured_name_that_matches_nothing_is_a_finding() {
     let s004 = |rels: &[&str], toml: &str| -> Vec<String> {
@@ -240,31 +218,26 @@ fn a_configured_name_that_matches_nothing_is_a_finding() {
         let found = report.findings.iter().filter(|f| f.rule == "S004");
         found.map(|f| format!("{}:{} {}", f.file, f.line, f.message)).collect()
     };
-    // The method moved to another type; a free function was given an owner.
-    let toml = SCHED_TOML.replace(
-        "\"Sched::run\"",
-        "\"Sched::run\", \"Server::run\", \"Sched::unreachable_helper\"",
-    );
-    assert_eq!(
-        s004(&["fixtures/sched/sched.rs"], &toml),
-        [
-            "detlint.toml:6 `scheduler_roots` entry \"Server::run\" matches no function",
-            "detlint.toml:6 `scheduler_roots` entry \"Sched::unreachable_helper\" matches no function",
-        ]
-    );
-    let toml = REACH_TOML.replace("[\"on_message\"]", "[\"on_message\", \"apply_effects\"]");
-    assert_eq!(
-        s004(&["fixtures/reach/proto.rs"], &toml),
-        ["detlint.toml:7 `protocol_entries` entry \"apply_effects\" matches no function"]
-    );
     let toml = TOTALITY_TOML.replace("\"on_direct\"]", "\"on_direct\", \"handle_direct\"]");
     assert_eq!(
         s004(&["fixtures/totality/wire.rs"], &toml),
-        ["detlint.toml:7 `handler_fns` entry \"handle_direct\" matches no function"]
+        ["detlint.toml:5 `handler_fns` entry \"handle_direct\" matches no function"]
     );
-    // The weld fixture names no protocol file and no wire enum: the
-    // compiled-in entry and handler lists are not judged against it.
-    assert!(s004(&["fixtures/weld/core.rs", "fixtures/weld/facade.rs"], WELD_TOML).is_empty());
+    // The sched config designates no wire enum: the compiled-in handler
+    // list is not judged against a file that has none of them.
+    assert!(s004(&["fixtures/sched/sched.rs"], SCHED_TOML).is_empty());
+}
+
+/// The keys that once scoped the call graph are gone: a config that
+/// still names one fails to parse, at that key's line.
+#[test]
+fn a_deleted_key_fails_to_parse() {
+    for key in ["protocol_entries", "scheduler_roots", "weld_scope", "weld_facade"] {
+        let toml = format!("sim = []\n{key} = [\"x\"]\n");
+        let err = parse_config(&toml, Config::default()).expect_err(key);
+        assert_eq!(err.line, 2, "{key}");
+        assert!(err.message.contains(key), "{key}: {}", err.message);
+    }
 }
 
 fn workspace_root() -> std::path::PathBuf {
@@ -277,9 +250,9 @@ fn workspace_root() -> std::path::PathBuf {
 
 /// The live tree must scan clean with the checked-in config — the same
 /// gate CI runs via `cargo run -p detlint`. Running it as a test means
-/// `cargo test` alone catches a regression. No W rule fires even with
-/// every directive blanked out: the protocol crates touch the host
-/// environment only through the runtime facade.
+/// `cargo test` alone catches a regression. No host-IO rule (D006/D007)
+/// fires even with every directive blanked out: the simulation-facing
+/// crates reach the host only through the simulator.
 #[test]
 fn live_workspace_is_clean() {
     let root = workspace_root();
@@ -304,7 +277,7 @@ fn live_workspace_is_clean() {
             (rel, src.replace("detlint::allow", "detlint-allow"))
         })
         .collect();
-    let mut welds = detlint::scan_sources(&undirected, &config).findings;
-    welds.retain(|f| f.rule.starts_with('W'));
-    assert!(welds.is_empty(), "IO welds in the live workspace:\n{}", listing(&welds));
+    let mut host_io = detlint::scan_sources(&undirected, &config).findings;
+    host_io.retain(|f| matches!(f.rule, "D006" | "D007"));
+    assert!(host_io.is_empty(), "host IO in the live workspace:\n{}", listing(&host_io));
 }
