@@ -55,8 +55,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Protocol crate: no unwrap on delivery paths. Tests assert freely.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Protocol crate: no panic on delivery paths. Tests assert freely.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 mod member;
 mod types;

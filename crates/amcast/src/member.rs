@@ -311,11 +311,14 @@ impl<V: Clone> McastMember<V> {
         let reports: Vec<RecoveryReport<LogEntry<V>>> =
             snapshots.iter().map(|s| s.report.clone()).collect();
         let (paxos, pout) = PaxosReplica::recover_from(me.index, cfg, promised_floor, &reports);
+        #[expect(
+            clippy::expect_used,
+            reason = "recovery constructor with a documented panic contract (see the asserts above); recover_from has already rejected an empty quorum"
+        )]
         let (donor_idx, donor) = snapshots
             .iter()
             .enumerate()
             .max_by_key(|(_, s)| s.report.frontier)
-            // detlint::allow(P002): recovery constructor with a documented panic contract (see the asserts above); recover_from has already rejected an empty quorum
             .expect("recover_from enforces a non-empty quorum");
         let mut member = McastMember {
             me,
@@ -611,6 +614,7 @@ impl<V: Clone> McastMember<V> {
     }
 
     /// Feeds one wire message into the member.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_message(&mut self, wire: McastWire<V>) -> McastOutput<V> {
         let mut out = McastOutput::new();
         match wire {

@@ -5,7 +5,7 @@
 //! prefix order. FIFO order is provided by the transport layer
 //! ([`dynastar_runtime::fifo`]) and covered there.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dynastar_amcast::{Delivery, GroupId, McastMember, McastWire, MemberId, MsgId, Topology};
 use dynastar_paxos::GroupConfig;
@@ -104,7 +104,7 @@ impl Net {
     /// Integrity: no member delivers a message twice.
     fn check_integrity(&self) {
         for (m, log) in &self.delivered {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = BTreeSet::new();
             for d in log {
                 assert!(seen.insert(d.mid), "{m} delivered {} twice", d.mid);
             }
@@ -141,9 +141,9 @@ impl Net {
             for j in (i + 1)..members.len() {
                 let a = self.delivered_mids(members[i]);
                 let b = self.delivered_mids(members[j]);
-                let pos_a: HashMap<MsgId, usize> =
+                let pos_a: BTreeMap<MsgId, usize> =
                     a.iter().enumerate().map(|(k, &m)| (m, k)).collect();
-                let pos_b: HashMap<MsgId, usize> =
+                let pos_b: BTreeMap<MsgId, usize> =
                     b.iter().enumerate().map(|(k, &m)| (m, k)).collect();
                 let common: Vec<MsgId> =
                     a.iter().copied().filter(|m| pos_b.contains_key(m)).collect();
@@ -420,10 +420,10 @@ proptest! {
         }
         net.settle();
         for g in topo.groups() {
-            let want: std::collections::HashSet<MsgId> =
+            let want: BTreeSet<MsgId> =
                 expected.get(&g).cloned().unwrap_or_default().into_iter().collect();
             for m in topo.members_of(g) {
-                let got: std::collections::HashSet<MsgId> =
+                let got: BTreeSet<MsgId> =
                     net.delivered_mids(m).into_iter().collect();
                 prop_assert_eq!(&got, &want, "member {}", m);
             }

@@ -12,6 +12,11 @@
 //! (graph vertices + edges partitioned per wall-second) against the
 //! same-size row of the committed `results/BENCH_partitioner.json`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this binary times the real partitioner in wall-clock seconds, outside any simulation"
+)]
+
 use std::time::Instant;
 
 use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};

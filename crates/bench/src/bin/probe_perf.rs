@@ -27,10 +27,15 @@
 //! next to the throughput numbers so a perf change that silently alters
 //! the schedule is caught immediately.
 
-// The one sanctioned unsafe block in the workspace (workspace lints deny
-// unsafe_code): implementing GlobalAlloc to count heap traffic requires
-// an unsafe trait impl by definition.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the one sanctioned unsafe block in the workspace: counting heap traffic means implementing GlobalAlloc, an unsafe trait"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the probe measures the host: wall-clock time, peak RSS from /proc and an opt-in stack-sampling env gate"
+)]
 
 use dynastar_bench::harness::{Args, Opt, Record, Row, Spec, CHECK_AGAINST, OUT};
 use dynastar_bench::setup::{

@@ -13,6 +13,10 @@
 //! reproduction targets; see EXPERIMENTS.md for the side-by-side record.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness runs simulations on host threads and reads and writes record files, outside any simulation"
+)]
 
 pub mod harness;
 pub mod report;

@@ -1,6 +1,11 @@
 //! The client protocol core (paper Algorithm 1 and the §4.3 location
 //! cache) and the workload-driver abstraction.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use dynastar_amcast::MsgId;
 use dynastar_runtime::{
     CounterId, FastHashMap, HistogramId, Interned, Metrics, NodeId, SeriesId, SimDuration, SimTime,
@@ -254,6 +259,10 @@ impl<A: Application> ClientCore<A> {
     }
 
     /// Handles a direct message from a server or the oracle.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a client consumes only Prophecy, Reply and Retry; every other Direct variant is server-to-server traffic it must ignore, not enumerate"
+    )]
     pub fn on_direct(
         &mut self,
         msg: Direct<A>,
@@ -318,7 +327,6 @@ impl<A: Application> ClientCore<A> {
                 }
                 (self.dispatch(cmd, attempt), None)
             }
-            // detlint::allow(T002): clients consume only the client-addressed subset (Prophecy/Reply/Retry); the remaining Direct variants are server-to-server traffic that a client must ignore, not enumerate
             _ => (Vec::new(), None),
         }
     }

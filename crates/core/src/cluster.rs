@@ -4,6 +4,11 @@
 //! loop and its timers around a `ClientHost` — and the builder and handle
 //! for a complete cluster.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -288,6 +293,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
         self.begin_recovery(ctx);
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
         let mut inbox = std::mem::take(&mut self.inbox);
         self.wiring.receive(ctx, from, msg, &mut inbox);
@@ -390,6 +396,7 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
         ctx.set_timer(SimDuration::from_millis(100), timer::RETX);
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
         let mut inbox = std::mem::take(&mut self.inbox);
         self.wiring.receive(ctx, from, msg, &mut inbox);

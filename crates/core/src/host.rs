@@ -17,6 +17,11 @@
 //! resources as every partition), and replica nodes are numbered
 //! group-major from 0.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -265,8 +270,7 @@ fn interpret<A: Application, P: Port<A>>(
 
 /// The protocol core a replica hosts. Nothing outside this impl matches on
 /// the variant: the oracle is "itself a replicated partition" to its host.
-// One per replica (never collected in bulk), so variant size skew is moot.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant, reason = "one per replica, never collected in bulk")]
 pub(crate) enum Role<A: Application> {
     /// A partition server.
     Partition(ServerCore<A>),
@@ -275,6 +279,7 @@ pub(crate) enum Role<A: Application> {
 }
 
 impl<A: Application> Role<A> {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_deliver(
         &mut self,
         payload: Arc<Payload<A>>,
@@ -288,6 +293,7 @@ impl<A: Application> Role<A> {
     }
 
     /// No direct message is addressed to an oracle replica.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_direct(
         &mut self,
         msg: &Direct<A>,
@@ -568,6 +574,7 @@ impl<A: Application> ClientHost<A> {
     }
 
     /// Handles a direct message; surfaces the command's completion.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub(crate) fn on_direct(
         &mut self,
         msg: Direct<A>,

@@ -19,6 +19,11 @@
 //!   oracle "computes concurrently" as in §5.2 while replicas stay
 //!   deterministic.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 mod config;
 mod edge_rows;
 mod graph;
@@ -193,6 +198,7 @@ impl<A: Application> OracleCore<A> {
     /// The payload is read in place — every replica of every destination
     /// group is handed the same one; hint and plan bodies are never
     /// copied.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_deliver(
         &mut self,
         payload: impl Borrow<Payload<A>>,

@@ -1,6 +1,11 @@
 //! Wire payloads: atomically multicast messages and direct (unordered)
 //! messages.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::borrow::Cow;
 
 use dynastar_amcast::MsgId;

@@ -23,6 +23,11 @@
 //! the core records. `queue`, `store`, `meter` and `config` declare
 //! what the core is built from.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 mod config;
 mod exec;
 mod meter;
@@ -115,7 +120,7 @@ pub struct ServerCore<A: Application> {
     hint_seq: u32,
     /// Key-migration shipments that arrived before the plan they belong
     /// to was processed here: `(version, key, from, vars, pending, primary)`.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "one buffered shipment, named nowhere else")]
     planvars_buffer: Vec<(u64, LocKey, PartitionId, VarShipment<A>, Vec<VarId>, bool)>,
     /// Staged migrations this partition is the source of.
     sender: Sender<A::Value>,
@@ -283,6 +288,7 @@ impl<A: Application> ServerCore<A> {
     /// The payload is read in place — every replica of every destination
     /// group is handed the same one — and only what the core keeps (a
     /// queued command, a plan's moves) is copied out of it.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_deliver(
         &mut self,
         payload: impl Borrow<Payload<A>>,
@@ -429,6 +435,7 @@ impl<A: Application> ServerCore<A> {
     /// replica of the sending group sends a copy, so most arrivals are
     /// repeats: a shared message is copied only once it has passed the
     /// dedup check, a repeat costs the set lookup.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_direct<'a>(
         &mut self,
         msg: impl Into<Cow<'a, Direct<A>>>,
@@ -603,7 +610,7 @@ impl<A: Application> ServerCore<A> {
     /// The carried plan version disambiguates the two, which keeps the
     /// forwarding chain loop-free: forwards only follow plans this replica
     /// has already applied.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "PlanVars' fields plus the metrics/effect sinks")]
     fn on_plan_vars(
         &mut self,
         version: u64,
@@ -744,7 +751,7 @@ impl<A: Application> ServerCore<A> {
     /// The head is a command: borrow, execute, return (Algorithm 3 Task 1).
     /// The entry is off the queue while it is worked on, so the command and
     /// its routing are borrowed from it, never copied.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "borrows the queue head's fields in place")]
     fn pump_access(
         &mut self,
         cmd: &Command<A>,
@@ -1018,7 +1025,7 @@ impl<A: Application> ServerCore<A> {
     /// After a multi-partition execution at the target: the borrowed
     /// variables go home (DynaStar) or are absorbed with their keys
     /// (DS-SMR `keep`), moved out of the executed map either way.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "takes the borrowed maps by value")]
     fn settle_borrowed(
         &mut self,
         cmd: MsgId,
@@ -1079,7 +1086,7 @@ impl<A: Application> ServerCore<A> {
     }
 
     /// Reply, reply-cache, metrics and hint bookkeeping after execution.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the tail of pump_access, given its locals")]
     fn finish_execution(
         &mut self,
         cmd: &Command<A>,

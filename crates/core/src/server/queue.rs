@@ -96,11 +96,14 @@ pub(super) enum Step {
 
 /// Emits protocol-stall diagnostics to stderr when the
 /// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "opt-in diagnostic gate only: the flag toggles eprintln tracing and never feeds protocol or simulation state"
+)]
 pub(super) fn trace_blocked(args: std::fmt::Arguments<'_>) {
     // Sampled once per process: this sits on executed-command paths, and
     // `env::var_os` is far too slow to re-check per call.
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    // detlint::allow(D003): opt-in diagnostic gate only — the flag toggles eprintln tracing and never feeds protocol or simulation state
     if *ON.get_or_init(|| std::env::var_os("DYNASTAR_TRACE_BLOCKED").is_some()) {
         eprintln!("{args}");
     }

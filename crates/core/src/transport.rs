@@ -5,6 +5,11 @@
 //! between nodes and knows nothing of groups, cores or routing — that is
 //! the [host](crate::host)'s side of the seam.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::sync::Arc;
 
 use dynastar_runtime::fifo::{FifoLinks, Frame};
@@ -100,9 +105,12 @@ impl<A: Application> Clone for Msg<A> {
 /// process: the check sits on the per-frame receive path, and an
 /// `env::var_os` there (a linear scan of the environment plus an
 /// allocation) costs more than the rest of the ARQ bookkeeping combined.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "opt-in diagnostic gate only: the flag toggles eprintln tracing and never feeds protocol or simulation state"
+)]
 fn trace_arq() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    // detlint::allow(D003): opt-in diagnostic gate only — the flag toggles eprintln tracing and never feeds protocol or simulation state
     *ON.get_or_init(|| std::env::var_os("DYNASTAR_TRACE_ARQ").is_some())
 }
 

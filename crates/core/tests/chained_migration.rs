@@ -180,6 +180,10 @@ fn run_chained_sharded(seed: u64, secs: u64, trace: bool, shards: u32) -> RunOut
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CHAINED_TRACE opts into printing the run's trace; it changes no state"
+)]
 fn chained_moves_with_giveup_reverts_converge() {
     let out = run_chained(7, 20, std::env::var("CHAINED_TRACE").is_ok());
     assert!(out.completed > 0, "workload must make progress");

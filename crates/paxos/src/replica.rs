@@ -432,8 +432,12 @@ impl<V: Clone> PaxosReplica<V> {
 
     /// Leader-only: assign the next slot to `entry` and issue Accepts.
     fn lead_value(&mut self, entry: Entry<V>, out: &mut Output<V>) {
-        let Role::Leader { ballot, next_slot, in_flight, .. } = &mut self.role else {
-            // detlint::allow(P003): every caller checks Role::Leader first; silently dropping `entry` here would lose a proposal, so a loud local-invariant failure is safer
+        #[expect(
+            clippy::unreachable,
+            reason = "every caller checks Role::Leader first; silently dropping `entry` here would lose a proposal, so a loud local-invariant failure is safer"
+        )]
+        let Role::Leader { ballot, next_slot, in_flight, .. } = &mut self.role
+        else {
             unreachable!("lead_value called on non-leader");
         };
         let slot = *next_slot;
@@ -652,6 +656,7 @@ impl<V: Clone> PaxosReplica<V> {
 
     /// Feeds one protocol message from replica `from` into the state
     /// machine.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_message(&mut self, from: usize, msg: PaxosMsg<V>) -> Output<V> {
         let mut out = Output::new();
         match msg {

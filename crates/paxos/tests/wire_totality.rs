@@ -1,7 +1,7 @@
 //! Wire-totality coverage: every `PaxosMsg` and `Entry` variant is
-//! exercised by a real protocol run, not just declared. detlint's T003
-//! rule holds this file (and `properties.rs`) accountable — a new wire
-//! variant without a test here fails the lint.
+//! exercised by a real protocol run, not just declared. `tag` and
+//! `entry_tag` match each enum exhaustively and without a wildcard, so a
+//! new wire variant does not compile until this file names it.
 
 use std::collections::BTreeSet;
 
@@ -20,6 +20,15 @@ fn tag(msg: &PaxosMsg<u64>) -> &'static str {
         PaxosMsg::CatchUpRequest { .. } => "CatchUpRequest",
         PaxosMsg::Forward { .. } => "Forward",
         PaxosMsg::Nack { .. } => "Nack",
+    }
+}
+
+/// The variant name of a log entry, exhaustive like [`tag`].
+fn entry_tag(entry: &Entry<u64>) -> &'static str {
+    match entry {
+        Entry::Cmd(_) => "Cmd",
+        Entry::Batch(_) => "Batch",
+        Entry::Noop => "Noop",
     }
 }
 
@@ -47,6 +56,9 @@ impl Net {
     fn absorb(&mut self, at: usize, out: Output<u64>) {
         for (to, msg) in out.outgoing {
             self.seen.insert(tag(&msg));
+            if let PaxosMsg::Accept { value, .. } | PaxosMsg::Decide { value, .. } = &msg {
+                self.seen.insert(entry_tag(value));
+            }
             self.queue.push((at, to, msg));
         }
         self.decided[at].extend(out.decided);
@@ -145,6 +157,7 @@ fn every_wire_variant_appears_in_a_real_run() {
         "Forward",
         "Nack",
         "CatchUpRequest",
+        "Cmd",
     ] {
         assert!(
             net.seen.contains(want),
@@ -179,6 +192,7 @@ fn batched_proposals_travel_as_one_entry_batch() {
     });
     assert!(batch_on_wire, "a full buffer must flush as Entry::Batch");
     net.settle();
+    assert!(net.seen.contains("Batch"), "saw {:?}", net.seen);
 
     for r in 0..3 {
         let values: Vec<u64> = net.decided[r].iter().map(|&(_, v)| v).collect();
@@ -193,6 +207,7 @@ fn entry_variants_deliver_expected_command_counts() {
     assert_eq!(Entry::Cmd(7u64).command_count(), 1);
     assert_eq!(Entry::Batch(vec![1u64, 2, 3]).command_count(), 3);
     assert_eq!(Entry::<u64>::Noop.command_count(), 0);
+    assert_eq!(entry_tag(&Entry::Noop), "Noop");
 
     // Clone/eq round-trips keep batch order.
     let batch = Entry::Batch(vec![4u64, 5]);

@@ -9,6 +9,11 @@
 //! inserts — far longer than any protocol-level duplicate can lag in
 //! practice.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::hash::Hash;
 
 use crate::hash::{FastHashMap, FastHashSet};

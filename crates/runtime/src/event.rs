@@ -206,7 +206,7 @@ impl<M> EventQueue<M> {
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), expect(dead_code, reason = "only the tests ask; sim uses peek_time"))]
     pub fn is_empty(&self) -> bool {
         self.wheel_len == 0 && self.overflow.is_empty()
     }

@@ -8,6 +8,11 @@
 //! out-of-order arrivals and releases messages in sequence — the same
 //! service TCP provides on a real deployment.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use std::collections::BTreeMap;
 use std::hash::Hash;
 

@@ -15,7 +15,11 @@
 //! Not collision-resistant against adversarial keys; use only for maps
 //! keyed by trusted internal values.
 
-// detlint::allow(D005): these imports exist to pin an explicit deterministic hasher in the aliases below
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one place std's hash containers are named: the aliases below pin a deterministic hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -5,6 +5,11 @@
 //! (0.5 ms ± 0.25 ms one-way, no loss). Experiments override the model to
 //! study other regimes.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};

@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn every_row_key_is_in_the_key_set() {
         let scale = TpccScale { warehouses: 1, customers_per_district: 2, items: 3 };
-        let ks: std::collections::HashSet<LocKey> = keys(&scale).into_iter().collect();
+        let ks: std::collections::BTreeSet<LocKey> = keys(&scale).into_iter().collect();
         for (v, _) in rows(&scale) {
             assert!(ks.contains(&locality(v)), "row {v} has unlisted key");
         }
