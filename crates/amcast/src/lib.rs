@@ -65,4 +65,4 @@ mod member;
 mod types;
 
 pub use member::{McastMember, McastOutput, MemberSnapshot};
-pub use types::{Delivery, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
+pub use types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};

@@ -1,11 +1,12 @@
 //! The per-replica atomic multicast state machine.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dynastar_paxos::{Ballot, BatchStats, GroupConfig, PaxosReplica, RecoveryReport};
 use dynastar_runtime::dedup::RotatingSet;
 
-use crate::types::{Delivery, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
+use crate::types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
 
 /// Ticks between retransmissions of unacknowledged protocol steps.
 const RETRY_TICKS: u64 = 8;
@@ -31,10 +32,11 @@ impl<V> McastOutput<V> {
 }
 
 /// Multicast bookkeeping for one message not yet delivered locally.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Pending<V> {
-    payload: Option<V>,
-    dests: Vec<GroupId>,
+    /// Destinations and payload, set together by the local `Assign`; a
+    /// `Remote` ordered before it finds `None` here.
+    payload: Option<(Dests, V)>,
     local_ts: Option<u64>,
     remote: BTreeMap<GroupId, u64>,
     final_ts: Option<u64>,
@@ -42,25 +44,7 @@ struct Pending<V> {
 
 impl<V> Pending<V> {
     fn empty() -> Self {
-        Pending {
-            payload: None,
-            dests: Vec::new(),
-            local_ts: None,
-            remote: BTreeMap::new(),
-            final_ts: None,
-        }
-    }
-}
-
-impl<V: Clone> Clone for Pending<V> {
-    fn clone(&self) -> Self {
-        Pending {
-            payload: self.payload.clone(),
-            dests: self.dests.clone(),
-            local_ts: self.local_ts,
-            remote: self.remote.clone(),
-            final_ts: self.final_ts,
-        }
+        Pending { payload: None, local_ts: None, remote: BTreeMap::new(), final_ts: None }
     }
 }
 
@@ -80,10 +64,10 @@ pub struct MemberSnapshot<V> {
     pending: BTreeMap<MsgId, Pending<V>>,
     assigned: RotatingSet<MsgId>,
     remote_seen: RotatingSet<(MsgId, GroupId)>,
-    seen_submits: BTreeMap<MsgId, (Vec<GroupId>, V)>,
+    seen_submits: BTreeMap<MsgId, (Dests, V)>,
     seen_remote_ts: BTreeMap<(MsgId, GroupId), u64>,
     ts_out: BTreeMap<(MsgId, GroupId), (u64, u64)>,
-    delivered_payloads: BTreeMap<MsgId, (Vec<GroupId>, V)>,
+    delivered_payloads: BTreeMap<MsgId, (Dests, V)>,
     ticks: u64,
     delivered_count: u64,
 }
@@ -146,7 +130,7 @@ pub struct McastMember<V> {
     remote_seen: RotatingSet<(MsgId, GroupId)>,
     /// Submits seen but not yet assigned, kept so a replica that becomes
     /// leader can (re-)propose them.
-    seen_submits: BTreeMap<MsgId, (Vec<GroupId>, V)>,
+    seen_submits: BTreeMap<MsgId, (Dests, V)>,
     /// Remote timestamps seen but not yet ordered in our log.
     seen_remote_ts: BTreeMap<(MsgId, GroupId), u64>,
     /// `(tick, ballot)` of our last `Assign` proposal for a message. Under
@@ -163,7 +147,7 @@ pub struct McastMember<V> {
     ts_out: BTreeMap<(MsgId, GroupId), (u64, u64)>,
     /// Payloads of locally delivered messages whose timestamps other
     /// groups have not yet acknowledged (needed for retransmission).
-    delivered_payloads: BTreeMap<MsgId, (Vec<GroupId>, V)>,
+    delivered_payloads: BTreeMap<MsgId, (Dests, V)>,
     ticks: u64,
     delivered_count: u64,
 }
@@ -359,16 +343,23 @@ impl<V: Clone> McastMember<V> {
         assert!(!dests.is_empty(), "a multicast needs at least one destination group");
         dests.sort_unstable();
         dests.dedup();
+        // The one allocation of the destination list: every copy of the
+        // message from here on shares it.
+        let dests: Dests = dests.into();
         let mut out = McastOutput::new();
         // Fan the submit out to every replica of every destination group
         // (including our own group, so every replica's `seen_submits` can
         // back up the leader).
-        for g in dests.clone() {
+        for &g in dests.iter() {
             for m in self.topo.members_of(g) {
                 if m != self.me {
                     out.outgoing.push((
                         m,
-                        McastWire::Submit { mid, dests: dests.clone(), payload: payload.clone() },
+                        McastWire::Submit {
+                            mid,
+                            dests: Arc::clone(&dests),
+                            payload: payload.clone(),
+                        },
                     ));
                 }
             }
@@ -380,13 +371,7 @@ impl<V: Clone> McastMember<V> {
     }
 
     /// Records a submit addressed to our group and proposes it if leading.
-    fn note_submit(
-        &mut self,
-        mid: MsgId,
-        dests: Vec<GroupId>,
-        payload: V,
-        out: &mut McastOutput<V>,
-    ) {
+    fn note_submit(&mut self, mid: MsgId, dests: Dests, payload: V, out: &mut McastOutput<V>) {
         if self.assigned.contains(&mid) {
             return;
         }
@@ -408,7 +393,8 @@ impl<V: Clone> McastMember<V> {
         }
         if let Some((dests, payload)) = self.seen_submits.get(&mid) {
             self.proposed_assign.insert(mid, (self.ticks, ballot));
-            let entry = LogEntry::Assign { mid, dests: dests.clone(), payload: payload.clone() };
+            let entry =
+                LogEntry::Assign { mid, dests: Arc::clone(dests), payload: payload.clone() };
             let pout = self.paxos.propose(entry);
             self.absorb_paxos(pout, out);
         }
@@ -462,16 +448,13 @@ impl<V: Clone> McastMember<V> {
                 self.proposed_assign.remove(&mid);
                 self.clock += 1;
                 let ts = self.clock;
-                let p = self.pending.entry(mid).or_insert_with(Pending::empty);
-                p.payload = Some(payload);
-                p.dests = dests;
-                p.local_ts = Some(ts);
                 // Other destination groups need our timestamp.
-                let others: Vec<GroupId> =
-                    p.dests.iter().copied().filter(|&g| g != self.me.group).collect();
-                for g in others {
+                for &g in dests.iter().filter(|&&g| g != self.me.group) {
                     self.ts_out.insert((mid, g), (ts, 0));
                 }
+                let p = self.pending.entry(mid).or_insert_with(Pending::empty);
+                p.payload = Some((dests, payload));
+                p.local_ts = Some(ts);
                 self.refresh_final(mid);
                 self.flush_ts_out(out);
                 self.try_deliver(out);
@@ -506,9 +489,9 @@ impl<V: Clone> McastMember<V> {
         if p.final_ts.is_some() {
             return;
         }
-        let Some(mut final_ts) = p.local_ts else { return };
-        let others = p.dests.iter().filter(|&&g| g != me);
-        for g in others {
+        // A local timestamp is only ever set together with the payload.
+        let (Some(mut final_ts), Some((dests, _))) = (p.local_ts, &p.payload) else { return };
+        for g in dests.iter().filter(|&&g| g != me) {
             match p.remote.get(g) {
                 Some(&ts) => final_ts = final_ts.max(ts),
                 None => return, // still waiting for a group
@@ -547,7 +530,7 @@ impl<V: Clone> McastMember<V> {
                 // delivering rather than crash the replica.
                 return;
             };
-            let Some(payload) = p.payload else {
+            let Some((dests, payload)) = p.payload else {
                 // A final timestamp requires a local timestamp, which is
                 // only assigned alongside the payload; a finalized entry
                 // without one is a local logic bug, not wire input. Skip
@@ -558,9 +541,9 @@ impl<V: Clone> McastMember<V> {
             // Keep the payload around while other groups still need our
             // timestamp retransmitted.
             if self.ts_out_pending(mid) {
-                self.delivered_payloads.insert(mid, (p.dests.clone(), payload.clone()));
+                self.delivered_payloads.insert(mid, (Arc::clone(&dests), payload.clone()));
             }
-            out.delivered.push(Delivery { mid, final_ts: fts, dests: p.dests, payload });
+            out.delivered.push(Delivery { mid, final_ts: fts, dests, payload });
         }
     }
 
@@ -585,19 +568,15 @@ impl<V: Clone> McastMember<V> {
             }
         }
         for (mid, to_group, ts) in sends {
-            // Payload travels with the timestamp so the destination can
-            // order the message even if it never saw the Submit. After
-            // local delivery the pending entry is gone; fall back to a
-            // payload-free... — never needed: ts_out entries for delivered
-            // messages keep their payload in `delivered_payloads` below.
-            let (dests, payload) = match self.pending.get(&mid) {
-                Some(p) => (p.dests.clone(), p.payload.clone()),
-                None => match self.delivered_payloads.get(&mid) {
-                    Some((d, v)) => (d.clone(), Some(v.clone())),
-                    None => continue,
-                },
+            // Destinations and payload travel with the timestamp so the
+            // destination can order the message even if it never saw the
+            // Submit. They come from the pending entry until local
+            // delivery, from `delivered_payloads` after it.
+            let shared = match self.pending.get(&mid) {
+                Some(p) => p.payload.as_ref(),
+                None => self.delivered_payloads.get(&mid),
             };
-            let Some(payload) = payload else { continue };
+            let Some((dests, payload)) = shared else { continue };
             for m in self.topo.members_of(to_group) {
                 out.outgoing.push((
                     m,
@@ -605,7 +584,7 @@ impl<V: Clone> McastMember<V> {
                         mid,
                         from_group: self.me.group,
                         ts,
-                        dests: dests.clone(),
+                        dests: Arc::clone(dests),
                         payload: payload.clone(),
                     },
                 ));
@@ -679,5 +658,63 @@ impl<V: Clone> McastMember<V> {
             self.flush_ts_out(&mut out);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn member(group: u32) -> McastMember<u64> {
+        McastMember::new(MemberId::new(GroupId(group), 0), Topology::new(vec![1, 1]))
+    }
+
+    #[test]
+    fn every_copy_of_a_multicast_shares_one_destination_list() {
+        let mut members = [member(0), member(1)];
+        let mid = MsgId::new(7, 0);
+        let mut queue =
+            members[0].submit(mid, vec![GroupId(1), GroupId(0), GroupId(1)], 42).outgoing;
+        let mut copies: Vec<Dests> = Vec::new();
+        let mut group_ts = 0;
+        let mut delivered = Vec::new();
+        while let Some((to, wire)) = queue.pop() {
+            match wire.clone() {
+                McastWire::Submit { dests, .. } => copies.push(dests),
+                McastWire::GroupTs { dests, .. } => {
+                    copies.push(dests);
+                    group_ts += 1;
+                }
+                McastWire::TsAck { .. } | McastWire::Paxos { .. } => {}
+            }
+            let out = members[to.group.0 as usize].on_message(wire);
+            queue.extend(out.outgoing);
+            delivered.extend(out.delivered);
+        }
+        assert_eq!(group_ts, 2, "each group sends the other its timestamp");
+        assert_eq!(delivered.len(), 2);
+        copies.extend(delivered.iter().map(|d| d.clone().dests));
+        let first = &copies[0];
+        assert_eq!(&first[..], &[GroupId(0), GroupId(1)], "sorted and distinct");
+        assert!(copies.iter().all(|d| Arc::ptr_eq(d, first)), "a copy allocated its own list");
+
+        let entry = LogEntry::Assign { mid, dests: Arc::clone(first), payload: 42 };
+        let LogEntry::Assign { dests, .. } = entry.clone() else { unreachable!() };
+        assert!(Arc::ptr_eq(&dests, first));
+    }
+
+    #[test]
+    fn a_remote_ordered_before_its_assign_still_delivers() {
+        let mut m = member(0);
+        let mid = MsgId::new(7, 0);
+        let dests: Dests = vec![GroupId(0), GroupId(1)].into();
+        let mut out = McastOutput::new();
+        m.apply(LogEntry::Remote { mid, from_group: GroupId(1), ts: 5 }, &mut out);
+        assert!(out.delivered.is_empty(), "no local timestamp yet");
+        m.apply(LogEntry::Assign { mid, dests: Arc::clone(&dests), payload: 42 }, &mut out);
+        assert_eq!(out.delivered.len(), 1);
+        let d = &out.delivered[0];
+        assert_eq!((d.mid, d.final_ts, d.payload), (mid, 5, 42));
+        assert!(Arc::ptr_eq(&d.dests, &dests));
     }
 }

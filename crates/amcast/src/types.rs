@@ -1,6 +1,7 @@
 //! Identifiers, topology and wire messages of the atomic multicast layer.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dynastar_paxos::PaxosMsg;
 use serde::{Deserialize, Serialize};
@@ -78,6 +79,11 @@ impl fmt::Display for MsgId {
     }
 }
 
+/// The destination groups of one multicast message: sorted, distinct, and
+/// shared. Every log entry, wire message, delivery and bookkeeping row of
+/// the message holds the same allocation, so copying one costs a refcount.
+pub type Dests = Arc<[GroupId]>;
+
 /// Static description of all groups.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
@@ -138,8 +144,8 @@ pub enum LogEntry<V> {
     Assign {
         /// The message id.
         mid: MsgId,
-        /// All destination groups of the message (sorted).
-        dests: Vec<GroupId>,
+        /// All destination groups of the message.
+        dests: Dests,
         /// The application payload.
         payload: V,
     },
@@ -162,7 +168,7 @@ pub enum McastWire<V> {
         /// The message id (deduplicated at destination leaders).
         mid: MsgId,
         /// Destination groups.
-        dests: Vec<GroupId>,
+        dests: Dests,
         /// Application payload.
         payload: V,
     },
@@ -180,7 +186,7 @@ pub enum McastWire<V> {
         /// The assigned local timestamp.
         ts: u64,
         /// Destination groups of the message.
-        dests: Vec<GroupId>,
+        dests: Dests,
         /// Application payload.
         payload: V,
     },
@@ -211,7 +217,7 @@ pub struct Delivery<V> {
     /// The final (global) timestamp that positioned the message.
     pub final_ts: u64,
     /// All destination groups.
-    pub dests: Vec<GroupId>,
+    pub dests: Dests,
     /// The application payload.
     pub payload: V,
 }

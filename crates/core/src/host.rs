@@ -605,7 +605,7 @@ impl<A: Application> ClientHost<A> {
     fn apply<P: Port<A>>(&mut self, effects: Vec<Effect<A>>, port: &mut P) {
         let routes = &*self.routes;
         interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
-            let submit = McastWire::Submit { mid, dests: groups.clone(), payload };
+            let submit = McastWire::Submit { mid, dests: groups.as_slice().into(), payload };
             let body = Arc::new(Inner::Wire(submit));
             for &g in &groups {
                 fan_out(port, routes.group_nodes(g), &body);
@@ -716,7 +716,7 @@ pub(crate) mod tests {
         let delivered = payloads.into_iter().enumerate().map(|(i, p)| Delivery {
             mid: MsgId::new(7, i as u32),
             final_ts: i as u64,
-            dests: Vec::new(),
+            dests: Vec::new().into(),
             payload: Arc::new(p),
         });
         McastOutput { outgoing: Vec::new(), delivered: delivered.collect() }

@@ -35,9 +35,10 @@ mod queue;
 mod sender;
 mod store;
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::dedup::{RotatingMap, RotatingSet};
@@ -57,7 +58,7 @@ pub use config::ServerConfig;
 pub use exec::ExecConfig;
 use exec::ExecScheduler;
 use meter::{Meter, ServerMetricIds};
-use queue::{trace_blocked, GateReason, Queued, Step};
+use queue::{delivered_access, trace_blocked, AccessRef, GateReason, Queued, Step};
 #[cfg(test)]
 pub(crate) use sender::CHUNK_SENDS;
 use sender::{transfer_time, Sender, Shipment};
@@ -89,7 +90,7 @@ pub struct ServerCore<A: Application> {
     owned: BTreeSet<LocKey>,
     /// Values physically present.
     store: Store<A::Value>,
-    queue: VecDeque<Queued<Command<A>>>,
+    queue: VecDeque<Queued<Command<A>, Arc<Payload<A>>>>,
     /// Receiver-side dedup of direct messages (bounded memory).
     seen: RotatingSet<DedupKey>,
     /// Borrowed variables received per (cmd, attempt), per source partition.
@@ -285,28 +286,25 @@ impl<A: Application> ServerCore<A> {
 
     /// Handles an atomic multicast delivery addressed to this partition.
     ///
-    /// The payload is read in place — every replica of every destination
-    /// group is handed the same one — and only what the core keeps (a
-    /// queued command, a plan's moves) is copied out of it.
+    /// The payload is shared — every replica of every destination group
+    /// is handed the same one. A queued access command keeps the payload
+    /// itself; only a create/delete command and a plan's moves are copied
+    /// out of it.
     #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_deliver(
         &mut self,
-        payload: impl Borrow<Payload<A>>,
+        payload: impl Into<Arc<Payload<A>>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
+        let payload = payload.into();
         let mut eff = Vec::new();
-        match payload.borrow() {
-            Payload::Access { cmd, attempt, expected, target, keep } => {
-                let (cmd, expected) = (cmd.clone(), expected.clone());
-                self.pull_awaited(&expected, metrics, &mut eff);
-                let sets = self.exec.classify(&cmd);
+        match &*payload {
+            Payload::Access { cmd, expected, .. } => {
+                self.pull_awaited(expected, metrics, &mut eff);
+                let sets = self.exec.classify(cmd);
                 self.queue.push_back(Queued::Access {
-                    cmd,
-                    attempt: *attempt,
-                    expected,
-                    target: *target,
-                    keep: *keep,
+                    payload: Arc::clone(&payload),
                     sent_vars: false,
                     sent_exchange: false,
                     sets,
@@ -673,28 +671,23 @@ impl<A: Application> ServerCore<A> {
             } else {
                 let Some(mut entry) = self.queue.pop_front() else { return };
                 let step = match &mut entry {
-                    Queued::Access {
-                        cmd,
-                        attempt,
-                        expected,
-                        target,
-                        keep,
-                        sent_vars,
-                        sent_exchange,
-                        sets,
-                    } => self.pump_access(
-                        cmd,
-                        *attempt,
-                        expected,
-                        *target,
-                        *keep,
-                        sent_vars,
-                        sent_exchange,
-                        sets,
-                        now,
-                        metrics,
-                        eff,
-                    ),
+                    Queued::Access { payload, sent_vars, sent_exchange, sets } => {
+                        match delivered_access(payload) {
+                            Some(access) => self.pump_access(
+                                access,
+                                sent_vars,
+                                sent_exchange,
+                                sets,
+                                now,
+                                metrics,
+                                eff,
+                            ),
+                            None => {
+                                debug_assert!(false, "queued access entry without access payload");
+                                Step::Done
+                            }
+                        }
+                    }
                     Queued::Create { cmd, key } => self.pump_create(cmd, *key, now, metrics, eff),
                     Queued::Delete { cmd, key } => self.pump_delete(cmd, *key, eff),
                     // The plan applies in one go and its entry is dropped.
@@ -750,15 +743,11 @@ impl<A: Application> ServerCore<A> {
 
     /// The head is a command: borrow, execute, return (Algorithm 3 Task 1).
     /// The entry is off the queue while it is worked on, so the command and
-    /// its routing are borrowed from it, never copied.
+    /// its routing are borrowed from its delivered payload, never copied.
     #[expect(clippy::too_many_arguments, reason = "borrows the queue head's fields in place")]
     fn pump_access(
         &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        expected: &[(VarId, PartitionId)],
-        target: PartitionId,
-        keep: bool,
+        access: AccessRef<'_, A>,
         sent_vars: &mut bool,
         sent_exchange: &mut bool,
         sets: &mut Option<AccessSets>,
@@ -766,6 +755,7 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> Step {
+        let AccessRef { cmd, attempt, expected, target, keep } = access;
         let (cmd_id, client) = (cmd.id, cmd.client);
         let CommandKind::Access { op, .. } = &cmd.kind else {
             // An `Access` payload always carries an `Access` command; on the
@@ -1295,8 +1285,10 @@ impl<A: Application> ServerCore<A> {
         // it brings in: ask for those first, in queue order.
         let queue = std::mem::take(&mut self.queue);
         for q in &queue {
-            if let Queued::Access { expected, .. } = q {
-                self.pull_awaited(expected, metrics, eff);
+            if let Queued::Access { payload, .. } = q {
+                if let Some(access) = delivered_access(payload) {
+                    self.pull_awaited(access.expected, metrics, eff);
+                }
             }
         }
         self.queue = queue;
@@ -1586,6 +1578,33 @@ mod tests {
         let _ = lender.on_direct(ret.1, now(), &mut m);
         assert_eq!(lender.value_of(VarId(10)), Some(&201));
         assert_eq!(lender.queue_len(), 0);
+    }
+
+    #[test]
+    fn a_queued_access_shares_the_delivered_payload() {
+        let mut target = server(0, &[0], &[(0, 100)]);
+        let mut lender = server(1, &[1], &[(10, 200)]);
+        let mut m = Metrics::new();
+        let payload = Arc::new(access_payload(0, &[(0, 0), (10, 1)], 0, 0));
+
+        // The target waits for the lender's vars, holding the payload.
+        let eff_t = target.on_deliver(Arc::clone(&payload), now(), &mut m);
+        assert!(reply_of(&eff_t).is_none());
+        assert_eq!(target.queue_len(), 1);
+        assert_eq!(Arc::strong_count(&payload), 2, "the queue holds the delivered Arc, not a copy");
+
+        let eff_l = lender.on_deliver(Arc::clone(&payload), now(), &mut m);
+        let ship = eff_l
+            .into_iter()
+            .find_map(|e| match e {
+                Effect::Send { msg: m2 @ Direct::VarsForCmd { .. }, .. } => Some(m2),
+                _ => None,
+            })
+            .expect("lender ships vars");
+        let eff_t = target.on_direct(ship, now(), &mut m);
+        assert_eq!(reply_of(&eff_t), Some(vec![(VarId(0), 101), (VarId(10), 201)]));
+        assert_eq!(target.queue_len(), 0);
+        assert_eq!(Arc::strong_count(&payload), 2, "only the lender's entry still holds it");
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! What waits in a replica's in-order execution queue, and why its head is
 //! not running.
 
+use std::sync::Arc;
+
 use dynastar_amcast::MsgId;
 use dynastar_runtime::SimTime;
 
 use super::exec::Head;
 use crate::command::{AccessSets, Application, Command, LocKey, PartitionId, VarId};
+use crate::payload::Payload;
 
 /// One entry of the in-order execution queue. Generic over the command
-/// type (`C` is always [`Command<A>`]) so that `Clone` can be derived
-/// without bounding `A: Clone`.
+/// and payload types (`C` is always [`Command<A>`], `P` always
+/// `Arc<Payload<A>>`) so that `Clone` can be derived without bounding
+/// `A: Clone`.
 #[derive(Debug, Clone)]
-pub(super) enum Queued<C> {
+pub(super) enum Queued<C, P> {
     Access {
-        cmd: C,
-        attempt: u32,
-        expected: Vec<(VarId, PartitionId)>,
-        target: PartitionId,
-        keep: bool,
+        /// The delivered [`Payload::Access`], shared with the multicast
+        /// layer: the command and its routing are read in place through
+        /// [`delivered_access`], never copied.
+        payload: P,
         /// Multi-partition non-target: we shipped our vars and await return.
         sent_vars: bool,
         /// S-SMR: we broadcast our exchange share.
@@ -49,14 +52,37 @@ pub(super) enum Queued<C> {
     },
 }
 
-impl<A: Application> Queued<Command<A>> {
+/// The command and routing of a delivered [`Payload::Access`], borrowed
+/// from the payload a queue entry shares.
+pub(super) struct AccessRef<'a, A: Application> {
+    pub(super) cmd: &'a Command<A>,
+    pub(super) attempt: u32,
+    pub(super) expected: &'a [(VarId, PartitionId)],
+    pub(super) target: PartitionId,
+    pub(super) keep: bool,
+}
+
+/// Reads a queued access payload. Only [`Payload::Access`] is ever queued
+/// as [`Queued::Access`]; any other variant reads as `None`, which callers
+/// treat as a barrier or drop rather than take the replica down.
+pub(super) fn delivered_access<A: Application>(payload: &Payload<A>) -> Option<AccessRef<'_, A>> {
+    match payload {
+        Payload::Access { cmd, attempt, expected, target, keep } => {
+            Some(AccessRef { cmd, attempt: *attempt, expected, target: *target, keep: *keep })
+        }
+        _ => None,
+    }
+}
+
+impl<A: Application> Queued<Command<A>, Arc<Payload<A>>> {
     /// What the execution engine looks at: everything but a command is a
     /// barrier.
     pub(super) fn head(&self) -> Head<'_> {
         match self {
-            Queued::Access { cmd, attempt, sets, .. } => {
-                Head::Access { id: cmd.id, attempt: *attempt, sets: sets.as_ref() }
-            }
+            Queued::Access { payload, sets, .. } => match delivered_access(payload) {
+                Some(a) => Head::Access { id: a.cmd.id, attempt: a.attempt, sets: sets.as_ref() },
+                None => Head::Barrier,
+            },
             _ => Head::Barrier,
         }
     }
@@ -64,7 +90,9 @@ impl<A: Application> Queued<Command<A>> {
     /// The command and attempt this entry carries, for diagnostics.
     pub(super) fn who(&self) -> Option<(MsgId, u32)> {
         match self {
-            Queued::Access { cmd, attempt, .. } => Some((cmd.id, *attempt)),
+            Queued::Access { payload, .. } => {
+                delivered_access(payload).map(|a| (a.cmd.id, a.attempt))
+            }
             Queued::Create { cmd, .. } | Queued::Delete { cmd, .. } => Some((cmd.id, 0)),
             Queued::Plan { .. } | Queued::Revert { .. } => None,
         }

@@ -214,7 +214,6 @@ impl<P: Eq + Hash + Clone, M> FifoLinks<P, M> {
     pub fn missing_from(&self, peer: &P, limit: usize) -> Vec<u64> {
         let expected = self.expected_from(peer);
         let Some(buf) = self.buffered.get(peer) else { return Vec::new() };
-        let Some((&max, _)) = buf.last_key_value() else { return Vec::new() };
         let mut missing = Vec::new();
         let mut cursor = expected;
         for &present in buf.keys() {
@@ -227,7 +226,6 @@ impl<P: Eq + Hash + Clone, M> FifoLinks<P, M> {
                 break;
             }
         }
-        let _ = max;
         missing
     }
 }

@@ -166,10 +166,13 @@ impl Application for Chirper {
                     // Only followers the client declared are writable.
                     if let Some(Some(fu)) = vars.get_mut(&Chirper::var(f)) {
                         let fu = Arc::make_mut(fu);
-                        fu.timeline.push_back(post.clone());
-                        if fu.timeline.len() > TIMELINE_CAP {
+                        // Evict before appending: a timeline `make_mut`
+                        // just copied is exactly full, and pushing first
+                        // would reallocate it to twice the cap.
+                        if fu.timeline.len() >= TIMELINE_CAP {
                             fu.timeline.pop_front();
                         }
+                        fu.timeline.push_back(post.clone());
                         reached += 1;
                     }
                 }
@@ -447,6 +450,24 @@ mod tests {
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
         assert_eq!(t.len(), TIMELINE_CAP);
         assert_eq!(&*t.back().unwrap().text, format!("{}", TIMELINE_CAP + 9));
+    }
+
+    #[test]
+    fn post_to_a_full_copied_timeline_does_not_reallocate() {
+        let mut vars = state(&[0, 1]);
+        user_mut(&mut vars, 0).followers = vec![1];
+        user_mut(&mut vars, 1).timeline = (0..TIMELINE_CAP as u64)
+            .map(|i| Post { author: 0, text: Arc::from(format!("{i}")) })
+            .collect();
+        // A second owner makes the post's write copy the follower.
+        let shared = vars[&Chirper::var(1)].clone();
+        Chirper::execute(&ChirperOp::Post { user: 0, text: "new".into() }, &mut vars);
+        let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
+        assert_eq!(t.len(), TIMELINE_CAP);
+        assert_eq!(&*t.front().unwrap().text, "1", "the oldest post is dropped");
+        assert_eq!(&*t.back().unwrap().text, "new", "the newest post is last");
+        assert!(t.capacity() < 2 * TIMELINE_CAP, "capacity {}", t.capacity());
+        assert_eq!(shared.unwrap().timeline.len(), TIMELINE_CAP, "the other owner is untouched");
     }
 
     #[test]
