@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dynastar_paxos::{Ballot, BatchStats, GroupConfig, PaxosReplica, RecoveryReport};
+use dynastar_paxos::{Ballot, BatchStats, GroupConfig, Output, PaxosReplica, RecoveryReport};
 use dynastar_runtime::dedup::RotatingSet;
 
 use crate::types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
@@ -12,6 +12,10 @@ use crate::types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgI
 const RETRY_TICKS: u64 = 8;
 
 /// Effects of feeding one input to a [`McastMember`].
+///
+/// The `_into` entry points ([`McastMember::submit_into`],
+/// [`McastMember::on_message_into`], [`McastMember::tick_into`]) append to
+/// a caller-owned `McastOutput` and never clear it; the caller drains it.
 #[derive(Debug, Clone)]
 pub struct McastOutput<V> {
     /// Wire messages to transmit.
@@ -20,11 +24,13 @@ pub struct McastOutput<V> {
     pub delivered: Vec<Delivery<V>>,
 }
 
-impl<V> McastOutput<V> {
-    fn new() -> Self {
+impl<V> Default for McastOutput<V> {
+    fn default() -> Self {
         McastOutput { outgoing: Vec::new(), delivered: Vec::new() }
     }
+}
 
+impl<V> McastOutput<V> {
     /// True when nothing needs to be sent or delivered.
     pub fn is_empty(&self) -> bool {
         self.outgoing.is_empty() && self.delivered.is_empty()
@@ -113,7 +119,8 @@ impl<V: Clone> Clone for MemberSnapshot<V> {
 /// A member owns its group's [`PaxosReplica`] and replays its log to build
 /// deterministic multicast state. Drive it with
 /// [`McastMember::on_message`], [`McastMember::tick`] and
-/// [`McastMember::submit`]; see the [crate docs](crate) for the protocol.
+/// [`McastMember::submit`], or their `_into` forms, which append to a
+/// caller's [`McastOutput`]; see the [crate docs](crate) for the protocol.
 #[derive(Debug)]
 pub struct McastMember<V> {
     me: MemberId,
@@ -150,6 +157,10 @@ pub struct McastMember<V> {
     delivered_payloads: BTreeMap<MsgId, (Dests, V)>,
     ticks: u64,
     delivered_count: u64,
+    /// The consensus layer's output buffer, lent to every call into
+    /// `paxos` and drained by [`Self::absorb_paxos`] (see
+    /// [`Self::with_paxos`]). Holds nothing between calls.
+    paxos_out: Output<LogEntry<V>>,
 }
 
 impl<V: Clone> McastMember<V> {
@@ -193,6 +204,7 @@ impl<V: Clone> McastMember<V> {
             delivered_payloads: BTreeMap::new(),
             ticks: 0,
             delivered_count: 0,
+            paxos_out: Output::default(),
         }
     }
 
@@ -216,11 +228,12 @@ impl<V: Clone> McastMember<V> {
         self.clock
     }
 
-    /// Drains the underlying consensus leader's batching counters (all-zero
-    /// on members that never led). Hosts poll this periodically to publish
-    /// batch-size / flush-reason / pipeline-occupancy metrics.
-    pub fn take_batch_stats(&mut self) -> BatchStats {
-        self.paxos.take_batch_stats()
+    /// Hands the underlying consensus leader's batching counters to `read`
+    /// (all-zero on members that never led) and resets them in place.
+    /// Hosts poll this periodically to publish batch-size / flush-reason /
+    /// pipeline-occupancy metrics.
+    pub fn drain_batch_stats(&mut self, read: impl FnOnce(&BatchStats)) {
+        self.paxos.drain_batch_stats(read);
     }
 
     /// Number of undecided consensus slots currently in flight at this
@@ -294,7 +307,7 @@ impl<V: Clone> McastMember<V> {
         assert_eq!(cfg.size, topo.size_of(me.group), "group config size mismatch");
         let reports: Vec<RecoveryReport<LogEntry<V>>> =
             snapshots.iter().map(|s| s.report.clone()).collect();
-        let (paxos, pout) = PaxosReplica::recover_from(me.index, cfg, promised_floor, &reports);
+        let (paxos, mut pout) = PaxosReplica::recover_from(me.index, cfg, promised_floor, &reports);
         #[expect(
             clippy::expect_used,
             reason = "recovery constructor with a documented panic contract (see the asserts above); recover_from has already rejected an empty quorum"
@@ -320,14 +333,10 @@ impl<V: Clone> McastMember<V> {
             delivered_payloads: donor.delivered_payloads.clone(),
             ticks: donor.ticks,
             delivered_count: donor.delivered_count,
+            paxos_out: Output::default(),
         };
-        let mut out = McastOutput::new();
-        for (_slot, entry) in pout.decided {
-            member.apply(entry, &mut out);
-        }
-        out.outgoing.extend(pout.outgoing.into_iter().map(|(to_index, msg)| {
-            (MemberId::new(me.group, to_index), McastWire::Paxos { from_index: me.index, msg })
-        }));
+        let mut out = McastOutput::default();
+        member.absorb_paxos(&mut pout, &mut out);
         (member, out, donor_idx)
     }
 
@@ -339,14 +348,30 @@ impl<V: Clone> McastMember<V> {
     /// # Panics
     ///
     /// Panics if `dests` is empty.
-    pub fn submit(&mut self, mid: MsgId, mut dests: Vec<GroupId>, payload: V) -> McastOutput<V> {
+    pub fn submit(&mut self, mid: MsgId, dests: Vec<GroupId>, payload: V) -> McastOutput<V> {
+        let mut out = McastOutput::default();
+        self.submit_into(mid, dests, payload, &mut out);
+        out
+    }
+
+    /// [`Self::submit`], appending its effects to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` is empty.
+    pub fn submit_into(
+        &mut self,
+        mid: MsgId,
+        mut dests: Vec<GroupId>,
+        payload: V,
+        out: &mut McastOutput<V>,
+    ) {
         assert!(!dests.is_empty(), "a multicast needs at least one destination group");
         dests.sort_unstable();
         dests.dedup();
         // The one allocation of the destination list: every copy of the
         // message from here on shares it.
         let dests: Dests = dests.into();
-        let mut out = McastOutput::new();
         // Fan the submit out to every replica of every destination group
         // (including our own group, so every replica's `seen_submits` can
         // back up the leader).
@@ -365,9 +390,8 @@ impl<V: Clone> McastMember<V> {
             }
         }
         if dests.contains(&self.me.group) {
-            self.note_submit(mid, dests, payload, &mut out);
+            self.note_submit(mid, dests, payload, out);
         }
-        out
     }
 
     /// Records a submit addressed to our group and proposes it if leading.
@@ -395,8 +419,7 @@ impl<V: Clone> McastMember<V> {
             self.proposed_assign.insert(mid, (self.ticks, ballot));
             let entry =
                 LogEntry::Assign { mid, dests: Arc::clone(dests), payload: payload.clone() };
-            let pout = self.paxos.propose(entry);
-            self.absorb_paxos(pout, out);
+            self.with_paxos(out, |paxos, pout| paxos.propose_into(entry, pout));
         }
     }
 
@@ -415,24 +438,36 @@ impl<V: Clone> McastMember<V> {
         }
         if let Some(&ts) = self.seen_remote_ts.get(&key) {
             self.proposed_remote.insert(key, (self.ticks, ballot));
-            let pout = self.paxos.propose(LogEntry::Remote { mid, from_group, ts });
-            self.absorb_paxos(pout, out);
+            let entry = LogEntry::Remote { mid, from_group, ts };
+            self.with_paxos(out, |paxos, pout| paxos.propose_into(entry, pout));
         }
     }
 
-    /// Routes a Paxos output's messages and applies its decided entries.
-    fn absorb_paxos(
+    /// One call into the consensus layer, its output absorbed into `out`.
+    /// The call writes into [`Self::paxos_out`], which is taken for its
+    /// duration and put back empty: a nested call would find an empty
+    /// buffer of its own, so it stays correct (and only allocates).
+    fn with_paxos(
         &mut self,
-        pout: dynastar_paxos::Output<LogEntry<V>>,
         out: &mut McastOutput<V>,
+        call: impl FnOnce(&mut PaxosReplica<LogEntry<V>>, &mut Output<LogEntry<V>>),
     ) {
-        for (to_index, msg) in pout.outgoing {
+        let mut pout = std::mem::take(&mut self.paxos_out);
+        call(&mut self.paxos, &mut pout);
+        self.absorb_paxos(&mut pout, out);
+        self.paxos_out = pout;
+    }
+
+    /// Routes a Paxos output's messages and applies its decided entries,
+    /// draining it.
+    fn absorb_paxos(&mut self, pout: &mut Output<LogEntry<V>>, out: &mut McastOutput<V>) {
+        for (to_index, msg) in pout.outgoing.drain(..) {
             out.outgoing.push((
                 MemberId::new(self.me.group, to_index),
                 McastWire::Paxos { from_index: self.me.index, msg },
             ));
         }
-        for (_slot, entry) in pout.decided {
+        for (_slot, entry) in pout.decided.drain(..) {
             self.apply(entry, out);
         }
     }
@@ -593,21 +628,27 @@ impl<V: Clone> McastMember<V> {
     }
 
     /// Feeds one wire message into the member.
-    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_message(&mut self, wire: McastWire<V>) -> McastOutput<V> {
-        let mut out = McastOutput::new();
+        let mut out = McastOutput::default();
+        self.on_message_into(wire, &mut out);
+        out
+    }
+
+    /// [`Self::on_message`], appending its effects to `out`.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn on_message_into(&mut self, wire: McastWire<V>, out: &mut McastOutput<V>) {
         match wire {
             McastWire::Submit { mid, dests, payload } => {
                 if dests.contains(&self.me.group) {
-                    self.note_submit(mid, dests, payload, &mut out);
+                    self.note_submit(mid, dests, payload, out);
                 }
             }
             McastWire::GroupTs { mid, from_group, ts, dests, payload } => {
                 if !dests.contains(&self.me.group) {
-                    return out;
+                    return;
                 }
                 // The timestamp doubles as a submit (see wire docs).
-                self.note_submit(mid, dests, payload, &mut out);
+                self.note_submit(mid, dests, payload, out);
                 if self.remote_seen.contains(&(mid, from_group)) {
                     // Already ordered: the ack may have been lost, resend it.
                     if self.paxos.is_leader() {
@@ -620,7 +661,7 @@ impl<V: Clone> McastMember<V> {
                     }
                 } else {
                     self.seen_remote_ts.insert((mid, from_group), ts);
-                    self.maybe_propose_remote(mid, from_group, &mut out);
+                    self.maybe_propose_remote(mid, from_group, out);
                 }
             }
             McastWire::TsAck { mid, from_group, by_group } => {
@@ -632,32 +673,34 @@ impl<V: Clone> McastMember<V> {
                 }
             }
             McastWire::Paxos { from_index, msg } => {
-                let pout = self.paxos.on_message(from_index, msg);
-                self.absorb_paxos(pout, &mut out);
+                self.with_paxos(out, |paxos, pout| paxos.on_message_into(from_index, msg, pout));
             }
         }
-        out
     }
 
     /// Advances time: drives the consensus clock and retransmissions.
     pub fn tick(&mut self) -> McastOutput<V> {
+        let mut out = McastOutput::default();
+        self.tick_into(&mut out);
+        out
+    }
+
+    /// [`Self::tick`], appending its effects to `out`.
+    pub fn tick_into(&mut self, out: &mut McastOutput<V>) {
         self.ticks += 1;
-        let mut out = McastOutput::new();
-        let pout = self.paxos.tick();
-        self.absorb_paxos(pout, &mut out);
+        self.with_paxos(out, PaxosReplica::tick_into);
         if self.paxos.is_leader() {
             // A replica that just became leader adopts outstanding work.
             let submit_mids: Vec<MsgId> = self.seen_submits.keys().copied().collect();
             for mid in submit_mids {
-                self.maybe_propose_assign(mid, &mut out);
+                self.maybe_propose_assign(mid, out);
             }
             let remote_keys: Vec<(MsgId, GroupId)> = self.seen_remote_ts.keys().copied().collect();
             for (mid, g) in remote_keys {
-                self.maybe_propose_remote(mid, g, &mut out);
+                self.maybe_propose_remote(mid, g, out);
             }
-            self.flush_ts_out(&mut out);
+            self.flush_ts_out(out);
         }
-        out
     }
 }
 
@@ -704,11 +747,47 @@ mod tests {
     }
 
     #[test]
+    fn the_into_forms_append_to_what_the_buffer_already_holds() {
+        let (mut m, mut twin) = (member(0), member(0));
+        let mid = MsgId::new(7, 0);
+        let dests = || vec![GroupId(0), GroupId(1)];
+        let remote_ts = || McastWire::GroupTs {
+            mid,
+            from_group: GroupId(1),
+            ts: 5,
+            dests: dests().into(),
+            payload: 42,
+        };
+        let held = (
+            MemberId::new(GroupId(1), 0),
+            McastWire::TsAck {
+                mid: MsgId::new(1, 1),
+                from_group: GroupId(0),
+                by_group: GroupId(1),
+            },
+        );
+        let early =
+            Delivery { mid: MsgId::new(1, 1), final_ts: 1, dests: dests().into(), payload: 1 };
+        let mut out = McastOutput { outgoing: vec![held.clone()], delivered: vec![early.clone()] };
+        m.submit_into(mid, dests(), 42, &mut out);
+        m.tick_into(&mut out);
+        m.on_message_into(remote_ts(), &mut out);
+        let mut expect = McastOutput { outgoing: vec![held], delivered: vec![early] };
+        for step in [twin.submit(mid, dests(), 42), twin.tick(), twin.on_message(remote_ts())] {
+            expect.outgoing.extend(step.outgoing);
+            expect.delivered.extend(step.delivered);
+        }
+        assert_eq!(expect.delivered.len(), 2, "group 1's timestamp completes the message");
+        assert_eq!(out.outgoing, expect.outgoing);
+        assert_eq!(out.delivered, expect.delivered);
+    }
+
+    #[test]
     fn a_remote_ordered_before_its_assign_still_delivers() {
         let mut m = member(0);
         let mid = MsgId::new(7, 0);
         let dests: Dests = vec![GroupId(0), GroupId(1)].into();
-        let mut out = McastOutput::new();
+        let mut out = McastOutput::default();
         m.apply(LogEntry::Remote { mid, from_group: GroupId(1), ts: 5 }, &mut out);
         assert!(out.delivered.is_empty(), "no local timestamp yet");
         m.apply(LogEntry::Assign { mid, dests: Arc::clone(&dests), payload: 42 }, &mut out);

@@ -7,7 +7,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dynastar_amcast::{Delivery, GroupId, McastMember, McastWire, MemberId, MsgId, Topology};
+use dynastar_amcast::{
+    Delivery, GroupId, McastMember, McastOutput, McastWire, MemberId, MsgId, Topology,
+};
 use dynastar_paxos::GroupConfig;
 use proptest::prelude::*;
 
@@ -17,6 +19,16 @@ struct Net {
     queue: VecDeque<(MemberId, McastWire<u64>)>,
     delivered: BTreeMap<MemberId, Vec<Delivery<u64>>>,
     down: Vec<MemberId>,
+    /// `Some`: drive members through the `_into` forms, all appending to
+    /// this one buffer; `None`: through the by-value API.
+    reuse: Option<McastOutput<u64>>,
+}
+
+/// One input to a member.
+enum Input {
+    Submit(MsgId, Vec<GroupId>, u64),
+    Tick,
+    Message(McastWire<u64>),
 }
 
 impl Net {
@@ -30,17 +42,46 @@ impl Net {
             }
         }
         let delivered = members.keys().map(|&m| (m, Vec::new())).collect();
-        Net { members, queue: VecDeque::new(), delivered, down: Vec::new() }
+        Net { members, queue: VecDeque::new(), delivered, down: Vec::new(), reuse: None }
     }
 
-    fn absorb(&mut self, at: MemberId, out: dynastar_amcast::McastOutput<u64>) {
-        self.queue.extend(out.outgoing);
-        self.delivered.get_mut(&at).unwrap().extend(out.delivered);
+    /// The same net, driven through the `_into` forms with one buffer.
+    fn reusing_one_output(self) -> Self {
+        Net { reuse: Some(McastOutput::default()), ..self }
+    }
+
+    fn absorb(&mut self, at: MemberId, out: &mut McastOutput<u64>) {
+        self.queue.extend(out.outgoing.drain(..));
+        self.delivered.get_mut(&at).unwrap().append(&mut out.delivered);
+    }
+
+    fn feed(&mut self, at: MemberId, input: Input) {
+        let member = self.members.get_mut(&at).unwrap();
+        match self.reuse.take() {
+            None => {
+                let mut out = match input {
+                    Input::Submit(mid, dests, payload) => member.submit(mid, dests, payload),
+                    Input::Tick => member.tick(),
+                    Input::Message(wire) => member.on_message(wire),
+                };
+                self.absorb(at, &mut out);
+            }
+            Some(mut out) => {
+                match input {
+                    Input::Submit(mid, dests, payload) => {
+                        member.submit_into(mid, dests, payload, &mut out)
+                    }
+                    Input::Tick => member.tick_into(&mut out),
+                    Input::Message(wire) => member.on_message_into(wire, &mut out),
+                }
+                self.absorb(at, &mut out);
+                self.reuse = Some(out);
+            }
+        }
     }
 
     fn submit_at(&mut self, at: MemberId, mid: MsgId, dests: Vec<GroupId>, payload: u64) {
-        let out = self.members.get_mut(&at).unwrap().submit(mid, dests, payload);
-        self.absorb(at, out);
+        self.feed(at, Input::Submit(mid, dests, payload));
     }
 
     fn tick_all(&mut self) {
@@ -49,8 +90,7 @@ impl Net {
             if self.down.contains(&id) {
                 continue;
             }
-            let out = self.members.get_mut(&id).unwrap().tick();
-            self.absorb(id, out);
+            self.feed(id, Input::Tick);
         }
     }
 
@@ -63,8 +103,7 @@ impl Net {
         if self.down.contains(&to) {
             return;
         }
-        let out = self.members.get_mut(&to).unwrap().on_message(wire);
-        self.absorb(to, out);
+        self.feed(to, Input::Message(wire));
     }
 
     fn drop_one(&mut self, k: usize) {
@@ -82,8 +121,7 @@ impl Net {
                 if self.down.contains(&to) {
                     continue;
                 }
-                let out = self.members.get_mut(&to).unwrap().on_message(wire);
-                self.absorb(to, out);
+                self.feed(to, Input::Message(wire));
             }
             self.tick_all();
         }
@@ -92,8 +130,7 @@ impl Net {
             if self.down.contains(&to) {
                 continue;
             }
-            let out = self.members.get_mut(&to).unwrap().on_message(wire);
-            self.absorb(to, out);
+            self.feed(to, Input::Message(wire));
         }
     }
 
@@ -324,11 +361,11 @@ fn crashed_member_recovers_from_peer_snapshots_and_rejoins() {
         net.members[&MemberId::new(GroupId(0), 1)].snapshot(),
     ];
     let cfg = GroupConfig::new(3);
-    let (rebuilt, out, donor) = McastMember::recover(victim, topo.clone(), cfg, floor, &snaps);
+    let (rebuilt, mut out, donor) = McastMember::recover(victim, topo.clone(), cfg, floor, &snaps);
     assert!(donor < snaps.len());
     net.members.insert(victim, rebuilt);
     net.delivered.get_mut(&victim).unwrap().clear();
-    net.absorb(victim, out);
+    net.absorb(victim, &mut out);
     assert!(!net.members[&victim].is_leader());
     // The snapshot fast-forwards past already-delivered messages: nothing
     // re-delivers, and new traffic flows to the recovered member normally.
@@ -371,32 +408,42 @@ proptest! {
 
     /// Integrity, per-group agreement and global prefix order hold for
     /// three groups of two replicas under arbitrary reordering and loss.
+    /// The same schedule driven through the `_into` forms, every call
+    /// appending to one reused buffer, sends and delivers exactly the same.
     #[test]
     fn multicast_order_properties(actions in prop::collection::vec(action_strategy(), 1..150)) {
         let topo = Topology::uniform(3, 2);
-        let mut net = Net::new(&topo);
-        let mut seq = 0u32;
-        for a in &actions {
-            match *a {
-                Action::Submit { sender, dest_mask } => {
-                    let g = GroupId((sender % 3) as u32);
-                    let m = MemberId::new(g, sender / 3 % 2);
-                    let dests: Vec<GroupId> = (0..3)
-                        .filter(|i| dest_mask & (1 << i) != 0)
-                        .map(|i| GroupId(i as u32))
-                        .collect();
-                    net.submit_at(m, MsgId::new(100 + sender as u64, seq), dests, seq as u64);
-                    seq += 1;
+        let run = |mut net: Net| {
+            let mut seq = 0u32;
+            for a in &actions {
+                match *a {
+                    Action::Submit { sender, dest_mask } => {
+                        let g = GroupId((sender % 3) as u32);
+                        let m = MemberId::new(g, sender / 3 % 2);
+                        let dests: Vec<GroupId> = (0..3)
+                            .filter(|i| dest_mask & (1 << i) != 0)
+                            .map(|i| GroupId(i as u32))
+                            .collect();
+                        net.submit_at(m, MsgId::new(100 + sender as u64, seq), dests, seq as u64);
+                        seq += 1;
+                    }
+                    Action::Deliver { k } => net.deliver_one(k),
+                    Action::Drop { k } => net.drop_one(k),
+                    Action::Tick => net.tick_all(),
                 }
-                Action::Deliver { k } => net.deliver_one(k),
-                Action::Drop { k } => net.drop_one(k),
-                Action::Tick => net.tick_all(),
             }
-        }
-        net.settle();
+            let in_flight = net.queue.clone();
+            net.settle();
+            (net, in_flight)
+        };
+        let (net, in_flight) = run(Net::new(&topo));
         net.check_integrity();
         net.check_group_agreement(&topo);
         net.check_prefix_order();
+        let (reusing, reusing_in_flight) = run(Net::new(&topo).reusing_one_output());
+        prop_assert_eq!(reusing_in_flight, in_flight);
+        prop_assert_eq!(&reusing.delivered, &net.delivered);
+        prop_assert!(reusing.reuse.is_some_and(|out| out.is_empty()), "the caller drained it");
     }
 
     /// Validity under a clean network: every submitted message is

@@ -226,28 +226,29 @@ fn fan_out<A: Application>(port: &mut impl Port<A>, nodes: &[NodeId], body: &Arc
     }
 }
 
-/// Puts a member's outgoing wires on the transport, each to its member's node.
+/// Puts a member's outgoing wires on the transport, each to its member's
+/// node, draining `wires`.
 fn send_wires<A: Application>(
     routes: &RouteTable,
-    wires: Vec<(MemberId, McastWire<Arc<Payload<A>>>)>,
+    wires: &mut Vec<(MemberId, McastWire<Arc<Payload<A>>>)>,
     port: &mut impl Port<A>,
 ) {
-    for (to, wire) in wires {
+    for (to, wire) in wires.drain(..) {
         port.send(routes.node_of(to), Arc::new(Inner::Wire(wire)));
     }
 }
 
 /// Turns a core's effects into port calls, in order — the one place an
-/// [`Effect`] becomes IO. `multicast` is all the two sides do differently:
-/// a replica submits through its group membership, a client straight to
-/// every replica of the destination groups.
+/// [`Effect`] becomes IO — draining `effects`. `multicast` is all the two
+/// sides do differently: a replica submits through its group membership,
+/// a client straight to every replica of the destination groups.
 fn interpret<A: Application, P: Port<A>>(
     routes: &RouteTable,
-    effects: Vec<Effect<A>>,
+    effects: &mut Vec<Effect<A>>,
     port: &mut P,
     mut multicast: impl FnMut(&mut P, MsgId, Vec<GroupId>, Arc<Payload<A>>),
 ) {
-    for eff in effects {
+    for eff in effects.drain(..) {
         match eff {
             Effect::Multicast { mid, partitions, oracle, payload } => {
                 let groups = routes.mcast_groups(&partitions, oracle);
@@ -278,6 +279,9 @@ pub(crate) enum Role<A: Application> {
     Oracle(OracleCore<A>),
 }
 
+/// Each call appends the core's effects to `eff`. The partition core
+/// writes into it directly; the oracle core still returns a `Vec`, which
+/// is moved over.
 impl<A: Application> Role<A> {
     #[deny(clippy::wildcard_enum_match_arm)]
     fn on_deliver(
@@ -285,10 +289,11 @@ impl<A: Application> Role<A> {
         payload: Arc<Payload<A>>,
         now: SimTime,
         metrics: &mut Metrics,
-    ) -> Vec<Effect<A>> {
+        eff: &mut Vec<Effect<A>>,
+    ) {
         match self {
-            Role::Partition(c) => c.on_deliver(payload, now, metrics),
-            Role::Oracle(c) => c.on_deliver(payload, now, metrics),
+            Role::Partition(c) => c.on_deliver_into(payload, now, metrics, eff),
+            Role::Oracle(c) => eff.append(&mut c.on_deliver(payload, now, metrics)),
         }
     }
 
@@ -299,31 +304,32 @@ impl<A: Application> Role<A> {
         msg: &Direct<A>,
         now: SimTime,
         metrics: &mut Metrics,
-    ) -> Vec<Effect<A>> {
+        eff: &mut Vec<Effect<A>>,
+    ) {
         match self {
-            Role::Partition(c) => c.on_direct(msg, now, metrics),
-            Role::Oracle(_) => Vec::new(),
+            Role::Partition(c) => c.on_direct_into(msg, now, metrics, eff),
+            Role::Oracle(_) => {}
         }
     }
 
-    fn on_tick(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+    fn on_tick(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         match self {
-            Role::Partition(_) => Vec::new(),
-            Role::Oracle(c) => c.on_tick(now, metrics),
+            Role::Partition(_) => {}
+            Role::Oracle(c) => eff.append(&mut c.on_tick(now, metrics)),
         }
     }
 
-    fn on_plan_timer(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+    fn on_plan_timer(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         match self {
-            Role::Partition(_) => Vec::new(),
-            Role::Oracle(c) => c.on_plan_timer(now, metrics),
+            Role::Partition(_) => {}
+            Role::Oracle(c) => eff.append(&mut c.on_plan_timer(now, metrics)),
         }
     }
 
-    fn on_wake(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
+    fn on_wake(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         match self {
-            Role::Partition(c) => c.on_wake(now, metrics),
-            Role::Oracle(_) => Vec::new(),
+            Role::Partition(c) => c.on_wake_into(now, metrics, eff),
+            Role::Oracle(_) => {}
         }
     }
 
@@ -364,12 +370,22 @@ impl<A: Application> Role<A> {
 type Deliveries<A> = VecDeque<Delivery<Arc<Payload<A>>>>;
 
 /// One replica, sans io: a multicast member plus the core it feeds.
+///
+/// The host owns the buffers every message passes through and lends them
+/// to the calls it makes: the member and the core append, the host drains.
+/// Each is empty between calls.
 pub(crate) struct ReplicaHost<A: Application> {
     me: MemberId,
     routes: Arc<RouteTable>,
     group_cfg: GroupConfig,
     member: McastMember<Arc<Payload<A>>>,
     role: Role<A>,
+    /// What the member's last call sent and delivered.
+    mcast_out: McastOutput<Arc<Payload<A>>>,
+    /// What the core's last call decided.
+    effects: Vec<Effect<A>>,
+    /// Deliveries not yet fed to the core (see [`Self::drain`]).
+    pending: Deliveries<A>,
 }
 
 impl<A: Application> ReplicaHost<A> {
@@ -382,7 +398,16 @@ impl<A: Application> ReplicaHost<A> {
     ) -> Self {
         role.adopt(me, group_cfg.size);
         let member = McastMember::with_group_config(me, routes.topology(), group_cfg.clone());
-        ReplicaHost { me, routes, group_cfg, member, role }
+        ReplicaHost {
+            me,
+            routes,
+            group_cfg,
+            member,
+            role,
+            mcast_out: McastOutput::default(),
+            effects: Vec::new(),
+            pending: Deliveries::new(),
+        }
     }
 
     /// This replica's multicast address.
@@ -416,17 +441,17 @@ impl<A: Application> ReplicaHost<A> {
     /// than not a repeat: the core copies it if it is new.
     pub(crate) fn on_body(&mut self, body: Arc<Inner<A>>, port: &mut impl Port<A>) {
         if let Inner::Direct(msg) = &*body {
-            self.step(port, |role, now, metrics| role.on_direct(msg, now, metrics));
+            self.step(port, |role, now, metrics, eff| role.on_direct(msg, now, metrics, eff));
         } else if let Inner::Wire(wire) = unwrap_released(body) {
-            let out = self.member.on_message(wire);
-            self.absorb(out, port);
+            self.member.on_message_into(wire, &mut self.mcast_out);
+            self.route_mcast_out(port);
         }
     }
 
     /// The periodic multicast/consensus tick (every [`TICK`]).
     pub(crate) fn on_tick(&mut self, port: &mut impl Port<A>) {
-        let out = self.member.tick();
-        self.absorb(out, port);
+        self.member.tick_into(&mut self.mcast_out);
+        self.route_mcast_out(port);
         self.publish_batch_stats(port.metrics());
         self.step(port, Role::on_tick);
     }
@@ -444,46 +469,57 @@ impl<A: Application> ReplicaHost<A> {
     /// Routes a multicast-layer output: sends the wires, then feeds the
     /// deliveries to the core.
     pub(crate) fn absorb(&mut self, out: McastOutput<Arc<Payload<A>>>, port: &mut impl Port<A>) {
-        send_wires(&self.routes, out.outgoing, port);
-        self.drain(out.delivered.into(), port);
+        self.mcast_out.outgoing.extend(out.outgoing);
+        self.mcast_out.delivered.extend(out.delivered);
+        self.route_mcast_out(port);
+    }
+
+    /// [`Self::absorb`] of what the member's last call appended to
+    /// [`Self::mcast_out`], draining it before any delivery is fed: the
+    /// core's multicasts submit through the same buffer.
+    fn route_mcast_out(&mut self, port: &mut impl Port<A>) {
+        send_wires(&self.routes, &mut self.mcast_out.outgoing, port);
+        self.pending.extend(self.mcast_out.delivered.drain(..));
+        self.drain(port);
     }
 
     /// One core call, its effects, and whatever they caused to be delivered.
     fn step<P: Port<A>>(
         &mut self,
         port: &mut P,
-        call: impl FnOnce(&mut Role<A>, SimTime, &mut Metrics) -> Vec<Effect<A>>,
+        call: impl FnOnce(&mut Role<A>, SimTime, &mut Metrics, &mut Vec<Effect<A>>),
     ) {
         let now = port.now();
-        let effects = call(&mut self.role, now, port.metrics());
-        let mut pending = Deliveries::new();
-        self.apply(effects, &mut pending, port);
-        self.drain(pending, port);
+        let mut effects = std::mem::take(&mut self.effects);
+        call(&mut self.role, now, port.metrics(), &mut effects);
+        self.apply(&mut effects, port);
+        self.effects = effects;
+        self.drain(port);
     }
 
-    /// The delivery loop: feeds deliveries to the core in total order,
-    /// emitting each one's effects before the next is fed; a multicast
-    /// among them that delivers to this very member queues up behind
-    /// what is already pending.
-    fn drain(&mut self, mut pending: Deliveries<A>, port: &mut impl Port<A>) {
-        while let Some(d) = pending.pop_front() {
+    /// The delivery loop: feeds the pending deliveries to the core in
+    /// total order, emitting each one's effects before the next is fed; a
+    /// multicast among them that delivers to this very member queues up
+    /// behind what is already pending.
+    fn drain(&mut self, port: &mut impl Port<A>) {
+        let mut effects = std::mem::take(&mut self.effects);
+        while let Some(d) = self.pending.pop_front() {
             let now = port.now();
-            let effects = self.role.on_deliver(d.payload, now, port.metrics());
-            self.apply(effects, &mut pending, port);
+            self.role.on_deliver(d.payload, now, port.metrics(), &mut effects);
+            self.apply(&mut effects, port);
         }
+        self.effects = effects;
     }
 
-    fn apply<P: Port<A>>(
-        &mut self,
-        effects: Vec<Effect<A>>,
-        pending: &mut Deliveries<A>,
-        port: &mut P,
-    ) {
+    /// Interprets (and drains) `effects`. A multicast is submitted through
+    /// the member; what it delivers here joins [`Self::pending`].
+    fn apply<P: Port<A>>(&mut self, effects: &mut Vec<Effect<A>>, port: &mut P) {
         let (member, routes) = (&mut self.member, &*self.routes);
+        let (out, pending) = (&mut self.mcast_out, &mut self.pending);
         interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
-            let out = member.submit(mid, groups, payload);
-            send_wires(routes, out.outgoing, port);
-            pending.extend(out.delivered);
+            member.submit_into(mid, groups, payload, out);
+            send_wires(routes, &mut out.outgoing, port);
+            pending.extend(out.delivered.drain(..));
         });
     }
 
@@ -493,20 +529,22 @@ impl<A: Application> ReplicaHost<A> {
     /// publishes them. Batch sizes and window occupancies are counts,
     /// recorded into duration histograms in µs units.
     fn publish_batch_stats(&mut self, m: &mut Metrics) {
-        let stats = self.member.take_batch_stats();
-        if self.me.index != 0 || stats.batches == 0 {
-            return;
-        }
-        m.incr_counter(metric_names::BATCH_FLUSH_FULL, stats.flush_full);
-        m.incr_counter(metric_names::BATCH_FLUSH_DELAY, stats.flush_delay);
-        m.incr_counter(metric_names::BATCH_COMMANDS, stats.batched_cmds);
-        for &(size, occupancy) in &stats.samples {
-            m.record_histogram(metric_names::BATCH_SIZE, SimDuration::from_micros(size as u64));
-            m.record_histogram(
-                metric_names::BATCH_OCCUPANCY,
-                SimDuration::from_micros(occupancy as u64),
-            );
-        }
+        let publishes = self.me.index == 0;
+        self.member.drain_batch_stats(|stats| {
+            if !publishes || stats.batches == 0 {
+                return;
+            }
+            m.incr_counter(metric_names::BATCH_FLUSH_FULL, stats.flush_full);
+            m.incr_counter(metric_names::BATCH_FLUSH_DELAY, stats.flush_delay);
+            m.incr_counter(metric_names::BATCH_COMMANDS, stats.batched_cmds);
+            for &(size, occupancy) in &stats.samples {
+                m.record_histogram(metric_names::BATCH_SIZE, SimDuration::from_micros(size as u64));
+                m.record_histogram(
+                    metric_names::BATCH_OCCUPANCY,
+                    SimDuration::from_micros(occupancy as u64),
+                );
+            }
+        });
     }
 
     /// Crash-recovery boot: the member loses its volatile state. The core
@@ -602,9 +640,9 @@ impl<A: Application> ClientHost<A> {
 
     /// Client-side multicast: clients are not group members, they submit
     /// directly to every replica of every destination group.
-    fn apply<P: Port<A>>(&mut self, effects: Vec<Effect<A>>, port: &mut P) {
+    fn apply<P: Port<A>>(&mut self, mut effects: Vec<Effect<A>>, port: &mut P) {
         let routes = &*self.routes;
-        interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
+        interpret(routes, &mut effects, port, |port: &mut P, mid, groups, payload| {
             let submit = McastWire::Submit { mid, dests: groups.as_slice().into(), payload };
             let body = Arc::new(Inner::Wire(submit));
             for &g in &groups {

@@ -137,6 +137,13 @@ pub struct ServerCore<A: Application> {
     exec: ExecScheduler,
     /// The interned handles of what this replica records.
     meter: Meter,
+    /// Scratch for [`Self::run_op`]: this partition's distinct declared
+    /// variables. Empty between calls.
+    scratch_vars: Vec<VarId>,
+    /// Scratch for [`Self::pump_access`]: the distinct partitions a
+    /// multi-partition command involves. Only read right after
+    /// [`Self::count_partitions`] fills it.
+    scratch_parts: Vec<PartitionId>,
 }
 
 /// Cloning a core snapshots its full protocol state — every replica of a
@@ -173,6 +180,8 @@ impl<A: Application> Clone for ServerCore<A> {
             history: self.history.clone(),
             exec: self.exec.clone(),
             meter: self.meter.clone(),
+            scratch_vars: Vec::new(),
+            scratch_parts: Vec::new(),
         }
     }
 }
@@ -207,6 +216,8 @@ impl<A: Application> ServerCore<A> {
             exec: ExecScheduler::new(config.exec),
             meter: Meter::new(partition),
             config,
+            scratch_vars: Vec::new(),
+            scratch_parts: Vec::new(),
         }
     }
 
@@ -290,18 +301,31 @@ impl<A: Application> ServerCore<A> {
     /// is handed the same one. A queued access command keeps the payload
     /// itself; only a create/delete command and a plan's moves are copied
     /// out of it.
-    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_deliver(
         &mut self,
         payload: impl Into<Arc<Payload<A>>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
-        let payload = payload.into();
         let mut eff = Vec::new();
+        self.on_deliver_into(payload, now, metrics, &mut eff);
+        eff
+    }
+
+    /// [`Self::on_deliver`], appending its effects to `eff`.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn on_deliver_into(
+        &mut self,
+        payload: impl Into<Arc<Payload<A>>>,
+        now: SimTime,
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+    ) {
+        let payload = payload.into();
+        let first = eff.len();
         match &*payload {
             Payload::Access { cmd, expected, .. } => {
-                self.pull_awaited(expected, metrics, &mut eff);
+                self.pull_awaited(expected, metrics, eff);
                 let sets = self.exec.classify(cmd);
                 self.queue.push_back(Queued::Access {
                     payload: Arc::clone(&payload),
@@ -360,7 +384,7 @@ impl<A: Application> ServerCore<A> {
                     let e =
                         self.staging.entry((version, key)).or_insert(StagedKey::new(from, true));
                     e.done = true;
-                    self.try_install_staged(version, key, metrics, &mut eff);
+                    self.try_install_staged(version, key, metrics, eff);
                 }
             }
             &Payload::MigrationRevert { version, key, from, to } => {
@@ -403,17 +427,22 @@ impl<A: Application> ServerCore<A> {
                 // Oracle-only payloads; partitions are never destinations.
             }
         }
-        self.pump(now, metrics, &mut eff);
-        self.finalize_wakes(now, metrics, &mut eff);
-        eff
+        self.pump(now, metrics, eff);
+        self.finalize_wakes(now, metrics, eff, first);
     }
 
     /// Called by the hosting actor when the modelled CPU frees up.
     pub fn on_wake(&mut self, now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
-        self.pump(now, metrics, &mut eff);
-        self.finalize_wakes(now, metrics, &mut eff);
+        self.on_wake_into(now, metrics, &mut eff);
         eff
+    }
+
+    /// [`Self::on_wake`], appending its effects to `eff`.
+    pub fn on_wake_into(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
+        let first = eff.len();
+        self.pump(now, metrics, eff);
+        self.finalize_wakes(now, metrics, eff, first);
     }
 
     /// Sends every shipment of borrowed variables received for
@@ -433,20 +462,33 @@ impl<A: Application> ServerCore<A> {
     /// replica of the sending group sends a copy, so most arrivals are
     /// repeats: a shared message is copied only once it has passed the
     /// dedup check, a repeat costs the set lookup.
-    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_direct<'a>(
         &mut self,
         msg: impl Into<Cow<'a, Direct<A>>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
-        let msg = msg.into();
         let mut eff = Vec::new();
+        self.on_direct_into(msg, now, metrics, &mut eff);
+        eff
+    }
+
+    /// [`Self::on_direct`], appending its effects to `eff`.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn on_direct_into<'a>(
+        &mut self,
+        msg: impl Into<Cow<'a, Direct<A>>>,
+        now: SimTime,
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+    ) {
+        let msg = msg.into();
         if let Some(key) = msg.dedup_key() {
             if !self.seen.insert(key) {
-                return eff;
+                return;
             }
         }
+        let first = eff.len();
         match msg.into_owned() {
             Direct::VarsForCmd { cmd, attempt, from, vars } => {
                 if self.aborted.contains(&(cmd, attempt)) || self.executed.contains_key(&cmd) {
@@ -465,13 +507,13 @@ impl<A: Application> ServerCore<A> {
             }
             Direct::Abort { cmd, attempt, .. } => {
                 self.aborted.insert((cmd, attempt));
-                self.bounce_vars_in(cmd, attempt, &mut eff);
+                self.bounce_vars_in(cmd, attempt, eff);
             }
             Direct::Signal { cmd } => {
                 self.oracle_signals.insert(cmd);
             }
             Direct::PlanVars { version, key, from, vars, pending, primary } => {
-                self.on_plan_vars(version, key, from, vars, pending, primary, metrics, &mut eff);
+                self.on_plan_vars(version, key, from, vars, pending, primary, metrics, eff);
             }
             Direct::PlanVarsChunk { version, key, from, chunk, total, vars } => {
                 // Ack unconditionally — even duplicates and post-settle
@@ -517,7 +559,7 @@ impl<A: Application> ServerCore<A> {
                     }
                     // A late chunk may complete a migration whose Done was
                     // already delivered.
-                    self.try_install_staged(version, key, metrics, &mut eff);
+                    self.try_install_staged(version, key, metrics, eff);
                 }
             }
             Direct::PlanVarsAck { version, key, chunk } => {
@@ -538,9 +580,8 @@ impl<A: Application> ServerCore<A> {
                 // Client-addressed; a server never receives these.
             }
         }
-        self.pump(now, metrics, &mut eff);
-        self.finalize_wakes(now, metrics, &mut eff);
-        eff
+        self.pump(now, metrics, eff);
+        self.finalize_wakes(now, metrics, eff, first);
     }
 
     /// Installs (or forwards) a staged migration's variables once both the
@@ -822,12 +863,9 @@ impl<A: Application> ServerCore<A> {
             self.finish_execution(cmd, attempt, sets.take(), reply, false, now, metrics, eff);
             return Step::Done;
         }
-        let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
-        dests.sort_unstable();
-        dests.dedup();
-
         if self.mode == Mode::SSmr {
             // S-SMR: exchange shares, then everyone executes.
+            let involved = self.count_partitions(expected);
             if !*sent_exchange {
                 *sent_exchange = true;
                 let mine = self.my_var_values(expected);
@@ -838,7 +876,7 @@ impl<A: Application> ServerCore<A> {
                         mine.iter().filter(|(_, v)| v.is_some()).count() as u64,
                     );
                 }
-                for &p in dests.iter().filter(|&&p| p != self.partition) {
+                for &p in self.scratch_parts.iter().filter(|&&p| p != self.partition) {
                     eff.push(Effect::Send {
                         to: Destination::Partition(p),
                         msg: Direct::SsmrExchange {
@@ -851,10 +889,12 @@ impl<A: Application> ServerCore<A> {
                 }
             }
             let have = self.ssmr_in.get(&(cmd_id, attempt)).map(|m| m.len()).unwrap_or(0);
-            if have + 1 < dests.len() {
+            if have + 1 < involved {
                 // Waiting for other partitions' shares.
-                return Step::Wait(GateReason::BorrowedVars { have, need: dests.len() - 1 });
+                return Step::Wait(GateReason::BorrowedVars { have, need: involved - 1 });
             }
+            // The lowest-id partition is the designated replier.
+            let replier = self.scratch_parts[0];
             // Assemble the full variable map and execute everywhere; only
             // our own variables are written back.
             let shares = self.ssmr_in.remove(&(cmd_id, attempt)).unwrap_or_default();
@@ -865,8 +905,7 @@ impl<A: Application> ServerCore<A> {
                 let ids = self.meter.ids(metrics);
                 metrics.record_at(ids.s_multi, now, 1.0);
             }
-            if self.partition == dests[0] {
-                // The lowest-id partition is the designated replier.
+            if self.partition == replier {
                 self.finish_execution(cmd, attempt, sets.take(), reply, true, now, metrics, eff);
             } else {
                 // Record execution without replying (dedup for retries).
@@ -884,8 +923,9 @@ impl<A: Application> ServerCore<A> {
         if target == self.partition {
             // Target: wait until every other involved partition shipped.
             let have = self.vars_in.get(&(cmd_id, attempt)).map(|m| m.len()).unwrap_or(0);
-            if have + 1 < dests.len() {
-                return Step::Wait(GateReason::BorrowedVars { have, need: dests.len() - 1 });
+            let involved = self.count_partitions(expected);
+            if have + 1 < involved {
+                return Step::Wait(GateReason::BorrowedVars { have, need: involved - 1 });
             }
             let shipments = self.vars_in.remove(&(cmd_id, attempt)).unwrap_or_default();
             let mut borrowed: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
@@ -957,6 +997,17 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
+    /// Fills [`Self::scratch_parts`] with the distinct partitions
+    /// `expected` names, in id order, and returns how many there are.
+    fn count_partitions(&mut self, expected: &[(VarId, PartitionId)]) -> usize {
+        let parts = &mut self.scratch_parts;
+        parts.clear();
+        parts.extend(expected.iter().map(|&(_, p)| p));
+        parts.sort_unstable();
+        parts.dedup();
+        parts.len()
+    }
+
     /// Stores or forwards one returned variable, depending on whether its
     /// key still lives here.
     fn apply_returned_var(&mut self, v: VarId, val: Option<A::Value>, eff: &mut Vec<Effect<A>>) {
@@ -998,17 +1049,18 @@ impl<A: Application> ServerCore<A> {
     ) -> A::Reply {
         // Distinct (a command may declare a variable twice — the second
         // take would find the slot empty) and in store order.
-        let mut mine: Vec<VarId> =
-            expected.iter().filter(|&&(_, p)| p == self.partition).map(|&(v, _)| v).collect();
+        let mut mine = std::mem::take(&mut self.scratch_vars);
+        mine.extend(expected.iter().filter(|&&(_, p)| p == self.partition).map(|&(v, _)| v));
         mine.sort_unstable();
         mine.dedup();
         for &v in &mine {
             vars.insert(v, self.store.take(v));
         }
         let reply = A::execute(op, vars);
-        for &v in &mine {
+        for v in mine.drain(..) {
             self.store.put(v, take_value(vars, v));
         }
+        self.scratch_vars = mine;
         reply
     }
 
@@ -1416,18 +1468,29 @@ impl<A: Application> ServerCore<A> {
     /// next instant (an ack deadline, or the link freeing up with chunks
     /// still to send) or a retransmit or the rest of a plan could be lost.
     /// A batch with neither wakes nor migration work leaves any previously
-    /// armed timer intact.
-    fn finalize_wakes(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
+    /// armed timer intact. The batch is `eff[first..]`: what the caller's
+    /// buffer held before this call is not touched.
+    fn finalize_wakes(
+        &mut self,
+        now: SimTime,
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+        first: usize,
+    ) {
         let pumped = self.sender.pump(&self.config, now, eff);
         self.count(metrics, |ids| ids.migration_chunks_sent, pumped.chunks_sent);
         self.count(metrics, |ids| ids.migration_chunk_retries, pumped.chunk_retries);
         let mut min_wake = pumped.next_due;
-        eff.retain(|e| match e {
-            Effect::Wake { at } => {
-                min_wake = Some(min_wake.map_or(*at, |cur| cur.min(*at)));
-                false
+        let mut index = 0;
+        eff.retain(|e| {
+            index += 1;
+            match e {
+                Effect::Wake { at } if index > first => {
+                    min_wake = Some(min_wake.map_or(*at, |cur| cur.min(*at)));
+                    false
+                }
+                _ => true,
             }
-            _ => true,
         });
         if let Some(at) = min_wake {
             eff.push(Effect::Wake { at });
@@ -1453,6 +1516,7 @@ mod tests {
     use crate::routing::shard_of;
     use dynastar_runtime::{NodeId, SimDuration};
 
+    #[derive(Debug)]
     struct App;
     impl Application for App {
         type Op = i64; // op >= 0: add to every declared var; op < 0: pure read
@@ -1527,6 +1591,33 @@ mod tests {
         assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 11)]));
         assert_eq!(s.value_of(VarId(0)), Some(&11));
         assert_eq!(m.counter(mn::CMD_SINGLE), 1);
+    }
+
+    #[test]
+    fn the_into_forms_append_and_merge_only_their_own_wakes() {
+        let exec = ExecConfig::serial(SimDuration::from_millis(1));
+        let mut s = ServerCore::<App>::new(
+            PartitionId(0),
+            Mode::Dynastar,
+            ServerConfig { exec, ..ServerConfig::default() },
+        );
+        s.preload([LocKey(0)], [(VarId(0), 10)]);
+        let mut twin = s.clone();
+        let mut m = Metrics::new();
+        // The caller still holds a later wake. The first access occupies
+        // the executor; the second waits and asks for its own wake.
+        let held = || Effect::<App>::Wake { at: now() + SimDuration::from_millis(5) };
+        let mut eff = vec![held()];
+        let mut expect = vec![held()];
+        for seq in 0..2 {
+            s.on_deliver_into(access_payload(seq, &[(0, 0)], 0, 0), now(), &mut m, &mut eff);
+            expect.extend(twin.on_deliver(access_payload(seq, &[(0, 0)], 0, 0), now(), &mut m));
+        }
+        s.on_wake_into(now() + SimDuration::from_millis(1), &mut m, &mut eff);
+        expect.extend(twin.on_wake(now() + SimDuration::from_millis(1), &mut m));
+        let wakes = eff.iter().filter(|e| matches!(e, Effect::Wake { .. })).count();
+        assert_eq!(wakes, 2, "the held wake and the second access's");
+        assert_eq!(format!("{eff:?}"), format!("{expect:?}"));
     }
 
     #[test]

@@ -10,6 +10,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dynastar_runtime::fifo::{FifoLinks, Frame};
@@ -142,10 +143,13 @@ const NACK_RESEND_EVERY: SimDuration = SimDuration::from_millis(20);
 /// retransmits them, so the bound trades memory for recovery latency only.
 const FIFO_BUFFER_CAP: usize = 4_096;
 
-/// One peer's outstanding frames: seq → (frame, first send, latest send).
-/// Frames share their body with the in-flight copy via `Arc`, so buffering
-/// for retransmission costs a refcount, not a deep clone.
-type SendBuf<A> = std::collections::BTreeMap<u64, (Frame<Arc<Inner<A>>>, SimTime, SimTime)>;
+/// One peer's outstanding frames in send order: (frame, first send, latest
+/// send). Sequence numbers to a peer are contiguous and frames leave only
+/// from the front (cumulative ack) or all at once (give-up), so the frame
+/// with sequence number `seq` sits at index `seq - front.seq`. Frames share
+/// their body with the in-flight copy via `Arc`, so buffering for
+/// retransmission costs a refcount, not a deep clone.
+type SendBuf<A> = VecDeque<(Frame<Arc<Inner<A>>>, SimTime, SimTime)>;
 
 /// One node's end of every link: FIFO framing + a simple ARQ (cumulative
 /// acks, timeout retransmission), epoch-aware so streams resynchronize
@@ -155,10 +159,11 @@ pub(crate) struct Wiring<A: Application> {
     /// FIFO drops already surfaced to the metrics registry (the fifo layer
     /// keeps a monotone total; this remembers how much was reported).
     reported_fifo_drops: u64,
-    /// Sent frames not yet acknowledged: per peer, seq → (frame, first
-    /// send, latest (re)send). Retransmission backs off from the latest
-    /// send; the give-up clock runs from the first, so resending a frame
-    /// does not keep it alive forever against an unreachable peer.
+    /// Sent frames not yet acknowledged: per peer, (frame, first send,
+    /// latest (re)send) in sequence order. Retransmission backs off from
+    /// the latest send; the give-up clock runs from the first, so resending
+    /// a frame does not keep it alive forever against an unreachable peer.
+    /// A buffer the acks empty stays in the map, keeping its capacity.
     unacked: FastHashMap<NodeId, SendBuf<A>>,
     /// Last cumulative ack value sent to each peer.
     acked_to_peer: FastHashMap<NodeId, u64>,
@@ -198,7 +203,9 @@ impl<A: Application> Wiring<A> {
     pub(crate) fn send(&mut self, ctx: &mut Ctx<'_, Msg<A>>, to: NodeId, inner: Arc<Inner<A>>) {
         let frame = self.fifo.wrap(to, inner);
         let now = ctx.now();
-        self.unacked.entry(to).or_default().insert(frame.seq, (frame.clone(), now, now));
+        let buf = self.unacked.entry(to).or_default();
+        debug_assert!(buf.back().is_none_or(|(last, _, _)| last.seq + 1 == frame.seq));
+        buf.push_back((frame.clone(), now, now));
         let dst_epoch = self.peer_epoch(to);
         ctx.send(to, Msg::Frame { src_epoch: self.my_epoch, dst_epoch, frame });
     }
@@ -242,23 +249,20 @@ impl<A: Application> Wiring<A> {
         self.fifo.reset_receive(&peer);
         self.acked_to_peer.remove(&peer);
         self.fifo.reset_send(&peer);
-        if let Some(buf) = self.unacked.remove(&peer) {
+        if let Some(buf) = self.unacked.get_mut(&peer).filter(|buf| !buf.is_empty()) {
             let now = ctx.now();
-            let mut renumbered = std::collections::BTreeMap::new();
-            for (_old_seq, (frame, first_sent, _last_sent)) in buf {
-                let f = self.fifo.wrap(peer, frame.inner);
+            for (frame, _first_sent, last_sent) in buf.iter_mut() {
+                *frame = self.fifo.wrap(peer, Arc::clone(&frame.inner));
                 // The give-up clock keeps running from the original send.
-                renumbered.insert(f.seq, (f, first_sent, now));
+                *last_sent = now;
             }
-            ctx.metrics_mut()
-                .incr_counter(metric_names::NET_RETRANSMISSIONS, renumbered.len() as u64);
-            for (f, _, _) in renumbered.values() {
+            ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, buf.len() as u64);
+            for (f, _, _) in buf.iter() {
                 ctx.send(
                     peer,
                     Msg::Frame { src_epoch: self.my_epoch, dst_epoch: epoch, frame: f.clone() },
                 );
             }
-            self.unacked.insert(peer, renumbered);
         }
     }
 
@@ -279,7 +283,7 @@ impl<A: Application> Wiring<A> {
         let from_seq = self
             .unacked
             .get(&peer)
-            .and_then(|buf| buf.keys().next().copied())
+            .and_then(|buf| buf.front().map(|(frame, _, _)| frame.seq))
             .unwrap_or_else(|| self.fifo.next_seq_to(&peer));
         let dst_epoch = self.peer_epoch(peer);
         ctx.send(peer, Msg::Jump { src_epoch: self.my_epoch, dst_epoch, from_seq });
@@ -352,15 +356,16 @@ impl<A: Application> Wiring<A> {
                 let mut unsatisfiable_hole = false;
                 match self.unacked.get_mut(&from) {
                     Some(buf) => {
-                        // Drop cumulatively-acked frames in place; a
-                        // `split_off` here would rebuild the whole tree on
-                        // every ack.
-                        while buf.first_key_value().map(|(&s, _)| s < up_to).unwrap_or(false) {
-                            buf.pop_first();
+                        // Drop cumulatively-acked frames from the front.
+                        while buf.front().is_some_and(|(frame, _, _)| frame.seq < up_to) {
+                            buf.pop_front();
                         }
                         // Selective repeat: resend exactly the reported holes.
+                        let front = buf.front().map_or(0, |(frame, _, _)| frame.seq);
                         for seq in missing {
-                            if let Some((frame, _first_sent, last_sent)) = buf.get_mut(&seq) {
+                            let held = seq.checked_sub(front).and_then(|i| buf.get_mut(i as usize));
+                            if let Some((frame, _first_sent, last_sent)) = held {
+                                debug_assert_eq!(frame.seq, seq);
                                 if now.saturating_duration_since(*last_sent) >= NACK_RESEND_EVERY {
                                     *last_sent = now;
                                     resends.push(frame.clone());
@@ -370,9 +375,6 @@ impl<A: Application> Wiring<A> {
                                 // ack or give-up; an unheld hole was given up.
                                 unsatisfiable_hole = true;
                             }
-                        }
-                        if buf.is_empty() {
-                            self.unacked.remove(&from);
                         }
                     }
                     None => {
@@ -463,7 +465,7 @@ impl<A: Application> Wiring<A> {
             let Some(buf) = self.unacked.get_mut(&peer) else { continue };
             let mut resends = Vec::new();
             let mut expired = false;
-            for (frame, first_sent, last_sent) in buf.values_mut() {
+            for (frame, first_sent, last_sent) in buf.iter_mut() {
                 // Give-up measures from the *first* send: a peer that has
                 // acked nothing for this long is crashed or partitioned
                 // away, and resending cannot keep the frame alive.
@@ -637,6 +639,24 @@ mod tests {
         assert!(SimDuration::from_millis(95) < RETX_AFTER);
         assert_eq!(*got.borrow(), numbers(0..3));
         assert_eq!(sim.metrics().counter(metric_names::NET_RETRANSMISSIONS), 1);
+    }
+
+    #[test]
+    fn a_nack_behind_an_acked_prefix_resends_exactly_the_missing_frames() {
+        let script = [(10, 5), (110, 1), (120, 1), (130, 1), (155, 1)];
+        let (mut sim, got) = link(&script, Wiring::new(0));
+        // `B`'s first lazy flush (100 ms) acks frames 0..5, so `A`'s
+        // buffer starts at frame 5 from 101 ms on. Frames 5 and 7 are lost.
+        lose(&mut sim, 105, 115);
+        lose(&mut sim, 125, 135);
+        // Frame 6 reports hole 5 at 122 ms, too soon after its send to
+        // resend it. Frame 8 reports holes 5 and 7 at 157 ms: the buffer
+        // holds 5..9, and the resends must be its first and third frames,
+        // both landing at 158 ms. Healing one hole per round trip would
+        // take until 160 ms.
+        sim.run_until(SimTime::from_millis(159));
+        assert_eq!(*got.borrow(), numbers(0..9));
+        assert_eq!(sim.metrics().counter(metric_names::NET_RETRANSMISSIONS), 2);
     }
 
     #[test]

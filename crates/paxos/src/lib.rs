@@ -46,4 +46,4 @@ mod replica;
 mod types;
 
 pub use replica::{BatchStats, Output, PaxosReplica, RecoveryReport};
-pub use types::{Ballot, BatchConfig, Entry, GroupConfig, PaxosMsg, Slot};
+pub use types::{Ballot, BatchConfig, Entry, GroupConfig, PaxosMsg, Slot, MAX_GROUP_SIZE};

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::types::{Ballot, Entry, GroupConfig, PaxosMsg, Slot};
+use crate::types::{Ballot, Entry, GroupConfig, PaxosMsg, Slot, MAX_GROUP_SIZE};
 
 /// Ballot marker for values that are known chosen. It compares greater than
 /// any real ballot, so a new leader's value selection always keeps chosen
@@ -19,6 +19,12 @@ const CATCH_UP_BATCH: u64 = 512;
 const LOG_RETENTION: u64 = 1024;
 
 /// The effects of feeding one input to a [`PaxosReplica`].
+///
+/// The `_into` entry points ([`PaxosReplica::propose_into`],
+/// [`PaxosReplica::on_message_into`], [`PaxosReplica::tick_into`]) append
+/// to a caller-owned `Output` and never clear it, so a long-lived caller
+/// drains one buffer per call instead of allocating a fresh pair of
+/// vectors.
 #[derive(Debug, Clone)]
 pub struct Output<V> {
     /// Messages to send, as `(destination replica index, message)` pairs.
@@ -30,23 +36,25 @@ pub struct Output<V> {
     pub decided: Vec<(Slot, V)>,
 }
 
-impl<V> Output<V> {
-    fn new() -> Self {
+impl<V> Default for Output<V> {
+    fn default() -> Self {
         Output { outgoing: Vec::new(), decided: Vec::new() }
     }
+}
 
+impl<V> Output<V> {
     /// True when nothing needs to be sent or delivered.
     pub fn is_empty(&self) -> bool {
         self.outgoing.is_empty() && self.decided.is_empty()
     }
 }
 
-/// Cap on per-flush samples retained between [`PaxosReplica::take_batch_stats`]
+/// Cap on per-flush samples retained between [`PaxosReplica::drain_batch_stats`]
 /// drains, so an undrained replica cannot grow without bound.
 const BATCH_SAMPLE_CAP: usize = 1024;
 
 /// Leader-side batching counters, accumulated since the last
-/// [`PaxosReplica::take_batch_stats`] drain.
+/// [`PaxosReplica::drain_batch_stats`] drain.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
     /// Batches flushed because they reached `max_batch` commands.
@@ -64,6 +72,13 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
+    /// Zeroes every counter, keeping the sample buffer's capacity.
+    fn reset(&mut self) {
+        let BatchStats { flush_full, flush_delay, batches, batched_cmds, samples } = self;
+        (*flush_full, *flush_delay, *batches, *batched_cmds) = (0, 0, 0, 0);
+        samples.clear();
+    }
+
     fn record(&mut self, size: usize, full: bool, occupancy: usize) {
         if full {
             self.flush_full += 1;
@@ -118,8 +133,10 @@ enum Role<V> {
         ballot: Ballot,
         /// Next free slot.
         next_slot: Slot,
-        /// Acceptances gathered per in-flight slot (includes self).
-        in_flight: BTreeMap<Slot, BTreeSet<usize>>,
+        /// Acceptances gathered per in-flight slot (includes self), one
+        /// bit per replica index (groups have at most [`MAX_GROUP_SIZE`]
+        /// replicas).
+        in_flight: BTreeMap<Slot, u64>,
         ticks_since_heartbeat: u32,
     },
 }
@@ -129,7 +146,8 @@ enum Role<V> {
 ///
 /// Drive it with [`PaxosReplica::on_message`], [`PaxosReplica::tick`] and
 /// [`PaxosReplica::propose`]; each returns an [`Output`] with messages to
-/// transmit and commands to deliver. Replica 0 starts as leader of ballot
+/// transmit and commands to deliver (the `_into` forms append the same to
+/// a caller's buffer). Replica 0 starts as leader of ballot
 /// `(0, 0)` so a freshly booted group makes progress without an election.
 #[derive(Debug)]
 pub struct PaxosReplica<V> {
@@ -157,7 +175,7 @@ pub struct PaxosReplica<V> {
     batch_buffer: Vec<V>,
     /// Ticks the oldest buffered proposal has waited (drives delay flush).
     buffer_wait_ticks: u32,
-    /// Batching counters since the last [`PaxosReplica::take_batch_stats`].
+    /// Batching counters since the last [`PaxosReplica::drain_batch_stats`].
     batch_stats: BatchStats,
     /// Commands delivered so far (no-ops excluded); survives log pruning.
     delivered_cmds: u64,
@@ -173,9 +191,11 @@ impl<V: Clone> PaxosReplica<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range for the group.
+    /// Panics if `idx` is out of range for the group, or the group has more
+    /// than [`MAX_GROUP_SIZE`] replicas.
     pub fn new(idx: usize, cfg: GroupConfig) -> Self {
         assert!(idx < cfg.size, "replica index {idx} out of range for group of {}", cfg.size);
+        assert!(cfg.size <= MAX_GROUP_SIZE, "a Paxos group has at most {MAX_GROUP_SIZE} replicas");
         let role = if idx == 0 {
             Role::Leader {
                 ballot: Ballot::INITIAL,
@@ -251,13 +271,15 @@ impl<V: Clone> PaxosReplica<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `reports` holds fewer than `cfg.quorum()` reports.
+    /// Panics if `reports` holds fewer than `cfg.quorum()` reports, or the
+    /// group has more than [`MAX_GROUP_SIZE`] replicas.
     pub fn recover_from(
         idx: usize,
         cfg: GroupConfig,
         promised_floor: Ballot,
         reports: &[RecoveryReport<V>],
     ) -> (Self, Output<V>) {
+        assert!(cfg.size <= MAX_GROUP_SIZE, "a Paxos group has at most {MAX_GROUP_SIZE} replicas");
         assert!(
             reports.len() >= cfg.quorum(),
             "recovery needs a quorum of reports ({} < {})",
@@ -307,7 +329,7 @@ impl<V: Clone> PaxosReplica<V> {
         };
         // Slots already chosen above the frontier re-deliver through the
         // normal path so the caller's application observes them once.
-        let mut out = Output::new();
+        let mut out = Output::default();
         let chosen: Vec<(Slot, Entry<V>)> = replica
             .accepted
             .iter()
@@ -356,12 +378,13 @@ impl<V: Clone> PaxosReplica<V> {
     /// elsewhere the command is forwarded to the believed leader or
     /// buffered until one is known.
     pub fn propose(&mut self, value: V) -> Output<V> {
-        let mut out = Output::new();
-        self.propose_inner(value, &mut out);
+        let mut out = Output::default();
+        self.propose_into(value, &mut out);
         out
     }
 
-    fn propose_inner(&mut self, value: V, out: &mut Output<V>) {
+    /// [`Self::propose`], appending its effects to `out`.
+    pub fn propose_into(&mut self, value: V, out: &mut Output<V>) {
         if self.is_leader() {
             self.batch_buffer.push(value);
             self.maybe_flush_batch(out);
@@ -390,16 +413,12 @@ impl<V: Clone> PaxosReplica<V> {
                 return;
             }
             let take = self.batch_buffer.len().min(self.cfg.batch.max_batch);
-            let mut chunk: Vec<V> = self.batch_buffer.drain(..take).collect();
-            // A singleton rides as Cmd (no Vec framing on the wire); pop
-            // then re-check emptiness so no invariant needs a panic.
-            let entry = match chunk.pop() {
-                Some(single) if chunk.is_empty() => Entry::Cmd(single),
-                Some(last) => {
-                    chunk.push(last);
-                    Entry::Batch(chunk)
-                }
-                None => return, // take >= 1, but degrade instead of asserting
+            // A singleton rides as Cmd (no Vec framing on the wire). It is
+            // the *oldest* buffered command: the buffer may hold more.
+            let entry = if take == 1 {
+                Entry::Cmd(self.batch_buffer.remove(0))
+            } else {
+                Entry::Batch(self.batch_buffer.drain(..take).collect())
             };
             self.lead_value(entry, out);
             let occupancy = match &self.role {
@@ -410,10 +429,12 @@ impl<V: Clone> PaxosReplica<V> {
         }
     }
 
-    /// Drains and resets the leader-side batching counters. Replicas that
-    /// never lead report all-zero stats.
-    pub fn take_batch_stats(&mut self) -> BatchStats {
-        std::mem::take(&mut self.batch_stats)
+    /// Hands the leader-side batching counters to `read`, then resets them
+    /// in place, so the per-flush sample buffer keeps its capacity.
+    /// Replicas that never lead report all-zero stats.
+    pub fn drain_batch_stats(&mut self, read: impl FnOnce(&BatchStats)) {
+        read(&self.batch_stats);
+        self.batch_stats.reset();
     }
 
     /// Number of undecided slots this leader currently has in flight
@@ -443,7 +464,7 @@ impl<V: Clone> PaxosReplica<V> {
         let slot = *next_slot;
         *next_slot = next_slot.next();
         let ballot = *ballot;
-        in_flight.entry(slot).or_default().insert(self.idx);
+        *in_flight.entry(slot).or_default() |= 1 << self.idx;
         // Leader self-accepts.
         self.accepted.insert(slot, (ballot, entry.clone()));
         for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
@@ -458,7 +479,7 @@ impl<V: Clone> PaxosReplica<V> {
         let quorum = self.cfg.quorum();
         let Role::Leader { in_flight, .. } = &mut self.role else { return };
         let Some(votes) = in_flight.get(&slot) else { return };
-        if votes.len() < quorum {
+        if (votes.count_ones() as usize) < quorum {
             return;
         }
         in_flight.remove(&slot);
@@ -518,7 +539,13 @@ impl<V: Clone> PaxosReplica<V> {
     /// election when their rank-staggered timeout expires (see
     /// [`GroupConfig::election_timeout_ticks`]).
     pub fn tick(&mut self) -> Output<V> {
-        let mut out = Output::new();
+        let mut out = Output::default();
+        self.tick_into(&mut out);
+        out
+    }
+
+    /// [`Self::tick`], appending its effects to `out`.
+    pub fn tick_into(&mut self, out: &mut Output<V>) {
         match &mut self.role {
             Role::Leader { ballot, ticks_since_heartbeat, .. } => {
                 *ticks_since_heartbeat += 1;
@@ -534,18 +561,17 @@ impl<V: Clone> PaxosReplica<V> {
                 }
                 if !self.batch_buffer.is_empty() {
                     self.buffer_wait_ticks += 1;
-                    self.maybe_flush_batch(&mut out);
+                    self.maybe_flush_batch(out);
                 }
             }
             Role::Follower | Role::Candidate { .. } => {
                 self.ticks_since_leader += 1;
                 if self.ticks_since_leader >= self.election_timeout() {
                     self.ticks_since_leader = 0;
-                    self.start_election(&mut out);
+                    self.start_election(out);
                 }
             }
         }
-        out
     }
 
     /// Leader silence after which this replica campaigns: the base timeout
@@ -626,7 +652,7 @@ impl<V: Clone> PaxosReplica<V> {
         // Only reached from become_leader, which just installed Role::Leader;
         // a non-leader here cannot make progress, so degrade quietly.
         let Role::Leader { in_flight, .. } = &mut self.role else { return };
-        in_flight.entry(slot).or_default().insert(self.idx);
+        *in_flight.entry(slot).or_default() |= 1 << self.idx;
         self.accepted.insert(slot, (ballot, entry.clone()));
         for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
             out.outgoing.push((peer, PaxosMsg::Accept { ballot, slot, value: entry.clone() }));
@@ -656,9 +682,15 @@ impl<V: Clone> PaxosReplica<V> {
 
     /// Feeds one protocol message from replica `from` into the state
     /// machine.
-    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_message(&mut self, from: usize, msg: PaxosMsg<V>) -> Output<V> {
-        let mut out = Output::new();
+        let mut out = Output::default();
+        self.on_message_into(from, msg, &mut out);
+        out
+    }
+
+    /// [`Self::on_message`], appending its effects to `out`.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn on_message_into(&mut self, from: usize, msg: PaxosMsg<V>, out: &mut Output<V>) {
         match msg {
             PaxosMsg::Prepare { ballot } => {
                 if ballot > self.promised {
@@ -708,7 +740,7 @@ impl<V: Clone> PaxosReplica<V> {
                                 }
                             }
                         }
-                        self.try_become_leader(&mut out);
+                        self.try_become_leader(out);
                     }
                 }
             }
@@ -725,7 +757,7 @@ impl<V: Clone> PaxosReplica<V> {
                         self.accepted.insert(slot, (ballot, value));
                     }
                     out.outgoing.push((from, PaxosMsg::Accepted { ballot, slot }));
-                    self.flush_pending(&mut out);
+                    self.flush_pending(out);
                 } else {
                     out.outgoing.push((from, PaxosMsg::Nack { ballot: self.promised }));
                 }
@@ -733,18 +765,21 @@ impl<V: Clone> PaxosReplica<V> {
             PaxosMsg::Accepted { ballot, slot } => {
                 if let Role::Leader { ballot: our, in_flight, .. } = &mut self.role {
                     if ballot == *our {
-                        if let Some(votes) = in_flight.get_mut(&slot) {
-                            votes.insert(from);
-                            self.try_decide(slot, &mut out);
+                        // An index outside the group casts no vote.
+                        if let (Some(votes), true) =
+                            (in_flight.get_mut(&slot), from < self.cfg.size)
+                        {
+                            *votes |= 1 << from;
+                            self.try_decide(slot, out);
                             // A decision may have opened the window.
-                            self.maybe_flush_batch(&mut out);
+                            self.maybe_flush_batch(out);
                         }
                     }
                 }
             }
             PaxosMsg::Decide { slot, value } => {
                 self.ticks_since_leader = 0;
-                self.record_decided(slot, value, &mut out);
+                self.record_decided(slot, value, out);
             }
             PaxosMsg::Heartbeat { ballot, decided_up_to } => {
                 self.max_seen_frontier = self.max_seen_frontier.max(decided_up_to);
@@ -762,7 +797,7 @@ impl<V: Clone> PaxosReplica<V> {
                             },
                         ));
                     }
-                    self.flush_pending(&mut out);
+                    self.flush_pending(out);
                 }
             }
             PaxosMsg::CatchUpRequest { from_slot, to_slot } => {
@@ -776,7 +811,7 @@ impl<V: Clone> PaxosReplica<V> {
                 }
             }
             PaxosMsg::Forward { value } => {
-                self.propose_inner(value, &mut out);
+                self.propose_into(value, out);
             }
             PaxosMsg::Nack { ballot } => {
                 if ballot > self.promised {
@@ -785,7 +820,6 @@ impl<V: Clone> PaxosReplica<V> {
                 self.maybe_step_down(ballot);
             }
         }
-        out
     }
 
     /// Forwards buffered proposals once a leader is known.
@@ -814,8 +848,20 @@ mod tests {
         replicas: Vec<PaxosReplica<u64>>,
         queue: VecDeque<(usize, usize, PaxosMsg<u64>)>,
         delivered: Vec<Vec<(Slot, u64)>>,
+        /// Every message any replica emitted, in emission order.
+        sent: Vec<(usize, usize, PaxosMsg<u64>)>,
         /// Crashed replicas drop all traffic.
         down: BTreeSet<usize>,
+        /// `Some`: drive replicas through the `_into` forms, all appending
+        /// to this one buffer; `None`: through the by-value API.
+        reuse: Option<Output<u64>>,
+    }
+
+    /// One input to a replica.
+    enum Input {
+        Propose(u64),
+        Tick,
+        Message(usize, PaxosMsg<u64>),
     }
 
     impl Net {
@@ -829,20 +875,54 @@ mod tests {
                 replicas: (0..n).map(|i| PaxosReplica::new(i, cfg.clone())).collect(),
                 queue: VecDeque::new(),
                 delivered: vec![Vec::new(); n],
+                sent: Vec::new(),
                 down: BTreeSet::new(),
+                reuse: None,
             }
         }
 
-        fn absorb(&mut self, from: usize, out: Output<u64>) {
-            for (to, msg) in out.outgoing {
+        /// The same net, driven through the `_into` forms with one buffer.
+        fn reusing_one_output(self) -> Self {
+            Net { reuse: Some(Output::default()), ..self }
+        }
+
+        fn absorb(&mut self, from: usize, mut out: Output<u64>) {
+            self.drain_output(from, &mut out);
+        }
+
+        fn drain_output(&mut self, from: usize, out: &mut Output<u64>) {
+            for (to, msg) in out.outgoing.drain(..) {
+                self.sent.push((from, to, msg.clone()));
                 self.queue.push_back((from, to, msg));
             }
-            self.delivered[from].extend(out.decided);
+            self.delivered[from].append(&mut out.decided);
+        }
+
+        fn feed(&mut self, idx: usize, input: Input) {
+            let r = &mut self.replicas[idx];
+            match self.reuse.take() {
+                None => {
+                    let out = match input {
+                        Input::Propose(v) => r.propose(v),
+                        Input::Tick => r.tick(),
+                        Input::Message(from, msg) => r.on_message(from, msg),
+                    };
+                    self.absorb(idx, out);
+                }
+                Some(mut out) => {
+                    match input {
+                        Input::Propose(v) => r.propose_into(v, &mut out),
+                        Input::Tick => r.tick_into(&mut out),
+                        Input::Message(from, msg) => r.on_message_into(from, msg, &mut out),
+                    }
+                    self.drain_output(idx, &mut out);
+                    self.reuse = Some(out);
+                }
+            }
         }
 
         fn propose_at(&mut self, idx: usize, v: u64) {
-            let out = self.replicas[idx].propose(v);
-            self.absorb(idx, out);
+            self.feed(idx, Input::Propose(v));
         }
 
         fn tick_all(&mut self) {
@@ -850,8 +930,7 @@ mod tests {
                 if self.down.contains(&i) {
                     continue;
                 }
-                let out = self.replicas[i].tick();
-                self.absorb(i, out);
+                self.feed(i, Input::Tick);
             }
         }
 
@@ -863,8 +942,7 @@ mod tests {
                 if self.down.contains(&to) || self.down.contains(&from) {
                     continue;
                 }
-                let out = self.replicas[to].on_message(from, msg);
-                self.absorb(to, out);
+                self.feed(to, Input::Message(from, msg));
             }
         }
 
@@ -959,7 +1037,7 @@ mod tests {
     fn led_by(n: usize, leader: usize) -> Net {
         let mut net = Net::with_cfg(GroupConfig::deployment(n));
         if leader != 0 {
-            let mut out = Output::new();
+            let mut out = Output::default();
             net.replicas[leader].start_election(&mut out);
             net.absorb(leader, out);
             net.drain();
@@ -1071,7 +1149,7 @@ mod tests {
         let _ = r1.on_message(0, accept);
 
         // Force replica 1 to run an election with replica 2.
-        let mut out = Output::new();
+        let mut out = Output::default();
         r1.start_election(&mut out);
         let prepare = out
             .outgoing
@@ -1169,7 +1247,7 @@ mod tests {
         let mut r1 = r1;
 
         // r0 crashes; r1 runs an election with r2 and must re-propose 42.
-        let mut out = Output::new();
+        let mut out = Output::default();
         r1.start_election(&mut out);
         let prepare = out
             .outgoing
@@ -1280,7 +1358,7 @@ mod tests {
         for d in &net.delivered {
             assert_eq!(d, &expect);
         }
-        let stats = net.replicas[0].take_batch_stats();
+        let stats = &net.replicas[0].batch_stats;
         assert_eq!(stats.flush_full, 1);
         assert_eq!(stats.flush_delay, 0);
         assert_eq!(stats.batched_cmds, 4);
@@ -1299,7 +1377,7 @@ mod tests {
         net.run(1);
         let vals: Vec<u64> = net.delivered[0].iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, vec![1, 2]);
-        let stats = net.replicas[0].take_batch_stats();
+        let stats = &net.replicas[0].batch_stats;
         assert_eq!(stats.flush_full, 0);
         assert_eq!(stats.flush_delay, 1);
     }
@@ -1336,7 +1414,7 @@ mod tests {
         // 16 commands fit in 3 slots: 1 (initial) + 8 (full batch) + 7.
         let slots: BTreeSet<Slot> = net.delivered[0].iter().map(|&(s, _)| s).collect();
         assert_eq!(slots.len(), 3);
-        let stats = net.replicas[0].take_batch_stats();
+        let stats = &net.replicas[0].batch_stats;
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.flush_full, 1);
         assert_eq!(stats.batched_cmds, 16);
@@ -1355,7 +1433,7 @@ mod tests {
         // Replica 1 usurps leadership with a higher ballot; replica 0's
         // buffered commands must survive the step-down and reach the new
         // leader via forwarding.
-        let mut out = Output::new();
+        let mut out = Output::default();
         net.replicas[1].start_election(&mut out);
         net.absorb(1, out);
         net.run(20);
@@ -1371,27 +1449,91 @@ mod tests {
     #[test]
     fn batched_delivery_order_matches_unbatched() {
         // The same proposal sequence must produce the same delivered
-        // command sequence whatever the batch size (slots differ).
-        let mut plain = Net::new(3);
-        let mut batchy = Net::with_cfg(batched(8, 0, 1));
-        for v in 0..50 {
-            plain.propose_at(0, v);
-            batchy.propose_at(0, v);
-            if v % 7 == 0 {
-                plain.drain();
-                batchy.drain();
+        // command sequence whatever the batch size (slots differ). With
+        // `max_batch = 1` behind a one-slot window the buffer holds many
+        // commands while each flush takes one: it must be the oldest.
+        for cfg in [batched(8, 0, 1), batched(1, 0, 1)] {
+            let max_batch = cfg.batch.max_batch;
+            let mut plain = Net::new(3);
+            let mut batchy = Net::with_cfg(cfg);
+            for v in 0..50 {
+                plain.propose_at(0, v);
+                batchy.propose_at(0, v);
+                if v % 7 == 0 {
+                    plain.drain();
+                    batchy.drain();
+                }
+            }
+            plain.run(5);
+            batchy.run(5);
+            let plain_vals: Vec<u64> = plain.delivered[0].iter().map(|&(_, v)| v).collect();
+            let batchy_vals: Vec<u64> = batchy.delivered[0].iter().map(|&(_, v)| v).collect();
+            assert_eq!(plain_vals, batchy_vals, "max_batch {max_batch}");
+            assert_eq!(plain_vals, (0..50).collect::<Vec<_>>());
+            let plain_slots: BTreeSet<Slot> = plain.delivered[0].iter().map(|&(s, _)| s).collect();
+            let batchy_slots: BTreeSet<Slot> =
+                batchy.delivered[0].iter().map(|&(s, _)| s).collect();
+            if max_batch > 1 {
+                // Batching used strictly fewer consensus instances.
+                assert!(batchy_slots.len() < plain_slots.len());
+            } else {
+                assert_eq!(batchy_slots.len(), plain_slots.len());
             }
         }
-        plain.run(5);
-        batchy.run(5);
-        let plain_vals: Vec<u64> = plain.delivered[0].iter().map(|&(_, v)| v).collect();
-        let batchy_vals: Vec<u64> = batchy.delivered[0].iter().map(|&(_, v)| v).collect();
-        assert_eq!(plain_vals, batchy_vals);
-        assert_eq!(plain_vals, (0..50).collect::<Vec<_>>());
-        // Batching used strictly fewer consensus instances.
-        let plain_slots: BTreeSet<Slot> = plain.delivered[0].iter().map(|&(s, _)| s).collect();
-        let batchy_slots: BTreeSet<Slot> = batchy.delivered[0].iter().map(|&(s, _)| s).collect();
-        assert!(batchy_slots.len() < plain_slots.len());
+    }
+
+    #[test]
+    fn the_into_forms_with_one_reused_buffer_match_the_by_value_api() {
+        // Batching, forwarding from followers, a crashed leader, an
+        // election and the new leader's recovery of the old one's slots.
+        let schedule = |net: &mut Net| {
+            for v in 0..20 {
+                net.propose_at(v as usize % 3, v);
+                if v % 5 == 0 {
+                    net.drain();
+                }
+            }
+            net.run(3);
+            net.down.insert(0);
+            net.run(40);
+            for v in 20..30 {
+                net.propose_at(1 + v as usize % 2, v);
+            }
+            net.run(5);
+        };
+        let mut by_value = Net::with_cfg(batched(4, 2, 2));
+        let mut into = Net::with_cfg(batched(4, 2, 2)).reusing_one_output();
+        schedule(&mut by_value);
+        schedule(&mut into);
+        assert!(by_value.sent.iter().any(|(_, _, m)| matches!(m, PaxosMsg::Prepare { .. })));
+        let vals: BTreeSet<u64> = by_value.delivered[1].iter().map(|&(_, v)| v).collect();
+        assert_eq!(vals, (0..30).collect(), "every command survives the failover");
+        assert_eq!(into.sent, by_value.sent);
+        assert_eq!(into.delivered, by_value.delivered);
+        assert!(into.reuse.is_some_and(|out| out.is_empty()), "the caller drained it");
+    }
+
+    #[test]
+    fn the_into_forms_append_to_what_the_buffer_already_holds() {
+        let mut replica: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(3));
+        let mut twin: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(3));
+        let held = (2, PaxosMsg::Nack { ballot: Ballot::INITIAL });
+        let mut out = Output { outgoing: vec![held.clone()], decided: vec![(Slot(9), 9)] };
+        let accepted = || PaxosMsg::Accepted { ballot: Ballot::INITIAL, slot: Slot(0) };
+        replica.propose_into(7, &mut out);
+        replica.on_message_into(1, accepted(), &mut out);
+        replica.tick_into(&mut out);
+        replica.tick_into(&mut out);
+        let mut expect = Output { outgoing: vec![held], decided: vec![(Slot(9), 9)] };
+        for step in [twin.propose(7), twin.on_message(1, accepted()), twin.tick(), twin.tick()] {
+            expect.outgoing.extend(step.outgoing);
+            expect.decided.extend(step.decided);
+        }
+        // Accepts, the decision and its Decides, then the heartbeats.
+        assert_eq!(expect.outgoing.len(), 1 + 2 + 2 + 2);
+        assert_eq!(expect.decided, [(Slot(9), 9), (Slot(0), 7)]);
+        assert_eq!(out.outgoing, expect.outgoing);
+        assert_eq!(out.decided, expect.decided);
     }
 
     #[test]

@@ -103,6 +103,10 @@ impl Default for BatchConfig {
     }
 }
 
+/// Largest supported group: a leader tallies each slot's acceptances in
+/// one `u64` bitmask, a bit per replica index.
+pub const MAX_GROUP_SIZE: usize = 64;
+
 /// Static configuration of one Paxos group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupConfig {
@@ -132,7 +136,7 @@ impl GroupConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero.
+    /// Panics if `size` is zero or above [`MAX_GROUP_SIZE`].
     pub fn new(size: usize) -> Self {
         Self::with_timing(size, 10, 2)
     }
@@ -144,7 +148,7 @@ impl GroupConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero.
+    /// Panics if `size` is zero or above [`MAX_GROUP_SIZE`].
     pub fn deployment(size: usize) -> Self {
         Self::with_timing(size, 600, 2)
     }
@@ -153,13 +157,15 @@ impl GroupConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or `election_timeout_ticks` is zero.
+    /// Panics if `size` is zero or above [`MAX_GROUP_SIZE`], or
+    /// `election_timeout_ticks` is zero.
     pub fn with_timing(
         size: usize,
         election_timeout_ticks: u32,
         heartbeat_interval_ticks: u32,
     ) -> Self {
         assert!(size > 0, "a Paxos group needs at least one replica");
+        assert!(size <= MAX_GROUP_SIZE, "a Paxos group has at most {MAX_GROUP_SIZE} replicas");
         assert!(election_timeout_ticks > 0, "election timeout must be positive");
         GroupConfig {
             size,
