@@ -27,28 +27,34 @@
 //!
 //! The implementation is sans-io, mirroring `dynastar-paxos`:
 //! [`McastMember`] consumes wire messages and ticks, and produces outgoing
-//! wire messages plus ordered deliveries.
+//! wire messages, each addressed to a set of replicas of one group, plus
+//! ordered deliveries.
 //!
 //! # Example
 //!
 //! ```
-//! use dynastar_amcast::{GroupId, McastMember, MemberId, MsgId, Topology};
+//! use dynastar_amcast::{GroupId, McastMember, McastOutput, MemberId, MsgId, Topology};
 //!
 //! // Two groups of one replica each.
 //! let topo = Topology::new(vec![1, 1]);
-//! let mut m0: McastMember<&'static str> = McastMember::new(MemberId::new(GroupId(0), 0), topo.clone());
-//! let mut m1: McastMember<&'static str> = McastMember::new(MemberId::new(GroupId(1), 0), topo);
+//! let mut members: Vec<McastMember<&'static str>> =
+//!     topo.groups().map(|g| McastMember::new(MemberId::new(g, 0), topo.clone())).collect();
 //!
-//! // Multicast to both groups, shuttling wire messages by hand.
-//! let mid = MsgId::new(7, 0);
-//! let mut queue: Vec<(MemberId, dynastar_amcast::McastWire<&'static str>)> =
-//!     m0.submit(mid, vec![GroupId(0), GroupId(1)], "hello").outgoing;
-//! let mut delivered = Vec::new();
-//! while let Some((to, wire)) = queue.pop() {
-//!     let member = if to.group == GroupId(0) { &mut m0 } else { &mut m1 };
-//!     let out = member.on_message(wire);
-//!     queue.extend(out.outgoing);
-//!     delivered.extend(out.delivered.into_iter().map(|d| (to, d.payload)));
+//! // Multicast to both groups, shuttling wire messages by hand. Each
+//! // outgoing wire names one group and a set of its replicas, so a message
+//! // to a whole group is one message.
+//! let mut out = McastOutput::default();
+//! let mut at = MemberId::new(GroupId(0), 0);
+//! members[0].submit_into(MsgId::new(7, 0), vec![GroupId(0), GroupId(1)].into(), "hello", &mut out);
+//! let (mut queue, mut delivered) = (Vec::new(), Vec::new());
+//! loop {
+//!     delivered.extend(out.delivered.drain(..).map(|d| (at, d.payload)));
+//!     for ((group, peers), wire) in out.outgoing.drain(..) {
+//!         queue.extend(peers.iter().map(|i| (MemberId::new(group, i), wire.clone())));
+//!     }
+//!     let Some((to, wire)) = queue.pop() else { break };
+//!     members[to.group.0 as usize].on_message_into(wire, &mut out);
+//!     at = to;
 //! }
 //! assert!(delivered.contains(&(MemberId::new(GroupId(0), 0), "hello")));
 //! assert!(delivered.contains(&(MemberId::new(GroupId(1), 0), "hello")));

@@ -3,7 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dynastar_paxos::{Ballot, BatchStats, GroupConfig, Output, PaxosReplica, RecoveryReport};
+use dynastar_paxos::{
+    Ballot, BatchStats, GroupConfig, Output, PaxosReplica, Peers, RecoveryReport,
+};
 use dynastar_runtime::dedup::RotatingSet;
 
 use crate::types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
@@ -15,25 +17,51 @@ const RETRY_TICKS: u64 = 8;
 ///
 /// The `_into` entry points ([`McastMember::submit_into`],
 /// [`McastMember::on_message_into`], [`McastMember::tick_into`]) append to
-/// a caller-owned `McastOutput` and never clear it; the caller drains it.
+/// a caller-owned `McastOutput<V, (GroupId, Peers)>` and never clear it;
+/// the caller drains it. Each of its wire messages names a recipient set,
+/// replicas of one group, so a fan-out to a group is one message. The
+/// by-value methods return `McastOutput<V>`, the same messages expanded to
+/// one per recipient ([`McastOutput::expand`]).
 #[derive(Debug, Clone)]
-pub struct McastOutput<V> {
-    /// Wire messages to transmit.
-    pub outgoing: Vec<(MemberId, McastWire<V>)>,
+pub struct McastOutput<V, To = MemberId> {
+    /// Wire messages to transmit, as `(recipients, message)` pairs.
+    pub outgoing: Vec<(To, McastWire<V>)>,
     /// Messages newly delivered, in final-timestamp order.
     pub delivered: Vec<Delivery<V>>,
 }
 
-impl<V> Default for McastOutput<V> {
+impl<V, To> Default for McastOutput<V, To> {
     fn default() -> Self {
         McastOutput { outgoing: Vec::new(), delivered: Vec::new() }
     }
 }
 
-impl<V> McastOutput<V> {
+impl<V, To> McastOutput<V, To> {
     /// True when nothing needs to be sent or delivered.
     pub fn is_empty(&self) -> bool {
         self.outgoing.is_empty() && self.delivered.is_empty()
+    }
+}
+
+impl<V> McastOutput<V, (GroupId, Peers)> {
+    /// Queues `wire` for the replicas `peers` of `group`; an empty set
+    /// sends nothing.
+    fn send(&mut self, group: GroupId, peers: Peers, wire: McastWire<V>) {
+        if !peers.is_empty() {
+            self.outgoing.push(((group, peers), wire));
+        }
+    }
+}
+
+impl<V: Clone> McastOutput<V, (GroupId, Peers)> {
+    /// One `(member, message)` pair per recipient, in set order then
+    /// ascending index: the shape the by-value methods return.
+    pub fn expand(self) -> McastOutput<V> {
+        let mut outgoing = Vec::with_capacity(self.outgoing.len());
+        for ((group, peers), wire) in self.outgoing {
+            outgoing.extend(peers.iter().map(|idx| (MemberId::new(group, idx), wire.clone())));
+        }
+        McastOutput { outgoing, delivered: self.delivered }
     }
 }
 
@@ -118,9 +146,10 @@ impl<V: Clone> Clone for MemberSnapshot<V> {
 ///
 /// A member owns its group's [`PaxosReplica`] and replays its log to build
 /// deterministic multicast state. Drive it with
-/// [`McastMember::on_message`], [`McastMember::tick`] and
-/// [`McastMember::submit`], or their `_into` forms, which append to a
-/// caller's [`McastOutput`]; see the [crate docs](crate) for the protocol.
+/// [`McastMember::on_message_into`], [`McastMember::tick_into`] and
+/// [`McastMember::submit_into`], which append to a caller's
+/// [`McastOutput`] one wire per recipient set (the by-value forms return
+/// one per recipient); see the [crate docs](crate) for the protocol.
 #[derive(Debug)]
 pub struct McastMember<V> {
     me: MemberId,
@@ -160,7 +189,16 @@ pub struct McastMember<V> {
     /// The consensus layer's output buffer, lent to every call into
     /// `paxos` and drained by [`Self::absorb_paxos`] (see
     /// [`Self::with_paxos`]). Holds nothing between calls.
-    paxos_out: Output<LogEntry<V>>,
+    paxos_out: Output<LogEntry<V>, Peers>,
+    /// Scratch for [`Self::flush_ts_out`]'s due timestamps, empty between
+    /// calls.
+    ts_due: Vec<(MsgId, GroupId, u64)>,
+    /// Scratch for [`Self::tick_into`]'s outstanding submits, empty
+    /// between calls.
+    submit_due: Vec<MsgId>,
+    /// Scratch for [`Self::tick_into`]'s outstanding remote timestamps,
+    /// empty between calls.
+    remote_due: Vec<(MsgId, GroupId)>,
 }
 
 impl<V: Clone> McastMember<V> {
@@ -205,6 +243,9 @@ impl<V: Clone> McastMember<V> {
             ticks: 0,
             delivered_count: 0,
             paxos_out: Output::default(),
+            ts_due: Vec::new(),
+            submit_due: Vec::new(),
+            remote_due: Vec::new(),
         }
     }
 
@@ -299,7 +340,7 @@ impl<V: Clone> McastMember<V> {
         cfg: GroupConfig,
         promised_floor: Ballot,
         snapshots: &[MemberSnapshot<V>],
-    ) -> (Self, McastOutput<V>, usize) {
+    ) -> (Self, McastOutput<V, (GroupId, Peers)>, usize) {
         assert!(
             (me.group.0 as usize) < topo.group_count() && me.index < topo.size_of(me.group),
             "member {me} is not part of the topology"
@@ -334,6 +375,9 @@ impl<V: Clone> McastMember<V> {
             ticks: donor.ticks,
             delivered_count: donor.delivered_count,
             paxos_out: Output::default(),
+            ts_due: Vec::new(),
+            submit_due: Vec::new(),
+            remote_due: Vec::new(),
         };
         let mut out = McastOutput::default();
         member.absorb_paxos(&mut pout, &mut out);
@@ -348,13 +392,17 @@ impl<V: Clone> McastMember<V> {
     /// # Panics
     ///
     /// Panics if `dests` is empty.
-    pub fn submit(&mut self, mid: MsgId, dests: Vec<GroupId>, payload: V) -> McastOutput<V> {
+    pub fn submit(&mut self, mid: MsgId, mut dests: Vec<GroupId>, payload: V) -> McastOutput<V> {
+        dests.sort_unstable();
+        dests.dedup();
         let mut out = McastOutput::default();
-        self.submit_into(mid, dests, payload, &mut out);
-        out
+        self.submit_into(mid, dests.into(), payload, &mut out);
+        out.expand()
     }
 
-    /// [`Self::submit`], appending its effects to `out`.
+    /// [`Self::submit`] to `dests`, which must be sorted and distinct (as
+    /// every [`Dests`] is), appending its effects to `out`. Every copy of
+    /// the message shares the caller's destination list.
     ///
     /// # Panics
     ///
@@ -362,32 +410,23 @@ impl<V: Clone> McastMember<V> {
     pub fn submit_into(
         &mut self,
         mid: MsgId,
-        mut dests: Vec<GroupId>,
+        dests: Dests,
         payload: V,
-        out: &mut McastOutput<V>,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
     ) {
         assert!(!dests.is_empty(), "a multicast needs at least one destination group");
-        dests.sort_unstable();
-        dests.dedup();
-        // The one allocation of the destination list: every copy of the
-        // message from here on shares it.
-        let dests: Dests = dests.into();
+        debug_assert!(dests.windows(2).all(|w| w[0] < w[1]), "dests must be sorted and distinct");
         // Fan the submit out to every replica of every destination group
         // (including our own group, so every replica's `seen_submits` can
-        // back up the leader).
+        // back up the leader), one message per group.
         for &g in dests.iter() {
-            for m in self.topo.members_of(g) {
-                if m != self.me {
-                    out.outgoing.push((
-                        m,
-                        McastWire::Submit {
-                            mid,
-                            dests: Arc::clone(&dests),
-                            payload: payload.clone(),
-                        },
-                    ));
-                }
+            let mut peers = Peers::all(self.topo.size_of(g));
+            if g == self.me.group {
+                peers = peers.without(self.me.index);
             }
+            let submit =
+                McastWire::Submit { mid, dests: Arc::clone(&dests), payload: payload.clone() };
+            out.send(g, peers, submit);
         }
         if dests.contains(&self.me.group) {
             self.note_submit(mid, dests, payload, out);
@@ -395,7 +434,13 @@ impl<V: Clone> McastMember<V> {
     }
 
     /// Records a submit addressed to our group and proposes it if leading.
-    fn note_submit(&mut self, mid: MsgId, dests: Dests, payload: V, out: &mut McastOutput<V>) {
+    fn note_submit(
+        &mut self,
+        mid: MsgId,
+        dests: Dests,
+        payload: V,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+    ) {
         if self.assigned.contains(&mid) {
             return;
         }
@@ -403,7 +448,7 @@ impl<V: Clone> McastMember<V> {
         self.maybe_propose_assign(mid, out);
     }
 
-    fn maybe_propose_assign(&mut self, mid: MsgId, out: &mut McastOutput<V>) {
+    fn maybe_propose_assign(&mut self, mid: MsgId, out: &mut McastOutput<V, (GroupId, Peers)>) {
         if !self.paxos.is_leader() || self.assigned.contains(&mid) {
             return;
         }
@@ -423,7 +468,12 @@ impl<V: Clone> McastMember<V> {
         }
     }
 
-    fn maybe_propose_remote(&mut self, mid: MsgId, from_group: GroupId, out: &mut McastOutput<V>) {
+    fn maybe_propose_remote(
+        &mut self,
+        mid: MsgId,
+        from_group: GroupId,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+    ) {
         if !self.paxos.is_leader() || self.remote_seen.contains(&(mid, from_group)) {
             return;
         }
@@ -449,8 +499,8 @@ impl<V: Clone> McastMember<V> {
     /// buffer of its own, so it stays correct (and only allocates).
     fn with_paxos(
         &mut self,
-        out: &mut McastOutput<V>,
-        call: impl FnOnce(&mut PaxosReplica<LogEntry<V>>, &mut Output<LogEntry<V>>),
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+        call: impl FnOnce(&mut PaxosReplica<LogEntry<V>>, &mut Output<LogEntry<V>, Peers>),
     ) {
         let mut pout = std::mem::take(&mut self.paxos_out);
         call(&mut self.paxos, &mut pout);
@@ -460,12 +510,13 @@ impl<V: Clone> McastMember<V> {
 
     /// Routes a Paxos output's messages and applies its decided entries,
     /// draining it.
-    fn absorb_paxos(&mut self, pout: &mut Output<LogEntry<V>>, out: &mut McastOutput<V>) {
-        for (to_index, msg) in pout.outgoing.drain(..) {
-            out.outgoing.push((
-                MemberId::new(self.me.group, to_index),
-                McastWire::Paxos { from_index: self.me.index, msg },
-            ));
+    fn absorb_paxos(
+        &mut self,
+        pout: &mut Output<LogEntry<V>, Peers>,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+    ) {
+        for (to, msg) in pout.outgoing.drain(..) {
+            out.send(self.me.group, to, McastWire::Paxos { from_index: self.me.index, msg });
         }
         for (_slot, entry) in pout.decided.drain(..) {
             self.apply(entry, out);
@@ -473,7 +524,7 @@ impl<V: Clone> McastMember<V> {
     }
 
     /// Applies one decided log entry (deterministic across the group).
-    fn apply(&mut self, entry: LogEntry<V>, out: &mut McastOutput<V>) {
+    fn apply(&mut self, entry: LogEntry<V>, out: &mut McastOutput<V, (GroupId, Peers)>) {
         match entry {
             LogEntry::Assign { mid, dests, payload } => {
                 if !self.assigned.insert(mid) {
@@ -502,12 +553,7 @@ impl<V: Clone> McastMember<V> {
                 self.proposed_remote.remove(&(mid, from_group));
                 // Acknowledge so the sending group stops retransmitting.
                 if self.paxos.is_leader() {
-                    for m in self.topo.members_of(from_group) {
-                        out.outgoing.push((
-                            m,
-                            McastWire::TsAck { mid, from_group, by_group: self.me.group },
-                        ));
-                    }
+                    self.send_ts_ack(mid, from_group, out);
                 }
                 let p = self.pending.entry(mid).or_insert_with(Pending::empty);
                 p.remote.insert(from_group, ts);
@@ -540,7 +586,7 @@ impl<V: Clone> McastMember<V> {
 
     /// Delivers every message whose final timestamp can no longer be
     /// preceded by an undecided message.
-    fn try_deliver(&mut self, out: &mut McastOutput<V>) {
+    fn try_deliver(&mut self, out: &mut McastOutput<V, (GroupId, Peers)>) {
         loop {
             // Smallest undecided key: a message with an assigned local
             // timestamp could still end up anywhere at or above it.
@@ -588,21 +634,33 @@ impl<V: Clone> McastMember<V> {
         self.ts_out.range((mid, GroupId(0))..=(mid, GroupId(u32::MAX))).next().is_some()
     }
 
+    /// Tells every replica of `from_group` that our group ordered its
+    /// timestamp for `mid`.
+    fn send_ts_ack(
+        &self,
+        mid: MsgId,
+        from_group: GroupId,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+    ) {
+        let ack = McastWire::TsAck { mid, from_group, by_group: self.me.group };
+        out.send(from_group, Peers::all(self.topo.size_of(from_group)), ack);
+    }
+
     /// Sends (or re-sends) our group's timestamps to groups that have not
     /// acknowledged them. Only the leader transmits, to bound traffic.
-    fn flush_ts_out(&mut self, out: &mut McastOutput<V>) {
+    fn flush_ts_out(&mut self, out: &mut McastOutput<V, (GroupId, Peers)>) {
         if !self.paxos.is_leader() {
             return;
         }
         let ticks = self.ticks;
-        let mut sends: Vec<(MsgId, GroupId, u64)> = Vec::new();
+        let mut due = std::mem::take(&mut self.ts_due);
         for (&(mid, to_group), &mut (ts, ref mut last)) in self.ts_out.iter_mut() {
             if *last == 0 || ticks.saturating_sub(*last) >= RETRY_TICKS {
                 *last = ticks.max(1);
-                sends.push((mid, to_group, ts));
+                due.push((mid, to_group, ts));
             }
         }
-        for (mid, to_group, ts) in sends {
+        for (mid, to_group, ts) in due.drain(..) {
             // Destinations and payload travel with the timestamp so the
             // destination can order the message even if it never saw the
             // Submit. They come from the pending entry until local
@@ -612,31 +670,32 @@ impl<V: Clone> McastMember<V> {
                 None => self.delivered_payloads.get(&mid),
             };
             let Some((dests, payload)) = shared else { continue };
-            for m in self.topo.members_of(to_group) {
-                out.outgoing.push((
-                    m,
-                    McastWire::GroupTs {
-                        mid,
-                        from_group: self.me.group,
-                        ts,
-                        dests: Arc::clone(dests),
-                        payload: payload.clone(),
-                    },
-                ));
-            }
+            let group_ts = McastWire::GroupTs {
+                mid,
+                from_group: self.me.group,
+                ts,
+                dests: Arc::clone(dests),
+                payload: payload.clone(),
+            };
+            out.send(to_group, Peers::all(self.topo.size_of(to_group)), group_ts);
         }
+        self.ts_due = due;
     }
 
     /// Feeds one wire message into the member.
     pub fn on_message(&mut self, wire: McastWire<V>) -> McastOutput<V> {
         let mut out = McastOutput::default();
         self.on_message_into(wire, &mut out);
-        out
+        out.expand()
     }
 
     /// [`Self::on_message`], appending its effects to `out`.
     #[deny(clippy::wildcard_enum_match_arm)]
-    pub fn on_message_into(&mut self, wire: McastWire<V>, out: &mut McastOutput<V>) {
+    pub fn on_message_into(
+        &mut self,
+        wire: McastWire<V>,
+        out: &mut McastOutput<V, (GroupId, Peers)>,
+    ) {
         match wire {
             McastWire::Submit { mid, dests, payload } => {
                 if dests.contains(&self.me.group) {
@@ -652,12 +711,7 @@ impl<V: Clone> McastMember<V> {
                 if self.remote_seen.contains(&(mid, from_group)) {
                     // Already ordered: the ack may have been lost, resend it.
                     if self.paxos.is_leader() {
-                        for m in self.topo.members_of(from_group) {
-                            out.outgoing.push((
-                                m,
-                                McastWire::TsAck { mid, from_group, by_group: self.me.group },
-                            ));
-                        }
+                        self.send_ts_ack(mid, from_group, out);
                     }
                 } else {
                     self.seen_remote_ts.insert((mid, from_group), ts);
@@ -682,23 +736,27 @@ impl<V: Clone> McastMember<V> {
     pub fn tick(&mut self) -> McastOutput<V> {
         let mut out = McastOutput::default();
         self.tick_into(&mut out);
-        out
+        out.expand()
     }
 
     /// [`Self::tick`], appending its effects to `out`.
-    pub fn tick_into(&mut self, out: &mut McastOutput<V>) {
+    pub fn tick_into(&mut self, out: &mut McastOutput<V, (GroupId, Peers)>) {
         self.ticks += 1;
         self.with_paxos(out, PaxosReplica::tick_into);
         if self.paxos.is_leader() {
             // A replica that just became leader adopts outstanding work.
-            let submit_mids: Vec<MsgId> = self.seen_submits.keys().copied().collect();
-            for mid in submit_mids {
+            let mut submits = std::mem::take(&mut self.submit_due);
+            submits.extend(self.seen_submits.keys());
+            for mid in submits.drain(..) {
                 self.maybe_propose_assign(mid, out);
             }
-            let remote_keys: Vec<(MsgId, GroupId)> = self.seen_remote_ts.keys().copied().collect();
-            for (mid, g) in remote_keys {
+            self.submit_due = submits;
+            let mut remotes = std::mem::take(&mut self.remote_due);
+            remotes.extend(self.seen_remote_ts.keys());
+            for (mid, g) in remotes.drain(..) {
                 self.maybe_propose_remote(mid, g, out);
             }
+            self.remote_due = remotes;
             self.flush_ts_out(out);
         }
     }
@@ -706,6 +764,8 @@ impl<V: Clone> McastMember<V> {
 
 #[cfg(test)]
 mod tests {
+    use dynastar_paxos::{PaxosMsg, Slot};
+
     use super::*;
 
     fn member(group: u32) -> McastMember<u64> {
@@ -758,28 +818,79 @@ mod tests {
             dests: dests().into(),
             payload: 42,
         };
-        let held = (
-            MemberId::new(GroupId(1), 0),
-            McastWire::TsAck {
-                mid: MsgId::new(1, 1),
-                from_group: GroupId(0),
-                by_group: GroupId(1),
-            },
-        );
+        let ack = McastWire::TsAck {
+            mid: MsgId::new(1, 1),
+            from_group: GroupId(0),
+            by_group: GroupId(1),
+        };
         let early =
             Delivery { mid: MsgId::new(1, 1), final_ts: 1, dests: dests().into(), payload: 1 };
-        let mut out = McastOutput { outgoing: vec![held.clone()], delivered: vec![early.clone()] };
-        m.submit_into(mid, dests(), 42, &mut out);
+        let mut out = McastOutput {
+            outgoing: vec![((GroupId(1), Peers::one(0)), ack.clone())],
+            delivered: vec![early.clone()],
+        };
+        m.submit_into(mid, dests().into(), 42, &mut out);
         m.tick_into(&mut out);
         m.on_message_into(remote_ts(), &mut out);
+        let held = (MemberId::new(GroupId(1), 0), ack);
         let mut expect = McastOutput { outgoing: vec![held], delivered: vec![early] };
         for step in [twin.submit(mid, dests(), 42), twin.tick(), twin.on_message(remote_ts())] {
             expect.outgoing.extend(step.outgoing);
             expect.delivered.extend(step.delivered);
         }
         assert_eq!(expect.delivered.len(), 2, "group 1's timestamp completes the message");
+        let out = out.expand();
         assert_eq!(out.outgoing, expect.outgoing);
         assert_eq!(out.delivered, expect.delivered);
+    }
+
+    #[test]
+    fn every_fan_out_is_one_message_to_a_recipient_set() {
+        // The leader of group 0, in two groups of three.
+        let topo = Topology::uniform(2, 3);
+        let me = MemberId::new(GroupId(0), 0);
+        let mut m: McastMember<u64> = McastMember::with_group_config(me, topo, GroupConfig::new(3));
+        let (g0, g1) = (GroupId(0), GroupId(1));
+        let sets = |out: &mut McastOutput<u64, (GroupId, Peers)>| {
+            let sets = out.outgoing.drain(..).map(|(to, wire)| {
+                let kind = match wire {
+                    McastWire::Submit { .. } => "Submit",
+                    McastWire::GroupTs { .. } => "GroupTs",
+                    McastWire::TsAck { .. } => "TsAck",
+                    McastWire::Paxos { msg: PaxosMsg::Accept { .. }, .. } => "Accept",
+                    McastWire::Paxos { msg: PaxosMsg::Decide { .. }, .. } => "Decide",
+                    McastWire::Paxos { .. } => "Paxos",
+                };
+                (to, kind)
+            });
+            sets.collect::<Vec<_>>()
+        };
+        let (others, all) = (Peers(0b110), Peers(0b111));
+        let mid = MsgId::new(7, 0);
+        let mut out = McastOutput::default();
+        m.submit_into(mid, vec![g0, g1].into(), 42, &mut out);
+        let submits = [((g0, others), "Submit"), ((g1, all), "Submit"), ((g0, others), "Accept")];
+        assert_eq!(sets(&mut out), submits);
+
+        let accepted = |slot| McastWire::Paxos {
+            from_index: 1,
+            msg: PaxosMsg::Accepted { ballot: Ballot::INITIAL, slot: Slot(slot) },
+        };
+        m.on_message_into(accepted(0), &mut out);
+        assert_eq!(sets(&mut out), [((g0, others), "Decide"), ((g1, all), "GroupTs")]);
+
+        let ts = McastWire::GroupTs {
+            mid,
+            from_group: g1,
+            ts: 3,
+            dests: vec![g0, g1].into(),
+            payload: 42,
+        };
+        m.on_message_into(ts, &mut out);
+        assert_eq!(sets(&mut out), [((g0, others), "Accept")]);
+        m.on_message_into(accepted(1), &mut out);
+        assert_eq!(sets(&mut out), [((g0, others), "Decide"), ((g1, all), "TsAck")]);
+        assert_eq!(out.delivered.len(), 1);
     }
 
     #[test]

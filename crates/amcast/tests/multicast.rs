@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dynastar_amcast::{
     Delivery, GroupId, McastMember, McastOutput, McastWire, MemberId, MsgId, Topology,
 };
-use dynastar_paxos::GroupConfig;
+use dynastar_paxos::{GroupConfig, Peers, MAX_GROUP_SIZE};
 use proptest::prelude::*;
 
 /// An in-memory network of multicast members with a controllable schedule.
@@ -18,10 +18,12 @@ struct Net {
     members: BTreeMap<MemberId, McastMember<u64>>,
     queue: VecDeque<(MemberId, McastWire<u64>)>,
     delivered: BTreeMap<MemberId, Vec<Delivery<u64>>>,
+    /// Every message any member emitted, in emission order.
+    sent: Vec<(MemberId, McastWire<u64>)>,
     down: Vec<MemberId>,
-    /// `Some`: drive members through the `_into` forms, all appending to
-    /// this one buffer; `None`: through the by-value API.
-    reuse: Option<McastOutput<u64>>,
+    /// `Some`: drive members through the set-addressed `_into` forms, all
+    /// appending to this one buffer; `None`: through the by-value API.
+    reuse: Option<McastOutput<u64, (GroupId, Peers)>>,
 }
 
 /// One input to a member.
@@ -42,7 +44,14 @@ impl Net {
             }
         }
         let delivered = members.keys().map(|&m| (m, Vec::new())).collect();
-        Net { members, queue: VecDeque::new(), delivered, down: Vec::new(), reuse: None }
+        Net {
+            members,
+            queue: VecDeque::new(),
+            delivered,
+            sent: Vec::new(),
+            down: Vec::new(),
+            reuse: None,
+        }
     }
 
     /// The same net, driven through the `_into` forms with one buffer.
@@ -51,7 +60,23 @@ impl Net {
     }
 
     fn absorb(&mut self, at: MemberId, out: &mut McastOutput<u64>) {
-        self.queue.extend(out.outgoing.drain(..));
+        for (to, wire) in out.outgoing.drain(..) {
+            self.sent.push((to, wire.clone()));
+            self.queue.push_back((to, wire));
+        }
+        self.delivered.get_mut(&at).unwrap().append(&mut out.delivered);
+    }
+
+    /// Drains a set-addressed output, one message per recipient: groups in
+    /// output order, replicas by ascending index (spelled out here, not
+    /// through [`McastOutput::expand`], so the two can be compared).
+    fn absorb_sets(&mut self, at: MemberId, out: &mut McastOutput<u64, (GroupId, Peers)>) {
+        for ((group, peers), wire) in out.outgoing.drain(..) {
+            for idx in (0..MAX_GROUP_SIZE).filter(|&i| peers.contains(i)) {
+                self.sent.push((MemberId::new(group, idx), wire.clone()));
+                self.queue.push_back((MemberId::new(group, idx), wire.clone()));
+            }
+        }
         self.delivered.get_mut(&at).unwrap().append(&mut out.delivered);
     }
 
@@ -68,13 +93,15 @@ impl Net {
             }
             Some(mut out) => {
                 match input {
-                    Input::Submit(mid, dests, payload) => {
-                        member.submit_into(mid, dests, payload, &mut out)
+                    Input::Submit(mid, mut dests, payload) => {
+                        dests.sort_unstable();
+                        dests.dedup();
+                        member.submit_into(mid, dests.into(), payload, &mut out)
                     }
                     Input::Tick => member.tick_into(&mut out),
                     Input::Message(wire) => member.on_message_into(wire, &mut out),
                 }
-                self.absorb(at, &mut out);
+                self.absorb_sets(at, &mut out);
                 self.reuse = Some(out);
             }
         }
@@ -365,7 +392,7 @@ fn crashed_member_recovers_from_peer_snapshots_and_rejoins() {
     assert!(donor < snaps.len());
     net.members.insert(victim, rebuilt);
     net.delivered.get_mut(&victim).unwrap().clear();
-    net.absorb(victim, &mut out);
+    net.absorb_sets(victim, &mut out);
     assert!(!net.members[&victim].is_leader());
     // The snapshot fast-forwards past already-delivered messages: nothing
     // re-delivers, and new traffic flows to the recovered member normally.
@@ -383,6 +410,55 @@ fn crashed_member_recovers_from_peer_snapshots_and_rejoins() {
     assert_eq!(mids, (6..10).map(|i| MsgId::new(1, i)).collect::<Vec<_>>());
     net.check_integrity();
     net.check_prefix_order();
+}
+
+/// Three groups of three: multicasts to one, two and three groups from
+/// leaders and followers, a lost message, a crashed leader and its
+/// group's election.
+fn mixed_schedule(net: &mut Net) {
+    let dest_sets = [vec![0, 1], vec![1, 2], vec![0], vec![0, 1, 2], vec![2, 0]];
+    for (i, dests) in dest_sets.iter().cycle().take(12).enumerate() {
+        let sender = MemberId::new(GroupId(i as u32 % 3), i % 2);
+        let dests = dests.iter().map(|&g| GroupId(g)).collect();
+        net.submit_at(sender, MsgId::new(1, i as u32), dests, i as u64);
+        net.deliver_one(i * 7);
+        if i == 5 {
+            net.drop_one(3);
+        }
+    }
+    net.tick_all();
+    net.down.push(MemberId::new(GroupId(1), 0));
+    for i in 12..16 {
+        net.submit_at(MemberId::new(GroupId(2), 1), MsgId::new(1, i), vec![GroupId(1)], 0);
+    }
+    net.settle();
+}
+
+/// FNV-1a over the debug rendering of every message sent.
+fn digest(sent: &[(MemberId, McastWire<u64>)]) -> u64 {
+    format!("{sent:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn the_by_value_output_is_the_per_recipient_sequence_members_always_sent() {
+    // Pinned from the member that addressed every message to one member:
+    // a recipient set must expand to the same messages, to the same
+    // members, in the same order.
+    let topo = Topology::uniform(3, 3);
+    let mut net = Net::new(&topo);
+    mixed_schedule(&mut net);
+    let delivered = topo.groups().map(|g| net.delivered_mids(MemberId::new(g, 2)).len());
+    assert_eq!(delivered.collect::<Vec<_>>(), [9, 12, 7], "every message reaches its groups");
+    net.check_group_agreement(&topo);
+    net.check_prefix_order();
+    assert_eq!((net.sent.len(), digest(&net.sent)), (950, 0xadb3_1db2_fd84_199f));
+
+    let mut sets = Net::new(&topo).reusing_one_output();
+    mixed_schedule(&mut sets);
+    assert_eq!(sets.sent, net.sent);
+    assert_eq!(sets.delivered, net.delivered);
 }
 
 /// A randomized schedule action.
@@ -408,8 +484,9 @@ proptest! {
 
     /// Integrity, per-group agreement and global prefix order hold for
     /// three groups of two replicas under arbitrary reordering and loss.
-    /// The same schedule driven through the `_into` forms, every call
-    /// appending to one reused buffer, sends and delivers exactly the same.
+    /// The same schedule driven through the set-addressed `_into` forms,
+    /// every call appending to one reused buffer and each recipient set
+    /// expanded by ascending index, sends and delivers exactly the same.
     #[test]
     fn multicast_order_properties(actions in prop::collection::vec(action_strategy(), 1..150)) {
         let topo = Topology::uniform(3, 2);
@@ -442,6 +519,7 @@ proptest! {
         net.check_prefix_order();
         let (reusing, reusing_in_flight) = run(Net::new(&topo).reusing_one_output());
         prop_assert_eq!(reusing_in_flight, in_flight);
+        prop_assert_eq!(&reusing.sent, &net.sent);
         prop_assert_eq!(&reusing.delivered, &net.delivered);
         prop_assert!(reusing.reuse.is_some_and(|out| out.is_empty()), "the caller drained it");
     }

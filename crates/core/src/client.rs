@@ -233,7 +233,7 @@ impl<A: Application> ClientCore<A> {
                 let keep = self.mode.keeps_moved_state() && route.is_multi_partition();
                 return vec![Effect::Multicast {
                     mid: dispatch_mid(cmd.id, attempt),
-                    partitions: route.dests.clone(),
+                    partitions: route.dests,
                     // DS-SMR keep moves keys in every shard's map replica.
                     oracle: if keep { OracleDest::All } else { OracleDest::None },
                     payload: Payload::Access {

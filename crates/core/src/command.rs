@@ -234,11 +234,17 @@ impl<A: Application> Clone for Command<A> {
 impl<A: Application> Command<A> {
     /// The variables this command accesses.
     pub fn vars(&self) -> Vec<VarId> {
-        match &self.kind {
-            CommandKind::CreateKey { vars, .. } => vars.iter().map(|&(v, _)| v).collect(),
-            CommandKind::Access { vars, .. } => vars.clone(),
-            CommandKind::DeleteKey { .. } => Vec::new(),
-        }
+        self.iter_vars().collect()
+    }
+
+    /// [`Self::vars`], read in place.
+    pub fn iter_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (access, create): (&[VarId], &[(VarId, A::Value)]) = match &self.kind {
+            CommandKind::Access { vars, .. } => (vars, &[]),
+            CommandKind::CreateKey { vars, .. } => (&[], vars),
+            CommandKind::DeleteKey { .. } => (&[], &[]),
+        };
+        access.iter().copied().chain(create.iter().map(|&(v, _)| v))
     }
 
     /// The distinct locality keys this command touches, sorted.

@@ -26,10 +26,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dynastar_amcast::{
-    Delivery, GroupId, McastMember, McastOutput, McastWire, MemberId, MemberSnapshot, MsgId,
+    Delivery, Dests, GroupId, McastMember, McastOutput, McastWire, MemberId, MemberSnapshot, MsgId,
     Topology,
 };
-use dynastar_paxos::{Ballot, GroupConfig};
+use dynastar_paxos::{Ballot, GroupConfig, Peers};
 use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
 
 use crate::client::{ClientCore, ClientEvent};
@@ -71,9 +71,12 @@ impl<A: Application> Clone for Inner<A> {
 }
 
 /// Unwraps a received body for consumption: sole owner → move, otherwise
-/// (sender still buffering for retransmission, or a fan-out sibling in
-/// flight) one deep clone. Replicas read direct messages in place instead
-/// (see [`ReplicaHost::on_body`]).
+/// one deep clone. Sharing is the normal case: every recipient of a
+/// fan-out holds the same body, and the sender's retransmission buffer
+/// holds it until acknowledged. The clone is shallow where it matters,
+/// since payloads and destination lists sit behind their own `Arc`s.
+/// Replicas read direct messages in place instead (see
+/// [`ReplicaHost::on_body`]).
 pub(crate) fn unwrap_released<A: Application>(body: Arc<Inner<A>>) -> Inner<A> {
     Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
 }
@@ -177,26 +180,28 @@ impl RouteTable {
         GroupId(self.oracle_base.0 + shard)
     }
 
-    /// All oracle shard groups, in shard order.
-    fn oracle_groups(&self) -> impl Iterator<Item = GroupId> {
-        (self.oracle_base.0..self.oracle_base.0 + self.oracle_shards).map(GroupId)
-    }
-
-    /// Resolves a core's multicast destinations into sorted group ids.
+    /// Resolves a core's multicast destinations into the sorted, distinct
+    /// group list every copy of the message shares. `partitions` is sorted
+    /// in place; the list is the one allocation.
     pub(crate) fn mcast_groups(
         &self,
-        partitions: &[PartitionId],
+        mut partitions: Vec<PartitionId>,
         oracle: OracleDest,
-    ) -> Vec<GroupId> {
-        let mut gs: Vec<GroupId> = partitions.iter().map(|&p| GroupId(p.0)).collect();
-        match oracle {
-            OracleDest::None => {}
-            OracleDest::All => gs.extend(self.oracle_groups()),
-            OracleDest::Shard(s) => gs.push(self.oracle_group(s)),
-        }
-        gs.sort_unstable();
-        gs.dedup();
-        gs
+    ) -> Dests {
+        partitions.sort_unstable();
+        partitions.dedup();
+        // Oracle groups follow every partition group, so appending them
+        // keeps the list sorted.
+        debug_assert!(partitions.last().is_none_or(|p| p.0 < self.oracle_base.0));
+        let oracle = match oracle {
+            OracleDest::None => 0..0,
+            OracleDest::All => self.oracle_base.0..self.oracle_base.0 + self.oracle_shards,
+            OracleDest::Shard(s) => {
+                let g = self.oracle_group(s).0;
+                g..g + 1
+            }
+        };
+        partitions.iter().map(|p| GroupId(p.0)).chain(oracle.map(GroupId)).collect()
     }
 }
 
@@ -209,8 +214,9 @@ pub(crate) trait Port<A: Application> {
     fn now(&self) -> SimTime;
     /// The registry cores record into.
     fn metrics(&mut self) -> &mut Metrics;
-    /// Puts `body` on the transport to `to`. A fan-out passes clones of
-    /// one `Arc`, so every recipient shares a single allocation.
+    /// Puts `body` on the transport to `to`. Every fan-out, wire or
+    /// direct, passes clones of one `Arc` per recipient set, so its
+    /// recipients share a single allocation.
     fn send(&mut self, to: NodeId, body: Arc<Inner<A>>);
     /// Arms the one plan timer: [`ReplicaHost::on_plan_timer`] is due
     /// `after` from now ([`Effect::SchedulePlan`]).
@@ -226,15 +232,21 @@ fn fan_out<A: Application>(port: &mut impl Port<A>, nodes: &[NodeId], body: &Arc
     }
 }
 
-/// Puts a member's outgoing wires on the transport, each to its member's
-/// node, draining `wires`.
-fn send_wires<A: Application>(
-    routes: &RouteTable,
-    wires: &mut Vec<(MemberId, McastWire<Arc<Payload<A>>>)>,
-    port: &mut impl Port<A>,
-) {
-    for (to, wire) in wires.drain(..) {
-        port.send(routes.node_of(to), Arc::new(Inner::Wire(wire)));
+/// What a hosted member sends and delivers: each wire addressed to
+/// replicas of one group.
+type MemberOut<A> = McastOutput<Arc<Payload<A>>, (GroupId, Peers)>;
+
+/// A member's outgoing wires.
+type Wires<A> = Vec<((GroupId, Peers), McastWire<Arc<Payload<A>>>)>;
+
+/// Puts a member's outgoing wires on the transport, draining `wires`: one
+/// body per recipient set, to the set's nodes by ascending replica index.
+fn send_wires<A: Application>(routes: &RouteTable, wires: &mut Wires<A>, port: &mut impl Port<A>) {
+    for ((group, peers), wire) in wires.drain(..) {
+        let (nodes, body) = (routes.group_nodes(group), Arc::new(Inner::Wire(wire)));
+        for idx in peers.iter() {
+            port.send(nodes[idx], Arc::clone(&body));
+        }
     }
 }
 
@@ -246,13 +258,13 @@ fn interpret<A: Application, P: Port<A>>(
     routes: &RouteTable,
     effects: &mut Vec<Effect<A>>,
     port: &mut P,
-    mut multicast: impl FnMut(&mut P, MsgId, Vec<GroupId>, Arc<Payload<A>>),
+    mut multicast: impl FnMut(&mut P, MsgId, Dests, Arc<Payload<A>>),
 ) {
     for eff in effects.drain(..) {
         match eff {
             Effect::Multicast { mid, partitions, oracle, payload } => {
-                let groups = routes.mcast_groups(&partitions, oracle);
-                multicast(port, mid, groups, Arc::new(payload));
+                let dests = routes.mcast_groups(partitions, oracle);
+                multicast(port, mid, dests, Arc::new(payload));
             }
             Effect::Send { to, msg } => {
                 let body = Arc::new(Inner::Direct(msg));
@@ -381,7 +393,7 @@ pub(crate) struct ReplicaHost<A: Application> {
     member: McastMember<Arc<Payload<A>>>,
     role: Role<A>,
     /// What the member's last call sent and delivered.
-    mcast_out: McastOutput<Arc<Payload<A>>>,
+    mcast_out: MemberOut<A>,
     /// What the core's last call decided.
     effects: Vec<Effect<A>>,
     /// Deliveries not yet fed to the core (see [`Self::drain`]).
@@ -468,7 +480,7 @@ impl<A: Application> ReplicaHost<A> {
 
     /// Routes a multicast-layer output: sends the wires, then feeds the
     /// deliveries to the core.
-    pub(crate) fn absorb(&mut self, out: McastOutput<Arc<Payload<A>>>, port: &mut impl Port<A>) {
+    pub(crate) fn absorb(&mut self, out: MemberOut<A>, port: &mut impl Port<A>) {
         self.mcast_out.outgoing.extend(out.outgoing);
         self.mcast_out.delivered.extend(out.delivered);
         self.route_mcast_out(port);
@@ -516,8 +528,8 @@ impl<A: Application> ReplicaHost<A> {
     fn apply<P: Port<A>>(&mut self, effects: &mut Vec<Effect<A>>, port: &mut P) {
         let (member, routes) = (&mut self.member, &*self.routes);
         let (out, pending) = (&mut self.mcast_out, &mut self.pending);
-        interpret(routes, effects, port, |port: &mut P, mid, groups, payload| {
-            member.submit_into(mid, groups, payload, out);
+        interpret(routes, effects, port, |port: &mut P, mid, dests, payload| {
+            member.submit_into(mid, dests, payload, out);
             send_wires(routes, &mut out.outgoing, port);
             pending.extend(out.delivered.drain(..));
         });
@@ -570,7 +582,7 @@ impl<A: Application> ReplicaHost<A> {
         &mut self,
         floor: Ballot,
         donations: &[&RecoveryPayload<A>],
-    ) -> Option<McastOutput<Arc<Payload<A>>>> {
+    ) -> Option<MemberOut<A>> {
         let snaps: Vec<_> = donations.iter().map(|d| d.snapshot.clone()).collect();
         let (member, out, donor) = McastMember::recover(
             self.me,
@@ -642,10 +654,10 @@ impl<A: Application> ClientHost<A> {
     /// directly to every replica of every destination group.
     fn apply<P: Port<A>>(&mut self, mut effects: Vec<Effect<A>>, port: &mut P) {
         let routes = &*self.routes;
-        interpret(routes, &mut effects, port, |port: &mut P, mid, groups, payload| {
-            let submit = McastWire::Submit { mid, dests: groups.as_slice().into(), payload };
+        interpret(routes, &mut effects, port, |port: &mut P, mid, dests, payload| {
+            let submit = McastWire::Submit { mid, dests: Arc::clone(&dests), payload };
             let body = Arc::new(Inner::Wire(submit));
-            for &g in &groups {
+            for &g in dests.iter() {
                 fan_out(port, routes.group_nodes(g), &body);
             }
         });
@@ -656,6 +668,8 @@ impl<A: Application> ClientHost<A> {
 pub(crate) mod tests {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
+
+    use dynastar_paxos::PaxosMsg;
 
     use super::*;
     use crate::command::{Command, LocKey, VarId};
@@ -750,7 +764,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn delivered(payloads: Vec<Payload<App>>) -> McastOutput<Arc<Payload<App>>> {
+    fn delivered(payloads: Vec<Payload<App>>) -> MemberOut<App> {
         let delivered = payloads.into_iter().enumerate().map(|(i, p)| Delivery {
             mid: MsgId::new(7, i as u32),
             final_ts: i as u64,
@@ -868,13 +882,14 @@ pub(crate) mod tests {
     fn destinations_resolve_through_the_one_route_table() {
         let (p0, p1) = (PartitionId(0), PartitionId(1));
         let one = RouteTable::new(2, 1, 3);
-        assert_eq!(one.mcast_groups(&[p1, p0, p1], OracleDest::None), [GroupId(0), GroupId(1)]);
-        assert_eq!(one.mcast_groups(&[], OracleDest::Shard(0)), [GroupId(2)]);
-        assert_eq!(one.mcast_groups(&[p1], OracleDest::All), [GroupId(1), GroupId(2)]);
+        assert_eq!(one.mcast_groups(vec![p1, p0, p1], OracleDest::None)[..], [0, 1].map(GroupId));
+        assert_eq!(one.mcast_groups(vec![], OracleDest::Shard(0))[..], [GroupId(2)]);
+        assert_eq!(one.mcast_groups(vec![p1], OracleDest::All)[..], [1, 2].map(GroupId));
         let four = RouteTable::new(2, 4, 3);
-        assert_eq!(four.mcast_groups(&[p0], OracleDest::None), [GroupId(0)]);
-        assert_eq!(four.mcast_groups(&[], OracleDest::Shard(2)), [GroupId(4)]);
-        assert_eq!(four.mcast_groups(&[p1], OracleDest::All), [1, 2, 3, 4, 5].map(GroupId));
+        assert_eq!(four.mcast_groups(vec![p0], OracleDest::None)[..], [GroupId(0)]);
+        assert_eq!(four.mcast_groups(vec![], OracleDest::Shard(2))[..], [GroupId(4)]);
+        let all = four.mcast_groups(vec![p1, p1], OracleDest::All);
+        assert_eq!(all[..], [1, 2, 3, 4, 5].map(GroupId));
         assert_eq!(four.group_nodes(GroupId(4)), [12, 13, 14].map(NodeId::from_raw));
         assert_eq!(four.node_of(MemberId::new(GroupId(5), 2)), NodeId::from_raw(17));
 
@@ -889,6 +904,108 @@ pub(crate) mod tests {
         client.issue(cmd.kind, &mut port);
         let nodes = (6 + 3 * shard..9 + 3 * shard).map(|n| send(n, "Exec"));
         assert_eq!(port.take(), [Seen::Clock].into_iter().chain(nodes).collect::<Vec<_>>());
+    }
+
+    /// A port that keeps every body it is handed, with its sender.
+    struct Keeper {
+        /// The node whose host is being called.
+        at: u32,
+        metrics: Metrics,
+        sent: Vec<(u32, u32, Arc<Inner<App>>)>,
+    }
+
+    impl Port<App> for Keeper {
+        fn now(&self) -> SimTime {
+            SimTime::from_secs(1)
+        }
+
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
+
+        fn send(&mut self, to: NodeId, body: Arc<Inner<App>>) {
+            self.sent.push((self.at, to.as_raw(), body));
+        }
+
+        fn arm_plan(&mut self, _: SimDuration) {}
+
+        fn arm_wake(&mut self, _: SimTime) {}
+    }
+
+    #[test]
+    fn a_fan_out_is_one_body_to_its_recipients_in_index_order() {
+        // Two partitions and the oracle, three replicas each (nodes 0..9):
+        // a cold client's two-partition command goes through the oracle,
+        // whose replicas multicast it to both partitions.
+        let config = ClusterConfig { partitions: 2, replicas: 3, ..ClusterConfig::default() };
+        let mut group = hosts(3, config.clone());
+        let routes = Arc::clone(group[0].routes());
+        let mut client = client_host::<App>(
+            NodeId::from_raw(CLIENT),
+            &config,
+            &Default::default(),
+            Arc::clone(&routes),
+        );
+        let mut port = Keeper { at: CLIENT, metrics: Metrics::new(), sent: Vec::new() };
+        client.issue(access(0, &[0, 1]).kind, &mut port);
+        let mut next = 0;
+        for _ in 0..4 {
+            while let Some((_, to, body)) = port.sent.get(next).cloned() {
+                next += 1;
+                port.at = to;
+                if to != CLIENT {
+                    group[to as usize].on_body(body, &mut port);
+                } else if let Inner::Direct(msg) = &*body {
+                    client.on_direct(msg.clone(), &mut port);
+                }
+            }
+            for (node, host) in group.iter_mut().enumerate() {
+                port.at = node as u32;
+                host.on_tick(&mut port);
+            }
+        }
+        assert!(!client.is_busy(), "the command completed");
+
+        // Each run of one sender handing the port one body, by recipients.
+        let nodes = |g: GroupId| routes.group_nodes(g).iter().map(|n| n.as_raw()).collect();
+        let group_of = |node: u32| GroupId(node / 3);
+        let mut fan_outs: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut submits = Vec::new();
+        for run in port.sent.chunk_by(|a, b| a.0 == b.0 && Arc::ptr_eq(&a.2, &b.2)) {
+            let (from, to, body) = &run[0];
+            let recipients: Vec<u32> = run.iter().map(|&(_, to, _)| to).collect();
+            let others = |g| -> Vec<u32> {
+                let all: Vec<u32> = nodes(g);
+                all.into_iter().filter(|n| n != from).collect()
+            };
+            let Inner::Wire(wire) = &**body else { continue };
+            let (kind, expected) = match wire {
+                McastWire::Paxos { msg, .. } => match msg {
+                    PaxosMsg::Accept { .. } => ("Accept", others(group_of(*from))),
+                    PaxosMsg::Decide { .. } => ("Decide", others(group_of(*from))),
+                    PaxosMsg::Heartbeat { .. } => ("Heartbeat", others(group_of(*from))),
+                    _ => ("unicast", vec![*to]),
+                },
+                McastWire::Submit { .. } if *from == CLIENT => continue,
+                McastWire::Submit { mid, dests, .. } => {
+                    submits.push((*from, *mid, group_of(*to), Arc::clone(dests)));
+                    ("Submit", others(group_of(*to)))
+                }
+                McastWire::GroupTs { .. } => ("GroupTs", nodes(group_of(*to))),
+                McastWire::TsAck { from_group, .. } => ("TsAck", nodes(*from_group)),
+            };
+            assert_eq!(recipients, expected, "{kind} from node {from}");
+            *fan_outs.entry(kind).or_default() += 1;
+        }
+        for kind in ["Accept", "Decide", "Heartbeat", "Submit", "GroupTs", "TsAck"] {
+            assert!(fan_outs.get(kind).is_some_and(|&n| n > 0), "no {kind} in {fan_outs:?}");
+        }
+        // A replica's submit goes to its destination groups in order.
+        assert_eq!(submits.len(), 3 * 2, "each oracle replica submits to both partitions");
+        for one in submits.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let groups: Vec<GroupId> = one.iter().map(|s| s.2).collect();
+            assert_eq!(groups, one[0].3[..]);
+        }
     }
 
     #[test]

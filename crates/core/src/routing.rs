@@ -5,8 +5,6 @@
 //! clients (cached map) so that both derive identical routes from identical
 //! location facts — the determinism Algorithm 2/3's `target()` requires.
 
-use std::collections::BTreeMap;
-
 use dynastar_amcast::MsgId;
 
 use crate::command::{Application, Command, CommandKind, LocKey, PartitionId, VarId};
@@ -118,21 +116,24 @@ pub fn compute_route<A: Application>(
     cmd: &Command<A>,
     mut lookup: impl FnMut(LocKey) -> Option<PartitionId>,
 ) -> Option<Route> {
-    let vars = cmd.vars();
-    let mut expected = Vec::with_capacity(vars.len());
-    let mut var_count: BTreeMap<PartitionId, usize> = BTreeMap::new();
+    let vars = cmd.iter_vars();
+    let mut expected = Vec::with_capacity(vars.size_hint().0);
     for v in vars {
-        let p = lookup(A::locality(v))?;
-        expected.push((v, p));
-        *var_count.entry(p).or_insert(0) += 1;
+        expected.push((v, lookup(A::locality(v))?));
     }
-    let mut dests: Vec<PartitionId> = var_count.keys().copied().collect();
+    let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
     dests.sort_unstable();
-    // Most variables wins; BTreeMap iteration order makes the lowest id win
-    // ties because `>` is strict.
-    let target =
-        var_count.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0))).map(|(&p, _)| p)?;
-    Some(Route { expected, dests, target })
+    // Most variables wins: one run of equal ids per partition, ascending,
+    // so the strict `>` makes the lowest id win ties.
+    let mut target = None;
+    let mut most = 0;
+    for run in dests.chunk_by(|a, b| a == b) {
+        if run.len() > most {
+            (most, target) = (run.len(), Some(run[0]));
+        }
+    }
+    dests.dedup();
+    Some(Route { expected, dests, target: target? })
 }
 
 #[cfg(test)]
@@ -207,6 +208,31 @@ mod tests {
         assert_eq!(r.target, PartitionId(1));
         let r = compute_route(&access(vec![2, 1]), mod3).unwrap();
         assert_eq!(r.target, PartitionId(1), "order of vars must not matter");
+    }
+
+    #[test]
+    fn a_repeated_variable_counts_once_per_mention() {
+        // Var 4 (partition 1) three times, var 2 (partition 2) twice.
+        let r = compute_route(&access(vec![4, 2, 4, 0, 4, 2]), mod3).unwrap();
+        assert_eq!(r.dests, [0, 1, 2].map(PartitionId));
+        assert_eq!(r.target, PartitionId(1));
+        assert_eq!(r.expected.len(), 6);
+        // Twice var 1 ties once each vars 0 and 3: the lower id wins.
+        let r = compute_route(&access(vec![1, 1, 0, 3]), mod3).unwrap();
+        assert_eq!(r.dests, [0, 1].map(PartitionId));
+        assert_eq!(r.target, PartitionId(0));
+    }
+
+    #[test]
+    fn a_three_way_tie_breaks_to_the_lowest_partition_id() {
+        for vars in [vec![2, 1, 0], vec![2, 5, 1, 4, 0, 3], vec![5, 4, 3, 2, 1, 0]] {
+            let r = compute_route(&access(vars.clone()), mod3).unwrap();
+            assert_eq!(r.dests, [0, 1, 2].map(PartitionId), "{vars:?}");
+            assert_eq!(r.target, PartitionId(0), "{vars:?}");
+        }
+        // With partition 0 a vote behind, the tie is between 1 and 2.
+        let r = compute_route(&access(vec![2, 5, 1, 4, 3]), mod3).unwrap();
+        assert_eq!(r.target, PartitionId(1));
     }
 
     #[test]

@@ -197,9 +197,10 @@ impl<A: Application> Wiring<A> {
         self.peer_epochs.get(&peer).copied().unwrap_or(0)
     }
 
-    /// Sends one framed body to `to`. Fan-out callers wrap the body in an
-    /// `Arc` once and pass clones, so every recipient (and every
-    /// retransmission buffer entry) shares a single allocation.
+    /// Sends one framed body to `to`. The body is usually shared: a
+    /// fan-out, wire or direct, hands every recipient a clone of one `Arc`,
+    /// and the retransmission buffer entry holds another, so a body is
+    /// allocated once per recipient set, not once per peer.
     pub(crate) fn send(&mut self, ctx: &mut Ctx<'_, Msg<A>>, to: NodeId, inner: Arc<Inner<A>>) {
         let frame = self.fifo.wrap(to, inner);
         let now = ctx.now();

@@ -15,7 +15,7 @@
 //! # Example
 //!
 //! ```
-//! use dynastar_paxos::{GroupConfig, PaxosMsg, PaxosReplica};
+//! use dynastar_paxos::{GroupConfig, Output, PaxosReplica};
 //!
 //! // A three-replica group; replica 0 is the initial leader.
 //! let cfg = GroupConfig::new(3);
@@ -23,14 +23,19 @@
 //!     (0..3).map(|i| PaxosReplica::new(i, cfg.clone())).collect();
 //!
 //! // Propose a command at the leader and shuttle messages until quiescent.
-//! let mut inflight: Vec<(usize, usize, PaxosMsg<String>)> = Vec::new();
-//! let out = replicas[0].propose("cmd".to_string());
-//! inflight.extend(out.outgoing.into_iter().map(|(to, m)| (0, to, m)));
-//! let mut delivered = Vec::new();
-//! while let Some((from, to, msg)) = inflight.pop() {
-//!     let out = replicas[to].on_message(from, msg);
-//!     inflight.extend(out.outgoing.into_iter().map(|(t, m)| (to, t, m)));
-//!     delivered.extend(out.decided.into_iter().map(|(_, v)| v));
+//! // Each outgoing message names a set of recipients (`Peers`), so a
+//! // broadcast to the group is one message.
+//! let mut out = Output::default();
+//! replicas[0].propose_into("cmd".to_string(), &mut out);
+//! let (mut at, mut inflight, mut delivered) = (0, Vec::new(), Vec::new());
+//! loop {
+//!     delivered.extend(out.decided.drain(..).map(|(_, v)| v));
+//!     for (to, msg) in out.outgoing.drain(..) {
+//!         inflight.extend(to.iter().map(|t| (at, t, msg.clone())));
+//!     }
+//!     let Some((from, to, msg)) = inflight.pop() else { break };
+//!     replicas[to].on_message_into(from, msg, &mut out);
+//!     at = to;
 //! }
 //! assert!(delivered.contains(&"cmd".to_string()));
 //! ```
@@ -46,4 +51,4 @@ mod replica;
 mod types;
 
 pub use replica::{BatchStats, Output, PaxosReplica, RecoveryReport};
-pub use types::{Ballot, BatchConfig, Entry, GroupConfig, PaxosMsg, Slot, MAX_GROUP_SIZE};
+pub use types::{Ballot, BatchConfig, Entry, GroupConfig, PaxosMsg, Peers, Slot, MAX_GROUP_SIZE};

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::types::{Ballot, Entry, GroupConfig, PaxosMsg, Slot, MAX_GROUP_SIZE};
+use crate::types::{Ballot, Entry, GroupConfig, PaxosMsg, Peers, Slot, MAX_GROUP_SIZE};
 
 /// Ballot marker for values that are known chosen. It compares greater than
 /// any real ballot, so a new leader's value selection always keeps chosen
@@ -22,13 +22,17 @@ const LOG_RETENTION: u64 = 1024;
 ///
 /// The `_into` entry points ([`PaxosReplica::propose_into`],
 /// [`PaxosReplica::on_message_into`], [`PaxosReplica::tick_into`]) append
-/// to a caller-owned `Output` and never clear it, so a long-lived caller
-/// drains one buffer per call instead of allocating a fresh pair of
-/// vectors.
+/// to a caller-owned `Output<V, Peers>` and never clear it, so a
+/// long-lived caller drains one buffer per call instead of allocating a
+/// fresh pair of vectors. Each of its messages names a recipient set, so a
+/// message to the whole group is one message, not one per peer. The
+/// by-value methods return `Output<V>`, the same messages expanded to one
+/// per recipient ([`Output::expand`]).
 #[derive(Debug, Clone)]
-pub struct Output<V> {
-    /// Messages to send, as `(destination replica index, message)` pairs.
-    pub outgoing: Vec<(usize, PaxosMsg<V>)>,
+pub struct Output<V, To = usize> {
+    /// Messages to send, as `(recipients, message)` pairs: a replica index
+    /// in `Output<V>`, a [`Peers`] set in `Output<V, Peers>`.
+    pub outgoing: Vec<(To, PaxosMsg<V>)>,
     /// Commands newly decided *and* in slot order, ready for the
     /// application. No-op gap fillers are filtered out; a decided
     /// [`Entry::Batch`] is flattened into one element per command (all
@@ -36,16 +40,37 @@ pub struct Output<V> {
     pub decided: Vec<(Slot, V)>,
 }
 
-impl<V> Default for Output<V> {
+impl<V, To> Default for Output<V, To> {
     fn default() -> Self {
         Output { outgoing: Vec::new(), decided: Vec::new() }
     }
 }
 
-impl<V> Output<V> {
+impl<V, To> Output<V, To> {
     /// True when nothing needs to be sent or delivered.
     pub fn is_empty(&self) -> bool {
         self.outgoing.is_empty() && self.decided.is_empty()
+    }
+}
+
+impl<V> Output<V, Peers> {
+    /// Queues `msg` for the replicas in `to`; an empty set sends nothing.
+    fn send(&mut self, to: Peers, msg: PaxosMsg<V>) {
+        if !to.is_empty() {
+            self.outgoing.push((to, msg));
+        }
+    }
+}
+
+impl<V: Clone> Output<V, Peers> {
+    /// One `(index, message)` pair per recipient, in set order then
+    /// ascending index: the shape the by-value methods return.
+    pub fn expand(self) -> Output<V> {
+        let mut outgoing = Vec::with_capacity(self.outgoing.len());
+        for (to, msg) in self.outgoing {
+            outgoing.extend(to.iter().map(|idx| (idx, msg.clone())));
+        }
+        Output { outgoing, decided: self.decided }
     }
 }
 
@@ -144,11 +169,13 @@ enum Role<V> {
 /// A full Multi-Paxos replica: proposer, acceptor and learner in one state
 /// machine.
 ///
-/// Drive it with [`PaxosReplica::on_message`], [`PaxosReplica::tick`] and
-/// [`PaxosReplica::propose`]; each returns an [`Output`] with messages to
-/// transmit and commands to deliver (the `_into` forms append the same to
-/// a caller's buffer). Replica 0 starts as leader of ballot
-/// `(0, 0)` so a freshly booted group makes progress without an election.
+/// Drive it with [`PaxosReplica::on_message_into`],
+/// [`PaxosReplica::tick_into`] and [`PaxosReplica::propose_into`]; each
+/// appends to a caller's [`Output`] the messages to transmit, one per
+/// recipient set, and the commands to deliver (the by-value forms return
+/// the same with one message per recipient). Replica 0 starts as leader of
+/// ballot `(0, 0)` so a freshly booted group makes progress without an
+/// election.
 #[derive(Debug)]
 pub struct PaxosReplica<V> {
     idx: usize,
@@ -231,6 +258,11 @@ impl<V: Clone> PaxosReplica<V> {
         self.idx
     }
 
+    /// Every other replica of the group: the recipients of a broadcast.
+    fn others(&self) -> Peers {
+        Peers::all(self.cfg.size).without(self.idx)
+    }
+
     /// Highest ballot this replica has promised (acceptor state). This is
     /// the one piece of state that must survive a crash (persist it before
     /// acting on a promise) — everything else is rebuilt from peers.
@@ -278,7 +310,7 @@ impl<V: Clone> PaxosReplica<V> {
         cfg: GroupConfig,
         promised_floor: Ballot,
         reports: &[RecoveryReport<V>],
-    ) -> (Self, Output<V>) {
+    ) -> (Self, Output<V, Peers>) {
         assert!(cfg.size <= MAX_GROUP_SIZE, "a Paxos group has at most {MAX_GROUP_SIZE} replicas");
         assert!(
             reports.len() >= cfg.quorum(),
@@ -380,16 +412,16 @@ impl<V: Clone> PaxosReplica<V> {
     pub fn propose(&mut self, value: V) -> Output<V> {
         let mut out = Output::default();
         self.propose_into(value, &mut out);
-        out
+        out.expand()
     }
 
     /// [`Self::propose`], appending its effects to `out`.
-    pub fn propose_into(&mut self, value: V, out: &mut Output<V>) {
+    pub fn propose_into(&mut self, value: V, out: &mut Output<V, Peers>) {
         if self.is_leader() {
             self.batch_buffer.push(value);
             self.maybe_flush_batch(out);
         } else if let Some(leader) = self.leader_hint {
-            out.outgoing.push((leader, PaxosMsg::Forward { value }));
+            out.send(Peers::one(leader), PaxosMsg::Forward { value });
         } else {
             self.pending.push_back(value);
         }
@@ -398,7 +430,7 @@ impl<V: Clone> PaxosReplica<V> {
     /// Leader-only: flushes the batch buffer into log slots as long as a
     /// flush condition holds (buffer full, or delay expired) and the
     /// pipelining window has room. See [`crate::BatchConfig`].
-    fn maybe_flush_batch(&mut self, out: &mut Output<V>) {
+    fn maybe_flush_batch(&mut self, out: &mut Output<V, Peers>) {
         loop {
             let Role::Leader { in_flight, .. } = &self.role else { return };
             if self.batch_buffer.is_empty() {
@@ -452,7 +484,7 @@ impl<V: Clone> PaxosReplica<V> {
     }
 
     /// Leader-only: assign the next slot to `entry` and issue Accepts.
-    fn lead_value(&mut self, entry: Entry<V>, out: &mut Output<V>) {
+    fn lead_value(&mut self, entry: Entry<V>, out: &mut Output<V, Peers>) {
         #[expect(
             clippy::unreachable,
             reason = "every caller checks Role::Leader first; silently dropping `entry` here would lose a proposal, so a loud local-invariant failure is safer"
@@ -467,15 +499,13 @@ impl<V: Clone> PaxosReplica<V> {
         *in_flight.entry(slot).or_default() |= 1 << self.idx;
         // Leader self-accepts.
         self.accepted.insert(slot, (ballot, entry.clone()));
-        for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
-            out.outgoing.push((peer, PaxosMsg::Accept { ballot, slot, value: entry.clone() }));
-        }
+        out.send(self.others(), PaxosMsg::Accept { ballot, slot, value: entry });
         // Single-replica group: quorum is 1, decide immediately.
         self.try_decide(slot, out);
     }
 
     /// Checks whether `slot` has a quorum of acceptances and decides it.
-    fn try_decide(&mut self, slot: Slot, out: &mut Output<V>) {
+    fn try_decide(&mut self, slot: Slot, out: &mut Output<V, Peers>) {
         let quorum = self.cfg.quorum();
         let Role::Leader { in_flight, .. } = &mut self.role else { return };
         let Some(votes) = in_flight.get(&slot) else { return };
@@ -490,13 +520,11 @@ impl<V: Clone> PaxosReplica<V> {
             return;
         };
         self.record_decided(slot, value.clone(), out);
-        for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
-            out.outgoing.push((peer, PaxosMsg::Decide { slot, value: value.clone() }));
-        }
+        out.send(self.others(), PaxosMsg::Decide { slot, value });
     }
 
     /// Stores a chosen entry and drains newly in-order deliverables.
-    fn record_decided(&mut self, slot: Slot, value: Entry<V>, out: &mut Output<V>) {
+    fn record_decided(&mut self, slot: Slot, value: Entry<V>, out: &mut Output<V, Peers>) {
         self.decided.entry(slot).or_insert_with(|| value.clone());
         self.accepted.insert(slot, (DECIDED_BALLOT, value));
         while self.decided.contains_key(&self.decided_frontier) {
@@ -541,11 +569,11 @@ impl<V: Clone> PaxosReplica<V> {
     pub fn tick(&mut self) -> Output<V> {
         let mut out = Output::default();
         self.tick_into(&mut out);
-        out
+        out.expand()
     }
 
     /// [`Self::tick`], appending its effects to `out`.
-    pub fn tick_into(&mut self, out: &mut Output<V>) {
+    pub fn tick_into(&mut self, out: &mut Output<V, Peers>) {
         match &mut self.role {
             Role::Leader { ballot, ticks_since_heartbeat, .. } => {
                 *ticks_since_heartbeat += 1;
@@ -555,9 +583,7 @@ impl<V: Clone> PaxosReplica<V> {
                         ballot: *ballot,
                         decided_up_to: self.decided_frontier,
                     };
-                    for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
-                        out.outgoing.push((peer, hb.clone()));
-                    }
+                    out.send(self.others(), hb);
                 }
                 if !self.batch_buffer.is_empty() {
                     self.buffer_wait_ticks += 1;
@@ -588,7 +614,7 @@ impl<V: Clone> PaxosReplica<V> {
         self.cfg.election_timeout_ticks + rank as u32 * self.cfg.election_stagger_ticks()
     }
 
-    fn start_election(&mut self, out: &mut Output<V>) {
+    fn start_election(&mut self, out: &mut Output<V, Peers>) {
         let ballot = self.promised.next_for(self.idx);
         self.promised = ballot;
         self.leader_hint = None;
@@ -602,14 +628,12 @@ impl<V: Clone> PaxosReplica<V> {
         let mut promises = BTreeSet::new();
         promises.insert(self.idx);
         self.role = Role::Candidate { ballot, promises, values, max_slot };
-        for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
-            out.outgoing.push((peer, PaxosMsg::Prepare { ballot }));
-        }
+        out.send(self.others(), PaxosMsg::Prepare { ballot });
         // Single-replica group elects itself instantly.
         self.try_become_leader(out);
     }
 
-    fn try_become_leader(&mut self, out: &mut Output<V>) {
+    fn try_become_leader(&mut self, out: &mut Output<V, Peers>) {
         let quorum = self.cfg.quorum();
         let Role::Candidate { ballot, promises, values, max_slot } = &mut self.role else { return };
         if promises.len() < quorum {
@@ -648,15 +672,19 @@ impl<V: Clone> PaxosReplica<V> {
     }
 
     /// Phase 2 for a specific recovered slot (leader takeover path).
-    fn relead_slot(&mut self, slot: Slot, entry: Entry<V>, ballot: Ballot, out: &mut Output<V>) {
+    fn relead_slot(
+        &mut self,
+        slot: Slot,
+        entry: Entry<V>,
+        ballot: Ballot,
+        out: &mut Output<V, Peers>,
+    ) {
         // Only reached from become_leader, which just installed Role::Leader;
         // a non-leader here cannot make progress, so degrade quietly.
         let Role::Leader { in_flight, .. } = &mut self.role else { return };
         *in_flight.entry(slot).or_default() |= 1 << self.idx;
         self.accepted.insert(slot, (ballot, entry.clone()));
-        for peer in (0..self.cfg.size).filter(|&i| i != self.idx) {
-            out.outgoing.push((peer, PaxosMsg::Accept { ballot, slot, value: entry.clone() }));
-        }
+        out.send(self.others(), PaxosMsg::Accept { ballot, slot, value: entry });
         self.try_decide(slot, out);
     }
 
@@ -685,12 +713,12 @@ impl<V: Clone> PaxosReplica<V> {
     pub fn on_message(&mut self, from: usize, msg: PaxosMsg<V>) -> Output<V> {
         let mut out = Output::default();
         self.on_message_into(from, msg, &mut out);
-        out
+        out.expand()
     }
 
     /// [`Self::on_message`], appending its effects to `out`.
     #[deny(clippy::wildcard_enum_match_arm)]
-    pub fn on_message_into(&mut self, from: usize, msg: PaxosMsg<V>, out: &mut Output<V>) {
+    pub fn on_message_into(&mut self, from: usize, msg: PaxosMsg<V>, out: &mut Output<V, Peers>) {
         match msg {
             PaxosMsg::Prepare { ballot } => {
                 if ballot > self.promised {
@@ -702,16 +730,16 @@ impl<V: Clone> PaxosReplica<V> {
                         .range(self.decided_frontier..)
                         .map(|(&s, &(b, ref v))| (s, b, v.clone()))
                         .collect();
-                    out.outgoing.push((
-                        from,
+                    out.send(
+                        Peers::one(from),
                         PaxosMsg::Promise {
                             ballot,
                             accepted,
                             decided_up_to: self.decided_frontier,
                         },
-                    ));
+                    );
                 } else {
-                    out.outgoing.push((from, PaxosMsg::Nack { ballot: self.promised }));
+                    out.send(Peers::one(from), PaxosMsg::Nack { ballot: self.promised });
                 }
             }
             PaxosMsg::Promise { ballot, accepted, decided_up_to } => {
@@ -719,13 +747,13 @@ impl<V: Clone> PaxosReplica<V> {
                 // A promiser that is ahead on decisions implies slots we can
                 // fetch; remember to catch up from it.
                 if decided_up_to > self.decided_frontier {
-                    out.outgoing.push((
-                        from,
+                    out.send(
+                        Peers::one(from),
                         PaxosMsg::CatchUpRequest {
                             from_slot: self.decided_frontier,
                             to_slot: decided_up_to,
                         },
-                    ));
+                    );
                 }
                 if let Role::Candidate { ballot: our, promises, values, max_slot } = &mut self.role
                 {
@@ -756,10 +784,10 @@ impl<V: Clone> PaxosReplica<V> {
                     if !already_decided {
                         self.accepted.insert(slot, (ballot, value));
                     }
-                    out.outgoing.push((from, PaxosMsg::Accepted { ballot, slot }));
+                    out.send(Peers::one(from), PaxosMsg::Accepted { ballot, slot });
                     self.flush_pending(out);
                 } else {
-                    out.outgoing.push((from, PaxosMsg::Nack { ballot: self.promised }));
+                    out.send(Peers::one(from), PaxosMsg::Nack { ballot: self.promised });
                 }
             }
             PaxosMsg::Accepted { ballot, slot } => {
@@ -789,13 +817,13 @@ impl<V: Clone> PaxosReplica<V> {
                     self.leader_hint = Some(ballot.owner);
                     self.ticks_since_leader = 0;
                     if decided_up_to > self.decided_frontier {
-                        out.outgoing.push((
-                            from,
+                        out.send(
+                            Peers::one(from),
                             PaxosMsg::CatchUpRequest {
                                 from_slot: self.decided_frontier,
                                 to_slot: decided_up_to,
                             },
-                        ));
+                        );
                     }
                     self.flush_pending(out);
                 }
@@ -805,7 +833,7 @@ impl<V: Clone> PaxosReplica<V> {
                 let mut s = from_slot;
                 while s < to_slot {
                     if let Some(v) = self.decided.get(&s) {
-                        out.outgoing.push((from, PaxosMsg::Decide { slot: s, value: v.clone() }));
+                        out.send(Peers::one(from), PaxosMsg::Decide { slot: s, value: v.clone() });
                     }
                     s = s.next();
                 }
@@ -823,7 +851,7 @@ impl<V: Clone> PaxosReplica<V> {
     }
 
     /// Forwards buffered proposals once a leader is known.
-    fn flush_pending(&mut self, out: &mut Output<V>) {
+    fn flush_pending(&mut self, out: &mut Output<V, Peers>) {
         if self.pending.is_empty() {
             return;
         }
@@ -832,7 +860,7 @@ impl<V: Clone> PaxosReplica<V> {
             self.maybe_flush_batch(out);
         } else if let Some(leader) = self.leader_hint {
             while let Some(v) = self.pending.pop_front() {
-                out.outgoing.push((leader, PaxosMsg::Forward { value: v }));
+                out.send(Peers::one(leader), PaxosMsg::Forward { value: v });
             }
         }
     }
@@ -854,7 +882,7 @@ mod tests {
         down: BTreeSet<usize>,
         /// `Some`: drive replicas through the `_into` forms, all appending
         /// to this one buffer; `None`: through the by-value API.
-        reuse: Option<Output<u64>>,
+        reuse: Option<Output<u64, Peers>>,
     }
 
     /// One input to a replica.
@@ -886,14 +914,23 @@ mod tests {
             Net { reuse: Some(Output::default()), ..self }
         }
 
-        fn absorb(&mut self, from: usize, mut out: Output<u64>) {
-            self.drain_output(from, &mut out);
-        }
-
-        fn drain_output(&mut self, from: usize, out: &mut Output<u64>) {
-            for (to, msg) in out.outgoing.drain(..) {
+        fn absorb(&mut self, from: usize, out: Output<u64>) {
+            for (to, msg) in out.outgoing {
                 self.sent.push((from, to, msg.clone()));
                 self.queue.push_back((from, to, msg));
+            }
+            self.delivered[from].extend(out.decided);
+        }
+
+        /// Drains a set-addressed output, one message per recipient in
+        /// ascending index order (spelled out here, not through
+        /// [`Output::expand`], so the two can be compared).
+        fn drain_output(&mut self, from: usize, out: &mut Output<u64, Peers>) {
+            for (to, msg) in out.outgoing.drain(..) {
+                for idx in (0..MAX_GROUP_SIZE).filter(|&i| to.contains(i)) {
+                    self.sent.push((from, idx, msg.clone()));
+                    self.queue.push_back((from, idx, msg.clone()));
+                }
             }
             self.delivered[from].append(&mut out.decided);
         }
@@ -1039,7 +1076,7 @@ mod tests {
         if leader != 0 {
             let mut out = Output::default();
             net.replicas[leader].start_election(&mut out);
-            net.absorb(leader, out);
+            net.drain_output(leader, &mut out);
             net.drain();
         }
         net.run(net.replicas[leader].cfg.heartbeat_interval_ticks as usize);
@@ -1154,7 +1191,7 @@ mod tests {
         let prepare = out
             .outgoing
             .iter()
-            .find_map(|(to, m)| (*to == 2).then(|| m.clone()))
+            .find_map(|(to, m)| to.contains(2).then(|| m.clone()))
             .expect("prepare for r2");
         let out2 = r2.on_message(1, prepare);
         let promise = out2
@@ -1252,7 +1289,7 @@ mod tests {
         let prepare = out
             .outgoing
             .iter()
-            .find_map(|(to, m)| (*to == 2).then(|| m.clone()))
+            .find_map(|(to, m)| to.contains(2).then(|| m.clone()))
             .expect("prepare for r2");
         let out2 = r2.on_message(1, prepare);
         let promise = out2
@@ -1435,7 +1472,7 @@ mod tests {
         // leader via forwarding.
         let mut out = Output::default();
         net.replicas[1].start_election(&mut out);
-        net.absorb(1, out);
+        net.drain_output(1, &mut out);
         net.run(20);
         assert!(net.replicas[1].is_leader());
         assert!(!net.replicas[0].is_leader());
@@ -1482,29 +1519,37 @@ mod tests {
         }
     }
 
+    /// Batching, forwarding from followers, a crashed leader, an election
+    /// and the new leader's recovery of the old one's slots.
+    fn failover_schedule(net: &mut Net) {
+        for v in 0..20 {
+            net.propose_at(v as usize % 3, v);
+            if v % 5 == 0 {
+                net.drain();
+            }
+        }
+        net.run(3);
+        net.down.insert(0);
+        net.run(40);
+        for v in 20..30 {
+            net.propose_at(1 + v as usize % 2, v);
+        }
+        net.run(5);
+    }
+
+    /// FNV-1a over the debug rendering of every message sent.
+    fn digest(sent: &[(usize, usize, PaxosMsg<u64>)]) -> u64 {
+        format!("{sent:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
     #[test]
     fn the_into_forms_with_one_reused_buffer_match_the_by_value_api() {
-        // Batching, forwarding from followers, a crashed leader, an
-        // election and the new leader's recovery of the old one's slots.
-        let schedule = |net: &mut Net| {
-            for v in 0..20 {
-                net.propose_at(v as usize % 3, v);
-                if v % 5 == 0 {
-                    net.drain();
-                }
-            }
-            net.run(3);
-            net.down.insert(0);
-            net.run(40);
-            for v in 20..30 {
-                net.propose_at(1 + v as usize % 2, v);
-            }
-            net.run(5);
-        };
         let mut by_value = Net::with_cfg(batched(4, 2, 2));
         let mut into = Net::with_cfg(batched(4, 2, 2)).reusing_one_output();
-        schedule(&mut by_value);
-        schedule(&mut into);
+        failover_schedule(&mut by_value);
+        failover_schedule(&mut into);
         assert!(by_value.sent.iter().any(|(_, _, m)| matches!(m, PaxosMsg::Prepare { .. })));
         let vals: BTreeSet<u64> = by_value.delivered[1].iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, (0..30).collect(), "every command survives the failover");
@@ -1514,24 +1559,68 @@ mod tests {
     }
 
     #[test]
+    fn the_by_value_output_is_the_per_recipient_sequence_replicas_always_sent() {
+        // Pinned from the replica that addressed every message to one
+        // index: a recipient set must expand to the same messages, to the
+        // same peers, in the same order.
+        let mut net = Net::with_cfg(batched(4, 2, 2));
+        failover_schedule(&mut net);
+        assert_eq!((net.sent.len(), digest(&net.sent)), (104, 0xb0c6_72ee_c3f2_7dcc));
+    }
+
+    #[test]
+    fn a_broadcast_is_one_message_to_every_other_replica() {
+        let mut leader: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(5));
+        let mut out = Output::default();
+        leader.propose_into(7, &mut out);
+        let accept =
+            PaxosMsg::Accept { ballot: Ballot::INITIAL, slot: Slot(0), value: Entry::Cmd(7) };
+        assert_eq!(out.outgoing, [(Peers(0b11110), accept)]);
+
+        // A candidate in the middle of the group skips itself alone; the
+        // promise comes back to the candidate alone.
+        let mut candidate: PaxosReplica<u64> = PaxosReplica::new(2, GroupConfig::new(5));
+        let mut out = Output::default();
+        candidate.start_election(&mut out);
+        let ballot = Ballot { round: 0, owner: 2 };
+        assert_eq!(out.outgoing, [(Peers(0b11011), PaxosMsg::Prepare { ballot })]);
+        let mut out = Output::default();
+        leader.on_message_into(2, PaxosMsg::Prepare { ballot }, &mut out);
+        assert!(matches!(out.outgoing[..], [(Peers(0b100), PaxosMsg::Promise { .. })]));
+
+        // A group of one has nobody to tell.
+        let mut alone: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(1));
+        let mut out = Output::default();
+        alone.propose_into(7, &mut out);
+        alone.tick_into(&mut out);
+        alone.tick_into(&mut out);
+        assert!(out.outgoing.is_empty());
+        assert_eq!(out.decided, [(Slot(0), 7)]);
+    }
+
+    #[test]
     fn the_into_forms_append_to_what_the_buffer_already_holds() {
         let mut replica: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(3));
         let mut twin: PaxosReplica<u64> = PaxosReplica::new(0, GroupConfig::new(3));
-        let held = (2, PaxosMsg::Nack { ballot: Ballot::INITIAL });
-        let mut out = Output { outgoing: vec![held.clone()], decided: vec![(Slot(9), 9)] };
+        let nack = PaxosMsg::Nack { ballot: Ballot::INITIAL };
+        let mut out =
+            Output { outgoing: vec![(Peers::one(2), nack.clone())], decided: vec![(Slot(9), 9)] };
         let accepted = || PaxosMsg::Accepted { ballot: Ballot::INITIAL, slot: Slot(0) };
         replica.propose_into(7, &mut out);
         replica.on_message_into(1, accepted(), &mut out);
         replica.tick_into(&mut out);
         replica.tick_into(&mut out);
-        let mut expect = Output { outgoing: vec![held], decided: vec![(Slot(9), 9)] };
+        let mut expect = Output { outgoing: vec![(2, nack)], decided: vec![(Slot(9), 9)] };
         for step in [twin.propose(7), twin.on_message(1, accepted()), twin.tick(), twin.tick()] {
             expect.outgoing.extend(step.outgoing);
             expect.decided.extend(step.decided);
         }
-        // Accepts, the decision and its Decides, then the heartbeats.
+        // The Accept, the decision and its Decide, then the heartbeat:
+        // each one message to both peers.
+        assert_eq!(out.outgoing.len(), 1 + 1 + 1 + 1);
         assert_eq!(expect.outgoing.len(), 1 + 2 + 2 + 2);
         assert_eq!(expect.decided, [(Slot(9), 9), (Slot(0), 7)]);
+        let out = out.expand();
         assert_eq!(out.outgoing, expect.outgoing);
         assert_eq!(out.decided, expect.decided);
     }

@@ -107,6 +107,49 @@ impl Default for BatchConfig {
 /// one `u64` bitmask, a bit per replica index.
 pub const MAX_GROUP_SIZE: usize = 64;
 
+/// A set of replica indices within one group, one bit per index (groups
+/// have at most [`MAX_GROUP_SIZE`] replicas): the recipients of one
+/// outgoing message. Iteration is in ascending index order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Peers(pub u64);
+
+impl Peers {
+    /// Replica `idx` alone; empty if `idx` cannot be in any group.
+    pub fn one(idx: usize) -> Peers {
+        Peers(if idx < MAX_GROUP_SIZE { 1 << idx } else { 0 })
+    }
+
+    /// Every replica of a group of `size`.
+    pub fn all(size: usize) -> Peers {
+        Peers(if size >= MAX_GROUP_SIZE { u64::MAX } else { (1 << size) - 1 })
+    }
+
+    /// This set without replica `idx`.
+    pub fn without(self, idx: usize) -> Peers {
+        Peers(self.0 & !Peers::one(idx).0)
+    }
+
+    /// Whether replica `idx` is in the set.
+    pub fn contains(self, idx: usize) -> bool {
+        self.0 & Peers::one(idx).0 != 0
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The indices in the set, ascending.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let idx = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (idx < MAX_GROUP_SIZE).then_some(idx)
+        })
+    }
+}
+
 /// Static configuration of one Paxos group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupConfig {
@@ -294,4 +337,25 @@ pub enum PaxosMsg<V> {
         /// The higher ballot the receiver has promised.
         ballot: Ballot,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn peers_are_a_bitmask_iterated_in_index_order() {
+        let five = Peers::all(5).without(2);
+        assert_eq!(five, Peers(0b11011));
+        assert_eq!(five.iter().collect::<Vec<_>>(), [0, 1, 3, 4]);
+        assert_eq!((five.contains(2), five.contains(4)), (false, true));
+        assert_eq!(Peers::all(MAX_GROUP_SIZE).iter().count(), MAX_GROUP_SIZE);
+        assert_eq!(Peers::all(MAX_GROUP_SIZE).without(63).iter().last(), Some(62));
+        assert_eq!(Peers::one(63).iter().collect::<Vec<_>>(), [63]);
+        // An index no group can have addresses nobody.
+        assert!(Peers::one(MAX_GROUP_SIZE).is_empty() && Peers::one(usize::MAX).is_empty());
+        assert_eq!(Peers::all(3).without(70), Peers::all(3));
+        assert!(Peers::all(1).without(0).is_empty());
+        assert_eq!(Peers::default().iter().next(), None);
+    }
 }
