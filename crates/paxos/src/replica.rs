@@ -18,6 +18,76 @@ const CATCH_UP_BATCH: u64 = 512;
 /// caught up and would need a state transfer).
 const LOG_RETENTION: u64 = 1024;
 
+/// The acceptor log: one `(ballot, entry)` per slot from `base` on, `None`
+/// for a slot nothing was stored in. A slot is decided exactly when its
+/// ballot is [`DECIDED_BALLOT`]. Memory is O(highest stored slot − `base`):
+/// the front is pruned at the retention mark, and an insert below `base`
+/// is dropped.
+#[derive(Debug)]
+struct Log<V> {
+    /// Slot of `slots[0]`.
+    base: Slot,
+    slots: VecDeque<Option<(Ballot, Entry<V>)>>,
+}
+
+impl<V> Log<V> {
+    fn new(base: Slot) -> Self {
+        Log { base, slots: VecDeque::new() }
+    }
+
+    /// Index of `slot` in `slots`; `None` below `base`.
+    fn index(&self, slot: Slot) -> Option<usize> {
+        slot.0.checked_sub(self.base.0).and_then(|i| usize::try_from(i).ok())
+    }
+
+    /// The chosen entry of `slot`, if it is decided.
+    fn decided(&self, slot: Slot) -> Option<&Entry<V>> {
+        match self.slots.get(self.index(slot)?)? {
+            Some((b, v)) if *b == DECIDED_BALLOT => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Stores `value` in `ballot` at `slot`, growing the log to reach it.
+    /// A decided slot keeps its first chosen value, and a slot below
+    /// `base` stores nothing.
+    fn store(&mut self, slot: Slot, ballot: Ballot, value: Entry<V>) {
+        let Some(i) = self.index(slot) else { return };
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        match &mut self.slots[i] {
+            Some((b, _)) if *b == DECIDED_BALLOT => {}
+            cell => *cell = Some((ballot, value)),
+        }
+    }
+
+    /// Marks the value stored at `slot` chosen, in place, and returns it;
+    /// `None` when nothing is stored there.
+    fn mark_decided(&mut self, slot: Slot) -> Option<&Entry<V>> {
+        let (b, v) = self.slots.get_mut(self.index(slot)?)?.as_mut()?;
+        *b = DECIDED_BALLOT;
+        Some(v)
+    }
+
+    /// Every stored `(slot, ballot, entry)` at or above `from`, ascending.
+    fn iter_from(&self, from: Slot) -> impl Iterator<Item = (Slot, Ballot, &Entry<V>)> {
+        let first = self.index(from).unwrap_or(0).min(self.slots.len());
+        let base = self.base.0;
+        self.slots
+            .range(first..)
+            .zip(first as u64..)
+            .filter_map(move |(cell, i)| cell.as_ref().map(|(b, v)| (Slot(base + i), *b, v)))
+    }
+
+    /// Drops every slot below `cutoff`.
+    fn prune_below(&mut self, cutoff: Slot) {
+        let Some(n) = self.index(cutoff) else { return };
+        self.slots.drain(..n.min(self.slots.len()));
+        self.base = cutoff;
+    }
+}
+
 /// The effects of feeding one input to a [`PaxosReplica`].
 ///
 /// The `_into` entry points ([`PaxosReplica::propose_into`],
@@ -182,15 +252,13 @@ pub struct PaxosReplica<V> {
     cfg: GroupConfig,
     /// Highest ballot promised (acceptor state).
     promised: Ballot,
-    /// Per-slot accepted values. Chosen slots are kept with
+    /// Accepted and chosen values per slot. Chosen slots carry
     /// [`DECIDED_BALLOT`] so promises always carry them.
-    accepted: BTreeMap<Slot, (Ballot, Entry<V>)>,
-    /// Chosen entries.
-    decided: BTreeMap<Slot, Entry<V>>,
-    /// First slot not yet known decided (dense prefix of `decided`).
+    log: Log<V>,
+    /// First slot not yet known decided (end of the log's dense decided
+    /// prefix). Every slot below it has been delivered through
+    /// [`Output::decided`].
     decided_frontier: Slot,
-    /// First slot not yet emitted through [`Output::decided`].
-    next_deliver: Slot,
     role: Role<V>,
     /// Replica currently believed to be leader.
     leader_hint: Option<usize>,
@@ -237,10 +305,8 @@ impl<V: Clone> PaxosReplica<V> {
             idx,
             cfg,
             promised: Ballot::INITIAL,
-            accepted: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            log: Log::new(Slot(0)),
             decided_frontier: Slot(0),
-            next_deliver: Slot(0),
             role,
             leader_hint: Some(0),
             ticks_since_leader: 0,
@@ -276,11 +342,7 @@ impl<V: Clone> PaxosReplica<V> {
             promised: self.promised,
             frontier: self.decided_frontier,
             delivered: self.delivered_cmds,
-            accepted: self
-                .accepted
-                .range(self.decided_frontier..)
-                .map(|(&s, &(b, ref v))| (s, b, v.clone()))
-                .collect(),
+            accepted: self.log_from_frontier(),
         }
     }
 
@@ -341,14 +403,16 @@ impl<V: Clone> PaxosReplica<V> {
                 }
             }
         }
+        let mut log = Log::new(frontier);
+        for (slot, (ballot, value)) in merged {
+            log.store(slot, ballot, value);
+        }
         let mut replica = PaxosReplica {
             idx,
             cfg,
             promised,
-            accepted: merged,
-            decided: BTreeMap::new(),
+            log,
             decided_frontier: frontier,
-            next_deliver: frontier,
             role: Role::Follower,
             leader_hint: None,
             ticks_since_leader: 0,
@@ -362,15 +426,7 @@ impl<V: Clone> PaxosReplica<V> {
         // Slots already chosen above the frontier re-deliver through the
         // normal path so the caller's application observes them once.
         let mut out = Output::default();
-        let chosen: Vec<(Slot, Entry<V>)> = replica
-            .accepted
-            .iter()
-            .filter(|&(_, &(b, _))| b == DECIDED_BALLOT)
-            .map(|(&s, (_, v))| (s, v.clone()))
-            .collect();
-        for (slot, value) in chosen {
-            replica.record_decided(slot, value, &mut out);
-        }
+        replica.advance(&mut out);
         (replica, out)
     }
 
@@ -498,7 +554,7 @@ impl<V: Clone> PaxosReplica<V> {
         let ballot = *ballot;
         *in_flight.entry(slot).or_default() |= 1 << self.idx;
         // Leader self-accepts.
-        self.accepted.insert(slot, (ballot, entry.clone()));
+        self.log.store(slot, ballot, entry.clone());
         out.send(self.others(), PaxosMsg::Accept { ballot, slot, value: entry });
         // Single-replica group: quorum is 1, decide immediately.
         self.try_decide(slot, out);
@@ -513,52 +569,41 @@ impl<V: Clone> PaxosReplica<V> {
             return;
         }
         in_flight.remove(&slot);
-        let Some(value) = self.accepted.get(&slot).map(|(_, v)| v.clone()) else {
-            // A quorum for a slot we never accepted means ballot
-            // bookkeeping went wrong locally; drop the decision rather
-            // than crash — a ballot change re-proposes the slot.
-            return;
-        };
-        self.record_decided(slot, value.clone(), out);
+        // A quorum for a slot we never accepted means ballot bookkeeping
+        // went wrong locally; drop the decision rather than crash — a
+        // ballot change re-proposes the slot.
+        let Some(value) = self.log.mark_decided(slot).cloned() else { return };
+        self.advance(out);
         out.send(self.others(), PaxosMsg::Decide { slot, value });
     }
 
-    /// Stores a chosen entry and drains newly in-order deliverables.
-    fn record_decided(&mut self, slot: Slot, value: Entry<V>, out: &mut Output<V, Peers>) {
-        self.decided.entry(slot).or_insert_with(|| value.clone());
-        self.accepted.insert(slot, (DECIDED_BALLOT, value));
-        while self.decided.contains_key(&self.decided_frontier) {
-            self.decided_frontier = self.decided_frontier.next();
-        }
-        while let Some(entry) = self.decided.get(&self.next_deliver) {
+    /// Delivers every decided slot from the frontier on, in order, then
+    /// prunes the log [`LOG_RETENTION`] slots behind the new frontier.
+    fn advance(&mut self, out: &mut Output<V, Peers>) {
+        while let Some(entry) = self.log.decided(self.decided_frontier) {
+            let slot = self.decided_frontier;
             match entry {
                 Entry::Cmd(v) => {
-                    out.decided.push((self.next_deliver, v.clone()));
+                    out.decided.push((slot, v.clone()));
                     self.delivered_cmds += 1;
                 }
                 Entry::Batch(vs) => {
-                    for v in vs {
-                        out.decided.push((self.next_deliver, v.clone()));
-                    }
+                    out.decided.extend(vs.iter().map(|v| (slot, v.clone())));
                     self.delivered_cmds += vs.len() as u64;
                 }
                 Entry::Noop => {}
             }
-            self.next_deliver = self.next_deliver.next();
+            self.decided_frontier = slot.next();
         }
-        // Prune the log far behind the delivery frontier to bound memory.
-        // `pop_first` (typically one entry per call once past retention)
-        // instead of `split_off`, which rebuilds both trees — and their
-        // node allocations — on every decided slot.
-        if self.next_deliver.0 > LOG_RETENTION {
-            let cutoff = Slot(self.next_deliver.0 - LOG_RETENTION);
-            while self.decided.first_key_value().map(|(&s, _)| s < cutoff).unwrap_or(false) {
-                self.decided.pop_first();
-            }
-            while self.accepted.first_key_value().map(|(&s, _)| s < cutoff).unwrap_or(false) {
-                self.accepted.pop_first();
-            }
+        if let Some(cutoff) = self.decided_frontier.0.checked_sub(LOG_RETENTION) {
+            self.log.prune_below(Slot(cutoff));
         }
+    }
+
+    /// Every stored slot at or above the decided frontier, as reported in a
+    /// Promise or a [`RecoveryReport`].
+    fn log_from_frontier(&self) -> Vec<(Slot, Ballot, Entry<V>)> {
+        self.log.iter_from(self.decided_frontier).map(|(s, b, v)| (s, b, v.clone())).collect()
     }
 
     /// Advances the replica's clock by one tick.
@@ -621,9 +666,9 @@ impl<V: Clone> PaxosReplica<V> {
         let mut values = BTreeMap::new();
         let mut max_slot = None;
         // Self-promise: contribute our own accepted entries.
-        for (&slot, &(b, ref v)) in self.accepted.range(self.decided_frontier..) {
+        for (slot, b, v) in self.log.iter_from(self.decided_frontier) {
             values.insert(slot, (b, v.clone()));
-            max_slot = Some(max_slot.map_or(slot, |m: Slot| m.max(slot)));
+            max_slot = Some(slot);
         }
         let mut promises = BTreeSet::new();
         promises.insert(self.idx);
@@ -656,7 +701,7 @@ impl<V: Clone> PaxosReplica<V> {
             while next_slot <= max_slot {
                 let slot = next_slot;
                 next_slot = next_slot.next();
-                if self.decided.contains_key(&slot) {
+                if self.log.decided(slot).is_some() {
                     continue;
                 }
                 let entry = values.get(&slot).map(|(_, v)| v.clone()).unwrap_or(Entry::Noop);
@@ -683,7 +728,7 @@ impl<V: Clone> PaxosReplica<V> {
         // a non-leader here cannot make progress, so degrade quietly.
         let Role::Leader { in_flight, .. } = &mut self.role else { return };
         *in_flight.entry(slot).or_default() |= 1 << self.idx;
-        self.accepted.insert(slot, (ballot, entry.clone()));
+        self.log.store(slot, ballot, entry.clone());
         out.send(self.others(), PaxosMsg::Accept { ballot, slot, value: entry });
         self.try_decide(slot, out);
     }
@@ -725,11 +770,7 @@ impl<V: Clone> PaxosReplica<V> {
                     self.promised = ballot;
                     self.maybe_step_down(ballot);
                     self.ticks_since_leader = 0;
-                    let accepted: Vec<_> = self
-                        .accepted
-                        .range(self.decided_frontier..)
-                        .map(|(&s, &(b, ref v))| (s, b, v.clone()))
-                        .collect();
+                    let accepted = self.log_from_frontier();
                     out.send(
                         Peers::one(from),
                         PaxosMsg::Promise {
@@ -778,12 +819,10 @@ impl<V: Clone> PaxosReplica<V> {
                     self.maybe_step_down(ballot);
                     self.leader_hint = Some(ballot.owner);
                     self.ticks_since_leader = 0;
-                    // Never overwrite a chosen value.
-                    let already_decided =
-                        matches!(self.accepted.get(&slot), Some(&(b, _)) if b == DECIDED_BALLOT);
-                    if !already_decided {
-                        self.accepted.insert(slot, (ballot, value));
-                    }
+                    // A chosen value is never overwritten, and a slot below
+                    // the log's base is dropped; either way the Accepted
+                    // goes out.
+                    self.log.store(slot, ballot, value);
                     out.send(Peers::one(from), PaxosMsg::Accepted { ballot, slot });
                     self.flush_pending(out);
                 } else {
@@ -807,7 +846,9 @@ impl<V: Clone> PaxosReplica<V> {
             }
             PaxosMsg::Decide { slot, value } => {
                 self.ticks_since_leader = 0;
-                self.record_decided(slot, value, out);
+                // A slot already decided keeps its first chosen value.
+                self.log.store(slot, DECIDED_BALLOT, value);
+                self.advance(out);
             }
             PaxosMsg::Heartbeat { ballot, decided_up_to } => {
                 self.max_seen_frontier = self.max_seen_frontier.max(decided_up_to);
@@ -830,12 +871,14 @@ impl<V: Clone> PaxosReplica<V> {
             }
             PaxosMsg::CatchUpRequest { from_slot, to_slot } => {
                 let to_slot = Slot(to_slot.0.min(from_slot.0.saturating_add(CATCH_UP_BATCH)));
-                let mut s = from_slot;
-                while s < to_slot {
-                    if let Some(v) = self.decided.get(&s) {
-                        out.send(Peers::one(from), PaxosMsg::Decide { slot: s, value: v.clone() });
+                for (slot, b, v) in self.log.iter_from(from_slot) {
+                    if slot >= to_slot {
+                        break;
                     }
-                    s = s.next();
+                    if b == DECIDED_BALLOT {
+                        let value = v.clone();
+                        out.send(Peers::one(from), PaxosMsg::Decide { slot, value });
+                    }
                 }
             }
             PaxosMsg::Forward { value } => {
@@ -1623,6 +1666,159 @@ mod tests {
         let out = out.expand();
         assert_eq!(out.outgoing, expect.outgoing);
         assert_eq!(out.decided, expect.decided);
+    }
+
+    /// A group of three whose leader has decided slots `0..n`, command
+    /// `v` in slot `v`.
+    fn decided_through(n: u64) -> Net {
+        let mut net = Net::new(3);
+        for v in 0..n {
+            net.propose_at(0, v);
+        }
+        net.drain();
+        assert!(net.replicas.iter().all(|r| r.decided_frontier() == Slot(n)));
+        net
+    }
+
+    /// Feeds one message to `r` and returns what it sent and delivered.
+    fn step(r: &mut PaxosReplica<u64>, from: usize, msg: PaxosMsg<u64>) -> Output<u64, Peers> {
+        let mut out = Output::default();
+        r.on_message_into(from, msg, &mut out);
+        out
+    }
+
+    fn decide(slot: u64, v: u64) -> PaxosMsg<u64> {
+        PaxosMsg::Decide { slot: Slot(slot), value: Entry::Cmd(v) }
+    }
+
+    #[test]
+    fn catch_up_serves_no_pruned_slot_and_every_retained_one_in_order() {
+        let n = LOG_RETENTION + 600;
+        let mut net = decided_through(n);
+        let leader = &mut net.replicas[0];
+        assert_eq!(leader.log.base, Slot(n - LOG_RETENTION));
+        assert_eq!(leader.log.slots.len() as u64, LOG_RETENTION);
+        let decides = |out: Output<u64, Peers>| -> Vec<(u64, u64)> {
+            out.outgoing
+                .into_iter()
+                .map(|(to, m)| match m {
+                    PaxosMsg::Decide { slot, value: Entry::Cmd(v) } if to == Peers::one(2) => {
+                        (slot.0, v)
+                    }
+                    other => panic!("unexpected {other:?} to {to:?}"),
+                })
+                .collect()
+        };
+        let request =
+            |from, to| PaxosMsg::CatchUpRequest { from_slot: Slot(from), to_slot: Slot(to) };
+        // Every slot of the first batch was pruned.
+        assert_eq!(decides(step(leader, 2, request(0, n))), []);
+        // A batch straddling the base starts at the base.
+        let straddling: Vec<_> = (600..500 + CATCH_UP_BATCH).map(|s| (s, s)).collect();
+        assert_eq!(decides(step(leader, 2, request(500, n))), straddling);
+        // A batch of retained slots gets them all, up to the frontier.
+        let tail: Vec<_> = (n - 300..n).map(|s| (s, s)).collect();
+        assert_eq!(decides(step(leader, 2, request(n - 300, n + 50))), tail);
+    }
+
+    #[test]
+    fn a_stale_accept_below_the_base_is_answered_and_changes_nothing() {
+        let mut net = decided_through(LOG_RETENTION + 10);
+        let follower = &mut net.replicas[1];
+        let before =
+            (format!("{:?}", follower.log), follower.decided_frontier(), follower.promised());
+        let ballot = Ballot::INITIAL;
+        let out =
+            step(follower, 0, PaxosMsg::Accept { ballot, slot: Slot(3), value: Entry::Cmd(99) });
+        assert_eq!(out.outgoing, [(Peers::one(0), PaxosMsg::Accepted { ballot, slot: Slot(3) })]);
+        assert!(out.decided.is_empty());
+        let after =
+            (format!("{:?}", follower.log), follower.decided_frontier(), follower.promised());
+        assert_eq!(after, before);
+        // A stale Decide below the base is dropped too.
+        assert!(step(follower, 0, decide(3, 99)).is_empty());
+        assert_eq!(format!("{:?}", follower.log), before.0);
+
+        // A recovered replica's base is its frontier, and the slot there
+        // is still open: nothing from below may land in it.
+        let empty = || RecoveryReport {
+            promised: ballot,
+            frontier: Slot(3),
+            delivered: 3,
+            accepted: Vec::new(),
+        };
+        let (mut r, _) =
+            PaxosReplica::recover_from(1, GroupConfig::new(3), ballot, &[empty(), empty()]);
+        let _ = step(&mut r, 0, PaxosMsg::Accept { ballot, slot: Slot(1), value: Entry::Cmd(1) });
+        let _ = step(&mut r, 0, decide(2, 2));
+        assert_eq!((r.log.base, r.log.slots.len()), (Slot(3), 0));
+        assert!(r.recovery_report().accepted.is_empty());
+    }
+
+    #[test]
+    fn a_gap_above_the_frontier_fills_in_order_and_the_log_shrinks_back() {
+        let mut r: PaxosReplica<u64> = PaxosReplica::new(1, GroupConfig::new(3));
+        let far = 2 * LOG_RETENTION;
+        let ballot = Ballot::INITIAL;
+        let accept = PaxosMsg::Accept { ballot, slot: Slot(far), value: Entry::Cmd(far) };
+        assert_eq!(step(&mut r, 0, accept).decided, []);
+        assert_eq!(r.log.slots.len() as u64, far + 1, "the gap is stored as empty slots");
+        // Decisions above the hole at slot 0 deliver nothing yet.
+        for s in (1..=far).rev() {
+            assert_eq!(step(&mut r, 0, decide(s, s)).decided, [], "slot {s}");
+        }
+        assert_eq!(r.decided_frontier(), Slot(0));
+        let out = step(&mut r, 0, decide(0, 0));
+        let expect: Vec<(Slot, u64)> = (0..=far).map(|s| (Slot(s), s)).collect();
+        assert_eq!(out.decided, expect, "each slot once, in order");
+        assert_eq!(r.delivered_count(), far + 1);
+        // A repeated decision delivers nothing again.
+        assert_eq!(step(&mut r, 0, decide(far, far)).decided, []);
+        assert_eq!(r.log.base, Slot(far + 1 - LOG_RETENTION));
+        assert_eq!(r.log.slots.len() as u64, LOG_RETENTION, "the lagging log shrank back");
+    }
+
+    #[test]
+    fn recovery_re_delivers_each_chosen_slot_above_the_frontier_once() {
+        let b = Ballot { round: 1, owner: 0 };
+        let chosen = |s: u64| (Slot(s), DECIDED_BALLOT, Entry::Cmd(s * 10));
+        let report =
+            |accepted| RecoveryReport { promised: b, frontier: Slot(3), delivered: 3, accepted };
+        let reports = vec![
+            report(vec![chosen(3), chosen(4), (Slot(5), b, Entry::Cmd(50)), chosen(6)]),
+            report(vec![chosen(3), chosen(4), chosen(6), (Slot(7), b, Entry::Cmd(70))]),
+        ];
+        let (mut r, out) = PaxosReplica::recover_from(2, GroupConfig::new(3), b, &reports);
+        assert_eq!(out.decided, [(Slot(3), 30), (Slot(4), 40)]);
+        assert_eq!((r.decided_frontier(), r.delivered_count()), (Slot(5), 5));
+        // Filling the hole at slot 5 releases slot 6; slot 7 is only accepted.
+        assert_eq!(step(&mut r, 0, decide(5, 50)).decided, [(Slot(5), 50), (Slot(6), 60)]);
+        assert_eq!(step(&mut r, 0, decide(4, 40)).decided, []);
+        assert_eq!(step(&mut r, 0, decide(6, 60)).decided, []);
+        assert_eq!(r.decided_frontier(), Slot(7));
+        let report = r.recovery_report();
+        assert_eq!(report.accepted, [(Slot(7), b, Entry::Cmd(70))]);
+    }
+
+    #[test]
+    fn a_decided_slot_is_never_overwritten() {
+        let mut r: PaxosReplica<u64> = PaxosReplica::new(1, GroupConfig::new(3));
+        // Slot 1 is decided above a hole at slot 0.
+        let _ = step(&mut r, 0, decide(1, 7));
+        let ballot = Ballot { round: 4, owner: 2 };
+        let accept = PaxosMsg::Accept { ballot, slot: Slot(1), value: Entry::Cmd(8) };
+        let out = step(&mut r, 2, accept);
+        assert_eq!(out.outgoing, [(Peers::one(2), PaxosMsg::Accepted { ballot, slot: Slot(1) })]);
+        // A second decision keeps the first chosen value.
+        let _ = step(&mut r, 2, decide(1, 9));
+        let promise = step(&mut r, 2, PaxosMsg::Prepare { ballot: ballot.next_for(2) });
+        let reported = match &promise.outgoing[..] {
+            [(_, PaxosMsg::Promise { accepted, .. })] => accepted.clone(),
+            other => panic!("expected one Promise, got {other:?}"),
+        };
+        assert_eq!(reported, [(Slot(1), DECIDED_BALLOT, Entry::Cmd(7))]);
+        let out = step(&mut r, 2, decide(0, 6));
+        assert_eq!(out.decided, [(Slot(0), 6), (Slot(1), 7)]);
     }
 
     #[test]

@@ -165,10 +165,10 @@ impl Application for Chirper {
                 for f in followers {
                     // Only followers the client declared are writable.
                     if let Some(Some(fu)) = vars.get_mut(&Chirper::var(f)) {
-                        let fu = Arc::make_mut(fu);
-                        // Evict before appending: a timeline `make_mut`
-                        // just copied is exactly full, and pushing first
-                        // would reallocate it to twice the cap.
+                        let fu = make_mut_with_room(fu);
+                        // Evict before appending: a full timeline has no
+                        // room, and pushing first would reallocate it to
+                        // twice the cap.
                         if fu.timeline.len() >= TIMELINE_CAP {
                             fu.timeline.pop_front();
                         }
@@ -210,6 +210,21 @@ impl Application for Chirper {
             }
         }
     }
+}
+
+/// [`Arc::make_mut`] for a post: a shared user is copied with room for one
+/// more post. `make_mut` would clone the timeline at its exact length, and
+/// the push that follows would reallocate it to twice that.
+fn make_mut_with_room(user: &mut Arc<ChirperUser>) -> &mut ChirperUser {
+    if Arc::get_mut(user).is_none() {
+        let ChirperUser { timeline, follows, followers } = &**user;
+        let mut copy = VecDeque::with_capacity((timeline.len() + 1).clamp(4, TIMELINE_CAP));
+        copy.extend(timeline.iter().cloned());
+        let copy =
+            ChirperUser { timeline: copy, follows: follows.clone(), followers: followers.clone() };
+        *user = Arc::new(copy);
+    }
+    Arc::make_mut(user)
 }
 
 /// Command-mix weights for [`ChirperWorkload`], in percent.
@@ -468,6 +483,37 @@ mod tests {
         assert_eq!(&*t.back().unwrap().text, "new", "the newest post is last");
         assert!(t.capacity() < 2 * TIMELINE_CAP, "capacity {}", t.capacity());
         assert_eq!(shared.unwrap().timeline.len(), TIMELINE_CAP, "the other owner is untouched");
+    }
+
+    #[test]
+    fn copied_timelines_keep_the_same_posts_and_room_for_one_more() {
+        let mut vars = state(&[0, 1]);
+        user_mut(&mut vars, 0).followers = vec![1];
+        user_mut(&mut vars, 1).follows = vec![0];
+        // The user a post always produced: evict at the cap, append.
+        let mut reference = ChirperUser { follows: vec![0], ..ChirperUser::default() };
+        for i in 0..(TIMELINE_CAP + 5) {
+            let text = format!("{i}");
+            // Every other post finds the follower shared and copies it.
+            let shared = (i % 2 == 0).then(|| vars[&Chirper::var(1)].clone());
+            let before = vars[&Chirper::var(1)].as_ref().unwrap().timeline.len();
+            Chirper::execute(&ChirperOp::Post { user: 0, text: text.clone() }, &mut vars);
+            if reference.timeline.len() >= TIMELINE_CAP {
+                reference.timeline.pop_front();
+            }
+            reference.timeline.push_back(Post { author: 0, text: Arc::from(text) });
+
+            let user = vars[&Chirper::var(1)].as_ref().unwrap();
+            assert_eq!(**user, reference, "post {i}");
+            if let Some(shared) = shared {
+                assert_eq!(shared.unwrap().timeline.len(), before, "the other owner is untouched");
+                let room = (before + 1).clamp(4, TIMELINE_CAP);
+                assert_eq!(user.timeline.capacity(), room, "post {i} copied with room");
+            }
+        }
+        let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
+        assert_eq!(t.len(), TIMELINE_CAP);
+        assert_eq!(&*t.front().unwrap().text, "5", "the five oldest posts were evicted");
     }
 
     #[test]
