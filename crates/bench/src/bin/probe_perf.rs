@@ -2,10 +2,10 @@
 //!
 //! Runs the standard TPC-C configuration (the hottest realistic workload:
 //! deep object graphs, multi-partition transactions, saturating clients)
-//! and, beside it, the Chirper 85/15 mix on the same cluster shape — the
-//! workload whose cost is the workload-graph path (a hub post's hint is a
-//! clique of hundreds of keys; TPC-C's is a handful), which the TPC-C row
-//! cannot see. Reports raw scheduler throughput — events per wall-second,
+//! and, beside it, the Chirper 85/15 mix on the same cluster shape — hub
+//! posts that write hundreds of follower timelines, and timeline reads,
+//! which the TPC-C row cannot see. Both rows pin the repartition
+//! threshold, so neither sends workload hints. Reports raw scheduler throughput — events per wall-second,
 //! wall seconds per simulated second, heap traffic and peak RSS. Two jobs:
 //!
 //! 1. **Optimization probe** (default): one run, human-readable output,
@@ -114,9 +114,8 @@ impl Load {
     }
 }
 
-/// The Chirper row's social graph and window. A mix command costs about
-/// ten times a TPC-C transaction in wall time and in retained hint bytes,
-/// so the row is sized to take about as long as the TPC-C row does.
+/// The Chirper row's social graph and window, sized so the row takes about
+/// as long as the TPC-C row does.
 const CHIRPER_USERS: usize = 1_000;
 const CHIRPER_SIM_SECS: u64 = 3;
 

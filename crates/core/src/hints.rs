@@ -4,19 +4,20 @@
 //!
 //! Per command the arena only appends the command's sorted key set. A flush
 //! turns the batch into the oracle's wire format — `(key, accesses)`
-//! vertices and `(a, b, weight)` edges, `a < b`, both in key order — without
-//! ever materialising the k·(k−1)/2 pairs of a k-key command: the batch is a
-//! sparse key × set incidence matrix, and row `a` of its co-access product
-//! is built in a dense accumulator and read back in key order (Gustavson's
-//! row-wise sparse accumulator). Output order and weights are those of
-//! accumulating every command's key clique into ordered maps.
+//! vertices in key order, and every distinct set of two or more keys once,
+//! as ascending indices (*ranks*) into that vertex list, with the number of
+//! commands that declared it. The k·(k−1)/2 pairs of a k-key set are never
+//! formed here: the planner oracle expands the sets into its edge store
+//! (`oracle::edge_rows`).
 
 use crate::command::{Application, Command, LocKey};
 
 /// A hint's `(key, accesses)` vertex list.
 pub(crate) type Vertices = Vec<(LocKey, u64)>;
-/// A hint's `(a, b, weight)` co-access edge list.
-pub(crate) type Edges = Vec<(LocKey, LocKey, u64)>;
+
+/// One hint batch as it travels: the vertex list, the distinct multi-key
+/// sets as rank lists back to back, and each set's `(length, multiplicity)`.
+pub(crate) type HintBatch = (Vertices, Vec<u32>, Vec<(u32, u32)>);
 
 /// The key sets of the commands executed since the last flush.
 #[derive(Default)]
@@ -28,8 +29,8 @@ pub(crate) struct HintArena {
     scratch: Scratch,
 }
 
-/// Buffers [`HintArena::flush`] reuses from batch to batch. Between flushes
-/// only their capacity matters, except that `acc` and `bits` are all zero.
+/// Buffers [`HintArena::flush`] reuses from batch to batch; between flushes
+/// only their capacity matters.
 #[derive(Default)]
 struct Scratch {
     /// The arena's keys, sorted.
@@ -39,19 +40,10 @@ struct Scratch {
     vertices: Vertices,
     /// Arena span `(start, end)` of every set that has a pair in it.
     spans: Vec<(u32, u32)>,
-    /// The distinct sets as rank lists, back to back.
+    /// The distinct sets as rank lists, back to back…
     ranks: Vec<u32>,
-    /// Span in `ranks` of each distinct set, and how often the set occurred.
-    sets: Vec<(u32, u32, u64)>,
-    /// `members[starts[r]..starts[r + 1]]`: for every distinct set that
-    /// holds rank `r` before its last position, the span in `ranks` of the
-    /// members after `r`, and the set's multiplicity.
-    starts: Vec<u32>,
-    members: Vec<(u32, u32, u64)>,
-    /// Dense accumulator: the weight gathered for each rank…
-    acc: Vec<u64>,
-    /// …and one bit per rank that has gathered any.
-    bits: Vec<u64>,
+    /// …and the length and multiplicity of each.
+    sets: Vec<(u32, u32)>,
 }
 
 /// A snapshot carries the half-filled batch; a recovering replica grows
@@ -72,26 +64,18 @@ impl HintArena {
         self.lens.len()
     }
 
-    /// Expands the batch and empties the arena: a vertex weighs the
-    /// commands that touched its key, an edge the commands that touched
-    /// both of its keys. Both lists are empty for a batch of key-less
-    /// commands. Lists are allocated at their exact size: they travel, and
-    /// are retained, as allocated.
-    pub(crate) fn flush(&mut self) -> (Vertices, Edges) {
+    /// Ranks and groups the batch and empties the arena: a vertex weighs
+    /// the commands that touched its key, a set the commands that declared
+    /// exactly it. All lists are empty for a batch of key-less commands.
+    /// Lists are allocated at their exact length: they travel, and are
+    /// retained, as allocated.
+    pub(crate) fn flush(&mut self) -> HintBatch {
         let Self { keys, lens, scratch: s } = self;
         s.rank(keys);
         s.group_sets(keys, lens);
-        s.invert();
         keys.clear();
         lens.clear();
-
-        let vertices = s.vertices.to_vec();
-        let pairs = (0..vertices.len()).map(|a| s.row_len(a)).sum();
-        let mut edges = Vec::with_capacity(pairs);
-        for a in 0..vertices.len() {
-            s.row_into(a, &mut edges);
-        }
-        (vertices, edges)
+        (s.vertices.to_vec(), s.ranks.to_vec(), s.sets.to_vec())
     }
 }
 
@@ -126,94 +110,14 @@ impl Scratch {
         self.ranks.clear();
         self.sets.clear();
         for same in self.spans.chunk_by(|x, y| set(x) == set(y)) {
-            let first = self.ranks.len() as u32;
+            let members = set(&same[0]);
             // A set ascends, and so do its ranks: search on from the last.
             let mut rank = 0;
-            for key in set(&same[0]) {
+            for key in members {
                 rank += self.vertices[rank..].partition_point(|(k, _)| k < key);
                 self.ranks.push(rank as u32);
             }
-            self.sets.push((first, self.ranks.len() as u32, same.len() as u64));
-        }
-    }
-
-    /// Inverts `sets` by one counting sort: fills `starts` and `members`.
-    fn invert(&mut self) {
-        let distinct = self.vertices.len();
-        self.starts.clear();
-        self.starts.resize(distinct + 1, 0);
-        // A set's last member has nobody after it.
-        let with_successors = |&(first, end, _): &(u32, u32, u64)| first as usize..end as usize - 1;
-        for set in &self.sets {
-            for &r in &self.ranks[with_successors(set)] {
-                self.starts[r as usize] += 1;
-            }
-        }
-        let mut total = 0;
-        for start in &mut self.starts {
-            total += *start;
-            *start = total;
-        }
-        // `starts[r]` is now where rank r's entries end; filling backwards
-        // leaves it where they begin, which is where rank r − 1's end.
-        self.members.clear();
-        self.members.resize(total as usize, (0, 0, 0));
-        for set in &self.sets {
-            for at in with_successors(set) {
-                let slot = &mut self.starts[self.ranks[at] as usize];
-                *slot -= 1;
-                self.members[*slot as usize] = (at as u32 + 1, set.1, set.2);
-            }
-        }
-        self.acc.resize(distinct, 0);
-        self.bits.resize(distinct.div_ceil(64), 0);
-    }
-
-    /// How many distinct keys share a command with rank `a` and rank above it.
-    fn row_len(&mut self, a: usize) -> usize {
-        let Self { starts, members, ranks, bits, .. } = self;
-        match members[starts[a] as usize..starts[a + 1] as usize] {
-            [] => 0,
-            [(from, to, _)] => (to - from) as usize,
-            ref sets => {
-                for &(from, to, _) in sets {
-                    for &b in &ranks[from as usize..to as usize] {
-                        bits[b as usize / 64] |= 1 << (b % 64);
-                    }
-                }
-                // Everything marked ranks above `a`.
-                let marked = bits[a / 64..].iter_mut().map(|w| std::mem::take(w).count_ones());
-                marked.sum::<u32>() as usize
-            }
-        }
-    }
-
-    /// Appends row `a` of the co-access matrix — one edge per distinct key
-    /// ranking above `a` that shares a command with it, in key order, the
-    /// sharing commands counted — to `edges`.
-    fn row_into(&mut self, a: usize, edges: &mut Edges) {
-        let Self { vertices, starts, members, ranks, acc, bits, .. } = self;
-        let key = vertices[a].0;
-        let sets = &members[starts[a] as usize..starts[a + 1] as usize];
-        if let [(from, to, times)] = *sets {
-            // One set only: its tail is the row, sorted and coalesced.
-            let tail = &ranks[from as usize..to as usize];
-            edges.extend(tail.iter().map(|&b| (key, vertices[b as usize].0, times)));
-            return;
-        }
-        for &(from, to, times) in sets {
-            for &b in &ranks[from as usize..to as usize] {
-                acc[b as usize] += times;
-                bits[b as usize / 64] |= 1 << (b % 64);
-            }
-        }
-        for (w, word) in bits.iter_mut().enumerate().skip(a / 64) {
-            let mut marked = std::mem::take(word);
-            while marked != 0 {
-                let b = w * 64 + marked.trailing_zeros() as usize;
-                marked &= marked - 1;
-                edges.push((key, vertices[b].0, std::mem::take(&mut acc[b])));
-            }
+            self.sets.push((members.len() as u32, same.len() as u32));
         }
     }
 }

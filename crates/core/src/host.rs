@@ -829,9 +829,10 @@ pub(crate) mod tests {
         // `Recompute` marker to its own group, which delivers it on the
         // spot. The query delivered behind the hint still goes first; the
         // marker's effect — the plan timer — comes last.
-        let hint = Payload::Hint {
+        let hint = Payload::HintSets {
             vertices: vec![(LocKey(0), 1), (LocKey(1), 1)],
-            edges: vec![(LocKey(0), LocKey(1), 1)],
+            ranks: vec![0, 1],
+            sets: vec![(2, 1)],
         };
         let query = Payload::Exec { cmd: access(0, &[0]), attempt: 0 };
         oracle.absorb(delivered(vec![hint, query]), &mut port);

@@ -5,7 +5,8 @@
 
 use dynastar_runtime::hash::FastHashMap;
 
-use super::edge_rows::EdgeRows;
+use super::edge_rows::{EdgeRows, Expansion};
+use super::GraphContent;
 use crate::command::LocKey;
 
 /// Halves every weight and drops the entries that reach zero — leaving
@@ -46,25 +47,62 @@ fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
 }
 
 /// Vertex and edge weights, and how many changes were merged since the
-/// count was reset. The eviction scratch is empty between calls, so a clone
-/// copies content alone.
-#[derive(Debug, Clone, Default)]
+/// count was reset, with the scratch of the hint expansion and of the
+/// eviction passes.
+#[derive(Debug, Default)]
 pub(super) struct WorkloadGraph {
     vertices: FastHashMap<LocKey, u64>,
     edges: EdgeRows,
     changes: u64,
+    expansion: Expansion,
     shrink_vertices: Vec<(u64, LocKey)>,
     shrink_edges: Vec<(u64, (LocKey, LocKey))>,
 }
 
+/// A snapshot carries the content; a recovering replica grows scratch of
+/// its own.
+impl Clone for WorkloadGraph {
+    fn clone(&self) -> Self {
+        WorkloadGraph {
+            vertices: self.vertices.clone(),
+            edges: self.edges.clone(),
+            changes: self.changes,
+            ..WorkloadGraph::default()
+        }
+    }
+}
+
 impl WorkloadGraph {
-    /// Adds a hint batch; every entry counts as one change.
+    /// Adds a hint batch in set form (see [`EdgeRows::add_sets`]): every
+    /// vertex and every distinct key pair counts as one change, as each
+    /// entry of the expanded batch would. A batch of any other shape is
+    /// dropped whole; returns whether it was merged.
+    pub(super) fn merge_sets(
+        &mut self,
+        vertices: &[(LocKey, u64)],
+        ranks: &[u32],
+        sets: &[(u32, u32)],
+    ) -> bool {
+        let Some(pairs) = self.edges.add_sets(vertices, ranks, sets, &mut self.expansion) else {
+            return false;
+        };
+        self.changes += vertices.len() as u64 + pairs;
+        self.add_vertices(vertices);
+        true
+    }
+
+    /// Adds a hint batch in expanded form; every entry counts as one
+    /// change.
     pub(super) fn merge(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
         self.changes += vertices.len() as u64 + edges.len() as u64;
+        self.add_vertices(vertices);
+        self.edges.add_all(edges);
+    }
+
+    fn add_vertices(&mut self, vertices: &[(LocKey, u64)]) {
         for &(k, w) in vertices {
             *self.vertices.entry(k).or_insert(0) += w;
         }
-        self.edges.add_all(edges);
     }
 
     /// Brings each component that is over its cap back under it (see
@@ -113,25 +151,23 @@ impl WorkloadGraph {
     pub(super) fn rows(&self, visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
         self.edges.for_each_row(visit);
     }
+
+    /// Every vertex and every edge with its weight, in key order.
+    pub(super) fn content(&self) -> GraphContent {
+        let mut vertices: Vec<_> = self.vertices.iter().map(|(&k, &w)| (k, w)).collect();
+        vertices.sort_unstable();
+        let mut edges = Vec::with_capacity(self.edges.len());
+        self.rows(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
+        (vertices, edges)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hints::{Edges, Vertices};
 
     fn k(key: u64) -> LocKey {
         LocKey(key)
-    }
-
-    /// The graph's content in key order, zero-weight vertices left out.
-    fn content(g: &WorkloadGraph) -> (Vertices, Edges) {
-        let mut vertices: Vertices =
-            g.vertices.iter().filter(|&(_, &w)| w > 0).map(|(&k, &w)| (k, w)).collect();
-        vertices.sort_unstable();
-        let mut edges = Vec::new();
-        g.rows(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
-        (vertices, edges)
     }
 
     #[test]
@@ -146,13 +182,13 @@ mod tests {
             &[(k(5), 1), (k(2), 3), (k(1), 2)],
             &[(k(5), k(2), 7), (k(1), k(5), 1), (k(2), k(1), 4)],
         );
-        assert_eq!(content(&sorted), content(&shuffled));
-        assert_eq!(content(&sorted), (vertices.to_vec(), edges.to_vec()));
+        assert_eq!(sorted.content(), shuffled.content());
+        assert_eq!(sorted.content(), (vertices.to_vec(), edges.to_vec()));
         assert_eq!((sorted.changes(), shuffled.changes()), (6, 6));
         // A second batch adds to the weights it finds.
         sorted.merge(&[(k(1), 10)], &[(k(2), k(1), 10)]);
         assert_eq!(sorted.weight(k(1)), 12);
-        assert_eq!(content(&sorted).1[0], (k(1), k(2), 14));
+        assert_eq!(sorted.content().1[0], (k(1), k(2), 14));
         assert_eq!((sorted.vertex_count(), sorted.edge_count(), sorted.changes()), (3, 3, 8));
     }
 
@@ -165,12 +201,12 @@ mod tests {
         // Vertices are over their cap of 4, edges at theirs: the vertices
         // are halved and the two lowest (weight, key) go; no edge moves.
         assert_eq!(g.enforce_caps(4, 3), 2);
-        let (vs, es) = content(&g);
+        let (vs, es) = g.content();
         assert_eq!(vs, vec![(k(2), 7), (k(3), 8), (k(4), 9), (k(5), 10)]);
         assert_eq!(es, edges);
         // Now the edges alone: halved to 4 each, the tie evicts by key.
         assert_eq!(g.enforce_caps(4, 1), 2);
-        assert_eq!(content(&g), (vs, vec![(k(2), k(3), 4)]));
+        assert_eq!(g.content(), (vs, vec![(k(2), k(3), 4)]));
         // Under both caps nothing decays.
         assert_eq!(g.enforce_caps(4, 1), 0);
         assert_eq!(g.weight(k(5)), 10);
@@ -178,7 +214,7 @@ mod tests {
         // entries decay away and count as evicted.
         g.merge(&[(k(7), 1), (k(8), 1)], &[]);
         assert_eq!(g.enforce_caps(5, 1), 2);
-        assert_eq!(content(&g).0, vec![(k(2), 3), (k(3), 4), (k(4), 4), (k(5), 5)]);
+        assert_eq!(g.content().0, vec![(k(2), 3), (k(3), 4), (k(4), 4), (k(5), 5)]);
     }
 
     #[test]
@@ -193,7 +229,7 @@ mod tests {
         assert_eq!(rows, vec![(k(1), vec![(k(2), 3)])]);
         // Decay halves both components and drops what reaches zero.
         g.decay();
-        assert_eq!(content(&g), (vec![(k(2), 2)], vec![(k(1), k(2), 1)]));
+        assert_eq!(g.content(), (vec![(k(2), 2)], vec![(k(1), k(2), 1)]));
         g.decay();
         g.decay();
         assert_eq!((g.vertex_count(), g.edge_count()), (0, 0));

@@ -57,6 +57,10 @@ mod tag {
 /// Origin of plan and recompute-marker ids, whose `seq` is the version.
 const PLANNER_ORIGIN: u64 = u64::MAX - 1;
 
+/// A workload graph's `(key, weight)` vertices and `(a, b, weight)` edges,
+/// `a < b`, in key order.
+pub type GraphContent = (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
+
 #[cfg(test)]
 thread_local! {
     /// The most vertices a planner's workload graph on this thread held
@@ -193,6 +197,18 @@ impl<A: Application> OracleCore<A> {
         self.graph.edge_count()
     }
 
+    /// Diagnostic: the workload graph's content (empty off the planner
+    /// shard).
+    pub fn graph_view(&self) -> GraphContent {
+        self.graph.content()
+    }
+
+    /// Changes merged into the workload graph since the last plan was
+    /// applied — what the repartition threshold is compared with.
+    pub fn graph_changes(&self) -> u64 {
+        self.graph.changes()
+    }
+
     /// Handles an atomic multicast delivery addressed to the oracle.
     ///
     /// The payload is read in place — every replica of every destination
@@ -256,19 +272,21 @@ impl<A: Application> OracleCore<A> {
                     msg: Direct::Signal { cmd: cmd.id },
                 });
             }
+            Payload::HintSets { vertices, ranks, sets } if self.is_planner() => {
+                // A partition's sets ascend within its vertex list; a batch
+                // that does not is dropped whole rather than trusted.
+                if self.graph.merge_sets(vertices, ranks, sets) {
+                    self.after_merge(now, metrics, &mut eff);
+                } else {
+                    debug_assert!(false, "hint sets out of shape");
+                }
+            }
             Payload::Hint { vertices, edges } if self.is_planner() => {
                 self.graph.merge(vertices, edges);
-                #[cfg(test)]
-                PLANNER_VERTICES.set(PLANNER_VERTICES.get().max(self.graph_vertices()));
-                let (max_v, max_e) = (self.config.max_graph_vertices, self.config.max_graph_edges);
-                let evicted = self.graph.enforce_caps(max_v, max_e);
-                if evicted > 0 && self.config.record_metrics {
-                    metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
-                }
-                self.maybe_propose_recompute(now, &mut eff);
+                self.after_merge(now, metrics, &mut eff);
             }
             // Partitions address hints to the planner alone.
-            Payload::Hint { .. } => {}
+            Payload::HintSets { .. } | Payload::Hint { .. } => {}
             &Payload::Recompute { version } => {
                 // Compute at the marker's delivery position so every
                 // replica snapshots the same graph.
@@ -475,6 +493,19 @@ impl<A: Application> OracleCore<A> {
                 payload: Payload::Recompute { version },
             });
         }
+    }
+
+    /// Brings the graph back under its caps after a hint batch, and
+    /// proposes a recompute if the batch made one due.
+    fn after_merge(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
+        #[cfg(test)]
+        PLANNER_VERTICES.set(PLANNER_VERTICES.get().max(self.graph_vertices()));
+        let (max_v, max_e) = (self.config.max_graph_vertices, self.config.max_graph_edges);
+        let evicted = self.graph.enforce_caps(max_v, max_e);
+        if evicted > 0 && self.config.record_metrics {
+            metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
+        }
+        self.maybe_propose_recompute(now, eff);
     }
 
     /// Computes a plan from the current map and graph and schedules its

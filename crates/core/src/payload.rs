@@ -57,8 +57,21 @@ pub enum Payload<A: Application> {
         /// The partition currently owning the key.
         dest: PartitionId,
     },
-    /// Partition → planner oracle shard: workload-graph hints (Algorithm 2
-    /// Task 4).
+    /// Partition → planner oracle shard: a batch of workload-graph hints
+    /// as key sets (Algorithm 2 Task 4). The planner expands every set into
+    /// its key pairs, each pair weighing the set's multiplicity.
+    HintSets {
+        /// `(key, access count)` vertex increments, in key order.
+        vertices: Vec<(LocKey, u64)>,
+        /// Every distinct set of two or more keys, as ascending indices
+        /// into `vertices`, back to back.
+        ranks: Vec<u32>,
+        /// `(length, multiplicity)` of each set in `ranks`, in order.
+        sets: Vec<(u32, u32)>,
+    },
+    /// Partition → planner oracle shard: workload-graph hints as expanded
+    /// `(a, b, weight)` edges. No partition sends it; the planner merges
+    /// it like [`Payload::HintSets`].
     Hint {
         /// `(key, access count)` vertex increments.
         vertices: Vec<(LocKey, u64)>,
@@ -437,6 +450,11 @@ impl<A: Application> Clone for Payload<A> {
             Payload::DeleteKey { cmd, dest } => {
                 Payload::DeleteKey { cmd: cmd.clone(), dest: *dest }
             }
+            Payload::HintSets { vertices, ranks, sets } => Payload::HintSets {
+                vertices: vertices.clone(),
+                ranks: ranks.clone(),
+                sets: sets.clone(),
+            },
             Payload::Hint { vertices, edges } => {
                 Payload::Hint { vertices: vertices.clone(), edges: edges.clone() }
             }

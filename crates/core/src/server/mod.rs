@@ -423,7 +423,10 @@ impl<A: Application> ServerCore<A> {
                     }
                 }
             }
-            Payload::Exec { .. } | Payload::Hint { .. } | Payload::Recompute { .. } => {
+            Payload::Exec { .. }
+            | Payload::HintSets { .. }
+            | Payload::Hint { .. }
+            | Payload::Recompute { .. } => {
                 // Oracle-only payloads; partitions are never destinations.
             }
         }
@@ -1171,7 +1174,7 @@ impl<A: Application> ServerCore<A> {
         if self.hints.record(cmd) < self.config.hint_batch as usize {
             return;
         }
-        let (vertices, edges) = self.hints.flush();
+        let (vertices, ranks, sets) = self.hints.flush();
         if vertices.is_empty() {
             return;
         }
@@ -1179,7 +1182,7 @@ impl<A: Application> ServerCore<A> {
             mid: MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq),
             partitions: Vec::new(),
             oracle: OracleDest::Shard(0),
-            payload: Payload::Hint { vertices, edges },
+            payload: Payload::HintSets { vertices, ranks, sets },
         });
         self.hint_seq += 1;
         #[cfg(test)]

@@ -1,15 +1,17 @@
 //! The per-command path of `ServerCore`: what it tells the oracle (hint
 //! batches) and what it does to the store (gather → execute → write back).
 //!
-//! The hint arena must emit, byte for byte, what accumulating every
-//! command's key clique into ordered maps would; the reference below is
-//! that accumulation, kept here only to compare against. The write-back
+//! The hint arena's key sets must expand to exactly what accumulating every
+//! command's key clique into ordered maps would, and the planner oracle's
+//! graph must sum exactly those expansions; the reference below is that
+//! accumulation, kept here only to compare against. The write-back
 //! must mean the same on every execution path, and must not copy values.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dynastar_amcast::MsgId;
+use dynastar_core::oracle::{OracleConfig, OracleCore};
 use dynastar_core::payload::{Destination, Effect};
 use dynastar_core::server::{ServerCore, PARTITION_ORIGIN_BASE};
 use dynastar_core::{
@@ -48,6 +50,7 @@ fn access<A: Application>(
 // ---- (a) hint equivalence ---------------------------------------------------
 
 /// One variable per key; commands change nothing.
+#[derive(Debug)]
 struct Keys;
 
 impl Application for Keys {
@@ -62,8 +65,12 @@ impl Application for Keys {
     fn execute(_: &(), _: &mut BTreeMap<VarId, Option<i64>>) {}
 }
 
-/// A hint multicast as the wire sees it: id, vertices, edges.
-type Hint = (MsgId, Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
+/// A hint batch expanded: `(key, accesses)` vertices and `(a, b, weight)`
+/// edges, `a < b`, both in key order.
+type Batch = (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
+
+/// A hint multicast as the wire sees it: its id and its body.
+type Hint = (MsgId, Payload<Keys>);
 
 fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
     eff.into_iter()
@@ -72,23 +79,55 @@ fn hints_of(eff: Vec<Effect<Keys>>) -> Vec<Hint> {
                 mid,
                 partitions,
                 oracle,
-                payload: Payload::Hint { vertices, edges },
+                payload: payload @ Payload::HintSets { .. },
             } => {
                 assert!(partitions.is_empty(), "hints go to the oracle only");
                 assert_eq!(oracle, OracleDest::Shard(0), "hints go to the planner shard whole");
+                let Payload::HintSets { vertices, ranks, sets } = &payload else { unreachable!() };
                 // Hint lists are retained as allocated (Paxos log, ARQ
                 // buffers): not a byte of slack.
                 assert_eq!(vertices.capacity(), vertices.len(), "vertex list has slack");
-                assert_eq!(edges.capacity(), edges.len(), "edge list has slack");
-                Some((mid, vertices, edges))
+                assert_eq!(ranks.capacity(), ranks.len(), "rank list has slack");
+                assert_eq!(sets.capacity(), sets.len(), "set list has slack");
+                Some((mid, payload))
+            }
+            Effect::Multicast { payload: Payload::Hint { .. }, .. } => {
+                panic!("partitions send hints as key sets")
             }
             _ => None,
         })
         .collect()
 }
 
+/// Expands a hint's sets the obvious way — every pair of every set into an
+/// ordered map — after checking their shape: each set two or more
+/// ascending ranks, sent once with its multiplicity, the lengths covering
+/// the rank list.
+fn expand(hint: &Payload<Keys>) -> Batch {
+    let Payload::HintSets { vertices, ranks, sets } = hint else { panic!("not a hint: {hint:?}") };
+    assert!(vertices.windows(2).all(|w| w[0].0 < w[1].0), "vertices ascend");
+    let mut edges = BTreeMap::new();
+    let mut distinct = BTreeSet::new();
+    let mut rest = &ranks[..];
+    for &(len, times) in sets {
+        let (set, tail) = rest.split_at(len as usize);
+        rest = tail;
+        assert!(set.len() > 1 && set.windows(2).all(|w| w[0] < w[1]), "set {set:?}");
+        assert!(distinct.insert(set), "set {set:?} sent twice");
+        for (i, &a) in set.iter().enumerate() {
+            for &b in &set[i + 1..] {
+                let pair = (vertices[a as usize].0, vertices[b as usize].0);
+                *edges.entry(pair).or_insert(0) += u64::from(times);
+            }
+        }
+    }
+    assert!(rest.is_empty(), "set lengths must cover the rank list");
+    (vertices.clone(), edges.into_iter().map(|((a, b), w)| (a, b, w)).collect())
+}
+
 /// The clique accumulator the arena replaced: per command, every key and
-/// every key pair into ordered maps, emptied into one hint per batch.
+/// every key pair into ordered maps, emptied into one batch per
+/// `batch` commands.
 struct CliqueReference {
     partition: u32,
     batch: u32,
@@ -99,7 +138,7 @@ struct CliqueReference {
 }
 
 impl CliqueReference {
-    fn record(&mut self, keys: &[LocKey]) -> Vec<Hint> {
+    fn record(&mut self, keys: &[LocKey]) -> Option<(MsgId, Batch)> {
         for (i, &a) in keys.iter().enumerate() {
             *self.vertices.entry(a).or_insert(0) += 1;
             for &b in &keys[i + 1..] {
@@ -108,18 +147,61 @@ impl CliqueReference {
         }
         self.execs += 1;
         if self.execs < self.batch {
-            return Vec::new();
+            return None;
         }
         self.execs = 0;
         if self.vertices.is_empty() {
-            return Vec::new();
+            return None;
         }
         let vertices = std::mem::take(&mut self.vertices).into_iter().collect();
         let edges = std::mem::take(&mut self.edges).into_iter().map(|((a, b), w)| (a, b, w));
         let mid = MsgId::new(PARTITION_ORIGIN_BASE + u64::from(self.partition), self.seq);
         self.seq += 1;
-        vec![(mid, vertices, edges.collect())]
+        Some((mid, (vertices, edges.collect())))
     }
+}
+
+/// Batches summed the way the oracle's graph sums them, with the change
+/// count each adds: one per vertex and one per distinct pair.
+#[derive(Default)]
+struct GraphReference {
+    vertices: BTreeMap<LocKey, u64>,
+    edges: BTreeMap<(LocKey, LocKey), u64>,
+    changes: u64,
+}
+
+impl GraphReference {
+    fn merge(&mut self, (vertices, edges): &Batch) {
+        self.changes += (vertices.len() + edges.len()) as u64;
+        for &(k, w) in vertices {
+            *self.vertices.entry(k).or_insert(0) += w;
+        }
+        for &(a, b, w) in edges {
+            *self.edges.entry((a, b)).or_insert(0) += w;
+        }
+    }
+
+    fn content(&self) -> Batch {
+        let vertices = self.vertices.iter().map(|(&k, &w)| (k, w)).collect();
+        (vertices, self.edges.iter().map(|(&(a, b), &w)| (a, b, w)).collect())
+    }
+}
+
+/// A planner oracle that never plans and never evicts: its graph is every
+/// hint it was sent, summed.
+fn planner() -> OracleCore<Keys> {
+    OracleCore::new(OracleConfig {
+        partitions: 4,
+        repartition_threshold: u64::MAX,
+        max_graph_vertices: usize::MAX,
+        max_graph_edges: usize::MAX,
+        ..OracleConfig::default()
+    })
+}
+
+fn merge_into(oracle: &mut OracleCore<Keys>, hint: &Payload<Keys>) {
+    let eff = oracle.on_deliver(hint, NOW, &mut Metrics::new());
+    assert!(eff.is_empty(), "a hint alone must not ask for a plan: {eff:?}");
 }
 
 /// The shape of a command stream: how many commands, drawing keys from
@@ -166,9 +248,11 @@ fn key_sets(seed: u64, stream: Stream) -> Vec<Vec<u64>> {
     sets
 }
 
-/// Drives `stream` through a core and the reference; returns the hints
-/// both agreed on.
-fn hint_streams_match(stream: Stream) -> Vec<Hint> {
+/// Drives `stream` through a core and the clique reference, and every
+/// hint the core sends through a planner oracle; checks the hints, and
+/// the oracle's graph and change count after each one, against the
+/// reference. Returns the hints and the batches they expand to.
+fn hint_streams_match(stream: Stream) -> Vec<(Hint, Batch)> {
     let Stream { commands, batch, pool, .. } = stream;
     let config = ServerConfig { hint_batch: batch, ..Default::default() };
     let mut core = ServerCore::<Keys>::new(PartitionId(3), Mode::Dynastar, config);
@@ -181,8 +265,10 @@ fn hint_streams_match(stream: Stream) -> Vec<Hint> {
         execs: 0,
         seq: 0,
     };
+    let mut oracle = planner();
+    let mut graph = GraphReference::default();
     let mut metrics = Metrics::new();
-    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let mut got = Vec::new();
     for (i, set) in key_sets(0xA11CF, stream).into_iter().enumerate() {
         if i == commands / 2 + 5 {
             // A recovering replica installs a peer's clone mid-batch: the
@@ -193,24 +279,42 @@ fn hint_streams_match(stream: Stream) -> Vec<Hint> {
         let expected: Vec<(u64, u32)> = set.iter().map(|&v| (v, 3)).collect();
         let payload = access::<Keys>(i as u32, (), &expected, 3, false);
         let Payload::Access { cmd, .. } = &payload else { unreachable!() };
-        want.extend(reference.record(&cmd.keys()));
-        got.extend(hints_of(core.on_deliver(payload, NOW, &mut metrics)));
+        let want = reference.record(&cmd.keys());
+        let hints = hints_of(core.on_deliver(payload, NOW, &mut metrics));
+        assert_eq!(hints.len(), usize::from(want.is_some()), "command {i}");
+        let (Some(want), Some(hint)) = (want, hints.into_iter().next()) else { continue };
+        let expanded = expand(&hint.1);
+        assert_eq!((hint.0, &expanded), (want.0, &want.1), "arena and clique accumulator disagree");
+        merge_into(&mut oracle, &hint.1);
+        graph.merge(&expanded);
+        assert_eq!(oracle.graph_view(), graph.content(), "graph after command {i}");
+        assert_eq!(oracle.graph_changes(), graph.changes, "changes after command {i}");
+        got.push((hint, expanded));
     }
-    assert_eq!(want.len(), commands / batch as usize);
-    assert_eq!(got, want, "arena and clique accumulator disagree");
+    assert_eq!(got.len(), commands / batch as usize);
     got
 }
 
 /// The most distinct keys any one batch of `hints` held.
-fn widest_batch(hints: &[Hint]) -> usize {
-    hints.iter().map(|h| h.1.len()).max().unwrap_or(0)
+fn widest_batch(hints: &[(Hint, Batch)]) -> usize {
+    hints.iter().map(|(_, (vertices, _))| vertices.len()).max().unwrap_or(0)
 }
 
 #[test]
 fn hint_arena_matches_clique_accumulation_unsharded() {
     let hints = hint_streams_match(MIXED);
-    let edges: usize = hints.iter().map(|h| h.2.len()).sum();
+    let edges: usize = hints.iter().map(|(_, (_, edges))| edges.len()).sum();
     assert!(edges > 20_000 * hints.len() / 4, "the stream must contain hub cliques, got {edges}");
+    // What the set form saves: each distinct set once, as ranks, against
+    // every pair as a triple.
+    let ranks: usize = hints
+        .iter()
+        .map(|((_, h), _)| match h {
+            Payload::HintSets { ranks, .. } => ranks.len(),
+            _ => unreachable!(),
+        })
+        .sum();
+    assert!(ranks * 20 < edges, "{ranks} ranks for {edges} pairs");
 }
 
 /// The accumulator marks touched keys in 64-bit words: batches within one
@@ -222,10 +326,51 @@ fn hint_arena_matches_clique_accumulation_across_bitset_words() {
     let wide = Stream { commands: 96, batch: 48, pool: 6_000, hubs: 9, small: 1 };
     let hints = hint_streams_match(narrow);
     assert!(widest_batch(&hints) <= 64, "the narrow stream must fit one word");
-    assert!(hints.iter().any(|h| !h.2.is_empty()));
+    assert!(hints.iter().any(|(_, (_, edges))| !edges.is_empty()));
     let hints = hint_streams_match(wide);
     assert!(widest_batch(&hints) > 4_096, "got {}", widest_batch(&hints));
     assert!(widest_batch(&hint_streams_match(MIXED)) > 64);
+}
+
+/// A batch of single keys carries no set, and a batch of key-less commands
+/// sends nothing; the oracle takes the first as vertices alone.
+#[test]
+fn hints_without_pairs() {
+    let config = ServerConfig { hint_batch: 2, ..Default::default() };
+    let mut core = ServerCore::<Keys>::new(PartitionId(0), Mode::Dynastar, config);
+    core.preload((0..4).map(LocKey), (0..4).map(|v| (VarId(v), 0)));
+    let mut m = Metrics::new();
+    let mut run = |seq: u32, vars: &[u64]| {
+        let expected: Vec<(u64, u32)> = vars.iter().map(|&v| (v, 0)).collect();
+        hints_of(core.on_deliver(access::<Keys>(seq, (), &expected, 0, false), NOW, &mut m))
+    };
+    assert!(run(0, &[]).is_empty() && run(1, &[]).is_empty(), "key-less commands send nothing");
+    assert!(run(2, &[2]).is_empty());
+    let [(_, hint)] = &run(3, &[2])[..] else { panic!("one hint per two commands") };
+    assert_eq!(expand(hint), (vec![(LocKey(2), 2)], vec![]));
+    let mut oracle = planner();
+    merge_into(&mut oracle, hint);
+    assert_eq!((oracle.graph_view(), oracle.graph_changes()), ((vec![(LocKey(2), 2)], vec![]), 1));
+}
+
+/// A recovering oracle replica installs a peer's clone, which leaves the
+/// expansion scratch behind: the next hints land in the same graph on both.
+#[test]
+fn a_cloned_oracle_merges_the_next_hint_like_the_original() {
+    let hints = hint_streams_match(MIXED);
+    let (before, after) = hints.split_at(hints.len() / 2);
+    let mut original = planner();
+    for ((_, hint), _) in before {
+        merge_into(&mut original, hint);
+    }
+    let mut clone = original.clone();
+    for ((_, hint), _) in after {
+        merge_into(&mut original, hint);
+        merge_into(&mut clone, hint);
+        assert_eq!(clone.graph_view(), original.graph_view());
+        assert_eq!(clone.graph_changes(), original.graph_changes());
+    }
+    assert!(clone.graph_edges() > 0);
 }
 
 // ---- (b) write-back semantics ----------------------------------------------

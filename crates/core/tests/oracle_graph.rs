@@ -3,9 +3,10 @@
 //! `OracleCore` keeps co-access edges in adjacency rows; the reference
 //! below keeps them the obvious way, one ordered map keyed by the pair,
 //! and spells the cap, decay and plan rules out on it. Both are driven
-//! through the same random sequence of hint batches (sorted, shuffled,
-//! endpoints swapped), key deletions, and plan rounds, and must
-//! agree on the graph's size, on what the caps evicted, and on every plan.
+//! through the same random sequence of hint batches — expanded (sorted,
+//! shuffled, endpoints swapped) or as the key sets a partition sends — key
+//! deletions, and plan rounds, and must agree on the graph's content, on
+//! what the caps evicted, and on every plan.
 
 use std::collections::BTreeMap;
 
@@ -49,10 +50,53 @@ enum Step {
     /// A hint batch as generated: any order, either endpoint first,
     /// repeats allowed.
     Batch { sorted: bool, vertices: Vec<(u64, u64)>, edges: Vec<(u64, u64, u64)> },
+    /// A hint batch as a partition sends it: the key sets of its commands.
+    Sets { commands: Vec<Vec<u64>> },
     /// `DeleteKey` of a key, addressed where the key lives or elsewhere.
     Delete { key: u64, stale: bool },
     /// Recompute marker, plan timer, plan delivery.
     Plan,
+}
+
+/// Steps whose batches come as key sets: up to seven commands of up to
+/// five keys each, so repeated sets are common.
+fn set_step() -> impl Strategy<Value = Step> {
+    let command = prop::collection::vec(0..KEYS, 0..6);
+    prop_oneof![
+        10 => prop::collection::vec(command, 0..8).prop_map(|commands| Step::Sets { commands }),
+        2 => (0..KEYS, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
+        2 => Just(Step::Plan),
+    ]
+}
+
+/// The hint a partition sends for `commands` — the keys with the commands
+/// that touched each, and every distinct set of two or more keys once, as
+/// ranks into them, with the commands that declared it — and, expanded
+/// the obvious way, what it stands for.
+fn hint_sets(commands: &[Vec<u64>]) -> (Payload<App>, Vertices, Edges) {
+    let mut vertices = BTreeMap::new();
+    let mut edges = BTreeMap::new();
+    let mut sets = BTreeMap::new();
+    for keys in commands {
+        let mut keys = keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        for (i, &a) in keys.iter().enumerate() {
+            *vertices.entry(LocKey(a)).or_insert(0) += 1;
+            for &b in &keys[i + 1..] {
+                *edges.entry((LocKey(a), LocKey(b))).or_insert(0) += 1;
+            }
+        }
+        if keys.len() > 1 {
+            *sets.entry(keys).or_insert(0) += 1;
+        }
+    }
+    let vertices: Vertices = vertices.into_iter().collect();
+    let rank = |k: u64| vertices.binary_search_by_key(&LocKey(k), |v| v.0).unwrap() as u32;
+    let ranks = sets.keys().flatten().map(|&k| rank(k)).collect();
+    let sets = sets.iter().map(|(keys, &times)| (keys.len() as u32, times)).collect();
+    let edges = edges.into_iter().map(|((a, b), w)| (a, b, w)).collect();
+    (Payload::HintSets { vertices: vertices.clone(), ranks, sets }, vertices, edges)
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -112,6 +156,11 @@ impl Reference {
         }
         self.evicted +=
             shrink(&mut self.vertices, MAX_VERTICES) + shrink(&mut self.edges, MAX_EDGES);
+    }
+
+    fn content(&self) -> (Vertices, Edges) {
+        let vertices = self.vertices.iter().map(|(&k, &w)| (k, w)).collect();
+        (vertices, self.edges.iter().map(|(&(a, b), &w)| (a, b, w)).collect())
     }
 
     fn delete(&mut self, key: LocKey, dest: PartitionId) {
@@ -201,6 +250,12 @@ fn run(steps: &[Step]) {
                 let eff = oracle.on_deliver(Payload::Hint { vertices, edges }, now, &mut m);
                 assert!(eff.is_empty(), "the change count must never ask for a plan");
             }
+            Step::Sets { commands } => {
+                let (hint, vertices, edges) = hint_sets(commands);
+                reference.merge(&vertices, &edges);
+                let eff = oracle.on_deliver(hint, now, &mut m);
+                assert!(eff.is_empty(), "the change count must never ask for a plan");
+            }
             Step::Delete { key, stale } => {
                 let key = LocKey(*key);
                 let home = reference.map.get(&key).copied().unwrap_or(PartitionId(0));
@@ -232,6 +287,7 @@ fn run(steps: &[Step]) {
                 assert_eq!(oracle.plan_version(), version);
             }
         }
+        assert_eq!(oracle.graph_view(), reference.content(), "graph after step {i}: {step:?}");
         assert_eq!(oracle.graph_edges(), reference.edges.len(), "edges after step {i}: {step:?}");
         assert_eq!(oracle.graph_vertices(), reference.vertices.len(), "vertices after step {i}");
         assert_eq!(m.counter(mn::ORACLE_GRAPH_EVICTIONS), reference.evicted, "evicted by step {i}");
@@ -243,6 +299,14 @@ proptest! {
 
     #[test]
     fn rows_and_flat_map_agree(steps in prop::collection::vec(step(), 1..60)) {
+        run(&steps);
+    }
+
+    /// The same, with every batch sent as key sets and expanded by the
+    /// oracle: the caps evict after the expansion, as they did after an
+    /// expanded batch.
+    #[test]
+    fn set_batches_and_flat_map_agree(steps in prop::collection::vec(set_step(), 1..60)) {
         run(&steps);
     }
 }

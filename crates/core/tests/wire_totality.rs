@@ -31,6 +31,7 @@ fn payload_tag(payload: &Payload<Keys>) -> &'static str {
         Payload::Access { .. } => "Access",
         Payload::CreateKey { .. } => "CreateKey",
         Payload::DeleteKey { .. } => "DeleteKey",
+        Payload::HintSets { .. } => "HintSets",
         Payload::Hint { .. } => "Hint",
         Payload::Plan { .. } => "Plan",
         Payload::Recompute { .. } => "Recompute",
@@ -71,6 +72,7 @@ fn every_wire_variant_has_a_distinct_tag() {
         Payload::Access { cmd: cmd.clone(), attempt: 0, expected: vec![], target: p, keep: false },
         Payload::CreateKey { cmd: cmd.clone(), dest: p },
         Payload::DeleteKey { cmd, dest: p },
+        Payload::HintSets { vertices: vec![], ranks: vec![], sets: vec![] },
         Payload::Hint { vertices: vec![], edges: vec![] },
         Payload::Plan { version: 1, moves: vec![] },
         Payload::Recompute { version: 1 },

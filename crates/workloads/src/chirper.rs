@@ -84,8 +84,9 @@ pub enum ChirperOp {
 /// Chirper replies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChirperReply {
-    /// The requested timeline (newest last).
-    Timeline(Vec<Post>),
+    /// The requested timeline (newest last). Shared: the reply cache keeps
+    /// the same posts the client is sent.
+    Timeline(Arc<[Post]>),
     /// Number of follower timelines the post reached.
     Posted(usize),
     /// Follow/unfollow acknowledged.
@@ -525,6 +526,23 @@ mod tests {
         assert_eq!(vars[&Chirper::var(1)].as_ref().unwrap().followers, vec![0]);
         Chirper::execute(&ChirperOp::Unfollow { follower: 0, followee: 1 }, &mut vars);
         assert!(vars[&Chirper::var(1)].as_ref().unwrap().followers.is_empty());
+    }
+
+    #[test]
+    fn timeline_reply_holds_the_posts_in_order_and_clones_shallow() {
+        let mut vars = state(&[0, 1]);
+        user_mut(&mut vars, 0).followers = vec![1];
+        for i in 0..(TIMELINE_CAP + 3) {
+            Chirper::execute(&ChirperOp::Post { user: 0, text: format!("{i}") }, &mut vars);
+        }
+        let reply = Chirper::execute(&ChirperOp::GetTimeline { user: 1 }, &mut vars);
+        let ChirperReply::Timeline(posts) = &reply else { panic!("got {reply:?}") };
+        let timeline = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
+        assert!(posts.iter().eq(timeline.iter()), "the same posts, oldest first");
+        assert_eq!(&*posts[0].text, "3");
+        // A cached copy of the reply is the same allocation.
+        let ChirperReply::Timeline(cached) = reply.clone() else { unreachable!() };
+        assert!(Arc::ptr_eq(posts, &cached));
     }
 
     #[test]
