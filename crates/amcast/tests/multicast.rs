@@ -2,8 +2,8 @@
 //!
 //! The properties from §2.2 of the DynaStar paper are checked directly:
 //! validity, uniform agreement, integrity, atomic (acyclic) order and
-//! prefix order. FIFO order is provided by the transport layer
-//! ([`dynastar_runtime::fifo`]) and covered there.
+//! prefix order. FIFO order is provided by the core crate's transport
+//! (its per-peer link records) and covered there.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -99,7 +99,7 @@ fn main() {
         cluster.run_for(SimDuration::from_secs(10));
         let m = cluster.metrics();
         println!(
-            "t={:>3}s done={:>3} retries={} timeouts={} recoveries={} elections={} retx={} resets={} abandoned={}",
+            "t={:>3}s done={:>3} retries={} timeouts={} recoveries={} elections={} retx={} resets={} abandoned={} jumps={}",
             (slice + 1) * 10,
             *completed.lock().unwrap(),
             m.counter(mn::CMD_RETRY),
@@ -109,6 +109,7 @@ fn main() {
             m.counter(mn::NET_RETRANSMISSIONS),
             m.counter(mn::NET_STREAM_RESETS),
             m.counter(mn::NET_FRAMES_ABANDONED),
+            m.counter(mn::NET_JUMPS),
         );
     }
 
@@ -132,10 +133,11 @@ fn main() {
     );
     println!("  leader elections:   {}", m.counter(mn::LEADER_ELECTIONS));
     println!(
-        "  transport:          {} retransmissions, {} stream resets, {} frames abandoned",
+        "  transport:          {} retransmissions, {} stream resets, {} frames abandoned, {} jumps",
         m.counter(mn::NET_RETRANSMISSIONS),
         m.counter(mn::NET_STREAM_RESETS),
-        m.counter(mn::NET_FRAMES_ABANDONED)
+        m.counter(mn::NET_FRAMES_ABANDONED),
+        m.counter(mn::NET_JUMPS)
     );
     println!("  commands completed: {}", *completed.lock().unwrap());
 }

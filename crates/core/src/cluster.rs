@@ -24,7 +24,7 @@ use crate::transport::Wiring;
 
 pub use crate::deploy::ClusterConfig;
 pub use crate::host::{Inner, LocationView, RecoveryMsg, RecoveryPayload};
-pub use crate::transport::Msg;
+pub use crate::transport::{Frame, Holes, Msg};
 
 /// Timer tags used by the actors.
 mod timer {

@@ -113,6 +113,10 @@ pub const NET_STREAM_RESETS: &str = "net.stream_resets";
 /// Counter: frames declared lost after retransmission gave up (the
 /// receiver is told to jump past them; upper layers re-send semantically).
 pub const NET_FRAMES_ABANDONED: &str = "net.frames_abandoned";
+/// Counter: jump announcements sent (a peer is told to skip past frames
+/// this node no longer holds, after a give-up or an ack listing a hole the
+/// sender's buffer no longer holds).
+pub const NET_JUMPS: &str = "net.jumps";
 /// Histogram: out-of-order frames buffered in FIFO reorder buffers,
 /// sampled at each transport maintenance round (counts in µs units).
 pub const NET_FIFO_BUFFERED: &str = "net.fifo_buffered";

@@ -4,17 +4,21 @@
 //! after either endpoint restarts. It moves opaque [`Inner`] bodies
 //! between nodes and knows nothing of groups, cores or routing — that is
 //! the [host](crate::host)'s side of the seam.
+//!
+//! The simulated network delivers messages with independently sampled
+//! latencies, so two messages on one link can be reordered; each end
+//! keeps one [`Link`] record per peer that restores send order, the same
+//! service TCP gives a real deployment.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use dynastar_runtime::fifo::{FifoLinks, Frame};
-use dynastar_runtime::{Ctx, FastHashMap, NodeId, SimDuration, SimTime};
+use dynastar_runtime::{Ctx, NodeId, SimDuration, SimTime};
 
 use crate::command::Application;
 use crate::host::Inner;
@@ -56,7 +60,7 @@ pub enum Msg<A: Application> {
         /// The receiver's next expected sequence number.
         up_to: u64,
         /// Holes above `up_to` the receiver is waiting for.
-        missing: Vec<u64>,
+        missing: Holes,
     },
     /// The sender permanently abandoned every frame below `from_seq`
     /// (retransmission gave up while the peer was unreachable); the
@@ -83,11 +87,9 @@ pub enum Msg<A: Application> {
 impl<A: Application> Clone for Msg<A> {
     fn clone(&self) -> Self {
         match self {
-            Msg::Frame { src_epoch, dst_epoch, frame } => Msg::Frame {
-                src_epoch: *src_epoch,
-                dst_epoch: *dst_epoch,
-                frame: Frame { seq: frame.seq, inner: frame.inner.clone() },
-            },
+            Msg::Frame { src_epoch, dst_epoch, frame } => {
+                Msg::Frame { src_epoch: *src_epoch, dst_epoch: *dst_epoch, frame: frame.clone() }
+            }
             Msg::Ack { src_epoch, dst_epoch, up_to, missing } => Msg::Ack {
                 src_epoch: *src_epoch,
                 dst_epoch: *dst_epoch,
@@ -98,6 +100,92 @@ impl<A: Application> Clone for Msg<A> {
                 Msg::Jump { src_epoch: *src_epoch, dst_epoch: *dst_epoch, from_seq: *from_seq }
             }
             Msg::EpochNotice { epoch } => Msg::EpochNotice { epoch: *epoch },
+        }
+    }
+}
+
+/// A sequenced frame travelling over one link.
+#[derive(Debug, Clone)]
+pub struct Frame<M> {
+    /// Position of this frame in the sender→receiver stream (from 0).
+    pub seq: u64,
+    /// The wrapped message.
+    pub inner: M,
+}
+
+/// The holes an [`Msg::Ack`] reports, ascending, stored as offsets from
+/// the ack's `up_to`. Nearly every list is short and close to `up_to`, so
+/// it sits inline: up to 8 offsets below 2^16, or up to 4 below 2^32. A
+/// longer list, or a farther hole, spills into one boxed slice. The
+/// inline forms keep the whole value at three words, so [`Msg`] stays as
+/// small as it was with a `Vec`.
+#[derive(Debug, Clone)]
+pub struct Holes(HoleList);
+
+/// Most holes an ack carries inline as 16-bit offsets.
+const NARROW: usize = 8;
+/// Most holes an ack carries inline as 32-bit offsets.
+const WIDE: usize = 4;
+
+#[derive(Debug, Clone)]
+enum HoleList {
+    Narrow(u8, [u16; NARROW]),
+    Wide(u8, [u32; WIDE]),
+    Spilled(Box<[u64]>),
+}
+
+impl Default for Holes {
+    fn default() -> Self {
+        Holes(HoleList::Narrow(0, [0; NARROW]))
+    }
+}
+
+impl Holes {
+    /// Encodes `seqs` (ascending, none below `up_to`) relative to `up_to`.
+    pub(crate) fn new(up_to: u64, seqs: &[u64]) -> Self {
+        debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]), "holes ascend");
+        debug_assert!(seqs.first().is_none_or(|&first| first >= up_to), "holes lie above up_to");
+        // Offsets wrap rather than panic; `iter` wraps them back.
+        let offsets = seqs.iter().map(|&seq| seq.wrapping_sub(up_to));
+        let farthest = seqs.last().map_or(0, |&last| last.wrapping_sub(up_to));
+        let len = seqs.len();
+        if len <= NARROW && farthest <= u64::from(u16::MAX) {
+            let mut inline = [0; NARROW];
+            for (slot, offset) in inline.iter_mut().zip(offsets) {
+                *slot = offset as u16;
+            }
+            Holes(HoleList::Narrow(len as u8, inline))
+        } else if len <= WIDE && farthest <= u64::from(u32::MAX) {
+            let mut inline = [0; WIDE];
+            for (slot, offset) in inline.iter_mut().zip(offsets) {
+                *slot = offset as u32;
+            }
+            Holes(HoleList::Wide(len as u8, inline))
+        } else {
+            Holes(HoleList::Spilled(offsets.collect()))
+        }
+    }
+
+    /// The missing sequence numbers, ascending, for an ack at `up_to`.
+    pub fn iter(&self, up_to: u64) -> impl Iterator<Item = u64> + '_ {
+        let (narrow, wide, spilled): (&[u16], &[u32], &[u64]) = match &self.0 {
+            HoleList::Narrow(len, inline) => (&inline[..usize::from(*len)], &[], &[]),
+            HoleList::Wide(len, inline) => (&[], &inline[..usize::from(*len)], &[]),
+            HoleList::Spilled(offsets) => (&[], &[], offsets),
+        };
+        let narrow = narrow.iter().map(|&offset| u64::from(offset));
+        let wide = wide.iter().map(|&offset| u64::from(offset));
+        narrow
+            .chain(wide)
+            .chain(spilled.iter().copied())
+            .map(move |offset| up_to.wrapping_add(offset))
+    }
+
+    /// Whether the receiver reported no hole.
+    pub fn is_empty(&self) -> bool {
+        match &self.0 {
+            HoleList::Narrow(len, _) | HoleList::Wide(len, _) => *len == 0,
+            HoleList::Spilled(offsets) => offsets.is_empty(),
         }
     }
 }
@@ -138,43 +226,192 @@ const SIGNAL_EVERY: SimDuration = SimDuration::from_millis(100);
 /// Minimum spacing of NACK-driven resends of one frame: a hole may be
 /// reported by several acks before the resend lands.
 const NACK_RESEND_EVERY: SimDuration = SimDuration::from_millis(20);
-/// Maximum out-of-order frames buffered per peer in the FIFO reorder
-/// buffers. Frames past the cap are dropped (and counted); the ARQ
-/// retransmits them, so the bound trades memory for recovery latency only.
+/// Maximum out-of-order frames buffered per peer in the reorder buffers.
+/// Frames past the cap are dropped (and counted); the ARQ retransmits
+/// them, so the bound trades memory for recovery latency only.
 const FIFO_BUFFER_CAP: usize = 4_096;
 
-/// One peer's outstanding frames in send order: (frame, first send, latest
-/// send). Sequence numbers to a peer are contiguous and frames leave only
-/// from the front (cumulative ack) or all at once (give-up), so the frame
-/// with sequence number `seq` sits at index `seq - front.seq`. Frames share
-/// their body with the in-flight copy via `Arc`, so buffering for
-/// retransmission costs a refcount, not a deep clone.
-type SendBuf<A> = VecDeque<(Frame<Arc<Inner<A>>>, SimTime, SimTime)>;
+/// One node's end of the link to one peer, both directions. `M` is the
+/// frame body ([`Wiring`] carries `Arc<Inner<A>>`).
+struct Link<M> {
+    /// Sequence number of the next frame sent to the peer.
+    next_send: u64,
+    /// Sequence number expected next from the peer: every frame below it
+    /// was released in order (the cumulative ack this end advertises).
+    next_recv: u64,
+    /// Frames from the peer that arrived early, all keyed above
+    /// `next_recv` (every release drains the run that follows it).
+    reorder: BTreeMap<u64, M>,
+    /// Sent frames not yet acknowledged: (frame, first send, latest
+    /// (re)send) in sequence order. Sequence numbers to a peer are
+    /// contiguous and frames leave only from the front (cumulative ack)
+    /// or all at once (give-up), so the frame with sequence number `seq`
+    /// sits at index `seq - front.seq`. Retransmission backs off from the
+    /// latest send; the give-up clock runs from the first, so resending a
+    /// frame does not keep it alive forever against an unreachable peer.
+    unacked: VecDeque<(Frame<M>, SimTime, SimTime)>,
+    /// Last cumulative ack value sent to the peer.
+    acked: u64,
+    /// Highest incarnation epoch observed for the peer (0 until heard).
+    epoch: u64,
+    /// Last time an epoch notice or jump went to the peer.
+    last_signal: Option<SimTime>,
+    /// Scratch the hole list is gathered in before it is encoded.
+    holes: Vec<u64>,
+}
+
+impl<M> Default for Link<M> {
+    fn default() -> Self {
+        Link {
+            next_send: 0,
+            next_recv: 0,
+            reorder: BTreeMap::new(),
+            unacked: VecDeque::new(),
+            acked: 0,
+            epoch: 0,
+            last_signal: None,
+            holes: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> Link<M> {
+    /// Stamps `inner` with the next sequence number and keeps a copy for
+    /// retransmission; returns the frame to put on the wire.
+    fn send(&mut self, inner: M, now: SimTime) -> Frame<M> {
+        let frame = Frame { seq: self.next_send, inner };
+        self.next_send += 1;
+        self.unacked.push_back((frame.clone(), now, now));
+        frame
+    }
+
+    /// Accepts a frame from the peer, appending every body now deliverable
+    /// in order to `ready` — the caller's buffer, so the common in-order
+    /// frame costs no allocation (nothing is appended if the frame is
+    /// early, or a duplicate of an already-released sequence number).
+    ///
+    /// Returns `true` if the frame was early and the reorder buffer already
+    /// held `cap` frames: it is dropped, and the ARQ retransmits it later.
+    /// The expected frame always passes, so a bounded buffer never
+    /// deadlocks the stream.
+    fn accept(&mut self, frame: Frame<M>, cap: usize, ready: &mut Vec<M>) -> bool {
+        if frame.seq < self.next_recv {
+            return false; // duplicate
+        }
+        if frame.seq > self.next_recv {
+            if self.reorder.len() >= cap && !self.reorder.contains_key(&frame.seq) {
+                return true;
+            }
+            self.reorder.insert(frame.seq, frame.inner);
+            return false;
+        }
+        // The expected frame releases without a trip through the buffer.
+        self.next_recv += 1;
+        ready.push(frame.inner);
+        self.release(ready);
+        false
+    }
+
+    /// Releases the buffered run that starts at `next_recv`.
+    fn release(&mut self, ready: &mut Vec<M>) {
+        while let Some(inner) = self.reorder.remove(&self.next_recv) {
+            ready.push(inner);
+            self.next_recv += 1;
+        }
+    }
+
+    /// Declares every frame below `from_seq` permanently lost (the sender
+    /// gave up on them and announced the jump) and releases what becomes
+    /// deliverable past the gap. A `from_seq` at or below the current
+    /// expectation is a stale announcement and changes nothing.
+    fn force_advance(&mut self, from_seq: u64, ready: &mut Vec<M>) {
+        if from_seq <= self.next_recv {
+            return;
+        }
+        self.next_recv = from_seq;
+        // Frames below the new expectation can never be delivered.
+        while self.reorder.first_key_value().is_some_and(|(&seq, _)| seq < from_seq) {
+            self.reorder.pop_first();
+        }
+        self.release(ready);
+    }
+
+    /// The sequence numbers missing below the highest buffered frame, at
+    /// most `limit` of them — what a selective-repeat ack reports so the
+    /// sender retransmits exactly the lost frames.
+    fn holes(&mut self, limit: usize) -> Holes {
+        if self.reorder.is_empty() {
+            return Holes::default();
+        }
+        self.holes.clear();
+        let mut cursor = self.next_recv;
+        for &present in self.reorder.keys() {
+            let room = limit - self.holes.len();
+            self.holes.extend((cursor..present).take(room));
+            if self.holes.len() >= limit {
+                break;
+            }
+            cursor = present + 1;
+        }
+        Holes::new(self.next_recv, &self.holes)
+    }
+
+    /// Adopts the peer's new incarnation `epoch`: its restart wiped its
+    /// volatile sequencing state, so both directions start over, and the
+    /// unacked frames are renumbered from 0 in their original order and
+    /// stamped as resent at `now` (the give-up clock keeps running from
+    /// each original send). The caller resends them.
+    fn reset(&mut self, epoch: u64, now: SimTime) {
+        self.epoch = epoch;
+        self.next_recv = 0;
+        self.reorder.clear();
+        self.acked = 0;
+        for (seq, (frame, _first_sent, last_sent)) in (0..).zip(self.unacked.iter_mut()) {
+            frame.seq = seq;
+            *last_sent = now;
+        }
+        self.next_send = self.unacked.len() as u64;
+    }
+
+    /// The first sequence number this end can still deliver to the peer.
+    fn jump_target(&self) -> u64 {
+        self.unacked.front().map_or(self.next_send, |(frame, _, _)| frame.seq)
+    }
+
+    /// Whether the oldest unacked frame was first sent [`RETX_GIVE_UP`]
+    /// ago. Frames are buffered in send order, so no later one is older.
+    fn expired(&self, now: SimTime) -> bool {
+        self.unacked.front().is_some_and(|(_, first_sent, _)| {
+            now.saturating_duration_since(*first_sent) >= RETX_GIVE_UP
+        })
+    }
+
+    /// Rate limit for epoch notices and jump announcements: `true` (and
+    /// the clock restarts) if none went to the peer in [`SIGNAL_EVERY`].
+    fn signal_due(&mut self, now: SimTime) -> bool {
+        if self.last_signal.is_some_and(|last| now.saturating_duration_since(last) < SIGNAL_EVERY) {
+            return false;
+        }
+        self.last_signal = Some(now);
+        true
+    }
+}
 
 /// One node's end of every link: FIFO framing + a simple ARQ (cumulative
 /// acks, timeout retransmission), epoch-aware so streams resynchronize
 /// after either endpoint restarts (see [`Msg`]).
 pub(crate) struct Wiring<A: Application> {
-    fifo: FifoLinks<NodeId, Arc<Inner<A>>>,
-    /// FIFO drops already surfaced to the metrics registry (the fifo layer
-    /// keeps a monotone total; this remembers how much was reported).
-    reported_fifo_drops: u64,
-    /// Sent frames not yet acknowledged: per peer, (frame, first send,
-    /// latest (re)send) in sequence order. Retransmission backs off from
-    /// the latest send; the give-up clock runs from the first, so resending
-    /// a frame does not keep it alive forever against an unreachable peer.
-    /// A buffer the acks empty stays in the map, keeping its capacity.
-    unacked: FastHashMap<NodeId, SendBuf<A>>,
-    /// Last cumulative ack value sent to each peer.
-    acked_to_peer: FastHashMap<NodeId, u64>,
+    /// One record per peer, indexed by the peer's [`NodeId`]. Node ids are
+    /// dense, so the table grows to the highest id this node talks to, on
+    /// first contact, and walking it visits peers in ascending id order —
+    /// the fixed send order the deterministic event schedule needs.
+    links: Vec<Link<Arc<Inner<A>>>>,
+    /// Most early frames one link buffers.
+    reorder_cap: usize,
     /// Last time lazy acks were flushed.
     last_ack_flush: SimTime,
     /// This node's incarnation epoch (0 at first boot, +1 per restart).
     my_epoch: u64,
-    /// Highest incarnation epoch observed per peer (absent = 0).
-    peer_epochs: FastHashMap<NodeId, u64>,
-    /// Last time an epoch notice or jump was sent to each peer.
-    last_signal: FastHashMap<NodeId, SimTime>,
 }
 
 impl<A: Application> Wiring<A> {
@@ -182,19 +419,30 @@ impl<A: Application> Wiring<A> {
     /// (0 at first boot; a restarted node passes its bumped epoch).
     pub(crate) fn new(my_epoch: u64) -> Self {
         Wiring {
-            fifo: FifoLinks::with_buffer_cap(FIFO_BUFFER_CAP),
-            reported_fifo_drops: 0,
-            unacked: FastHashMap::default(),
-            acked_to_peer: FastHashMap::default(),
+            links: Vec::new(),
+            reorder_cap: FIFO_BUFFER_CAP,
             last_ack_flush: SimTime::ZERO,
             my_epoch,
-            peer_epochs: FastHashMap::default(),
-            last_signal: FastHashMap::default(),
         }
     }
 
-    fn peer_epoch(&self, peer: NodeId) -> u64 {
-        self.peer_epochs.get(&peer).copied().unwrap_or(0)
+    /// The link to `peer`, created on first contact.
+    fn link(&mut self, peer: NodeId) -> &mut Link<Arc<Inner<A>>> {
+        let index = peer.as_raw() as usize;
+        if index >= self.links.len() {
+            self.links.resize_with(index + 1, Link::default);
+        }
+        &mut self.links[index]
+    }
+
+    /// Every link with its peer, in ascending peer order.
+    fn links(&mut self) -> impl Iterator<Item = (NodeId, &mut Link<Arc<Inner<A>>>)> {
+        (0..).map(NodeId::from_raw).zip(self.links.iter_mut())
+    }
+
+    /// Out-of-order frames buffered across all links.
+    fn buffered(&self) -> usize {
+        self.links.iter().map(|link| link.reorder.len()).sum()
     }
 
     /// Sends one framed body to `to`. The body is usually shared: a
@@ -202,13 +450,10 @@ impl<A: Application> Wiring<A> {
     /// and the retransmission buffer entry holds another, so a body is
     /// allocated once per recipient set, not once per peer.
     pub(crate) fn send(&mut self, ctx: &mut Ctx<'_, Msg<A>>, to: NodeId, inner: Arc<Inner<A>>) {
-        let frame = self.fifo.wrap(to, inner);
-        let now = ctx.now();
-        let buf = self.unacked.entry(to).or_default();
-        debug_assert!(buf.back().is_none_or(|(last, _, _)| last.seq + 1 == frame.seq));
-        buf.push_back((frame.clone(), now, now));
-        let dst_epoch = self.peer_epoch(to);
-        ctx.send(to, Msg::Frame { src_epoch: self.my_epoch, dst_epoch, frame });
+        let src_epoch = self.my_epoch;
+        let link = self.link(to);
+        let frame = link.send(inner, ctx.now());
+        ctx.send(to, Msg::Frame { src_epoch, dst_epoch: link.epoch, frame });
     }
 
     /// Reconciles the epoch stamps on an incoming message. Returns `false`
@@ -220,10 +465,11 @@ impl<A: Application> Wiring<A> {
         src_epoch: u64,
         dst_epoch: u64,
     ) -> bool {
-        if src_epoch < self.peer_epoch(from) {
+        let known = self.link(from).epoch;
+        if src_epoch < known {
             return false; // a previous incarnation of the peer
         }
-        if src_epoch > self.peer_epoch(from) {
+        if src_epoch > known {
             self.note_peer_epoch(ctx, from, src_epoch);
         }
         if dst_epoch != self.my_epoch {
@@ -236,68 +482,45 @@ impl<A: Application> Wiring<A> {
         true
     }
 
-    /// Adopts a higher epoch for `peer`: both directions of the stream are
-    /// reset (the peer's restart wiped its volatile sequencing state), and
-    /// our unacknowledged frames are renumbered from 0 — in their original
-    /// order — and retransmitted, so nothing already handed to [`Self::send`]
-    /// is lost by the restart.
+    /// Adopts a higher epoch for `peer` ([`Link::reset`]) and retransmits
+    /// the renumbered unacked frames, so nothing already handed to
+    /// [`Self::send`] is lost by the peer's restart.
     fn note_peer_epoch(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId, epoch: u64) {
-        if epoch <= self.peer_epoch(peer) {
+        let src_epoch = self.my_epoch;
+        let link = self.link(peer);
+        if epoch <= link.epoch {
             return;
         }
-        self.peer_epochs.insert(peer, epoch);
         ctx.metrics_mut().incr_counter(metric_names::NET_STREAM_RESETS, 1);
-        self.fifo.reset_receive(&peer);
-        self.acked_to_peer.remove(&peer);
-        self.fifo.reset_send(&peer);
-        if let Some(buf) = self.unacked.get_mut(&peer).filter(|buf| !buf.is_empty()) {
-            let now = ctx.now();
-            for (frame, _first_sent, last_sent) in buf.iter_mut() {
-                *frame = self.fifo.wrap(peer, Arc::clone(&frame.inner));
-                // The give-up clock keeps running from the original send.
-                *last_sent = now;
-            }
-            ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, buf.len() as u64);
-            for (f, _, _) in buf.iter() {
-                ctx.send(
-                    peer,
-                    Msg::Frame { src_epoch: self.my_epoch, dst_epoch: epoch, frame: f.clone() },
-                );
+        link.reset(epoch, ctx.now());
+        if !link.unacked.is_empty() {
+            ctx.metrics_mut()
+                .incr_counter(metric_names::NET_RETRANSMISSIONS, link.unacked.len() as u64);
+            for (frame, _, _) in &link.unacked {
+                ctx.send(peer, Msg::Frame { src_epoch, dst_epoch: epoch, frame: frame.clone() });
             }
         }
     }
 
     /// Rate-limited "I am at epoch E now" notice.
     fn announce_epoch(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId) {
-        if !self.signal_due(ctx.now(), peer) {
-            return;
+        let epoch = self.my_epoch;
+        if self.link(peer).signal_due(ctx.now()) {
+            ctx.send(peer, Msg::EpochNotice { epoch });
         }
-        ctx.send(peer, Msg::EpochNotice { epoch: self.my_epoch });
     }
 
     /// Rate-limited jump announcement: tells `peer` to skip past frames we
     /// no longer hold, up to the first one we can still deliver.
     fn send_jump(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId) {
-        if !self.signal_due(ctx.now(), peer) {
+        let src_epoch = self.my_epoch;
+        let link = self.link(peer);
+        if !link.signal_due(ctx.now()) {
             return;
         }
-        let from_seq = self
-            .unacked
-            .get(&peer)
-            .and_then(|buf| buf.front().map(|(frame, _, _)| frame.seq))
-            .unwrap_or_else(|| self.fifo.next_seq_to(&peer));
-        let dst_epoch = self.peer_epoch(peer);
-        ctx.send(peer, Msg::Jump { src_epoch: self.my_epoch, dst_epoch, from_seq });
-    }
-
-    fn signal_due(&mut self, now: SimTime, peer: NodeId) -> bool {
-        if let Some(&last) = self.last_signal.get(&peer) {
-            if now.saturating_duration_since(last) < SIGNAL_EVERY {
-                return false;
-            }
-        }
-        self.last_signal.insert(peer, now);
-        true
+        ctx.metrics_mut().incr_counter(metric_names::NET_JUMPS, 1);
+        let jump = Msg::Jump { src_epoch, dst_epoch: link.epoch, from_seq: link.jump_target() };
+        ctx.send(peer, jump);
     }
 
     /// Accepts an incoming message; appends the in-order released bodies to
@@ -315,17 +538,29 @@ impl<A: Application> Wiring<A> {
                 if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
                     return;
                 }
-                let gaps = self.fifo.accept(from, frame, ready);
-                let drops = self.fifo.dropped_count();
-                if drops > self.reported_fifo_drops {
-                    ctx.metrics_mut().incr_counter(
-                        metric_names::NET_FIFO_DROPS,
-                        drops - self.reported_fifo_drops,
-                    );
-                    self.reported_fifo_drops = drops;
+                let (my_epoch, cap) = (self.my_epoch, self.reorder_cap);
+                let link = self.link(from);
+                if link.accept(frame, cap, ready) {
+                    ctx.metrics_mut().incr_counter(metric_names::NET_FIFO_DROPS, 1);
+                }
+                // Ack in batches: promptly once enough progress piles up,
+                // otherwise lazily from the periodic flush. This keeps ack
+                // traffic a small fraction of data traffic while bounding
+                // the sender's retransmission buffer.
+                let expected = link.next_recv;
+                let missing = link.holes(NACK_LIMIT);
+                if expected >= link.acked + ACK_EVERY || !missing.is_empty() {
+                    link.acked = expected;
+                    let ack = Msg::Ack {
+                        src_epoch: my_epoch,
+                        dst_epoch: link.epoch,
+                        up_to: expected,
+                        missing,
+                    };
+                    ctx.send(from, ack);
                 }
                 if trace_arq() {
-                    let buffered = self.fifo.buffered_count();
+                    let buffered = self.buffered();
                     if buffered > 200 && buffered.is_multiple_of(100) {
                         eprintln!(
                             "[arq] t={} node has {buffered} frames buffered behind gaps (from {from})",
@@ -333,64 +568,45 @@ impl<A: Application> Wiring<A> {
                         );
                     }
                 }
-                // Ack in batches: promptly once enough progress piles up,
-                // otherwise lazily from the periodic flush. This keeps ack
-                // traffic a small fraction of data traffic while bounding
-                // the sender's retransmission buffer.
-                let expected = self.fifo.expected_from(&from);
-                let acked = self.acked_to_peer.get(&from).copied().unwrap_or(0);
-                let missing =
-                    if gaps { self.fifo.missing_from(&from, NACK_LIMIT) } else { Vec::new() };
-                if expected >= acked + ACK_EVERY || !missing.is_empty() {
-                    self.acked_to_peer.insert(from, expected);
-                    self.send_ack(ctx, from, expected, missing);
-                }
             }
             Msg::Ack { src_epoch, dst_epoch, up_to, missing } => {
                 if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
                     return;
                 }
                 let now = ctx.now();
-                let mut resends = Vec::new();
+                let my_epoch = self.my_epoch;
+                let Link { unacked, epoch, .. } = self.link(from);
+                // Drop cumulatively-acked frames from the front.
+                while unacked.front().is_some_and(|(frame, _, _)| frame.seq < up_to) {
+                    unacked.pop_front();
+                }
+                // Selective repeat: resend exactly the reported holes.
+                let front = unacked.front().map_or(0, |(frame, _, _)| frame.seq);
+                let mut resent = 0;
                 // Set when the receiver waits on a frame we abandoned: it
                 // can only make progress if told to jump the gap.
                 let mut unsatisfiable_hole = false;
-                match self.unacked.get_mut(&from) {
-                    Some(buf) => {
-                        // Drop cumulatively-acked frames from the front.
-                        while buf.front().is_some_and(|(frame, _, _)| frame.seq < up_to) {
-                            buf.pop_front();
+                for seq in missing.iter(up_to) {
+                    let held = seq.checked_sub(front).and_then(|i| unacked.get_mut(i as usize));
+                    if let Some((frame, _first_sent, last_sent)) = held {
+                        debug_assert_eq!(frame.seq, seq);
+                        if now.saturating_duration_since(*last_sent) >= NACK_RESEND_EVERY {
+                            *last_sent = now;
+                            resent += 1;
+                            let frame = frame.clone();
+                            ctx.send(
+                                from,
+                                Msg::Frame { src_epoch: my_epoch, dst_epoch: *epoch, frame },
+                            );
                         }
-                        // Selective repeat: resend exactly the reported holes.
-                        let front = buf.front().map_or(0, |(frame, _, _)| frame.seq);
-                        for seq in missing {
-                            let held = seq.checked_sub(front).and_then(|i| buf.get_mut(i as usize));
-                            if let Some((frame, _first_sent, last_sent)) = held {
-                                debug_assert_eq!(frame.seq, seq);
-                                if now.saturating_duration_since(*last_sent) >= NACK_RESEND_EVERY {
-                                    *last_sent = now;
-                                    resends.push(frame.clone());
-                                }
-                            } else if seq >= up_to {
-                                // Frames leave the buffer only via cumulative
-                                // ack or give-up; an unheld hole was given up.
-                                unsatisfiable_hole = true;
-                            }
-                        }
-                    }
-                    None => {
-                        if !missing.is_empty() {
-                            unsatisfiable_hole = true;
-                        }
+                    } else if seq >= up_to {
+                        // Frames leave the buffer only via cumulative ack
+                        // or give-up; an unheld hole was given up.
+                        unsatisfiable_hole = true;
                     }
                 }
-                if !resends.is_empty() {
-                    ctx.metrics_mut()
-                        .incr_counter(metric_names::NET_RETRANSMISSIONS, resends.len() as u64);
-                }
-                let dst_epoch = self.peer_epoch(from);
-                for frame in resends {
-                    ctx.send(from, Msg::Frame { src_epoch: self.my_epoch, dst_epoch, frame });
+                if resent > 0 {
+                    ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
                 }
                 if unsatisfiable_hole {
                     self.send_jump(ctx, from);
@@ -402,15 +618,10 @@ impl<A: Application> Wiring<A> {
                 }
                 // The sender abandoned everything below `from_seq`; release
                 // whatever buffered frames become deliverable past the gap.
-                self.fifo.force_advance(&from, from_seq, ready);
+                self.link(from).force_advance(from_seq, ready);
             }
             Msg::EpochNotice { epoch } => self.note_peer_epoch(ctx, from, epoch),
         }
-    }
-
-    fn send_ack(&mut self, ctx: &mut Ctx<'_, Msg<A>>, to: NodeId, up_to: u64, missing: Vec<u64>) {
-        let dst_epoch = self.peer_epoch(to);
-        ctx.send(to, Msg::Ack { src_epoch: self.my_epoch, dst_epoch, up_to, missing });
     }
 
     /// Transport maintenance: lazy ack flush + retransmission scan, rate
@@ -426,7 +637,7 @@ impl<A: Application> Wiring<A> {
         // experiments can see how close links run to [`FIFO_BUFFER_CAP`].
         ctx.metrics_mut().record_histogram(
             metric_names::NET_FIFO_BUFFERED,
-            SimDuration::from_micros(self.fifo.buffered_count() as u64),
+            SimDuration::from_micros(self.buffered() as u64),
         );
         self.flush_acks(ctx);
         self.retransmit_due(ctx);
@@ -434,17 +645,13 @@ impl<A: Application> Wiring<A> {
 
     /// Flushes lazy acks for peers with unacknowledged receive progress.
     fn flush_acks(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let mut peers: Vec<NodeId> = self.fifo.receive_peers().copied().collect();
-        // Fixed send order: hash-map iteration order varies per instance,
-        // and send order feeds the deterministic event schedule.
-        peers.sort_unstable();
-        for peer in peers {
-            let expected = self.fifo.expected_from(&peer);
-            let acked = self.acked_to_peer.get(&peer).copied().unwrap_or(0);
-            let missing = self.fifo.missing_from(&peer, NACK_LIMIT);
-            if expected > acked || !missing.is_empty() {
-                self.acked_to_peer.insert(peer, expected);
-                self.send_ack(ctx, peer, expected, missing);
+        let src_epoch = self.my_epoch;
+        for (peer, link) in self.links() {
+            let up_to = link.next_recv;
+            let missing = link.holes(NACK_LIMIT);
+            if up_to > link.acked || !missing.is_empty() {
+                link.acked = up_to;
+                ctx.send(peer, Msg::Ack { src_epoch, dst_epoch: link.epoch, up_to, missing });
             }
         }
     }
@@ -456,67 +663,52 @@ impl<A: Application> Wiring<A> {
     /// with an explicit gap instead of stalling forever once it returns.
     fn retransmit_due(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
         let now = ctx.now();
-        let mut dead_peers = Vec::new();
-        let mut all_resends: Vec<(NodeId, Frame<Arc<Inner<A>>>)> = Vec::new();
-        // Fixed scan order (see flush_acks): resend order must not depend
-        // on hash-map iteration order or same-seed runs diverge.
-        let mut scan: Vec<NodeId> = self.unacked.keys().copied().collect();
-        scan.sort_unstable();
-        for peer in scan {
-            let Some(buf) = self.unacked.get_mut(&peer) else { continue };
-            let mut resends = Vec::new();
-            let mut expired = false;
-            for (frame, first_sent, last_sent) in buf.iter_mut() {
-                // Give-up measures from the *first* send: a peer that has
-                // acked nothing for this long is crashed or partitioned
-                // away, and resending cannot keep the frame alive.
-                if now.saturating_duration_since(*first_sent) >= RETX_GIVE_UP {
-                    expired = true;
-                    break;
-                }
-                let age = now.saturating_duration_since(*last_sent);
-                if age >= RETX_AFTER {
-                    *last_sent = now;
-                    resends.push(frame.clone());
-                    if resends.len() >= RETX_WINDOW {
-                        // Pace the recovery: the receiver's cumulative ack
-                        // will advance once the head of the stream heals,
-                        // releasing the rest without retransmission.
-                        break;
-                    }
-                } else {
-                    // Frames are buffered in send order, so once one is
-                    // too young the rest (sent later) are too. A refreshed
-                    // prefix can hide an older suffix for at most one scan
-                    // interval — an acceptable retransmission delay.
-                    break;
-                }
+        let src_epoch = self.my_epoch;
+        let mut resent = 0;
+        for (peer, link) in self.links() {
+            if link.expired(now) {
+                continue; // abandoned below, after every resend
             }
-            if expired {
-                if trace_arq() {
-                    eprintln!(
-                        "[arq] t={} giving up on peer {peer}: dropping {} unacked frames",
-                        now,
-                        buf.len()
-                    );
-                }
-                ctx.metrics_mut()
-                    .incr_counter(metric_names::NET_FRAMES_ABANDONED, buf.len() as u64);
-                dead_peers.push(peer);
+            let Link { unacked, epoch, .. } = link;
+            // Frames are buffered in send order, so once one is too young
+            // the rest (sent later) are too. A refreshed prefix can hide an
+            // older suffix for at most one scan interval — an acceptable
+            // retransmission delay. The window paces the recovery: the
+            // receiver's cumulative ack advances once the head of the
+            // stream heals, releasing the rest without retransmission.
+            let due = unacked
+                .iter_mut()
+                .take_while(|(_, _, last_sent)| {
+                    now.saturating_duration_since(*last_sent) >= RETX_AFTER
+                })
+                .take(RETX_WINDOW);
+            for (frame, _first_sent, last_sent) in due {
+                *last_sent = now;
+                resent += 1;
+                ctx.send(peer, Msg::Frame { src_epoch, dst_epoch: *epoch, frame: frame.clone() });
+            }
+        }
+        if resent > 0 {
+            ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
+        }
+        for index in 0..self.links.len() {
+            let peer = NodeId::from_raw(index as u32);
+            let link = &mut self.links[index];
+            if !link.expired(now) {
                 continue;
             }
-            all_resends.extend(resends.into_iter().map(|f| (peer, f)));
-        }
-        if !all_resends.is_empty() {
+            // Give-up measures from the *first* send: a peer that has
+            // acked nothing for this long is crashed or partitioned away,
+            // and resending cannot keep the frame alive.
+            if trace_arq() {
+                eprintln!(
+                    "[arq] t={now} giving up on peer {peer}: dropping {} unacked frames",
+                    link.unacked.len()
+                );
+            }
             ctx.metrics_mut()
-                .incr_counter(metric_names::NET_RETRANSMISSIONS, all_resends.len() as u64);
-        }
-        for (peer, frame) in all_resends {
-            let dst_epoch = self.peer_epoch(peer);
-            ctx.send(peer, Msg::Frame { src_epoch: self.my_epoch, dst_epoch, frame });
-        }
-        for peer in dead_peers {
-            self.unacked.remove(&peer);
+                .incr_counter(metric_names::NET_FRAMES_ABANDONED, link.unacked.len() as u64);
+            link.unacked.clear();
             // Announce the gap so the stream resumes when the peer returns.
             self.send_jump(ctx, peer);
         }
@@ -709,11 +901,13 @@ mod tests {
         // `B` asks for 0..3, `A` answers with the jump, `B` moves on.
         sim.run_until(SimTime::from_millis(31_010));
         assert_eq!(*got.borrow(), numbers(3..5));
+        // The lost give-up announcement and the answer to the NACK.
+        assert_eq!(sim.metrics().counter(metric_names::NET_JUMPS), 2);
     }
 
     #[test]
     fn frames_past_the_reorder_cap_are_dropped_counted_and_recovered() {
-        let small = Wiring { fifo: FifoLinks::with_buffer_cap(4), ..Wiring::new(0) };
+        let small = Wiring { reorder_cap: 4, ..Wiring::new(0) };
         let (mut sim, got) = link(&[(10, 1), (50, 8)], small);
         lose(&mut sim, 5, 15);
         // Eight frames behind the hole, room for four. The NACK heals the
@@ -725,5 +919,308 @@ mod tests {
         sim.run_until(SimTime::from_millis(450));
         assert_eq!(*got.borrow(), numbers(0..9));
         assert_eq!(sim.metrics().counter(metric_names::NET_RETRANSMISSIONS), 5);
+    }
+
+    #[test]
+    fn a_message_stays_six_words() {
+        assert_eq!(std::mem::size_of::<Holes>(), 24);
+        assert_eq!(std::mem::size_of::<Msg<App>>(), 48);
+    }
+
+    /// `holes` encoded at `up_to` and read back.
+    fn round_trip(up_to: u64, holes: &[u64]) -> Holes {
+        let encoded = Holes::new(up_to, holes);
+        assert_eq!(encoded.iter(up_to).collect::<Vec<_>>(), holes);
+        assert_eq!(encoded.is_empty(), holes.is_empty());
+        encoded
+    }
+
+    fn spilled(holes: &Holes) -> bool {
+        matches!(holes.0, HoleList::Spilled(_))
+    }
+
+    #[test]
+    fn short_hole_lists_round_trip_inline() {
+        let up_to = 1 << 40;
+        for n in [0, 1, 4, 5, 8] {
+            let holes: Vec<u64> = (0..n).map(|i| up_to + 3 * i).collect();
+            assert!(!spilled(&round_trip(up_to, &holes)), "{n} holes");
+        }
+        assert!(Holes::default().is_empty());
+    }
+
+    #[test]
+    fn long_hole_lists_spill_and_round_trip() {
+        for n in [9, 64] {
+            let holes: Vec<u64> = (0..n).map(|i| 100 + 2 * i).collect();
+            assert!(spilled(&round_trip(100, &holes)), "{n} holes");
+        }
+    }
+
+    #[test]
+    fn far_holes_widen_then_spill() {
+        let up_to = 5;
+        let past_u16 = up_to + u64::from(u16::MAX) + 1;
+        let wide = round_trip(up_to, &[up_to, past_u16]);
+        assert!(matches!(wide.0, HoleList::Wide(2, _)));
+        // Five holes do not fit the wide form.
+        let five: Vec<u64> = (0..5).map(|i| past_u16 + i).collect();
+        assert!(spilled(&round_trip(up_to, &five)));
+        // Nor does an offset past 32 bits.
+        let past_u32 = up_to + u64::from(u32::MAX) + 1;
+        assert!(spilled(&round_trip(up_to, &[up_to + 1, past_u32])));
+        // Offsets are relative, so the top of the sequence space is fine.
+        round_trip(u64::MAX - 3, &[u64::MAX - 2, u64::MAX]);
+    }
+
+    /// A link record that only receives, with room for 8 early frames.
+    #[derive(Default)]
+    struct Rx {
+        link: Link<u64>,
+    }
+
+    impl Rx {
+        /// Frame `seq` (its body is its number) arrives; the released bodies.
+        fn arrive(&mut self, seq: u64) -> Vec<u64> {
+            let mut ready = Vec::new();
+            self.link.accept(Frame { seq, inner: seq }, 8, &mut ready);
+            ready
+        }
+
+        fn jump(&mut self, from_seq: u64) -> Vec<u64> {
+            let mut ready = Vec::new();
+            self.link.force_advance(from_seq, &mut ready);
+            ready
+        }
+
+        fn holes(&mut self, limit: usize) -> Vec<u64> {
+            let up_to = self.link.next_recv;
+            self.link.holes(limit).iter(up_to).collect()
+        }
+    }
+
+    #[test]
+    fn a_link_releases_in_order_frames_at_once() {
+        let mut rx = Rx::default();
+        for seq in 0..5 {
+            assert_eq!(rx.arrive(seq), [seq]);
+        }
+        assert!(rx.link.reorder.is_empty());
+    }
+
+    #[test]
+    fn a_link_buffers_early_frames_until_the_gap_closes() {
+        let mut rx = Rx::default();
+        assert!(rx.arrive(2).is_empty());
+        assert!(rx.arrive(1).is_empty());
+        assert_eq!(rx.link.reorder.len(), 2);
+        assert_eq!(rx.holes(8), [0]);
+        assert_eq!(rx.arrive(0), [0, 1, 2]);
+        assert!(rx.link.reorder.is_empty());
+        assert!(rx.link.holes(8).is_empty());
+    }
+
+    #[test]
+    fn a_link_drops_duplicates() {
+        let mut rx = Rx::default();
+        assert_eq!(rx.arrive(0), [0]);
+        assert!(rx.arrive(0).is_empty());
+        assert!(rx.arrive(3).is_empty());
+        assert!(rx.arrive(3).is_empty(), "a buffered duplicate");
+        assert_eq!(rx.link.reorder.len(), 1);
+    }
+
+    #[test]
+    fn a_link_reports_every_hole_below_its_highest_frame_up_to_the_limit() {
+        let mut rx = Rx::default();
+        for seq in [3, 4, 7, 9] {
+            rx.arrive(seq);
+        }
+        assert_eq!(rx.holes(64), [0, 1, 2, 5, 6, 8]);
+        assert_eq!(rx.holes(4), [0, 1, 2, 5]);
+        assert_eq!(rx.holes(3), [0, 1, 2]);
+        assert_eq!(rx.arrive(0), [0]);
+        assert_eq!(rx.holes(64), [1, 2, 5, 6, 8]);
+    }
+
+    #[test]
+    fn a_full_reorder_buffer_drops_early_frames_but_never_the_expected_one() {
+        let mut link = Link::default();
+        let mut ready = Vec::new();
+        let mut accept = |seq| link.accept(Frame { seq, inner: seq }, 2, &mut ready);
+        assert!(!accept(1));
+        assert!(!accept(2));
+        assert!(accept(3), "past the cap");
+        assert!(!accept(1), "a buffered duplicate is no new drop");
+        assert!(!accept(0), "the expected frame always passes");
+        assert!(!accept(3), "retransmitted");
+        assert_eq!(ready, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn force_advance_drops_what_it_skips_and_releases_the_rest() {
+        let mut rx = Rx::default();
+        rx.arrive(1); // below the jump: never delivered
+        rx.arrive(3);
+        rx.arrive(4);
+        assert_eq!(rx.jump(3), [3, 4]);
+        assert_eq!(rx.link.next_recv, 5);
+        assert!(rx.link.reorder.is_empty());
+        // A stale announcement changes nothing.
+        assert!(rx.jump(2).is_empty());
+        assert_eq!(rx.link.next_recv, 5);
+    }
+
+    #[test]
+    fn a_reset_restarts_both_directions_and_renumbers_the_unacked_frames() {
+        let mut link = Link::default();
+        let sent = |link: &mut Link<u64>, body| link.send(body, SimTime::ZERO).seq;
+        assert_eq!([sent(&mut link, 10), sent(&mut link, 11), sent(&mut link, 12)], [0, 1, 2]);
+        link.unacked.pop_front(); // frame 0 acked
+        let mut ready = Vec::new();
+        link.accept(Frame { seq: 0, inner: 50 }, 8, &mut ready);
+        link.accept(Frame { seq: 2, inner: 52 }, 8, &mut ready);
+        link.acked = 1;
+        let now = SimTime::from_millis(7);
+        link.reset(3, now);
+        assert_eq!(link.epoch, 3);
+        assert_eq!((link.next_recv, link.acked), (0, 0));
+        assert!(link.reorder.is_empty());
+        let unacked: Vec<_> =
+            link.unacked.iter().map(|(f, _, last)| (f.seq, f.inner, *last)).collect();
+        assert_eq!(unacked, [(0, 11, now), (1, 12, now)]);
+        assert_eq!(sent(&mut link, 13), 2);
+        // The fresh incoming stream starts at 0 again.
+        ready.clear();
+        link.accept(Frame { seq: 0, inner: 60 }, 8, &mut ready);
+        assert_eq!(ready, [60]);
+    }
+
+    /// The receive half of the per-peer FIFO layer the link record
+    /// replaced — three maps keyed by peer — kept as the oracle for the
+    /// differential property below.
+    #[derive(Default)]
+    struct Reference {
+        next_recv: BTreeMap<u32, u64>,
+        buffered: BTreeMap<u32, BTreeMap<u64, u64>>,
+        dropped: u64,
+    }
+
+    impl Reference {
+        fn accept(&mut self, peer: u32, seq: u64, cap: usize, ready: &mut Vec<u64>) {
+            let next = self.next_recv.entry(peer).or_insert(0);
+            if seq < *next {
+                return;
+            }
+            if seq == *next {
+                *next += 1;
+                ready.push(seq);
+                let Some(buf) = self.buffered.get_mut(&peer) else { return };
+                while let Some(msg) = buf.remove(next) {
+                    ready.push(msg);
+                    *next += 1;
+                }
+                return;
+            }
+            let buf = self.buffered.entry(peer).or_default();
+            if buf.len() >= cap && !buf.contains_key(&seq) {
+                self.dropped += 1;
+            } else {
+                buf.insert(seq, seq);
+            }
+        }
+
+        fn force_advance(&mut self, peer: u32, from_seq: u64, ready: &mut Vec<u64>) {
+            let next = self.next_recv.entry(peer).or_insert(0);
+            if from_seq <= *next {
+                return;
+            }
+            *next = from_seq;
+            let Some(buf) = self.buffered.get_mut(&peer) else { return };
+            while buf.first_key_value().is_some_and(|(&s, _)| s < from_seq) {
+                buf.pop_first();
+            }
+            while let Some(msg) = buf.remove(next) {
+                ready.push(msg);
+                *next += 1;
+            }
+        }
+
+        fn reset(&mut self, peer: u32) {
+            self.next_recv.remove(&peer);
+            self.buffered.remove(&peer);
+        }
+
+        fn expected_from(&self, peer: u32) -> u64 {
+            self.next_recv.get(&peer).copied().unwrap_or(0)
+        }
+
+        fn missing_from(&self, peer: u32, limit: usize) -> Vec<u64> {
+            let Some(buf) = self.buffered.get(&peer) else { return Vec::new() };
+            let mut missing = Vec::new();
+            let mut cursor = self.expected_from(peer);
+            for &present in buf.keys() {
+                while cursor < present && missing.len() < limit {
+                    missing.push(cursor);
+                    cursor += 1;
+                }
+                cursor = present + 1;
+                if missing.len() >= limit {
+                    break;
+                }
+            }
+            missing
+        }
+    }
+
+    const PEERS: u32 = 3;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random arrivals on three links — in order, early, duplicated,
+        /// past a small reorder cap — mixed with jumps and resets. After
+        /// every step the link records and the reference agree on what was
+        /// released, what was dropped, where each stream stands and every
+        /// hole list, at the transport's limit and at a small one.
+        #[test]
+        fn link_records_match_the_per_peer_maps(
+            cap in 1usize..12,
+            limit in 1usize..10,
+            steps in proptest::collection::vec((0u8..16, 0u32..PEERS, 0u64..40), 1..200),
+        ) {
+            let mut links: Vec<Link<u64>> = (0..PEERS).map(|_| Link::default()).collect();
+            let mut reference = Reference::default();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut dropped = 0;
+            for (kind, peer, delta) in steps {
+                let link = &mut links[peer as usize];
+                // Sequence numbers near the head of the stream, so frames
+                // are duplicates, in order or early about equally often.
+                let seq = (link.next_recv + delta).saturating_sub(8);
+                match kind {
+                    0 => {
+                        link.force_advance(seq, &mut got);
+                        reference.force_advance(peer, seq, &mut want);
+                    }
+                    1 => {
+                        link.reset(link.epoch + 1, SimTime::ZERO);
+                        reference.reset(peer);
+                    }
+                    _ => {
+                        dropped += u64::from(link.accept(Frame { seq, inner: seq }, cap, &mut got));
+                        reference.accept(peer, seq, cap, &mut want);
+                    }
+                }
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(dropped, reference.dropped);
+                proptest::prop_assert_eq!(link.next_recv, reference.expected_from(peer));
+                let up_to = link.next_recv;
+                for limit in [limit, NACK_LIMIT] {
+                    let holes: Vec<u64> = link.holes(limit).iter(up_to).collect();
+                    proptest::prop_assert_eq!(holes, reference.missing_from(peer, limit));
+                }
+            }
+        }
     }
 }

@@ -44,7 +44,6 @@
 pub mod actor;
 pub mod dedup;
 pub mod event;
-pub mod fifo;
 pub mod hash;
 pub mod metrics;
 pub mod nemesis;
