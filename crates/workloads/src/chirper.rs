@@ -6,7 +6,8 @@
 //! by well-followed users are multi-partition commands. Reading one's own
 //! timeline touches only one's own variable and is always single-partition.
 
-use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use dynastar_core::{AccessSets, Application, Command, CommandKind, LocKey, VarId, Workload};
@@ -40,11 +41,156 @@ pub struct Post {
 pub struct ChirperUser {
     /// Posts from people this user follows (newest last), capped at
     /// [`TIMELINE_CAP`].
-    pub timeline: VecDeque<Post>,
+    pub timeline: Timeline,
     /// Whom this user follows.
     pub follows: Vec<u64>,
     /// Who follows this user.
     pub followers: Vec<u64>,
+}
+
+/// Posts per timeline chunk.
+const CHUNK: usize = 8;
+
+/// Chunks a timeline can hold: it keeps at most `TIMELINE_CAP + CHUNK - 1`
+/// posts, because a chunk is let go once all its posts are out of view.
+const SPINE: usize = (TIMELINE_CAP + CHUNK - 1).div_ceil(CHUNK);
+
+/// One chunk of posts. Every chunk of a timeline is full except the
+/// newest, whose filled slots are a prefix.
+struct Chunk([Option<Post>; CHUNK]);
+
+#[cfg(test)]
+thread_local! {
+    /// Chunks made on this thread, new or copied: every allocation a
+    /// timeline makes.
+    static CHUNKS_MADE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl Chunk {
+    /// A new, empty chunk.
+    fn fresh() -> Arc<Chunk> {
+        #[cfg(test)]
+        CHUNKS_MADE.set(CHUNKS_MADE.get() + 1);
+        Arc::new(Chunk(Default::default()))
+    }
+}
+
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        #[cfg(test)]
+        CHUNKS_MADE.set(CHUNKS_MADE.get() + 1);
+        Chunk(self.0.clone())
+    }
+}
+
+/// The newest [`TIMELINE_CAP`] posts a user received, oldest first.
+///
+/// The posts live in shared chunks, so a clone copies no post: it bumps
+/// one refcount per chunk. A push writes into the newest chunk in place
+/// while nothing else holds it and copies only that chunk when it is
+/// shared. A chunk whose posts all fell out of view is kept as a spare
+/// for the next chunk the timeline needs, provided nothing else holds it,
+/// so an unshared timeline stops allocating once it is full.
+#[derive(Default)]
+pub struct Timeline {
+    /// `chunks[..used]` hold the posts, oldest chunk first; the rest are
+    /// `None`.
+    chunks: [Option<Arc<Chunk>>; SPINE],
+    used: usize,
+    /// Filled slots of the newest chunk: `1..=CHUNK` while `used > 0`.
+    head: usize,
+    /// An emptied chunk only this timeline holds, ready for reuse.
+    spare: Option<Arc<Chunk>>,
+}
+
+impl Timeline {
+    /// The number of visible posts (at most [`TIMELINE_CAP`]).
+    pub fn len(&self) -> usize {
+        self.stored().min(TIMELINE_CAP)
+    }
+
+    /// Whether the timeline holds no post.
+    pub fn is_empty(&self) -> bool {
+        self.used == 0
+    }
+
+    /// The visible posts, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Post> + ExactSizeIterator {
+        self.visible().map(|at| self.at(at))
+    }
+
+    /// The visible posts, oldest first, in one allocation: a mapped range
+    /// has a trusted length, so `Arc<[Post]>` is sized up front.
+    pub fn to_shared(&self) -> Arc<[Post]> {
+        self.visible().map(|at| self.at(at).clone()).collect()
+    }
+
+    /// Appends `post` as the newest; the oldest visible post drops out of
+    /// view once the timeline is full.
+    pub fn push(&mut self, post: Post) {
+        if self.used == 0 || self.head == CHUNK {
+            self.chunks[self.used] = Some(self.spare.take().unwrap_or_else(Chunk::fresh));
+            self.used += 1;
+            self.head = 0;
+        }
+        let newest = self.chunks[self.used - 1].as_mut().expect("chunks below `used` are set");
+        Arc::make_mut(newest).0[self.head] = Some(post);
+        self.head += 1;
+        // A full timeline drops its oldest chunk every `CHUNK` pushes and
+        // starts a new one in between, so the spare slot is free here.
+        if self.stored() >= TIMELINE_CAP + CHUNK {
+            let mut oldest = self.chunks[0].take();
+            self.chunks[..self.used].rotate_left(1);
+            self.used -= 1;
+            if let Some(chunk) = oldest.as_mut().and_then(Arc::get_mut) {
+                chunk.0 = Default::default();
+                self.spare = oldest;
+            }
+        }
+    }
+
+    /// Posts held, visible or not.
+    fn stored(&self) -> usize {
+        match self.used {
+            0 => 0,
+            used => (used - 1) * CHUNK + self.head,
+        }
+    }
+
+    /// The positions of the visible posts among those held.
+    fn visible(&self) -> Range<usize> {
+        self.stored() - self.len()..self.stored()
+    }
+
+    /// The post held at position `at`, counted from the oldest held.
+    fn at(&self, at: usize) -> &Post {
+        self.chunks[at / CHUNK]
+            .as_ref()
+            .and_then(|chunk| chunk.0[at % CHUNK].as_ref())
+            .expect("a visible post is stored")
+    }
+}
+
+impl Clone for Timeline {
+    /// Shares every chunk. The spare stays behind: it is reused in place,
+    /// which needs it unshared.
+    fn clone(&self) -> Self {
+        Timeline { chunks: self.chunks.clone(), used: self.used, head: self.head, spare: None }
+    }
+}
+
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Timeline {}
+
+impl fmt::Debug for Timeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Chirper operations.
@@ -151,29 +297,24 @@ impl Application for Chirper {
     ) -> ChirperReply {
         match op {
             ChirperOp::GetTimeline { user } => match vars.get(&Chirper::var(*user)) {
-                Some(Some(u)) => ChirperReply::Timeline(u.timeline.iter().cloned().collect()),
+                Some(Some(u)) => ChirperReply::Timeline(u.timeline.to_shared()),
                 _ => ChirperReply::NoSuchUser,
             },
             ChirperOp::Post { user, text } => {
                 let kept = text.char_indices().nth(POST_CAP).map_or(text.len(), |(at, _)| at);
                 let post = Post { author: *user, text: Arc::from(&text[..kept]) };
-                // Authoritative follower list lives at the author.
-                let followers: Vec<u64> = match vars.get(&Chirper::var(*user)) {
-                    Some(Some(u)) => u.followers.clone(),
+                // Authoritative follower list lives at the author; a
+                // refcounted handle reads it in place while the followers
+                // are written.
+                let author = match vars.get(&Chirper::var(*user)) {
+                    Some(Some(u)) => Arc::clone(u),
                     _ => return ChirperReply::NoSuchUser,
                 };
                 let mut reached = 0;
-                for f in followers {
+                for f in &author.followers {
                     // Only followers the client declared are writable.
-                    if let Some(Some(fu)) = vars.get_mut(&Chirper::var(f)) {
-                        let fu = make_mut_with_room(fu);
-                        // Evict before appending: a full timeline has no
-                        // room, and pushing first would reallocate it to
-                        // twice the cap.
-                        if fu.timeline.len() >= TIMELINE_CAP {
-                            fu.timeline.pop_front();
-                        }
-                        fu.timeline.push_back(post.clone());
+                    if let Some(Some(fu)) = vars.get_mut(&Chirper::var(*f)) {
+                        Arc::make_mut(fu).timeline.push(post.clone());
                         reached += 1;
                     }
                 }
@@ -211,21 +352,6 @@ impl Application for Chirper {
             }
         }
     }
-}
-
-/// [`Arc::make_mut`] for a post: a shared user is copied with room for one
-/// more post. `make_mut` would clone the timeline at its exact length, and
-/// the push that follows would reallocate it to twice that.
-fn make_mut_with_room(user: &mut Arc<ChirperUser>) -> &mut ChirperUser {
-    if Arc::get_mut(user).is_none() {
-        let ChirperUser { timeline, follows, followers } = &**user;
-        let mut copy = VecDeque::with_capacity((timeline.len() + 1).clamp(4, TIMELINE_CAP));
-        copy.extend(timeline.iter().cloned());
-        let copy =
-            ChirperUser { timeline: copy, follows: follows.clone(), followers: followers.clone() };
-        *user = Arc::new(copy);
-    }
-    Arc::make_mut(user)
 }
 
 /// Command-mix weights for [`ChirperWorkload`], in percent.
@@ -418,7 +544,7 @@ impl Workload<Chirper> for ChirperWorkload {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn state(users: &[u64]) -> BTreeMap<VarId, Option<Arc<ChirperUser>>> {
         users.iter().map(|&u| (Chirper::var(u), Some(Arc::new(ChirperUser::default())))).collect()
@@ -427,6 +553,35 @@ mod tests {
     /// Test helper: mutable access to a user in the var map.
     fn user_mut(vars: &mut BTreeMap<VarId, Option<Arc<ChirperUser>>>, u: u64) -> &mut ChirperUser {
         Arc::make_mut(vars.get_mut(&Chirper::var(u)).unwrap().as_mut().unwrap())
+    }
+
+    /// The text of every visible post, oldest first.
+    fn texts(t: &Timeline) -> Vec<&str> {
+        t.iter().map(|p| &*p.text).collect()
+    }
+
+    fn post(i: usize) -> Post {
+        Post { author: 0, text: Arc::from(i.to_string()) }
+    }
+
+    /// Posts held in `t`'s chunks and spare, visible or not.
+    fn stored_posts(t: &Timeline) -> usize {
+        t.chunks.iter().chain([&t.spare]).flatten().map(|c| c.0.iter().flatten().count()).sum()
+    }
+
+    /// The chunks `t` holds, spare included.
+    fn chunks(t: &Timeline) -> Vec<&Arc<Chunk>> {
+        t.chunks.iter().chain([&t.spare]).flatten().collect()
+    }
+
+    /// How many of `t`'s chunks `other` does not hold.
+    fn own_chunks(t: &Timeline, other: &Timeline) -> usize {
+        let theirs = chunks(other);
+        chunks(t).into_iter().filter(|c| !theirs.iter().any(|o| Arc::ptr_eq(c, o))).count()
+    }
+
+    fn chunks_made() -> u64 {
+        CHUNKS_MADE.get()
     }
 
     #[test]
@@ -438,7 +593,7 @@ mod tests {
         assert_eq!(reply, ChirperReply::Posted(2));
         let t1 = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
         assert_eq!(t1.len(), 1);
-        assert_eq!(t1[0].author, 0);
+        assert_eq!(t1.iter().next().unwrap().author, 0);
     }
 
     #[test]
@@ -448,12 +603,12 @@ mod tests {
         let long = "x".repeat(500);
         Chirper::execute(&ChirperOp::Post { user: 0, text: long }, &mut vars);
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
-        assert_eq!(t[0].text.len(), POST_CAP);
+        assert_eq!(texts(t)[0].len(), POST_CAP);
         // The cap counts characters of the op's text, not bytes.
         let wide = "é".repeat(POST_CAP + 1);
         Chirper::execute(&ChirperOp::Post { user: 0, text: wide }, &mut vars);
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
-        assert_eq!(t[1].text.chars().count(), POST_CAP);
+        assert_eq!(texts(t)[1].chars().count(), POST_CAP);
     }
 
     #[test]
@@ -465,56 +620,141 @@ mod tests {
         }
         let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
         assert_eq!(t.len(), TIMELINE_CAP);
-        assert_eq!(&*t.back().unwrap().text, format!("{}", TIMELINE_CAP + 9));
+        assert_eq!(texts(t).first(), Some(&"10"));
+        assert_eq!(texts(t).last(), Some(&format!("{}", TIMELINE_CAP + 9).as_str()));
     }
 
     #[test]
-    fn post_to_a_full_copied_timeline_does_not_reallocate() {
-        let mut vars = state(&[0, 1]);
-        user_mut(&mut vars, 0).followers = vec![1];
-        user_mut(&mut vars, 1).timeline = (0..TIMELINE_CAP as u64)
-            .map(|i| Post { author: 0, text: Arc::from(format!("{i}")) })
-            .collect();
-        // A second owner makes the post's write copy the follower.
-        let shared = vars[&Chirper::var(1)].clone();
-        Chirper::execute(&ChirperOp::Post { user: 0, text: "new".into() }, &mut vars);
-        let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
-        assert_eq!(t.len(), TIMELINE_CAP);
-        assert_eq!(&*t.front().unwrap().text, "1", "the oldest post is dropped");
-        assert_eq!(&*t.back().unwrap().text, "new", "the newest post is last");
-        assert!(t.capacity() < 2 * TIMELINE_CAP, "capacity {}", t.capacity());
-        assert_eq!(shared.unwrap().timeline.len(), TIMELINE_CAP, "the other owner is untouched");
-    }
-
-    #[test]
-    fn copied_timelines_keep_the_same_posts_and_room_for_one_more() {
+    fn copied_timelines_keep_the_same_posts() {
         let mut vars = state(&[0, 1]);
         user_mut(&mut vars, 0).followers = vec![1];
         user_mut(&mut vars, 1).follows = vec![0];
-        // The user a post always produced: evict at the cap, append.
-        let mut reference = ChirperUser { follows: vec![0], ..ChirperUser::default() };
-        for i in 0..(TIMELINE_CAP + 5) {
+        // The posts a timeline always held: evict at the cap, append.
+        let mut reference = VecDeque::new();
+        for i in 0..(3 * TIMELINE_CAP) {
             let text = format!("{i}");
             // Every other post finds the follower shared and copies it.
-            let shared = (i % 2 == 0).then(|| vars[&Chirper::var(1)].clone());
-            let before = vars[&Chirper::var(1)].as_ref().unwrap().timeline.len();
+            let shared = (i % 2 == 0).then(|| vars[&Chirper::var(1)].clone().unwrap());
+            let before: Vec<Post> = reference.iter().cloned().collect();
+            let made = chunks_made();
             Chirper::execute(&ChirperOp::Post { user: 0, text: text.clone() }, &mut vars);
-            if reference.timeline.len() >= TIMELINE_CAP {
-                reference.timeline.pop_front();
+            assert!(chunks_made() - made <= 1, "post {i} made {} chunks", chunks_made() - made);
+            if reference.len() >= TIMELINE_CAP {
+                reference.pop_front();
             }
-            reference.timeline.push_back(Post { author: 0, text: Arc::from(text) });
+            reference.push_back(Post { author: 0, text: Arc::from(text) });
 
             let user = vars[&Chirper::var(1)].as_ref().unwrap();
-            assert_eq!(**user, reference, "post {i}");
+            assert!(user.timeline.iter().eq(reference.iter()), "post {i}");
+            assert_eq!(user.follows, vec![0]);
             if let Some(shared) = shared {
-                assert_eq!(shared.unwrap().timeline.len(), before, "the other owner is untouched");
-                let room = (before + 1).clamp(4, TIMELINE_CAP);
-                assert_eq!(user.timeline.capacity(), room, "post {i} copied with room");
+                assert!(shared.timeline.iter().eq(&before), "the other owner is untouched");
+                assert!(own_chunks(&user.timeline, &shared.timeline) <= 1, "post {i}");
             }
         }
-        let t = &vars[&Chirper::var(1)].as_ref().unwrap().timeline;
-        assert_eq!(t.len(), TIMELINE_CAP);
-        assert_eq!(&*t.front().unwrap().text, "5", "the five oldest posts were evicted");
+    }
+
+    /// A step of the timeline proptest: which handle it acts on, and what
+    /// it does to it.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Push(usize),
+        Clone(usize),
+        Drop(usize),
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Up to four handles, pushed, cloned and dropped at random, each
+        /// checked against a `VecDeque` reference after every step: the
+        /// content oldest first, the visible and stored bounds, a clone's
+        /// shared chunks and that a push shows through no other handle.
+        #[test]
+        fn timelines_match_a_deque_reference(
+            steps in proptest::collection::vec((0u8..10, 0usize..4), 1..400),
+        ) {
+            let mut handles: Vec<(Timeline, VecDeque<Post>)> =
+                vec![(Timeline::default(), VecDeque::new())];
+            for (n, (kind, at)) in steps.into_iter().enumerate() {
+                let at = at % handles.len();
+                let step = match kind {
+                    0 if handles.len() < 4 => Step::Clone(at),
+                    1 if handles.len() > 1 => Step::Drop(at),
+                    _ => Step::Push(at),
+                };
+                match step {
+                    Step::Push(at) => {
+                        let made = chunks_made();
+                        let (t, reference) = &mut handles[at];
+                        t.push(post(n));
+                        if reference.len() >= TIMELINE_CAP {
+                            reference.pop_front();
+                        }
+                        reference.push_back(post(n));
+                        proptest::prop_assert!(chunks_made() - made <= 1, "{step:?}");
+                    }
+                    Step::Clone(at) => {
+                        let copy = handles[at].clone();
+                        for (mine, theirs) in copy.0.chunks.iter().zip(&handles[at].0.chunks) {
+                            let shared = match (mine, theirs) {
+                                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                                (a, b) => a.is_none() && b.is_none(),
+                            };
+                            proptest::prop_assert!(shared, "a clone shares every chunk");
+                        }
+                        proptest::prop_assert!(copy.0.spare.is_none());
+                        handles.push(copy);
+                    }
+                    Step::Drop(at) => {
+                        handles.swap_remove(at);
+                    }
+                }
+                for (i, (t, reference)) in handles.iter().enumerate() {
+                    let same = t.iter().eq(reference.iter());
+                    proptest::prop_assert!(same, "handle {i} after {step:?}");
+                    proptest::prop_assert!(t.iter().rev().eq(reference.iter().rev()));
+                    proptest::prop_assert!(t.to_shared().iter().eq(reference.iter()));
+                    proptest::prop_assert_eq!(t.len(), reference.len());
+                    proptest::prop_assert!(t.len() <= TIMELINE_CAP);
+                    proptest::prop_assert!(stored_posts(t) < TIMELINE_CAP + CHUNK);
+                }
+            }
+        }
+
+        /// An unshared timeline allocates no chunk once it has filled its
+        /// spine and freed its first chunk, however far it is pushed.
+        #[test]
+        fn an_unshared_timeline_recycles_after_warm_up(
+            clones in proptest::collection::vec(0usize..(3 * TIMELINE_CAP), 0..3),
+            extra in 0usize..(4 * TIMELINE_CAP),
+        ) {
+            let mut t = Timeline::default();
+            // Clones taken and dropped during warm-up may keep chunks
+            // shared for a while; once they are gone, the timeline is
+            // unshared again.
+            let mut n = 0;
+            for at in clones {
+                while n < at {
+                    t.push(post(n));
+                    n += 1;
+                }
+                let copy = t.clone();
+                t.push(post(n));
+                n += 1;
+                drop(copy);
+            }
+            for _ in 0..(TIMELINE_CAP + 2 * CHUNK) {
+                t.push(post(n));
+                n += 1;
+            }
+            let made = chunks_made();
+            for _ in 0..extra {
+                t.push(post(n));
+                n += 1;
+            }
+            proptest::prop_assert_eq!(chunks_made(), made);
+        }
     }
 
     #[test]

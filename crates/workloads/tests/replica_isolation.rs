@@ -78,6 +78,11 @@ fn run(core: &mut ServerCore<Chirper>) {
     }
 }
 
+/// The users the script writes: the hub's followers and user 35.
+fn written() -> impl Iterator<Item = u64> {
+    (1..=HUB_FOLLOWERS).chain([35])
+}
+
 fn state(core: &ServerCore<Chirper>) -> Vec<ChirperUser> {
     (0..USERS).map(|u| (**core.value_of(Chirper::var(u)).expect("user exists")).clone()).collect()
 }
@@ -114,12 +119,71 @@ fn replicas_sharing_initial_values_stay_identical_and_independent() {
     // Written users ended up with one allocation per replica; users no
     // command wrote to (the authors, the bystanders) are still shared.
     let handle = |r: usize, u: u64| replicas[r].value_of(Chirper::var(u)).expect("user exists");
-    for u in (1..=HUB_FOLLOWERS).chain([35]) {
+    for u in written() {
         assert!(
             !Arc::ptr_eq(handle(0, u), handle(1, u)) && !Arc::ptr_eq(handle(1, u), handle(2, u))
         );
     }
     for u in [0, 31, 36] {
         assert!(Arc::ptr_eq(handle(0, u), handle(1, u)) && Arc::ptr_eq(handle(1, u), handle(2, u)));
+    }
+}
+
+#[test]
+fn replicas_taking_turns_stay_independent_across_a_shared_hand_over() {
+    let mut control = replica(&users());
+    run(&mut control);
+    let expected = state(&control);
+
+    let shared = users();
+    let mut replicas = [replica(&shared), replica(&shared), replica(&shared)];
+    let mut scripts: Vec<_> = replicas.iter().map(|_| commands().into_iter()).collect();
+    let mut metrics = Metrics::new();
+    let half = commands().len() / 2;
+    let mut handed: Vec<(VarId, Arc<ChirperUser>)> = Vec::new();
+    let mut handed_then: Vec<ChirperUser> = Vec::new();
+    for i in 0..commands().len() {
+        if i == half {
+            // Replica 0's written users reach the other two as the same
+            // `Arc`s, as one `VarsReturn` frame delivered to a whole group
+            // does. All three have run the same prefix, so the values
+            // match.
+            handed = written()
+                .map(|u| {
+                    (Chirper::var(u), Arc::clone(replicas[0].value_of(Chirper::var(u)).unwrap()))
+                })
+                .collect();
+            handed_then = handed.iter().map(|(_, user)| (**user).clone()).collect();
+            for core in &mut replicas[1..] {
+                core.preload(std::iter::empty(), handed.iter().cloned());
+            }
+        }
+        // One command at a time, each replica in turn: a replica's append
+        // must not show in the replicas that have not run it yet.
+        for r in 0..replicas.len() {
+            let others: Vec<_> = (0..replicas.len()).filter(|&o| o != r).collect();
+            let before: Vec<_> = others.iter().map(|&o| state(&replicas[o])).collect();
+            let payload = scripts[r].next().unwrap();
+            let _ = replicas[r].on_deliver(payload, SimTime::from_micros(i as u64), &mut metrics);
+            for (o, before) in others.iter().zip(before) {
+                assert_eq!(
+                    state(&replicas[*o]),
+                    before,
+                    "command {i} on replica {r} shows through replica {o}'s values"
+                );
+            }
+        }
+    }
+    for (r, core) in replicas.iter().enumerate() {
+        assert_eq!(state(core), expected, "replica {r} diverged from the control");
+    }
+    for ((_, user), then) in handed.iter().zip(&handed_then) {
+        assert_eq!(**user, *then, "an append showed through the handed-over value");
+    }
+    // The hand-over was shared, and each replica's next write copied it.
+    assert!(!handed.is_empty());
+    for u in written() {
+        let handle = |r: usize| replicas[r].value_of(Chirper::var(u)).unwrap();
+        assert!(!Arc::ptr_eq(handle(0), handle(1)) && !Arc::ptr_eq(handle(1), handle(2)));
     }
 }
