@@ -132,6 +132,7 @@ fn main() {
         m.counter(mn::RECOVERY_SNAPSHOT_ELEMENTS)
     );
     println!("  leader elections:   {}", m.counter(mn::LEADER_ELECTIONS));
+    println!("  obsolete commands:  {}", m.counter(mn::SERVER_OBSOLETE_CMDS));
     println!(
         "  transport:          {} retransmissions, {} stream resets, {} frames abandoned, {} jumps",
         m.counter(mn::NET_RETRANSMISSIONS),

@@ -20,6 +20,10 @@ pub const CMD_TIMEOUT: &str = "cmd.timeout";
 /// NOK: unknown variable or duplicate create). Stale routing never lands
 /// here — it is retried — so under migration churn this must stay zero.
 pub const CMD_FAILED: &str = "cmd.failed";
+/// Counter: commands a partition replica skipped as obsolete — delivered
+/// after a newer command of the same client, so the client has moved on
+/// (`server::session`). Recorded only on the path that skips one.
+pub const SERVER_OBSOLETE_CMDS: &str = "server.obsolete_cmds";
 /// Counter: retries the client deliberately delayed because the cluster
 /// signalled stale routing while a migration was in flight (backpressure;
 /// see `ClusterConfig::client_retry_backoff`).

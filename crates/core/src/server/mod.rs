@@ -18,10 +18,11 @@
 //! the destination side of migration — because all of that reads and
 //! writes `owned`, `store` and `outmigrated`. `exec` decides *when* the
 //! queue head may run and owns every modelled clock; `sender` owns the
-//! staged transfers this replica is the source of and their send order.
-//! Both keep their state private and hand back small outcome values that
-//! the core records. `queue`, `store`, `meter` and `config` declare
-//! what the core is built from.
+//! staged transfers this replica is the source of and their send order;
+//! `session` keeps, per client, what exactly-once execution needs. They
+//! keep their state private and hand back small outcome values that the
+//! core records. `queue`, `store`, `meter` and `config` declare what the
+//! core is built from.
 
 #![cfg_attr(
     not(test),
@@ -33,6 +34,7 @@ mod exec;
 mod meter;
 mod queue;
 mod sender;
+mod session;
 mod store;
 
 use std::borrow::Cow;
@@ -41,7 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dynastar_amcast::MsgId;
-use dynastar_runtime::dedup::{RotatingMap, RotatingSet};
+use dynastar_runtime::dedup::RotatingSet;
 use dynastar_runtime::{CounterId, Metrics, SimTime};
 
 use crate::command::{
@@ -62,6 +64,7 @@ use queue::{delivered_access, trace_blocked, AccessRef, GateReason, Queued, Step
 #[cfg(test)]
 pub(crate) use sender::CHUNK_SENDS;
 use sender::{transfer_time, Sender, Shipment};
+use session::Sessions;
 use store::{take_value, Awaited, StagedKey, Store};
 
 /// Message-id origin space for partition-originated multicasts (hints);
@@ -97,8 +100,6 @@ pub struct ServerCore<A: Application> {
     vars_in: BTreeMap<(MsgId, u32), ShipmentsBySource<A>>,
     /// Returns received for (cmd, attempt).
     returns_in: BTreeMap<(MsgId, u32), VarShipment<A>>,
-    /// Commands known aborted (stale routing at some partition).
-    aborted: RotatingSet<(MsgId, u32)>,
     /// S-SMR exchange shares received.
     ssmr_in: BTreeMap<(MsgId, u32), ShipmentsBySource<A>>,
     /// Create/delete rendezvous signals received from the oracle.
@@ -113,9 +114,9 @@ pub struct ServerCore<A: Application> {
     outmigrated: BTreeMap<LocKey, PartitionId>,
     /// Variables currently lent to a target: var → (cmd, attempt).
     lent: BTreeMap<VarId, (MsgId, u32)>,
-    /// Reply cache: executed commands and their replies (exactly-once
-    /// within the rotation window).
-    executed: RotatingMap<MsgId, A::Reply>,
+    /// Exactly-once state, one session per client: its newest delivered
+    /// command, its newest reply, the attempts known aborted.
+    sessions: Sessions<A::Reply>,
     /// Key sets of the commands executed since the last hint batch.
     hints: HintArena,
     hint_seq: u32,
@@ -163,7 +164,6 @@ impl<A: Application> Clone for ServerCore<A> {
             seen: self.seen.clone(),
             vars_in: self.vars_in.clone(),
             returns_in: self.returns_in.clone(),
-            aborted: self.aborted.clone(),
             ssmr_in: self.ssmr_in.clone(),
             oracle_signals: self.oracle_signals.clone(),
             plan_version: self.plan_version,
@@ -171,7 +171,7 @@ impl<A: Application> Clone for ServerCore<A> {
             awaiting_vars: self.awaiting_vars.clone(),
             outmigrated: self.outmigrated.clone(),
             lent: self.lent.clone(),
-            executed: self.executed.clone(),
+            sessions: self.sessions.clone(),
             hints: self.hints.clone(),
             hint_seq: self.hint_seq,
             planvars_buffer: self.planvars_buffer.clone(),
@@ -198,7 +198,6 @@ impl<A: Application> ServerCore<A> {
             seen: RotatingSet::new(1 << 16),
             vars_in: BTreeMap::new(),
             returns_in: BTreeMap::new(),
-            aborted: RotatingSet::new(1 << 14),
             ssmr_in: BTreeMap::new(),
             oracle_signals: Default::default(),
             plan_version: 0,
@@ -206,7 +205,7 @@ impl<A: Application> ServerCore<A> {
             awaiting_vars: BTreeSet::new(),
             outmigrated: BTreeMap::new(),
             lent: BTreeMap::new(),
-            executed: RotatingMap::new(1 << 15),
+            sessions: Sessions::default(),
             hints: HintArena::default(),
             hint_seq: 0,
             planvars_buffer: Vec::new(),
@@ -324,15 +323,20 @@ impl<A: Application> ServerCore<A> {
         let payload = payload.into();
         let first = eff.len();
         match &*payload {
-            Payload::Access { cmd, expected, .. } => {
-                self.pull_awaited(expected, metrics, eff);
-                let sets = self.exec.classify(cmd);
-                self.queue.push_back(Queued::Access {
-                    payload: Arc::clone(&payload),
-                    sent_vars: false,
-                    sent_exchange: false,
-                    sets,
-                });
+            &Payload::Access { ref cmd, attempt, ref expected, target, .. } => {
+                if self.sessions.deliver(cmd.id) {
+                    self.skip_obsolete(cmd.id, attempt, target, metrics, eff);
+                } else {
+                    self.pull_awaited(expected, metrics, eff);
+                    let sets = self.exec.classify(cmd);
+                    self.queue.push_back(Queued::Access {
+                        payload: Arc::clone(&payload),
+                        sent_vars: false,
+                        sent_exchange: false,
+                        aborted: self.sessions.aborted(cmd.id, attempt),
+                        sets,
+                    });
+                }
             }
             // A create or delete payload always carries a command of its
             // own kind; on the delivery path a violated invariant must not
@@ -461,6 +465,42 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
+    /// A command delivered after a newer one of its client never runs (see
+    /// [`session`]): the target sends back what was lent for it, and a
+    /// lender tells the target to abandon it instead of shipping. The
+    /// client has moved on, so it hears nothing.
+    fn skip_obsolete(
+        &mut self,
+        cmd: MsgId,
+        attempt: u32,
+        target: PartitionId,
+        metrics: &mut Metrics,
+        eff: &mut Vec<Effect<A>>,
+    ) {
+        if target == self.partition {
+            self.bounce_vars_in(cmd, attempt, eff);
+        } else if self.mode != Mode::SSmr {
+            eff.push(Effect::Send {
+                to: Destination::Partition(target),
+                msg: Direct::Abort { cmd, attempt, missing_at: self.partition },
+            });
+        }
+        // Rare by construction: not worth an interned id.
+        if self.config.record_metrics {
+            metrics.incr_counter(mn::SERVER_OBSOLETE_CMDS, 1);
+        }
+    }
+
+    /// Whether attempt `attempt` of `cmd` will never execute here: an
+    /// attempt of it already did, it is known aborted, or it is obsolete
+    /// and not one still waiting in the queue (delivered before its client
+    /// moved on).
+    fn never_runs(&self, cmd: MsgId, attempt: u32) -> bool {
+        self.sessions.reply(cmd).is_some()
+            || self.sessions.aborted(cmd, attempt)
+            || (self.sessions.obsolete(cmd) && !self.queue.iter().any(|q| q.awaits(cmd, attempt)))
+    }
+
     /// Handles a direct message, owned or shared (`&Direct`). Every
     /// replica of the sending group sends a copy, so most arrivals are
     /// repeats: a shared message is copied only once it has passed the
@@ -494,9 +534,8 @@ impl<A: Application> ServerCore<A> {
         let first = eff.len();
         match msg.into_owned() {
             Direct::VarsForCmd { cmd, attempt, from, vars } => {
-                if self.aborted.contains(&(cmd, attempt)) || self.executed.contains_key(&cmd) {
-                    // Command will not execute here (aborted or duplicate):
-                    // bounce the variables straight back unchanged.
+                if self.never_runs(cmd, attempt) {
+                    // Bounce the variables straight back unchanged.
                     eff.push(Effect::Send {
                         to: Destination::Partition(from),
                         msg: Direct::VarsReturn { cmd, attempt, vars },
@@ -509,7 +548,13 @@ impl<A: Application> ServerCore<A> {
                 self.returns_in.insert((cmd, attempt), vars);
             }
             Direct::Abort { cmd, attempt, .. } => {
-                self.aborted.insert((cmd, attempt));
+                // The session remembers it for a delivery still to come;
+                // an entry already queued is marked, as the session drops
+                // it once its client's next command is delivered.
+                self.sessions.abort(cmd, attempt);
+                for q in &mut self.queue {
+                    q.abort(cmd, attempt);
+                }
                 self.bounce_vars_in(cmd, attempt, eff);
             }
             Direct::Signal { cmd } => {
@@ -715,10 +760,11 @@ impl<A: Application> ServerCore<A> {
             } else {
                 let Some(mut entry) = self.queue.pop_front() else { return };
                 let step = match &mut entry {
-                    Queued::Access { payload, sent_vars, sent_exchange, sets } => {
+                    Queued::Access { payload, sent_vars, sent_exchange, aborted, sets } => {
                         match delivered_access(payload) {
                             Some(access) => self.pump_access(
                                 access,
+                                *aborted,
                                 sent_vars,
                                 sent_exchange,
                                 sets,
@@ -792,6 +838,7 @@ impl<A: Application> ServerCore<A> {
     fn pump_access(
         &mut self,
         access: AccessRef<'_, A>,
+        aborted: bool,
         sent_vars: &mut bool,
         sent_exchange: &mut bool,
         sets: &mut Option<AccessSets>,
@@ -811,8 +858,8 @@ impl<A: Application> ServerCore<A> {
         let multi = expected.windows(2).any(|w| w[0].1 != w[1].1);
 
         // Duplicate dispatch of an already-executed command: answer from
-        // the reply cache, bounce any borrowed vars.
-        if let Some(reply) = self.executed.get(&cmd_id) {
+        // the client's session, bounce any borrowed vars.
+        if let Some(reply) = self.sessions.reply(cmd_id) {
             if target == self.partition {
                 eff.push(Effect::Send {
                     to: Destination::Client(client),
@@ -824,7 +871,7 @@ impl<A: Application> ServerCore<A> {
         }
 
         // Known aborted: nothing to do but bounce what arrived since.
-        if self.aborted.contains(&(cmd_id, attempt)) {
+        if aborted {
             self.bounce_vars_in(cmd_id, attempt, eff);
             return Step::Done;
         }
@@ -852,7 +899,7 @@ impl<A: Application> ServerCore<A> {
                     // variables block until they come back.
                     self.bounce_vars_in(cmd_id, attempt, eff);
                 }
-                self.aborted.insert((cmd_id, attempt));
+                self.sessions.abort(cmd_id, attempt);
                 self.count(metrics, |ids| ids.cmd_retry, 1);
                 return Step::Done;
             }
@@ -913,7 +960,7 @@ impl<A: Application> ServerCore<A> {
             } else {
                 // Record execution without replying (dedup for retries).
                 self.admit_execution(cmd_id, attempt, sets.take(), now, metrics);
-                self.executed.insert(cmd_id, reply);
+                self.sessions.executed(cmd_id, reply);
                 if self.config.record_metrics {
                     let ids = self.meter.ids(metrics);
                     metrics.record_at(ids.s_executed, now, 1.0);
@@ -1130,7 +1177,7 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Reply, reply-cache, metrics and hint bookkeeping after execution.
+    /// Reply, session, metrics and hint bookkeeping after execution.
     #[expect(clippy::too_many_arguments, reason = "the tail of pump_access, given its locals")]
     fn finish_execution(
         &mut self,
@@ -1148,7 +1195,7 @@ impl<A: Application> ServerCore<A> {
             to: Destination::Client(cmd.client),
             msg: Direct::Reply { cmd: cmd.id, attempt, reply: reply.clone() },
         });
-        self.executed.insert(cmd.id, reply);
+        self.sessions.executed(cmd.id, reply);
         if self.config.record_metrics {
             let ids = self.meter.ids(metrics);
             metrics.record_at(ids.s_executed, now, 1.0);
@@ -1556,12 +1603,24 @@ mod tests {
     }
 
     fn access_payload(seq: u32, vars: &[(u64, u32)], target: u32, attempt: u32) -> Payload<App> {
+        access_from(42, seq, vars, target, attempt)
+    }
+
+    /// Attempt `attempt` of client `client`'s command `seq`, adding 1 to
+    /// each `(var, partition)` in `vars`.
+    fn access_from(
+        client: u32,
+        seq: u32,
+        vars: &[(u64, u32)],
+        target: u32,
+        attempt: u32,
+    ) -> Payload<App> {
         let expected: Vec<(VarId, PartitionId)> =
             vars.iter().map(|&(v, p)| (VarId(v), PartitionId(p))).collect();
         Payload::Access {
             cmd: Command {
-                id: MsgId::new(42, seq),
-                client: NodeId::from_raw(99),
+                id: MsgId::new(u64::from(client), seq),
+                client: NodeId::from_raw(client),
                 kind: CommandKind::Access {
                     op: 1,
                     vars: vars.iter().map(|&(v, _)| VarId(v)).collect(),
@@ -1756,6 +1815,176 @@ mod tests {
         let eff2 = s.on_deliver(access_payload(3, &[(0, 0)], 0, 1), now(), &mut m);
         assert_eq!(reply_of(&eff2), Some(vec![(VarId(0), 1)]), "cached reply");
         assert_eq!(s.value_of(VarId(0)), Some(&1), "no double execution");
+    }
+
+    // ---- client sessions --------------------------------------------------
+
+    /// The direct messages `eff` sends to partition `p`.
+    fn sent_to(eff: &[Effect<App>], p: u32) -> Vec<&Direct<App>> {
+        eff.iter()
+            .filter_map(|e| match e {
+                Effect::Send { to: Destination::Partition(q), msg } if q.0 == p => Some(msg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether `eff` sends the client anything (a reply or a retry).
+    fn tells_client(eff: &[Effect<App>]) -> bool {
+        eff.iter().any(|e| matches!(e, Effect::Send { to: Destination::Client(_), .. }))
+    }
+
+    /// Client 42's lent shipment of `var = val` from partition `from`.
+    fn loan(seq: u32, attempt: u32, from: u32, var: u64, val: i64) -> Direct<App> {
+        Direct::VarsForCmd {
+            cmd: MsgId::new(42, seq),
+            attempt,
+            from: PartitionId(from),
+            vars: vec![(VarId(var), Some(val))],
+        }
+    }
+
+    /// Whether `eff` sends `var = val` back to partition `to`, unchanged.
+    fn bounces(eff: &[Effect<App>], to: u32, var: u64, val: i64) -> bool {
+        sent_to(eff, to).iter().any(|m| {
+            matches!(m, Direct::VarsReturn { vars, .. } if vars == &vec![(VarId(var), Some(val))])
+        })
+    }
+
+    #[test]
+    fn a_retry_after_many_later_commands_is_answered_from_its_session() {
+        let mut s = server(0, &[0, 1], &[(0, 0), (10, 0)]);
+        let mut m = Metrics::new();
+        let eff = s.on_deliver(access_payload(0, &[(0, 0)], 0, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]));
+        // More later commands, from 16 other clients, than a rotating
+        // cache of two 2^15-entry generations remembers.
+        let later = (1u32 << 16) + 1;
+        for i in 0..later {
+            let payload = access_from(100 + i % 16, i / 16, &[(10, 0)], 0, 0);
+            let _ = s.on_deliver(payload, now(), &mut m);
+        }
+        assert_eq!(s.value_of(VarId(10)), Some(&i64::from(later)));
+        let eff = s.on_deliver(access_payload(0, &[(0, 0)], 0, 1), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]), "the original reply");
+        assert_eq!(s.value_of(VarId(0)), Some(&1), "not executed again");
+        assert_eq!(m.counter(mn::SERVER_OBSOLETE_CMDS), 0);
+    }
+
+    #[test]
+    fn a_late_attempt_at_the_target_does_not_run_and_bounces_the_loans() {
+        // Partition 0 targets client 42's commands; 1 and 2 lend.
+        let mut s = server(0, &[0], &[(0, 100)]);
+        let mut m = Metrics::new();
+        // Loans overtake both of client 42's commands here: lender 1's for
+        // seq 1, lender 2's for a late attempt of seq 0. Both are held; a
+        // loan says nothing about what was delivered, so seq 0 still runs.
+        assert!(s.on_direct(loan(1, 0, 1, 10, 7), now(), &mut m).is_empty());
+        assert!(s.on_direct(loan(0, 1, 2, 20, 9), now(), &mut m).is_empty());
+        let eff = s.on_deliver(access_payload(0, &[(0, 0)], 0, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 101)]));
+        let late = access_payload(0, &[(0, 0), (10, 1), (20, 2)], 0, 1);
+        let eff = s.on_deliver(access_payload(1, &[(0, 0), (10, 1)], 0, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 102), (VarId(10), 8)]));
+        // Lender 1's loan for the late attempt, after seq 1: sent back.
+        let eff = s.on_direct(loan(0, 1, 1, 10, 8), now(), &mut m);
+        assert!(bounces(&eff, 1, 10, 8), "{eff:?}");
+        // The late attempt itself: no execution, nothing to the client,
+        // and lender 2's held loan goes home.
+        let eff = s.on_deliver(late, now(), &mut m);
+        assert!(!tells_client(&eff), "{eff:?}");
+        assert!(bounces(&eff, 2, 20, 9), "{eff:?}");
+        assert_eq!((s.queue_len(), s.value_of(VarId(0))), (0, Some(&102)));
+        assert_eq!(m.counter(mn::SERVER_OBSOLETE_CMDS), 1);
+        assert_eq!(m.counter(mn::CMD_RETRY), 0);
+    }
+
+    #[test]
+    fn a_late_attempt_at_a_lender_aborts_at_the_target_instead_of_shipping() {
+        let mut target = server(0, &[0], &[(0, 100)]);
+        let mut lender = server(1, &[1], &[(10, 200)]);
+        let mut m = Metrics::new();
+        // The late attempt of seq 0 reaches the target first, which has
+        // not seen seq 1 (it went to the lender alone): it waits.
+        let late = access_payload(0, &[(0, 0), (10, 1)], 0, 1);
+        assert!(target.on_deliver(late.clone(), now(), &mut m).is_empty());
+        assert_eq!(target.queue_len(), 1);
+        let eff = lender.on_deliver(access_payload(1, &[(10, 1)], 1, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(10), 201)]));
+        // At the lender the attempt is obsolete: it ships nothing, lends
+        // nothing and tells the client nothing; it tells the target.
+        let eff = lender.on_deliver(late, now(), &mut m);
+        assert!(!tells_client(&eff), "{eff:?}");
+        let to_target = sent_to(&eff, 0);
+        assert!(matches!(to_target[..], [Direct::Abort { attempt: 1, .. }]), "{eff:?}");
+        assert_eq!((lender.queue_len(), lender.value_of(VarId(10))), (0, Some(&201)));
+        // The abort moves the target's queue head on, without a reply.
+        let abort = to_target[0].clone();
+        let eff = target.on_direct(abort, now(), &mut m);
+        assert!(!tells_client(&eff), "{eff:?}");
+        assert_eq!((target.queue_len(), target.value_of(VarId(0))), (0, Some(&100)));
+        assert_eq!(m.counter(mn::SERVER_OBSOLETE_CMDS), 1);
+    }
+
+    #[test]
+    fn an_abort_that_overtakes_its_command_still_stops_it() {
+        let mut s = server(0, &[0], &[(0, 100)]);
+        let mut m = Metrics::new();
+        let _ = s.on_deliver(access_payload(2, &[(0, 0)], 0, 0), now(), &mut m);
+        // Lender 1 found seq 3's routing stale and says so before seq 3
+        // is delivered here; lender 2's loan comes straight back.
+        let abort =
+            Direct::Abort { cmd: MsgId::new(42, 3), attempt: 0, missing_at: PartitionId(1) };
+        assert!(s.on_direct(abort, now(), &mut m).is_empty());
+        let eff = s.on_direct(loan(3, 0, 2, 20, 9), now(), &mut m);
+        assert!(bounces(&eff, 2, 20, 9), "{eff:?}");
+        let eff = s.on_deliver(access_payload(3, &[(0, 0), (10, 1), (20, 2)], 0, 0), now(), &mut m);
+        assert!(!tells_client(&eff), "{eff:?}");
+        assert_eq!((s.queue_len(), s.value_of(VarId(0))), (0, Some(&101)));
+        // The next attempt of seq 3 is not aborted.
+        let eff = s.on_deliver(access_payload(3, &[(0, 0)], 0, 1), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 102)]));
+    }
+
+    #[test]
+    fn an_abort_for_a_queued_attempt_outlasts_its_clients_next_delivery() {
+        let mut s = server(0, &[0], &[(0, 100)]);
+        let mut m = Metrics::new();
+        // Client 7's command heads the queue, waiting for lender 1; client
+        // 42's seq 0 waits behind it for lender 2.
+        let _ = s.on_deliver(access_from(7, 0, &[(0, 0), (10, 1)], 0, 0), now(), &mut m);
+        let _ = s.on_deliver(access_payload(0, &[(0, 0), (20, 2)], 0, 0), now(), &mut m);
+        // Lender 2 aborts seq 0, and then client 42's seq 1 is delivered
+        // (its retry went elsewhere and completed): the abort must still
+        // stop the queued seq 0 once it reaches the head.
+        let abort =
+            Direct::Abort { cmd: MsgId::new(42, 0), attempt: 0, missing_at: PartitionId(2) };
+        assert!(s.on_direct(abort, now(), &mut m).is_empty());
+        let _ = s.on_deliver(access_payload(1, &[(0, 0)], 0, 0), now(), &mut m);
+        assert_eq!(s.queue_len(), 3);
+        let loan = Direct::VarsForCmd {
+            cmd: MsgId::new(7, 0),
+            attempt: 0,
+            from: PartitionId(1),
+            vars: vec![(VarId(10), Some(5))],
+        };
+        let eff = s.on_direct(loan, now(), &mut m);
+        assert_eq!(s.queue_len(), 0);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 101), (VarId(10), 6)]), "client 7's reply");
+        assert_eq!(s.value_of(VarId(0)), Some(&102), "client 42's seq 1 ran, seq 0 did not");
+        assert_eq!(m.counter(mn::SERVER_OBSOLETE_CMDS), 0);
+    }
+
+    #[test]
+    fn a_replica_installed_from_a_clone_answers_a_duplicate_from_the_session() {
+        let mut donor = server(0, &[0], &[(0, 0)]);
+        let mut m = Metrics::new();
+        let eff = donor.on_deliver(access_payload(5, &[(0, 0)], 0, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]));
+        let mut installed = donor.clone();
+        let eff = installed.on_deliver(access_payload(5, &[(0, 0)], 0, 1), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]), "the donor's reply");
+        assert_eq!(installed.value_of(VarId(0)), Some(&1), "not executed again");
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub(super) enum Queued<C, P> {
         sent_vars: bool,
         /// S-SMR: we broadcast our exchange share.
         sent_exchange: bool,
+        /// Known aborted (stale routing at some partition): it will not
+        /// run, whatever arrives for it.
+        aborted: bool,
         /// The command's read/write sets, classified once at delivery
         /// (`ExecScheduler::classify`).
         sets: Option<AccessSets>,
@@ -84,6 +87,23 @@ impl<A: Application> Queued<Command<A>, Arc<Payload<A>>> {
                 None => Head::Barrier,
             },
             _ => Head::Barrier,
+        }
+    }
+
+    /// Whether this is the entry for attempt `attempt` of `cmd`, not known
+    /// aborted.
+    pub(super) fn awaits(&self, cmd: MsgId, attempt: u32) -> bool {
+        matches!(self, Queued::Access { payload, aborted: false, .. }
+            if delivered_access(payload).is_some_and(|a| a.cmd.id == cmd && a.attempt == attempt))
+    }
+
+    /// Marks this entry aborted if it is the one for attempt `attempt` of
+    /// `cmd`.
+    pub(super) fn abort(&mut self, cmd: MsgId, attempt: u32) {
+        if let Queued::Access { payload, aborted, .. } = self {
+            if delivered_access(payload).is_some_and(|a| a.cmd.id == cmd && a.attempt == attempt) {
+                *aborted = true;
+            }
         }
     }
 

@@ -1,13 +1,15 @@
-//! Bounded-memory deduplication sets and maps.
+//! A bounded-memory deduplication set.
 //!
-//! Long simulations process millions of messages; exact-forever dedup sets
-//! and reply caches would dominate memory. [`RotatingSet`] and
-//! [`RotatingMap`] keep the most recent ~`2 × capacity` entries using the
+//! [`RotatingSet`] keeps the most recent ~`2 × capacity` entries using the
 //! classic two-generation rotation: inserts go to the young generation;
 //! when it fills, the old generation is dropped and the generations swap.
 //! An entry is therefore remembered for at least `capacity` subsequent
-//! inserts — far longer than any protocol-level duplicate can lag in
-//! practice.
+//! inserts. A duplicate that lags further than that is taken for new, so
+//! its users are receiver-side filters of message ids whose copies arrive
+//! close together: a partition's direct-message filter and a multicast
+//! member's tables of ids it has ordered. Exactly-once command execution
+//! does not use it: a partition replica keeps one exact session per
+//! client instead (`dynastar_core`'s `server::session`).
 
 #![cfg_attr(
     not(test),
@@ -16,7 +18,7 @@
 
 use std::hash::Hash;
 
-use crate::hash::{FastHashMap, FastHashSet};
+use crate::hash::FastHashSet;
 
 /// A set that remembers at least the last `capacity` inserted elements.
 #[derive(Debug, Clone)]
@@ -72,54 +74,6 @@ impl<T: Eq + Hash> RotatingSet<T> {
     }
 }
 
-/// A map that remembers at least the last `capacity` inserted entries.
-#[derive(Debug, Clone)]
-pub struct RotatingMap<K, V> {
-    young: FastHashMap<K, V>,
-    old: FastHashMap<K, V>,
-    capacity: usize,
-}
-
-impl<K: Eq + Hash, V> RotatingMap<K, V> {
-    /// Creates a map that retains at least `capacity` recent entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        RotatingMap { young: FastHashMap::default(), old: FastHashMap::default(), capacity }
-    }
-
-    /// Inserts or updates an entry.
-    pub fn insert(&mut self, key: K, value: V) {
-        if self.young.len() >= self.capacity && !self.young.contains_key(&key) {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(key, value);
-    }
-
-    /// Looks up `key` in either generation.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.young.get(key).or_else(|| self.old.get(key))
-    }
-
-    /// Whether `key` is remembered.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.young.contains_key(key) || self.old.contains_key(key)
-    }
-
-    /// Number of remembered entries.
-    pub fn len(&self) -> usize {
-        self.young.len() + self.old.len()
-    }
-
-    /// Whether nothing is remembered.
-    pub fn is_empty(&self) -> bool {
-        self.young.is_empty() && self.old.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,22 +120,6 @@ mod tests {
         assert!(!s.contains(&1));
         assert!(s.remove(&3));
         assert!(!s.remove(&99));
-    }
-
-    #[test]
-    fn map_basic_and_rotation() {
-        let mut m = RotatingMap::new(2);
-        m.insert(1, "a");
-        m.insert(2, "b");
-        assert_eq!(m.get(&1), Some(&"a"));
-        m.insert(3, "c"); // rotation
-        assert_eq!(m.get(&1), Some(&"a"), "old generation still readable");
-        m.insert(4, "d");
-        m.insert(5, "e"); // drops {1,2}
-        assert_eq!(m.get(&1), None);
-        assert!(m.contains_key(&5));
-        assert!(!m.is_empty());
-        assert!(m.len() <= 4);
     }
 
     #[test]

@@ -230,8 +230,8 @@ pub enum ChirperOp {
 /// Chirper replies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChirperReply {
-    /// The requested timeline (newest last). Shared: the reply cache keeps
-    /// the same posts the client is sent.
+    /// The requested timeline (newest last). Shared: the client's session
+    /// at each replica keeps the same posts the client is sent.
     Timeline(Arc<[Post]>),
     /// Number of follower timelines the post reached.
     Posted(usize),
