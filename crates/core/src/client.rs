@@ -210,6 +210,12 @@ impl<A: Application> ClientCore<A> {
         self.outstanding.as_ref().map(|o| o.cmd.id)
     }
 
+    /// The in-flight command's attempt, if any: 0 when issued, bumped by each
+    /// `Retry` and response timeout.
+    pub(crate) fn outstanding_attempt(&self) -> Option<u32> {
+        self.outstanding.as_ref().map(|o| o.attempt)
+    }
+
     /// Issues a new command (closed loop: at most one outstanding).
     ///
     /// # Panics

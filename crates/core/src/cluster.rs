@@ -402,6 +402,7 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
         self.wiring.receive(ctx, from, msg, &mut inbox);
         for body in inbox.drain(..) {
             let Inner::Direct(d) = unwrap_released(body) else { continue };
+            let attempt = self.host.attempt();
             let event = self.drive(ctx, |host, port| host.on_direct(d, port));
             if let Some(ClientEvent::Completed { cmd, reply, ok, .. }) = event {
                 ctx.cancel_timer(timer::TIMEOUT);
@@ -413,8 +414,10 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
                 } else {
                     ctx.set_timer(think, timer::THINK);
                 }
-            } else if self.host.is_busy() {
-                // Retry dispatched: refresh the response timeout.
+            } else if self.host.attempt() != attempt {
+                // A `Retry` was dispatched or deferred: the response
+                // timeout restarts for the new attempt. A late duplicate
+                // or a prophecy leaves it running.
                 ctx.set_timer(self.timeout, timer::TIMEOUT);
             }
         }

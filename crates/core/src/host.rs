@@ -617,6 +617,11 @@ impl<A: Application> ClientHost<A> {
         self.core.is_busy()
     }
 
+    /// The in-flight command's attempt, if any.
+    pub(crate) fn attempt(&self) -> Option<u32> {
+        self.core.outstanding_attempt()
+    }
+
     /// Issues a command (closed loop: at most one outstanding).
     pub(crate) fn issue(&mut self, kind: CommandKind<A>, port: &mut impl Port<A>) {
         let effects = self.core.issue(kind, port.now());

@@ -169,7 +169,7 @@ pub trait Actor<M>: 'static {
     /// [`Ctx::persist`] before the crash (empty if never persisted).
     /// Implementations MUST treat all of their in-memory fields as lost:
     /// reset every volatile field and rebuild only from `stable`. The
-    /// runtime has already invalidated all pending timers and reseeded the
+    /// runtime has already removed all pending timers and reseeded the
     /// node's RNG for the new incarnation.
     ///
     /// The default implementation models a process with no recovery logic:

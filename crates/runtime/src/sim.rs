@@ -1,12 +1,14 @@
 //! The deterministic simulation scheduler.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::{Actor, Ctx, Effect, NodeId};
-use crate::event::{Control, EventKind, EventQueue};
+use crate::event::{Control, EventKind, EventQueue, Handle};
+use crate::hash::FastHashMap;
 use crate::metrics::Metrics;
 use crate::net::NetConfig;
 use crate::time::{SimDuration, SimTime};
@@ -72,10 +74,10 @@ struct NodeState<M> {
     incarnation: u64,
     /// Simulated stable storage: survives crash/restart, lost never.
     stable: Vec<u8>,
-    /// Sorted so any future iteration over live timers is deterministic
-    /// regardless of hasher seeding (same class of latent nondeterminism
-    /// PR 1 fixed in the cluster send paths).
-    timer_gens: BTreeMap<u64, u64>,
+    /// Queue handle of each timer tag armed since the node last lost its
+    /// timers. An entry may be stale (its timer fired);
+    /// [`EventQueue::remove_timer`] checks the handle before removing.
+    timers: FastHashMap<u64, Handle>,
 }
 
 /// An active [`Control::DegradeLink`] override on one directed link.
@@ -158,7 +160,7 @@ impl<M: 'static> Simulation<M> {
             connected: true,
             incarnation: 0,
             stable: Vec::new(),
-            timer_gens: BTreeMap::new(),
+            timers: FastHashMap::default(),
         });
         self.unstarted += 1;
         id
@@ -329,6 +331,7 @@ impl<M: 'static> Simulation<M> {
                 if !node.crashed {
                     node.crashed = true;
                     self.metrics.incr_counter("sim.crashes", 1);
+                    self.drop_timers(n);
                 }
             }
             Control::Restart(n) => self.perform_restart(n),
@@ -379,17 +382,23 @@ impl<M: 'static> Simulation<M> {
                 self.unstarted -= 1;
             }
             node.incarnation += 1;
-            // Invalidate every timer armed by the previous incarnation.
-            for gen in node.timer_gens.values_mut() {
-                *gen += 1;
-            }
             let seed =
                 node.base_seed.wrapping_add(node.incarnation.wrapping_mul(0xA076_1D64_78BD_642F));
             node.rng = StdRng::seed_from_u64(seed);
         }
+        // No timer armed by the previous incarnation may fire.
+        self.drop_timers(n);
         self.metrics.incr_counter("sim.restarts", 1);
         let blob = self.nodes[idx].stable.clone();
         self.invoke(idx, move |actor, ctx| actor.on_restart(ctx, &blob));
+    }
+
+    /// Removes every pending timer of `n` from the queue. The order of
+    /// removal is not observable: it moves no other event's `(time, seq)`.
+    fn drop_timers(&mut self, n: NodeId) {
+        for (tag, handle) in self.nodes[n.as_raw() as usize].timers.drain() {
+            self.queue.remove_timer(handle, n, tag);
+        }
     }
 
     fn start_pending_nodes(&mut self) {
@@ -444,13 +453,24 @@ impl<M: 'static> Simulation<M> {
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
-                    let node = &mut self.nodes[idx];
-                    let gen = node.timer_gens.entry(tag).and_modify(|g| *g += 1).or_insert(0);
-                    let gen = *gen;
-                    self.queue.push(self.now + delay, EventKind::Timer { node: from, tag, gen });
+                    // Remove the replaced firing, then queue the new one:
+                    // it takes the next seq like any push, so no other
+                    // event's seq moves.
+                    let timer = EventKind::Timer { node: from, tag };
+                    match self.nodes[idx].timers.entry(tag) {
+                        Entry::Occupied(mut armed) => {
+                            self.queue.remove_timer(*armed.get(), from, tag);
+                            armed.insert(self.queue.push(self.now + delay, timer));
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(self.queue.push(self.now + delay, timer));
+                        }
+                    }
                 }
                 Effect::CancelTimer { tag } => {
-                    self.nodes[idx].timer_gens.entry(tag).and_modify(|g| *g += 1).or_insert(0);
+                    if let Some(handle) = self.nodes[idx].timers.remove(&tag) {
+                        self.queue.remove_timer(handle, from, tag);
+                    }
                 }
             }
         }
@@ -477,16 +497,10 @@ impl<M: 'static> Simulation<M> {
                 }
                 self.invoke(idx, move |actor, ctx| actor.on_message(ctx, from, msg));
             }
-            EventKind::Timer { node, tag, gen } => {
+            EventKind::Timer { node, tag } => {
                 self.events_by_kind[1] += 1;
                 let idx = node.as_raw() as usize;
-                let state = &self.nodes[idx];
-                if state.crashed {
-                    return true;
-                }
-                if state.timer_gens.get(&tag).copied() != Some(gen) {
-                    return true; // superseded or cancelled
-                }
+                debug_assert!(!self.nodes[idx].crashed, "a crash removes the node's timers");
                 self.invoke(idx, move |actor, ctx| actor.on_timer(ctx, tag));
             }
             EventKind::Control(c) => {
@@ -954,5 +968,295 @@ mod tests {
         sim.send_external(sink, Msg::Ping(0));
         sim.run_until_quiescent();
         assert_eq!(sim.metrics().counter("rx"), 0);
+    }
+
+    #[test]
+    fn rearming_a_far_timer_keeps_one_entry_and_a_cancel_leaves_none() {
+        struct Rearm;
+        impl Actor<Msg> for Rearm {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                for i in 0..100_000 {
+                    ctx.set_timer(SimDuration::from_secs(10) + SimDuration::from_micros(i), 1);
+                }
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {
+                ctx.cancel_timer(1);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
+                ctx.metrics_mut().incr_counter("fired", 1);
+            }
+        }
+        let mut sim = Simulation::new(SimConfig::default());
+        let node = sim.add_node("rearm", Rearm);
+        sim.start_pending_nodes();
+        assert_eq!(sim.queue.len(), 1);
+        sim.send_external(node, Msg::Ping(0));
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(sim.queue.len(), 0);
+        sim.run_until_quiescent();
+        assert_eq!(sim.metrics().counter("fired"), 0);
+    }
+
+    /// What a scripted node asks for in one callback.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Arm { tag: u64, delay_us: u64 },
+        Cancel { tag: u64 },
+        Send { to: u32, id: u32 },
+    }
+
+    const SCRIPT_NODES: u32 = 4;
+    const SCRIPT_LATENCY_US: u64 = 100;
+
+    /// A node's script: a xorshift stream per node, so the reference below
+    /// can replay exactly what the actor asks for, in the same order.
+    #[derive(Debug, Clone)]
+    struct Script {
+        node: u32,
+        state: u64,
+        sent: u32,
+    }
+
+    impl Script {
+        fn new(node: u32, seed: u64) -> Self {
+            let state = (seed << 8 | node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            Script { node, state, sent: 0 }
+        }
+
+        fn draw(&mut self) -> u64 {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            self.state
+        }
+
+        fn arm(&mut self) -> Op {
+            // Near (the wheel), a few wheel spans out, and far (the heap).
+            let delay_us = match self.draw() % 3 {
+                0 => self.draw() % 50,
+                1 => self.draw() % 3_000,
+                _ => 5_000 + self.draw() % 20_000,
+            };
+            Op::Arm { tag: self.draw() % 4, delay_us }
+        }
+
+        /// Up to two random ops, then an arm, so a live node always has a
+        /// timer pending.
+        fn ops(&mut self) -> Vec<Op> {
+            let mut ops: Vec<Op> = (0..self.draw() % 3)
+                .map(|_| match self.draw() % 6 {
+                    0 | 1 => self.arm(),
+                    2 | 3 => Op::Cancel { tag: self.draw() % 4 },
+                    _ => {
+                        let to = (self.node + 1 + (self.draw() % 3) as u32) % SCRIPT_NODES;
+                        self.sent += 1;
+                        Op::Send { to, id: self.node << 24 | self.sent }
+                    }
+                })
+                .collect();
+            ops.push(self.arm());
+            ops
+        }
+    }
+
+    /// What a callback ran for: `Ok(tag)` for a timer, `Err((from, id))`
+    /// for a delivery.
+    type Cause = Result<u64, (u32, u32)>;
+
+    /// A callback a node ran: `(time, seq, node, cause)`.
+    type Fired = (u64, u64, u32, Cause);
+
+    struct Scripted {
+        script: Script,
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u32, Cause)>>>,
+    }
+
+    impl Scripted {
+        fn act(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            for op in self.script.ops() {
+                match op {
+                    Op::Arm { tag, delay_us } => {
+                        ctx.set_timer(SimDuration::from_micros(delay_us), tag)
+                    }
+                    Op::Cancel { tag } => ctx.cancel_timer(tag),
+                    Op::Send { to, id } => ctx.send(NodeId::from_raw(to), Msg::Ping(id)),
+                }
+            }
+        }
+    }
+
+    impl Actor<Msg> for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.act(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+            let Msg::Ping(id) = msg else { return };
+            self.log.borrow_mut().push((self.script.node, Err((from.as_raw(), id))));
+            self.act(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.log.borrow_mut().push((self.script.node, Ok(tag)));
+            self.act(ctx);
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx<'_, Msg>, _stable: &[u8]) {
+            self.act(ctx);
+        }
+    }
+
+    /// The scheduler as it was before timers could be removed: one heap
+    /// ordered by `(time, seq)`, a generation per `(node, tag)` bumped by
+    /// every re-arm, cancel and restart, and stale or crashed firings
+    /// popped and skipped.
+    #[derive(Debug, Clone, Copy)]
+    enum RefKind {
+        Deliver { from: u32, to: u32, id: u32 },
+        Timer { node: u32, tag: u64, gen: u64 },
+        Crash(u32),
+        Restart(u32),
+    }
+
+    struct Reference {
+        queue: BTreeMap<(u64, u64), RefKind>,
+        next_seq: u64,
+        gens: Vec<BTreeMap<u64, u64>>,
+        crashed: Vec<bool>,
+        scripts: Vec<Script>,
+        now: u64,
+        /// Timers popped and skipped: the entries the new queue removes.
+        skipped: usize,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: u64, kind: RefKind) {
+            self.queue.insert((at, self.next_seq), kind);
+            self.next_seq += 1;
+        }
+
+        fn act(&mut self, node: u32) {
+            for op in self.scripts[node as usize].ops() {
+                let gens = &mut self.gens[node as usize];
+                match op {
+                    Op::Arm { tag, delay_us } => {
+                        let gen = *gens.entry(tag).and_modify(|g| *g += 1).or_insert(0);
+                        self.push(self.now + delay_us, RefKind::Timer { node, tag, gen });
+                    }
+                    Op::Cancel { tag } => {
+                        gens.entry(tag).and_modify(|g| *g += 1).or_insert(0);
+                    }
+                    Op::Send { to, id } => self.push(
+                        self.now + SCRIPT_LATENCY_US,
+                        RefKind::Deliver { from: node, to, id },
+                    ),
+                }
+            }
+        }
+
+        /// Events that will still run: no stale timer, no crashed node's.
+        fn live(&self) -> usize {
+            let current = |&(_, kind): &(&(u64, u64), &RefKind)| match *kind {
+                RefKind::Timer { node, tag, gen } => {
+                    !self.crashed[node as usize] && self.gens[node as usize].get(&tag) == Some(&gen)
+                }
+                _ => true,
+            };
+            self.queue.iter().filter(current).count()
+        }
+
+        /// Pops until something fires or `end` passes.
+        fn next(&mut self, end: u64) -> Option<Fired> {
+            while let Some(((t, seq), kind)) = self.queue.pop_first() {
+                if t > end {
+                    return None;
+                }
+                self.now = t;
+                match kind {
+                    RefKind::Deliver { from, to, id } if !self.crashed[to as usize] => {
+                        self.act(to);
+                        return Some((t, seq, to, Err((from, id))));
+                    }
+                    RefKind::Timer { node, tag, gen }
+                        if !self.crashed[node as usize]
+                            && self.gens[node as usize].get(&tag) == Some(&gen) =>
+                    {
+                        self.act(node);
+                        return Some((t, seq, node, Ok(tag)));
+                    }
+                    RefKind::Crash(n) => self.crashed[n as usize] = true,
+                    RefKind::Restart(n) => {
+                        self.crashed[n as usize] = false;
+                        self.gens[n as usize].values_mut().for_each(|g| *g += 1);
+                        self.act(n);
+                    }
+                    RefKind::Timer { .. } => self.skipped += 1,
+                    RefKind::Deliver { .. } => {}
+                }
+            }
+            None
+        }
+    }
+
+    /// Random arm, re-arm, cancel, crash and restart against the
+    /// generation-tombstone reference: the same `(time, seq, node, tag)`
+    /// firings, the same deliveries, and no entry in the queue the
+    /// reference would skip.
+    #[test]
+    fn removable_timers_fire_as_generation_tombstones_did() {
+        const END_US: u64 = 500_000;
+        for seed in 0..16 {
+            let net = NetConfig::default()
+                .latency(LatencyModel::Fixed(SimDuration::from_micros(SCRIPT_LATENCY_US)));
+            let mut sim = Simulation::new(SimConfig::default().seed(seed).net(net));
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let mut reference = Reference {
+                queue: BTreeMap::new(),
+                next_seq: 0,
+                gens: vec![BTreeMap::new(); SCRIPT_NODES as usize],
+                crashed: vec![false; SCRIPT_NODES as usize],
+                scripts: (0..SCRIPT_NODES).map(|n| Script::new(n, seed)).collect(),
+                now: 0,
+                skipped: 0,
+            };
+            for n in 0..SCRIPT_NODES {
+                let script = Script::new(n, seed);
+                sim.add_node(format!("s{n}"), Scripted { script, log: std::rc::Rc::clone(&log) });
+            }
+            // Crash-restart waves; some restart a live node (a reboot).
+            let mut faults = Script::new(SCRIPT_NODES, seed);
+            for _ in 0..6 {
+                let node = (faults.draw() % SCRIPT_NODES as u64) as u32;
+                let at = faults.draw() % END_US;
+                let back = at + faults.draw() % 20_000;
+                if !faults.draw().is_multiple_of(3) {
+                    sim.schedule_crash(SimTime::from_micros(at), NodeId::from_raw(node));
+                    reference.push(at, RefKind::Crash(node));
+                }
+                sim.schedule_restart(SimTime::from_micros(back), NodeId::from_raw(node));
+                reference.push(back, RefKind::Restart(node));
+            }
+            sim.start_pending_nodes();
+            for n in 0..SCRIPT_NODES {
+                reference.act(n);
+            }
+            let mut fired = 0;
+            while let Some((t, seq)) = sim.queue.peek_key() {
+                if t.as_micros() > END_US {
+                    break;
+                }
+                let before = log.borrow().len();
+                sim.step();
+                let ran: Vec<_> = log.borrow()[before..].to_vec();
+                assert!(ran.len() <= 1);
+                if let Some(&(node, what)) = ran.first() {
+                    let got = (t.as_micros(), seq, node, what);
+                    assert_eq!(Some(got), reference.next(END_US), "seed {seed}, firing {fired}");
+                    fired += 1;
+                    assert_eq!(sim.queue.len(), reference.live(), "seed {seed}, firing {fired}");
+                }
+            }
+            assert_eq!(reference.next(END_US), None, "seed {seed}: the reference fired more");
+            assert!(fired > 1_000, "seed {seed}: only {fired} firings");
+            assert!(reference.skipped > 100, "seed {seed}: {} tombstones", reference.skipped);
+            assert!(sim.metrics().counter("sim.restarts") > 0);
+        }
     }
 }

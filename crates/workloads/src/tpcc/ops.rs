@@ -1,7 +1,7 @@
 //! The five TPC-C transactions as deterministic operations over declared
 //! rows.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use dynastar_core::{AccessSets, Application, LocKey, VarId};
@@ -338,6 +338,13 @@ fn payment(
     TpccReply::Paid { balance_cents: customer.balance_cents }
 }
 
+/// Position of order `id` in a district's book. NEW-ORDER appends ids in
+/// ascending order and pruning pops from the front, so the book stays
+/// sorted by id.
+fn order_index(orders: &VecDeque<Arc<Order>>, id: u32) -> Option<usize> {
+    orders.binary_search_by_key(&id, |o| o.id).ok()
+}
+
 fn order_status(
     w: u32,
     d: u32,
@@ -350,7 +357,7 @@ fn order_status(
     };
     let last_order = match (last, vars.get(&district_var(w, d)).map(|o| o.as_deref())) {
         (Some(oid), Some(Some(TpccValue::District(row)))) => {
-            row.orders.iter().find(|o| o.id == oid).map(|o| (o.id, o.carrier.is_some()))
+            order_index(&row.orders, oid).map(|i| (oid, row.orders[i].carrier.is_some()))
         }
         _ => None,
     };
@@ -368,10 +375,11 @@ fn delivery(
     let Some(&oldest) = district.new_orders.front() else {
         return TpccReply::Delivered { order_id: None };
     };
-    let Some(order) = district.orders.iter_mut().find(|o| o.id == oldest) else {
+    let Some(i) = order_index(&district.orders, oldest) else {
         district.new_orders.pop_front();
         return TpccReply::Delivered { order_id: None };
     };
+    let order = &mut district.orders[i];
     if order.customer != expected_customer {
         // The client's view of the oldest order raced with another
         // delivery; skip rather than touch an undeclared customer row.
@@ -543,6 +551,54 @@ mod tests {
             .insert(customer_var(0, 0, 2), Some(Arc::new(TpccValue::Customer(Default::default()))));
         let r = Tpcc::execute(&del, &mut vars2);
         assert_eq!(r, TpccReply::Delivered { order_id: None });
+    }
+
+    #[test]
+    fn lookups_find_orders_in_a_book_whose_front_was_pruned() {
+        let place = |c| TpccOp::NewOrder { w: 0, d: 0, c, lines: vec![line(2, 0, 1)] };
+        let mut vars = loaded_vars(&place(1));
+        vars.insert(customer_var(0, 0, 2), Some(Arc::new(TpccValue::Customer(Default::default()))));
+        for id in 1..=30 {
+            Tpcc::execute(&place(if id == 20 { 2 } else { 1 }), &mut vars);
+        }
+        let deliver = TpccOp::Delivery { w: 0, d: 0, carrier: 3, expected_customer: 1 };
+        for id in 1..=10 {
+            assert_eq!(
+                Tpcc::execute(&deliver, &mut vars),
+                TpccReply::Delivered { order_id: Some(id) }
+            );
+        }
+        // Order 31 pushes the book past ORDER_RETENTION: delivered orders
+        // 1..=7 leave its front.
+        Tpcc::execute(&place(1), &mut vars);
+        let book = |vars: &BTreeMap<VarId, Option<Arc<TpccValue>>>| match vars
+            .get(&district_var(0, 0))
+            .map(|o| o.as_deref())
+        {
+            Some(Some(TpccValue::District(row))) => row.orders.clone(),
+            _ => panic!("district row"),
+        };
+        let orders = book(&vars);
+        assert_eq!(orders.front().map(|o| o.id), Some(8));
+        assert_eq!(orders.len(), ORDER_RETENTION);
+        for id in 0..=33 {
+            let scanned = orders.iter().position(|o| o.id == id);
+            assert_eq!(order_index(&orders, id), scanned, "order {id}");
+        }
+        let status = |c| TpccOp::OrderStatus { w: 0, d: 0, c };
+        assert_eq!(
+            Tpcc::execute(&status(2), &mut vars),
+            TpccReply::Status { balance_cents: 0, last_order: Some((20, false)) }
+        );
+        assert_eq!(Tpcc::execute(&deliver, &mut vars), TpccReply::Delivered { order_id: Some(11) });
+        let TpccReply::Status { last_order, .. } = Tpcc::execute(&status(1), &mut vars) else {
+            panic!("status reply")
+        };
+        assert_eq!(last_order, Some((31, false)));
+        let orders = book(&vars);
+        let carrier = |id| orders.iter().find(|o| o.id == id).map(|o| o.carrier);
+        assert_eq!(carrier(11), Some(Some(3)));
+        assert_eq!(carrier(12), Some(None));
     }
 
     #[test]
