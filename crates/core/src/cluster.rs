@@ -1,8 +1,8 @@
 //! The simulated deployment: actors that put the sans-io hosts (`host.rs`)
 //! on the simulation runtime — the FIFO/ARQ transport (`transport.rs`),
-//! crash recovery and stable storage around a `ReplicaHost`; the workload
-//! loop and its timers around a `ClientHost` — and the builder and handle
-//! for a complete cluster.
+//! the timers and the stable-storage blob around a `ReplicaHost`; the
+//! workload loop and its timers around a `ClientHost` — and the builder
+//! and handle for a complete cluster.
 
 #![cfg_attr(
     not(test),
@@ -19,7 +19,6 @@ use crate::client::{ClientEvent, LocationCache, Workload};
 use crate::command::{Application, LocKey, PartitionId, VarId};
 use crate::deploy::{build_hosts, client_cache, client_host};
 use crate::host::{unwrap_released, ClientHost, Port, ReplicaHost, RouteTable, TICK};
-use crate::metric_names;
 use crate::transport::Wiring;
 
 pub use crate::deploy::ClusterConfig;
@@ -50,13 +49,17 @@ mod timer {
 }
 
 /// The simulator's [`Port`]: bodies leave through the node's [`Wiring`],
-/// timers are simulation timers, the clock and registry are the `Ctx`'s.
+/// timers are simulation timers, the clock, registry and stable storage
+/// are the `Ctx`'s.
 struct SimPort<'a, 'c, A: Application> {
     wiring: &'a mut Wiring<A>,
     ctx: &'a mut Ctx<'c, Msg<A>>,
     /// The tag of the wake timer: [`timer::WAKE`] at replicas,
     /// [`timer::BACKOFF`] at clients.
     wake: u64,
+    /// The incarnation a persisted promise is stored with (clients never
+    /// persist).
+    epoch: u64,
 }
 
 impl<A: Application> Port<A> for SimPort<'_, '_, A> {
@@ -80,10 +83,18 @@ impl<A: Application> Port<A> for SimPort<'_, '_, A> {
         let delay = at.saturating_duration_since(self.ctx.now());
         self.ctx.set_timer(delay, self.wake);
     }
-}
 
-/// How often a recovering replica re-requests missing peer snapshots.
-const RECOVERY_RETRY: SimDuration = SimDuration::from_millis(500);
+    fn arm_retry(&mut self, after: Option<SimDuration>) {
+        match after {
+            Some(after) => self.ctx.set_timer(after, timer::RECOVER),
+            None => self.ctx.cancel_timer(timer::RECOVER),
+        }
+    }
+
+    fn persist(&mut self, promised: Ballot) {
+        self.ctx.persist(&encode_stable(promised, self.epoch));
+    }
+}
 
 /// Encodes the consensus-critical stable-storage blob: the promised ballot
 /// (Paxos safety requires it to survive crashes) and the incarnation epoch
@@ -116,52 +127,21 @@ fn decode_stable(blob: &[u8]) -> (Ballot, u64) {
     }
 }
 
-/// A replica actor: a `ReplicaHost` on the simulated transport.
-///
-/// Implements the crash-recovery fault model: the promised ballot and the
-/// incarnation epoch live in simulated stable storage; everything else is
-/// volatile. After a restart the actor comes back `recovering` — it
-/// feeds its host no protocol traffic, asks its group peers for state, and
-/// installs once a quorum of [`RecoveryMsg::Response`]s arrived (consensus
-/// safety needs the quorum; see [`dynastar_paxos::RecoveryReport`]). A
-/// replica that falls farther behind than peers retain log for takes the
-/// same state-transfer path without restarting. Groups need ≥ 3 replicas
-/// for recovery to terminate — smaller groups cannot assemble a quorum of
-/// *peer* snapshots.
-pub struct ServerActor<A: Application> {
+/// A replica actor: a `ReplicaHost` (which runs crash recovery; see its
+/// docs) on the simulated transport, with its timers and the incarnation
+/// epoch that goes to stable storage next to the host's promise.
+pub(crate) struct ServerActor<A: Application> {
     host: ReplicaHost<A>,
     wiring: Wiring<A>,
     /// Incarnation epoch (0 at first boot, +1 per restart; persisted).
     epoch: u64,
-    /// Last `(promised, epoch)` written to stable storage.
-    persisted: (Ballot, u64),
-    /// Set between a restart (or far-lag detection) and snapshot install.
-    recovering: bool,
-    /// Peer state donations collected while recovering.
-    recovery_snaps: BTreeMap<NodeId, RecoveryPayload<A>>,
-    /// Previous `is_leader()` observation, for the election counter.
-    was_leader: bool,
     /// Released frame bodies of the message being handled (reused buffer).
     inbox: Vec<Arc<Inner<A>>>,
 }
 
 impl<A: Application> ServerActor<A> {
-    /// A value `persisted` can never legitimately hold, forcing the first
-    /// [`Self::persist_consensus`] to write.
-    const NEVER_PERSISTED: (Ballot, u64) =
-        (Ballot { round: u64::MAX, owner: usize::MAX }, u64::MAX);
-
     fn new(host: ReplicaHost<A>) -> Self {
-        ServerActor {
-            host,
-            wiring: Wiring::new(0),
-            epoch: 0,
-            persisted: Self::NEVER_PERSISTED,
-            recovering: false,
-            recovery_snaps: BTreeMap::new(),
-            was_leader: false,
-            inbox: Vec::new(),
-        }
+        ServerActor { host, wiring: Wiring::new(0), epoch: 0, inbox: Vec::new() }
     }
 
     /// Runs one host call with this node's port.
@@ -170,178 +150,52 @@ impl<A: Application> ServerActor<A> {
         ctx: &mut Ctx<'_, Msg<A>>,
         call: impl FnOnce(&mut ReplicaHost<A>, &mut SimPort<'_, '_, A>),
     ) {
-        call(&mut self.host, &mut SimPort { wiring: &mut self.wiring, ctx, wake: timer::WAKE });
-    }
-
-    /// Node ids of this replica's group (itself included).
-    fn group_nodes(&self) -> &[NodeId] {
-        self.host.routes().group_nodes(self.host.me().group)
-    }
-
-    /// Writes the consensus-critical blob to stable storage when it
-    /// changed. Handlers run atomically with respect to crash events, so
-    /// persisting at the end of a handler is equivalent to persisting
-    /// before the promise left the node.
-    fn persist_consensus(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let promised = self.host.member().promised();
-        if (promised, self.epoch) != self.persisted {
-            self.persisted = (promised, self.epoch);
-            ctx.persist(&encode_stable(promised, self.epoch));
-        }
-    }
-
-    /// Counts rising edges of local leadership.
-    fn note_leadership(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let lead = self.host.member().is_leader();
-        if lead && !self.was_leader {
-            ctx.metrics_mut().incr_counter(metric_names::LEADER_ELECTIONS, 1);
-        }
-        self.was_leader = lead;
-    }
-
-    /// Enters the recovering state and solicits peer snapshots.
-    fn begin_recovery(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        self.recovering = true;
-        self.recovery_snaps.clear();
-        self.was_leader = false;
-        self.request_snapshots(ctx);
-        ctx.set_timer(RECOVERY_RETRY, timer::RECOVER);
-    }
-
-    fn request_snapshots(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let mine = self.host.routes().node_of(self.host.me());
-        let routes = Arc::clone(self.host.routes());
-        for &peer in routes.group_nodes(self.host.me().group) {
-            if peer != mine && !self.recovery_snaps.contains_key(&peer) {
-                self.wiring.send(ctx, peer, Arc::new(Inner::Recovery(RecoveryMsg::Request)));
-            }
-        }
-    }
-
-    fn handle_recovery(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: RecoveryMsg<A>) {
-        match msg {
-            RecoveryMsg::Request => {
-                // Only group peers are answered, and only with coherent
-                // state — a replica mid-recovery has none to give.
-                if self.recovering || !self.group_nodes().contains(&from) {
-                    return;
-                }
-                let donation = self.host.donation();
-                let m = ctx.metrics_mut();
-                m.incr_counter(metric_names::RECOVERY_SNAPSHOTS, 1);
-                m.incr_counter(metric_names::RECOVERY_SNAPSHOT_ELEMENTS, donation.elements());
-                let response = RecoveryMsg::Response(Box::new(donation));
-                self.wiring.send(ctx, from, Arc::new(Inner::Recovery(response)));
-            }
-            RecoveryMsg::Response(payload) => {
-                if !self.recovering {
-                    return; // late or duplicate donation
-                }
-                self.recovery_snaps.insert(from, *payload);
-                self.try_install(ctx);
-            }
-        }
-    }
-
-    /// Installs the donated state once a quorum of snapshots is held. If
-    /// the host rejects the donations, stay in recovery and let the retry
-    /// timer re-request snapshots.
-    fn try_install(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        if self.recovery_snaps.len() < self.host.quorum() {
-            return;
-        }
-        let donations: Vec<_> = self.recovery_snaps.values().collect();
-        let Some(out) = self.host.install(self.persisted.0, &donations) else { return };
-        self.recovering = false;
-        self.recovery_snaps.clear();
-        ctx.cancel_timer(timer::RECOVER);
-        ctx.metrics_mut().incr_counter(metric_names::RECOVERY_COMPLETIONS, 1);
-        self.drive(ctx, |host, port| host.absorb(out, port));
-        self.note_leadership(ctx);
-        self.persist_consensus(ctx);
+        let (wiring, epoch) = (&mut self.wiring, self.epoch);
+        call(&mut self.host, &mut SimPort { wiring, ctx, wake: timer::WAKE, epoch });
     }
 }
 
 impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
         ctx.set_timer(TICK, timer::TICK);
-        self.persist_consensus(ctx);
+        self.drive(ctx, |host, port| host.on_start(port));
     }
 
     /// Diagnostic convergence probe: partitions report their owned keys,
-    /// oracle replicas their key→partition map. A recovering replica
-    /// reports `None` — its placeholder core is not authoritative.
+    /// oracle replicas their key→partition map, a recovering replica
+    /// `None`.
     fn location_view(&self) -> Option<LocationView> {
-        (!self.recovering).then(|| self.host.location_view())
+        self.host.location_view()
     }
 
-    /// Crash-recovery boot: volatile state (multicast member, protocol
-    /// core, transport streams) is re-created empty under a bumped
-    /// incarnation epoch, the consensus floor is read back from stable
-    /// storage, and the actor enters recovery to rebuild from a quorum of
-    /// peer snapshots.
+    /// Crash-recovery boot: the transport streams are re-created empty
+    /// under a bumped incarnation epoch, and the host recovers over the
+    /// consensus floor read back from stable storage.
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Msg<A>>, stable: &[u8]) {
         let (floor, old_epoch) = decode_stable(stable);
         self.epoch = old_epoch + 1;
-        // Persist immediately: a crash during recovery must still bump.
-        self.persisted = (floor, self.epoch);
-        ctx.persist(&encode_stable(floor, self.epoch));
         self.wiring = Wiring::new(self.epoch);
-        self.host.forget();
-        self.was_leader = false;
         ctx.set_timer(TICK, timer::TICK);
-        self.begin_recovery(ctx);
+        self.drive(ctx, |host, port| host.on_restart(floor, port));
     }
 
-    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
         let mut inbox = std::mem::take(&mut self.inbox);
         self.wiring.receive(ctx, from, msg, &mut inbox);
-        for body in inbox.drain(..) {
-            if matches!(*body, Inner::Recovery(_)) {
-                if let Inner::Recovery(r) = unwrap_released(body) {
-                    self.handle_recovery(ctx, from, r);
-                }
-            } else if !self.recovering {
-                // While recovering the host holds placeholder state:
-                // protocol traffic is dropped (the group tolerates it — we
-                // are the faulty minority) and replaced by the snapshot.
-                self.drive(ctx, |host, port| host.on_body(body, port));
-            }
-        }
+        self.drive(ctx, |host, port| host.on_bodies(from, inbox.drain(..), port));
         self.inbox = inbox;
-        if !self.recovering {
-            self.note_leadership(ctx);
-            self.persist_consensus(ctx);
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<A>>, tag: u64) {
         match tag {
             timer::TICK => {
-                if !self.recovering {
-                    self.drive(ctx, |host, port| host.on_tick(port));
-                    if self.host.member().needs_state_transfer() {
-                        // Fell farther behind than peers retain log for
-                        // (e.g. a long partition): only a snapshot can
-                        // catch this replica up.
-                        self.begin_recovery(ctx);
-                    } else {
-                        self.note_leadership(ctx);
-                        self.persist_consensus(ctx);
-                    }
-                }
+                self.drive(ctx, |host, port| host.on_tick(port));
                 self.wiring.maintain(ctx);
                 ctx.set_timer(TICK, timer::TICK);
             }
-            timer::RECOVER if self.recovering => {
-                self.request_snapshots(ctx);
-                ctx.set_timer(RECOVERY_RETRY, timer::RECOVER);
-            }
-            timer::PLAN if !self.recovering => {
-                self.drive(ctx, |host, port| host.on_plan_timer(port));
-            }
-            timer::WAKE if !self.recovering => self.drive(ctx, |host, port| host.on_wake(port)),
+            timer::RECOVER => self.drive(ctx, |host, port| host.on_retry(port)),
+            timer::PLAN => self.drive(ctx, |host, port| host.on_plan_timer(port)),
+            timer::WAKE => self.drive(ctx, |host, port| host.on_wake(port)),
             _ => {}
         }
     }
@@ -369,7 +223,8 @@ impl<A: Application, W: Workload<A>> ClientActor<A, W> {
         ctx: &mut Ctx<'_, Msg<A>>,
         call: impl FnOnce(&mut ClientHost<A>, &mut SimPort<'_, '_, A>) -> R,
     ) -> R {
-        call(&mut self.host, &mut SimPort { wiring: &mut self.wiring, ctx, wake: timer::BACKOFF })
+        let wiring = &mut self.wiring;
+        call(&mut self.host, &mut SimPort { wiring, ctx, wake: timer::BACKOFF, epoch: 0 })
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
@@ -621,6 +476,7 @@ impl<A: Application> std::fmt::Debug for Cluster<A> {
 mod tests {
     use super::*;
     use crate::command::CommandKind;
+    use crate::metric_names;
     use crate::oracle::PLANNER_VERTICES;
     use crate::payload::PAYLOAD_CLONES;
     use crate::server::ServerConfig;
@@ -654,6 +510,19 @@ mod tests {
         fn next_command(&mut self, _: SimTime, rng: &mut StdRng) -> Option<CommandKind<Bank>> {
             let key = rng.gen_range(0..8u64) & !1;
             Some(CommandKind::Access { op: (), vars: vec![VarId(key * 10), VarId(key * 10 + 10)] })
+        }
+    }
+
+    #[test]
+    fn the_stable_blob_round_trips_and_any_other_length_is_a_first_boot() {
+        let (promised, epoch) = (Ballot { round: u64::MAX - 1, owner: usize::MAX - 2 }, u64::MAX);
+        let blob = encode_stable(promised, epoch);
+        assert_eq!(decode_stable(&blob), (promised, epoch));
+        let small = encode_stable(Ballot { round: 1, owner: 2 }, 3);
+        assert_eq!((small[0], small[8], small[16]), (1, 2, 3), "little-endian words in order");
+        let long = [blob.as_slice(), &[0]].concat();
+        for other in [&[][..], &blob[..23], &long] {
+            assert_eq!(decode_stable(other), (Ballot::INITIAL, 0), "{} bytes", other.len());
         }
     }
 

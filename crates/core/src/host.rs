@@ -22,7 +22,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use dynastar_amcast::{
@@ -42,6 +42,9 @@ use crate::server::ServerCore;
 /// How often a driver calls [`ReplicaHost::on_tick`]. Consensus timeouts
 /// and batching delays are counted in these ticks.
 pub(crate) const TICK: SimDuration = SimDuration::from_millis(1);
+
+/// How often a recovering replica re-requests missing peer snapshots.
+const RECOVERY_RETRY: SimDuration = SimDuration::from_millis(500);
 
 /// One replica's key→partition location map as sorted `(key, partition)`
 /// pairs: a partition replica reports the keys it owns, an oracle replica
@@ -76,7 +79,7 @@ impl<A: Application> Clone for Inner<A> {
 /// holds it until acknowledged. The clone is shallow where it matters,
 /// since payloads and destination lists sit behind their own `Arc`s.
 /// Replicas read direct messages in place instead (see
-/// [`ReplicaHost::on_body`]).
+/// [`ReplicaHost::on_bodies`]).
 pub(crate) fn unwrap_released<A: Application>(body: Arc<Inner<A>>) -> Inner<A> {
     Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
 }
@@ -118,13 +121,6 @@ impl<A: Application> std::fmt::Debug for RecoveryMsg<A> {
 pub struct RecoveryPayload<A: Application> {
     snapshot: MemberSnapshot<Arc<Payload<A>>>,
     core: Role<A>,
-}
-
-impl<A: Application> RecoveryPayload<A> {
-    /// Rough size of the donated log state (the snapshot-size metric).
-    pub(crate) fn elements(&self) -> u64 {
-        self.snapshot.approx_elements()
-    }
 }
 
 impl<A: Application> Clone for RecoveryPayload<A> {
@@ -206,9 +202,10 @@ impl RouteTable {
 }
 
 /// What a driver lends a host for the length of one call: a clock, the
-/// metrics registry, a way out for message bodies and the two timers a
-/// core can ask for. The host calls it in effect order and buffers
-/// nothing, so what a driver sees is exactly what the core decided.
+/// metrics registry, a way out for message bodies, the three timers a
+/// host can ask for (plan, wake, recovery retry) and stable storage. The
+/// host calls it in effect order and buffers nothing, so what a driver
+/// sees is exactly what the core and the recovery protocol decided.
 pub(crate) trait Port<A: Application> {
     /// The current time (constant during one simulated handler).
     fn now(&self) -> SimTime;
@@ -224,6 +221,12 @@ pub(crate) trait Port<A: Application> {
     /// Arms the one wake timer: [`ReplicaHost::on_wake`] (or
     /// [`ClientHost::on_backoff`]) is due at `at` ([`Effect::Wake`]).
     fn arm_wake(&mut self, at: SimTime);
+    /// Arms the one recovery-retry timer, [`ReplicaHost::on_retry`] due
+    /// `after` from now; `None` cancels it.
+    fn arm_retry(&mut self, after: Option<SimDuration>);
+    /// Writes `promised` to stable storage: the consensus floor a
+    /// restarted replica hands back to [`ReplicaHost::on_restart`].
+    fn persist(&mut self, promised: Ballot);
 }
 
 fn fan_out<A: Application>(port: &mut impl Port<A>, nodes: &[NodeId], body: &Arc<Inner<A>>) {
@@ -386,6 +389,17 @@ type Deliveries<A> = VecDeque<Delivery<Arc<Payload<A>>>>;
 /// The host owns the buffers every message passes through and lends them
 /// to the calls it makes: the member and the core append, the host drains.
 /// Each is empty between calls.
+///
+/// It also runs the crash-recovery fault model: the promised ballot lives
+/// in stable storage ([`Port::persist`]); everything else is volatile.
+/// After [`Self::on_restart`] the host is *recovering*: it feeds its core
+/// no protocol traffic, asks its group peers for state, and installs once
+/// a quorum of [`RecoveryMsg::Response`]s arrived (consensus safety needs
+/// the quorum; see [`dynastar_paxos::RecoveryReport`]). A replica that
+/// falls farther behind than peers retain log for takes the same
+/// state-transfer path without restarting. Groups need ≥ 3 replicas for
+/// recovery to terminate: smaller groups cannot assemble a quorum of
+/// *peer* snapshots.
 pub(crate) struct ReplicaHost<A: Application> {
     me: MemberId,
     routes: Arc<RouteTable>,
@@ -398,6 +412,12 @@ pub(crate) struct ReplicaHost<A: Application> {
     effects: Vec<Effect<A>>,
     /// Deliveries not yet fed to the core (see [`Self::drain`]).
     pending: Deliveries<A>,
+    /// The promise last written through [`Port::persist`].
+    persisted: Ballot,
+    /// Peer donations collected while recovering; `None` while live.
+    recovery: Option<BTreeMap<NodeId, RecoveryPayload<A>>>,
+    /// Leadership at the last look, for the rising-edge election count.
+    was_leader: bool,
 }
 
 impl<A: Application> ReplicaHost<A> {
@@ -419,6 +439,10 @@ impl<A: Application> ReplicaHost<A> {
             mcast_out: McastOutput::default(),
             effects: Vec::new(),
             pending: Deliveries::new(),
+            // No promise equals it: the first look persists.
+            persisted: Ballot { round: u64::MAX, owner: usize::MAX },
+            recovery: None,
+            was_leader: false,
         }
     }
 
@@ -427,60 +451,212 @@ impl<A: Application> ReplicaHost<A> {
         self.me
     }
 
-    /// The deployment's addressing.
-    pub(crate) fn routes(&self) -> &Arc<RouteTable> {
-        &self.routes
+    /// The core's view of the key→partition map; `None` while recovering,
+    /// when the core is a placeholder and not authoritative.
+    pub(crate) fn location_view(&self) -> Option<LocationView> {
+        self.recovery.is_none().then(|| self.role.location_view())
     }
 
-    /// Snapshots a recovering replica needs before it may install.
-    pub(crate) fn quorum(&self) -> usize {
-        self.group_cfg.quorum()
+    /// First boot: the initial promise goes to stable storage.
+    pub(crate) fn on_start(&mut self, port: &mut impl Port<A>) {
+        self.persist(port);
     }
 
-    /// The hosted member (ballot, leadership, lag — what a driver
-    /// persists and reports).
-    pub(crate) fn member(&self) -> &McastMember<Arc<Payload<A>>> {
-        &self.member
+    /// Crash-recovery boot over `floor`, the promise persisted before the
+    /// crash (written again at once, with the driver's new incarnation).
+    /// The member loses its volatile state; the core stays a placeholder
+    /// until a quorum of donations replaces both (the t0 preload cannot be
+    /// replayed, so a restarted replica always takes the snapshot path).
+    pub(crate) fn on_restart(&mut self, floor: Ballot, port: &mut impl Port<A>) {
+        self.persisted = floor;
+        port.persist(floor);
+        self.member =
+            McastMember::with_group_config(self.me, self.routes.topology(), self.group_cfg.clone());
+        self.begin_recovery(port);
     }
 
-    /// The core's view of the key→partition map.
-    pub(crate) fn location_view(&self) -> LocationView {
-        self.role.location_view()
+    /// Handles the bodies one received message released, in order, from
+    /// node `from`; a live replica then settles (see [`Self::settle`]).
+    pub(crate) fn on_bodies(
+        &mut self,
+        from: NodeId,
+        bodies: impl IntoIterator<Item = Arc<Inner<A>>>,
+        port: &mut impl Port<A>,
+    ) {
+        for body in bodies {
+            self.on_body(from, body, port);
+        }
+        if self.recovery.is_none() {
+            self.settle(port);
+        }
     }
 
     /// Handles one received body. A direct message is read in place — it
     /// is shared with the sender's retransmission buffer, and more often
-    /// than not a repeat: the core copies it if it is new.
-    pub(crate) fn on_body(&mut self, body: Arc<Inner<A>>, port: &mut impl Port<A>) {
-        if let Inner::Direct(msg) = &*body {
-            self.step(port, |role, now, metrics, eff| role.on_direct(msg, now, metrics, eff));
-        } else if let Inner::Wire(wire) = unwrap_released(body) {
-            self.member.on_message_into(wire, &mut self.mcast_out);
-            self.route_mcast_out(port);
+    /// than not a repeat: the core copies it if it is new. While
+    /// recovering, protocol traffic is dropped (the group tolerates it:
+    /// this replica is the faulty minority) and replaced by the snapshot.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn on_body(&mut self, from: NodeId, body: Arc<Inner<A>>, port: &mut impl Port<A>) {
+        match &*body {
+            Inner::Recovery(_) => {
+                if let Inner::Recovery(msg) = unwrap_released(body) {
+                    self.on_recovery(from, msg, port);
+                }
+            }
+            Inner::Direct(_) | Inner::Wire(_) if self.recovery.is_some() => {}
+            Inner::Direct(msg) => {
+                self.step(port, |role, now, metrics, eff| role.on_direct(msg, now, metrics, eff));
+            }
+            Inner::Wire(_) => {
+                if let Inner::Wire(wire) = unwrap_released(body) {
+                    self.member.on_message_into(wire, &mut self.mcast_out);
+                    self.route_mcast_out(port);
+                }
+            }
         }
     }
 
-    /// The periodic multicast/consensus tick (every [`TICK`]).
+    /// The periodic multicast/consensus tick (every [`TICK`]). A replica
+    /// that finds it fell farther behind than peers retain log for (e.g.
+    /// after a long partition) starts recovering: only a snapshot can
+    /// catch it up.
     pub(crate) fn on_tick(&mut self, port: &mut impl Port<A>) {
+        if self.recovery.is_some() {
+            return;
+        }
         self.member.tick_into(&mut self.mcast_out);
         self.route_mcast_out(port);
         self.publish_batch_stats(port.metrics());
         self.step(port, Role::on_tick);
+        if self.member.needs_state_transfer() {
+            self.begin_recovery(port);
+        } else {
+            self.settle(port);
+        }
     }
 
     /// The plan timer armed through [`Port::arm_plan`] fired.
     pub(crate) fn on_plan_timer(&mut self, port: &mut impl Port<A>) {
-        self.step(port, Role::on_plan_timer);
+        if self.recovery.is_none() {
+            self.step(port, Role::on_plan_timer);
+        }
     }
 
     /// The wake timer armed through [`Port::arm_wake`] fired.
     pub(crate) fn on_wake(&mut self, port: &mut impl Port<A>) {
-        self.step(port, Role::on_wake);
+        if self.recovery.is_none() {
+            self.step(port, Role::on_wake);
+        }
+    }
+
+    /// The retry timer armed through [`Port::arm_retry`] fired: ask again
+    /// every peer that has not donated yet.
+    pub(crate) fn on_retry(&mut self, port: &mut impl Port<A>) {
+        self.request_snapshots(port);
+    }
+
+    /// Ends a handler on a live replica: counts a rising edge of local
+    /// leadership and persists the promise if it changed. Handlers run
+    /// atomically with respect to crashes, so persisting at the end of one
+    /// is equivalent to persisting before the promise left the node.
+    fn settle(&mut self, port: &mut impl Port<A>) {
+        let lead = self.member.is_leader();
+        if lead && !self.was_leader {
+            port.metrics().incr_counter(metric_names::LEADER_ELECTIONS, 1);
+        }
+        self.was_leader = lead;
+        self.persist(port);
+    }
+
+    /// Writes the promise to stable storage if it changed.
+    fn persist(&mut self, port: &mut impl Port<A>) {
+        let promised = self.member.promised();
+        if promised != self.persisted {
+            self.persisted = promised;
+            port.persist(promised);
+        }
+    }
+
+    /// Enters the recovering state and solicits peer snapshots.
+    fn begin_recovery(&mut self, port: &mut impl Port<A>) {
+        self.recovery = Some(BTreeMap::new());
+        self.was_leader = false;
+        self.request_snapshots(port);
+    }
+
+    /// While recovering, asks every group peer that has not donated yet
+    /// for its state, and arms the retry.
+    fn request_snapshots(&self, port: &mut impl Port<A>) {
+        let Some(donations) = &self.recovery else { return };
+        let mine = self.routes.node_of(self.me);
+        for &peer in self.routes.group_nodes(self.me.group) {
+            if peer != mine && !donations.contains_key(&peer) {
+                port.send(peer, Arc::new(Inner::Recovery(RecoveryMsg::Request)));
+            }
+        }
+        port.arm_retry(Some(RECOVERY_RETRY));
+    }
+
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn on_recovery(&mut self, from: NodeId, msg: RecoveryMsg<A>, port: &mut impl Port<A>) {
+        match msg {
+            RecoveryMsg::Request => {
+                // Only group peers are answered, and only with coherent
+                // state: a replica mid-recovery has none to give.
+                if self.recovery.is_some()
+                    || !self.routes.group_nodes(self.me.group).contains(&from)
+                {
+                    return;
+                }
+                let donation = RecoveryPayload {
+                    snapshot: self.member.snapshot(),
+                    core: self.role.snapshot(),
+                };
+                let m = port.metrics();
+                m.incr_counter(metric_names::RECOVERY_SNAPSHOTS, 1);
+                let elements = donation.snapshot.approx_elements();
+                m.incr_counter(metric_names::RECOVERY_SNAPSHOT_ELEMENTS, elements);
+                let response = RecoveryMsg::Response(Box::new(donation));
+                port.send(from, Arc::new(Inner::Recovery(response)));
+            }
+            RecoveryMsg::Response(payload) => {
+                // A late donation (already installed) is dropped; a second
+                // one from the same peer replaces its first.
+                let Some(donations) = &mut self.recovery else { return };
+                donations.insert(from, *payload);
+                self.try_install(port);
+            }
+        }
+    }
+
+    /// Installs the donations over the persisted floor once a quorum is
+    /// held. The core comes from the donor the multicast layer took its
+    /// bookkeeping from, or replica state and log position diverge; should
+    /// that donor be missing, the host stays in recovery and asks again.
+    fn try_install(&mut self, port: &mut impl Port<A>) {
+        let Some(donations) = &self.recovery else { return };
+        if donations.len() < self.group_cfg.quorum() {
+            return;
+        }
+        let snaps: Vec<_> = donations.values().map(|d| d.snapshot.clone()).collect();
+        let (topology, cfg) = (self.routes.topology(), self.group_cfg.clone());
+        let (member, out, donor) =
+            McastMember::recover(self.me, topology, cfg, self.persisted, &snaps);
+        self.member = member;
+        let Some(donor) = donations.values().nth(donor) else { return };
+        self.role = donor.core.snapshot();
+        self.role.adopt(self.me, self.group_cfg.size);
+        self.recovery = None;
+        port.arm_retry(None);
+        port.metrics().incr_counter(metric_names::RECOVERY_COMPLETIONS, 1);
+        self.absorb(out, port);
+        self.settle(port);
     }
 
     /// Routes a multicast-layer output: sends the wires, then feeds the
     /// deliveries to the core.
-    pub(crate) fn absorb(&mut self, out: MemberOut<A>, port: &mut impl Port<A>) {
+    fn absorb(&mut self, out: MemberOut<A>, port: &mut impl Port<A>) {
         self.mcast_out.outgoing.extend(out.outgoing);
         self.mcast_out.delivered.extend(out.delivered);
         self.route_mcast_out(port);
@@ -557,46 +733,6 @@ impl<A: Application> ReplicaHost<A> {
                 );
             }
         });
-    }
-
-    /// Crash-recovery boot: the member loses its volatile state. The core
-    /// stays as a placeholder until [`Self::install`] replaces both (the
-    /// t0 preload cannot be replayed, so a restarted replica always takes
-    /// the snapshot path); the driver feeds the host nothing in between.
-    pub(crate) fn forget(&mut self) {
-        self.member =
-            McastMember::with_group_config(self.me, self.routes.topology(), self.group_cfg.clone());
-    }
-
-    /// This replica's state, for a recovering peer.
-    pub(crate) fn donation(&self) -> RecoveryPayload<A> {
-        RecoveryPayload { snapshot: self.member.snapshot(), core: self.role.snapshot() }
-    }
-
-    /// Installs a quorum of peer donations over `floor`, the promise this
-    /// replica persisted before it went down. Returns what the recovered
-    /// member wants sent and delivered — hand it to [`Self::absorb`] — or
-    /// `None` if the donations do not line up (stay in recovery and ask
-    /// again; never panic).
-    pub(crate) fn install(
-        &mut self,
-        floor: Ballot,
-        donations: &[&RecoveryPayload<A>],
-    ) -> Option<MemberOut<A>> {
-        let snaps: Vec<_> = donations.iter().map(|d| d.snapshot.clone()).collect();
-        let (member, out, donor) = McastMember::recover(
-            self.me,
-            self.routes.topology(),
-            self.group_cfg.clone(),
-            floor,
-            &snaps,
-        );
-        self.member = member;
-        // The core must come from the same donor the multicast layer took
-        // its bookkeeping from, or replica state and log position diverge.
-        self.role = donations.get(donor)?.core.snapshot();
-        self.role.adopt(self.me, self.group_cfg.size);
-        Some(out)
     }
 }
 
@@ -710,6 +846,8 @@ pub(crate) mod tests {
         Send(u32, String),
         Plan(SimDuration),
         Wake(SimTime),
+        Retry(Option<SimDuration>),
+        Persist(Ballot),
     }
 
     /// A port that records instead of acting.
@@ -717,11 +855,14 @@ pub(crate) mod tests {
         log: RefCell<Vec<Seen>>,
         metrics: Metrics,
         now: SimTime,
+        /// Every body sent, with its recipient.
+        sent: Vec<(u32, Arc<Inner<App>>)>,
     }
 
     impl Recorder {
         fn at(now: SimTime) -> Self {
-            Recorder { log: RefCell::new(Vec::new()), metrics: Metrics::new(), now }
+            let log = RefCell::new(Vec::new());
+            Recorder { log, metrics: Metrics::new(), now, sent: Vec::new() }
         }
 
         fn take(&mut self) -> Vec<Seen> {
@@ -743,10 +884,12 @@ pub(crate) mod tests {
             let text = match &*body {
                 Inner::Wire(McastWire::Submit { payload, .. }) => format!("{payload:?}"),
                 Inner::Direct(msg) => format!("{msg:?}"),
+                Inner::Recovery(msg) => format!("{msg:?}"),
                 other => format!("{other:?}"),
             };
             let name = text.split([' ', '(']).next().unwrap_or_default().to_string();
             self.log.get_mut().push(Seen::Send(to.as_raw(), name));
+            self.sent.push((to.as_raw(), body));
         }
 
         fn arm_plan(&mut self, after: SimDuration) {
@@ -755,6 +898,14 @@ pub(crate) mod tests {
 
         fn arm_wake(&mut self, at: SimTime) {
             self.log.get_mut().push(Seen::Wake(at));
+        }
+
+        fn arm_retry(&mut self, after: Option<SimDuration>) {
+            self.log.get_mut().push(Seen::Retry(after));
+        }
+
+        fn persist(&mut self, promised: Ballot) {
+            self.log.get_mut().push(Seen::Persist(promised));
         }
     }
 
@@ -936,6 +1087,10 @@ pub(crate) mod tests {
         fn arm_plan(&mut self, _: SimDuration) {}
 
         fn arm_wake(&mut self, _: SimTime) {}
+
+        fn arm_retry(&mut self, _: Option<SimDuration>) {}
+
+        fn persist(&mut self, _: Ballot) {}
     }
 
     #[test]
@@ -945,7 +1100,7 @@ pub(crate) mod tests {
         // whose replicas multicast it to both partitions.
         let config = ClusterConfig { partitions: 2, replicas: 3, ..ClusterConfig::default() };
         let mut group = hosts(3, config.clone());
-        let routes = Arc::clone(group[0].routes());
+        let routes = Arc::clone(&group[0].routes);
         let mut client = client_host::<App>(
             NodeId::from_raw(CLIENT),
             &config,
@@ -956,11 +1111,12 @@ pub(crate) mod tests {
         client.issue(access(0, &[0, 1]).kind, &mut port);
         let mut next = 0;
         for _ in 0..4 {
-            while let Some((_, to, body)) = port.sent.get(next).cloned() {
+            while let Some((from, to, body)) = port.sent.get(next).cloned() {
                 next += 1;
                 port.at = to;
                 if to != CLIENT {
-                    group[to as usize].on_body(body, &mut port);
+                    let from = NodeId::from_raw(from);
+                    group[to as usize].on_bodies(from, [body], &mut port);
                 } else if let Inner::Direct(msg) = &*body {
                     client.on_direct(msg.clone(), &mut port);
                 }
@@ -1021,14 +1177,14 @@ pub(crate) mod tests {
             migration_link_bytes_per_sec: 1024 * 1024,
             ..ServerConfig::default()
         };
-        let mut group = hosts(3, ClusterConfig { server, ..ClusterConfig::default() });
-        group.truncate(3); // partition 0's replicas
-        let donations = [group[0].donation(), group[2].donation()];
         let mut port = Recorder::at(SimTime::from_secs(1));
-        let out = group[1]
-            .install(Ballot::INITIAL, &[&donations[0], &donations[1]])
-            .expect("two of three is a quorum");
-        group[1].absorb(out, &mut port);
+        let mut group =
+            partition_0(ClusterConfig { server, ..ClusterConfig::default() }, &mut port);
+        let answers = restart(&mut group, 1, &mut port);
+        for (peer, answer) in [0, 2].into_iter().zip(answers) {
+            group[1].on_bodies(node(peer), [answer], &mut port);
+        }
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_COMPLETIONS), 1);
 
         // A plan moves key 0 away and a command touches key 2. Replica 1
         // now runs a donor's core: it must put replica 1's name on what it
@@ -1080,5 +1236,152 @@ pub(crate) mod tests {
         assert_eq!((a.core.cache_len(), b.core.cache_len()), (7, 8));
         b.issue(access(0, &[5]).kind, &mut port);
         assert_eq!(port.take(), to_partition_1);
+    }
+
+    /// Partition 0's three replicas (nodes 0..3), booted.
+    fn partition_0(config: ClusterConfig, port: &mut Recorder) -> Vec<ReplicaHost<App>> {
+        let mut group = hosts(3, config);
+        group.truncate(3);
+        for host in &mut group {
+            host.on_start(port);
+        }
+        port.take();
+        group
+    }
+
+    fn node(n: u32) -> NodeId {
+        NodeId::from_raw(n)
+    }
+
+    fn request() -> Arc<Inner<App>> {
+        Arc::new(Inner::Recovery(RecoveryMsg::Request))
+    }
+
+    /// Restarts replica `victim` of `group` and returns its peers'
+    /// answers to its requests, in replica order, as the port carried them.
+    fn restart(
+        group: &mut [ReplicaHost<App>],
+        victim: u32,
+        port: &mut Recorder,
+    ) -> Vec<Arc<Inner<App>>> {
+        let peers: Vec<u32> = (0..3).filter(|&n| n != victim).collect();
+        let floor = group[victim as usize].member.promised();
+        group[victim as usize].on_restart(floor, port);
+        let asked = peers.iter().map(|&n| send(n, "RecoveryMsg::Request"));
+        let expected: Vec<Seen> = [Seen::Persist(floor)]
+            .into_iter()
+            .chain(asked)
+            .chain([Seen::Retry(Some(RECOVERY_RETRY))])
+            .collect();
+        assert_eq!(port.take(), expected);
+        for (to, body) in std::mem::take(&mut port.sent) {
+            group[to as usize].on_bodies(node(victim), [body], port);
+        }
+        let answers =
+            [send(victim, "RecoveryMsg::Response"), send(victim, "RecoveryMsg::Response")];
+        assert_eq!(port.take(), answers);
+        port.sent.drain(..).map(|(_, body)| body).collect()
+    }
+
+    #[test]
+    fn a_restarted_replica_installs_its_peers_state_and_serves_again() {
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let mut group = partition_0(ClusterConfig::default(), &mut port);
+        let before = group[1].location_view();
+        // While replica 1 is down its peers deliver a plan that moves key
+        // 0 away: what it comes back to is their state, not its own.
+        let plan = || {
+            let moves = vec![(LocKey(0), PartitionId(0), PartitionId(1))];
+            delivered(vec![Payload::Plan { version: 1, moves }])
+        };
+        group[0].absorb(plan(), &mut port);
+        group[2].absorb(plan(), &mut port);
+        port.take();
+        port.sent.clear();
+        let donated = group[0].location_view();
+        assert_ne!(donated, before);
+
+        let answers = restart(&mut group, 1, &mut port);
+        assert_eq!(group[1].location_view(), None, "recovering");
+        group[1].on_bodies(node(0), [Arc::clone(&answers[0])], &mut port);
+        assert_eq!(port.take(), [], "one donation is not a quorum");
+        assert_eq!(group[1].location_view(), None);
+        group[1].on_bodies(node(2), [Arc::clone(&answers[1])], &mut port);
+        assert_eq!(port.take()[..1], [Seen::Retry(None)]);
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_COMPLETIONS), 1);
+        assert_eq!(group[1].location_view(), donated);
+
+        // Deliveries reach the installed core again: a command on key 2
+        // is answered.
+        let command = Payload::Access {
+            cmd: access(0, &[2]),
+            attempt: 0,
+            expected: vec![(VarId(2), PartitionId(0))],
+            target: PartitionId(0),
+            keep: false,
+        };
+        group[1].absorb(delivered(vec![command]), &mut port);
+        assert_eq!(port.take(), [Seen::Clock, send(CLIENT, "Reply")]);
+    }
+
+    #[test]
+    fn a_recovering_replica_drops_protocol_traffic_and_donates_nothing() {
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let mut group = partition_0(ClusterConfig::default(), &mut port);
+        let direct =
+            || Arc::new(Inner::Direct(Direct::Retry { cmd: MsgId::new(7, 0), attempt: 0 }));
+        let wire = || {
+            let payload = Arc::new(Payload::Exec { cmd: access(0, &[0]), attempt: 0 });
+            let submit = McastWire::Submit {
+                mid: MsgId::new(7, 1),
+                dests: vec![GroupId(0)].into(),
+                payload,
+            };
+            Arc::new(Inner::Wire(submit))
+        };
+        // Live, the leader reads the clock for a direct message and
+        // proposes a submitted one to its followers.
+        group[0].on_bodies(node(CLIENT), [direct(), wire()], &mut port);
+        assert_eq!(port.take(), [Seen::Clock, send(1, "Wire"), send(2, "Wire")]);
+        port.sent.clear();
+
+        restart(&mut group, 0, &mut port);
+        group[0].on_bodies(node(CLIENT), [direct(), wire()], &mut port);
+        group[0].on_bodies(node(1), [request()], &mut port);
+        assert_eq!(port.take(), [], "no core call, no proposal, no settle, no donation");
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_SNAPSHOTS), 2, "replicas 0 and 2");
+    }
+
+    #[test]
+    fn a_live_replica_donates_to_its_group_alone() {
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let mut group = partition_0(ClusterConfig::default(), &mut port);
+        // Node 3 is partition 1's first replica.
+        group[0].on_bodies(node(3), [request()], &mut port);
+        assert_eq!(port.take(), []);
+        group[0].on_bodies(node(2), [request()], &mut port);
+        assert_eq!(port.take(), [send(2, "RecoveryMsg::Response")]);
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_SNAPSHOTS), 1);
+    }
+
+    #[test]
+    fn a_second_donation_from_one_peer_is_not_a_quorum() {
+        let mut port = Recorder::at(SimTime::from_secs(1));
+        let mut group = partition_0(ClusterConfig::default(), &mut port);
+        let answers = restart(&mut group, 1, &mut port);
+        let from_0 = || Arc::clone(&answers[0]);
+        group[1].on_bodies(node(0), [from_0(), from_0()], &mut port);
+        group[1].on_bodies(node(0), [from_0()], &mut port);
+        assert_eq!(port.take(), []);
+        assert_eq!(group[1].location_view(), None);
+        // The retry asks the one peer that has not answered.
+        group[1].on_retry(&mut port);
+        assert_eq!(
+            port.take(),
+            [send(2, "RecoveryMsg::Request"), Seen::Retry(Some(RECOVERY_RETRY))]
+        );
+        group[1].on_bodies(node(2), [Arc::clone(&answers[1])], &mut port);
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_COMPLETIONS), 1);
+        assert!(group[1].location_view().is_some());
     }
 }
