@@ -1,20 +1,30 @@
-//! The client protocol core (paper Algorithm 1 and the §4.3 location
-//! cache) and the workload-driver abstraction.
+//! The client protocol (paper Algorithm 1 and the §4.3 location cache) and
+//! the workload-driver abstraction.
+//!
+//! The client is one sans-io state machine: it looks a command's keys up
+//! in its cache, falls back to the oracle, re-dispatches on a stale-routing
+//! `Retry` or a response timeout, and arms that timeout itself. It calls
+//! the driver's port in place, as a replica host does (`host.rs`); the
+//! simulator's client actor (`cluster.rs`) adds the workload loop.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
-use dynastar_amcast::MsgId;
+use std::sync::Arc;
+
+use dynastar_amcast::{McastWire, MsgId};
 use dynastar_runtime::{
     CounterId, FastHashMap, HistogramId, Interned, Metrics, NodeId, SeriesId, SimDuration, SimTime,
 };
 use rand::rngs::StdRng;
 
 use crate::command::{Application, Command, CommandKind, LocKey, Mode, PartitionId};
+use crate::deploy::ClusterConfig;
+use crate::host::{Inner, Port, RouteTable};
 use crate::metric_names as mn;
-use crate::payload::{Direct, Effect, OracleDest, Payload};
+use crate::payload::{Direct, OracleDest, Payload};
 use crate::routing::{compute_route, dispatch_mid, exec_shard, query_mid};
 
 /// Generates the stream of commands a closed-loop client issues.
@@ -43,20 +53,16 @@ pub trait Workload<A: Application>: 'static {
     }
 }
 
-/// Completion notification surfaced to the driving actor.
-#[derive(Debug, Clone)]
-pub enum ClientEvent<A: Application> {
-    /// The outstanding command finished.
-    Completed {
-        /// The finished command.
-        cmd: Command<A>,
-        /// The application reply (`None` for create/delete acks).
-        reply: Option<A::Reply>,
-        /// End-to-end latency.
-        latency: SimDuration,
-        /// Whether the command ultimately failed (`nok` prophecy).
-        ok: bool,
-    },
+/// A finished command, surfaced to the driver.
+#[derive(Debug)]
+pub(crate) struct ClientEvent<A: Application> {
+    /// The finished command.
+    pub(crate) cmd: Command<A>,
+    /// The application reply: `None` for create/delete acks and failures.
+    pub(crate) reply: Option<A::Reply>,
+    /// Whether it succeeded; `false` after a `nok` prophecy or
+    /// [`ClientCore::abandon`] (counted as `cmd.failed`).
+    pub(crate) ok: bool,
 }
 
 #[derive(Debug)]
@@ -72,7 +78,7 @@ pub(crate) type LocationCache = FastHashMap<LocKey, (PartitionId, u64)>;
 
 /// A cache that knows `entries` (S-SMR's static map, or a warm start),
 /// built once per deployment and copied into each client
-/// ([`ClientCore::set_cache`]). Entries are tagged with the initial plan
+/// ([`ClientCore::new`]). Entries are tagged with the initial plan
 /// version 0, so the first observed repartitioning flushes them.
 pub(crate) fn warm_cache(
     entries: impl IntoIterator<Item = (LocKey, PartitionId)>,
@@ -80,35 +86,40 @@ pub(crate) fn warm_cache(
     entries.into_iter().map(|(k, p)| (k, (p, 0))).collect()
 }
 
-/// Client-side protocol logic: location cache, oracle fallback, retry.
+/// One client: location cache, oracle fallback, retry and response
+/// timeout, calling the driver's [`Port`] in place.
 ///
-/// Drive it with [`ClientCore::issue`], [`ClientCore::on_direct`] and
-/// [`ClientCore::on_timeout`]; a closed-loop client issues the next
-/// command when [`ClientEvent::Completed`] surfaces.
-pub struct ClientCore<A: Application> {
+/// Drive it with [`Self::issue`], [`Self::on_direct`] and the two timers
+/// it arms: the retry timer ([`Port::arm_retry`], the response timeout)
+/// calls [`Self::on_timeout`], the wake timer ([`Port::arm_wake`], a
+/// deferred retry) [`Self::on_backoff`]. A closed-loop driver issues the
+/// next command when [`Self::on_direct`] returns a [`ClientEvent`].
+pub(crate) struct ClientCore<A: Application> {
     id: NodeId,
     mode: Mode,
+    routes: Arc<RouteTable>,
     seq: u32,
-    /// Entries from a plan older than [`ClientCore::plan_version`] are
-    /// flushed wholesale when a newer version is observed — without the
-    /// version tag, every stale entry would cost its own NOK round-trip
-    /// before being evicted.
+    /// Entries from a plan older than [`Self::plan_version`] are flushed
+    /// wholesale when a newer version is observed — without the version
+    /// tag, every stale entry would cost its own NOK round-trip before
+    /// being evicted.
     cache: LocationCache,
     /// Highest oracle plan version observed in prophecies.
     plan_version: u64,
     outstanding: Option<Outstanding<A>>,
+    /// How long an attempt may go unanswered before it is re-dispatched
+    /// through the oracle (lost messages, leader churn). Armed after each
+    /// dispatch or deferral, cancelled by completion.
+    timeout: SimDuration,
     /// Base delay before re-dispatching after a `Retry` (stale routing).
-    /// Zero (the default) re-dispatches immediately; non-zero turns the
-    /// retry storm a migration causes into backpressure — each retry of
-    /// the same command backs off exponentially from this base.
+    /// Zero re-dispatches immediately; non-zero turns the retry storm a
+    /// migration causes into backpressure — each retry of the same
+    /// command backs off exponentially from this base.
     retry_backoff: SimDuration,
     /// A retry the core chose to delay: `(attempt, due)`. Dispatched when
-    /// the actor's backoff timer fires ([`ClientCore::on_backoff`]);
-    /// cleared by completion or response timeout.
+    /// the wake timer fires ([`Self::on_backoff`]); cleared by completion
+    /// or response timeout.
     deferred: Option<(u32, SimTime)>,
-    /// Number of oracle shard groups in the deployment; oracle `Exec`
-    /// queries route by [`exec_shard`].
-    oracle_shards: u32,
     /// Whether routing facts are cached at all. Disabled, every command
     /// goes through an oracle query — the permanently-cold-cache client
     /// the fig8 flash-crowd benchmark models.
@@ -131,42 +142,31 @@ struct ClientMetricIds {
 }
 
 impl<A: Application> ClientCore<A> {
-    /// Creates a client core. `id` doubles as the message-id origin.
-    pub fn new(id: NodeId, mode: Mode) -> Self {
+    /// Client `id` of the deployment `cfg` describes, whose nodes `routes`
+    /// names. `id` doubles as the message-id origin. The location cache
+    /// starts as a copy of `cache`, the deployment's
+    /// [`crate::deploy::client_cache`], unless caching is off; S-SMR has no
+    /// oracle fallback, so its static map stays cached regardless.
+    pub(crate) fn new(
+        id: NodeId,
+        cfg: &ClusterConfig,
+        cache: &LocationCache,
+        routes: Arc<RouteTable>,
+    ) -> Self {
+        let caching = cfg.client_location_cache || cfg.mode == Mode::SSmr;
         ClientCore {
             id,
-            mode,
+            mode: cfg.mode,
+            routes,
             seq: 0,
-            cache: FastHashMap::default(),
+            cache: if caching { cache.clone() } else { LocationCache::default() },
             plan_version: 0,
             outstanding: None,
-            retry_backoff: SimDuration::ZERO,
+            timeout: cfg.client_timeout,
+            retry_backoff: cfg.client_retry_backoff,
             deferred: None,
-            oracle_shards: 1,
-            caching: true,
+            caching,
             mids: Interned::default(),
-        }
-    }
-
-    /// Sets the base retry backoff (see the field docs). Zero disables
-    /// deferral and reproduces the immediate-retry behaviour.
-    pub fn set_retry_backoff(&mut self, backoff: SimDuration) {
-        self.retry_backoff = backoff;
-    }
-
-    /// Tells the core how many oracle shard groups the deployment runs,
-    /// so `Exec` queries route to the right shard (see [`exec_shard`]).
-    pub fn set_oracle_shards(&mut self, shards: u32) {
-        assert!(shards > 0, "need at least one oracle shard");
-        self.oracle_shards = shards;
-    }
-
-    /// Enables or disables the location cache. Disabled, every dispatch
-    /// goes through the oracle and prophecy facts are not retained.
-    pub fn set_location_cache(&mut self, on: bool) {
-        self.caching = on;
-        if !on {
-            self.cache.clear();
         }
     }
 
@@ -184,97 +184,91 @@ impl<A: Application> ClientCore<A> {
         })
     }
 
-    /// Starts the location cache from a copy of a deployment's
-    /// [`warm_cache`]: one table copy instead of an insert per key.
-    pub(crate) fn set_cache(&mut self, cache: &LocationCache) {
-        self.cache.clone_from(cache);
-    }
-
-    /// Number of cached locations (test/debug aid).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Highest plan version this client has observed (test/debug aid).
-    pub fn plan_version(&self) -> u64 {
-        self.plan_version
-    }
-
     /// Whether a command is in flight.
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         self.outstanding.is_some()
     }
 
-    /// The in-flight command id, if any.
-    pub fn outstanding_cmd(&self) -> Option<MsgId> {
-        self.outstanding.as_ref().map(|o| o.cmd.id)
-    }
-
-    /// The in-flight command's attempt, if any: 0 when issued, bumped by each
-    /// `Retry` and response timeout.
-    pub(crate) fn outstanding_attempt(&self) -> Option<u32> {
-        self.outstanding.as_ref().map(|o| o.attempt)
-    }
-
-    /// Issues a new command (closed loop: at most one outstanding).
+    /// Issues a new command (closed loop: at most one outstanding) and
+    /// arms the response timeout.
     ///
     /// # Panics
     ///
     /// Panics if a command is already outstanding.
-    pub fn issue(&mut self, kind: CommandKind<A>, now: SimTime) -> Vec<Effect<A>> {
+    pub(crate) fn issue(&mut self, kind: CommandKind<A>, port: &mut impl Port<A>) {
         assert!(self.outstanding.is_none(), "client is closed-loop: command already in flight");
         let cmd =
             Command { id: MsgId::new(self.id.as_raw() as u64, self.seq), client: self.id, kind };
         self.seq += 1;
-        self.outstanding = Some(Outstanding { cmd: cmd.clone(), attempt: 0, issued_at: now });
-        self.dispatch(cmd, 0)
+        let issued_at = port.now();
+        self.outstanding = Some(Outstanding { cmd: cmd.clone(), attempt: 0, issued_at });
+        self.dispatch(cmd, 0, port);
+        port.arm_retry(Some(self.timeout));
     }
 
     /// Dispatches (or re-dispatches) the outstanding command: straight to
     /// the partitions when the cache can route it, through the oracle
     /// otherwise.
-    fn dispatch(&mut self, cmd: Command<A>, attempt: u32) -> Vec<Effect<A>> {
+    fn dispatch(&self, cmd: Command<A>, attempt: u32, port: &mut impl Port<A>) {
         if let CommandKind::Access { .. } = cmd.kind {
             if let Some(route) = compute_route(&cmd, |k| self.cache.get(&k).map(|&(p, _)| p)) {
+                let mid = dispatch_mid(cmd.id, attempt);
                 let keep = self.mode.keeps_moved_state() && route.is_multi_partition();
-                return vec![Effect::Multicast {
-                    mid: dispatch_mid(cmd.id, attempt),
-                    partitions: route.dests,
-                    // DS-SMR keep moves keys in every shard's map replica.
-                    oracle: if keep { OracleDest::All } else { OracleDest::None },
-                    payload: Payload::Access {
-                        cmd,
-                        attempt,
-                        expected: route.expected,
-                        target: route.target,
-                        keep,
-                    },
-                }];
+                // DS-SMR keep moves keys in every shard's map replica.
+                let oracle = if keep { OracleDest::All } else { OracleDest::None };
+                let (expected, target) = (route.expected, route.target);
+                let payload = Payload::Access { cmd, attempt, expected, target, keep };
+                return self.submit(mid, route.dests, oracle, payload, port);
             }
         }
         // Cold cache, stale cache, or create/delete: involve the oracle —
         // the one shard the query's routing function picks, rotating with
         // the attempt so `Retry` referrals reach the owner shard.
-        let shard = exec_shard(&cmd, attempt, self.oracle_shards);
-        vec![Effect::Multicast {
-            mid: query_mid(cmd.id, attempt),
-            partitions: Vec::new(),
-            oracle: OracleDest::Shard(shard),
-            payload: Payload::Exec { cmd, attempt },
-        }]
+        let shard = exec_shard(&cmd, attempt, self.routes.oracle_shards());
+        let mid = query_mid(cmd.id, attempt);
+        self.submit(
+            mid,
+            Vec::new(),
+            OracleDest::Shard(shard),
+            Payload::Exec { cmd, attempt },
+            port,
+        );
     }
 
-    /// Handles a direct message from a server or the oracle.
+    /// Client-side multicast: a client is no group member, so it submits
+    /// straight to every replica of every destination group, one body for
+    /// all of them.
+    fn submit(
+        &self,
+        mid: MsgId,
+        partitions: Vec<PartitionId>,
+        oracle: OracleDest,
+        payload: Payload<A>,
+        port: &mut impl Port<A>,
+    ) {
+        let dests = self.routes.mcast_groups(partitions, oracle);
+        let payload = Arc::new(payload);
+        let body =
+            Arc::new(Inner::Wire(McastWire::Submit { mid, dests: Arc::clone(&dests), payload }));
+        for &g in dests.iter() {
+            for &node in self.routes.group_nodes(g) {
+                port.send(node, Arc::clone(&body));
+            }
+        }
+    }
+
+    /// Handles a direct message from a server or the oracle; returns the
+    /// outstanding command if this message finished it.
     #[expect(
         clippy::wildcard_enum_match_arm,
-        reason = "a client consumes only Prophecy, Reply and Retry; every other Direct variant is server-to-server traffic it must ignore, not enumerate"
+        reason = "a client consumes only Prophecy, Reply, Ack and Retry; every other Direct variant is server-to-server traffic it must ignore, not enumerate"
     )]
-    pub fn on_direct(
+    pub(crate) fn on_direct(
         &mut self,
         msg: Direct<A>,
-        now: SimTime,
-        metrics: &mut Metrics,
-    ) -> (Vec<Effect<A>>, Option<ClientEvent<A>>) {
+        port: &mut impl Port<A>,
+    ) -> Option<ClientEvent<A>> {
+        let now = port.now();
         match msg {
             Direct::Prophecy { cmd, ok, locations, version } => {
                 if version > self.plan_version {
@@ -289,171 +283,342 @@ impl<A: Application> ClientCore<A> {
                         self.cache.insert(k, (p, version));
                     }
                 }
-                let matches = self.outstanding.as_ref().map(|o| o.cmd.id) == Some(cmd);
-                if matches && !ok {
-                    // Command cannot execute (unknown variable, duplicate
-                    // create): complete unsuccessfully.
-                    return (Vec::new(), self.abandon(now, metrics));
+                // A command that cannot execute (unknown variable,
+                // duplicate create) completes unsuccessfully.
+                if !ok && self.outstanding_cmd() == Some(cmd) {
+                    return self.abandon(port);
                 }
-                (Vec::new(), None)
+                None
             }
-            Direct::Reply { cmd, reply, .. } => self.complete(cmd, Some(reply), now, metrics),
-            Direct::Ack { cmd } => self.complete(cmd, None, now, metrics),
+            Direct::Reply { cmd, reply, .. } => self.complete(cmd, Some(reply), now, port),
+            Direct::Ack { cmd } => self.complete(cmd, None, now, port),
             Direct::Retry { cmd, attempt } => {
-                let matches = self
-                    .outstanding
-                    .as_ref()
-                    .map(|o| o.cmd.id == cmd && o.attempt == attempt)
-                    .unwrap_or(false);
-                if !matches {
-                    return (Vec::new(), None);
-                }
-                let ids = self.mids(metrics);
-                metrics.incr(ids.cmd_retry, 1);
-                metrics.record_at(ids.s_cmd_retry, now, 1.0);
-                // Our cached locations for this command were stale.
-                let Some(out) = self.outstanding.as_mut() else {
-                    return (Vec::new(), None);
-                };
-                for k in out.cmd.keys() {
-                    self.cache.remove(&k);
-                }
-                out.attempt += 1;
-                let (cmd, attempt) = (out.cmd.clone(), out.attempt);
-                if self.retry_backoff > SimDuration::ZERO {
-                    // Stale routing usually means a migration is mid-flight:
-                    // back off instead of hammering the moving key. Delay
-                    // doubles per attempt of this command, capped at 64×.
-                    let shift = attempt.min(6);
-                    let delay = self.retry_backoff.saturating_mul(1u64 << shift);
-                    let due = now + delay;
-                    self.deferred = Some((attempt, due));
-                    metrics.incr(ids.cmd_retry_backoff, 1);
-                    return (vec![Effect::Wake { at: due }], None);
-                }
-                (self.dispatch(cmd, attempt), None)
+                self.on_retry(cmd, attempt, now, port);
+                None
             }
-            _ => (Vec::new(), None),
+            _ => None,
         }
     }
 
-    /// Gives up on the outstanding command: it completes unsuccessfully
-    /// (counted as `cmd.failed`) and the client can issue again. A late
-    /// `Reply` or `Retry` for it fails the id check and is ignored.
-    pub fn abandon(&mut self, now: SimTime, metrics: &mut Metrics) -> Option<ClientEvent<A>> {
-        let out = self.outstanding.take()?;
-        self.deferred = None;
-        let latency = now.saturating_duration_since(out.issued_at);
-        let ids = self.mids(metrics);
-        metrics.incr(ids.cmd_failed, 1);
-        Some(ClientEvent::Completed { cmd: out.cmd, reply: None, latency, ok: false })
+    /// A `Retry` of the current attempt: the cached locations of its keys
+    /// were stale. Re-dispatches at once, or after a backoff; either way
+    /// the response timeout restarts for the new attempt.
+    fn on_retry(&mut self, cmd: MsgId, attempt: u32, now: SimTime, port: &mut impl Port<A>) {
+        if !self.outstanding.as_ref().is_some_and(|o| o.cmd.id == cmd && o.attempt == attempt) {
+            return; // a late one, of an earlier attempt or command
+        }
+        let ids = self.mids(port.metrics());
+        port.metrics().incr(ids.cmd_retry, 1);
+        port.metrics().record_at(ids.s_cmd_retry, now, 1.0);
+        let Some(out) = self.outstanding.as_mut() else { return };
+        for k in out.cmd.keys() {
+            self.cache.remove(&k);
+        }
+        out.attempt += 1;
+        let attempt = out.attempt;
+        if self.retry_backoff > SimDuration::ZERO {
+            // Stale routing usually means a migration is mid-flight:
+            // back off instead of hammering the moving key. Delay
+            // doubles per attempt of this command, capped at 64×.
+            let due = now + self.retry_backoff.saturating_mul(1u64 << attempt.min(6));
+            self.deferred = Some((attempt, due));
+            port.metrics().incr(ids.cmd_retry_backoff, 1);
+            port.arm_wake(due);
+        } else {
+            let cmd = out.cmd.clone();
+            self.dispatch(cmd, attempt, port);
+        }
+        port.arm_retry(Some(self.timeout));
     }
 
+    /// The outstanding command's id, if any.
+    fn outstanding_cmd(&self) -> Option<MsgId> {
+        self.outstanding.as_ref().map(|o| o.cmd.id)
+    }
+
+    /// Gives up on the outstanding command: it completes unsuccessfully
+    /// (counted as `cmd.failed`), its response timeout is cancelled and the
+    /// client can issue again. A late `Reply` or `Retry` for it fails the
+    /// id check and is ignored.
+    pub(crate) fn abandon(&mut self, port: &mut impl Port<A>) -> Option<ClientEvent<A>> {
+        let out = self.outstanding.take()?;
+        self.deferred = None;
+        let ids = self.mids(port.metrics());
+        port.metrics().incr(ids.cmd_failed, 1);
+        port.arm_retry(None);
+        Some(ClientEvent { cmd: out.cmd, reply: None, ok: false })
+    }
+
+    /// Completes the outstanding command `cmd` and cancels its response
+    /// timeout; a late duplicate from an old attempt is ignored.
     fn complete(
         &mut self,
         cmd: MsgId,
         reply: Option<A::Reply>,
         now: SimTime,
-        metrics: &mut Metrics,
-    ) -> (Vec<Effect<A>>, Option<ClientEvent<A>>) {
-        let matches = self.outstanding.as_ref().map(|o| o.cmd.id) == Some(cmd);
-        if !matches {
-            return (Vec::new(), None); // late duplicate from an old attempt
-        }
-        let Some(out) = self.outstanding.take() else {
-            return (Vec::new(), None);
-        };
+        port: &mut impl Port<A>,
+    ) -> Option<ClientEvent<A>> {
+        let out = self.outstanding.take_if(|o| o.cmd.id == cmd)?;
         self.deferred = None;
-        let latency = now.saturating_duration_since(out.issued_at);
-        let ids = self.mids(metrics);
-        metrics.incr(ids.cmd_completed, 1);
-        metrics.record_at(ids.s_cmd_completed, now, 1.0);
-        metrics.observe(ids.cmd_latency, latency);
-        (Vec::new(), Some(ClientEvent::Completed { cmd: out.cmd, reply, latency, ok: true }))
+        let ids = self.mids(port.metrics());
+        let m = port.metrics();
+        m.incr(ids.cmd_completed, 1);
+        m.record_at(ids.s_cmd_completed, now, 1.0);
+        m.observe(ids.cmd_latency, now.saturating_duration_since(out.issued_at));
+        port.arm_retry(None);
+        Some(ClientEvent { cmd: out.cmd, reply, ok: true })
     }
 
-    /// Dispatches a retry the core delayed for backpressure, once the
-    /// actor's backoff timer fires. A stale wake-up (the command already
-    /// completed, timed out, or retried through another path) is a no-op.
-    pub fn on_backoff(&mut self, now: SimTime) -> Vec<Effect<A>> {
-        let Some((attempt, due)) = self.deferred else {
-            return Vec::new();
-        };
-        if now < due {
-            return Vec::new(); // superseded wake-up; a later timer is set
+    /// The wake timer fired: dispatches the retry the core delayed for
+    /// backpressure. A stale wake-up (the command already completed, timed
+    /// out, or retried through another path) sends nothing.
+    pub(crate) fn on_backoff(&mut self, port: &mut impl Port<A>) {
+        let now = port.now();
+        // A wake-up before `due` is superseded: a later one is armed.
+        if let Some((attempt, _)) = self.deferred.take_if(|&mut (_, due)| now >= due) {
+            if let Some(out) = self.outstanding.as_ref().filter(|o| o.attempt == attempt) {
+                self.dispatch(out.cmd.clone(), attempt, port);
+            }
         }
-        self.deferred = None;
-        let matches = self.outstanding.as_ref().map(|o| o.attempt == attempt).unwrap_or(false);
-        if !matches {
-            return Vec::new();
+        if self.is_busy() {
+            port.arm_retry(Some(self.timeout));
         }
-        let Some(out) = self.outstanding.as_ref() else {
-            return Vec::new();
-        };
-        let (cmd, attempt) = (out.cmd.clone(), out.attempt);
-        self.dispatch(cmd, attempt)
     }
 
-    /// Re-dispatches the outstanding command through the oracle after a
-    /// response timeout (lost messages / leader churn).
-    pub fn on_timeout(&mut self, _now: SimTime, metrics: &mut Metrics) -> Vec<Effect<A>> {
-        if self.outstanding.is_none() {
-            return Vec::new();
+    /// The response timeout fired: re-dispatches the outstanding command
+    /// through the oracle (its cached locations are dropped) and re-arms.
+    pub(crate) fn on_timeout(&mut self, port: &mut impl Port<A>) {
+        if !self.is_busy() {
+            return;
         }
         self.deferred = None;
-        let ids = self.mids(metrics);
-        metrics.incr(ids.cmd_timeout, 1);
-        let Some(out) = self.outstanding.as_mut() else {
-            return Vec::new();
-        };
+        let ids = self.mids(port.metrics());
+        port.metrics().incr(ids.cmd_timeout, 1);
+        let Some(out) = self.outstanding.as_mut() else { return };
         out.attempt += 1;
         for k in out.cmd.keys() {
             self.cache.remove(&k);
         }
         let (cmd, attempt) = (out.cmd.clone(), out.attempt);
-        self.dispatch(cmd, attempt)
-    }
-}
-
-impl<A: Application> std::fmt::Debug for ClientCore<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientCore")
-            .field("id", &self.id)
-            .field("seq", &self.seq)
-            .field("cache", &self.cache.len())
-            .field("busy", &self.outstanding.is_some())
-            .finish()
+        self.dispatch(cmd, attempt, port);
+        port.arm_retry(Some(self.timeout));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::command::VarId;
-    use crate::host::tests::App;
+    use std::collections::BTreeMap;
 
-    fn access(var: u64) -> CommandKind<App> {
-        CommandKind::Access { op: (), vars: vec![VarId(var)] }
+    use super::*;
+    use crate::deploy::client_cache;
+    use crate::host::tests::{access, send, App, Recorder, Seen, CLIENT};
+
+    const T0: SimTime = SimTime::from_secs(1);
+    const TIMEOUT: SimDuration = SimDuration::from_millis(250);
+    const BACKOFF: SimDuration = SimDuration::from_millis(2);
+
+    /// Keys 0..8 alternate over two partitions of three replicas: partition
+    /// 0 is nodes 0..3, partition 1 nodes 3..6, the oracle nodes 6..9.
+    fn placement() -> BTreeMap<LocKey, PartitionId> {
+        (0..8).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect()
+    }
+
+    /// Client `id` of the deployment `config` describes (a 250 ms response
+    /// timeout, warm caches unless it says otherwise).
+    fn client_of(id: u32, config: &ClusterConfig) -> ClientCore<App> {
+        let cache = client_cache(config, &placement());
+        let routes = Arc::new(RouteTable::new(2, 1, 3));
+        ClientCore::new(NodeId::from_raw(id), config, &cache, routes)
+    }
+
+    fn config(retry_backoff: SimDuration) -> ClusterConfig {
+        ClusterConfig {
+            client_timeout: TIMEOUT,
+            client_retry_backoff: retry_backoff,
+            warm_client_caches: true,
+            ..ClusterConfig::default()
+        }
+    }
+
+    fn cmd_id(seq: u32) -> MsgId {
+        MsgId::new(CLIENT as u64, seq)
+    }
+
+    fn to_nodes(nodes: std::ops::Range<u32>, name: &str) -> Vec<Seen> {
+        nodes.map(|n| send(n, name)).collect()
+    }
+
+    /// The response timeout, (re-)armed.
+    fn armed() -> Seen {
+        Seen::Retry(Some(TIMEOUT))
+    }
+
+    /// What a port saw from a warm client issuing `access(seq, &[5])`:
+    /// key 5 goes straight to partition 1, then the timeout is armed.
+    fn issued_to_partition_1() -> Vec<Seen> {
+        [vec![Seen::Clock], to_nodes(3..6, "Access"), vec![armed()]].concat()
+    }
+
+    /// A warm client with `access(0, &[5])` in flight and a clean port.
+    fn busy(retry_backoff: SimDuration) -> (ClientCore<App>, Recorder) {
+        let mut client = client_of(CLIENT, &config(retry_backoff));
+        let mut port = Recorder::at(T0);
+        client.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(port.take(), issued_to_partition_1());
+        (client, port)
+    }
+
+    #[test]
+    fn the_response_timeout_is_armed_after_the_dispatch_sends() {
+        busy(SimDuration::ZERO);
+        // A cold client's query goes to the oracle first, then the same.
+        let mut cold = client_of(
+            CLIENT,
+            &ClusterConfig { warm_client_caches: false, ..config(SimDuration::ZERO) },
+        );
+        let mut port = Recorder::at(T0);
+        cold.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(
+            port.take(),
+            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
+        );
+    }
+
+    #[test]
+    fn an_ok_prophecy_and_a_late_duplicate_reply_leave_the_timeout_alone() {
+        let (mut client, mut port) = busy(SimDuration::ZERO);
+        let reply = |seq| Direct::Reply { cmd: cmd_id(seq), attempt: 0, reply: () };
+        assert!(client.on_direct(reply(0), &mut port).is_some());
+        port.take();
+        client.issue(access(1, &[5]).kind, &mut port);
+        port.take();
+
+        // The first command's reply again, and an `ok` prophecy for the
+        // second: the clock is read, nothing is sent, armed or cancelled.
+        assert!(client.on_direct(reply(0), &mut port).is_none());
+        let locations = vec![(LocKey(5), PartitionId(1))];
+        let prophecy = Direct::Prophecy { cmd: cmd_id(1), ok: true, locations, version: 0 };
+        assert!(client.on_direct(prophecy, &mut port).is_none());
+        assert_eq!(port.take(), [Seen::Clock, Seen::Clock]);
+        assert_eq!(client.outstanding_cmd(), Some(cmd_id(1)));
+    }
+
+    #[test]
+    fn a_retry_re_arms_the_timeout_after_it_dispatches_again() {
+        let (mut client, mut port) = busy(SimDuration::ZERO);
+        let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
+        assert!(client.on_direct(retry, &mut port).is_none());
+        // Key 5's location was stale: the command asks the oracle.
+        assert_eq!(
+            port.take(),
+            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
+        );
+        assert_eq!(port.metrics.counter(mn::CMD_RETRY), 1);
+        // A retry of an attempt already retried is late: nothing happens.
+        let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
+        assert!(client.on_direct(retry, &mut port).is_none());
+        assert_eq!(port.take(), [Seen::Clock]);
+    }
+
+    #[test]
+    fn a_deferred_retry_re_arms_the_timeout_after_the_wake_and_again_when_it_goes_out() {
+        let (mut client, mut port) = busy(BACKOFF);
+        let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
+        assert!(client.on_direct(retry, &mut port).is_none());
+        // Attempt 1 backs off twice the base.
+        let due = T0 + BACKOFF.saturating_mul(2);
+        assert_eq!(port.take(), [Seen::Clock, Seen::Wake(due), armed()]);
+        assert_eq!(port.metrics.counter(mn::CMD_RETRY_BACKOFF), 1);
+
+        port.now = due;
+        client.on_backoff(&mut port);
+        assert_eq!(
+            port.take(),
+            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
+        );
+    }
+
+    #[test]
+    fn completion_cancels_the_timeout() {
+        for ack in [false, true] {
+            let (mut client, mut port) = busy(SimDuration::ZERO);
+            port.now = T0 + SimDuration::from_millis(3);
+            let msg = if ack {
+                Direct::Ack { cmd: cmd_id(0) }
+            } else {
+                Direct::Reply { cmd: cmd_id(0), attempt: 0, reply: () }
+            };
+            let done = client.on_direct(msg, &mut port).expect("the command completed");
+            assert_eq!((done.cmd.id, done.ok, done.reply.is_some()), (cmd_id(0), true, !ack));
+            assert_eq!(port.take(), [Seen::Clock, Seen::Retry(None)]);
+            assert!(!client.is_busy());
+            assert_eq!(port.metrics.counter(mn::CMD_COMPLETED), 1);
+        }
+    }
+
+    #[test]
+    fn a_nok_prophecy_fails_the_command_and_cancels_the_timeout() {
+        let (mut client, mut port) = busy(SimDuration::ZERO);
+        let prophecy =
+            Direct::Prophecy { cmd: cmd_id(0), ok: false, locations: vec![], version: 0 };
+        let done = client.on_direct(prophecy, &mut port).expect("the command completed");
+        assert_eq!((done.cmd.id, done.ok, done.reply), (cmd_id(0), false, None));
+        assert_eq!(port.take(), [Seen::Clock, Seen::Retry(None)]);
+        assert_eq!(port.metrics.counter(mn::CMD_FAILED), 1);
+        assert_eq!(port.metrics.counter(mn::CMD_COMPLETED), 0);
+    }
+
+    #[test]
+    fn a_response_timeout_asks_the_oracle_and_re_arms() {
+        let (mut client, mut port) = busy(SimDuration::ZERO);
+        client.on_timeout(&mut port);
+        assert_eq!(port.take(), [to_nodes(6..9, "Exec"), vec![armed()]].concat());
+        assert_eq!(port.metrics.counter(mn::CMD_TIMEOUT), 1);
+        // An idle client's timeout (none is armed) does nothing.
+        let reply = Direct::Reply { cmd: cmd_id(0), attempt: 1, reply: () };
+        assert!(client.on_direct(reply, &mut port).is_some());
+        port.take();
+        client.on_timeout(&mut port);
+        assert_eq!(port.take(), []);
+        assert_eq!(port.metrics.counter(mn::CMD_TIMEOUT), 1);
     }
 
     /// A caller that stops waiting frees the client: the command it gave
-    /// up on is a failure, and the next one goes out.
+    /// up on is a failure, its timeout is cancelled and the next one goes
+    /// out.
     #[test]
     fn an_abandoned_command_fails_and_the_next_goes_out() {
-        let mut metrics = Metrics::new();
-        let mut client = ClientCore::<App>::new(NodeId::from_raw(7), Mode::Dynastar);
-        assert_eq!(client.issue(access(0), SimTime::ZERO).len(), 1);
-        let first = client.outstanding_cmd().expect("in flight");
-
-        let event = client.abandon(SimTime::from_millis(5), &mut metrics);
-        let Some(ClientEvent::Completed { cmd, ok, latency, .. }) = event else {
-            panic!("abandoning completes the command: {event:?}");
-        };
-        assert_eq!((cmd.id, ok, latency), (first, false, SimDuration::from_millis(5)));
+        let (mut client, mut port) = busy(SimDuration::ZERO);
+        let done = client.abandon(&mut port).expect("abandoning completes the command");
+        assert_eq!((done.cmd.id, done.ok), (cmd_id(0), false));
+        assert_eq!(port.take(), [Seen::Retry(None)]);
         assert!(!client.is_busy());
-        assert_eq!(metrics.counter(mn::CMD_FAILED), 1);
+        assert_eq!(port.metrics.counter(mn::CMD_FAILED), 1);
 
-        assert_eq!(client.issue(access(1), SimTime::from_millis(6)).len(), 1);
-        assert!(client.outstanding_cmd().is_some_and(|next| next != first));
+        client.issue(access(1, &[5]).kind, &mut port);
+        assert_eq!(port.take(), issued_to_partition_1());
+        assert_eq!(client.outstanding_cmd(), Some(cmd_id(1)));
+    }
+
+    #[test]
+    fn clients_start_from_their_own_copy_of_the_deployments_warm_cache() {
+        let cold = ClusterConfig::default();
+        assert!(client_cache(&cold, &placement()).is_empty());
+        let config = config(SimDuration::ZERO);
+        let (mut a, mut b) = (client_of(CLIENT, &config), client_of(CLIENT + 1, &config));
+        assert_eq!((a.cache.len(), b.cache.len()), (8, 8));
+
+        // Both route key 5 straight to partition 1 (nodes 3..6).
+        let mut port = Recorder::at(T0);
+        a.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(port.take(), issued_to_partition_1());
+        // A stale-routing `Retry` drops key 5 from `a`'s cache alone: `a`
+        // asks the oracle (nodes 6..9), `b` still goes straight there.
+        let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
+        assert!(a.on_direct(retry, &mut port).is_none());
+        assert_eq!(port.take()[1..4], to_nodes(6..9, "Exec"));
+        assert_eq!((a.cache.len(), b.cache.len()), (7, 8));
+        b.issue(access(0, &[5]).kind, &mut port);
+        assert_eq!(port.take()[1..4], to_nodes(3..6, "Access"));
     }
 }

@@ -1,8 +1,9 @@
-//! The simulated deployment: actors that put the sans-io hosts (`host.rs`)
+//! The simulated deployment: actors that put the sans-io state machines
 //! on the simulation runtime — the FIFO/ARQ transport (`transport.rs`),
-//! the timers and the stable-storage blob around a `ReplicaHost`; the
-//! workload loop and its timers around a `ClientHost` — and the builder
-//! and handle for a complete cluster.
+//! the timers and the stable-storage blob around a `ReplicaHost`
+//! (`host.rs`); the workload loop around a `ClientCore` (`client.rs`),
+//! which arms its own response timeout — and the builder and handle for a
+//! complete cluster.
 
 #![cfg_attr(
     not(test),
@@ -15,10 +16,10 @@ use std::sync::Arc;
 use dynastar_paxos::Ballot;
 use dynastar_runtime::{Actor, Ctx, Metrics, NodeId, SimConfig, SimDuration, SimTime, Simulation};
 
-use crate::client::{ClientEvent, LocationCache, Workload};
+use crate::client::{ClientCore, LocationCache, Workload};
 use crate::command::{Application, LocKey, PartitionId, VarId};
-use crate::deploy::{build_hosts, client_cache, client_host};
-use crate::host::{unwrap_released, ClientHost, Port, ReplicaHost, RouteTable, TICK};
+use crate::deploy::{build_hosts, client_cache};
+use crate::host::{unwrap_released, Port, ReplicaHost, RouteTable, TICK};
 use crate::transport::Wiring;
 
 pub use crate::deploy::ClusterConfig;
@@ -31,7 +32,7 @@ mod timer {
     pub const TICK: u64 = 1;
     /// Oracle plan-compute completion.
     pub const PLAN: u64 = 2;
-    /// Client response timeout.
+    /// Client response timeout (a client's retry timer).
     pub const TIMEOUT: u64 = 3;
     /// Client initial-issue stagger.
     pub const START: u64 = 4;
@@ -39,9 +40,11 @@ mod timer {
     pub const WAKE: u64 = 5;
     /// Transport retransmission check (clients; servers piggyback on TICK).
     pub const RETX: u64 = 6;
-    /// Recovery snapshot-request retry (restarted/lagging replicas).
+    /// Recovery snapshot-request retry (restarted/lagging replicas; a
+    /// replica's retry timer).
     pub const RECOVER: u64 = 7;
-    /// Client retry-backoff wake-up (deferred stale-routing retry).
+    /// Client retry-backoff wake-up (deferred stale-routing retry; a
+    /// client's wake timer).
     pub const BACKOFF: u64 = 8;
     /// Client think-time wake-up (paced workloads; see
     /// [`crate::Workload::think_time`]).
@@ -57,6 +60,9 @@ struct SimPort<'a, 'c, A: Application> {
     /// The tag of the wake timer: [`timer::WAKE`] at replicas,
     /// [`timer::BACKOFF`] at clients.
     wake: u64,
+    /// The tag of the retry timer: [`timer::RECOVER`] at replicas,
+    /// [`timer::TIMEOUT`] at clients.
+    retry: u64,
     /// The incarnation a persisted promise is stored with (clients never
     /// persist).
     epoch: u64,
@@ -86,8 +92,8 @@ impl<A: Application> Port<A> for SimPort<'_, '_, A> {
 
     fn arm_retry(&mut self, after: Option<SimDuration>) {
         match after {
-            Some(after) => self.ctx.set_timer(after, timer::RECOVER),
-            None => self.ctx.cancel_timer(timer::RECOVER),
+            Some(after) => self.ctx.set_timer(after, self.retry),
+            None => self.ctx.cancel_timer(self.retry),
         }
     }
 
@@ -151,7 +157,8 @@ impl<A: Application> ServerActor<A> {
         call: impl FnOnce(&mut ReplicaHost<A>, &mut SimPort<'_, '_, A>),
     ) {
         let (wiring, epoch) = (&mut self.wiring, self.epoch);
-        call(&mut self.host, &mut SimPort { wiring, ctx, wake: timer::WAKE, epoch });
+        let port = &mut SimPort { wiring, ctx, wake: timer::WAKE, retry: timer::RECOVER, epoch };
+        call(&mut self.host, port);
     }
 }
 
@@ -201,12 +208,12 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     }
 }
 
-/// A closed-loop client actor driving a [`Workload`].
+/// A closed-loop client actor: a `ClientCore` (`client.rs`) on the simulated
+/// transport, driving a [`Workload`].
 pub struct ClientActor<A: Application, W: Workload<A>> {
-    host: ClientHost<A>,
+    client: ClientCore<A>,
     workload: W,
     wiring: Wiring<A>,
-    timeout: SimDuration,
     /// Uniform random delay before the first command, to de-synchronize
     /// client start-up.
     start_jitter: SimDuration,
@@ -217,30 +224,25 @@ pub struct ClientActor<A: Application, W: Workload<A>> {
 }
 
 impl<A: Application, W: Workload<A>> ClientActor<A, W> {
-    /// Runs one host call with this node's port.
+    /// Runs one client call with this node's port.
     fn drive<R>(
         &mut self,
         ctx: &mut Ctx<'_, Msg<A>>,
-        call: impl FnOnce(&mut ClientHost<A>, &mut SimPort<'_, '_, A>) -> R,
+        call: impl FnOnce(&mut ClientCore<A>, &mut SimPort<'_, '_, A>) -> R,
     ) -> R {
         let wiring = &mut self.wiring;
-        call(&mut self.host, &mut SimPort { wiring, ctx, wake: timer::BACKOFF, epoch: 0 })
+        let port =
+            &mut SimPort { wiring, ctx, wake: timer::BACKOFF, retry: timer::TIMEOUT, epoch: 0 };
+        call(&mut self.client, port)
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        if self.done || self.host.is_busy() {
+        if self.done || self.client.is_busy() {
             return;
         }
-        let now = ctx.now();
-        match self.workload.next_command(now, ctx.rng()) {
-            Some(kind) => {
-                self.drive(ctx, |host, port| host.issue(kind, port));
-                ctx.set_timer(self.timeout, timer::TIMEOUT);
-            }
-            None => {
-                self.done = true;
-                ctx.cancel_timer(timer::TIMEOUT);
-            }
+        match self.workload.next_command(ctx.now(), ctx.rng()) {
+            Some(kind) => self.drive(ctx, |client, port| client.issue(kind, port)),
+            None => self.done = true,
         }
     }
 }
@@ -257,23 +259,17 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
         self.wiring.receive(ctx, from, msg, &mut inbox);
         for body in inbox.drain(..) {
             let Inner::Direct(d) = unwrap_released(body) else { continue };
-            let attempt = self.host.attempt();
-            let event = self.drive(ctx, |host, port| host.on_direct(d, port));
-            if let Some(ClientEvent::Completed { cmd, reply, ok, .. }) = event {
-                ctx.cancel_timer(timer::TIMEOUT);
-                let now = ctx.now();
-                self.workload.on_completed(now, &cmd, if ok { reply.as_ref() } else { None });
-                let think = self.workload.think_time(now, ctx.rng());
-                if think == SimDuration::ZERO {
-                    self.issue_next(ctx);
-                } else {
-                    ctx.set_timer(think, timer::THINK);
-                }
-            } else if self.host.attempt() != attempt {
-                // A `Retry` was dispatched or deferred: the response
-                // timeout restarts for the new attempt. A late duplicate
-                // or a prophecy leaves it running.
-                ctx.set_timer(self.timeout, timer::TIMEOUT);
+            let Some(done) = self.drive(ctx, |client, port| client.on_direct(d, port)) else {
+                continue;
+            };
+            let now = ctx.now();
+            let reply = if done.ok { done.reply.as_ref() } else { None };
+            self.workload.on_completed(now, &done.cmd, reply);
+            let think = self.workload.think_time(now, ctx.rng());
+            if think == SimDuration::ZERO {
+                self.issue_next(ctx);
+            } else {
+                ctx.set_timer(think, timer::THINK);
             }
         }
         self.inbox = inbox;
@@ -282,21 +278,11 @@ impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<A>>, tag: u64) {
         match tag {
             timer::START | timer::THINK => self.issue_next(ctx),
-            timer::TIMEOUT if self.host.is_busy() => {
-                self.drive(ctx, |host, port| host.on_timeout(port));
-                ctx.set_timer(self.timeout, timer::TIMEOUT);
-            }
+            timer::TIMEOUT => self.drive(ctx, |client, port| client.on_timeout(port)),
+            timer::BACKOFF => self.drive(ctx, |client, port| client.on_backoff(port)),
             timer::RETX => {
                 self.wiring.maintain(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), timer::RETX);
-            }
-            timer::BACKOFF => {
-                self.drive(ctx, |host, port| host.on_backoff(port));
-                if self.host.is_busy() {
-                    // The deferred retry is on the wire: arm the response
-                    // timeout afresh so the backoff window doesn't eat it.
-                    ctx.set_timer(self.timeout, timer::TIMEOUT);
-                }
             }
             _ => {}
         }
@@ -397,11 +383,11 @@ impl<A: Application> Cluster<A> {
         // Pre-compute the id the simulation will assign.
         let id = NodeId::from_raw(self.sim.node_count() as u32);
         let jitter_us = 1 + (idx as u64 * 137) % 5_000;
+        let routes = Arc::clone(&self.routes);
         let actor = ClientActor {
-            host: client_host(id, &self.config, &self.client_cache, Arc::clone(&self.routes)),
+            client: ClientCore::new(id, &self.config, &self.client_cache, routes),
             workload,
             wiring: Wiring::new(0),
-            timeout: self.config.client_timeout,
             start_jitter: SimDuration::from_micros(jitter_us),
             done: false,
             inbox: Vec::new(),

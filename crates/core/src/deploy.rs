@@ -7,11 +7,11 @@ use std::sync::Arc;
 
 use dynastar_amcast::{GroupId, MemberId};
 use dynastar_paxos::{BatchConfig, GroupConfig};
-use dynastar_runtime::{NetConfig, NodeId, SimDuration};
+use dynastar_runtime::{NetConfig, SimDuration};
 
-use crate::client::{warm_cache, ClientCore, LocationCache};
+use crate::client::{warm_cache, LocationCache};
 use crate::command::{Application, LocKey, Mode, PartitionId, VarId};
-use crate::host::{ClientHost, ReplicaHost, Role, RouteTable};
+use crate::host::{ReplicaHost, Role, RouteTable};
 use crate::oracle::{OracleConfig, OracleCore};
 use crate::server::{ExecConfig, ServerConfig, ServerCore};
 
@@ -210,7 +210,8 @@ pub(crate) fn build_hosts<A: Application>(
 
 /// What every client of a deployment knows of the placement when it
 /// starts: all of it if client caches are warm (always for S-SMR, whose
-/// map is static), nothing otherwise. Built once; [`client_host`] copies it.
+/// map is static), nothing otherwise. Built once; each
+/// [`crate::client::ClientCore`] starts from a copy.
 pub(crate) fn client_cache(
     cfg: &ClusterConfig,
     placement: &BTreeMap<LocKey, PartitionId>,
@@ -221,25 +222,4 @@ pub(crate) fn client_cache(
     } else {
         LocationCache::default()
     }
-}
-
-/// Builds the client `id` of a deployment, starting from the deployment's
-/// [`client_cache`].
-pub(crate) fn client_host<A: Application>(
-    id: NodeId,
-    cfg: &ClusterConfig,
-    cache: &LocationCache,
-    routes: Arc<RouteTable>,
-) -> ClientHost<A> {
-    let mut core = ClientCore::new(id, cfg.mode);
-    core.set_retry_backoff(cfg.client_retry_backoff);
-    core.set_oracle_shards(cfg.oracle_shards);
-    // S-SMR has no oracle fallback: its static map must stay cached
-    // regardless of the cache knob.
-    if !cfg.client_location_cache && cfg.mode != Mode::SSmr {
-        core.set_location_cache(false);
-    } else {
-        core.set_cache(cache);
-    }
-    ClientHost::new(core, routes)
 }

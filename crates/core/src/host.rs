@@ -3,12 +3,13 @@
 //! are armed", written once for any driver.
 //!
 //! A [`ReplicaHost`] is the paper's process model — multicast member →
-//! deliver → execute → emit — around either core ([`Role`]); a
-//! [`ClientHost`] is the client-side twin. Neither knows a transport, a
-//! clock or a thread: the driver hands in a [`Port`] and the host calls it
-//! in place, in effect order, so the simulated schedule is a function of
-//! the cores alone. `cluster.rs` drives hosts from the simulator; the
-//! tests below drive them from a recording port.
+//! deliver → execute → emit — around either core ([`Role`]). The client
+//! (`client.rs`) calls the same [`Port`] itself. Neither knows a
+//! transport, a clock or a thread: the driver hands in a [`Port`] and the
+//! host calls it in place, in effect order, so the simulated schedule is a
+//! function of the cores alone. `cluster.rs` drives hosts and clients from
+//! the simulator; the tests below (and the client's) drive them from a
+//! recording port.
 //!
 //! Topology convention: partitions `0..k` are multicast groups `0..k`; the
 //! `O` oracle shards are groups `k..k+O` (shard `s` is group `k+s`; the
@@ -26,14 +27,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use dynastar_amcast::{
-    Delivery, Dests, GroupId, McastMember, McastOutput, McastWire, MemberId, MemberSnapshot, MsgId,
+    Delivery, Dests, GroupId, McastMember, McastOutput, McastWire, MemberId, MemberSnapshot,
     Topology,
 };
 use dynastar_paxos::{Ballot, GroupConfig, Peers};
 use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
 
-use crate::client::{ClientCore, ClientEvent};
-use crate::command::{Application, CommandKind, PartitionId};
+use crate::command::{Application, PartitionId};
 use crate::metric_names;
 use crate::oracle::OracleCore;
 use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
@@ -151,6 +151,11 @@ impl RouteTable {
         RouteTable { groups: groups.collect(), oracle_base: GroupId(partitions), oracle_shards }
     }
 
+    /// Number of oracle shard groups.
+    pub(crate) fn oracle_shards(&self) -> u32 {
+        self.oracle_shards
+    }
+
     /// Node ids of every group: partitions `0..k`, then the oracle shards.
     pub(crate) fn groups(&self) -> &[Vec<NodeId>] {
         &self.groups
@@ -201,11 +206,11 @@ impl RouteTable {
     }
 }
 
-/// What a driver lends a host for the length of one call: a clock, the
-/// metrics registry, a way out for message bodies, the three timers a
-/// host can ask for (plan, wake, recovery retry) and stable storage. The
-/// host calls it in effect order and buffers nothing, so what a driver
-/// sees is exactly what the core and the recovery protocol decided.
+/// What a driver lends a host or a client for the length of one call: a
+/// clock, the metrics registry, a way out for message bodies, the three
+/// timers either can ask for (plan, wake, retry) and stable storage. The
+/// callee calls it in effect order and buffers nothing, so what a driver
+/// sees is exactly what the protocol decided.
 pub(crate) trait Port<A: Application> {
     /// The current time (constant during one simulated handler).
     fn now(&self) -> SimTime;
@@ -218,21 +223,18 @@ pub(crate) trait Port<A: Application> {
     /// Arms the one plan timer: [`ReplicaHost::on_plan_timer`] is due
     /// `after` from now ([`Effect::SchedulePlan`]).
     fn arm_plan(&mut self, after: SimDuration);
-    /// Arms the one wake timer: [`ReplicaHost::on_wake`] (or
-    /// [`ClientHost::on_backoff`]) is due at `at` ([`Effect::Wake`]).
+    /// Arms the one wake timer: [`ReplicaHost::on_wake`] ([`Effect::Wake`])
+    /// or a client's deferred retry,
+    /// [`crate::client::ClientCore::on_backoff`], is due at `at`.
     fn arm_wake(&mut self, at: SimTime);
-    /// Arms the one recovery-retry timer, [`ReplicaHost::on_retry`] due
-    /// `after` from now; `None` cancels it.
+    /// Arms the one retry timer `after` from now; `None` cancels it. A
+    /// recovering replica's is the snapshot-request retry
+    /// ([`ReplicaHost::on_retry`]), a client's its response timeout
+    /// ([`crate::client::ClientCore::on_timeout`]).
     fn arm_retry(&mut self, after: Option<SimDuration>);
     /// Writes `promised` to stable storage: the consensus floor a
     /// restarted replica hands back to [`ReplicaHost::on_restart`].
     fn persist(&mut self, promised: Ballot);
-}
-
-fn fan_out<A: Application>(port: &mut impl Port<A>, nodes: &[NodeId], body: &Arc<Inner<A>>) {
-    for &node in nodes {
-        port.send(node, Arc::clone(body));
-    }
 }
 
 /// What a hosted member sends and delivers: each wire addressed to
@@ -249,37 +251,6 @@ fn send_wires<A: Application>(routes: &RouteTable, wires: &mut Wires<A>, port: &
         let (nodes, body) = (routes.group_nodes(group), Arc::new(Inner::Wire(wire)));
         for idx in peers.iter() {
             port.send(nodes[idx], Arc::clone(&body));
-        }
-    }
-}
-
-/// Turns a core's effects into port calls, in order — the one place an
-/// [`Effect`] becomes IO — draining `effects`. `multicast` is all the two
-/// sides do differently: a replica submits through its group membership,
-/// a client straight to every replica of the destination groups.
-fn interpret<A: Application, P: Port<A>>(
-    routes: &RouteTable,
-    effects: &mut Vec<Effect<A>>,
-    port: &mut P,
-    mut multicast: impl FnMut(&mut P, MsgId, Dests, Arc<Payload<A>>),
-) {
-    for eff in effects.drain(..) {
-        match eff {
-            Effect::Multicast { mid, partitions, oracle, payload } => {
-                let dests = routes.mcast_groups(partitions, oracle);
-                multicast(port, mid, dests, Arc::new(payload));
-            }
-            Effect::Send { to, msg } => {
-                let body = Arc::new(Inner::Direct(msg));
-                match to {
-                    Destination::Partition(p) => {
-                        fan_out(port, routes.group_nodes(GroupId(p.0)), &body)
-                    }
-                    Destination::Client(node) => port.send(node, body),
-                }
-            }
-            Effect::SchedulePlan { after } => port.arm_plan(after),
-            Effect::Wake { at } => port.arm_wake(at),
         }
     }
 }
@@ -699,16 +670,36 @@ impl<A: Application> ReplicaHost<A> {
         self.effects = effects;
     }
 
-    /// Interprets (and drains) `effects`. A multicast is submitted through
-    /// the member; what it delivers here joins [`Self::pending`].
-    fn apply<P: Port<A>>(&mut self, effects: &mut Vec<Effect<A>>, port: &mut P) {
-        let (member, routes) = (&mut self.member, &*self.routes);
-        let (out, pending) = (&mut self.mcast_out, &mut self.pending);
-        interpret(routes, effects, port, |port: &mut P, mid, dests, payload| {
-            member.submit_into(mid, dests, payload, out);
-            send_wires(routes, &mut out.outgoing, port);
-            pending.extend(out.delivered.drain(..));
-        });
+    /// Turns the core's effects into port calls, in order — the one place
+    /// an [`Effect`] becomes IO — draining `effects`. A multicast is
+    /// submitted through the member; what it delivers here joins
+    /// [`Self::pending`].
+    fn apply(&mut self, effects: &mut Vec<Effect<A>>, port: &mut impl Port<A>) {
+        let routes = &*self.routes;
+        for eff in effects.drain(..) {
+            match eff {
+                Effect::Multicast { mid, partitions, oracle, payload } => {
+                    let dests = routes.mcast_groups(partitions, oracle);
+                    let out = &mut self.mcast_out;
+                    self.member.submit_into(mid, dests, Arc::new(payload), out);
+                    send_wires(routes, &mut out.outgoing, port);
+                    self.pending.extend(out.delivered.drain(..));
+                }
+                Effect::Send { to, msg } => {
+                    let body = Arc::new(Inner::Direct(msg));
+                    match to {
+                        Destination::Partition(p) => {
+                            for &node in routes.group_nodes(GroupId(p.0)) {
+                                port.send(node, Arc::clone(&body));
+                            }
+                        }
+                        Destination::Client(node) => port.send(node, body),
+                    }
+                }
+                Effect::SchedulePlan { after } => port.arm_plan(after),
+                Effect::Wake { at } => port.arm_wake(at),
+            }
+        }
     }
 
     /// Drains leader-side batching statistics from the consensus layer.
@@ -736,75 +727,6 @@ impl<A: Application> ReplicaHost<A> {
     }
 }
 
-/// One client, sans io: the client core plus the routing of its effects.
-pub(crate) struct ClientHost<A: Application> {
-    core: ClientCore<A>,
-    routes: Arc<RouteTable>,
-}
-
-impl<A: Application> ClientHost<A> {
-    /// Hosts `core` in the deployment `routes` describes.
-    pub(crate) fn new(core: ClientCore<A>, routes: Arc<RouteTable>) -> Self {
-        ClientHost { core, routes }
-    }
-
-    /// Whether a command is in flight.
-    pub(crate) fn is_busy(&self) -> bool {
-        self.core.is_busy()
-    }
-
-    /// The in-flight command's attempt, if any.
-    pub(crate) fn attempt(&self) -> Option<u32> {
-        self.core.outstanding_attempt()
-    }
-
-    /// Issues a command (closed loop: at most one outstanding).
-    pub(crate) fn issue(&mut self, kind: CommandKind<A>, port: &mut impl Port<A>) {
-        let effects = self.core.issue(kind, port.now());
-        self.apply(effects, port);
-    }
-
-    /// Handles a direct message; surfaces the command's completion.
-    #[deny(clippy::wildcard_enum_match_arm)]
-    pub(crate) fn on_direct(
-        &mut self,
-        msg: Direct<A>,
-        port: &mut impl Port<A>,
-    ) -> Option<ClientEvent<A>> {
-        let now = port.now();
-        let (effects, event) = self.core.on_direct(msg, now, port.metrics());
-        self.apply(effects, port);
-        event
-    }
-
-    /// The response timeout fired: re-dispatch through the oracle.
-    pub(crate) fn on_timeout(&mut self, port: &mut impl Port<A>) {
-        let now = port.now();
-        let effects = self.core.on_timeout(now, port.metrics());
-        self.apply(effects, port);
-    }
-
-    /// The wake timer armed through [`Port::arm_wake`] fired: dispatch the
-    /// retry the core had deferred for backpressure.
-    pub(crate) fn on_backoff(&mut self, port: &mut impl Port<A>) {
-        let effects = self.core.on_backoff(port.now());
-        self.apply(effects, port);
-    }
-
-    /// Client-side multicast: clients are not group members, they submit
-    /// directly to every replica of every destination group.
-    fn apply<P: Port<A>>(&mut self, mut effects: Vec<Effect<A>>, port: &mut P) {
-        let routes = &*self.routes;
-        interpret(routes, &mut effects, port, |port: &mut P, mid, dests, payload| {
-            let submit = McastWire::Submit { mid, dests: Arc::clone(&dests), payload };
-            let body = Arc::new(Inner::Wire(submit));
-            for &g in dests.iter() {
-                fan_out(port, routes.group_nodes(g), &body);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use std::cell::RefCell;
@@ -813,8 +735,11 @@ pub(crate) mod tests {
     use dynastar_paxos::PaxosMsg;
 
     use super::*;
-    use crate::command::{Command, LocKey, VarId};
-    use crate::deploy::{build_hosts, client_cache, client_host, ClusterConfig};
+    use crate::client::ClientCore;
+    use dynastar_amcast::MsgId;
+
+    use crate::command::{Command, CommandKind, LocKey, VarId};
+    use crate::deploy::{build_hosts, ClusterConfig};
     use crate::server::{ExecConfig, ServerConfig, CHUNK_SENDS};
 
     /// Counters, one variable to a key; an access bumps what it names.
@@ -837,9 +762,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// What a host did to its port, in order.
-    #[derive(Debug, PartialEq)]
-    enum Seen {
+    /// What a host or a client did to its port, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum Seen {
         /// Read the clock: once per core call, so once per delivery fed.
         Clock,
         /// Sent a body (named by its payload or direct variant) to a node.
@@ -851,21 +776,21 @@ pub(crate) mod tests {
     }
 
     /// A port that records instead of acting.
-    struct Recorder {
+    pub(crate) struct Recorder {
         log: RefCell<Vec<Seen>>,
-        metrics: Metrics,
-        now: SimTime,
+        pub(crate) metrics: Metrics,
+        pub(crate) now: SimTime,
         /// Every body sent, with its recipient.
-        sent: Vec<(u32, Arc<Inner<App>>)>,
+        pub(crate) sent: Vec<(u32, Arc<Inner<App>>)>,
     }
 
     impl Recorder {
-        fn at(now: SimTime) -> Self {
+        pub(crate) fn at(now: SimTime) -> Self {
             let log = RefCell::new(Vec::new());
             Recorder { log, metrics: Metrics::new(), now, sent: Vec::new() }
         }
 
-        fn take(&mut self) -> Vec<Seen> {
+        pub(crate) fn take(&mut self) -> Vec<Seen> {
             self.log.take()
         }
     }
@@ -909,9 +834,9 @@ pub(crate) mod tests {
         }
     }
 
-    const CLIENT: u32 = 99;
+    pub(crate) const CLIENT: u32 = 99;
 
-    fn access(seq: u32, vars: &[u64]) -> Command<App> {
+    pub(crate) fn access(seq: u32, vars: &[u64]) -> Command<App> {
         let vars = vars.iter().map(|&v| VarId(v)).collect();
         Command {
             id: MsgId::new(CLIENT as u64, seq),
@@ -939,7 +864,7 @@ pub(crate) mod tests {
         build_hosts(&config, &placement, (0..8).map(|v| (VarId(v), 0)).collect()).1
     }
 
-    fn send(to: u32, name: &str) -> Seen {
+    pub(crate) fn send(to: u32, name: &str) -> Seen {
         Seen::Send(to, name.to_string())
     }
 
@@ -1053,14 +978,20 @@ pub(crate) mod tests {
         // A cold client's query goes to every replica of the one shard
         // `exec_shard` picks, and nowhere else.
         let config = ClusterConfig { partitions: 2, oracle_shards: 4, ..ClusterConfig::default() };
-        let mut client =
-            client_host::<App>(NodeId::from_raw(CLIENT), &config, &Default::default(), four.into());
+        let mut client = ClientCore::<App>::new(
+            NodeId::from_raw(CLIENT),
+            &config,
+            &Default::default(),
+            four.into(),
+        );
         let mut port = Recorder::at(SimTime::ZERO);
         let cmd = access(0, &[5]);
         let shard = crate::routing::exec_shard(&cmd, 0, 4);
         client.issue(cmd.kind, &mut port);
         let nodes = (6 + 3 * shard..9 + 3 * shard).map(|n| send(n, "Exec"));
-        assert_eq!(port.take(), [Seen::Clock].into_iter().chain(nodes).collect::<Vec<_>>());
+        let timeout = Seen::Retry(Some(config.client_timeout));
+        let expected: Vec<_> = [Seen::Clock].into_iter().chain(nodes).chain([timeout]).collect();
+        assert_eq!(port.take(), expected);
     }
 
     /// A port that keeps every body it is handed, with its sender.
@@ -1101,7 +1032,7 @@ pub(crate) mod tests {
         let config = ClusterConfig { partitions: 2, replicas: 3, ..ClusterConfig::default() };
         let mut group = hosts(3, config.clone());
         let routes = Arc::clone(&group[0].routes);
-        let mut client = client_host::<App>(
+        let mut client = ClientCore::<App>::new(
             NodeId::from_raw(CLIENT),
             &config,
             &Default::default(),
@@ -1208,34 +1139,6 @@ pub(crate) mod tests {
         group[0].absorb(work(), &mut port);
         assert_eq!(CHUNK_SENDS.take(), [(PartitionId(0), 0, LocKey(0))]);
         assert_eq!(port.metrics.counter(metric_names::CMD_SINGLE), 1);
-    }
-
-    #[test]
-    fn clients_start_from_their_own_copy_of_the_deployments_warm_cache() {
-        let placement: BTreeMap<_, _> =
-            (0..8).map(|k| (LocKey(k), PartitionId((k % 2) as u32))).collect();
-        let cold = ClusterConfig::default();
-        assert!(client_cache(&cold, &placement).is_empty());
-        let config = ClusterConfig { warm_client_caches: true, ..cold };
-        let cache = client_cache(&config, &placement);
-        let routes = Arc::new(RouteTable::new(2, 1, 3));
-        let client = |id| client_host::<App>(NodeId::from_raw(id), &config, &cache, routes.clone());
-        let (mut a, mut b) = (client(CLIENT), client(CLIENT + 1));
-        assert_eq!((a.core.cache_len(), b.core.cache_len()), (8, 8));
-
-        // Both route key 5 straight to partition 1 (nodes 3..6).
-        let mut port = Recorder::at(SimTime::ZERO);
-        let to_partition_1 = [Seen::Clock, send(3, "Access"), send(4, "Access"), send(5, "Access")];
-        a.issue(access(0, &[5]).kind, &mut port);
-        assert_eq!(port.take(), to_partition_1);
-        // A stale-routing `Retry` drops key 5 from `a`'s cache alone: `a`
-        // asks the oracle (nodes 6..9), `b` still goes straight there.
-        let retry = Direct::Retry { cmd: MsgId::new(CLIENT as u64, 0), attempt: 0 };
-        assert!(a.on_direct(retry, &mut port).is_none());
-        assert_eq!(port.take()[1..], [send(6, "Exec"), send(7, "Exec"), send(8, "Exec")]);
-        assert_eq!((a.core.cache_len(), b.core.cache_len()), (7, 8));
-        b.issue(access(0, &[5]).kind, &mut port);
-        assert_eq!(port.take(), to_partition_1);
     }
 
     /// Partition 0's three replicas (nodes 0..3), booted.

@@ -11,9 +11,11 @@
 //! Paxos-replicated server group; a replicated *location oracle* owns the
 //! key→partition map and the workload graph.
 //!
-//! * Clients with warm [location caches](client::ClientCore) multicast
-//!   commands straight to the involved partitions; cold or stale clients go
-//!   through the oracle and receive a *prophecy*.
+//! * Clients with warm location caches multicast commands straight to the
+//!   involved partitions; cold or stale clients go through the oracle and
+//!   receive a *prophecy*. A client re-dispatches through the oracle when
+//!   a partition answers `Retry` (stale routing) or its response timeout
+//!   fires (see [`ClusterConfig::client_timeout`]).
 //! * Single-partition commands execute locally. For multi-partition
 //!   commands the chosen *target* partition borrows the needed variables,
 //!   executes alone, replies, and returns the variables (the paper's key
@@ -53,7 +55,7 @@ pub mod routing;
 pub mod server;
 mod transport;
 
-pub use client::{ClientCore, ClientEvent, Workload};
+pub use client::Workload;
 pub use cluster::{Cluster, ClusterBuilder, LocationView};
 pub use command::{
     AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
