@@ -370,17 +370,16 @@ impl<A: Application> ClientCore<A> {
     }
 
     /// The wake timer fired: dispatches the retry the core delayed for
-    /// backpressure. A stale wake-up (the command already completed, timed
-    /// out, or retried through another path) sends nothing.
+    /// backpressure and re-arms the response timeout for it. A stale
+    /// wake-up (the command already completed, timed out, or retried
+    /// through another path) sends and arms nothing: the timeout running
+    /// is a newer attempt's.
     pub(crate) fn on_backoff(&mut self, port: &mut impl Port<A>) {
         let now = port.now();
         // A wake-up before `due` is superseded: a later one is armed.
-        if let Some((attempt, _)) = self.deferred.take_if(|&mut (_, due)| now >= due) {
-            if let Some(out) = self.outstanding.as_ref().filter(|o| o.attempt == attempt) {
-                self.dispatch(out.cmd.clone(), attempt, port);
-            }
-        }
-        if self.is_busy() {
+        let Some((attempt, _)) = self.deferred.take_if(|&mut (_, due)| now >= due) else { return };
+        if let Some(out) = self.outstanding.as_ref().filter(|o| o.attempt == attempt) {
+            self.dispatch(out.cmd.clone(), attempt, port);
             port.arm_retry(Some(self.timeout));
         }
     }
@@ -536,6 +535,33 @@ mod tests {
             port.take(),
             [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
         );
+    }
+
+    /// A wake-up whose deferred retry is gone sends nothing, and must not
+    /// push back the response timeout of what is in flight now.
+    #[test]
+    fn a_stale_backoff_wake_up_leaves_the_timeout_alone() {
+        let (mut client, mut port) = busy(BACKOFF);
+        let retry = |seq| Direct::Retry { cmd: cmd_id(seq), attempt: 0 };
+        assert!(client.on_direct(retry(0), &mut port).is_none());
+        let due = T0 + BACKOFF.saturating_mul(2);
+        // The first attempt's reply completes the command before the
+        // wake-up, and the next command goes out.
+        let reply = Direct::Reply { cmd: cmd_id(0), attempt: 0, reply: () };
+        assert!(client.on_direct(reply, &mut port).is_some());
+        client.issue(access(1, &[5]).kind, &mut port);
+        port.take();
+        port.now = due;
+        client.on_backoff(&mut port);
+        assert_eq!(port.take(), [Seen::Clock], "completion made the wake-up stale");
+
+        // A response timeout overtakes the next deferred retry.
+        assert!(client.on_direct(retry(1), &mut port).is_none());
+        client.on_timeout(&mut port);
+        port.take();
+        port.now = due + BACKOFF.saturating_mul(2);
+        client.on_backoff(&mut port);
+        assert_eq!(port.take(), [Seen::Clock], "the timeout made the wake-up stale");
     }
 
     #[test]
