@@ -12,9 +12,9 @@
 //! * answer `Exec` requests with a *prophecy* and dispatch the command to
 //!   the involved partitions (Task 1), and coordinate create/delete of
 //!   locality keys (Tasks 2–3) — this file, which owns the location map;
-//! * accumulate the workload graph from hints (Task 4) — [`graph`];
+//! * accumulate the workload graph from hints (Task 4) — `graph.rs`;
 //! * past a change threshold, compute an optimized repartitioning with the
-//!   multilevel partitioner and multicast the plan (Task 5) — [`planner`].
+//!   multilevel partitioner and multicast the plan (Task 5) — `planner.rs`.
 //!   Computation cost is modelled as a configurable delay so the simulated
 //!   oracle "computes concurrently" as in §5.2 while replicas stay
 //!   deterministic.

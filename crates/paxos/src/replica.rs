@@ -162,7 +162,7 @@ pub struct BatchStats {
     /// Total commands across those batches.
     pub batched_cmds: u64,
     /// Per-flush `(batch size, slots in flight after the flush)` samples,
-    /// capped at [`BATCH_SAMPLE_CAP`] per drain interval.
+    /// capped at 1024 (`BATCH_SAMPLE_CAP`) per drain interval.
     pub samples: Vec<(u32, u32)>,
 }
 

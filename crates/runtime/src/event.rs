@@ -1,7 +1,7 @@
 //! The event queue driving the simulation.
 //!
 //! Implemented as a hierarchical timing wheel: near-future events (within
-//! [`WHEEL_SPAN`] microseconds of the queue's time floor) live in
+//! `WHEEL_SPAN` (4096) microseconds of the queue's time floor) live in
 //! per-microsecond FIFO slots, far-future events (timeouts,
 //! retransmission timers) in a small indexed heap. Pops pick the global
 //! minimum of both structures, so the delivered order — strictly
@@ -12,8 +12,8 @@
 //! doubly linked list threaded through it, the far heap holds only
 //! `(time, seq, entry)` keys, and popped or removed entries go on a free
 //! list. The slab therefore retains memory for the peak number of *live*
-//! events, not for the sum of each slot's peak. [`EventQueue::push`]
-//! returns the entry's [`Handle`], and [`EventQueue::remove_timer`] takes
+//! events, not for the sum of each slot's peak. `EventQueue::push`
+//! returns the entry's `Handle`, and `EventQueue::remove_timer` takes
 //! a cancelled or re-armed timer out in place — O(1) in the wheel,
 //! O(log n) in the far heap — so the queue never holds a timer that will
 //! not fire.
