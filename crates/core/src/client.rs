@@ -452,10 +452,11 @@ mod tests {
         Seen::Retry(Some(TIMEOUT))
     }
 
-    /// What a port saw from a warm client issuing `access(seq, &[5])`:
-    /// key 5 goes straight to partition 1, then the timeout is armed.
-    fn issued_to_partition_1() -> Vec<Seen> {
-        [vec![Seen::Clock], to_nodes(3..6, "Access"), vec![armed()]].concat()
+    /// What a port sees from a call that reads the clock, sends `name` to
+    /// `nodes` and then (re-)arms the response timeout. A warm client
+    /// sends key 5 straight to partition 1: `dispatched(3..6, "Access")`.
+    fn dispatched(nodes: std::ops::Range<u32>, name: &str) -> Vec<Seen> {
+        [vec![Seen::Clock], to_nodes(nodes, name), vec![armed()]].concat()
     }
 
     /// A warm client with `access(0, &[5])` in flight and a clean port.
@@ -463,7 +464,7 @@ mod tests {
         let mut client = client_of(CLIENT, &config(retry_backoff));
         let mut port = Recorder::at(T0);
         client.issue(access(0, &[5]).kind, &mut port);
-        assert_eq!(port.take(), issued_to_partition_1());
+        assert_eq!(port.take(), dispatched(3..6, "Access"));
         (client, port)
     }
 
@@ -477,10 +478,7 @@ mod tests {
         );
         let mut port = Recorder::at(T0);
         cold.issue(access(0, &[5]).kind, &mut port);
-        assert_eq!(
-            port.take(),
-            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
-        );
+        assert_eq!(port.take(), dispatched(6..9, "Exec"));
     }
 
     #[test]
@@ -508,10 +506,7 @@ mod tests {
         let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
         assert!(client.on_direct(retry, &mut port).is_none());
         // Key 5's location was stale: the command asks the oracle.
-        assert_eq!(
-            port.take(),
-            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
-        );
+        assert_eq!(port.take(), dispatched(6..9, "Exec"));
         assert_eq!(port.metrics.counter(mn::CMD_RETRY), 1);
         // A retry of an attempt already retried is late: nothing happens.
         let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
@@ -531,10 +526,7 @@ mod tests {
 
         port.now = due;
         client.on_backoff(&mut port);
-        assert_eq!(
-            port.take(),
-            [vec![Seen::Clock], to_nodes(6..9, "Exec"), vec![armed()]].concat()
-        );
+        assert_eq!(port.take(), dispatched(6..9, "Exec"));
     }
 
     /// A wake-up whose deferred retry is gone sends nothing, and must not
@@ -622,7 +614,7 @@ mod tests {
         assert_eq!(port.metrics.counter(mn::CMD_FAILED), 1);
 
         client.issue(access(1, &[5]).kind, &mut port);
-        assert_eq!(port.take(), issued_to_partition_1());
+        assert_eq!(port.take(), dispatched(3..6, "Access"));
         assert_eq!(client.outstanding_cmd(), Some(cmd_id(1)));
     }
 
@@ -637,7 +629,7 @@ mod tests {
         // Both route key 5 straight to partition 1 (nodes 3..6).
         let mut port = Recorder::at(T0);
         a.issue(access(0, &[5]).kind, &mut port);
-        assert_eq!(port.take(), issued_to_partition_1());
+        assert_eq!(port.take(), dispatched(3..6, "Access"));
         // A stale-routing `Retry` drops key 5 from `a`'s cache alone: `a`
         // asks the oracle (nodes 6..9), `b` still goes straight there.
         let retry = Direct::Retry { cmd: cmd_id(0), attempt: 0 };
