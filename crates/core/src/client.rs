@@ -5,7 +5,7 @@
 //! in its cache, falls back to the oracle, re-dispatches on a stale-routing
 //! `Retry` or a response timeout, and arms that timeout itself. It calls
 //! the driver's port in place, as a replica host does (`host.rs`); the
-//! simulator's client actor (`cluster.rs`) adds the workload loop.
+//! simulator's client node (`cluster.rs`) adds the workload loop.
 
 #![cfg_attr(
     not(test),

@@ -1,9 +1,9 @@
-//! The simulated deployment: actors that put the sans-io state machines
-//! on the simulation runtime — the FIFO/ARQ transport (`transport.rs`),
-//! the timers and the stable-storage blob around a `ReplicaHost`
-//! (`host.rs`); the workload loop around a `ClientCore` (`client.rs`),
-//! which arms its own response timeout — and the builder and handle for a
-//! complete cluster.
+//! The simulated deployment: one node type, `Node`, that puts a sans-io
+//! state machine on the simulation runtime behind the FIFO/ARQ transport
+//! (`transport.rs`, whose link port is the `Ctx`) — a `ReplicaHost`
+//! (`host.rs`) with its timers and stable-storage blob, or a `ClientCore`
+//! (`client.rs`), which arms its own response timeout, with its workload
+//! loop — and the builder and handle for a complete cluster.
 
 #![cfg_attr(
     not(test),
@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::vec::Drain;
 
 use dynastar_paxos::Ballot;
 use dynastar_runtime::{Actor, Ctx, Metrics, NodeId, SimConfig, SimDuration, SimTime, Simulation};
@@ -20,35 +21,47 @@ use crate::client::{ClientCore, LocationCache, Workload};
 use crate::command::{Application, LocKey, PartitionId, VarId};
 use crate::deploy::{build_hosts, client_cache};
 use crate::host::{unwrap_released, Port, ReplicaHost, RouteTable, TICK};
-use crate::transport::Wiring;
+use crate::transport::{LinkPort, Wiring};
 
 pub use crate::deploy::ClusterConfig;
 pub use crate::host::{Inner, LocationView, RecoveryMsg, RecoveryPayload};
 pub use crate::transport::{Frame, Holes, Msg};
 
-/// Timer tags used by the actors.
+/// Timer tags used by the nodes.
 mod timer {
     /// Periodic multicast/consensus tick.
     pub const TICK: u64 = 1;
     /// Oracle plan-compute completion.
     pub const PLAN: u64 = 2;
-    /// Client response timeout (a client's retry timer).
-    pub const TIMEOUT: u64 = 3;
+    /// The port's retry timer: a recovering replica's snapshot-request
+    /// retry, a client's response timeout.
+    pub const RETRY: u64 = 3;
     /// Client initial-issue stagger.
     pub const START: u64 = 4;
-    /// Partition modelled-CPU wake-up.
+    /// The port's wake timer: a partition's modelled-CPU wake-up, a
+    /// client's deferred stale-routing retry.
     pub const WAKE: u64 = 5;
     /// Transport retransmission check (clients; servers piggyback on TICK).
     pub const RETX: u64 = 6;
-    /// Recovery snapshot-request retry (restarted/lagging replicas; a
-    /// replica's retry timer).
-    pub const RECOVER: u64 = 7;
-    /// Client retry-backoff wake-up (deferred stale-routing retry; a
-    /// client's wake timer).
-    pub const BACKOFF: u64 = 8;
     /// Client think-time wake-up (paced workloads; see
     /// [`crate::Workload::think_time`]).
     pub const THINK: u64 = 9;
+}
+
+/// The transport's link port in the simulator: the `Ctx`'s clock,
+/// registry and network.
+impl<A: Application> LinkPort<A> for Ctx<'_, Msg<A>> {
+    fn now(&self) -> SimTime {
+        Ctx::now(self)
+    }
+
+    fn metrics(&mut self) -> &mut Metrics {
+        self.metrics_mut()
+    }
+
+    fn send(&mut self, to: NodeId, msg: Msg<A>) {
+        Ctx::send(self, to, msg);
+    }
 }
 
 /// The simulator's [`Port`]: bodies leave through the node's [`Wiring`],
@@ -57,12 +70,6 @@ mod timer {
 struct SimPort<'a, 'c, A: Application> {
     wiring: &'a mut Wiring<A>,
     ctx: &'a mut Ctx<'c, Msg<A>>,
-    /// The tag of the wake timer: [`timer::WAKE`] at replicas,
-    /// [`timer::BACKOFF`] at clients.
-    wake: u64,
-    /// The tag of the retry timer: [`timer::RECOVER`] at replicas,
-    /// [`timer::TIMEOUT`] at clients.
-    retry: u64,
     /// The incarnation a persisted promise is stored with (clients never
     /// persist).
     epoch: u64,
@@ -87,13 +94,13 @@ impl<A: Application> Port<A> for SimPort<'_, '_, A> {
 
     fn arm_wake(&mut self, at: SimTime) {
         let delay = at.saturating_duration_since(self.ctx.now());
-        self.ctx.set_timer(delay, self.wake);
+        self.ctx.set_timer(delay, timer::WAKE);
     }
 
     fn arm_retry(&mut self, after: Option<SimDuration>) {
         match after {
-            Some(after) => self.ctx.set_timer(after, self.retry),
-            None => self.ctx.cancel_timer(self.retry),
+            Some(after) => self.ctx.set_timer(after, timer::RETRY),
+            None => self.ctx.cancel_timer(timer::RETRY),
         }
     }
 
@@ -133,11 +140,12 @@ fn decode_stable(blob: &[u8]) -> (Ballot, u64) {
     }
 }
 
-/// A replica actor: a `ReplicaHost` (which runs crash recovery; see its
-/// docs) on the simulated transport, with its timers and the incarnation
-/// epoch that goes to stable storage next to the host's promise.
-pub(crate) struct ServerActor<A: Application> {
-    host: ReplicaHost<A>,
+/// A simulated node: what it hosts — a replica's `ReplicaHost`, which runs
+/// crash recovery (see its docs), or a [`ClientLoop`] — on its end of the
+/// transport, with the incarnation epoch that goes to stable storage next
+/// to a replica's promise.
+struct Node<A: Application, H> {
+    host: H,
     wiring: Wiring<A>,
     /// Incarnation epoch (0 at first boot, +1 per restart; persisted).
     epoch: u64,
@@ -145,24 +153,38 @@ pub(crate) struct ServerActor<A: Application> {
     inbox: Vec<Arc<Inner<A>>>,
 }
 
-impl<A: Application> ServerActor<A> {
-    fn new(host: ReplicaHost<A>) -> Self {
-        ServerActor { host, wiring: Wiring::new(0), epoch: 0, inbox: Vec::new() }
+impl<A: Application, H> Node<A, H> {
+    fn new(host: H) -> Self {
+        Node { host, wiring: Wiring::new(0), epoch: 0, inbox: Vec::new() }
     }
 
-    /// Runs one host call with this node's port.
-    fn drive(
+    /// Runs one call on the hosted value with this node's port.
+    fn drive<R>(
         &mut self,
         ctx: &mut Ctx<'_, Msg<A>>,
-        call: impl FnOnce(&mut ReplicaHost<A>, &mut SimPort<'_, '_, A>),
-    ) {
+        call: impl FnOnce(&mut H, &mut SimPort<'_, '_, A>) -> R,
+    ) -> R {
         let (wiring, epoch) = (&mut self.wiring, self.epoch);
-        let port = &mut SimPort { wiring, ctx, wake: timer::WAKE, retry: timer::RECOVER, epoch };
-        call(&mut self.host, port);
+        call(&mut self.host, &mut SimPort { wiring, ctx, epoch })
+    }
+
+    /// Passes `msg` through the transport and hands the bodies it releases,
+    /// in order, to `handle`.
+    fn receive(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg<A>>,
+        from: NodeId,
+        msg: Msg<A>,
+        handle: impl FnOnce(&mut Self, &mut Ctx<'_, Msg<A>>, Drain<'_, Arc<Inner<A>>>),
+    ) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.wiring.receive(ctx, from, msg, &mut inbox);
+        handle(self, ctx, inbox.drain(..));
+        self.inbox = inbox;
     }
 }
 
-impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
+impl<A: Application> Actor<Msg<A>> for Node<A, ReplicaHost<A>> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
         ctx.set_timer(TICK, timer::TICK);
         self.drive(ctx, |host, port| host.on_start(port));
@@ -187,10 +209,9 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        self.wiring.receive(ctx, from, msg, &mut inbox);
-        self.drive(ctx, |host, port| host.on_bodies(from, inbox.drain(..), port));
-        self.inbox = inbox;
+        self.receive(ctx, from, msg, |node, ctx, bodies| {
+            node.drive(ctx, |host, port| host.on_bodies(from, bodies, port));
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<A>>, tag: u64) {
@@ -200,7 +221,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                 self.wiring.maintain(ctx);
                 ctx.set_timer(TICK, timer::TICK);
             }
-            timer::RECOVER => self.drive(ctx, |host, port| host.on_retry(port)),
+            timer::RETRY => self.drive(ctx, |host, port| host.on_retry(port)),
             timer::PLAN => self.drive(ctx, |host, port| host.on_plan_timer(port)),
             timer::WAKE => self.drive(ctx, |host, port| host.on_wake(port)),
             _ => {}
@@ -208,78 +229,64 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     }
 }
 
-/// A closed-loop client actor: a `ClientCore` (`client.rs`) on the simulated
-/// transport, driving a [`Workload`].
-pub struct ClientActor<A: Application, W: Workload<A>> {
-    client: ClientCore<A>,
+/// A closed-loop client: a `ClientCore` (`client.rs`) driving a
+/// [`Workload`].
+struct ClientLoop<A: Application, W> {
+    core: ClientCore<A>,
     workload: W,
-    wiring: Wiring<A>,
     /// Uniform random delay before the first command, to de-synchronize
     /// client start-up.
     start_jitter: SimDuration,
     /// Set when the workload returns `None`.
     done: bool,
-    /// Released frame bodies of the message being handled (reused buffer).
-    inbox: Vec<Arc<Inner<A>>>,
 }
 
-impl<A: Application, W: Workload<A>> ClientActor<A, W> {
-    /// Runs one client call with this node's port.
-    fn drive<R>(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg<A>>,
-        call: impl FnOnce(&mut ClientCore<A>, &mut SimPort<'_, '_, A>) -> R,
-    ) -> R {
-        let wiring = &mut self.wiring;
-        let port =
-            &mut SimPort { wiring, ctx, wake: timer::BACKOFF, retry: timer::TIMEOUT, epoch: 0 };
-        call(&mut self.client, port)
-    }
-
+impl<A: Application, W: Workload<A>> Node<A, ClientLoop<A, W>> {
     fn issue_next(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        if self.done || self.client.is_busy() {
+        let client = &mut self.host;
+        if client.done || client.core.is_busy() {
             return;
         }
-        match self.workload.next_command(ctx.now(), ctx.rng()) {
-            Some(kind) => self.drive(ctx, |client, port| client.issue(kind, port)),
-            None => self.done = true,
+        match client.workload.next_command(ctx.now(), ctx.rng()) {
+            Some(kind) => self.drive(ctx, |client, port| client.core.issue(kind, port)),
+            None => client.done = true,
         }
     }
 }
 
-impl<A: Application, W: Workload<A>> Actor<Msg<A>> for ClientActor<A, W> {
+impl<A: Application, W: Workload<A>> Actor<Msg<A>> for Node<A, ClientLoop<A, W>> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        ctx.set_timer(self.start_jitter, timer::START);
+        ctx.set_timer(self.host.start_jitter, timer::START);
         ctx.set_timer(SimDuration::from_millis(100), timer::RETX);
     }
 
     #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<A>>, from: NodeId, msg: Msg<A>) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        self.wiring.receive(ctx, from, msg, &mut inbox);
-        for body in inbox.drain(..) {
-            let Inner::Direct(d) = unwrap_released(body) else { continue };
-            let Some(done) = self.drive(ctx, |client, port| client.on_direct(d, port)) else {
-                continue;
-            };
-            let now = ctx.now();
-            let reply = if done.ok { done.reply.as_ref() } else { None };
-            self.workload.on_completed(now, &done.cmd, reply);
-            let think = self.workload.think_time(now, ctx.rng());
-            if think == SimDuration::ZERO {
-                self.issue_next(ctx);
-            } else {
-                ctx.set_timer(think, timer::THINK);
+        self.receive(ctx, from, msg, |node, ctx, bodies| {
+            for body in bodies {
+                let Inner::Direct(d) = unwrap_released(body) else { continue };
+                let Some(done) = node.drive(ctx, |client, port| client.core.on_direct(d, port))
+                else {
+                    continue;
+                };
+                let (now, workload) = (ctx.now(), &mut node.host.workload);
+                let reply = if done.ok { done.reply.as_ref() } else { None };
+                workload.on_completed(now, &done.cmd, reply);
+                let think = workload.think_time(now, ctx.rng());
+                if think == SimDuration::ZERO {
+                    node.issue_next(ctx);
+                } else {
+                    ctx.set_timer(think, timer::THINK);
+                }
             }
-        }
-        self.inbox = inbox;
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<A>>, tag: u64) {
         match tag {
             timer::START | timer::THINK => self.issue_next(ctx),
-            timer::TIMEOUT => self.drive(ctx, |client, port| client.on_timeout(port)),
-            timer::BACKOFF => self.drive(ctx, |client, port| client.on_backoff(port)),
+            timer::RETRY => self.drive(ctx, |client, port| client.core.on_timeout(port)),
+            timer::WAKE => self.drive(ctx, |client, port| client.core.on_backoff(port)),
             timer::RETX => {
                 self.wiring.maintain(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), timer::RETX);
@@ -350,7 +357,7 @@ impl<A: Application> ClusterBuilder<A> {
                 Some(_) if cfg.oracle_shards == 1 => format!("oracle-r{r}"),
                 Some(s) => format!("oracle-s{s}r{r}"),
             };
-            let id = sim.add_node(name, ServerActor::new(host));
+            let id = sim.add_node(name, Node::new(host));
             debug_assert_eq!(id, routes.node_of(me));
         }
         let client_cache = client_cache(&cfg, &self.placement);
@@ -384,15 +391,13 @@ impl<A: Application> Cluster<A> {
         let id = NodeId::from_raw(self.sim.node_count() as u32);
         let jitter_us = 1 + (idx as u64 * 137) % 5_000;
         let routes = Arc::clone(&self.routes);
-        let actor = ClientActor {
-            client: ClientCore::new(id, &self.config, &self.client_cache, routes),
+        let client = ClientLoop {
+            core: ClientCore::new(id, &self.config, &self.client_cache, routes),
             workload,
-            wiring: Wiring::new(0),
             start_jitter: SimDuration::from_micros(jitter_us),
             done: false,
-            inbox: Vec::new(),
         };
-        let assigned = self.sim.add_node(format!("client{idx}"), actor);
+        let assigned = self.sim.add_node(format!("client{idx}"), Node::new(client));
         debug_assert_eq!(assigned, id);
         self.clients.push(assigned);
         assigned
@@ -660,6 +665,45 @@ mod tests {
         let m = cluster.metrics();
         assert_eq!(m.counter(metric_names::CMD_FAILED), 0);
         assert_eq!(m.counter(metric_names::MIGRATION_REVERTS), 0);
+        let views = cluster.location_views();
+        for group in &views {
+            assert!(group.iter().all(|v| v.is_some() && v == &group[0]), "replicas agree");
+        }
+    }
+
+    /// A client cut off from the deployment for longer than its response
+    /// timeout, with a command in flight (a closed loop always has one),
+    /// re-dispatches it on the node's retry timer and completes it once
+    /// the link is back: nothing fails and the replicas still agree.
+    #[test]
+    fn a_client_cut_off_past_its_response_timeout_retries_and_completes() {
+        let config = ClusterConfig {
+            partitions: 2,
+            replicas: 3,
+            client_timeout: SimDuration::from_millis(200),
+            ..ClusterConfig::default()
+        };
+        let mut builder = ClusterBuilder::<Bank>::new(config);
+        for key in 0..8 {
+            builder.place(LocKey(key), PartitionId((key / 2 % 2) as u32));
+        }
+        builder.with_vars((0..80).map(|v| (VarId(v), 0)));
+        let mut cluster = builder.build();
+        let client = cluster.add_client(Pairs);
+        cluster.sim.schedule_disconnect(SimTime::from_millis(500), client);
+        cluster.sim.schedule_reconnect(SimTime::from_millis(1_100), client);
+        cluster.run_until(SimTime::from_millis(500));
+        let before = cluster.metrics().counter(metric_names::CMD_COMPLETED);
+        assert!(before > 10, "the client ran before the cut: {before}");
+        assert_eq!(cluster.metrics().counter(metric_names::CMD_TIMEOUT), 0);
+        cluster.run_until(SimTime::from_millis(1_100));
+        let m = cluster.metrics();
+        assert_eq!(m.counter(metric_names::CMD_COMPLETED), before, "the client is cut off");
+        assert!(m.counter(metric_names::CMD_TIMEOUT) >= 2, "the timeout re-armed itself");
+        cluster.run_for(SimDuration::from_secs(1));
+        let m = cluster.metrics();
+        assert!(m.counter(metric_names::CMD_COMPLETED) > before, "the command in flight completed");
+        assert_eq!(m.counter(metric_names::CMD_FAILED), 0);
         let views = cluster.location_views();
         for group in &views {
             assert!(group.iter().all(|v| v.is_some() && v == &group[0]), "replicas agree");

@@ -527,19 +527,3 @@ impl<A: Application> Clone for Direct<A> {
         }
     }
 }
-
-impl<A: Application> Clone for Effect<A> {
-    fn clone(&self) -> Self {
-        match self {
-            Effect::Multicast { mid, partitions, oracle, payload } => Effect::Multicast {
-                mid: *mid,
-                partitions: partitions.clone(),
-                oracle: *oracle,
-                payload: payload.clone(),
-            },
-            Effect::Send { to, msg } => Effect::Send { to: *to, msg: msg.clone() },
-            Effect::SchedulePlan { after } => Effect::SchedulePlan { after: *after },
-            Effect::Wake { at } => Effect::Wake { at: *at },
-        }
-    }
-}

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use dynastar_runtime::{Ctx, NodeId, SimDuration, SimTime};
+use dynastar_runtime::{Metrics, NodeId, SimDuration, SimTime};
 
 use crate::command::Application;
 use crate::host::Inner;
@@ -82,26 +82,6 @@ pub enum Msg<A: Application> {
         /// The sender's current incarnation epoch.
         epoch: u64,
     },
-}
-
-impl<A: Application> Clone for Msg<A> {
-    fn clone(&self) -> Self {
-        match self {
-            Msg::Frame { src_epoch, dst_epoch, frame } => {
-                Msg::Frame { src_epoch: *src_epoch, dst_epoch: *dst_epoch, frame: frame.clone() }
-            }
-            Msg::Ack { src_epoch, dst_epoch, up_to, missing } => Msg::Ack {
-                src_epoch: *src_epoch,
-                dst_epoch: *dst_epoch,
-                up_to: *up_to,
-                missing: missing.clone(),
-            },
-            Msg::Jump { src_epoch, dst_epoch, from_seq } => {
-                Msg::Jump { src_epoch: *src_epoch, dst_epoch: *dst_epoch, from_seq: *from_seq }
-            }
-            Msg::EpochNotice { epoch } => Msg::EpochNotice { epoch: *epoch },
-        }
-    }
 }
 
 /// A sequenced frame travelling over one link.
@@ -397,6 +377,18 @@ impl<M: Clone> Link<M> {
     }
 }
 
+/// What [`Wiring`] needs of its driver: the clock, the metrics registry,
+/// and a way to put a message on the wire. The simulator's `Ctx` is one
+/// (`cluster.rs`); a test can be another and order deliveries by hand.
+pub(crate) trait LinkPort<A: Application> {
+    /// The current time.
+    fn now(&self) -> SimTime;
+    /// The registry transport counters go to.
+    fn metrics(&mut self) -> &mut Metrics;
+    /// Puts `msg` on the wire to `to`.
+    fn send(&mut self, to: NodeId, msg: Msg<A>);
+}
+
 /// One node's end of every link: FIFO framing + a simple ARQ (cumulative
 /// acks, timeout retransmission), epoch-aware so streams resynchronize
 /// after either endpoint restarts (see [`Msg`]).
@@ -449,18 +441,18 @@ impl<A: Application> Wiring<A> {
     /// fan-out, wire or direct, hands every recipient a clone of one `Arc`,
     /// and the retransmission buffer entry holds another, so a body is
     /// allocated once per recipient set, not once per peer.
-    pub(crate) fn send(&mut self, ctx: &mut Ctx<'_, Msg<A>>, to: NodeId, inner: Arc<Inner<A>>) {
+    pub(crate) fn send(&mut self, port: &mut impl LinkPort<A>, to: NodeId, inner: Arc<Inner<A>>) {
         let src_epoch = self.my_epoch;
         let link = self.link(to);
-        let frame = link.send(inner, ctx.now());
-        ctx.send(to, Msg::Frame { src_epoch, dst_epoch: link.epoch, frame });
+        let frame = link.send(inner, port.now());
+        port.send(to, Msg::Frame { src_epoch, dst_epoch: link.epoch, frame });
     }
 
     /// Reconciles the epoch stamps on an incoming message. Returns `false`
     /// if the message belongs to a stale stream and must be dropped.
     fn sync_epochs(
         &mut self,
-        ctx: &mut Ctx<'_, Msg<A>>,
+        port: &mut impl LinkPort<A>,
         from: NodeId,
         src_epoch: u64,
         dst_epoch: u64,
@@ -470,13 +462,13 @@ impl<A: Application> Wiring<A> {
             return false; // a previous incarnation of the peer
         }
         if src_epoch > known {
-            self.note_peer_epoch(ctx, from, src_epoch);
+            self.note_peer_epoch(port, from, src_epoch);
         }
         if dst_epoch != self.my_epoch {
             // Addressed to a previous incarnation of this node: its
             // sequence numbers mean nothing to our fresh stream state.
             // Tell the peer so it resynchronizes.
-            self.announce_epoch(ctx, from);
+            self.announce_epoch(port, from);
             return false;
         }
         true
@@ -485,63 +477,63 @@ impl<A: Application> Wiring<A> {
     /// Adopts a higher epoch for `peer` ([`Link::reset`]) and retransmits
     /// the renumbered unacked frames, so nothing already handed to
     /// [`Self::send`] is lost by the peer's restart.
-    fn note_peer_epoch(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId, epoch: u64) {
+    fn note_peer_epoch(&mut self, port: &mut impl LinkPort<A>, peer: NodeId, epoch: u64) {
         let src_epoch = self.my_epoch;
         let link = self.link(peer);
         if epoch <= link.epoch {
             return;
         }
-        ctx.metrics_mut().incr_counter(metric_names::NET_STREAM_RESETS, 1);
-        link.reset(epoch, ctx.now());
+        port.metrics().incr_counter(metric_names::NET_STREAM_RESETS, 1);
+        link.reset(epoch, port.now());
         if !link.unacked.is_empty() {
-            ctx.metrics_mut()
+            port.metrics()
                 .incr_counter(metric_names::NET_RETRANSMISSIONS, link.unacked.len() as u64);
             for (frame, _, _) in &link.unacked {
-                ctx.send(peer, Msg::Frame { src_epoch, dst_epoch: epoch, frame: frame.clone() });
+                port.send(peer, Msg::Frame { src_epoch, dst_epoch: epoch, frame: frame.clone() });
             }
         }
     }
 
     /// Rate-limited "I am at epoch E now" notice.
-    fn announce_epoch(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId) {
+    fn announce_epoch(&mut self, port: &mut impl LinkPort<A>, peer: NodeId) {
         let epoch = self.my_epoch;
-        if self.link(peer).signal_due(ctx.now()) {
-            ctx.send(peer, Msg::EpochNotice { epoch });
+        if self.link(peer).signal_due(port.now()) {
+            port.send(peer, Msg::EpochNotice { epoch });
         }
     }
 
     /// Rate-limited jump announcement: tells `peer` to skip past frames we
     /// no longer hold, up to the first one we can still deliver.
-    fn send_jump(&mut self, ctx: &mut Ctx<'_, Msg<A>>, peer: NodeId) {
+    fn send_jump(&mut self, port: &mut impl LinkPort<A>, peer: NodeId) {
         let src_epoch = self.my_epoch;
         let link = self.link(peer);
-        if !link.signal_due(ctx.now()) {
+        if !link.signal_due(port.now()) {
             return;
         }
-        ctx.metrics_mut().incr_counter(metric_names::NET_JUMPS, 1);
+        port.metrics().incr_counter(metric_names::NET_JUMPS, 1);
         let jump = Msg::Jump { src_epoch, dst_epoch: link.epoch, from_seq: link.jump_target() };
-        ctx.send(peer, jump);
+        port.send(peer, jump);
     }
 
     /// Accepts an incoming message; appends the in-order released bodies to
-    /// `ready` (nothing for acks/out-of-order frames) — the hosting actor's
-    /// reusable buffer.
+    /// `ready` (nothing for acks/out-of-order frames) — the driver's reusable
+    /// buffer.
     pub(crate) fn receive(
         &mut self,
-        ctx: &mut Ctx<'_, Msg<A>>,
+        port: &mut impl LinkPort<A>,
         from: NodeId,
         msg: Msg<A>,
         ready: &mut Vec<Arc<Inner<A>>>,
     ) {
         match msg {
             Msg::Frame { src_epoch, dst_epoch, frame } => {
-                if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
+                if !self.sync_epochs(port, from, src_epoch, dst_epoch) {
                     return;
                 }
                 let (my_epoch, cap) = (self.my_epoch, self.reorder_cap);
                 let link = self.link(from);
                 if link.accept(frame, cap, ready) {
-                    ctx.metrics_mut().incr_counter(metric_names::NET_FIFO_DROPS, 1);
+                    port.metrics().incr_counter(metric_names::NET_FIFO_DROPS, 1);
                 }
                 // Ack in batches: promptly once enough progress piles up,
                 // otherwise lazily from the periodic flush. This keeps ack
@@ -557,23 +549,23 @@ impl<A: Application> Wiring<A> {
                         up_to: expected,
                         missing,
                     };
-                    ctx.send(from, ack);
+                    port.send(from, ack);
                 }
                 if trace_arq() {
                     let buffered = self.buffered();
                     if buffered > 200 && buffered.is_multiple_of(100) {
                         eprintln!(
                             "[arq] t={} node has {buffered} frames buffered behind gaps (from {from})",
-                            ctx.now()
+                            port.now()
                         );
                     }
                 }
             }
             Msg::Ack { src_epoch, dst_epoch, up_to, missing } => {
-                if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
+                if !self.sync_epochs(port, from, src_epoch, dst_epoch) {
                     return;
                 }
-                let now = ctx.now();
+                let now = port.now();
                 let my_epoch = self.my_epoch;
                 let Link { unacked, epoch, .. } = self.link(from);
                 // Drop cumulatively-acked frames from the front.
@@ -594,7 +586,7 @@ impl<A: Application> Wiring<A> {
                             *last_sent = now;
                             resent += 1;
                             let frame = frame.clone();
-                            ctx.send(
+                            port.send(
                                 from,
                                 Msg::Frame { src_epoch: my_epoch, dst_epoch: *epoch, frame },
                             );
@@ -606,52 +598,52 @@ impl<A: Application> Wiring<A> {
                     }
                 }
                 if resent > 0 {
-                    ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
+                    port.metrics().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
                 }
                 if unsatisfiable_hole {
-                    self.send_jump(ctx, from);
+                    self.send_jump(port, from);
                 }
             }
             Msg::Jump { src_epoch, dst_epoch, from_seq } => {
-                if !self.sync_epochs(ctx, from, src_epoch, dst_epoch) {
+                if !self.sync_epochs(port, from, src_epoch, dst_epoch) {
                     return;
                 }
                 // The sender abandoned everything below `from_seq`; release
                 // whatever buffered frames become deliverable past the gap.
                 self.link(from).force_advance(from_seq, ready);
             }
-            Msg::EpochNotice { epoch } => self.note_peer_epoch(ctx, from, epoch),
+            Msg::EpochNotice { epoch } => self.note_peer_epoch(port, from, epoch),
         }
     }
 
     /// Transport maintenance: lazy ack flush + retransmission scan, rate
     /// limited to once per [`ACK_FLUSH_EVERY`] regardless of how often the
-    /// hosting actor ticks.
-    pub(crate) fn maintain(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let now = ctx.now();
+    /// driver calls it.
+    pub(crate) fn maintain(&mut self, port: &mut impl LinkPort<A>) {
+        let now = port.now();
         if now.saturating_duration_since(self.last_ack_flush) < ACK_FLUSH_EVERY {
             return;
         }
         self.last_ack_flush = now;
         // Sample the reorder-buffer depth (count encoded in µs units) so
         // experiments can see how close links run to [`FIFO_BUFFER_CAP`].
-        ctx.metrics_mut().record_histogram(
+        port.metrics().record_histogram(
             metric_names::NET_FIFO_BUFFERED,
             SimDuration::from_micros(self.buffered() as u64),
         );
-        self.flush_acks(ctx);
-        self.retransmit_due(ctx);
+        self.flush_acks(port);
+        self.retransmit_due(port);
     }
 
     /// Flushes lazy acks for peers with unacknowledged receive progress.
-    fn flush_acks(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
+    fn flush_acks(&mut self, port: &mut impl LinkPort<A>) {
         let src_epoch = self.my_epoch;
         for (peer, link) in self.links() {
             let up_to = link.next_recv;
             let missing = link.holes(NACK_LIMIT);
             if up_to > link.acked || !missing.is_empty() {
                 link.acked = up_to;
-                ctx.send(peer, Msg::Ack { src_epoch, dst_epoch: link.epoch, up_to, missing });
+                port.send(peer, Msg::Ack { src_epoch, dst_epoch: link.epoch, up_to, missing });
             }
         }
     }
@@ -661,8 +653,8 @@ impl<A: Application> Wiring<A> {
     /// partitioned away for longer than we buffer) are abandoned — counted,
     /// and announced to the peer with a [`Msg::Jump`] so its stream heals
     /// with an explicit gap instead of stalling forever once it returns.
-    fn retransmit_due(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        let now = ctx.now();
+    fn retransmit_due(&mut self, port: &mut impl LinkPort<A>) {
+        let now = port.now();
         let src_epoch = self.my_epoch;
         let mut resent = 0;
         for (peer, link) in self.links() {
@@ -685,11 +677,11 @@ impl<A: Application> Wiring<A> {
             for (frame, _first_sent, last_sent) in due {
                 *last_sent = now;
                 resent += 1;
-                ctx.send(peer, Msg::Frame { src_epoch, dst_epoch: *epoch, frame: frame.clone() });
+                port.send(peer, Msg::Frame { src_epoch, dst_epoch: *epoch, frame: frame.clone() });
             }
         }
         if resent > 0 {
-            ctx.metrics_mut().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
+            port.metrics().incr_counter(metric_names::NET_RETRANSMISSIONS, resent);
         }
         for index in 0..self.links.len() {
             let peer = NodeId::from_raw(index as u32);
@@ -706,11 +698,11 @@ impl<A: Application> Wiring<A> {
                     link.unacked.len()
                 );
             }
-            ctx.metrics_mut()
+            port.metrics()
                 .incr_counter(metric_names::NET_FRAMES_ABANDONED, link.unacked.len() as u64);
             link.unacked.clear();
             // Announce the gap so the stream resumes when the peer returns.
-            self.send_jump(ctx, peer);
+            self.send_jump(port, peer);
         }
     }
 }
@@ -721,7 +713,7 @@ mod tests {
     use std::rc::Rc;
 
     use dynastar_amcast::MsgId;
-    use dynastar_runtime::{Actor, LatencyModel, NetConfig, SimConfig, Simulation};
+    use dynastar_runtime::{Actor, Ctx, LatencyModel, NetConfig, SimConfig, Simulation};
 
     use super::*;
     use crate::host::tests::App;
@@ -919,6 +911,127 @@ mod tests {
         sim.run_until(SimTime::from_millis(450));
         assert_eq!(*got.borrow(), numbers(0..9));
         assert_eq!(sim.metrics().counter(metric_names::NET_RETRANSMISSIONS), 5);
+    }
+
+    /// A link port driven by hand: a clock the test sets, a registry of its
+    /// own, and the messages put on the wire, in order.
+    #[derive(Default)]
+    struct HandPort {
+        now: SimTime,
+        metrics: Metrics,
+        out: Vec<(NodeId, Msg<App>)>,
+    }
+
+    impl LinkPort<App> for HandPort {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
+
+        fn send(&mut self, to: NodeId, msg: Msg<App>) {
+            self.out.push((to, msg));
+        }
+    }
+
+    /// One end of a link whose deliveries the test orders itself.
+    struct HandEnd {
+        wiring: Wiring<App>,
+        port: HandPort,
+    }
+
+    impl HandEnd {
+        fn new(epoch: u64) -> Self {
+            HandEnd { wiring: Wiring::new(epoch), port: HandPort::default() }
+        }
+
+        /// Sends the bodies numbered `range` to `to`.
+        fn send(&mut self, to: NodeId, range: std::ops::Range<u32>) {
+            for n in range {
+                let body = Inner::Direct(Direct::Ack { cmd: MsgId::new(0, n) });
+                self.wiring.send(&mut self.port, to, Arc::new(body));
+            }
+        }
+
+        /// What this end put on the wire since the last call.
+        fn sent(&mut self) -> Vec<Msg<App>> {
+            self.port.out.drain(..).map(|(_, msg)| msg).collect()
+        }
+
+        /// Hands `msg` from `from` to this end; the numbers it releases.
+        fn deliver(&mut self, from: NodeId, msg: Msg<App>) -> Vec<u32> {
+            let mut ready = Vec::new();
+            self.wiring.receive(&mut self.port, from, msg, &mut ready);
+            let number = |body: &Arc<Inner<App>>| match &**body {
+                Inner::Direct(Direct::Ack { cmd }) => cmd.seq,
+                _ => panic!("only numbered bodies travel"),
+            };
+            ready.iter().map(number).collect()
+        }
+    }
+
+    #[test]
+    fn a_stale_nack_after_the_cumulative_ack_draws_one_jump_that_the_peer_ignores() {
+        let (a_id, b_id) = ends();
+        let (mut a, mut b) = (HandEnd::new(0), HandEnd::new(0));
+        a.send(b_id, 0..70);
+        let mut frames = a.sent();
+        let late = frames.remove(1);
+        let mut got = Vec::new();
+        for frame in frames.into_iter().chain([late]) {
+            got.extend(b.deliver(a_id, frame));
+        }
+        assert_eq!(got, numbers(0..70), "each frame once, in order");
+        // Frames 2..70 each NACK frame 1; frame 1 then acks the lot.
+        let acks = b.sent();
+        assert_eq!(acks.len(), 69);
+        for ack in acks.into_iter().rev() {
+            assert!(a.deliver(b_id, ack).is_empty());
+        }
+        // The newest ack emptied `A`'s buffer, so every older NACK names
+        // a frame `A` no longer holds and reads as one that was given up.
+        // ROADMAP item 5's stale-ack fix takes this count to 0.
+        assert_eq!(a.port.metrics.counter(metric_names::NET_JUMPS), 1);
+        let jump = a.sent();
+        assert!(matches!(jump[..], [Msg::Jump { from_seq: 70, .. }]));
+        for msg in jump {
+            assert!(b.deliver(a_id, msg).is_empty());
+        }
+        assert!(b.sent().is_empty(), "the jump lands at `B`'s expectation");
+        assert_eq!(b.wiring.link(a_id).next_recv, 70);
+    }
+
+    #[test]
+    fn a_duplicated_frame_releases_nothing() {
+        let (a_id, b_id) = ends();
+        let (mut a, mut b) = (HandEnd::new(0), HandEnd::new(0));
+        a.send(b_id, 0..1);
+        // Unacked past the timeout, the frame goes out again.
+        a.port.now = SimTime::ZERO + RETX_AFTER;
+        a.wiring.maintain(&mut a.port);
+        let [first, copy]: [Msg<App>; 2] = a.sent().try_into().unwrap();
+        assert_eq!(b.deliver(a_id, first), [0]);
+        assert!(b.deliver(a_id, copy).is_empty());
+        assert!(b.sent().is_empty(), "no hole to report, no ack due");
+    }
+
+    #[test]
+    fn a_frame_for_the_previous_incarnation_releases_nothing_and_draws_one_notice() {
+        let (a_id, b_id) = ends();
+        // `B` restarted into epoch 1 before hearing from `A`.
+        let (mut a, mut b) = (HandEnd::new(0), HandEnd::new(1));
+        a.send(b_id, 0..1);
+        let [frame]: [Msg<App>; 1] = a.sent().try_into().unwrap();
+        assert!(matches!(frame, Msg::Frame { dst_epoch: 0, .. }));
+        assert!(b.deliver(a_id, frame).is_empty());
+        let [notice]: [Msg<App>; 1] = b.sent().try_into().unwrap();
+        assert!(matches!(notice, Msg::EpochNotice { epoch: 1 }));
+        // `A` adopts the epoch and resends the frame on the fresh stream.
+        assert!(a.deliver(b_id, notice).is_empty());
+        let [resent]: [Msg<App>; 1] = a.sent().try_into().unwrap();
+        assert_eq!(b.deliver(a_id, resent), [0]);
     }
 
     #[test]
