@@ -7,7 +7,10 @@
 //!   benchmark (9 tables, 5 transaction types at the standard 45/43/4/4/4
 //!   mix), mapped onto DynaStar objects exactly as §5.3 describes: every
 //!   district (with its orders and customers) and every warehouse (with its
-//!   stock) is a workload-graph vertex.
+//!   stock) is a workload-graph vertex. A district row keeps only what the
+//!   transactions read back: its undelivered orders' customers and totals
+//!   and the id range of its recent orders, not order lines or delivered
+//!   orders, since a borrowed row is shipped and copied whole.
 //! * [`chirper`] — the paper's Twitter-like social network (§5.4): post,
 //!   follow, unfollow and read-timeline commands over a per-user timeline.
 //! * [`socialgraph`] — a Barabási–Albert preferential-attachment generator

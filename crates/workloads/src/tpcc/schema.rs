@@ -4,11 +4,20 @@
 //! object; the oracle models the workload at district/warehouse
 //! granularity, so the locality key of district-scoped rows (district,
 //! customers, orders) is their district, and of warehouse-scoped rows
-//! (warehouse, stock) their warehouse. Orders, order-lines, new-orders and
-//! history live *inside* their district row, which both matches the paper's
-//! "objects that belong to a district are considered part of the district"
-//! and lets clients declare a transaction's variables without knowing the
-//! next order id.
+//! (warehouse, stock) their warehouse. The order book, the NEW-ORDER table
+//! and the HISTORY table live *inside* their district row, which both
+//! matches the paper's "objects that belong to a district are considered
+//! part of the district" and lets clients declare a transaction's
+//! variables without knowing the next order id.
+//!
+//! A district row keeps only what the five transactions read: order-id
+//! ranges, and the customer and total of each undelivered order. A
+//! borrowed row travels to the executing partition and is copied before
+//! it is written, so it should not carry the district's order history.
+//! Order lines and carrier ids are not stored because no transaction here
+//! reads them: STOCK-LEVEL samples its items client-side, and ORDER-STATUS
+//! reports the order id and whether it was delivered. HISTORY is a count
+//! for the same reason.
 //!
 //! The immutable `ITEM` catalog is not materialized as objects: item
 //! prices/names are a deterministic function of the item id that every
@@ -17,7 +26,6 @@
 //! avoiding 100k read-only rows per replica.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use dynastar_core::{LocKey, VarId};
 use serde::{Deserialize, Serialize};
@@ -25,10 +33,11 @@ use serde::{Deserialize, Serialize};
 /// Districts per warehouse (TPC-C specifies 10).
 pub const DISTRICTS_PER_WAREHOUSE: u32 = 10;
 
-/// Orders retained per district before old delivered orders are pruned.
-/// Kept small: the district row travels whole when borrowed by a remote
-/// transaction, so its order book bounds the per-transaction copy cost.
-pub const ORDER_RETENTION: usize = 24;
+/// Orders a district's book keeps before delivered ones leave its front.
+/// ORDER-STATUS finds a customer's last order only while it is in the book.
+/// Undelivered orders always stay, so the book is the last
+/// `ORDER_RETENTION` orders or the undelivered ones, whichever is longer.
+pub const ORDER_RETENTION: u32 = 24;
 
 /// Scale parameters (defaults are laptop-sized; the access *pattern*
 /// matches the spec).
@@ -133,32 +142,6 @@ pub fn item_price_cents(item: u32) -> i64 {
     100 + (h % 9_900) as i64
 }
 
-/// One order line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OrderLine {
-    /// The ordered item.
-    pub item: u32,
-    /// Supplying warehouse (≠ home warehouse for remote lines).
-    pub supply_w: u32,
-    /// Quantity.
-    pub qty: u32,
-    /// Line amount in cents.
-    pub amount_cents: i64,
-}
-
-/// One order, stored inside its district row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Order {
-    /// District-scoped order id.
-    pub id: u32,
-    /// The ordering customer.
-    pub customer: u32,
-    /// Carrier assigned on delivery.
-    pub carrier: Option<u32>,
-    /// The order lines.
-    pub lines: Vec<OrderLine>,
-}
-
 /// The warehouse row.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarehouseRow {
@@ -167,22 +150,26 @@ pub struct WarehouseRow {
 }
 
 /// The district row with its order book.
+///
+/// Order ids are dense and only grow, so the book is an id range: orders
+/// `first_kept..next_o_id` are in it, and those below `first_undelivered`
+/// were delivered. Only an undelivered order keeps a record, so
+/// `undelivered` holds `next_o_id - first_undelivered` entries; the
+/// book's fields change only through its methods.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistrictRow {
     /// Year-to-date payment total in cents.
     pub ytd_cents: i64,
     /// Next order id.
-    pub next_o_id: u32,
-    /// Recent orders (pruned to [`ORDER_RETENTION`] delivered ones).
-    ///
-    /// Orders sit behind `Arc` so the copy-on-write clone a replica makes
-    /// before mutating a shared district row copies one deque of pointers,
-    /// not every order book and its line vectors — district rows are the
-    /// hottest rows in the workload, and deep-cloning ~[`ORDER_RETENTION`]
-    /// orders per write dominated the simulator's allocation profile.
-    pub orders: VecDeque<Arc<Order>>,
-    /// Ids of undelivered orders, oldest first (the NEW-ORDER table).
-    pub new_orders: VecDeque<u32>,
+    pub(crate) next_o_id: u32,
+    /// Oldest order id still in the book.
+    pub(crate) first_kept: u32,
+    /// Oldest undelivered order id (`next_o_id` when every order was
+    /// delivered).
+    pub(crate) first_undelivered: u32,
+    /// `(customer, total in cents)` of each undelivered order, oldest
+    /// first: the NEW-ORDER table, holding what DELIVERY needs.
+    pub(crate) undelivered: VecDeque<(u32, i64)>,
     /// History record count (the HISTORY table, insert-only).
     pub history_count: u64,
 }
@@ -192,10 +179,37 @@ impl Default for DistrictRow {
         DistrictRow {
             ytd_cents: 0,
             next_o_id: 1,
-            orders: VecDeque::new(),
-            new_orders: VecDeque::new(),
+            first_kept: 1,
+            first_undelivered: 1,
+            undelivered: VecDeque::new(),
             history_count: 0,
         }
+    }
+}
+
+impl DistrictRow {
+    /// Appends an undelivered order and returns its id. Delivered orders
+    /// leave the book's front while it holds more than [`ORDER_RETENTION`].
+    pub fn place_order(&mut self, customer: u32, total_cents: i64) -> u32 {
+        let id = self.next_o_id;
+        self.next_o_id += 1;
+        self.undelivered.push_back((customer, total_cents));
+        let retained = self.next_o_id.saturating_sub(ORDER_RETENTION);
+        self.first_kept = self.first_kept.max(self.first_undelivered.min(retained));
+        id
+    }
+
+    /// Removes the oldest undelivered order; returns its id and total.
+    pub fn deliver_oldest(&mut self) -> Option<(u32, i64)> {
+        let (_, total_cents) = self.undelivered.pop_front()?;
+        let id = self.first_undelivered;
+        self.first_undelivered += 1;
+        Some((id, total_cents))
+    }
+
+    /// Whether order `id` was delivered, or `None` if it is not in the book.
+    pub fn delivered(&self, id: u32) -> Option<bool> {
+        (self.first_kept..self.next_o_id).contains(&id).then_some(id < self.first_undelivered)
     }
 }
 
