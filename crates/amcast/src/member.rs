@@ -6,9 +6,11 @@ use std::sync::Arc;
 use dynastar_paxos::{
     Ballot, BatchStats, GroupConfig, Output, PaxosReplica, Peers, RecoveryReport,
 };
-use dynastar_runtime::dedup::RotatingSet;
+use dynastar_runtime::dedup::SeqSet;
 
-use crate::types::{Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, Topology};
+use crate::types::{
+    Delivery, Dests, GroupId, LogEntry, McastWire, MemberId, MsgId, MsgStream, Topology,
+};
 
 /// Ticks between retransmissions of unacknowledged protocol steps.
 const RETRY_TICKS: u64 = 8;
@@ -96,8 +98,8 @@ pub struct MemberSnapshot<V> {
     report: RecoveryReport<LogEntry<V>>,
     clock: u64,
     pending: BTreeMap<MsgId, Pending<V>>,
-    assigned: RotatingSet<MsgId>,
-    remote_seen: RotatingSet<(MsgId, GroupId)>,
+    assigned: SeqSet<MsgStream>,
+    remote_seen: SeqSet<(MsgStream, GroupId)>,
     seen_submits: BTreeMap<MsgId, (Dests, V)>,
     seen_remote_ts: BTreeMap<(MsgId, GroupId), u64>,
     ts_out: BTreeMap<(MsgId, GroupId), (u64, u64)>,
@@ -158,12 +160,15 @@ pub struct McastMember<V> {
     /// The group's logical clock (deterministic from the log).
     clock: u64,
     pending: BTreeMap<MsgId, Pending<V>>,
-    /// Messages whose `Assign` entry has been applied (bounded memory:
-    /// duplicates older than the rotation window would reorder, but such
-    /// duplicates cannot occur within protocol timescales).
-    assigned: RotatingSet<MsgId>,
-    /// `(mid, group)` pairs whose `Remote` entry has been applied.
-    remote_seen: RotatingSet<(MsgId, GroupId)>,
+    /// Messages whose `Assign` entry has been applied, exactly: every
+    /// id ever assigned, by its origin's stream (one word per 64 seqs),
+    /// so a duplicate `Assign`, `Submit` or `GroupTs` is never ordered
+    /// again however late it arrives, while a lower seq never assigned
+    /// still is (see [`SeqSet`]).
+    assigned: SeqSet<MsgStream>,
+    /// `(mid, group)` pairs whose `Remote` entry has been applied, kept
+    /// the same way.
+    remote_seen: SeqSet<(MsgStream, GroupId)>,
     /// Submits seen but not yet assigned, kept so a replica that becomes
     /// leader can (re-)propose them.
     seen_submits: BTreeMap<MsgId, (Dests, V)>,
@@ -232,8 +237,8 @@ impl<V: Clone> McastMember<V> {
             paxos: PaxosReplica::new(me.index, cfg),
             clock: 0,
             pending: BTreeMap::new(),
-            assigned: RotatingSet::new(1 << 16),
-            remote_seen: RotatingSet::new(1 << 16),
+            assigned: SeqSet::default(),
+            remote_seen: SeqSet::default(),
             seen_submits: BTreeMap::new(),
             seen_remote_ts: BTreeMap::new(),
             proposed_assign: BTreeMap::new(),
@@ -441,7 +446,7 @@ impl<V: Clone> McastMember<V> {
         payload: V,
         out: &mut McastOutput<V, (GroupId, Peers)>,
     ) {
-        if self.assigned.contains(&mid) {
+        if self.assigned.contains(mid.stream(), mid.seq) {
             return;
         }
         self.seen_submits.entry(mid).or_insert((dests, payload));
@@ -449,7 +454,7 @@ impl<V: Clone> McastMember<V> {
     }
 
     fn maybe_propose_assign(&mut self, mid: MsgId, out: &mut McastOutput<V, (GroupId, Peers)>) {
-        if !self.paxos.is_leader() || self.assigned.contains(&mid) {
+        if !self.paxos.is_leader() || self.assigned.contains(mid.stream(), mid.seq) {
             return;
         }
         let ballot = self.paxos.promised();
@@ -474,7 +479,8 @@ impl<V: Clone> McastMember<V> {
         from_group: GroupId,
         out: &mut McastOutput<V, (GroupId, Peers)>,
     ) {
-        if !self.paxos.is_leader() || self.remote_seen.contains(&(mid, from_group)) {
+        if !self.paxos.is_leader() || self.remote_seen.contains((mid.stream(), from_group), mid.seq)
+        {
             return;
         }
         let key = (mid, from_group);
@@ -527,7 +533,7 @@ impl<V: Clone> McastMember<V> {
     fn apply(&mut self, entry: LogEntry<V>, out: &mut McastOutput<V, (GroupId, Peers)>) {
         match entry {
             LogEntry::Assign { mid, dests, payload } => {
-                if !self.assigned.insert(mid) {
+                if !self.assigned.insert(mid.stream(), mid.seq) {
                     return; // duplicate Assign from leader churn
                 }
                 self.seen_submits.remove(&mid);
@@ -546,7 +552,7 @@ impl<V: Clone> McastMember<V> {
                 self.try_deliver(out);
             }
             LogEntry::Remote { mid, from_group, ts } => {
-                if !self.remote_seen.insert((mid, from_group)) {
+                if !self.remote_seen.insert((mid.stream(), from_group), mid.seq) {
                     return;
                 }
                 self.seen_remote_ts.remove(&(mid, from_group));
@@ -708,7 +714,7 @@ impl<V: Clone> McastMember<V> {
                 }
                 // The timestamp doubles as a submit (see wire docs).
                 self.note_submit(mid, dests, payload, out);
-                if self.remote_seen.contains(&(mid, from_group)) {
+                if self.remote_seen.contains((mid.stream(), from_group), mid.seq) {
                     // Already ordered: the ack may have been lost, resend it.
                     if self.paxos.is_leader() {
                         self.send_ts_ack(mid, from_group, out);
@@ -906,5 +912,83 @@ mod tests {
         let d = &out.delivered[0];
         assert_eq!((d.mid, d.final_ts, d.payload), (mid, 5, 42));
         assert!(Arc::ptr_eq(&d.dests, &dests));
+    }
+
+    /// Orders `mid` for groups 0 and 1 at member `m` of group 0: its
+    /// `Assign`, group 1's `Remote` and group 1's ack of our timestamp.
+    /// Returns how many messages that delivered.
+    fn order_both(
+        m: &mut McastMember<u64>,
+        mid: MsgId,
+        out: &mut McastOutput<u64, (GroupId, Peers)>,
+    ) -> usize {
+        let before = out.delivered.len();
+        let dests: Dests = vec![GroupId(0), GroupId(1)].into();
+        m.apply(LogEntry::Assign { mid, dests, payload: 1 }, out);
+        m.apply(LogEntry::Remote { mid, from_group: GroupId(1), ts: 1 }, out);
+        let ack = McastWire::TsAck { mid, from_group: GroupId(0), by_group: GroupId(1) };
+        m.on_message_into(ack, out);
+        out.outgoing.clear();
+        out.delivered.len() - before
+    }
+
+    #[test]
+    fn a_duplicate_long_after_its_delivery_is_not_delivered_again() {
+        let mut m = member(0);
+        let mut out = McastOutput::default();
+        let (g0, g1) = (GroupId(0), GroupId(1));
+        // Two messages for group 0 alone, one for both groups; each is
+        // repeated once below, through a different input.
+        let (by_assign, by_submit, by_ts) = (MsgId::new(7, 0), MsgId::new(7, 1), MsgId::new(7, 2));
+        for mid in [by_assign, by_submit] {
+            m.submit_into(mid, vec![g0].into(), 42, &mut out);
+        }
+        assert_eq!(out.delivered.len(), 2, "a one-replica group orders at once");
+        assert_eq!(order_both(&mut m, by_ts, &mut out), 1);
+        // More messages, from 16 other origins, than two rotating
+        // generations of 2^16 ids remember.
+        for i in 0..(1u32 << 17) + 1 {
+            let mid = MsgId::new(100 + u64::from(i % 16), i / 16);
+            assert_eq!(order_both(&mut m, mid, &mut out), 1);
+        }
+        out.delivered.clear();
+
+        let solo = |mid| (mid, vec![g0].into(), 42);
+        let (mid, dests, payload) = solo(by_assign);
+        m.apply(LogEntry::Assign { mid, dests, payload }, &mut out);
+        assert!(out.delivered.is_empty(), "a decided duplicate Assign delivered again");
+        let (mid, dests, payload) = solo(by_submit);
+        m.on_message_into(McastWire::Submit { mid, dests, payload }, &mut out);
+        m.tick_into(&mut out);
+        assert!(out.delivered.is_empty(), "a late Submit delivered again");
+        let dests = vec![g0, g1].into();
+        let late_ts = McastWire::GroupTs { mid: by_ts, from_group: g1, ts: 9, dests, payload: 1 };
+        m.on_message_into(late_ts, &mut out);
+        m.tick_into(&mut out);
+        assert!(out.delivered.is_empty(), "a late GroupTs delivered again");
+        let proposals = out.outgoing.iter().filter(|(_, w)| matches!(w, McastWire::Paxos { .. }));
+        assert_eq!(proposals.count(), 0, "a known id is not proposed again");
+        assert!(m.pending.is_empty() && m.seen_submits.is_empty() && m.seen_remote_ts.is_empty());
+    }
+
+    #[test]
+    fn a_late_submit_below_an_origins_newest_assigned_seq_is_still_ordered() {
+        // The watermark trap: seqs 5..=10 of origin 9 are ordered first;
+        // seq 3, never assigned, must not read as a duplicate.
+        let mut m = member(0);
+        let mut out = McastOutput::default();
+        let dests = || -> Dests { vec![GroupId(0)].into() };
+        for seq in 5..=10 {
+            m.apply(
+                LogEntry::Assign { mid: MsgId::new(9, seq), dests: dests(), payload: 0 },
+                &mut out,
+            );
+        }
+        assert_eq!(out.delivered.len(), 6);
+        out.delivered.clear();
+        let late = MsgId::new(9, 3);
+        m.on_message_into(McastWire::Submit { mid: late, dests: dests(), payload: 3 }, &mut out);
+        let d: Vec<(MsgId, u64)> = out.delivered.iter().map(|d| (d.mid, d.payload)).collect();
+        assert_eq!(d, [(late, 3)]);
     }
 }

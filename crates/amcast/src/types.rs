@@ -71,7 +71,17 @@ impl MsgId {
         assert!(tag != 0, "derivation tag 0 is reserved for original messages");
         MsgId { origin: self.origin, seq: self.seq, tag }
     }
+
+    /// The part of the id that stays fixed while `seq` counts up: an
+    /// origin's messages of one derivation tag. Exact dedup tables
+    /// ([`dynastar_runtime::dedup::SeqSet`]) keep their seq blocks by it.
+    pub(crate) fn stream(self) -> MsgStream {
+        (self.origin, self.tag)
+    }
 }
+
+/// A [`MsgId`] without its seq: `(origin, tag)`, see [`MsgId::stream`].
+pub(crate) type MsgStream = (u64, u32);
 
 impl fmt::Display for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

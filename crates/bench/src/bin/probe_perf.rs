@@ -12,10 +12,16 @@
 //!    with an allocation-counting global allocator whose numbers are
 //!    deterministic even when wall-clock jitters.
 //! 2. **Regression harness** (`--out` / `--check-against`): the
-//!    machine-readable `results/BENCH_perf.json`, and a gate that fails
-//!    when a configuration's run allocates more than 30% more often, or
-//!    more bytes, than the same configuration in a baseline record — the
-//!    perf numbers here that mean the same on every machine.
+//!    machine-readable `results/BENCH_perf.json` (and, from
+//!    `--sim-secs 40`, `results/BENCH_perf_long.json`), and a gate that
+//!    fails when a configuration's run allocates more than 30% more often,
+//!    or more bytes, than the same configuration (simulated window
+//!    included) in a baseline record — the perf numbers here that mean the
+//!    same on every machine — or when the process's peak RSS is more than
+//!    30% higher, which catches state that grows with the run. Peak RSS,
+//!    unlike the allocation numbers, is machine-dependent (allocator
+//!    version, transparent huge pages, binary size); the committed values
+//!    were recorded on a 2-vCPU Linux container.
 //!
 //! `--matrix` sweeps seeds × modes in parallel (each point is its own
 //! deterministic simulation) and reports the per-config medians.
@@ -300,7 +306,15 @@ fn main() {
     // `--matrix` every row carries the same value.
     let mut record = Record::new(
         SPEC.program,
-        &["workload", "mode", "partitions", "seed", "clients_per_warehouse", "exec_workers"],
+        &[
+            "workload",
+            "mode",
+            "partitions",
+            "sim_secs",
+            "seed",
+            "clients_per_warehouse",
+            "exec_workers",
+        ],
     );
     for r in &results {
         let c = &r.config;
@@ -332,4 +346,7 @@ fn main() {
     // A payload copied once more per replica barely moves the count; it
     // multiplies the bytes.
     record.gate(&args, "alloc_mb", false);
+    // Memory that grows with the run: a table kept per command shows here
+    // long before it shows in a 10 s window (`--sim-secs 40`).
+    record.gate(&args, "peak_rss_kb", false);
 }

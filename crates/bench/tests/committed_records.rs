@@ -31,7 +31,7 @@ fn every_committed_record_parses() {
             seen += 1;
         }
     }
-    assert_eq!(seen, 7, "results/ holds seven BENCH records");
+    assert_eq!(seen, 8, "results/ holds eight BENCH records");
 }
 
 #[test]
@@ -69,16 +69,21 @@ fn gated_rows_are_present() {
 }
 
 #[test]
-fn perf_record_pins_the_standard_schedules() {
-    let perf = load("BENCH_perf.json");
-    // (workload, simulated seconds, events, completed): schedules repeat
-    // exactly, so a perf change that moves them is not only a perf change.
-    // Both rows pin `repartition_threshold = u64::MAX`, so their partitions
-    // collect and send no hints. `events` counts popped events; a cancelled
-    // or replaced timer is removed from the queue and never pops.
-    for (workload, sim_secs, events, completed) in
-        [("tpcc", "10", "2143440", "27558"), ("chirper", "3", "884391", "15921")]
-    {
+fn perf_records_pin_the_standard_schedules() {
+    // (record, workload, simulated seconds, events, completed): schedules
+    // repeat exactly, so a perf change that moves them is not only a perf
+    // change. Every row pins `repartition_threshold = u64::MAX`, so their
+    // partitions collect and send no hints. `events` counts popped events;
+    // a cancelled or replaced timer is removed from the queue and never
+    // pops. The long record (`--sim-secs 40`) runs the Chirper row at its
+    // 3 s cap too.
+    for (record, workload, sim_secs, events, completed) in [
+        ("BENCH_perf.json", "tpcc", "10", "2143440", "27558"),
+        ("BENCH_perf.json", "chirper", "3", "884391", "15921"),
+        ("BENCH_perf_long.json", "tpcc", "40", "8576635", "110937"),
+        ("BENCH_perf_long.json", "chirper", "3", "884391", "15921"),
+    ] {
+        let perf = load(record);
         let standard = [
             ("workload", workload),
             ("mode", "dynastar"),
@@ -89,10 +94,13 @@ fn perf_record_pins_the_standard_schedules() {
             ("exec_workers", "1"),
         ];
         let row = perf.find(&standard).expect("standard probe_perf configuration");
-        assert_eq!(row.get("events"), Some(events), "{workload}");
-        assert_eq!(row.get("completed"), Some(completed), "{workload}");
-        // The CI gate compares the run's allocation count and bytes.
-        assert_gated(&perf, &standard, "allocs");
-        assert_gated(&perf, &standard, "alloc_mb");
+        assert_eq!(row.get("events"), Some(events), "{record} {workload}");
+        assert_eq!(row.get("completed"), Some(completed), "{record} {workload}");
+        // The CI gate compares the run's allocation count and bytes, and
+        // the process's peak RSS.
+        assert!(perf.key.iter().any(|k| k == "sim_secs"), "{record}: a key without the window");
+        for metric in ["allocs", "alloc_mb", "peak_rss_kb"] {
+            assert_gated(&perf, &standard, metric);
+        }
     }
 }

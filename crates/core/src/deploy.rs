@@ -186,24 +186,29 @@ pub(crate) fn build_hosts<A: Application>(
     for g in 0..cfg.partitions + cfg.oracle_shards {
         let shard = g.checked_sub(cfg.partitions);
         let group_cfg = cfg.group_config(shard.is_some());
-        for r in 0..cfg.replicas {
-            let role = match shard {
-                None => {
-                    let mut core =
-                        ServerCore::<A>::new(PartitionId(g), cfg.mode, cfg.server_config());
-                    let p = g as usize;
-                    core.preload(keys_by_part[p].iter().copied(), vars_by_part[p].iter().cloned());
-                    Role::Partition(core)
-                }
-                Some(s) => {
-                    let mut core = OracleCore::<A>::new(cfg.oracle_config(s));
-                    core.preload_map(placement.iter().map(|(&key, &p)| (key, p)));
-                    Role::Oracle(core)
-                }
-            };
-            let me = MemberId::new(GroupId(g), r);
-            hosts.push(ReplicaHost::new(me, Arc::clone(&routes), group_cfg.clone(), role));
+        // One core per group: every replica starts from the same protocol
+        // state, so all but the last get a clone of it (the host stamps
+        // each replica's own identity on its copy).
+        let role = match shard {
+            None => {
+                let mut core = ServerCore::<A>::new(PartitionId(g), cfg.mode, cfg.server_config());
+                let p = g as usize;
+                core.preload(keys_by_part[p].iter().copied(), vars_by_part[p].iter().cloned());
+                Role::Partition(core)
+            }
+            Some(s) => {
+                let mut core = OracleCore::<A>::new(cfg.oracle_config(s));
+                core.preload_map(placement.iter().map(|(&key, &p)| (key, p)));
+                Role::Oracle(core)
+            }
+        };
+        let me = |r| MemberId::new(GroupId(g), r);
+        let Some(last) = cfg.replicas.checked_sub(1) else { continue };
+        for r in 0..last {
+            let copy = role.snapshot();
+            hosts.push(ReplicaHost::new(me(r), Arc::clone(&routes), group_cfg.clone(), copy));
         }
+        hosts.push(ReplicaHost::new(me(last), Arc::clone(&routes), group_cfg, role));
     }
     (routes, hosts)
 }

@@ -327,7 +327,7 @@ impl<A: Application> Role<A> {
     }
 
     /// A copy of the core for a recovering peer to [adopt](Self::adopt).
-    fn snapshot(&self) -> Self {
+    pub(crate) fn snapshot(&self) -> Self {
         match self {
             Role::Partition(c) => Role::Partition(c.clone()),
             Role::Oracle(c) => Role::Oracle(c.clone()),

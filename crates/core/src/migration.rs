@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn late_duplicate_below_floor_is_stale_even_after_churn() {
-        // Regression for the RotatingSet amnesia bug: after the bounded log
+        // Regression for a bounded table's amnesia: after the bounded log
         // folds a decision out, a late duplicate revert must stay ignored —
         // never re-apply as "first".
         let mut h = PlanHistory::new(4);

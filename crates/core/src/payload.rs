@@ -307,31 +307,37 @@ impl<'a, A: Application> From<&'a Direct<A>> for Cow<'a, Direct<A>> {
     }
 }
 
-/// Deduplication key for direct messages: every replica of a group sends
-/// its own copy of group-originated messages, so receivers drop all but
-/// the first.
+/// The stream half of a direct message's dedup id: every replica of a
+/// group sends its own copy of group-originated messages, so receivers
+/// drop all but the first. The seq half is the command's [`MsgId::seq`]
+/// (the low 32 bits of a plan version for [`Direct::PlanVars`]), so a
+/// receiver's exact [`SeqSet`](dynastar_runtime::dedup::SeqSet) keeps one
+/// word per 64 commands of a stream. Fields are flat, not a [`MsgId`]
+/// minus its seq, so that a key packs into 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DedupKey {
     /// Key for [`Direct::VarsForCmd`].
-    VarsForCmd(MsgId, u32, PartitionId),
+    VarsForCmd { origin: u64, tag: u32, attempt: u32, from: PartitionId },
     /// Key for [`Direct::VarsReturn`].
-    VarsReturn(MsgId, u32),
+    VarsReturn { origin: u64, tag: u32, attempt: u32 },
     /// Key for [`Direct::Abort`].
-    Abort(MsgId, u32, PartitionId),
+    Abort { origin: u64, tag: u32, attempt: u32, missing_at: PartitionId },
     /// Key for [`Direct::Signal`].
-    Signal(MsgId),
-    /// Key for [`Direct::PlanVars`]; the bool is `primary`.
-    PlanVars(u64, LocKey, PartitionId, bool),
+    Signal { origin: u64, tag: u32 },
+    /// Key for [`Direct::PlanVars`]: the version's high 32 bits.
+    PlanVars { version_hi: u32, key: LocKey, from: PartitionId, primary: bool },
     /// Key for [`Direct::SsmrExchange`].
-    SsmrExchange(MsgId, u32, PartitionId),
+    SsmrExchange { origin: u64, tag: u32, attempt: u32, from: PartitionId },
 }
 
+const _: () = assert!(std::mem::size_of::<DedupKey>() == 24, "a dedup stream packs into 24 bytes");
+
 impl<A: Application> Direct<A> {
-    /// The receiver-side dedup key, when the message type needs one.
-    /// Client-addressed messages return `None`: clients dedup against
-    /// their single outstanding command instead.
-    pub fn dedup_key(&self) -> Option<DedupKey> {
-        match self {
+    /// The receiver-side dedup id as `(stream, seq)`, when the message
+    /// type needs one. Client-addressed messages return `None`: clients
+    /// dedup against their single outstanding command instead.
+    pub fn dedup_key(&self) -> Option<(DedupKey, u32)> {
+        match *self {
             Direct::Prophecy { .. }
             | Direct::Reply { .. }
             | Direct::Retry { .. }
@@ -342,19 +348,24 @@ impl<A: Application> Direct<A> {
             Direct::PlanVarsChunk { .. }
             | Direct::PlanVarsAck { .. }
             | Direct::PlanVarsPull { .. } => None,
-            Direct::VarsForCmd { cmd, attempt, from, .. } => {
-                Some(DedupKey::VarsForCmd(*cmd, *attempt, *from))
+            Direct::VarsForCmd { cmd: MsgId { origin, seq, tag }, attempt, from, .. } => {
+                Some((DedupKey::VarsForCmd { origin, tag, attempt, from }, seq))
             }
-            Direct::VarsReturn { cmd, attempt, .. } => Some(DedupKey::VarsReturn(*cmd, *attempt)),
-            Direct::Abort { cmd, attempt, missing_at } => {
-                Some(DedupKey::Abort(*cmd, *attempt, *missing_at))
+            Direct::VarsReturn { cmd: MsgId { origin, seq, tag }, attempt, .. } => {
+                Some((DedupKey::VarsReturn { origin, tag, attempt }, seq))
             }
-            Direct::Signal { cmd } => Some(DedupKey::Signal(*cmd)),
+            Direct::Abort { cmd: MsgId { origin, seq, tag }, attempt, missing_at } => {
+                Some((DedupKey::Abort { origin, tag, attempt, missing_at }, seq))
+            }
+            Direct::Signal { cmd: MsgId { origin, seq, tag } } => {
+                Some((DedupKey::Signal { origin, tag }, seq))
+            }
             Direct::PlanVars { version, key, from, primary, .. } => {
-                Some(DedupKey::PlanVars(*version, *key, *from, *primary))
+                let version_hi = (version >> 32) as u32;
+                Some((DedupKey::PlanVars { version_hi, key, from, primary }, version as u32))
             }
-            Direct::SsmrExchange { cmd, attempt, from, .. } => {
-                Some(DedupKey::SsmrExchange(*cmd, *attempt, *from))
+            Direct::SsmrExchange { cmd: MsgId { origin, seq, tag }, attempt, from, .. } => {
+                Some((DedupKey::SsmrExchange { origin, tag, attempt, from }, seq))
             }
         }
     }

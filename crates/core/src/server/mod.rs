@@ -43,7 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dynastar_amcast::MsgId;
-use dynastar_runtime::dedup::RotatingSet;
+use dynastar_runtime::dedup::SeqSet;
 use dynastar_runtime::{CounterId, Metrics, SimTime};
 
 use crate::command::{
@@ -94,8 +94,9 @@ pub struct ServerCore<A: Application> {
     /// Values physically present.
     store: Store<A::Value>,
     queue: VecDeque<Queued<Command<A>, Arc<Payload<A>>>>,
-    /// Receiver-side dedup of direct messages (bounded memory).
-    seen: RotatingSet<DedupKey>,
+    /// Receiver-side dedup of direct messages: every id ever accepted,
+    /// exactly, one word per 64 seqs of a stream (see [`DedupKey`]).
+    seen: SeqSet<DedupKey>,
     /// Borrowed variables received per (cmd, attempt), per source partition.
     vars_in: BTreeMap<(MsgId, u32), ShipmentsBySource<A>>,
     /// Returns received for (cmd, attempt).
@@ -195,7 +196,7 @@ impl<A: Application> ServerCore<A> {
             owned: BTreeSet::new(),
             store: Store::default(),
             queue: VecDeque::new(),
-            seen: RotatingSet::new(1 << 16),
+            seen: SeqSet::default(),
             vars_in: BTreeMap::new(),
             returns_in: BTreeMap::new(),
             ssmr_in: BTreeMap::new(),
@@ -257,7 +258,7 @@ impl<A: Application> ServerCore<A> {
         keys: impl IntoIterator<Item = LocKey>,
         vars: impl IntoIterator<Item = (VarId, A::Value)>,
     ) {
-        self.owned.extend(keys);
+        self.owned.append(&mut keys.into_iter().collect());
         self.store.extend(vars);
     }
 
@@ -526,8 +527,8 @@ impl<A: Application> ServerCore<A> {
         eff: &mut Vec<Effect<A>>,
     ) {
         let msg = msg.into();
-        if let Some(key) = msg.dedup_key() {
-            if !self.seen.insert(key) {
+        if let Some((stream, seq)) = msg.dedup_key() {
+            if !self.seen.insert(stream, seq) {
                 return;
             }
         }
@@ -1869,6 +1870,29 @@ mod tests {
         assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]), "the original reply");
         assert_eq!(s.value_of(VarId(0)), Some(&1), "not executed again");
         assert_eq!(m.counter(mn::SERVER_OBSOLETE_CMDS), 0);
+    }
+
+    #[test]
+    fn a_repeated_loan_for_a_command_that_never_runs_bounces_once() {
+        let mut s = server(0, &[0], &[(0, 0)]);
+        let mut m = Metrics::new();
+        let eff = s.on_deliver(access_payload(0, &[(0, 0)], 0, 0), now(), &mut m);
+        assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 1)]));
+        // A loan for the executed command is bounced; each other replica
+        // of the lender sends the same loan, and those are dropped.
+        let bounced = |s: &mut ServerCore<App>, m: &mut Metrics| {
+            let eff = s.on_direct(loan(0, 0, 1, 10, 7), now(), m);
+            usize::from(bounces(&eff, 1, 10, 7))
+        };
+        assert_eq!(bounced(&mut s, &mut m), 1);
+        assert_eq!(bounced(&mut s, &mut m), 0, "an immediate repeat");
+        // More direct messages, from 16 other clients, than two rotating
+        // generations of 2^16 ids remember.
+        for i in 0..(1u32 << 17) + 1 {
+            let cmd = MsgId::new(100 + u64::from(i % 16), i / 16);
+            assert!(s.on_direct(Direct::Signal { cmd }, now(), &mut m).is_empty());
+        }
+        assert_eq!(bounced(&mut s, &mut m), 0, "a repeat 2^17 messages later");
     }
 
     #[test]

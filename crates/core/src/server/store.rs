@@ -34,9 +34,11 @@ impl<V> Store<V> {
         self.0.len()
     }
 
-    /// Adds (or overwrites) every given variable.
+    /// Adds (or overwrites) every given variable; a later duplicate wins.
+    /// The input is bulk built (one sort, then a tree filled in order) and
+    /// appended, which into an empty store is a swap.
     pub(super) fn extend(&mut self, vars: impl IntoIterator<Item = (VarId, V)>) {
-        self.0.extend(vars.into_iter().map(|(v, val)| (v, Some(val))));
+        self.0.append(&mut vars.into_iter().map(|(v, val)| (v, Some(val))).collect());
     }
 
     pub(super) fn get(&self, v: VarId) -> Option<&V> {

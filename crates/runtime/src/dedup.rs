@@ -1,15 +1,21 @@
-//! A bounded-memory deduplication set.
+//! An exact deduplication set for sequence-numbered ids.
 //!
-//! [`RotatingSet`] keeps the most recent ~`2 × capacity` entries using the
-//! classic two-generation rotation: inserts go to the young generation;
-//! when it fills, the old generation is dropped and the generations swap.
-//! An entry is therefore remembered for at least `capacity` subsequent
-//! inserts. A duplicate that lags further than that is taken for new, so
-//! its users are receiver-side filters of message ids whose copies arrive
-//! close together: a partition's direct-message filter and a multicast
-//! member's tables of ids it has ordered. Exactly-once command execution
-//! does not use it: a partition replica keeps one exact session per
-//! client instead (`dynastar_core`'s `server::session`).
+//! [`SeqSet`] remembers every `(stream, seq)` pair ever inserted, where a
+//! stream is whatever part of an id stays fixed while its `u32` sequence
+//! number counts up: a multicast origin and derivation tag, a client
+//! command's direct-message kind and attempt. It keeps one 64-bit word per
+//! block of 64 consecutive seqs of a stream, bit `seq % 64` of the word of
+//! block `seq / 64` set once that seq is inserted. The set never forgets,
+//! so a repeat is recognised however late it comes — a duplicate cannot be
+//! taken for new and processed twice. It is not a per-stream watermark
+//! either: a seq below the highest one seen that was never inserted still
+//! reads as absent. It grows by one word (plus the hash entry's key) for
+//! each 64-seq block of a stream that holds an id, so ids that count up
+//! densely within their stream cost a few bytes each.
+//!
+//! Its users are receiver-side filters whose copies of one id arrive from
+//! several senders: a partition's direct-message filter and a multicast
+//! member's tables of ids it has ordered.
 
 #![cfg_attr(
     not(test),
@@ -18,114 +24,121 @@
 
 use std::hash::Hash;
 
-use crate::hash::FastHashSet;
+use crate::hash::FastHashMap;
 
-/// A set that remembers at least the last `capacity` inserted elements.
+/// Seqs per block: the bits of one word.
+const BLOCK: u32 = u64::BITS;
+
+/// The exact set of `(stream, seq)` pairs inserted so far; see the
+/// [module docs](self).
 #[derive(Debug, Clone)]
-pub struct RotatingSet<T> {
-    young: FastHashSet<T>,
-    old: FastHashSet<T>,
-    capacity: usize,
+pub struct SeqSet<S> {
+    /// `(stream, seq / 64)` → the block's membership bits.
+    blocks: FastHashMap<(S, u32), u64>,
 }
 
-impl<T: Eq + Hash> RotatingSet<T> {
-    /// Creates a set that retains at least `capacity` recent elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        RotatingSet { young: FastHashSet::default(), old: FastHashSet::default(), capacity }
+impl<S> Default for SeqSet<S> {
+    fn default() -> Self {
+        SeqSet { blocks: FastHashMap::default() }
     }
+}
 
-    /// Inserts `value`; returns `true` if it was not already present.
-    pub fn insert(&mut self, value: T) -> bool {
-        if self.old.contains(&value) || self.young.contains(&value) {
-            return false;
-        }
-        if self.young.len() >= self.capacity {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(value)
-    }
-
-    /// Whether `value` is remembered.
-    pub fn contains(&self, value: &T) -> bool {
-        self.young.contains(value) || self.old.contains(value)
-    }
-
-    /// Number of remembered elements.
-    pub fn len(&self) -> usize {
-        self.young.len() + self.old.len()
-    }
-
-    /// Whether nothing is remembered.
-    pub fn is_empty(&self) -> bool {
-        self.young.is_empty() && self.old.is_empty()
-    }
-
-    /// Removes `value` from both generations, returning whether it was
+impl<S: Eq + Hash> SeqSet<S> {
+    /// Inserts `seq` of `stream`; returns `true` if it was not already
     /// present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        let a = self.young.remove(value);
-        let b = self.old.remove(value);
-        a || b
+    pub fn insert(&mut self, stream: S, seq: u32) -> bool {
+        let bit = 1u64 << (seq % BLOCK);
+        let word = self.blocks.entry((stream, seq / BLOCK)).or_insert(0);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Whether `seq` of `stream` has been inserted.
+    pub fn contains(&self, stream: S, seq: u32) -> bool {
+        self.blocks
+            .get(&(stream, seq / BLOCK))
+            .is_some_and(|word| word & (1u64 << (seq % BLOCK)) != 0)
+    }
+
+    /// Number of 64-seq blocks holding at least one id: the set's size.
+    #[cfg(test)]
+    fn blocks(&self) -> usize {
+        self.blocks.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::{prop_assert, prop_assert_eq};
+
     use super::*;
 
     #[test]
-    fn set_dedups_recent_elements() {
-        let mut s = RotatingSet::new(4);
-        assert!(s.insert(1));
-        assert!(!s.insert(1));
-        assert!(s.contains(&1));
-        assert!(!s.contains(&2));
-    }
-
-    #[test]
-    fn set_retains_at_least_capacity() {
-        let mut s = RotatingSet::new(10);
-        for i in 0..15 {
-            s.insert(i);
+    fn block_edges_are_distinct_ids() {
+        let mut s = SeqSet::default();
+        for seq in [0, 63, 64, u32::MAX] {
+            assert!(!s.contains(1u8, seq));
+            assert!(s.insert(1u8, seq), "{seq}");
+            assert!(!s.insert(1u8, seq), "{seq}");
         }
-        // The latest 10 inserts are guaranteed remembered.
-        for i in 5..15 {
-            assert!(s.contains(&i), "{i} forgotten too early");
+        for seq in [1, 62, 65, 127, u32::MAX - 1] {
+            assert!(!s.contains(1u8, seq), "{seq}");
         }
-        assert!(s.len() <= 20);
+        assert!(!s.contains(2u8, 0), "streams are independent");
+        assert_eq!(s.blocks(), 3, "0 and 63 share a block; 64 and u32::MAX open one each");
     }
 
     #[test]
-    fn set_eventually_forgets() {
-        let mut s = RotatingSet::new(4);
-        for i in 0..100 {
-            s.insert(i);
+    fn nothing_is_forgotten() {
+        let mut s = SeqSet::default();
+        assert!(s.insert(7u64, 0));
+        // More inserts, over 16 streams, than two rotating generations of
+        // 2^16 entries remember.
+        let later = (1u32 << 17) + 1;
+        for i in 0..later {
+            assert!(s.insert(u64::from(i % 16), i / 16 + 1));
         }
-        assert!(!s.contains(&0));
-        assert!(s.len() <= 8);
+        assert!(!s.insert(7u64, 0), "the first id is still known");
+        // Each stream holds seqs 1..=8192 (stream 0 also 8193): blocks 0..=128.
+        assert_eq!(s.blocks(), 16 * 129);
     }
 
-    #[test]
-    fn set_remove_works_across_generations() {
-        let mut s = RotatingSet::new(2);
-        s.insert(1);
-        s.insert(2);
-        s.insert(3); // rotates {1,2} to old
-        assert!(s.remove(&1));
-        assert!(!s.contains(&1));
-        assert!(s.remove(&3));
-        assert!(!s.remove(&99));
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn set_empty_flags() {
-        let s: RotatingSet<u32> = RotatingSet::new(1);
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        /// Random inserts and lookups over interleaved streams, in and out
+        /// of order, with gaps and the block-edge and `u32::MAX` seqs:
+        /// the set answers exactly as an ordered set of pairs does.
+        #[test]
+        fn the_set_matches_an_ordered_set_of_pairs(
+            steps in proptest::collection::vec((0u8..4, 0u8..4, 0u32..300, 0u8..8), 1..400),
+        ) {
+            let mut set = SeqSet::default();
+            let mut model: BTreeSet<(u8, u32)> = BTreeSet::new();
+            for (op, stream, near, pick) in steps {
+                // Mostly a dense seq near the start, sometimes one at a
+                // block edge or near the top of the range.
+                let seq = match pick {
+                    0 => 0,
+                    1 => 63,
+                    2 => 64,
+                    3 => u32::MAX - near % 3,
+                    _ => near,
+                };
+                if op == 0 {
+                    prop_assert_eq!(set.contains(stream, seq), model.contains(&(stream, seq)));
+                } else {
+                    prop_assert_eq!(set.insert(stream, seq), model.insert((stream, seq)));
+                }
+            }
+            let blocks: BTreeSet<(u8, u32)> = model.iter().map(|&(s, q)| (s, q / 64)).collect();
+            prop_assert_eq!(set.blocks(), blocks.len());
+            for &(stream, seq) in &model {
+                prop_assert!(set.contains(stream, seq));
+            }
+        }
     }
 }

@@ -409,10 +409,10 @@ impl ChirperWorkload {
     /// Panics if the mix percentages do not sum to 100.
     pub fn new(graph: Arc<Mutex<SocialGraph>>, theta: f64, mix: ChirperMix) -> Self {
         assert_eq!(mix.total(), 100, "mix must sum to 100");
-        let users = graph.lock().unwrap().users() as u64;
+        let zipf = graph.lock().unwrap().user_zipf(theta);
         ChirperWorkload {
             graph,
-            zipf: Zipf::new(users, theta),
+            zipf,
             mix,
             remaining: None,
             celebrity: None,

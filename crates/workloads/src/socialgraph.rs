@@ -13,18 +13,23 @@ use std::io::BufRead;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::zipf::Zipf;
+
 /// A directed follow graph: `follows[u]` is whom `u` follows,
 /// `followers[u]` who follows `u`.
 #[derive(Debug, Clone, Default)]
 pub struct SocialGraph {
     follows: Vec<Vec<u64>>,
     followers: Vec<Vec<u64>>,
+    /// The last user sampler [`Self::user_zipf`] built, so the clients
+    /// that share this graph pay its normalisation once.
+    zipf: Option<Zipf>,
 }
 
 impl SocialGraph {
     /// Creates an empty graph with `n` users and no edges.
     pub fn new(n: usize) -> Self {
-        SocialGraph { follows: vec![Vec::new(); n], followers: vec![Vec::new(); n] }
+        SocialGraph { follows: vec![Vec::new(); n], followers: vec![Vec::new(); n], zipf: None }
     }
 
     /// Generates a Barabási–Albert preferential-attachment graph: users
@@ -73,6 +78,20 @@ impl SocialGraph {
     /// Number of users.
     pub fn users(&self) -> usize {
         self.follows.len()
+    }
+
+    /// A Zipf sampler over the users with skew `theta`: built on the
+    /// first call for a user count and `theta`, a copy of that one after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no users or `theta` is outside `(0, 1)`.
+    pub fn user_zipf(&mut self, theta: f64) -> Zipf {
+        let n = self.users() as u64;
+        match &self.zipf {
+            Some(z) if z.domain() == n && z.theta().to_bits() == theta.to_bits() => z.clone(),
+            _ => self.zipf.insert(Zipf::new(n, theta)).clone(),
+        }
     }
 
     /// Total number of follow edges.
@@ -172,6 +191,20 @@ impl SocialGraph {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn the_shared_user_sampler_is_the_one_each_client_built() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut g = SocialGraph::barabasi_albert(300, 3, &mut rng);
+        // `Debug` prints every float's shortest round-trip form, so equal
+        // strings are bit-equal fields.
+        let fresh = |n, theta| format!("{:?}", Zipf::new(n, theta));
+        for theta in [0.95, 0.95, 0.5, 0.95] {
+            assert_eq!(format!("{:?}", g.user_zipf(theta)), fresh(300, theta));
+        }
+        g.add_follow(400, 0);
+        assert_eq!(format!("{:?}", g.user_zipf(0.95)), fresh(401, 0.95), "a grown graph");
+    }
 
     #[test]
     fn ba_graph_has_expected_size() {
