@@ -114,11 +114,14 @@ impl<V> MemberSnapshot<V> {
         self.report.frontier
     }
 
-    /// Rough size of the snapshot in transferred elements (log entries +
-    /// bookkeeping rows), for transfer accounting.
+    /// Rough size of the snapshot in transferred elements (log entries,
+    /// bookkeeping rows, and one per block of the two dedup sets), for
+    /// transfer accounting.
     pub fn approx_elements(&self) -> u64 {
         (self.report.accepted.len()
             + self.pending.len()
+            + self.assigned.blocks()
+            + self.remote_seen.blocks()
             + self.seen_submits.len()
             + self.seen_remote_ts.len()
             + self.ts_out.len()
@@ -810,6 +813,32 @@ mod tests {
         let entry = LogEntry::Assign { mid, dests: Arc::clone(first), payload: 42 };
         let LogEntry::Assign { dests, .. } = entry.clone() else { unreachable!() };
         assert!(Arc::ptr_eq(&dests, first));
+    }
+
+    /// A recovering peer copies the dedup sets too: the snapshot's size
+    /// counts one element per 64-seq block of each.
+    #[test]
+    fn a_snapshot_counts_the_blocks_of_its_dedup_sets() {
+        let mut members = [member(0), member(1)];
+        // Seqs 0..130 of one origin span three blocks; a second origin
+        // opens a fourth.
+        let mids = (0..130).map(|seq| MsgId::new(7, seq)).chain([MsgId::new(8, 0)]);
+        for mid in mids {
+            let mut queue = members[0].submit(mid, vec![GroupId(0), GroupId(1)], 1).outgoing;
+            while let Some((to, wire)) = queue.pop() {
+                queue.extend(members[to.group.0 as usize].on_message(wire).outgoing);
+            }
+        }
+        let snap = members[0].snapshot();
+        // Group 0 assigned every id and saw group 1's timestamp for each.
+        assert_eq!((snap.assigned.blocks(), snap.remote_seen.blocks()), (4, 4));
+        let rows = snap.report.accepted.len()
+            + snap.pending.len()
+            + snap.seen_submits.len()
+            + snap.seen_remote_ts.len()
+            + snap.ts_out.len()
+            + snap.delivered_payloads.len();
+        assert_eq!(snap.approx_elements(), rows as u64 + 8);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! deep object graphs, multi-partition transactions, saturating clients)
 //! and, beside it, the Chirper 85/15 mix on the same cluster shape — hub
 //! posts that write hundreds of follower timelines, and timeline reads,
-//! which the TPC-C row cannot see. Both rows pin the repartition
-//! threshold, so neither sends workload hints. Reports raw scheduler throughput — events per wall-second,
-//! wall seconds per simulated second, heap traffic and peak RSS. Two jobs:
+//! which the TPC-C row cannot see. These two rows pin the repartition
+//! threshold, so neither sends workload hints; a third runs the same
+//! Chirper mix with repartitioning on, so partitions ship hint batches,
+//! the planner logs and folds them, and a plan is computed and migrated
+//! inside the window. Reports raw scheduler throughput — events per
+//! wall-second, wall seconds per simulated second, heap traffic and peak
+//! RSS. Two jobs:
 //!
 //! 1. **Optimization probe** (default): one run, human-readable output,
 //!    with an allocation-counting global allocator whose numbers are
@@ -109,6 +113,8 @@ enum Load {
     Tpcc,
     /// Chirper's 85 % timeline / 15 % post mix over the default social graph.
     Chirper,
+    /// The same mix, repartitioning: hints flow and a plan lands.
+    ChirperRepartition,
 }
 
 impl Load {
@@ -116,14 +122,19 @@ impl Load {
         match self {
             Load::Tpcc => "tpcc",
             Load::Chirper => "chirper",
+            Load::ChirperRepartition => "chirper_repartition",
         }
     }
 }
 
-/// The Chirper row's social graph and window, sized so the row takes about
+/// The Chirper rows' social graph and window, sized so a row takes about
 /// as long as the TPC-C row does.
 const CHIRPER_USERS: usize = 1_000;
 const CHIRPER_SIM_SECS: u64 = 3;
+/// The repartitioning Chirper row's plan gate: the first plan is proposed
+/// once a simulated second has passed, well inside the window.
+const CHIRPER_PLAN_INTERVAL: SimDuration = SimDuration::from_secs(1);
+const CHIRPER_PLAN_THRESHOLD: u64 = 2_000;
 
 /// One probe configuration (a matrix cell).
 #[derive(Debug, Clone, Copy)]
@@ -143,12 +154,17 @@ struct ProbeResult {
     config: ProbeConfig,
     events: u64,
     completed: u64,
+    /// Plans the oracle published (0 unless the row repartitions).
+    plans: u64,
     wall_secs: f64,
     events_per_sec: f64,
     wall_per_sim_sec: f64,
     /// Heap allocations (count, bytes) during the simulated window; this
     /// run's own only when no other probe runs beside it (not `--matrix`).
     allocs: (u64, u64),
+    /// The process's peak resident set once this run's window is over:
+    /// the high-water mark of this run and of every run before it.
+    peak_rss_kb: Option<u64>,
 }
 
 fn mode_name(m: Mode) -> &'static str {
@@ -163,9 +179,15 @@ fn mode_name(m: Mode) -> &'static str {
 fn probe_cluster(cluster: &mut ClusterConfig, cfg: ProbeConfig) {
     cluster.seed = cfg.seed;
     cluster.exec = ExecConfig::pool(cfg.exec_workers, cluster.exec.service_time);
-    // Throughput probe, not a repartitioning experiment: pinning the
-    // threshold keeps the schedule identical across modes being compared.
-    cluster.repartition_threshold = u64::MAX;
+    if let Load::ChirperRepartition = cfg.workload {
+        cluster.repartition_threshold = CHIRPER_PLAN_THRESHOLD;
+        cluster.min_plan_interval = CHIRPER_PLAN_INTERVAL;
+    } else {
+        // Throughput probe, not a repartitioning experiment: pinning the
+        // threshold keeps the schedule identical across modes being
+        // compared.
+        cluster.repartition_threshold = u64::MAX;
+    }
 }
 
 fn run_probe(cfg: ProbeConfig) -> ProbeResult {
@@ -183,7 +205,7 @@ fn run_probe(cfg: ProbeConfig) -> ProbeResult {
             }
             measure(cfg, cluster)
         }
-        Load::Chirper => {
+        Load::Chirper | Load::ChirperRepartition => {
             let mut setup = ChirperSetup::new(cfg.partitions, cfg.mode);
             setup.users = CHIRPER_USERS;
             probe_cluster(&mut setup.cluster, cfg);
@@ -208,10 +230,12 @@ fn measure<A: Application>(cfg: ProbeConfig, mut cluster: Cluster<A>) -> ProbeRe
         config: cfg,
         events,
         completed: cluster.metrics().counter(mn::CMD_COMPLETED),
+        plans: cluster.metrics().counter(mn::PLANS_PUBLISHED),
         wall_secs: wall,
         events_per_sec: events as f64 / wall,
         wall_per_sim_sec: wall / cfg.sim_secs as f64,
         allocs: (heap1.0 - heap0.0, heap1.1 - heap0.1),
+        peak_rss_kb: peak_rss_kb(),
     }
 }
 
@@ -228,7 +252,7 @@ static SPEC: Spec = Spec {
     opts: &[
         Opt::Value("mode", "dynastar|ssmr|dssmr", "replication scheme            [dynastar]"),
         Opt::Value("partitions", "N", "partitions = warehouses       [4]"),
-        Opt::Value("sim-secs", "N", "simulated seconds (Chirper row: at most 3) [10]"),
+        Opt::Value("sim-secs", "N", "simulated seconds (Chirper rows: at most 3) [10]"),
         Opt::Value("seed", "N", "master seed                   [1]"),
         Opt::Value("clients", "N", "clients per partition         [6]"),
         Opt::Value("exec-workers", "N", "execution workers per replica [1]"),
@@ -263,19 +287,21 @@ fn main() {
         run_parallel(points, 0, run_probe)
     } else {
         let sim_secs = cfg.sim_secs.min(CHIRPER_SIM_SECS);
-        vec![run_probe(cfg), run_probe(ProbeConfig { workload: Load::Chirper, sim_secs, ..cfg })]
+        let chirper = |workload| run_probe(ProbeConfig { workload, sim_secs, ..cfg });
+        vec![run_probe(cfg), chirper(Load::Chirper), chirper(Load::ChirperRepartition)]
     };
 
     for r in &results {
         let c = &r.config;
         println!(
-            "{}: {} sim-s took {:.1} wall-s; events={} ({:.0}/s); completed={}",
+            "{}: {} sim-s took {:.1} wall-s; events={} ({:.0}/s); completed={}; plans={}",
             c.workload.name(),
             c.sim_secs,
             r.wall_secs,
             r.events,
             r.events_per_sec,
-            r.completed
+            r.completed,
+            r.plans
         );
         if matrix {
             println!(
@@ -302,8 +328,11 @@ fn main() {
         }
     }
 
-    // `peak_rss_kb` is the whole process's high-water mark, so under
-    // `--matrix` every row carries the same value.
+    // `peak_rss_kb` is the process's high-water mark after a row's run.
+    // Rows run one after another, so the TPC-C row, which runs first,
+    // reads its own peak and a later row the highest of its own and the
+    // earlier rows'; under `--matrix` they run side by side and every row
+    // carries the process's final value.
     let mut record = Record::new(
         SPEC.program,
         &[
@@ -328,10 +357,11 @@ fn main() {
             .num("exec_workers", c.exec_workers)
             .num("events", r.events)
             .num("completed", r.completed)
+            .num("plans", r.plans)
             .float("wall_secs", r.wall_secs, 3)
             .float("events_per_sec", r.events_per_sec, 0)
             .float("wall_per_sim_sec", r.wall_per_sim_sec, 4);
-        if let Some(kb) = peak_rss {
+        if let Some(kb) = if matrix { peak_rss } else { r.peak_rss_kb } {
             row = row.num("peak_rss_kb", kb);
         }
         if !matrix {

@@ -70,18 +70,22 @@ fn gated_rows_are_present() {
 
 #[test]
 fn perf_records_pin_the_standard_schedules() {
-    // (record, workload, simulated seconds, events, completed): schedules
-    // repeat exactly, so a perf change that moves them is not only a perf
-    // change. Every row pins `repartition_threshold = u64::MAX`, so their
-    // partitions collect and send no hints. `events` counts popped events;
-    // a cancelled or replaced timer is removed from the queue and never
-    // pops. The long record (`--sim-secs 40`) runs the Chirper row at its
-    // 3 s cap too.
-    for (record, workload, sim_secs, events, completed) in [
-        ("BENCH_perf.json", "tpcc", "10", "2143440", "27558"),
-        ("BENCH_perf.json", "chirper", "3", "884391", "15921"),
-        ("BENCH_perf_long.json", "tpcc", "40", "8576635", "110937"),
-        ("BENCH_perf_long.json", "chirper", "3", "884391", "15921"),
+    // (record, workload, simulated seconds, events, completed, plans):
+    // schedules repeat exactly, so a perf change that moves them is not
+    // only a perf change. The `tpcc` and `chirper` rows pin
+    // `repartition_threshold = u64::MAX`, so their partitions collect and
+    // send no hints; `chirper_repartition` runs the hint path, and its
+    // plans land inside the window. `events` counts popped events; a
+    // cancelled or replaced timer is removed from the queue and never
+    // pops. The long record (`--sim-secs 40`) runs the Chirper rows at
+    // their 3 s cap too.
+    for (record, workload, sim_secs, events, completed, plans) in [
+        ("BENCH_perf.json", "tpcc", "10", "2143440", "27558", "0"),
+        ("BENCH_perf.json", "chirper", "3", "884391", "15921", "0"),
+        ("BENCH_perf.json", "chirper_repartition", "3", "911414", "15277", "2"),
+        ("BENCH_perf_long.json", "tpcc", "40", "8576635", "110937", "0"),
+        ("BENCH_perf_long.json", "chirper", "3", "884391", "15921", "0"),
+        ("BENCH_perf_long.json", "chirper_repartition", "3", "911414", "15277", "2"),
     ] {
         let perf = load(record);
         let standard = [
@@ -96,6 +100,7 @@ fn perf_records_pin_the_standard_schedules() {
         let row = perf.find(&standard).expect("standard probe_perf configuration");
         assert_eq!(row.get("events"), Some(events), "{record} {workload}");
         assert_eq!(row.get("completed"), Some(completed), "{record} {workload}");
+        assert_eq!(row.get("plans"), Some(plans), "{record} {workload}");
         // The CI gate compares the run's allocation count and bytes, and
         // the process's peak RSS.
         assert!(perf.key.iter().any(|k| k == "sim_secs"), "{record}: a key without the window");

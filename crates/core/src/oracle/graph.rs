@@ -3,11 +3,14 @@
 //! shard, capped as it grows, decayed at each recompute and read by the
 //! plan computation.
 
+use std::sync::Arc;
+
 use dynastar_runtime::hash::FastHashMap;
 
-use super::edge_rows::{EdgeRows, Expansion};
+use super::edge_rows::{EdgeRows, Hint, HintBatch};
 use super::GraphContent;
-use crate::command::LocKey;
+use crate::command::{Application, LocKey};
+use crate::payload::Payload;
 
 /// Halves every weight and drops the entries that reach zero — leaving
 /// them would leak memory under a churning keyspace.
@@ -47,70 +50,68 @@ fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
 }
 
 /// Vertex and edge weights, and how many changes were merged since the
-/// count was reset, with the scratch of the hint expansion and of the
-/// eviction passes.
-#[derive(Debug, Default)]
+/// count was reset, with the scratch of the vertices' eviction pass.
+#[derive(Default)]
 pub(super) struct WorkloadGraph {
     vertices: FastHashMap<LocKey, u64>,
     edges: EdgeRows,
     changes: u64,
-    expansion: Expansion,
     shrink_vertices: Vec<(u64, LocKey)>,
-    shrink_edges: Vec<(u64, (LocKey, LocKey))>,
 }
 
-/// A snapshot carries the content; a recovering replica grows scratch of
-/// its own.
+/// A snapshot carries the content, the edge log included; a recovering
+/// replica grows scratch of its own.
 impl Clone for WorkloadGraph {
     fn clone(&self) -> Self {
         WorkloadGraph {
             vertices: self.vertices.clone(),
             edges: self.edges.clone(),
             changes: self.changes,
-            ..WorkloadGraph::default()
+            shrink_vertices: Vec::new(),
+        }
+    }
+}
+
+/// A delivered hint payload is logged as it came.
+impl<A: Application> HintBatch for Payload<A> {
+    fn hint(&self) -> Option<Hint<'_>> {
+        match self {
+            Payload::HintSets { vertices, ranks, sets } => {
+                Some(Hint::Sets { vertices, ranks, sets })
+            }
+            Payload::Hint { vertices, edges } => Some(Hint::Edges { vertices, edges }),
+            _ => None,
         }
     }
 }
 
 impl WorkloadGraph {
-    /// Adds a hint batch in set form (see [`EdgeRows::add_sets`]): every
-    /// vertex and every distinct key pair counts as one change, as each
-    /// entry of the expanded batch would. A batch of any other shape is
-    /// dropped whole; returns whether it was merged.
-    pub(super) fn merge_sets(
-        &mut self,
-        vertices: &[(LocKey, u64)],
-        ranks: &[u32],
-        sets: &[(u32, u32)],
-    ) -> bool {
-        let Some(pairs) = self.edges.add_sets(vertices, ranks, sets, &mut self.expansion) else {
-            return false;
-        };
+    /// Merges a hint batch: its vertex weights at once, its edges into the
+    /// log (see [`EdgeRows::log`]). Every vertex counts as one change, and
+    /// so does every distinct key pair of a batch of sets or every entry
+    /// of an edge list — what each entry of the expanded batch counted. A
+    /// batch of sets out of shape, or a payload that is no hint, is dropped
+    /// whole; returns whether the batch was merged.
+    pub(super) fn merge(&mut self, batch: Arc<dyn HintBatch>) -> bool {
+        let Some(hint) = batch.hint() else { return false };
+        let Some(pairs) = self.edges.pairs_of(&hint) else { return false };
+        let vertices = hint.vertices();
         self.changes += vertices.len() as u64 + pairs;
-        self.add_vertices(vertices);
-        true
-    }
-
-    /// Adds a hint batch in expanded form; every entry counts as one
-    /// change.
-    pub(super) fn merge(&mut self, vertices: &[(LocKey, u64)], edges: &[(LocKey, LocKey, u64)]) {
-        self.changes += vertices.len() as u64 + edges.len() as u64;
-        self.add_vertices(vertices);
-        self.edges.add_all(edges);
-    }
-
-    fn add_vertices(&mut self, vertices: &[(LocKey, u64)]) {
         for &(k, w) in vertices {
             *self.vertices.entry(k).or_insert(0) += w;
         }
+        if pairs > 0 {
+            self.edges.log(batch, pairs);
+        }
+        true
     }
 
     /// Brings each component that is over its cap back under it (see
-    /// [`shrink_weighted`]); the other is not touched. Returns how many
-    /// entries went.
+    /// [`shrink_weighted`] and [`EdgeRows::shrink_to`]); the other is not
+    /// touched. Returns how many entries went.
     pub(super) fn enforce_caps(&mut self, max_vertices: usize, max_edges: usize) -> u64 {
         shrink_weighted(&mut self.vertices, max_vertices, &mut self.shrink_vertices)
-            + self.edges.shrink_to(max_edges, &mut self.shrink_edges)
+            + self.edges.shrink_to(max_edges)
     }
 
     /// Halves every weight so the graph tracks the *recent* workload.
@@ -142,23 +143,43 @@ impl WorkloadGraph {
         self.vertices.len()
     }
 
+    /// Edges folded into the rows; batches still logged are not counted.
+    pub(super) fn folded_edges(&self) -> usize {
+        self.edges.folded_len()
+    }
+
+    /// Edges in the graph, as a fold would leave it; the log itself stays
+    /// as it is.
     pub(super) fn edge_count(&self) -> usize {
-        self.edges.len()
+        let mut edges = self.edges.clone();
+        edges.fold();
+        edges.folded_len()
     }
 
-    /// Calls `visit` with every edge row in key order: the edges' lower
-    /// key and their `(upper key, weight)` entries, sorted by key.
-    pub(super) fn rows(&self, visit: impl FnMut(LocKey, &[(LocKey, u64)])) {
-        self.edges.for_each_row(visit);
+    /// Merges a hint batch in the legacy expanded form.
+    #[cfg(test)]
+    pub(super) fn merge_edges(
+        &mut self,
+        vertices: &[(LocKey, u64)],
+        edges: &[(LocKey, LocKey, u64)],
+    ) {
+        assert!(self.merge(Arc::new((vertices.to_vec(), edges.to_vec()))));
     }
 
-    /// Every vertex and every edge with its weight, in key order.
+    /// Every edge row in key order, with the log folded in: the edges'
+    /// lower key and their `(upper key, weight)` entries, sorted by key.
+    pub(super) fn rows(&mut self) -> impl Iterator<Item = (LocKey, &[(LocKey, u64)])> + Clone + '_ {
+        self.edges.rows()
+    }
+
+    /// Every vertex and every edge with its weight, in key order, as a fold
+    /// would leave them; the log itself stays as it is.
     pub(super) fn content(&self) -> GraphContent {
         let mut vertices: Vec<_> = self.vertices.iter().map(|(&k, &w)| (k, w)).collect();
         vertices.sort_unstable();
-        let mut edges = Vec::with_capacity(self.edges.len());
-        self.rows(|a, row| edges.extend(row.iter().map(|&(b, w)| (a, b, w))));
-        (vertices, edges)
+        let mut edges = self.edges.clone();
+        let edges = edges.rows().flat_map(|(a, row)| row.iter().map(move |&(b, w)| (a, b, w)));
+        (vertices, edges.collect())
     }
 }
 
@@ -175,10 +196,10 @@ mod tests {
         let vertices = [(k(1), 2), (k(2), 3), (k(5), 1)];
         let edges = [(k(1), k(2), 4), (k(1), k(5), 1), (k(2), k(5), 7)];
         let mut sorted = WorkloadGraph::default();
-        sorted.merge(&vertices, &edges);
+        sorted.merge_edges(&vertices, &edges);
         let mut shuffled = WorkloadGraph::default();
         // Reversed, and two edges with their endpoints swapped.
-        shuffled.merge(
+        shuffled.merge_edges(
             &[(k(5), 1), (k(2), 3), (k(1), 2)],
             &[(k(5), k(2), 7), (k(1), k(5), 1), (k(2), k(1), 4)],
         );
@@ -186,7 +207,7 @@ mod tests {
         assert_eq!(sorted.content(), (vertices.to_vec(), edges.to_vec()));
         assert_eq!((sorted.changes(), shuffled.changes()), (6, 6));
         // A second batch adds to the weights it finds.
-        sorted.merge(&[(k(1), 10)], &[(k(2), k(1), 10)]);
+        sorted.merge_edges(&[(k(1), 10)], &[(k(2), k(1), 10)]);
         assert_eq!(sorted.weight(k(1)), 12);
         assert_eq!(sorted.content().1[0], (k(1), k(2), 14));
         assert_eq!((sorted.vertex_count(), sorted.edge_count(), sorted.changes()), (3, 3, 8));
@@ -197,7 +218,7 @@ mod tests {
         let mut g = WorkloadGraph::default();
         let vertices: Vec<(LocKey, u64)> = (0..6).map(|i| (k(i), 10 + 2 * i)).collect();
         let edges: Vec<(LocKey, LocKey, u64)> = (0..3).map(|i| (k(i), k(i + 1), 8)).collect();
-        g.merge(&vertices, &edges);
+        g.merge_edges(&vertices, &edges);
         // Vertices are over their cap of 4, edges at theirs: the vertices
         // are halved and the two lowest (weight, key) go; no edge moves.
         assert_eq!(g.enforce_caps(4, 3), 2);
@@ -212,7 +233,7 @@ mod tests {
         assert_eq!(g.weight(k(5)), 10);
         // Halving alone can bring a component under its cap: weight-1
         // entries decay away and count as evicted.
-        g.merge(&[(k(7), 1), (k(8), 1)], &[]);
+        g.merge_edges(&[(k(7), 1), (k(8), 1)], &[]);
         assert_eq!(g.enforce_caps(5, 1), 2);
         assert_eq!(g.content().0, vec![(k(2), 3), (k(3), 4), (k(4), 4), (k(5), 5)]);
     }
@@ -220,12 +241,11 @@ mod tests {
     #[test]
     fn forget_drops_the_vertex_and_keeps_its_edges() {
         let mut g = WorkloadGraph::default();
-        g.merge(&[(k(1), 5), (k(2), 5)], &[(k(1), k(2), 3)]);
+        g.merge_edges(&[(k(1), 5), (k(2), 5)], &[(k(1), k(2), 3)]);
         g.forget(k(1));
         assert_eq!((g.weight(k(1)), g.weight(k(2))), (0, 5));
         assert_eq!((g.vertex_count(), g.edge_count()), (1, 1));
-        let mut rows = Vec::new();
-        g.rows(|a, row| rows.push((a, row.to_vec())));
+        let rows: Vec<_> = g.rows().map(|(a, row)| (a, row.to_vec())).collect();
         assert_eq!(rows, vec![(k(1), vec![(k(2), 3)])]);
         // Decay halves both components and drops what reaches zero.
         g.decay();

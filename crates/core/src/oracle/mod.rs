@@ -31,6 +31,7 @@ mod planner;
 
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::hash::FastHashMap;
@@ -192,13 +193,15 @@ impl<A: Application> OracleCore<A> {
     }
 
     /// Number of edges currently in the workload graph (0 off the planner
-    /// shard).
+    /// shard), hint batches not yet folded into it included; the batches
+    /// stay logged.
     pub fn graph_edges(&self) -> usize {
         self.graph.edge_count()
     }
 
     /// Diagnostic: the workload graph's content (empty off the planner
-    /// shard).
+    /// shard), hint batches not yet folded into it included; the batches
+    /// stay logged.
     pub fn graph_view(&self) -> GraphContent {
         self.graph.content()
     }
@@ -212,12 +215,13 @@ impl<A: Application> OracleCore<A> {
     /// Handles an atomic multicast delivery addressed to the oracle.
     ///
     /// The payload is read in place — every replica of every destination
-    /// group is handed the same one; hint and plan bodies are never
-    /// copied.
+    /// group is handed the same one — except that the planner logs a hint
+    /// batch by keeping the payload itself (an owned one is moved into an
+    /// `Arc`); hint and plan bodies are never copied.
     #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_deliver(
         &mut self,
-        payload: impl Borrow<Payload<A>>,
+        payload: impl Borrow<Payload<A>> + Into<Arc<Payload<A>>>,
         now: SimTime,
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
@@ -272,18 +276,15 @@ impl<A: Application> OracleCore<A> {
                     msg: Direct::Signal { cmd: cmd.id },
                 });
             }
-            Payload::HintSets { vertices, ranks, sets } if self.is_planner() => {
+            Payload::HintSets { .. } | Payload::Hint { .. } if self.is_planner() => {
                 // A partition's sets ascend within its vertex list; a batch
                 // that does not is dropped whole rather than trusted.
-                if self.graph.merge_sets(vertices, ranks, sets) {
+                let batch: Arc<Payload<A>> = payload.into();
+                if self.graph.merge(batch) {
                     self.after_merge(now, metrics, &mut eff);
                 } else {
                     debug_assert!(false, "hint sets out of shape");
                 }
-            }
-            Payload::Hint { vertices, edges } if self.is_planner() => {
-                self.graph.merge(vertices, edges);
-                self.after_merge(now, metrics, &mut eff);
             }
             // Partitions address hints to the planner alone.
             Payload::HintSets { .. } | Payload::Hint { .. } => {}
@@ -454,16 +455,17 @@ impl<A: Application> OracleCore<A> {
                     });
                     return;
                 };
-                let locations: Vec<(LocKey, PartitionId)> = cmd
-                    .keys()
-                    .into_iter()
-                    .filter_map(|k| self.map.get(&k).map(|&p| (k, p)))
-                    .collect();
+                // Each accessed key once, in key order, where the route
+                // found it.
+                let mut locations: Vec<(LocKey, PartitionId)> =
+                    route.expected.iter().map(|&(v, p)| (A::locality(v), p)).collect();
+                locations.sort_unstable();
+                locations.dedup();
                 eff.push(self.prophecy(cmd, true, locations));
                 let keep = self.config.mode.keeps_moved_state() && route.is_multi_partition();
                 eff.push(Effect::Multicast {
                     mid: dispatch_mid(cmd.id, attempt),
-                    partitions: route.dests.clone(),
+                    partitions: route.dests,
                     // DS-SMR keep moves keys in every shard's map replica.
                     oracle: if keep { OracleDest::All } else { OracleDest::None },
                     payload: Payload::Access {
@@ -514,7 +516,8 @@ impl<A: Application> OracleCore<A> {
         let mut keys: Vec<(LocKey, PartitionId)> = self.map.iter().map(|(&k, &p)| (k, p)).collect();
         keys.sort_unstable();
         let version = self.plan_version + 1;
-        let started = self.planner.start_compute(now, &self.graph, &keys, &self.config, version);
+        let started =
+            self.planner.start_compute(now, &mut self.graph, &keys, &self.config, version);
         if self.config.record_metrics {
             if started.warm {
                 metrics.incr_counter(mn::PLANS_WARM, 1);
@@ -558,7 +561,7 @@ impl<A: Application> std::fmt::Debug for OracleCore<A> {
         f.debug_struct("OracleCore")
             .field("keys", &self.map.len())
             .field("graph_vertices", &self.graph.vertex_count())
-            .field("graph_edges", &self.graph.edge_count())
+            .field("graph_edges_folded", &self.graph.folded_edges())
             .field("changes", &self.graph.changes())
             .field("plan_version", &self.plan_version)
             .finish()

@@ -7,11 +7,11 @@
 //! plan then waits out the modelled compute time (§5.2) before publication.
 
 use dynastar_partitioner::{
-    align_labels, partition as ml_partition, partition_from, Graph, GraphBuilder, PartitionConfig,
-    Partitioning,
+    align_labels, partition as ml_partition, partition_from, Graph, PartitionConfig, Partitioning,
 };
 use dynastar_runtime::{SimDuration, SimTime};
 
+use super::edge_rows::seek;
 use super::graph::WorkloadGraph;
 use super::OracleConfig;
 use crate::command::{LocKey, PartitionId};
@@ -33,52 +33,33 @@ pub(super) struct Computed {
     pub cut_frac: f64,
 }
 
-/// The first index at or after `from` of key-ascending `keys` that holds
-/// `key` or more. Gallops, so a walk that keeps seeking on from its last
-/// hit costs the log of each advance, whether its steps are short or long.
-fn seek(keys: &[(LocKey, PartitionId)], from: usize, key: LocKey) -> usize {
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < keys.len() && keys[hi].0 < key {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    lo + keys[lo..hi.min(keys.len())].partition_point(|&(k, _)| k < key)
-}
-
 /// The partitioner's view of `graph`: vertex `i` is `keys[i]` (ascending),
 /// weighted one more than its accesses.
-fn plan_graph(keys: &[(LocKey, PartitionId)], graph: &WorkloadGraph) -> Graph {
-    let mut b = GraphBuilder::new();
-    // The feed is at most every tracked edge: one allocation, no regrowth.
-    b.reserve_edges(graph.edge_count());
-    if !keys.is_empty() {
-        b.add_vertex(keys.len() as u32 - 1);
-    }
-    for (i, &(key, _)) in keys.iter().enumerate() {
-        b.set_vertex_weight(i as u32, 1 + graph.weight(key));
-    }
-    // Rows, their (sorted) entries and `keys` all ascend by key: one merge
-    // walk finds every endpoint's index, and the edges reach the builder
-    // in ascending `(a, b)` order without repeats — appends, and a `build`
-    // that needs no sort. An edge with an endpoint no longer in the map is
-    // skipped.
+fn plan_graph(keys: &[(LocKey, PartitionId)], graph: &mut WorkloadGraph) -> Graph {
+    let vwgt = keys.iter().map(|&(key, _)| 1 + graph.weight(key)).collect();
+    // Rows, their entries and `keys` all ascend by key: one merge walk
+    // finds every endpoint's index, and the edges come out in ascending
+    // `(a, b)` order without repeats — what the CSR is filled from, with
+    // no edge list between. An edge with an endpoint no longer in the
+    // map, a self-loop and an edge of weight zero are skipped.
+    let rows = graph.rows();
     let at = |i: usize, key: LocKey| keys.get(i).is_some_and(|&(k, _)| k == key);
-    let mut ia = 0;
-    graph.rows(|a, row| {
-        ia = seek(keys, ia, a);
-        if !at(ia, a) {
-            return;
-        }
-        let mut ib = ia;
-        for &(bk, w) in row {
-            ib = seek(keys, ib, bk);
-            if w > 0 && at(ib, bk) {
-                b.add_edge(ia as u32, ib as u32, w);
+    Graph::from_ascending_edges(vwgt, |sink| {
+        let mut ia = 0;
+        for (a, row) in rows.clone() {
+            ia = seek(keys, ia, a, |&(k, _)| k);
+            if !at(ia, a) {
+                continue;
+            }
+            let mut ib = ia;
+            for &(bk, w) in row {
+                ib = seek(keys, ib, bk, |&(k, _)| k);
+                if w > 0 && ib != ia && at(ib, bk) {
+                    sink(ia as u32, ib as u32, w);
+                }
             }
         }
-    });
-    b.build()
+    })
 }
 
 /// Partitions the tracked `keys` (ascending, each with its current owner)
@@ -92,7 +73,7 @@ fn plan_graph(keys: &[(LocKey, PartitionId)], graph: &WorkloadGraph) -> Graph {
 /// so only real moves show.
 pub(super) fn compute_plan(
     keys: &[(LocKey, PartitionId)],
-    graph: &WorkloadGraph,
+    graph: &mut WorkloadGraph,
     cfg: &OracleConfig,
     version: u64,
     warm_reference: Option<f64>,
@@ -225,7 +206,7 @@ impl Planner {
     pub(super) fn start_compute(
         &mut self,
         now: SimTime,
-        graph: &WorkloadGraph,
+        graph: &mut WorkloadGraph,
         keys: &[(LocKey, PartitionId)],
         cfg: &OracleConfig,
         version: u64,
@@ -303,7 +284,7 @@ mod tests {
             }
         }
         let mut graph = WorkloadGraph::default();
-        graph.merge(&vertices, &edges);
+        graph.merge_edges(&vertices, &edges);
         (keys, graph)
     }
 
@@ -317,8 +298,8 @@ mod tests {
 
     #[test]
     fn first_plan_is_full_and_moves_hottest_first() {
-        let (mut keys, graph) = two_cliques();
-        let plan = compute_plan(&keys, &graph, &cfg(), 1, None);
+        let (mut keys, mut graph) = two_cliques();
+        let plan = compute_plan(&keys, &mut graph, &cfg(), 1, None);
         assert!(!plan.warm);
         assert_eq!(plan.elements, 8 + 13);
         // Each clique ends up whole on one side: only the light edge is cut.
@@ -336,48 +317,48 @@ mod tests {
             assert!(clique.iter().all(|e| e.1 == clique[0].1), "clique split: {keys:?}");
         }
         // The same inputs give the same plan.
-        let (keys, graph) = two_cliques();
-        assert_eq!(compute_plan(&keys, &graph, &cfg(), 1, None), plan);
+        let (keys, mut graph) = two_cliques();
+        assert_eq!(compute_plan(&keys, &mut graph, &cfg(), 1, None), plan);
     }
 
     #[test]
     fn tied_weights_order_moves_by_key() {
         // Keys 1 and 6 tie at weight 30 and both sit on the wrong side of
         // a placement that splits each clique 3 to 1.
-        let (mut keys, graph) = two_cliques();
+        let (mut keys, mut graph) = two_cliques();
         for (i, e) in keys.iter_mut().enumerate() {
             let home = u32::from(i >= 4);
             e.1 = PartitionId(if i == 1 || i == 6 { 1 - home } else { home });
         }
-        let plan = compute_plan(&keys, &graph, &cfg(), 1, None);
+        let plan = compute_plan(&keys, &mut graph, &cfg(), 1, None);
         let moved: Vec<LocKey> = plan.moves.iter().map(|m| m.0).collect();
         assert_eq!(moved, vec![LocKey(1), LocKey(6)]);
     }
 
     #[test]
     fn warm_start_is_taken_within_the_quality_ratio() {
-        let (mut keys, graph) = two_cliques();
-        let full = compute_plan(&keys, &graph, &cfg(), 1, None);
+        let (mut keys, mut graph) = two_cliques();
+        let full = compute_plan(&keys, &mut graph, &cfg(), 1, None);
         apply(&mut keys, &full.moves);
         // From the settled placement the warm refinement finds the same
         // cut: accepted, nothing moves, a tenth of the elements charged.
-        let warm = compute_plan(&keys, &graph, &cfg(), 2, Some(full.cut_frac));
+        let warm = compute_plan(&keys, &mut graph, &cfg(), 2, Some(full.cut_frac));
         assert!(warm.warm);
         assert_eq!((warm.moves.len(), warm.elements), (0, 2));
         assert_eq!(warm.cut_frac, full.cut_frac);
         // A reference the warm cut cannot come within the ratio of sends
         // the computation down the full pipeline.
-        let strict = compute_plan(&keys, &graph, &cfg(), 2, Some(full.cut_frac / 2.0));
+        let strict = compute_plan(&keys, &mut graph, &cfg(), 2, Some(full.cut_frac / 2.0));
         assert!(!strict.warm);
         assert_eq!(strict.elements, 21);
     }
 
     #[test]
     fn edges_to_keys_that_left_the_map_are_skipped() {
-        let (mut keys, graph) = two_cliques();
+        let (mut keys, mut graph) = two_cliques();
         keys.remove(5);
         keys.remove(2);
-        let plan = compute_plan(&keys, &graph, &cfg(), 1, None);
+        let plan = compute_plan(&keys, &mut graph, &cfg(), 1, None);
         // 6 vertices; the cliques keep 3 edges each, plus the light edge.
         assert_eq!(plan.elements, 6 + 7);
         assert_eq!(plan.cut_frac, 1.0 / 301.0);
@@ -398,7 +379,7 @@ mod tests {
         assert!(!p.on_marker(&cfg, 1, 0, 0));
         assert!(p.on_marker(&cfg, 1, 0, 8));
         assert_eq!(p.take_pending(ms(7)), None);
-        let started = p.start_compute(ms(7), &graph, &keys, &cfg, 1);
+        let started = p.start_compute(ms(7), &mut graph, &keys, &cfg, 1);
         assert!(!started.warm, "no reference cut yet");
         assert_eq!(started.after, SimDuration::from_micros(1_021));
         assert_eq!(started.cut_frac, 1.0 / 601.0);
@@ -414,21 +395,21 @@ mod tests {
         // Below the change threshold nothing is due; past it, the interval
         // counts from the plan's application.
         assert_eq!(p.due(ms(30), &cfg, &graph, 1, 8), None);
-        graph.merge(&[(LocKey(0), 1); 10], &[]);
+        graph.merge_edges(&[(LocKey(0), 1); 10], &[]);
         assert_eq!(p.due(ms(14), &cfg, &graph, 1, 8), None);
         assert_eq!(p.due(ms(15), &cfg, &graph, 1, 8), Some(2));
         // Churn within the limit (2 of 8 ≤ 25%): the second plan is warm.
         p.note_churn();
         p.note_churn();
         let mut within = p.clone();
-        let started = within.start_compute(ms(16), &graph, &keys, &cfg, 2);
+        let started = within.start_compute(ms(16), &mut graph, &keys, &cfg, 2);
         assert!(started.warm);
         assert_eq!(started.after, SimDuration::from_micros(1_002));
         // One more and it runs full, which also resets the churn count.
         p.note_churn();
-        assert!(!p.start_compute(ms(16), &graph, &keys, &cfg, 2).warm);
+        assert!(!p.start_compute(ms(16), &mut graph, &keys, &cfg, 2).warm);
         p.on_plan_applied(ms(17));
-        assert!(p.start_compute(ms(18), &graph, &keys, &cfg, 3).warm);
+        assert!(p.start_compute(ms(18), &mut graph, &keys, &cfg, 3).warm);
         // Another shard than the planner neither proposes nor computes.
         let shard1 = OracleConfig { shards: 2, shard: 1, ..cfg };
         let mut q = Planner::default();

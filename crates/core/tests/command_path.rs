@@ -200,7 +200,7 @@ fn planner() -> OracleCore<Keys> {
 }
 
 fn merge_into(oracle: &mut OracleCore<Keys>, hint: &Payload<Keys>) {
-    let eff = oracle.on_deliver(hint, NOW, &mut Metrics::new());
+    let eff = oracle.on_deliver(hint.clone(), NOW, &mut Metrics::new());
     assert!(eff.is_empty(), "a hint alone must not ask for a plan: {eff:?}");
 }
 

@@ -1,12 +1,17 @@
 //! The oracle's workload-graph store against a flat reference map.
 //!
-//! `OracleCore` keeps co-access edges in adjacency rows; the reference
-//! below keeps them the obvious way, one ordered map keyed by the pair,
-//! and spells the cap, decay and plan rules out on it. Both are driven
-//! through the same random sequence of hint batches — expanded (sorted,
-//! shuffled, endpoints swapped) or as the key sets a partition sends — key
-//! deletions, and plan rounds, and must agree on the graph's content, on
-//! what the caps evicted, and on every plan.
+//! `OracleCore` logs hint batches as they come and folds them into
+//! adjacency rows when something reads the edges; the reference below
+//! merges every batch at once into one ordered map keyed by the pair, and
+//! spells the cap, decay and plan rules out on it. Both are driven through
+//! the same random sequence of hint batches — expanded (sorted, shuffled,
+//! endpoints swapped) or as the key sets a partition sends — key
+//! deletions, plan rounds and snapshots (the oracle replaced by its clone,
+//! as a recovering replica installs it), and must agree on the graph's
+//! content, on the change count, on what the caps evicted, and on every
+//! plan. Three cap regimes: tight (almost every batch folds at once),
+//! binding only sometimes, and never binding (batches wait in the log
+//! across deletes, snapshots and plans).
 
 use std::collections::BTreeMap;
 
@@ -34,11 +39,27 @@ impl Application for App {
     fn execute(_: &(), _: &mut BTreeMap<VarId, Option<u64>>) {}
 }
 
-const KEYS: u64 = 12;
 const PARTITIONS: u32 = 3;
-const MAX_VERTICES: usize = 7;
-const MAX_EDGES: usize = 9;
 const BALANCE: f64 = 1.2;
+
+/// The key space and the graph's caps.
+#[derive(Debug, Clone, Copy)]
+struct Regime {
+    keys: u64,
+    max_vertices: usize,
+    max_edges: usize,
+}
+
+/// Almost every batch passes a cap.
+const TIGHT: Regime = Regime { keys: 12, max_vertices: 7, max_edges: 9 };
+/// The caps bind now and then.
+const SOMETIMES: Regime = Regime { keys: 16, max_vertices: 14, max_edges: 60 };
+/// The caps never bind: 40 keys make at most 820 edges.
+const LOOSE: Regime = Regime { keys: 40, max_vertices: 1 << 20, max_edges: 1 << 20 };
+/// The edge cap is what 12 keys can fill, self-loops included: rows and
+/// logged pairs pass it all the time, and only the key count shows that
+/// it cannot bind.
+const KEYED: Regime = Regime { keys: 12, max_vertices: 1 << 20, max_edges: 78 };
 
 type Vertices = Vec<(LocKey, u64)>;
 type Edges = Vec<(LocKey, LocKey, u64)>;
@@ -56,16 +77,19 @@ enum Step {
     Delete { key: u64, stale: bool },
     /// Recompute marker, plan timer, plan delivery.
     Plan,
+    /// The oracle is replaced by its clone.
+    Snapshot,
 }
 
 /// Steps whose batches come as key sets: up to seven commands of up to
 /// five keys each, so repeated sets are common.
-fn set_step() -> impl Strategy<Value = Step> {
-    let command = prop::collection::vec(0..KEYS, 0..6);
+fn set_step(keys: u64) -> impl Strategy<Value = Step> {
+    let command = prop::collection::vec(0..keys, 0..6);
     prop_oneof![
         10 => prop::collection::vec(command, 0..8).prop_map(|commands| Step::Sets { commands }),
-        2 => (0..KEYS, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
+        2 => (0..keys, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
         2 => Just(Step::Plan),
+        1 => Just(Step::Snapshot),
     ]
 }
 
@@ -99,26 +123,36 @@ fn hint_sets(commands: &[Vec<u64>]) -> (Payload<App>, Vertices, Edges) {
     (Payload::HintSets { vertices: vertices.clone(), ranks, sets }, vertices, edges)
 }
 
-fn step() -> impl Strategy<Value = Step> {
+fn step(keys: u64) -> impl Strategy<Value = Step> {
     let weight = 0u64..6;
-    let vertices = prop::collection::vec((0..KEYS, weight.clone()), 0..6);
-    let edges = prop::collection::vec((0..KEYS, 0..KEYS, weight), 0..14);
+    let vertices = prop::collection::vec((0..keys, weight.clone()), 0..6);
+    let edges = prop::collection::vec((0..keys, 0..keys, weight), 0..14);
     prop_oneof![
         10 => (0u8..2, vertices, edges).prop_map(|(sorted, vertices, edges)| {
             Step::Batch { sorted: sorted == 1, vertices, edges }
         }),
-        2 => (0..KEYS, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
+        2 => (0..keys, 0u8..4).prop_map(|(key, stale)| Step::Delete { key, stale: stale == 0 }),
         2 => Just(Step::Plan),
+        1 => Just(Step::Snapshot),
     ]
+}
+
+/// Batches of either form, mixed in one run.
+fn mixed_step(keys: u64) -> impl Strategy<Value = Step> {
+    prop_oneof![step(keys), set_step(keys)]
 }
 
 /// The flat pair map and the rules, written out.
 struct Reference {
+    regime: Regime,
     map: BTreeMap<LocKey, PartitionId>,
     vertices: BTreeMap<LocKey, u64>,
     edges: BTreeMap<(LocKey, LocKey), u64>,
     plan_version: u64,
     evicted: u64,
+    /// Vertices plus distinct pairs of every set batch, or plus every
+    /// entry of an edge list, since the last plan was applied.
+    changes: u64,
 }
 
 /// Over the cap: halve every weight, drop what reaches zero, then evict the
@@ -148,14 +182,16 @@ fn halve<K: Ord>(map: &mut BTreeMap<K, u64>) {
 
 impl Reference {
     fn merge(&mut self, vertices: &Vertices, edges: &Edges) {
+        self.changes += (vertices.len() + edges.len()) as u64;
         for &(k, w) in vertices {
             *self.vertices.entry(k).or_insert(0) += w;
         }
         for &(a, b, w) in edges {
             *self.edges.entry((a.min(b), a.max(b))).or_insert(0) += w;
         }
+        let Regime { max_vertices, max_edges, .. } = self.regime;
         self.evicted +=
-            shrink(&mut self.vertices, MAX_VERTICES) + shrink(&mut self.edges, MAX_EDGES);
+            shrink(&mut self.vertices, max_vertices) + shrink(&mut self.edges, max_edges);
     }
 
     fn content(&self) -> (Vertices, Edges) {
@@ -204,30 +240,34 @@ impl Reference {
             self.map.insert(key, to);
         }
         self.plan_version = version;
+        self.changes = 0;
         (version, moves)
     }
 }
 
-fn run(steps: &[Step]) {
-    let placement = || (0..KEYS).map(|k| (LocKey(k), PartitionId((k % PARTITIONS as u64) as u32)));
+fn run(regime: Regime, steps: &[Step]) {
+    let placement =
+        || (0..regime.keys).map(|k| (LocKey(k), PartitionId((k % PARTITIONS as u64) as u32)));
     let mut oracle = OracleCore::<App>::new(OracleConfig {
         partitions: PARTITIONS,
         // Plans are asked for by the steps, never by the change count.
         repartition_threshold: u64::MAX,
         balance_factor: BALANCE,
         decay_hints: true,
-        max_graph_vertices: MAX_VERTICES,
-        max_graph_edges: MAX_EDGES,
+        max_graph_vertices: regime.max_vertices,
+        max_graph_edges: regime.max_edges,
         warm_start: false,
         ..OracleConfig::default()
     });
     oracle.preload_map(placement());
     let mut reference = Reference {
+        regime,
         map: placement().collect(),
         vertices: BTreeMap::new(),
         edges: BTreeMap::new(),
         plan_version: 0,
         evicted: 0,
+        changes: 0,
     };
     let mut m = Metrics::new();
     let mut now = SimTime::ZERO;
@@ -251,6 +291,8 @@ fn run(steps: &[Step]) {
                 assert!(eff.is_empty(), "the change count must never ask for a plan");
             }
             Step::Sets { commands } => {
+                // The expansion holds each distinct pair once, so its
+                // entries count what the set batch must count.
                 let (hint, vertices, edges) = hint_sets(commands);
                 reference.merge(&vertices, &edges);
                 let eff = oracle.on_deliver(hint, now, &mut m);
@@ -283,14 +325,16 @@ fn run(steps: &[Step]) {
                     panic!("the plan timer publishes a plan, got {payload:?}");
                 };
                 assert_eq!((*got_version, moves), (version, &want), "plan {version} differs");
-                let _ = oracle.on_deliver(payload, now, &mut m);
+                let _ = oracle.on_deliver(payload.clone(), now, &mut m);
                 assert_eq!(oracle.plan_version(), version);
             }
+            Step::Snapshot => oracle = oracle.clone(),
         }
         assert_eq!(oracle.graph_view(), reference.content(), "graph after step {i}: {step:?}");
         assert_eq!(oracle.graph_edges(), reference.edges.len(), "edges after step {i}: {step:?}");
         assert_eq!(oracle.graph_vertices(), reference.vertices.len(), "vertices after step {i}");
         assert_eq!(m.counter(mn::ORACLE_GRAPH_EVICTIONS), reference.evicted, "evicted by step {i}");
+        assert_eq!(oracle.graph_changes(), reference.changes, "changes after step {i}");
     }
 }
 
@@ -298,16 +342,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn rows_and_flat_map_agree(steps in prop::collection::vec(step(), 1..60)) {
-        run(&steps);
+    fn rows_and_flat_map_agree(steps in prop::collection::vec(step(TIGHT.keys), 1..60)) {
+        run(TIGHT, &steps);
     }
 
-    /// The same, with every batch sent as key sets and expanded by the
-    /// oracle: the caps evict after the expansion, as they did after an
+    /// The same, with every batch sent as key sets and folded by the
+    /// oracle: the caps evict after the fold, as they did after an
     /// expanded batch.
     #[test]
-    fn set_batches_and_flat_map_agree(steps in prop::collection::vec(set_step(), 1..60)) {
-        run(&steps);
+    fn set_batches_and_flat_map_agree(steps in prop::collection::vec(set_step(TIGHT.keys), 1..60)) {
+        run(TIGHT, &steps);
+    }
+
+    /// Caps that bind now and then: a batch is folded when the rows and
+    /// the log might pass the edge cap, and waits in the log otherwise.
+    #[test]
+    fn the_log_and_flat_map_agree_when_caps_bind_sometimes(
+        steps in prop::collection::vec(mixed_step(SOMETIMES.keys), 1..80),
+    ) {
+        run(SOMETIMES, &steps);
+    }
+
+    /// Caps that never bind: batches of both forms wait in the log across
+    /// deletes and snapshots until a plan, or the log's memory bound,
+    /// folds them.
+    #[test]
+    fn the_log_and_flat_map_agree_when_caps_never_bind(
+        steps in prop::collection::vec(mixed_step(LOOSE.keys), 1..80),
+    ) {
+        run(LOOSE, &steps);
+    }
+
+    /// Caps that cannot bind, though the logged pairs alone would pass
+    /// them.
+    #[test]
+    fn the_log_and_flat_map_agree_when_the_key_count_bounds_the_edges(
+        steps in prop::collection::vec(mixed_step(KEYED.keys), 1..80),
+    ) {
+        run(KEYED, &steps);
     }
 }
 
@@ -321,14 +393,19 @@ fn rows_and_flat_map_agree_on_the_corners() {
         vertices: vec![(3, 2), (3, 1)],
         edges: edges.to_vec(),
     };
-    run(&[
+    let keys = TIGHT.keys;
+    let corners = [
         batch(false, &[(5, 2, 1), (2, 5, 1), (2, 5, 3), (4, 4, 2)]),
         Step::Plan,
-        batch(true, &(0..KEYS - 1).map(|k| (k, k + 1, 0)).collect::<Vec<_>>()),
-        batch(true, &(0..KEYS - 1).map(|k| (k, k + 1, 3)).collect::<Vec<_>>()),
+        batch(true, &(0..keys - 1).map(|k| (k, k + 1, 0)).collect::<Vec<_>>()),
+        batch(true, &(0..keys - 1).map(|k| (k, k + 1, 3)).collect::<Vec<_>>()),
         Step::Delete { key: 2, stale: false },
+        Step::Snapshot,
         Step::Plan,
         batch(false, &[(11, 0, 5), (0, 11, 5), (7, 1, 1)]),
         Step::Plan,
-    ]);
+    ];
+    for regime in [TIGHT, SOMETIMES, LOOSE, KEYED] {
+        run(regime, &corners);
+    }
 }

@@ -88,15 +88,59 @@ impl Graph {
     }
 }
 
+impl Graph {
+    /// Builds the CSR form straight from an edge feed: `feed` passes every
+    /// edge `(u, v, weight)` to its sink once, `u < v < vwgt.len()`, in
+    /// ascending `(u, v)` order. It is the graph a [`GraphBuilder`] builds
+    /// from the same edges and vertex weights, without the builder's edge
+    /// list. `feed` is called twice — to count degrees, then to fill the
+    /// rows — and must pass the same edges both times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a vertex outside `vwgt`.
+    pub fn from_ascending_edges(
+        vwgt: Vec<u64>,
+        feed: impl Fn(&mut dyn FnMut(u32, u32, u64)),
+    ) -> Graph {
+        let n = vwgt.len();
+        let mut xadj = vec![0usize; n + 1];
+        let mut last = None;
+        feed(&mut |u, v, _| {
+            debug_assert!(u < v && last < Some((u, v)), "edges must ascend, lower end first");
+            last = Some((u, v));
+            xadj[u as usize + 1] += 1;
+            xadj[v as usize + 1] += 1;
+        });
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
+        }
+        let mut adj = vec![(0u32, 0u64); xadj[n]];
+        let mut cursor = xadj[..n].to_vec();
+        let mut total_ewgt = 0;
+        // Edges in ascending endpoint order: each row fills in ascending
+        // neighbour order, its lower neighbours first.
+        feed(&mut |u, v, w| {
+            adj[cursor[u as usize]] = (v, w);
+            cursor[u as usize] += 1;
+            adj[cursor[v as usize]] = (u, w);
+            cursor[v as usize] += 1;
+            total_ewgt += w;
+        });
+        Graph { xadj, adj, total_vwgt: vwgt.iter().sum(), vwgt, total_ewgt }
+    }
+}
+
 /// Incremental builder for [`Graph`].
 ///
 /// Vertices are created implicitly by mentioning them; duplicate edges are
 /// merged by summing their weights; self-loops are ignored (they never
 /// affect a partition's cut).
 ///
-/// Edges fed in ascending `(min, max)` order without duplicates — what a
-/// caller walking an ordered adjacency naturally produces — cost an append
-/// each and a linear [`build`](Self::build).
+/// Edges fed in ascending `(min, max)` order without duplicates cost an
+/// append each and a linear [`build`](Self::build); a caller that walks an
+/// ordered adjacency can skip the builder's edge list altogether with
+/// [`Graph::from_ascending_edges`].
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     /// `(min, max, weight)` in insertion order. [`build`](Self::build)
@@ -140,13 +184,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Makes room for `additional` more [`add_edge`](Self::add_edge) calls,
-    /// so a feed of known size allocates its edge list once.
-    pub fn reserve_edges(&mut self, additional: usize) -> &mut Self {
-        self.edges.reserve_exact(additional);
-        self
-    }
-
     /// Number of vertices added so far.
     pub fn vertex_count(&self) -> usize {
         self.vwgt.len()
@@ -169,28 +206,11 @@ impl GraphBuilder {
                 (u, v, run.iter().map(|&(_, _, w)| w).sum::<u64>())
             })
         };
-        let n = self.vwgt.len();
-        let mut degree = vec![0usize; n];
-        for (u, v, _) in merged() {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut xadj = vec![0usize; n + 1];
-        for v in 0..n {
-            xadj[v + 1] = xadj[v] + degree[v];
-        }
-        let mut adj = vec![(0u32, 0u64); xadj[n]];
-        let mut cursor = xadj.clone();
-        let mut total_ewgt = 0;
-        // Edges in ascending endpoint order: rows fill deterministically.
-        for (u, v, w) in merged() {
-            adj[cursor[u as usize]] = (v, w);
-            cursor[u as usize] += 1;
-            adj[cursor[v as usize]] = (u, w);
-            cursor[v as usize] += 1;
-            total_ewgt += w;
-        }
-        Graph { xadj, adj, total_vwgt: self.vwgt.iter().sum(), vwgt: self.vwgt.clone(), total_ewgt }
+        Graph::from_ascending_edges(self.vwgt.clone(), |sink| {
+            for (u, v, w) in merged() {
+                sink(u, v, w);
+            }
+        })
     }
 }
 
@@ -295,6 +315,20 @@ mod tests {
         b.build()
     }
 
+    /// `edges` fed straight into the CSR, merged and ordered beforehand.
+    fn fed(n: u32, edges: &[(u32, u32, u64)]) -> Graph {
+        let mut merged = std::collections::BTreeMap::new();
+        for &(u, v, w) in edges.iter().filter(|e| e.0 != e.1) {
+            *merged.entry((u.min(v), u.max(v))).or_insert(0) += w;
+        }
+        let vwgt = (0..u64::from(n)).map(|v| 1 + v).collect();
+        Graph::from_ascending_edges(vwgt, |sink| {
+            for (&(u, v), &w) in &merged {
+                sink(u, v, w);
+            }
+        })
+    }
+
     fn assert_same_csr(got: &Graph, want: &Graph) {
         assert_eq!(got.xadj, want.xadj);
         assert_eq!(got.adj, want.adj);
@@ -331,6 +365,7 @@ mod tests {
             let mut edges: Vec<_> = raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
             let want = reference(n, &edges);
             assert_same_csr(&built(n, &edges), &want);
+            assert_same_csr(&fed(n, &edges), &want);
             edges.sort_unstable_by_key(|&(u, v, _)| (u.min(v), u.max(v)));
             assert_same_csr(&built(n, &edges), &want);
         }

@@ -267,7 +267,11 @@ fn contract(g: &Graph, rng: &mut StdRng, s: &mut Scratch) -> (Graph, Vec<u32>) {
     s.pos.clear();
     s.pos.resize(cn, 0);
     let mut xadj = vec![0usize; cn + 1];
-    let mut adj: Vec<(u32, u64)> = Vec::with_capacity(g.edge_count() * 2);
+    // Each coarse edge stems from a fine one, and a coarse row holds each
+    // other coarse vertex at most once: on a dense graph the second bound
+    // is the tighter.
+    let mut adj: Vec<(u32, u64)> =
+        Vec::with_capacity((g.edge_count() * 2).min(cn * cn.saturating_sub(1)));
     let mut vwgt = vec![0u64; cn];
     for c in 0..cn {
         let row_start = adj.len();

@@ -61,9 +61,9 @@ impl<S: Eq + Hash> SeqSet<S> {
             .is_some_and(|word| word & (1u64 << (seq % BLOCK)) != 0)
     }
 
-    /// Number of 64-seq blocks holding at least one id: the set's size.
-    #[cfg(test)]
-    fn blocks(&self) -> usize {
+    /// Number of 64-seq blocks holding at least one id: the set's size,
+    /// one word and its key each.
+    pub fn blocks(&self) -> usize {
         self.blocks.len()
     }
 }
