@@ -126,10 +126,11 @@ fn main() {
         m.counter(mn::FAULT_RECONNECTS)
     );
     println!(
-        "  recoveries:         {} completed from {} donated snapshots ({} elements)",
+        "  recoveries:         {} completed from {} donated snapshots ({} member + {} core elements)",
         m.counter(mn::RECOVERY_COMPLETIONS),
         m.counter(mn::RECOVERY_SNAPSHOTS),
-        m.counter(mn::RECOVERY_SNAPSHOT_ELEMENTS)
+        m.counter(mn::RECOVERY_SNAPSHOT_ELEMENTS) - m.counter(mn::RECOVERY_SNAPSHOT_CORE_ELEMENTS),
+        m.counter(mn::RECOVERY_SNAPSHOT_CORE_ELEMENTS)
     );
     println!("  leader elections:   {}", m.counter(mn::LEADER_ELECTIONS));
     println!("  obsolete commands:  {}", m.counter(mn::SERVER_OBSOLETE_CMDS));

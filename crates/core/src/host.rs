@@ -319,6 +319,14 @@ impl<A: Application> Role<A> {
         }
     }
 
+    /// Rough size of the core in elements, for transfer accounting.
+    fn approx_elements(&self) -> u64 {
+        match self {
+            Role::Partition(c) => c.approx_elements(),
+            Role::Oracle(c) => c.approx_elements(),
+        }
+    }
+
     fn location_view(&self) -> LocationView {
         match self {
             Role::Partition(c) => c.location_view(),
@@ -586,8 +594,10 @@ impl<A: Application> ReplicaHost<A> {
                 };
                 let m = port.metrics();
                 m.incr_counter(metric_names::RECOVERY_SNAPSHOTS, 1);
-                let elements = donation.snapshot.approx_elements();
+                let core = donation.core.approx_elements();
+                let elements = donation.snapshot.approx_elements() + core;
                 m.incr_counter(metric_names::RECOVERY_SNAPSHOT_ELEMENTS, elements);
+                m.incr_counter(metric_names::RECOVERY_SNAPSHOT_CORE_ELEMENTS, core);
                 let response = RecoveryMsg::Response(Box::new(donation));
                 port.send(from, Arc::new(Inner::Recovery(response)));
             }
@@ -1265,6 +1275,14 @@ pub(crate) mod tests {
         group[0].on_bodies(node(2), [request()], &mut port);
         assert_eq!(port.take(), [send(2, "RecoveryMsg::Response")]);
         assert_eq!(port.metrics.counter(metric_names::RECOVERY_SNAPSHOTS), 1);
+        // The count is the whole donation: the member's half and the
+        // core's, which holds partition 0's 4 stored variables and their 4
+        // keys.
+        let core = port.metrics.counter(metric_names::RECOVERY_SNAPSHOT_CORE_ELEMENTS);
+        assert_eq!(core, group[0].role.approx_elements());
+        assert_eq!(core, 8);
+        let member = group[0].member.snapshot().approx_elements();
+        assert_eq!(port.metrics.counter(metric_names::RECOVERY_SNAPSHOT_ELEMENTS), member + core);
     }
 
     #[test]

@@ -132,9 +132,12 @@ pub const NET_FIFO_DROPS: &str = "net.fifo_drops";
 pub const NET_DROPPED_SENDS: &str = "net.dropped_sends";
 /// Counter: recovery state snapshots served to restarted/lagging replicas.
 pub const RECOVERY_SNAPSHOTS: &str = "recovery.snapshots";
-/// Counter: approximate elements (log entries + bookkeeping rows) shipped
-/// in recovery snapshots.
+/// Counter: approximate elements shipped in recovery snapshots: the
+/// multicast member's (log entries, bookkeeping rows) and the core's (see
+/// `ServerCore::approx_elements`, `OracleCore::approx_elements`).
 pub const RECOVERY_SNAPSHOT_ELEMENTS: &str = "recovery.snapshot_elements";
+/// Counter: the core's share of [`RECOVERY_SNAPSHOT_ELEMENTS`].
+pub const RECOVERY_SNAPSHOT_CORE_ELEMENTS: &str = "recovery.snapshot_core_elements";
 /// Counter: recoveries completed (quorum of snapshots installed).
 pub const RECOVERY_COMPLETIONS: &str = "recovery.completions";
 /// Counter: leader changes observed at replicas (rising edges of

@@ -342,6 +342,12 @@ fn merge_into(
     merge_row(row, fresh)
 }
 
+/// Logged elements below which the log is not folded for its memory
+/// bound: a small graph's rows would otherwise be refolded every few
+/// batches, each fold paying a universe sort and a row lookup per touched
+/// row whatever the rows hold.
+const FOLD_FLOOR: usize = 4_096;
+
 /// Undirected weighted edges; `(a, b)` and `(b, a)` are the same edge.
 /// What the rows and the log hold together is the graph.
 #[derive(Default)]
@@ -396,6 +402,11 @@ impl EdgeRows {
         self.len
     }
 
+    /// Elements the logged batches store.
+    pub(super) fn log_elements(&self) -> usize {
+        self.log_elements
+    }
+
     /// How many distinct key pairs `hint` adds at most, or `None` if it is
     /// out of shape and must be dropped whole: for a batch of sets, the
     /// exact count of its distinct pairs; for an edge list, its length.
@@ -410,7 +421,7 @@ impl EdgeRows {
 
     /// Appends a batch whose pairs [`EdgeRows::pairs_of`] counted, and
     /// folds the log once it stores more elements than the rows hold
-    /// edges, which bounds its memory by theirs.
+    /// edges and [`FOLD_FLOOR`], which bounds its memory by theirs.
     pub(super) fn log(&mut self, batch: Arc<dyn HintBatch>, pairs: u64) {
         let Some(hint) = batch.hint() else { return };
         self.log_elements += hint.elements();
@@ -423,7 +434,7 @@ impl EdgeRows {
             Hint::Edges { .. } => (self.keys, self.keys_dropped) = (Vec::new(), true),
         }
         self.log.push(batch);
-        if self.log_elements > self.len {
+        if self.log_elements > self.len.max(FOLD_FLOOR) {
             self.fold();
         }
     }
@@ -470,6 +481,8 @@ impl EdgeRows {
         if self.log.is_empty() {
             return;
         }
+        #[cfg(test)]
+        tests::FOLDS.set(tests::FOLDS.get() + 1);
         let mut log = std::mem::take(&mut self.log);
         self.scratch.gather(&log);
         log.clear();
@@ -585,6 +598,8 @@ pub(super) mod tests {
         /// the part of a fold's cost that depends on the rows.
         pub(super) static ENTRIES_MERGED: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
+        /// Folds of a non-empty log on this thread.
+        pub(super) static FOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     /// A batch of sets, built by hand.
@@ -658,10 +673,11 @@ pub(super) mod tests {
     #[test]
     fn a_fold_mixes_overlapping_sets_repeats_and_edge_lists() {
         let mut rows = EdgeRows::default();
-        // Rows first, so the log is not folded on arrival.
+        // Rows first, folded, so the fold below merges into them.
         let seed: GraphContent =
             (vec![], (0..40).map(|k| (LocKey(100 + k), LocKey(200), 1)).collect());
         assert_eq!(add(&mut rows, seed), Some(40));
+        rows.fold();
         assert_eq!((rows.folded_len(), rows.log.len()), (40, 0));
         // {1, 3, 5} and {3, 5, 9}; then {1, 3, 5} again, three times; then
         // an edge list.
@@ -706,7 +722,8 @@ pub(super) mod tests {
         let mut edges = EdgeRows::default();
         let eight = || Sets(keys(&[1, 2, 3, 4, 5, 6, 7, 8]), (0..8).collect(), vec![(8, 1)]);
         assert_eq!(add(&mut edges, eight()), Some(28));
-        assert_eq!((edges.folded_len(), edges.log.len()), (28, 0), "the first batch folds at once");
+        edges.fold();
+        assert_eq!((edges.folded_len(), edges.log.len()), (28, 0));
         assert_eq!(add(&mut edges, eight()), Some(28));
         // 56 pairs, but 8 keys make at most 36 edges, self-loops included.
         assert_eq!(edges.shrink_to(36), 0);
@@ -740,6 +757,36 @@ pub(super) mod tests {
         assert_eq!(edges.shrink_to(20_000), 5);
         assert_eq!(ENTRIES_MERGED.get(), 30);
         assert_eq!((edges.folded_len(), edges.log.len()), (20_000, 0));
+    }
+
+    /// A graph smaller than the floor folds for its memory bound once per
+    /// `FOLD_FLOOR` logged elements, not every few batches, and the rows
+    /// it then reads are those of folding each batch on arrival.
+    #[test]
+    fn a_small_graph_folds_once_per_floor_of_logged_elements() {
+        // 40 keys, so at most 820 edges: a three-key set per batch, 7
+        // stored elements each.
+        let batch = |i: u64| {
+            let mut ks = [i % 40, (i + 1) % 40, (i + 5) % 40];
+            ks.sort_unstable();
+            Sets(keys(&ks), vec![0, 1, 2], vec![(3, 1)])
+        };
+        let batches = 2_000;
+        let (mut lazy, mut eager) = (EdgeRows::default(), EdgeRows::default());
+        FOLDS.set(0);
+        for i in 0..batches {
+            add(&mut lazy, batch(i));
+        }
+        let folds = FOLDS.get();
+        assert!(folds >= 1, "the memory bound still folds");
+        assert!(folds <= 7 * batches as usize / FOLD_FLOOR, "{folds} folds");
+        assert!(lazy.log_elements <= FOLD_FLOOR);
+        for i in 0..batches {
+            add(&mut eager, batch(i));
+            eager.fold();
+        }
+        assert_eq!(content(&mut lazy), content(&mut eager));
+        assert_eq!(lazy.folded_len(), eager.folded_len());
     }
 
     #[test]

@@ -143,6 +143,12 @@ impl WorkloadGraph {
         self.vertices.len()
     }
 
+    /// What the graph holds, counted in stored elements: vertices, edges
+    /// in the rows and the logged batches' elements.
+    pub(super) fn elements(&self) -> usize {
+        self.vertices.len() + self.edges.folded_len() + self.edges.log_elements()
+    }
+
     /// Edges folded into the rows; batches still logged are not counted.
     pub(super) fn folded_edges(&self) -> usize {
         self.edges.folded_len()

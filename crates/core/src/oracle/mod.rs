@@ -160,6 +160,13 @@ impl<A: Application> OracleCore<A> {
         self.map.get(&key).copied()
     }
 
+    /// Rough size of the core in elements, for transfer accounting: map
+    /// entries and the workload graph's vertices, row edges and logged
+    /// hint elements.
+    pub fn approx_elements(&self) -> u64 {
+        (self.map.len() + self.graph.elements()) as u64
+    }
+
     /// Diagnostic: this shard's *owned slice* of the key→partition map as
     /// `(key, partition)` pairs in key order. Shard views are disjoint and
     /// union to the authoritative map, so convergence checks against the

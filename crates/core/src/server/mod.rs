@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::dedup::SeqSet;
-use dynastar_runtime::{CounterId, Metrics, SimTime};
+use dynastar_runtime::{CounterId, FastHashMap, FastHashSet, Metrics, SimTime};
 
 use crate::command::{
     AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
@@ -90,7 +90,7 @@ pub struct ServerCore<A: Application> {
     mode: Mode,
     config: ServerConfig,
     /// Locality keys this partition owns.
-    owned: BTreeSet<LocKey>,
+    owned: FastHashSet<LocKey>,
     /// Values physically present.
     store: Store<A::Value>,
     queue: VecDeque<Queued<Command<A>, Arc<Payload<A>>>>,
@@ -104,7 +104,7 @@ pub struct ServerCore<A: Application> {
     /// S-SMR exchange shares received.
     ssmr_in: BTreeMap<(MsgId, u32), ShipmentsBySource<A>>,
     /// Create/delete rendezvous signals received from the oracle.
-    oracle_signals: dynastar_runtime::FastHashSet<MsgId>,
+    oracle_signals: FastHashSet<MsgId>,
     /// Current plan version.
     plan_version: u64,
     /// Keys owned whose primary shipment has not arrived.
@@ -114,7 +114,7 @@ pub struct ServerCore<A: Application> {
     /// Where keys this partition used to own have gone.
     outmigrated: BTreeMap<LocKey, PartitionId>,
     /// Variables currently lent to a target: var → (cmd, attempt).
-    lent: BTreeMap<VarId, (MsgId, u32)>,
+    lent: FastHashMap<VarId, (MsgId, u32)>,
     /// Exactly-once state, one session per client: its newest delivered
     /// command, its newest reply, the attempts known aborted.
     sessions: Sessions<A::Reply>,
@@ -193,7 +193,7 @@ impl<A: Application> ServerCore<A> {
         ServerCore {
             partition,
             mode,
-            owned: BTreeSet::new(),
+            owned: FastHashSet::default(),
             store: Store::default(),
             queue: VecDeque::new(),
             seen: SeqSet::default(),
@@ -205,7 +205,7 @@ impl<A: Application> ServerCore<A> {
             awaiting_keys: BTreeMap::new(),
             awaiting_vars: BTreeSet::new(),
             outmigrated: BTreeMap::new(),
-            lent: BTreeMap::new(),
+            lent: FastHashMap::default(),
             sessions: Sessions::default(),
             hints: HintArena::default(),
             hint_seq: 0,
@@ -252,13 +252,14 @@ impl<A: Application> ServerCore<A> {
     }
 
     /// Seeds initial state before the simulation starts (avoids issuing
-    /// millions of create commands for benchmark datasets).
+    /// millions of create commands for benchmark datasets). Extending an
+    /// empty table reserves an exactly sized input's length at once.
     pub fn preload(
         &mut self,
         keys: impl IntoIterator<Item = LocKey>,
         vars: impl IntoIterator<Item = (VarId, A::Value)>,
     ) {
-        self.owned.append(&mut keys.into_iter().collect());
+        self.owned.extend(keys);
         self.store.extend(vars);
     }
 
@@ -267,7 +268,9 @@ impl<A: Application> ServerCore<A> {
     /// server-side location map; convergence tests compare it (and every
     /// replica's copy) against the oracle's map.
     pub fn location_view(&self) -> Vec<(u64, u32)> {
-        self.owned.iter().map(|k| (k.0, self.partition.0)).collect()
+        let mut view: Vec<_> = self.owned.iter().map(|k| (k.0, self.partition.0)).collect();
+        view.sort_unstable();
+        view
     }
 
     /// This partition's id.
@@ -288,6 +291,13 @@ impl<A: Application> ServerCore<A> {
     /// Read access to a stored variable (test/debug aid).
     pub fn value_of(&self, var: VarId) -> Option<&A::Value> {
         self.store.get(var)
+    }
+
+    /// Rough size of the core in elements, for transfer accounting: store
+    /// slots, owned keys, sessions, dedup blocks and queue entries.
+    pub fn approx_elements(&self) -> u64 {
+        let keys = self.store.len() + self.owned.len();
+        (keys + self.sessions.len() + self.seen.blocks() + self.queue.len()) as u64
     }
 
     /// Depth of the execution queue (test/debug aid).
@@ -807,6 +817,7 @@ impl<A: Application> ServerCore<A> {
     /// Whether every variable this partition must provide is resolvable:
     /// `Err(())` = stale routing, `Ok(false)` = wait, `Ok(true)` = ready.
     fn my_vars_ready(&self, expected: &[(VarId, PartitionId)]) -> Result<bool, ()> {
+        let migrating = !self.awaiting_keys.is_empty() || !self.awaiting_vars.is_empty();
         for &(v, p) in expected {
             if p != self.partition {
                 continue;
@@ -815,7 +826,9 @@ impl<A: Application> ServerCore<A> {
             if !self.owned.contains(&key) {
                 return Err(()); // routing was stale
             }
-            if self.awaiting_keys.contains_key(&key) || self.awaiting_vars.contains(&v) {
+            if migrating
+                && (self.awaiting_keys.contains_key(&key) || self.awaiting_vars.contains(&v))
+            {
                 return Ok(false); // migration in flight
             }
         }
@@ -979,16 +992,12 @@ impl<A: Application> ServerCore<A> {
                 return Step::Wait(GateReason::BorrowedVars { have, need: involved - 1 });
             }
             let shipments = self.vars_in.remove(&(cmd_id, attempt)).unwrap_or_default();
-            let mut borrowed: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
-            let mut sources: BTreeMap<VarId, PartitionId> = BTreeMap::new();
-            for (from, vars) in shipments {
-                for (v, val) in vars {
-                    sources.insert(v, from);
-                    borrowed.insert(v, val);
-                }
+            let mut borrowed = BTreeMap::new();
+            for (v, val) in shipments.into_values().flatten() {
+                borrowed.insert(v, val);
             }
             let reply = self.run_op(op, expected, &mut borrowed);
-            self.settle_borrowed(cmd_id, attempt, borrowed, sources, keep, now, metrics, eff);
+            self.settle_borrowed(cmd_id, attempt, borrowed, expected, keep, now, metrics, eff);
             self.finish_execution(cmd, attempt, sets.take(), reply, true, now, metrics, eff);
             Step::Done
         } else {
@@ -1117,32 +1126,37 @@ impl<A: Application> ServerCore<A> {
 
     /// After a multi-partition execution at the target: the borrowed
     /// variables go home (DynaStar) or are absorbed with their keys
-    /// (DS-SMR `keep`), moved out of the executed map either way.
-    #[expect(clippy::too_many_arguments, reason = "takes the borrowed maps by value")]
+    /// (DS-SMR `keep`), moved out of the executed map either way. Every
+    /// lender shipped all `expected` names of it, so `expected` says where
+    /// each variable goes: one return per lender, in id order.
+    #[expect(clippy::too_many_arguments, reason = "takes the borrowed map by value")]
     fn settle_borrowed(
         &mut self,
         cmd: MsgId,
         attempt: u32,
         mut borrowed: BTreeMap<VarId, Option<A::Value>>,
-        sources: BTreeMap<VarId, PartitionId>,
+        expected: &[(VarId, PartitionId)],
         keep: bool,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
+        let mut lent: Vec<(PartitionId, VarId)> =
+            expected.iter().filter(|&&(_, p)| p != self.partition).map(|&(v, p)| (p, v)).collect();
+        lent.sort_unstable();
+        lent.dedup();
         if keep {
-            for &v in sources.keys() {
+            for &(_, v) in &lent {
                 self.owned.insert(A::locality(v));
                 self.store.put(v, take_value(&mut borrowed, v));
             }
             return;
         }
-        let mut by_source: ShipmentsBySource<A> = BTreeMap::new();
-        for (&v, &from) in &sources {
-            by_source.entry(from).or_default().push((v, take_value(&mut borrowed, v)));
-        }
         let mut returned_objects = 0u64;
-        for (from, vars) in by_source {
+        for run in lent.chunk_by(|a, b| a.0 == b.0) {
+            let from = run[0].0;
+            let vars: VarShipment<A> =
+                run.iter().map(|&(_, v)| (v, take_value(&mut borrowed, v))).collect();
             returned_objects += vars.iter().filter(|(_, v)| v.is_some()).count() as u64;
             eff.push(Effect::Send {
                 to: Destination::Partition(from),
@@ -1331,8 +1345,9 @@ impl<A: Application> ServerCore<A> {
                     .collect();
                 // Stale in-flight markers move with the key.
                 self.awaiting_vars.retain(|&v| A::locality(v) != key);
-                let pending: Vec<VarId> =
+                let mut pending: Vec<VarId> =
                     self.lent.keys().copied().filter(|&v| A::locality(v) == key).collect();
+                pending.sort_unstable();
                 if self.config.record_metrics {
                     let ids = self.meter.ids(metrics);
                     metrics.incr(ids.objects_exchanged, vars.len() as u64);
@@ -2033,6 +2048,65 @@ mod tests {
         let _ = to.on_direct(ship, now(), &mut m);
         assert_eq!(to.value_of(VarId(0)), Some(&7));
         assert_eq!(to.value_of(VarId(1)), Some(&8));
+    }
+
+    /// Replica state sits in hash tables, but nothing that leaves a replica
+    /// shows their order: two replicas that received the same keys,
+    /// variables and loans in opposite orders ship byte-identical
+    /// `PlanVars`, variables and pending loans in id order, and report the
+    /// same location view, in key order. A table's iteration order follows
+    /// its size more than the arrival order, so the id-order checks are
+    /// what catch a missing sort.
+    #[test]
+    fn replicas_filled_in_opposite_orders_ship_and_report_alike() {
+        let keys: Vec<u64> = (0..24).map(|j| 13 * j).collect();
+        let vars: Vec<(u64, i64)> =
+            keys.iter().flat_map(|&k| (10 * k..10 * k + 10).map(|v| (v, v as i64))).collect();
+        let fill = |keys: &[u64], vars: &[(u64, i64)]| {
+            let mut s = server(1, keys, vars);
+            // Key 39's upper half is out on loan to a target.
+            for &(v, _) in vars.iter().filter(|&&(v, _)| v / 10 == 39 && v % 10 >= 4) {
+                s.store.put(VarId(v), None);
+                s.lent.insert(VarId(v), (MsgId::new(42, 0), 0));
+            }
+            s
+        };
+        let mut up = fill(&keys, &vars);
+        let (keys, vars): (Vec<_>, Vec<_>) =
+            (keys.into_iter().rev().collect(), vars.into_iter().rev().collect());
+        let mut down = fill(&keys, &vars);
+        let view = |skip: &[u64]| -> Vec<(u64, u32)> {
+            (0..24).map(|j| 13 * j).filter(|k| !skip.contains(k)).map(|k| (k, 1)).collect()
+        };
+        assert_eq!((up.location_view(), down.location_view()), (view(&[]), view(&[])));
+
+        let moves = [39, 65].map(|k| (LocKey(k), PartitionId(1), PartitionId(2))).to_vec();
+        let plan = Payload::Plan { version: 1, moves };
+        let mut m = Metrics::new();
+        let mut ships = |s: &mut ServerCore<App>| -> Vec<Direct<App>> {
+            let eff = s.on_deliver(plan.clone(), now(), &mut m);
+            eff.into_iter()
+                .filter_map(|e| match e {
+                    Effect::Send { msg: d @ Direct::PlanVars { .. }, .. } => Some(d),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (a, b) = (ships(&mut up), ships(&mut down));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let shipped: Vec<(Vec<u64>, Vec<u64>)> = a
+            .iter()
+            .map(|d| match d {
+                Direct::PlanVars { vars, pending, .. } => {
+                    (vars.iter().map(|(v, _)| v.0).collect(), pending.iter().map(|v| v.0).collect())
+                }
+                _ => unreachable!("filtered above"),
+            })
+            .collect();
+        let ids = |r: std::ops::Range<u64>| r.collect::<Vec<_>>();
+        assert_eq!(shipped, [(ids(390..394), ids(394..400)), (ids(650..660), vec![])]);
+        let view = view(&[39, 65]);
+        assert_eq!((up.location_view(), down.location_view()), (view.clone(), view));
     }
 
     #[test]

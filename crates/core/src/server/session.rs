@@ -70,6 +70,11 @@ impl<R> Sessions<R> {
         false
     }
 
+    /// Number of sessions (clients seen).
+    pub(super) fn len(&self) -> usize {
+        self.by_client.len()
+    }
+
     /// Whether `cmd` is older than its client's newest delivered command.
     pub(super) fn obsolete(&self, cmd: MsgId) -> bool {
         self.by_client.get(&cmd.origin).is_some_and(|s| cmd.seq < s.seq)

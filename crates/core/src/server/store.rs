@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use dynastar_runtime::FastHashMap;
+
 use super::sender::Shipment;
 use crate::command::{PartitionId, VarId};
 
@@ -14,17 +16,19 @@ pub(super) fn take_value<V>(vars: &mut BTreeMap<VarId, Option<V>>, v: VarId) -> 
 
 /// The values physically present at one replica.
 ///
+/// A hash table: the command path probes it once per declared variable,
+/// and nothing reads it in order except [`Store::extract`], which sorts.
 /// Slots hold an `Option` so that an execution can *move* a value out and
-/// back without unlinking its tree node: [`Store::take`] leaves the emptied
-/// slot in place and the [`Store::put`] that follows refills it (or, when
+/// back without removing and re-inserting its entry (no tombstone, no
+/// growth): [`Store::take`] leaves the emptied slot in place and the [`Store::put`] that follows refills it (or, when
 /// the command deleted the variable, removes it). An emptied slot never
 /// outlives `ServerCore::run_op`, and every reader treats one as absent.
 #[derive(Debug, Clone)]
-pub(super) struct Store<V>(BTreeMap<VarId, Option<V>>);
+pub(super) struct Store<V>(FastHashMap<VarId, Option<V>>);
 
 impl<V> Default for Store<V> {
     fn default() -> Self {
-        Store(BTreeMap::new())
+        Store(FastHashMap::default())
     }
 }
 
@@ -35,10 +39,8 @@ impl<V> Store<V> {
     }
 
     /// Adds (or overwrites) every given variable; a later duplicate wins.
-    /// The input is bulk built (one sort, then a tree filled in order) and
-    /// appended, which into an empty store is a swap.
     pub(super) fn extend(&mut self, vars: impl IntoIterator<Item = (VarId, V)>) {
-        self.0.append(&mut vars.into_iter().map(|(v, val)| (v, Some(val))).collect());
+        self.0.extend(vars.into_iter().map(|(v, val)| (v, Some(val))));
     }
 
     pub(super) fn get(&self, v: VarId) -> Option<&V> {
@@ -47,7 +49,7 @@ impl<V> Store<V> {
 
     /// Moves `v`'s value out, keeping its slot for the `put` that follows.
     pub(super) fn take(&mut self, v: VarId) -> Option<V> {
-        take_value(&mut self.0, v)
+        self.0.get_mut(&v).and_then(Option::take)
     }
 
     /// Stores `val` (in place when `v` has a slot); `None` deletes `v`.
@@ -64,10 +66,13 @@ impl<V> Store<V> {
 
     /// Moves out every variable `selected` picks, in id order.
     pub(super) fn extract(&mut self, mut selected: impl FnMut(VarId) -> bool) -> Vec<(VarId, V)> {
-        self.0
-            .extract_if(.., |&v, _| selected(v))
+        let mut out: Vec<_> = self
+            .0
+            .extract_if(|&v, _| selected(v))
             .filter_map(|(v, val)| val.map(|val| (v, val)))
-            .collect()
+            .collect();
+        out.sort_unstable_by_key(|&(v, _)| v);
+        out
     }
 }
 
@@ -106,4 +111,60 @@ pub(super) struct Awaited {
     /// for the key. Lives and dies with the marker, so a re-planned key
     /// can be pulled again.
     pub(super) pulled: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random preloads, takes, puts, reads and extractions: the store
+        /// answers as an ordered map of slots does, and `extract` hands
+        /// its variables out in id order.
+        #[test]
+        fn the_store_matches_an_ordered_map_of_slots(
+            preload in proptest::collection::vec((0u64..64, 0u32..100), 0..48),
+            steps in proptest::collection::vec((0u8..6, 0u64..64, 0u32..100), 1..300),
+        ) {
+            let mut store = Store::default();
+            let mut model: BTreeMap<VarId, Option<u32>> = BTreeMap::new();
+            store.extend(preload.iter().map(|&(v, x)| (VarId(v), x)));
+            model.extend(preload.iter().map(|&(v, x)| (VarId(v), Some(x))));
+            for (op, v, x) in steps {
+                let v = VarId(v);
+                match op {
+                    0 => proptest::prop_assert_eq!(
+                        store.get(v),
+                        model.get(&v).and_then(Option::as_ref)
+                    ),
+                    1 => proptest::prop_assert_eq!(
+                        store.take(v),
+                        model.get_mut(&v).and_then(Option::take)
+                    ),
+                    2 => {
+                        store.put(v, Some(x));
+                        model.insert(v, Some(x));
+                    }
+                    3 => {
+                        store.put(v, None);
+                        model.remove(&v);
+                    }
+                    _ => {
+                        // Every variable of one residue class, as a key's.
+                        let class = |w: VarId| w.0 % 8 == u64::from(x % 8);
+                        let want: Vec<(VarId, u32)> = model
+                            .extract_if(.., |&w, _| class(w))
+                            .filter_map(|(w, val)| val.map(|val| (w, val)))
+                            .collect();
+                        proptest::prop_assert_eq!(store.extract(class), want);
+                    }
+                }
+                proptest::prop_assert_eq!(store.len(), model.len());
+            }
+        }
+    }
 }

@@ -395,6 +395,10 @@ impl<M: 'static> Simulation<M> {
 
     /// Removes every pending timer of `n` from the queue. The order of
     /// removal is not observable: it moves no other event's `(time, seq)`.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "removal order is unobservable: it moves no other event's (time, seq)"
+    )]
     fn drop_timers(&mut self, n: NodeId) {
         for (tag, handle) in self.nodes[n.as_raw() as usize].timers.drain() {
             self.queue.remove_timer(handle, n, tag);
