@@ -395,9 +395,16 @@ fn run_scenario_golden(seed: u64) -> (u64, u64, u64) {
 /// nemesis kills stalls ≈ 0.6 s instead of ≈ 1.2 s and more commands
 /// complete in the same window. This is the only golden that crashes a
 /// node; the fault-free ones never elect and are untouched.
+///
+/// Re-pinned once when a restarted peer's backlog began to drain a window
+/// at a time (was `0x49c2_ffab_7074_85f9` / 16882): the restarted replica's
+/// peers put at most two ack batches of their unacked frames on the wire
+/// ahead of its cumulative ack instead of all of them at once, and frames
+/// sent meanwhile queue behind them, so the catch-up traffic reaches it in
+/// a different order and time. Still the only golden that restarts a node.
 const SCENARIO_GOLDEN_SEED: u64 = 42;
-const SCENARIO_GOLDEN_HASH: u64 = 0x49c2_ffab_7074_85f9;
-const SCENARIO_GOLDEN_COUNT: u64 = 16882;
+const SCENARIO_GOLDEN_HASH: u64 = 0x971f_345e_c3a1_42be;
+const SCENARIO_GOLDEN_COUNT: u64 = 16802;
 
 #[test]
 fn churn_flash_crowd_scenario_matches_golden_hash() {
